@@ -20,7 +20,6 @@ from .channel import (
 )
 from .encoding import (
     NoisePrecoder,
-    PowerControl,
     build_precoder,
     eta_bounds_given_mu,
     eta_from_delta,
@@ -43,7 +42,7 @@ from .experiments import (
     run_preset,
     write_table,
 )
-from .linalg import cholesky, hermitian_solve, matmul
+from .linalg import cholesky, hermitian_solve
 from .lp import LpProblem, LpSolution, solve_lp
 from .metrics import (
     CrossCovarianceReport,
@@ -79,7 +78,6 @@ __all__ = [
     "realization_to_dict",
     "realization_from_dict",
     "NoisePrecoder",
-    "PowerControl",
     "build_precoder",
     "eta_upper_bound",
     "eta_bounds_given_mu",
@@ -105,7 +103,6 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "solve_lp",
-    "matmul",
     "cholesky",
     "hermitian_solve",
     "ExperimentPreset",

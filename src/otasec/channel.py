@@ -67,6 +67,13 @@ class ScenarioConfig:
             raise ConfigurationError("snr_db must be finite")
         if not (self.transmit_power > 0.0):
             raise ConfigurationError("transmit_power must be positive")
+        # Disks of radius s/2 around the server and every placed point are
+        # disjoint and lie inside the disk of radius R + s/2, so their total
+        # area bounds how many points can be placed at all.
+        n = self.num_users + (1 if self.collocated_eavesdroppers else self.num_eavesdroppers)
+        half = self.min_separation / 2.0
+        if (n + 1) * half**2 > (self.disk_radius + half) ** 2:
+            raise ConfigurationError(f"the disk cannot hold {n} points this far apart")
 
 
 @dataclass
@@ -110,6 +117,11 @@ def calibrate_noise(config: ScenarioConfig) -> tuple[float, float]:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def _cn(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard circularly-symmetric complex Gaussians of the given shape."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def _draw_disk_point(rng: np.random.Generator, radius: float) -> np.ndarray:
@@ -268,6 +280,11 @@ def realization_from_dict(data: dict) -> SystemRealization:
         raise ConfigurationError(f"malformed realization document: {exc}") from exc
     if real.G.ndim != 2 or real.G.shape[1] != real.h.shape[0]:
         raise ConfigurationError("realization h and G shapes disagree")
+    for name in ("user_positions", "eav_positions", "h", "G", "P", "sigma_y_sq", "sigma_z_sq"):
+        if not np.all(np.isfinite(getattr(real, name))):
+            raise ConfigurationError(f"realization field {name} has a non-finite entry")
+    if np.any(real.h == 0):
+        raise ConfigurationError("every legitimate channel h_k must be non-zero")
     if real.sigma_y_sq <= 0.0 or real.sigma_z_sq <= 0.0:
         raise ConfigurationError("noise variances must be positive")
     return real

@@ -113,7 +113,22 @@ def _coerce_tuples(overrides: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
 
 
+def _worker_count(args) -> int | None:
+    """``--threads``, else ``OTA_SIM_THREADS``, else None (one worker per core)."""
+    raw = (os.environ.get("OTA_SIM_THREADS") or None) if args.threads is None else args.threads
+    if raw is None:
+        return None
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigurationError(f"OTA_SIM_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigurationError(f"the worker count must be at least 1, got {threads}")
+    return threads
+
+
 def _cmd_run(args) -> int:
+    threads = _worker_count(args)
     overrides = _coerce_tuples(_parse_overrides(args.overrides))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -126,9 +141,6 @@ def _cmd_run(args) -> int:
         overrides["num_realizations"] = args.trials
     preset = default_preset(args.preset, **overrides)
     preset.config.validate()
-    threads = args.threads
-    if threads is None and os.environ.get("OTA_SIM_THREADS"):
-        threads = int(os.environ["OTA_SIM_THREADS"])
     table = run_preset(preset, threads=threads)
     out = args.out or f"{args.preset}.dat"
     write_table(table, out)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemRealization
+from .channel import SystemRealization, _cn
 from .errors import ContractError, InfeasibleError, ShapeError
 
 PRECODER_KINDS = (
@@ -50,15 +50,6 @@ PRECODER_KINDS = (
 )
 
 _BUDGET_SLACK = 1e-9  # relative slack when checking eta against its bound
-
-
-@dataclass
-class PowerControl:
-    """Amplitude scaling factor with the parameter that produced it."""
-
-    eta: float
-    delta: float | None = None
-    mu: float | None = None
 
 
 @dataclass
@@ -76,6 +67,12 @@ class NoisePrecoder:
 
     def row_powers(self) -> np.ndarray:
         return np.sum(np.abs(self.A) ** 2, axis=1)
+
+
+def _no_noise(K: int, eta: float, degenerate: bool = False) -> NoisePrecoder:
+    """The ``none`` design: a K x 1 zero matrix."""
+    A = np.zeros((K, 1), dtype=np.complex128)
+    return NoisePrecoder(A, 1, "none", eta, degenerate=degenerate)
 
 
 def row_budgets(real: SystemRealization, eta: float) -> np.ndarray:
@@ -126,10 +123,6 @@ def eta_from_delta(real: SystemRealization, delta: float) -> float:
     return delta * math.sqrt(float(np.min(real.P * np.abs(real.h) ** 2)))
 
 
-def _cn_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
-
-
 def _scale_to_budgets(A: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Largest single scalar multiple keeping every row within its budget."""
     row_sq = np.sum(np.abs(A) ** 2, axis=1)
@@ -144,6 +137,13 @@ def _project_out(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Project columns onto the orthogonal complement of ``conj(h)``."""
     coeff = h @ A / np.sum(np.abs(h) ** 2)
     return A - np.outer(h.conj(), coeff)
+
+
+def _random_zf(ss, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
+    """Random K x (K - 1) matrix orthogonal to ``conj(h)``, scaled to the budgets."""
+    K = real.num_users
+    A = _cn(np.random.default_rng(ss), (K, K - 1))
+    return _scale_to_budgets(_project_out(A, real.h), budgets)
 
 
 def build_precoder(
@@ -167,14 +167,12 @@ def build_precoder(
         raise InfeasibleError(f"eta={eta:.6g} exceeds the no-noise maximum {eta_max:.6g}")
 
     if kind == "none":
-        return NoisePrecoder(np.zeros((K, 1), dtype=np.complex128), 1, "none", eta)
+        return _no_noise(K, eta)
 
     if kind == "signal_level":
         budgets = row_budgets(real, eta)
         if not np.any(budgets > 0.0):
-            return NoisePrecoder(
-                np.zeros((K, 1), dtype=np.complex128), 1, "none", eta, degenerate=True
-            )
+            return _no_noise(K, eta, degenerate=True)
         A = np.diag(np.sqrt(budgets)).astype(np.complex128)
         return NoisePrecoder(A, K, "signal_level", eta)
 
@@ -182,21 +180,15 @@ def build_precoder(
         # Common pre-scaling noise variance at the largest feasible value:
         # E|x_k|^2 = (eta^2/|h_k|^2)(1 + sigma_w^2) <= P for every user.
         if eta <= 0.0:
-            return NoisePrecoder(
-                np.zeros((K, 1), dtype=np.complex128), 1, "none", eta, degenerate=True
-            )
+            return _no_noise(K, eta, degenerate=True)
         sigma_w_sq = float(np.min(real.P * np.abs(real.h) ** 2)) / eta**2 - 1.0
         if sigma_w_sq <= 0.0:
-            return NoisePrecoder(
-                np.zeros((K, 1), dtype=np.complex128), 1, "none", eta, degenerate=True
-            )
+            return _no_noise(K, eta, degenerate=True)
         A = np.diag(eta * math.sqrt(sigma_w_sq) / real.h)
         return NoisePrecoder(A, K, "data_level", eta)
 
     if kind == "random_zf":
-        budgets = row_budgets(real, eta)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        A = _scale_to_budgets(_project_out(_cn_matrix(rng, K, K - 1), real.h), budgets)
+        A = _random_zf(np.random.SeedSequence(seed), real, row_budgets(real, eta))
         return NoisePrecoder(A, K - 1, "random_zf", eta)
 
     if kind == "mixture":
@@ -208,11 +200,8 @@ def build_precoder(
         budgets = row_budgets(real, eta)
         root = np.random.SeedSequence(seed)
         zf_ss, rand_ss = root.spawn(2)
-        A_zf = _scale_to_budgets(
-            _project_out(_cn_matrix(np.random.default_rng(zf_ss), K, K - 1), real.h),
-            budgets,
-        )
-        A_rand = _cn_matrix(np.random.default_rng(rand_ss), K, K - 1)
+        A_zf = _random_zf(zf_ss, real, budgets)
+        A_rand = _cn(np.random.default_rng(rand_ss), (K, K - 1))
         A = _scale_to_budgets((1.0 - theta) * A_zf + theta * A_rand, budgets)
         return NoisePrecoder(A, K - 1, "mixture", eta)
 

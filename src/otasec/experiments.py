@@ -7,11 +7,13 @@ of a preset always uses seed ``base_seed + r``, and the same realization
 index reuses the same topology across sweep values, so curves are exactly
 paired and differences between them have low variance.
 
-Averaged presets expose their per-trial data through :func:`collect_trials`;
-:func:`run_preset` reduces those to a mean table.  Tables serialize to a
-plain whitespace-separated text format with a ``#``-prefixed metadata block,
-designed to be loadable by any generic plotting tool.  Output is byte-for-byte
-reproducible for a given preset and seed, independent of the thread count.
+One entry of the private registry ``_PRESETS`` defines a preset: defaults,
+columns, rows, per-trial function and metadata keys.  Averaged presets expose
+their per-trial data through :func:`collect_trials`; :func:`run_preset`
+reduces those to a table.  Tables serialize to a plain whitespace-separated
+text format with a ``#``-prefixed metadata block, designed to be loadable by
+any generic plotting tool.  Output is byte-for-byte reproducible for a given
+preset and seed, independent of the thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -30,22 +33,11 @@ from .channel import (
     config_to_dict,
     sample_realization,
 )
-from .encoding import build_precoder, eta_bounds_given_mu, eta_from_delta
+from .encoding import _no_noise, build_precoder, eta_bounds_given_mu, eta_from_delta
 from .errors import ConfigurationError, ContractError
 from .metrics import approximation_error, coop_security, noncoop_security
 from .optimizer import optimize_proposed, optimize_shared_zf
 from .version import __version__
-
-PRESET_NAMES = (
-    "eta_design_space",
-    "sweep_L",
-    "sweep_snr_designs",
-    "security_gap",
-    "collocated",
-    "shared_zf",
-    "power_control",
-    "tradeoff",
-)
 
 _SNR_GRID = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -80,42 +72,6 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
 
-def default_preset(name: str, **overrides) -> ExperimentPreset:
-    """The stock preset for one figure, with optional field overrides."""
-    if name not in PRESET_NAMES:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
-        )
-    config = ScenarioConfig(num_users=10, num_eavesdroppers=5)
-    preset = ExperimentPreset(name=name, config=config)
-    if name == "eta_design_space":
-        preset.sweep_values = tuple(np.linspace(0.005, 1.0, 200))
-        preset.num_realizations = 1
-    elif name == "sweep_L":
-        preset.sweep_values = tuple(range(1, 16))
-    elif name in ("sweep_snr_designs", "security_gap"):
-        preset.sweep_values = _SNR_GRID
-        preset.designs = ("none", "signal_level", "data_level", "random_zf", "proposed")
-    elif name == "collocated":
-        preset.sweep_values = _SNR_GRID
-    elif name == "shared_zf":
-        preset.sweep_values = (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)
-    elif name == "power_control":
-        preset.sweep_values = _SNR_GRID
-    elif name == "tradeoff":
-        preset.config = replace(config, num_eavesdroppers=7, snr_db=0.0)
-        preset.sweep_values = tuple(np.linspace(0.0, 1.0, 40))
-        preset.num_realizations = 1
-    config_overrides = {k: v for k, v in overrides.items() if hasattr(config, k)}
-    preset_overrides = {k: v for k, v in overrides.items() if not hasattr(config, k)}
-    for key in preset_overrides:
-        if not hasattr(preset, key):
-            raise ConfigurationError(f"unknown preset field {key!r}")
-    if config_overrides:
-        preset.config = replace(preset.config, **config_overrides)
-    return replace(preset, **preset_overrides) if preset_overrides else preset
-
-
 # ---------------------------------------------------------------------------
 # Per-trial metric collection
 # ---------------------------------------------------------------------------
@@ -126,12 +82,14 @@ def _with_snr(real: SystemRealization, config: ScenarioConfig, snr_db: float):
     return replace(real, sigma_y_sq=sigma, sigma_z_sq=sigma)
 
 
+def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
+    # Realizations are nested in L, so the first L rows are exactly the
+    # realization the same seed would produce at num_eavesdroppers = L.
+    return replace(real, eav_positions=real.eav_positions[:L], G=real.G[:L])
+
+
 def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
-
-
-def _zero_precoder(K: int) -> np.ndarray:
-    return np.zeros((K, 1), dtype=np.complex128)
 
 
 def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -139,21 +97,15 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
     cfg = replace(preset.config, num_eavesdroppers=max(l_values))
     real = sample_realization(cfg, preset.base_seed + r)
     eta = eta_from_delta(real, preset.delta)
-    A = _zero_precoder(real.num_users)
+    A = _no_noise(real.num_users, eta).A
     D = approximation_error(real, A, eta)
     out = np.empty((len(l_values), 3))
     for j, L in enumerate(l_values):
-        # Realizations are nested in L, so the first L rows are exactly the
-        # realization this seed would produce at num_eavesdroppers = L.
-        sub = replace(real, eav_positions=real.eav_positions[:L], G=real.G[:L])
+        sub = _first_eavesdroppers(real, L)
         s_coop, _ = coop_security(sub, A, eta)
         s_non, _ = noncoop_security(sub, A, eta)
         out[j] = (D, s_coop, s_non)
     return out
-
-
-def _columns_sweep_L(preset: ExperimentPreset):
-    return ["L", "D", "S_coop", "S_noncoop"]
 
 
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -203,22 +155,12 @@ def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
         for real0 in (real_dist, real_coll):
             real = _with_snr(real0, preset.config, snr)
             eta = eta_from_delta(real, preset.delta)
-            A = _zero_precoder(real.num_users)
+            A = _no_noise(real.num_users, eta).A
             s_coop, _ = coop_security(real, A, eta)
             s_non, _ = noncoop_security(real, A, eta)
             row += [s_coop, s_non]
         out[j] = row
     return out
-
-
-def _columns_collocated(preset: ExperimentPreset):
-    return [
-        "snr_db",
-        "Scoop_distributed",
-        "Snoncoop_distributed",
-        "Scoop_collocated",
-        "Snoncoop_collocated",
-    ]
 
 
 def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -232,8 +174,7 @@ def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
     for j, snr in enumerate(preset.sweep_values):
         col = 0
         for L in l_values:
-            sub = replace(real_full, eav_positions=real_full.eav_positions[:L], G=real_full.G[:L])
-            real = _with_snr(sub, preset.config, snr)
+            real = _with_snr(_first_eavesdroppers(real_full, L), preset.config, snr)
             values = [coop_security(real, optimize_proposed(real, eta).A, eta)[0]]
             for n_share in preset.shared_n_values:
                 prec = optimize_shared_zf(real, eta, int(n_share), selection="exhaustive")
@@ -273,15 +214,6 @@ def _columns_power_control(preset: ExperimentPreset):
     return cols
 
 
-_TRIAL_RUNNERS = {
-    "sweep_L": (_columns_sweep_L, _trial_sweep_L),
-    "sweep_snr_designs": (_columns_sweep_snr_designs, _trial_sweep_snr_designs),
-    "collocated": (_columns_collocated, _trial_collocated),
-    "shared_zf": (_columns_shared_zf, _trial_shared_zf),
-    "power_control": (_columns_power_control, _trial_power_control),
-}
-
-
 def _map_trials(fn, n: int, threads: int | None):
     if threads is None:
         threads = os.cpu_count() or 1
@@ -297,30 +229,44 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     Only defined for the averaged presets; the sweep column itself is not
     included (it is identical across trials).
     """
-    name = "sweep_snr_designs" if preset.name == "security_gap" else preset.name
-    if name not in _TRIAL_RUNNERS:
+    spec = _PRESETS.get(preset.name)
+    if spec is None or spec.trial is None:
         raise ConfigurationError(f"preset {preset.name!r} has no per-trial form")
     if preset.num_realizations < 1:
         raise ConfigurationError("num_realizations must be at least 1")
     if len(preset.sweep_values) == 0:
         raise ConfigurationError("sweep_values must be non-empty")
-    _, trial_fn = _TRIAL_RUNNERS[name]
-    results = _map_trials(lambda r: trial_fn(preset, r), preset.num_realizations, threads)
+    results = _map_trials(lambda r: spec.trial(preset, r), preset.num_realizations, threads)
     return np.stack(results, axis=0)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-realization presets
+# Table rows
 # ---------------------------------------------------------------------------
 
 
-def _run_eta_design_space(preset: ExperimentPreset) -> tuple[list, np.ndarray]:
-    real = sample_realization(preset.config, preset.base_seed)
-    A = build_precoder(preset.precoder_kind, real, 0.0, seed=preset.base_seed).A
+def _mean_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+    means = collect_trials(preset, threads).mean(axis=0)
+    return np.column_stack([np.asarray(preset.sweep_values, dtype=float), means])
+
+
+def _gap_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+    # Mean columns come in (D, S_coop, S_noncoop) blocks, one per design.
+    rows = _mean_rows(preset, threads)
+    return np.column_stack([rows[:, 0], rows[:, 3::3] - rows[:, 2::3]])
+
+
+def _columns_eta_design_space(preset: ExperimentPreset):
     cols = ["mu"]
     for p in preset.power_levels:
         cols += [f"eta_lower_P{p:g}", f"eta_upper_P{p:g}"]
-    rows = np.empty((len(preset.sweep_values), len(cols)))
+    return cols
+
+
+def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+    real = sample_realization(preset.config, preset.base_seed)
+    A = build_precoder(preset.precoder_kind, real, 0.0, seed=preset.base_seed).A
+    rows = np.empty((len(preset.sweep_values), 1 + 2 * len(preset.power_levels)))
     # Noise variances stay at the base calibration while the transmit power
     # moves between levels; recalibrating would just rescale the whole plot.
     for j, mu in enumerate(preset.sweep_values):
@@ -329,10 +275,10 @@ def _run_eta_design_space(preset: ExperimentPreset) -> tuple[list, np.ndarray]:
             lower, upper = eta_bounds_given_mu(replace(real, P=float(p)), A, float(mu))
             row += [lower, upper]
         rows[j] = row
-    return cols, rows
+    return rows
 
 
-def _run_tradeoff(preset: ExperimentPreset) -> tuple[list, np.ndarray]:
+def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
     real = sample_realization(preset.config, preset.base_seed)
     thetas = np.linspace(0.0, 1.0, preset.mixture_thetas)
     rows = []
@@ -357,12 +303,122 @@ def _run_tradeoff(preset: ExperimentPreset) -> tuple[list, np.ndarray]:
                 rows.append(
                     [kind, delta, theta, approximation_error(real, prec.A, eta), s_coop]
                 )
-    return ["kind", "delta", "theta", "D", "S_coop"], np.array(rows)
+    return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# Preset registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Everything that distinguishes one preset from the others."""
+
+    columns: Callable[[ExperimentPreset], list]
+    rows: Callable[[ExperimentPreset, int | None], np.ndarray]
+    trial: Callable[[ExperimentPreset, int], np.ndarray] | None = None
+    meta: tuple = ()  # extra metadata keys, in output order
+    fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
+    config: dict = field(default_factory=dict)  # ScenarioConfig overrides
+
+
+_DESIGNS = ("none", "signal_level", "data_level", "random_zf", "proposed")
+
+_PRESETS = {
+    "eta_design_space": _Spec(
+        columns=_columns_eta_design_space,
+        rows=_eta_design_space_rows,
+        meta=("precoder_kind",),
+        fields=dict(sweep_values=tuple(np.linspace(0.005, 1.0, 200)), num_realizations=1),
+    ),
+    "sweep_L": _Spec(
+        columns=lambda preset: ["L", "D", "S_coop", "S_noncoop"],
+        rows=_mean_rows,
+        trial=_trial_sweep_L,
+        meta=("delta",),
+        fields=dict(sweep_values=tuple(range(1, 16))),
+    ),
+    "sweep_snr_designs": _Spec(
+        columns=_columns_sweep_snr_designs,
+        rows=_mean_rows,
+        trial=_trial_sweep_snr_designs,
+        meta=("designs", "delta"),
+        fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
+    ),
+    "security_gap": _Spec(
+        columns=lambda preset: ["snr_db"] + [f"gap_{d}" for d in preset.designs],
+        rows=_gap_rows,
+        trial=_trial_sweep_snr_designs,
+        meta=("designs", "delta"),
+        fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
+    ),
+    "collocated": _Spec(
+        columns=lambda preset: ["snr_db", "Scoop_distributed", "Snoncoop_distributed",
+                                "Scoop_collocated", "Snoncoop_collocated"],
+        rows=_mean_rows,
+        trial=_trial_collocated,
+        meta=("delta",),
+        fields=dict(sweep_values=_SNR_GRID),
+    ),
+    "shared_zf": _Spec(
+        columns=_columns_shared_zf,
+        rows=_mean_rows,
+        trial=_trial_shared_zf,
+        meta=("delta", "l_values"),
+        fields=dict(sweep_values=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0)),
+    ),
+    "power_control": _Spec(
+        columns=_columns_power_control,
+        rows=_mean_rows,
+        trial=_trial_power_control,
+        meta=("delta_grid",),
+        fields=dict(sweep_values=_SNR_GRID),
+    ),
+    "tradeoff": _Spec(
+        columns=lambda preset: ["kind", "delta", "theta", "D", "S_coop"],
+        rows=_tradeoff_rows,
+        meta=("kinds", "mixture_pairs"),
+        fields=dict(sweep_values=tuple(np.linspace(0.0, 1.0, 40)), num_realizations=1),
+        config=dict(num_eavesdroppers=7, snr_db=0.0),
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+_META_FORMATS = {
+    "designs": lambda p: " ".join(p.designs),
+    "delta": lambda p: f"{p.delta:g}",
+    "delta_grid": lambda p: " ".join(f"{d:g}" for d in p.delta_grid),
+    "l_values": lambda p: " ".join(str(int(v)) for v in p.l_values),
+    "kinds": lambda p: " ".join(f"{k}={v}" for k, v in TRADEOFF_KINDS.items()),
+    "mixture_pairs": lambda p: str(p.mixture_pairs),
+    "precoder_kind": lambda p: p.precoder_kind,
+}
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+
+
+def default_preset(name: str, **overrides) -> ExperimentPreset:
+    """The stock preset for one figure, with optional field overrides."""
+    if name not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
+        )
+    spec = _PRESETS[name]
+    config = ScenarioConfig(num_users=10, num_eavesdroppers=5)
+    preset = ExperimentPreset(name=name, config=replace(config, **spec.config), **spec.fields)
+    config_overrides = {k: v for k, v in overrides.items() if hasattr(config, k)}
+    preset_overrides = {k: v for k, v in overrides.items() if not hasattr(config, k)}
+    for key in preset_overrides:
+        if not hasattr(preset, key):
+            raise ConfigurationError(f"unknown preset field {key!r}")
+    if config_overrides:
+        preset.config = replace(preset.config, **config_overrides)
+    return replace(preset, **preset_overrides) if preset_overrides else preset
 
 
 def _metadata(preset: ExperimentPreset) -> dict:
@@ -372,19 +428,8 @@ def _metadata(preset: ExperimentPreset) -> dict:
         "num_realizations": str(preset.num_realizations),
         "sweep": " ".join(f"{v:g}" for v in preset.sweep_values),
     }
-    if preset.designs:
-        meta["designs"] = " ".join(preset.designs)
-    if preset.name in ("sweep_L", "sweep_snr_designs", "security_gap", "collocated", "shared_zf"):
-        meta["delta"] = f"{preset.delta:g}"
-    if preset.name == "power_control":
-        meta["delta_grid"] = " ".join(f"{d:g}" for d in preset.delta_grid)
-    if preset.name == "shared_zf":
-        meta["l_values"] = " ".join(str(int(v)) for v in preset.l_values)
-    if preset.name == "tradeoff":
-        meta["kinds"] = " ".join(f"{k}={v}" for k, v in TRADEOFF_KINDS.items())
-        meta["mixture_pairs"] = str(preset.mixture_pairs)
-    if preset.name == "eta_design_space":
-        meta["precoder_kind"] = preset.precoder_kind
+    for key in _PRESETS[preset.name].meta:
+        meta[key] = _META_FORMATS[key](preset)
     meta["config"] = json.dumps(config_to_dict(preset.config), separators=(",", ":"))
     meta["build"] = f"otasec {__version__}"
     return meta
@@ -392,31 +437,16 @@ def _metadata(preset: ExperimentPreset) -> dict:
 
 def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:
     """Execute a preset and return its (averaged) result table."""
-    if preset.name not in PRESET_NAMES:
+    if preset.name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {preset.name!r}")
     if len(preset.sweep_values) == 0:
         raise ConfigurationError("sweep_values must be non-empty")
     sweep = np.asarray(preset.sweep_values, dtype=float)
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
-
-    if preset.name == "eta_design_space":
-        cols, rows = _run_eta_design_space(preset)
-    elif preset.name == "tradeoff":
-        cols, rows = _run_tradeoff(preset)
-    else:
-        trials = collect_trials(preset, threads)
-        means = trials.mean(axis=0)
-        if preset.name == "security_gap":
-            cols = ["snr_db"] + [f"gap_{d}" for d in preset.designs]
-            gaps = np.empty((means.shape[0], len(preset.designs)))
-            for d_idx in range(len(preset.designs)):
-                gaps[:, d_idx] = means[:, 3 * d_idx + 2] - means[:, 3 * d_idx + 1]
-            rows = np.column_stack([sweep, gaps])
-        else:
-            cols = _TRIAL_RUNNERS[preset.name][0](preset)
-            rows = np.column_stack([sweep, means])
-    return ResultTable(column_names=cols, rows=np.asarray(rows, dtype=float), metadata=_metadata(preset))
+    spec = _PRESETS[preset.name]
+    rows = np.asarray(spec.rows(preset, threads), dtype=float)
+    return ResultTable(spec.columns(preset), rows, _metadata(preset))
 
 
 def write_table(table: ResultTable, path) -> None:

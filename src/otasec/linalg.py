@@ -22,17 +22,6 @@ HERMITIAN_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product ``a @ b`` with explicit shape checking."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def cholesky(B: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with ``L @ L.conj().T == B``.
 

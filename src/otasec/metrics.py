@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioConfig, SystemRealization, sample_realization
+from .channel import ScenarioConfig, SystemRealization, _cn, sample_realization
 from .errors import ContractError
 from .linalg import hermitian_solve
 
@@ -182,10 +182,6 @@ def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityRepo
 # ---------------------------------------------------------------------------
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
 def _simulate_chunk(rng, real, A, eta, n):
     """Draw n transmissions through the actual encoding chain."""
     K = real.num_users
@@ -196,6 +192,27 @@ def _simulate_chunk(rng, real, A, eta, n):
     z = x @ real.G.T + math.sqrt(real.sigma_z_sq) * _cn(rng, (n, real.num_eavesdroppers))
     s = gamma.sum(axis=1)
     return s, y, z
+
+
+def _heldout_mse(rng, real, A, eta, num_samples, estimators):
+    """Mean and standard error of each estimator's normalized squared error.
+
+    Each estimator maps a chunk's observations ``(y, z)`` to estimates of ``s``.
+    """
+    sums = np.zeros(len(estimators))
+    sums_sq = np.zeros(len(estimators))
+    left = num_samples
+    while left > 0:
+        n = min(left, _CHUNK)
+        s, y, z = _simulate_chunk(rng, real, A, eta, n)
+        for i, estimate in enumerate(estimators):
+            err = np.abs(estimate(y, z) - s) ** 2 / real.num_users
+            sums[i] += err.sum()
+            sums_sq[i] += np.sum(err**2)
+        left -= n
+    means = sums / num_samples
+    variances = np.maximum(sums_sq / num_samples - means**2, 0.0)
+    return means, np.sqrt(variances / num_samples)
 
 
 def mc_oracle(
@@ -216,7 +233,6 @@ def mc_oracle(
         raise ContractError("num_samples must be at least 10^4")
     A = np.asarray(A, dtype=np.complex128)
     L = real.num_eavesdroppers
-    K = real.num_users
     fit_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
 
     n_fit = num_samples // 2
@@ -238,22 +254,9 @@ def mc_oracle(
     # Independent generic solve: the oracle must not share the Cholesky path.
     p_fit = np.linalg.solve(szz / n_fit, szs / n_fit)
 
-    n_eval = num_samples - n_fit
+    estimators = (lambda y, z: a_fit * y, lambda y, z: z @ p_fit.conj())
     rng = np.random.default_rng(eval_ss)
-    sums = np.zeros(2)
-    sums_sq = np.zeros(2)
-    left = n_eval
-    while left > 0:
-        n = min(left, _CHUNK)
-        s, y, z = _simulate_chunk(rng, real, A, eta, n)
-        err_d = np.abs(a_fit * y - s) ** 2 / K
-        err_s = np.abs(z @ p_fit.conj() - s) ** 2 / K
-        sums += [err_d.sum(), err_s.sum()]
-        sums_sq += [np.sum(err_d**2), np.sum(err_s**2)]
-        left -= n
-    means = sums / n_eval
-    variances = np.maximum(sums_sq / n_eval - means**2, 0.0)
-    std_errs = np.sqrt(variances / n_eval)
+    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples - n_fit, estimators)
     return OracleReport(
         D_hat=float(means[0]),
         S_hat=float(means[1]),
@@ -280,19 +283,8 @@ def mc_combiner_mse(
     A = np.asarray(A, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total = 0.0
-    total_sq = 0.0
-    left = num_samples
-    while left > 0:
-        n = min(left, _CHUNK)
-        s, _, z = _simulate_chunk(rng, real, A, eta, n)
-        err = np.abs(z @ p.conj() - s) ** 2 / real.num_users
-        total += float(err.sum())
-        total_sq += float(np.sum(err**2))
-        left -= n
-    mean = total / num_samples
-    var = max(total_sq / num_samples - mean**2, 0.0)
-    return mean, math.sqrt(var / num_samples)
+    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples, (lambda y, z: z @ p.conj(),))
+    return float(means[0]), float(std_errs[0])
 
 
 def statistical_csi_check(

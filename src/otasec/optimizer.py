@@ -122,6 +122,19 @@ def assemble_precoder(real: SystemRealization, design: ZeroForcingDesign) -> Noi
     )
 
 
+def _budget_rows(
+    budgets: np.ndarray, design: ZeroForcingDesign, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power budgets over the column powers: noise users, then zero-forcing users."""
+    noise_users = _noise_users(h.shape[0], design.zf_users)
+    rows = [np.eye(len(noise_users))]
+    rhs = [budgets[noise_users]]
+    for k, d_k in zip(design.zf_users, design.weights):
+        rows.append([np.abs(d_k * h[noise_users] / h[k]) ** 2])
+        rhs.append([budgets[k]])
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 def _allocation_lp(
     obj: EavesdropperObjective,
     budgets: np.ndarray,
@@ -136,54 +149,27 @@ def _allocation_lp(
     Returns the problem together with that scale (t = scale * x[0]).
     """
     n_cols = obj.beta.shape[1]
-    noise_users = _noise_users(h.shape[0], design.zf_users)
     live = [l for l in range(obj.alpha.shape[0]) if l not in obj.dropped_eavs]
     scale = float(np.min(obj.alpha[live]))
-    rows = []
-    rhs = []
-    for l in live:
-        rows.append(np.concatenate(([1.0], -obj.beta[l] / scale)))
-        rhs.append(obj.alpha[l] / scale)
-    for col, i in enumerate(noise_users):
-        row = np.zeros(1 + n_cols)
-        row[1 + col] = 1.0
-        rows.append(row)
-        rhs.append(budgets[i])
-    for k, d_k in zip(design.zf_users, design.weights):
-        row = np.zeros(1 + n_cols)
-        row[1:] = np.abs(d_k * h[noise_users] / h[k]) ** 2
-        rows.append(row)
-        rhs.append(budgets[k])
+    budget_rows, budget_rhs = _budget_rows(budgets, design, h)
+    objective_rows = np.column_stack([np.ones(len(live)), -obj.beta[live] / scale])
+    budget_rows = np.column_stack([np.zeros(len(budget_rows)), budget_rows])  # t is unbudgeted
+    rows = np.vstack([objective_rows, budget_rows])
+    rhs = np.concatenate([obj.alpha[live] / scale, budget_rhs])
     objective = np.zeros(1 + n_cols)
     objective[0] = 1.0
     mask = np.ones(1 + n_cols, dtype=bool)
     mask[0] = False  # t is free
-    return LpProblem(1 + n_cols, objective, np.array(rows), np.array(rhs), mask), scale
+    return LpProblem(1 + n_cols, objective, rows, rhs, mask), scale
 
 
 def _total_power_lp(
     budgets: np.ndarray, design: ZeroForcingDesign, h: np.ndarray
 ) -> LpProblem:
     """Tie-break allocation: maximize total noise power under the budgets."""
-    noise_users = _noise_users(h.shape[0], design.zf_users)
-    n_cols = len(noise_users)
-    rows = []
-    rhs = []
-    for col in range(n_cols):
-        row = np.zeros(n_cols)
-        row[col] = 1.0
-        rows.append(row)
-        rhs.append(budgets[noise_users[col]])
-    for k, d_k in zip(design.zf_users, design.weights):
-        rows.append(np.abs(d_k * h[noise_users] / h[k]) ** 2)
-        rhs.append(budgets[k])
-    return LpProblem(
-        n_cols,
-        np.ones(n_cols),
-        np.array(rows),
-        np.array(rhs),
-        np.ones(n_cols, dtype=bool),
-    )
+    rows, rhs = _budget_rows(budgets, design, h)
+    n_cols = rows.shape[1]
+    return LpProblem(n_cols, np.ones(n_cols), rows, rhs, np.ones(n_cols, dtype=bool))
 
 
 def optimize_design(
@@ -227,30 +213,17 @@ def optimize_proposed(real: SystemRealization, eta: float) -> NoisePrecoder:
     return assemble_precoder(real, design)
 
 
-def proportional_weights(
-    real: SystemRealization, eta: float, zf_users: tuple[int, ...]
-) -> np.ndarray:
-    """Zero-forcing weights proportional to each user's residual power."""
-    budgets = row_budgets(real, eta)
-    r = budgets[list(zf_users)]
-    total = float(r.sum())
-    if total <= 0.0:
-        raise ContractError("zero-forcing set has no residual power")
-    return r / total
-
-
 def optimize_shared_zf(
     real: SystemRealization,
     eta: float,
     N: int,
     selection: str = "exhaustive",
-    rank_by: str = "noncoop",
 ) -> NoisePrecoder:
     """Zero-forcing shared by ``N`` users, with the best user selection.
 
+    Each zero-forcing user's weight is proportional to its residual power.
     ``selection="exhaustive"`` tries every size-N subset and keeps the one
-    whose optimized precoder achieves the highest security
-    (non-cooperative by default, cooperative with ``rank_by="coop"``);
+    whose optimized precoder achieves the highest non-cooperative security;
     ``"best_channel"`` just takes the N strongest channels.  Ties go to the
     lexicographically smallest subset.  If every candidate subset is out of
     residual power the zero precoder is returned.
@@ -260,8 +233,6 @@ def optimize_shared_zf(
         raise ContractError("N must lie in [1, K-1]")
     if selection not in ("exhaustive", "best_channel"):
         raise ContractError(f"unknown selection rule {selection!r}")
-    if rank_by not in ("noncoop", "coop"):
-        raise ContractError(f"unknown ranking {rank_by!r}")
     budgets = row_budgets(real, eta)
     if selection == "exhaustive":
         candidates = itertools.combinations(range(K), N)
@@ -278,10 +249,7 @@ def optimize_shared_zf(
         design = ZeroForcingDesign(zf_users=Z, weights=r / total, eta=eta)
         design, _ = optimize_design(real, eta, design)
         precoder = assemble_precoder(real, design)
-        if rank_by == "noncoop":
-            value, _ = metrics.noncoop_security(real, precoder.A, eta)
-        else:
-            value, _ = metrics.coop_security(real, precoder.A, eta)
+        value, _ = metrics.noncoop_security(real, precoder.A, eta)
         if best is None or value > best[0]:
             best = (value, Z, precoder)
     if best is None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from otasec import ScenarioConfig, sample_realization
-from otasec.encoding import build_precoder, eta_from_delta, row_budgets
+from otasec.encoding import build_precoder, eta_from_delta
 from otasec.experiments import default_preset, collect_trials
 from otasec.lp import LpProblem, solve_lp
 from otasec.metrics import (
@@ -27,6 +27,7 @@ from otasec.metrics import (
     statistical_csi_check,
 )
 from otasec.optimizer import optimize_proposed, optimize_shared_zf
+from otasec.selftest import _grid_best_worst_objective
 
 from otasec.cli import main as cli_main
 
@@ -213,31 +214,6 @@ def test_criterion_7_zero_forcing_neutrality():
 # ---------------------------------------------------------------------------
 
 
-def _grid_oracle(real, eta, resolution=200):
-    """Lattice search of the worst-eavesdropper objective, K = 3 instances."""
-    h, G = real.h, real.G
-    zf = int(np.argmax(np.abs(h) ** 2))
-    others = [i for i in range(3) if i != zf]
-    budgets = row_budgets(real, eta)
-    r = G / h[np.newaxis, :]
-    denom = np.abs(r.sum(axis=1)) ** 2
-    live = denom > 1e-12 * np.sum(np.abs(r) ** 2, axis=1)
-    base = eta**2 * np.sum(np.abs(r) ** 2, axis=1) + real.sigma_z_sq
-    gain = np.abs(G[:, others] - np.outer(G[:, zf] / h[zf], h[others])) ** 2
-    l1 = np.linspace(0.0, budgets[others[0]], resolution + 1)
-    l2 = np.linspace(0.0, budgets[others[1]], resolution + 1)
-    L1, L2 = np.meshgrid(l1, l2, indexing="ij")
-    w = np.abs(h[others] / h[zf]) ** 2
-    feasible = w[0] * L1 + w[1] * L2 <= budgets[zf] + 1e-15
-    worst = np.full(L1.shape, np.inf)
-    for ell in np.nonzero(live)[0]:
-        worst = np.minimum(
-            worst, (base[ell] + gain[ell, 0] * L1 + gain[ell, 1] * L2) / denom[ell]
-        )
-    worst[~feasible] = -np.inf
-    return float(worst.max())
-
-
 def _enumerate_vertices(c, M, b):
     n = len(c)
     rows = [np.asarray(row, dtype=float) for row in M] + [-e for e in np.eye(n)]
@@ -266,7 +242,7 @@ def test_criterion_8_lp_correctness():
         prec = optimize_proposed(real, eta)
         s_non, _ = noncoop_security(real, prec.A, eta)
         t_lp = eta**2 / (3 * (1.0 - s_non))
-        t_grid = _grid_oracle(real, eta)
+        t_grid = _grid_best_worst_objective(real, eta, resolution=200)
         worst_rel = max(worst_rel, abs(t_lp - t_grid) / abs(t_grid))
 
     rng = np.random.default_rng(88)

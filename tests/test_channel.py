@@ -137,6 +137,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             base_config(**kwargs).validate()
 
+    def test_packing_bound_counts_collocated_eavesdroppers_once(self):
+        # (n + 1) * 0.25 against (2 + 0.5)**2 = 6.25: n = 25 fails, n = 21 passes.
+        cfg = base_config(num_users=20, num_eavesdroppers=5, disk_radius=2.0)
+        with pytest.raises(ConfigurationError, match="cannot hold"):
+            cfg.validate()
+        base_config(
+            num_users=20, num_eavesdroppers=5, disk_radius=2.0, collocated_eavesdroppers=True
+        ).validate()
+
 
 class TestSerialization:
     def test_config_round_trip_field_names(self):
@@ -175,3 +184,20 @@ class TestSerialization:
             load_realization(path)
         with pytest.raises(ConfigurationError):
             realization_from_dict({"h": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize(
+        "field", ["user_positions", "eav_positions", "h", "G", "P", "sigma_y_sq", "sigma_z_sq"]
+    )
+    def test_non_finite_entry_raises(self, field):
+        doc = realization_to_dict(sample_realization(base_config(num_users=3), 9))
+        values = np.asarray(doc[field], dtype=float)
+        values.flat[-1] = np.nan
+        doc[field] = values.tolist()
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            realization_from_dict(doc)
+
+    def test_zero_legitimate_channel_raises(self):
+        doc = realization_to_dict(sample_realization(base_config(num_users=3), 9))
+        doc["h"][2] = [0.0, 0.0]
+        with pytest.raises(ConfigurationError, match="h_k"):
+            realization_from_dict(doc)

@@ -93,6 +93,21 @@ class TestRun:
     def test_invalid_override_value_exits_2(self, tmp_path, capsys):
         assert main(["run", "sweep_L", "--set", "num_users=1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, env", [(["--threads", "-3"], None), (["--threads", "0"], None), ([], "abc"), ([], "0")]
+    )
+    def test_bad_worker_count_exits_2_before_work(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("OTA_SIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OTA_SIM_THREADS", env)
+        out = tmp_path / "t.dat"
+        assert main(["run", "sweep_L", "--trials", "1", "--out", str(out)] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: code=2" in captured.err
+        assert not out.exists()
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code = main(
             [
@@ -140,6 +155,24 @@ class TestMetricsCommand:
         code = main(["metrics", str(realization_file), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["kind"] == "none"
+
+
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+@pytest.mark.parametrize("bad", ["zero_h", "nan_G"])
+def test_bad_channel_document_exits_2(tmp_path, capsys, command, bad):
+    doc = realization_to_dict(
+        sample_realization(ScenarioConfig(num_users=4, num_eavesdroppers=2), 21)
+    )
+    if bad == "zero_h":
+        doc["h"][1] = [0.0, 0.0]
+    else:
+        doc["G"][0][2][0] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err
 
 
 class TestOptimizeCommand:

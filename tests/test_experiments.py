@@ -186,6 +186,27 @@ class TestOtherPresets:
                 assert abs(d_zf - d_ref) <= 1e-12
 
 
+class TestMetadata:
+    def test_key_order_per_preset(self):
+        extra = {
+            "eta_design_space": ["precoder_kind"],
+            "sweep_L": ["delta"],
+            "sweep_snr_designs": ["designs", "delta"],
+            "security_gap": ["designs", "delta"],
+            "collocated": ["delta"],
+            "shared_zf": ["delta", "l_values"],
+            "power_control": ["delta_grid"],
+            "tradeoff": ["kinds", "mixture_pairs"],
+        }
+        assert list(extra) == list(PRESET_NAMES)
+        head = ["preset", "base_seed", "num_realizations", "sweep"]
+        for name in PRESET_NAMES:
+            preset = small(name, num_realizations=1)
+            preset.sweep_values = preset.sweep_values[:2]
+            table = run_preset(preset, threads=1)
+            assert list(table.metadata) == head + extra[name] + ["config", "build"], name
+
+
 class TestTableIo:
     def test_single_cell_round_trip(self, tmp_path):
         table = ResultTable(["x"], np.array([[1.5]]), {"preset": "demo", "seed": "1"})

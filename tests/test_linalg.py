@@ -2,20 +2,11 @@ import numpy as np
 import pytest
 
 from otasec.errors import ContractError, ShapeError, SingularMatrixError
-from otasec.linalg import cholesky, hermitian_solve, matmul
+from otasec.linalg import cholesky, hermitian_solve
 
 
 def cn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def triple_loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def det_by_cofactors(M):
@@ -38,36 +29,6 @@ def inverse_by_adjugate(M):
             minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
             adj[j, i] = (-1) ** (i + j) * det_by_cofactors(minor)
     return adj / det
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        M = cn(rng, 2, 2)
-        assert np.array_equal(matmul(np.eye(2), M), M)
-
-    def test_permutation(self):
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        v = np.array([[2.0 + 1j], [3.0 - 2j]])
-        assert np.array_equal(matmul(P, v), np.array([[3.0 - 2j], [2.0 + 1j]]))
-
-    def test_matches_triple_loop(self, rng):
-        a = cn(rng, 3, 4)
-        b = cn(rng, 4, 2)
-        ref = triple_loop_matmul(a, b)
-        assert np.max(np.abs(matmul(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            matmul(cn(rng, 2, 3), cn(rng, 2, 3))
-        with pytest.raises(ShapeError):
-            matmul(cn(rng, 3), cn(rng, 3, 2))
-
-    def test_associative(self, rng):
-        for _ in range(10):
-            a, b, c = cn(rng, 5, 5), cn(rng, 5, 5), cn(rng, 5, 5)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
 
 
 class TestHermitianSolve:

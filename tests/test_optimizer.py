@@ -5,7 +5,7 @@ import pytest
 
 from otasec.encoding import build_precoder, eta_from_delta, row_budgets
 from otasec.errors import ContractError
-from otasec.metrics import approximation_error, coop_security, noncoop_security
+from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
     ZeroForcingDesign,
     assemble_precoder,
@@ -13,8 +13,8 @@ from otasec.optimizer import (
     optimize_design,
     optimize_proposed,
     optimize_shared_zf,
-    proportional_weights,
 )
+from otasec.selftest import _grid_best_worst_objective
 
 from conftest import make_realization, synthetic_realization
 
@@ -88,10 +88,11 @@ class TestAssemble:
         for seed in range(10):
             real = make_realization(seed, K=5, L=2)
             eta = eta_from_delta(real, 0.4)
-            Z = tuple(sorted(rng.choice(5, size=2, replace=False).tolist()))
-            w = proportional_weights(real, eta, Z)
+            shared = optimize_shared_zf(real, eta, 2)
             lam = rng.uniform(0.0, 0.1, 3)
-            design = dataclasses.replace(design_for(real, eta, Z, w), lam=lam)
+            design = dataclasses.replace(
+                design_for(real, eta, shared.zf_users, shared.zf_weights), lam=lam
+            )
             A = assemble_precoder(real, design).A
             assert np.linalg.norm(real.h @ A) <= 1e-12 * np.linalg.norm(
                 real.h
@@ -136,7 +137,7 @@ class TestOptimizeProposed:
             prec = optimize_proposed(real, eta)
             s_non, _ = noncoop_security(real, prec.A, eta)
             t_lp = eta**2 / (3 * (1.0 - s_non))
-            t_grid = grid_best(real, eta, 200)
+            t_grid = _grid_best_worst_objective(real, eta, resolution=200)
             assert t_lp == pytest.approx(t_grid, rel=0.01)
 
     def test_uses_best_channel_for_zero_forcing(self):
@@ -193,29 +194,6 @@ class TestOptimizeProposed:
             assert some_tight or all_budgets_bind
 
 
-def grid_best(real, eta, resolution):
-    """Independent lattice search over the two free noise powers (K = 3)."""
-    h, G = real.h, real.G
-    zf = int(np.argmax(np.abs(h) ** 2))
-    others = [i for i in range(3) if i != zf]
-    budgets = row_budgets(real, eta)
-    r = G / h[np.newaxis, :]
-    denom = np.abs(r.sum(axis=1)) ** 2
-    live = denom > 1e-12 * np.sum(np.abs(r) ** 2, axis=1)
-    base = eta**2 * np.sum(np.abs(r) ** 2, axis=1) + real.sigma_z_sq
-    gain = np.abs(G[:, others] - np.outer(G[:, zf] / h[zf], h[others])) ** 2
-    grid1 = np.linspace(0.0, budgets[others[0]], resolution + 1)
-    grid2 = np.linspace(0.0, budgets[others[1]], resolution + 1)
-    L1, L2 = np.meshgrid(grid1, grid2, indexing="ij")
-    w = np.abs(h[others] / h[zf]) ** 2
-    feasible = w[0] * L1 + w[1] * L2 <= budgets[zf] + 1e-15
-    worst = np.full(L1.shape, np.inf)
-    for ell in np.nonzero(live)[0]:
-        worst = np.minimum(worst, (base[ell] + gain[ell, 0] * L1 + gain[ell, 1] * L2) / denom[ell])
-    worst[~feasible] = -np.inf
-    return float(worst.max())
-
-
 def achieved_objective(real, eta):
     prec = optimize_proposed(real, eta)
     s_non, _ = noncoop_security(real, prec.A, eta)
@@ -226,11 +204,12 @@ class TestSharedZeroForcing:
     def test_weights_proportional_to_residual_power(self):
         real = make_realization(4, K=5, L=2)
         eta = eta_from_delta(real, 0.5)
-        Z = (1, 3)
-        w = proportional_weights(real, eta, Z)
+        prec = optimize_shared_zf(real, eta, 2)
+        w = prec.zf_weights
+        Z = prec.zf_users
         budgets = row_budgets(real, eta)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert w[0] / w[1] == pytest.approx(budgets[1] / budgets[3], rel=1e-12)
+        assert w[0] / w[1] == pytest.approx(budgets[Z[0]] / budgets[Z[1]], rel=1e-12)
 
     def test_single_user_exhaustive_contains_proposed(self):
         found_match = False
@@ -255,7 +234,7 @@ class TestSharedZeroForcing:
         Z = prec.zf_users
         i = [k for k in range(4) if k not in Z][0]
         budgets = row_budgets(real, eta)
-        w = proportional_weights(real, eta, Z)
+        w = prec.zf_weights
         cap = budgets[i]
         for k, d_k in zip(Z, w):
             coeff = abs(d_k * real.h[i] / real.h[k]) ** 2
@@ -296,15 +275,6 @@ class TestSharedZeroForcing:
             optimize_shared_zf(real, 0.0, 4)
         with pytest.raises(ContractError):
             optimize_shared_zf(real, 0.0, 2, selection="random")
-        with pytest.raises(ContractError):
-            optimize_shared_zf(real, 0.0, 2, rank_by="entropy")
-
-    def test_rank_by_coop_is_supported(self):
-        real = make_realization(5, K=4, L=2)
-        eta = eta_from_delta(real, 0.6)
-        prec = optimize_shared_zf(real, eta, 2, rank_by="coop")
-        s, _ = coop_security(real, prec.A, eta)
-        assert 0.0 <= s <= 1.0
 
     def test_returned_precoders_satisfy_budgets(self):
         for seed in range(6):
