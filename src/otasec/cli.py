@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -149,7 +150,10 @@ def _cmd_run(args) -> int:
 
 
 def _emit(document: dict, out: str) -> None:
-    text = json.dumps(document, indent=2)
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError("refusing to emit non-finite values") from exc
     if out == "-":
         print(text)
     else:
@@ -158,7 +162,13 @@ def _emit(document: dict, out: str) -> None:
 
 
 def _resolve_eta(args, real) -> float:
-    return args.eta if args.eta is not None else eta_from_delta(real, args.delta)
+    if args.eta is not None:
+        if not (math.isfinite(args.eta) and args.eta >= 0.0):
+            raise ConfigurationError(f"--eta must be finite and nonnegative, got {args.eta}")
+        return args.eta
+    if not 0.0 <= args.delta <= 1.0:
+        raise ConfigurationError(f"--delta must lie in [0, 1], got {args.delta}")
+    return eta_from_delta(real, args.delta)
 
 
 def _cmd_metrics(args) -> int:

@@ -1,10 +1,12 @@
-"""Small dense linear programs in inequality form.
+"""Small dense linear programs whose origin is feasible.
 
-Solves ``maximize c^T x`` subject to ``M x <= b`` with an optional
-nonnegativity flag per variable, via a two-phase dense simplex with Bland's
-anti-cycling rule.  The programs produced by the noise optimizer have at most
-a few dozen variables and a few hundred rows, so a dense tableau is the
-simplest thing that is obviously correct, and it is bit-for-bit deterministic.
+Solves ``maximize c^T x`` subject to ``M x <= b`` and ``x >= 0`` with
+``b >= 0``, via a single-phase dense simplex with Bland's anti-cycling rule.
+A nonnegative right-hand side makes ``x = 0`` feasible, so the slack basis
+starts the search and no phase 1 is needed.  The programs produced by the
+noise optimizer have at most a few dozen variables and a few hundred rows, so
+a dense tableau is the simplest thing that is obviously correct, and it is
+bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from .errors import ContractError
 
 PIVOT_TOL = 1e-9
-FEASIBILITY_TOL = 1e-8
 MAX_VARS = 128
 MAX_CONSTRAINTS = 512
 _MAX_ITER = 50_000
@@ -25,22 +26,23 @@ _RATIO_TIE_TOL = 1e-12
 
 @dataclass
 class LpProblem:
-    """``maximize objective @ x`` s.t. ``ineq_matrix @ x <= ineq_rhs``.
+    """``maximize objective @ x`` s.t. ``ineq_matrix @ x <= ineq_rhs``, ``x >= 0``.
 
-    Variables with ``nonneg_mask[i]`` set are constrained to ``x[i] >= 0``;
-    the rest are free.
+    Every entry of ``ineq_rhs`` must be nonnegative, so that ``x = 0`` is
+    feasible.
     """
 
     num_vars: int
     objective: np.ndarray
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
-    nonneg_mask: np.ndarray
 
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    """The optimum, or ``status == "unbounded"`` with ``x = 0``."""
+
+    status: str  # "optimal" | "unbounded"
     x: np.ndarray
     objective_value: float
 
@@ -50,139 +52,57 @@ def _validate(problem: LpProblem):
     c = np.asarray(problem.objective, dtype=float)
     M = np.atleast_2d(np.asarray(problem.ineq_matrix, dtype=float))
     b = np.asarray(problem.ineq_rhs, dtype=float)
-    mask = np.asarray(problem.nonneg_mask, dtype=bool)
-    if c.shape != (n,) or mask.shape != (n,):
-        raise ContractError("objective/nonneg_mask length must equal num_vars")
+    if c.shape != (n,):
+        raise ContractError("objective length must equal num_vars")
     if M.shape != (b.shape[0], n):
         raise ContractError(f"constraint shapes disagree: {M.shape} vs rhs {b.shape}")
     if n > MAX_VARS or M.shape[0] > MAX_CONSTRAINTS:
         raise ContractError(f"problem too large: {n} vars, {M.shape[0]} constraints")
     if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all()):
         raise ContractError("non-finite coefficient in LP data")
-    return c, M, b, mask
+    if np.any(b < 0.0):
+        raise ContractError("negative right-hand side: the origin must be feasible")
+    return c, M, b
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    piv_row = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv_row
-
-
-def _iterate(T: np.ndarray, basis: np.ndarray, num_enterable: int) -> str:
-    """Run simplex pivots until optimal or unbounded (Bland's rule)."""
-    m = T.shape[0] - 1
-    for _ in range(_MAX_ITER):
-        obj = T[m]
-        enter = -1
-        for j in range(num_enterable):
-            if obj[j] < -PIVOT_TOL:  # lowest improving index enters
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a <= PIVOT_TOL:
-                continue
-            ratio = T[i, -1] / a
-            if ratio < best - _RATIO_TIE_TOL:
-                best = ratio
-                leave = i
-            elif ratio <= best + _RATIO_TIE_TOL and leave >= 0 and basis[i] < basis[leave]:
-                leave = i  # tie broken by lowest basic-variable index
-        if leave < 0:
-            return "unbounded"
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    raise RuntimeError("simplex iteration limit exceeded")
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    T[rows] -= factors[rows, np.newaxis] * T[row]
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP to optimality, or report infeasible/unbounded."""
-    c0, M, b0, mask = _validate(problem)
-    n = int(problem.num_vars)
-    m = M.shape[0]
-
-    # Split free variables into positive and negative parts.
-    cols = []
-    for j in range(n):
-        cols.append((j, 1.0))
-        if not mask[j]:
-            cols.append((j, -1.0))
-    nc = len(cols)
-    A = np.empty((m, nc))
-    c = np.empty(nc)
-    for jj, (j, sgn) in enumerate(cols):
-        A[:, jj] = sgn * M[:, j]
-        c[jj] = sgn * c0[j]
-
-    # Normalize rhs to be nonnegative; flipped rows need an artificial.
-    b = b0.copy()
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.nonzero(flip)[0]
-    na = art_rows.size
-
-    width = nc + m + na + 1
-    T = np.zeros((m + 1, width))
-    T[:m, :nc] = A
+    """Solve the LP to optimality, or report it unbounded."""
+    c, M, b = _validate(problem)
+    m, n = M.shape
+    # Tableau: constraint rows over [x, slacks | rhs], then the objective row.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = M
+    T[:m, n:-1] = np.eye(m)
     T[:m, -1] = b
-    basis = np.arange(nc, nc + m)
-    for i in range(m):
-        T[i, nc + i] = -1.0 if flip[i] else 1.0
-    for a_idx, i in enumerate(art_rows):
-        T[i, nc + m + a_idx] = 1.0
-        basis[i] = nc + m + a_idx
+    T[m, :n] = -c
+    basis = np.arange(n, n + m)
+    for _ in range(_MAX_ITER):
+        improving = (T[m, :-1] < -PIVOT_TOL).nonzero()[0]
+        if not improving.size:
+            break
+        enter = improving[0]  # Bland: lowest improving index enters
+        column = T[:m, enter]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
+            return LpSolution("unbounded", np.zeros(n), 0.0)
+        ratios = T[rows, -1] / column[rows]
+        ties = rows[ratios <= ratios.min() + _RATIO_TIE_TOL]
+        leave = ties[basis[ties].argmin()]  # tie broken by lowest basic index
+        _pivot(T, leave, enter)
+        basis[leave] = enter
+    else:
+        raise RuntimeError("simplex iteration limit exceeded")
 
-    failed = LpSolution("infeasible", np.zeros(n), 0.0)
-
-    if na:
-        # Phase 1: maximize -sum(artificials); optimum 0 iff feasible.
-        obj = np.zeros(width)
-        obj[nc + m : nc + m + na] = 1.0
-        for i in art_rows:
-            obj -= T[i]
-        T[m] = obj
-        if _iterate(T, basis, width - 1) != "optimal":
-            raise RuntimeError("phase-1 simplex cannot be unbounded")
-        if T[m, -1] < -FEASIBILITY_TOL:
-            return failed
-        # Drive any artificial still basic (at zero level) out of the basis.
-        for i in range(m):
-            if basis[i] >= nc + m:
-                for j in range(nc + m):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        _pivot(T, i, j)
-                        basis[i] = j
-                        break
-                # No pivot found: the row is redundant and stays inert.
-
-    # Phase 2 with the true objective; artificial columns may not re-enter.
-    cext = np.zeros(width - 1)
-    cext[:nc] = c
-    obj = np.zeros(width)
-    obj[:nc] = -c
-    for i in range(m):
-        cb = cext[basis[i]]
-        if cb != 0.0:
-            obj += cb * T[i]
-    T[m] = obj
-    status = _iterate(T, basis, nc + m)
-    if status == "unbounded":
-        return LpSolution("unbounded", np.zeros(n), 0.0)
-
-    xs = np.zeros(width - 1)
-    for i in range(m):
-        xs[basis[i]] = T[i, -1]
-    x = np.zeros(n)
-    for jj, (j, sgn) in enumerate(cols):
-        x[j] += sgn * xs[jj]
-    # Scrub rounding dust on sign-constrained coordinates.
-    dust = mask & (x < 0.0) & (x > -1e-11)
-    x[dust] = 0.0
-    return LpSolution("optimal", x, float(c0 @ x))
+    xs = np.zeros(n + m)
+    xs[basis] = T[:m, -1]
+    x = xs[:n]
+    x[(x < 0.0) & (x > -1e-11)] = 0.0  # scrub rounding dust
+    return LpSolution("optimal", x, float(c @ x))

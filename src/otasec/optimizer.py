@@ -19,9 +19,10 @@ is then a small linear program in ``(t, lambda)``.
 
 Eavesdroppers whose channel sums cancel (``|sum_k g_{l,k}/h_k|^2`` below
 1e-12 of ``sum_k |g_{l,k}/h_k|^2``) already observe nothing useful about the
-sum; they are dropped from the constraint set.  When no informative
-eavesdropper remains, or the objective does not depend on ``lambda`` at all,
-the tie is broken by maximizing the total noise power under the same budgets.
+sum; they are dropped from the constraint set.  So is every eavesdropper at
+``eta = 0``, where the mean it sees is zero.  When no informative eavesdropper
+remains, or the objective does not depend on ``lambda`` at all, the tie is
+broken by maximizing the total noise power under the same budgets.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def compute_alpha_beta(
     R = G / h[np.newaxis, :]
     sum_sq = np.abs(R.sum(axis=1)) ** 2
     power_sq = np.sum(np.abs(R) ** 2, axis=1)
-    dropped = sum_sq < DROP_RTOL * power_sq
+    # At eta = 0 every eavesdropper's mean is zero: none learns anything.
+    dropped = (sum_sq < DROP_RTOL * power_sq) | (eta == 0.0)
 
     zf = np.asarray(design.zf_users, dtype=int)
     noise_users = _noise_users(real.num_users, design.zf_users)
@@ -141,11 +143,12 @@ def _allocation_lp(
     design: ZeroForcingDesign,
     h: np.ndarray,
 ) -> tuple[LpProblem, float]:
-    """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  lam >= 0.
+    """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
 
-    The raw alpha/beta coefficients inherit the physical channel scale, which
-    can sit below the simplex pivot tolerance, so the epigraph variable and
-    the objective rows are expressed in units of the smallest live alpha.
+    Every live alpha is positive, so ``t >= 0`` cuts off no optimum.  The raw
+    alpha/beta coefficients inherit the physical channel scale, which can sit
+    below the simplex pivot tolerance, so the epigraph variable and the
+    objective rows are expressed in units of the smallest live alpha.
     Returns the problem together with that scale (t = scale * x[0]).
     """
     n_cols = obj.beta.shape[1]
@@ -158,9 +161,7 @@ def _allocation_lp(
     rhs = np.concatenate([obj.alpha[live] / scale, budget_rhs])
     objective = np.zeros(1 + n_cols)
     objective[0] = 1.0
-    mask = np.ones(1 + n_cols, dtype=bool)
-    mask[0] = False  # t is free
-    return LpProblem(1 + n_cols, objective, rows, rhs, mask), scale
+    return LpProblem(1 + n_cols, objective, rows, rhs), scale
 
 
 def _total_power_lp(
@@ -169,7 +170,7 @@ def _total_power_lp(
     """Tie-break allocation: maximize total noise power under the budgets."""
     rows, rhs = _budget_rows(budgets, design, h)
     n_cols = rows.shape[1]
-    return LpProblem(n_cols, np.ones(n_cols), rows, rhs, np.ones(n_cols, dtype=bool))
+    return LpProblem(n_cols, np.ones(n_cols), rows, rhs)
 
 
 def optimize_design(

@@ -251,7 +251,7 @@ def test_criterion_8_lp_correctness():
         M = np.vstack([rng.standard_normal((3, 3)), np.eye(3)])
         b = np.concatenate([rng.uniform(0.5, 2.0, 3), np.full(3, 3.0)])
         c = rng.standard_normal(3)
-        sol = solve_lp(LpProblem(3, c, M, b, np.ones(3, dtype=bool)))
+        sol = solve_lp(LpProblem(3, c, M, b))
         assert sol.status == "optimal"
         best = _enumerate_vertices(c, M, b)
         worst_abs = max(worst_abs, abs(sol.objective_value - best))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -173,6 +174,40 @@ def test_bad_channel_document_exits_2(tmp_path, capsys, command, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: code=2" in captured.err
+
+
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eta", "nan"),
+        ("--eta", "inf"),
+        ("--eta", "-1"),
+        ("--delta", "1.5"),
+        ("--delta", "-0.1"),
+        ("--delta", "nan"),
+    ],
+)
+def test_bad_eta_or_delta_exits_2(realization_file, capsys, command, flag, value):
+    assert main([command, str(realization_file), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err
+
+
+def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
+    from otasec import cli
+
+    original = cli.evaluate
+
+    def nan_report(real, A, eta):
+        return dataclasses.replace(original(real, A, eta), D=float("nan"))
+
+    monkeypatch.setattr(cli, "evaluate", nan_report)
+    assert main(["metrics", str(realization_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=3" in captured.err
 
 
 class TestOptimizeCommand:

@@ -248,6 +248,20 @@ class TestSharedZeroForcing:
         assert prec.lam[0] == pytest.approx(cap, rel=1e-8)
         assert np.all(obj.beta[live] >= 0.0)
 
+    @pytest.mark.parametrize("seed", [8, 14])
+    def test_zero_eta_takes_the_tie_break(self, seed):
+        # At eta = 0 the allocation LP's alpha is about sigma_z^2, so beta/alpha
+        # reached 1e11: seed 14 spun to the iteration limit, seed 8 read unbounded.
+        real = make_realization(seed, K=10, L=15, snr_db=20.0)
+        design = design_for(real, 0.0, (0, 1, 2))
+        assert compute_alpha_beta(real, 0.0, design).dropped_eavs == tuple(range(15))
+        prec = optimize_shared_zf(real, 0.0, 3)
+        assert not prec.degenerate
+        assert np.max(np.abs(real.h @ prec.A)) <= 1e-12
+        row_power = np.sum(np.abs(prec.A) ** 2, axis=1)
+        assert np.all(row_power <= row_budgets(real, 0.0) * (1.0 + 1e-12))
+        assert row_power.max() > 0.0
+
     def test_tied_candidates_take_lowest_index_set(self):
         # Both eavesdroppers see cancelling channels, so every subset ties.
         real = synthetic_realization(
