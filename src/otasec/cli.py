@@ -171,15 +171,25 @@ def _resolve_eta(args, real) -> float:
     return eta_from_delta(real, args.delta)
 
 
+def _shared_params(args, real) -> dict:
+    """``--shared-n`` and ``--selection`` as precoder params, checked against K."""
+    K = real.num_users
+    if not 1 <= args.shared_n <= K - 1:
+        raise ConfigurationError(f"--shared-n must lie in [1, {K - 1}], got {args.shared_n}")
+    return {"N": args.shared_n, "selection": args.selection}
+
+
 def _cmd_metrics(args) -> int:
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
-    params = {"theta": args.theta}
     if args.shared_n is not None:
-        params.update(N=args.shared_n, selection=args.selection)
+        params = _shared_params(args, real)
         kind = "proposed_shared"
     else:
         kind = args.kind
+        if kind == "mixture" and not 0.0 <= args.theta <= 1.0:
+            raise ConfigurationError(f"--theta must lie in [0, 1], got {args.theta}")
+        params = {"theta": args.theta}
     precoder = build_precoder(kind, real, eta, seed=args.seed, params=params)
     report = evaluate(real, precoder.A, eta)
     _emit(
@@ -201,7 +211,7 @@ def _cmd_optimize(args) -> int:
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
     if args.shared_n is not None:
-        params = {"N": args.shared_n, "selection": args.selection}
+        params = _shared_params(args, real)
         precoder = build_precoder("proposed_shared", real, eta, seed=args.seed, params=params)
     else:
         precoder = build_precoder("proposed", real, eta, seed=args.seed)

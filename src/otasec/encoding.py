@@ -27,6 +27,10 @@ Precoder families
 ``mixture``
     Convex combination ``(1 - theta) * A_zf + theta * A_random`` of a fresh
     zero-forced and a fresh unconstrained draw, rescaled to feasibility.
+    :func:`mixture_precoders` builds a whole stack of shape
+    ``(seeds, thetas, K, K - 1)`` from one draw per seed; ``build_precoder``
+    takes its one-seed, one-theta slice.  The stack feeds the metrics of
+    :mod:`otasec.metrics`, which accept precoders of shape ``(..., K, M)``.
 """
 
 from __future__ import annotations
@@ -124,26 +128,52 @@ def eta_from_delta(real: SystemRealization, delta: float) -> float:
 
 
 def _scale_to_budgets(A: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Largest single scalar multiple keeping every row within its budget."""
-    row_sq = np.sum(np.abs(A) ** 2, axis=1)
+    """Scale each matrix of ``A`` in place by the largest scalar keeping its rows within budget."""
+    row_sq = np.sum(np.abs(A) ** 2, axis=-1)
     active = row_sq > 0.0
-    if not active.any():
-        return np.zeros_like(A)
-    c = math.sqrt(float(np.min(budgets[active] / row_sq[active])))
-    return c * A
+    ratio = np.divide(budgets, row_sq, out=np.full(row_sq.shape, np.inf), where=active)
+    c = np.sqrt(np.min(ratio, axis=-1, initial=np.inf))
+    A *= np.where(active.any(axis=-1), c, 0.0)[..., None, None]
+    return A
 
 
 def _project_out(A: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Project columns onto the orthogonal complement of ``conj(h)``."""
+    """Project the columns of each matrix onto the orthogonal complement of ``conj(h)``."""
     coeff = h @ A / np.sum(np.abs(h) ** 2)
-    return A - np.outer(h.conj(), coeff)
+    return A - h.conj()[:, None] * coeff[..., None, :]
 
 
-def _random_zf(ss, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
-    """Random K x (K - 1) matrix orthogonal to ``conj(h)``, scaled to the budgets."""
-    K = real.num_users
-    A = _cn(np.random.default_rng(ss), (K, K - 1))
-    return _scale_to_budgets(_project_out(A, real.h), budgets)
+def _draws(seqs, K: int) -> np.ndarray:
+    """One K x (K - 1) standard complex Gaussian matrix per seed sequence."""
+    A = np.empty((len(seqs), K, K - 1), dtype=np.complex128)
+    for i, ss in enumerate(seqs):
+        A[i] = _cn(np.random.default_rng(ss), (K, K - 1))
+    return A
+
+
+def _random_zf(seqs, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
+    """Random K x (K - 1) matrices orthogonal to ``conj(h)``, one per seed sequence."""
+    return _scale_to_budgets(_project_out(_draws(seqs, real.num_users), real.h), budgets)
+
+
+def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.ndarray:
+    """Mixture precoders for every seed and theta, shape ``(len(seeds), len(thetas), K, K - 1)``.
+
+    Each seed draws its zero-forced and unconstrained matrices once; every
+    theta is the convex combination ``(1 - theta) * A_zf + theta * A_rand``
+    of those draws, rescaled to the row budgets.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
+        raise ContractError("theta must lie in [0, 1]")
+    budgets = row_budgets(real, eta)
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    A_zf = _random_zf([zf for zf, _ in streams], real, budgets)
+    A_rand = _draws([rand for _, rand in streams], real.num_users)
+    w = thetas[:, None, None]
+    A = (1.0 - w) * A_zf[:, None]
+    A += w * A_rand[:, None]
+    return _scale_to_budgets(A, budgets)
 
 
 def build_precoder(
@@ -188,21 +218,13 @@ def build_precoder(
         return NoisePrecoder(A, K, "data_level", eta)
 
     if kind == "random_zf":
-        A = _random_zf(np.random.SeedSequence(seed), real, row_budgets(real, eta))
+        A = _random_zf([np.random.SeedSequence(seed)], real, row_budgets(real, eta))[0]
         return NoisePrecoder(A, K - 1, "random_zf", eta)
 
     if kind == "mixture":
         if "theta" not in params:
             raise ContractError("mixture precoder requires params['theta']")
-        theta = float(params["theta"])
-        if not (0.0 <= theta <= 1.0):
-            raise ContractError("theta must lie in [0, 1]")
-        budgets = row_budgets(real, eta)
-        root = np.random.SeedSequence(seed)
-        zf_ss, rand_ss = root.spawn(2)
-        A_zf = _random_zf(zf_ss, real, budgets)
-        A_rand = _cn(np.random.default_rng(rand_ss), (K, K - 1))
-        A = _scale_to_budgets((1.0 - theta) * A_zf + theta * A_rand, budgets)
+        A = mixture_precoders(real, eta, [seed], [float(params["theta"])])[0, 0]
         return NoisePrecoder(A, K - 1, "mixture", eta)
 
     from . import optimizer  # deferred: optimizer builds on this module

@@ -33,7 +33,13 @@ from .channel import (
     config_to_dict,
     sample_realization,
 )
-from .encoding import _no_noise, build_precoder, eta_bounds_given_mu, eta_from_delta
+from .encoding import (
+    _no_noise,
+    build_precoder,
+    eta_bounds_given_mu,
+    eta_from_delta,
+    mixture_precoders,
+)
 from .errors import ConfigurationError, ContractError
 from .metrics import approximation_error, coop_security, noncoop_security
 from .optimizer import optimize_proposed, optimize_shared_zf
@@ -279,31 +285,31 @@ def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.
 
 
 def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+    # Per delta: the proposed design, then every (pair, theta) mixture in
+    # pair-major order, all scored by one stacked call per metric.
     real = sample_realization(preset.config, preset.base_seed)
     thetas = np.linspace(0.0, 1.0, preset.mixture_thetas)
-    rows = []
+    kinds = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
+    kinds[thetas == 1.0] = TRADEOFF_KINDS["random"]
+    pairs = preset.mixture_pairs
+    per_delta = 1 + pairs * len(thetas)
+    rows = np.empty((len(preset.sweep_values) * per_delta, 5))
     for d_idx, delta in enumerate(preset.sweep_values):
+        block = rows[d_idx * per_delta : (d_idx + 1) * per_delta]
         eta = eta_from_delta(real, float(delta))
         A = optimize_proposed(real, eta).A
-        s_coop, _ = coop_security(real, A, eta)
-        rows.append(
-            [TRADEOFF_KINDS["proposed"], delta, 0.0, approximation_error(real, A, eta), s_coop]
-        )
-        for pair in range(preset.mixture_pairs):
-            seed = _child_seed(preset.base_seed, 3, d_idx, pair)
-            for theta in thetas:
-                prec = build_precoder("mixture", real, eta, seed=seed, params={"theta": float(theta)})
-                if theta == 0.0:
-                    kind = TRADEOFF_KINDS["random_zf"]
-                elif theta == 1.0:
-                    kind = TRADEOFF_KINDS["random"]
-                else:
-                    kind = TRADEOFF_KINDS["mixture"]
-                s_coop, _ = coop_security(real, prec.A, eta)
-                rows.append(
-                    [kind, delta, theta, approximation_error(real, prec.A, eta), s_coop]
-                )
-    return np.array(rows)
+        D, s_coop = approximation_error(real, A, eta), coop_security(real, A, eta)[0]
+        block[0] = (TRADEOFF_KINDS["proposed"], delta, 0.0, D, s_coop)
+        seeds = [_child_seed(preset.base_seed, 3, d_idx, pair) for pair in range(pairs)]
+        stack = mixture_precoders(real, eta, seeds, thetas)
+        mixtures = block[1:].reshape(pairs, len(thetas), 5)
+        mixtures[..., 0] = kinds
+        mixtures[..., 1] = delta
+        mixtures[..., 2] = thetas
+        mixtures[..., 3] = approximation_error(real, stack, eta)
+        mixtures[..., 4] = coop_security(real, stack, eta)[0]
+        del stack  # hold one delta's stack at a time
+    return rows
 
 
 # ---------------------------------------------------------------------------

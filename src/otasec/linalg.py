@@ -3,13 +3,21 @@
 Every matrix in the system model is tiny (tens of rows at most), so all
 storage is dense ``complex128`` and the one factorization we need is written
 out explicitly.  That keeps full control over the failure modes: the
-Hermitian-ness check and the pivot breakdown threshold are part of the
-contract here, not an implementation detail of a backend library.
+finiteness check, the Hermitian-ness check and the pivot breakdown threshold
+are part of the contract here, not an implementation detail of a backend
+library.
+
+Both kernels take a stack of matrices ``B`` of shape ``(..., n, n)``: the
+leading axes are a batch, and the contract holds per matrix of the stack.
+A non-finite or non-Hermitian matrix raises :class:`ContractError`, a pivot
+at or below its matrix's floor raises :class:`SingularMatrixError`, and for a
+stack each message names the index of the offending matrix.  Every dot
+product is a ``@`` on ``[..., None]`` views, which runs the same BLAS dot or
+gemv per matrix as the 2-D loops did, so each matrix of a stack is factored
+and solved with exactly the rounding of a 2-D call on that matrix alone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,54 +30,83 @@ HERMITIAN_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 
 
-def cholesky(B: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with ``L @ L.conj().T == B``.
+def _where(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first offending matrix of a stack and its message suffix."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    return idx, f" in matrix {idx}" if idx else ""
 
-    ``B`` must be square, Hermitian to within ``HERMITIAN_RTOL`` relative to
-    its Frobenius norm, and positive definite.  A pivot at or below
-    ``PIVOT_RTOL * trace(B) / n`` raises :class:`SingularMatrixError`.
+
+def cholesky(B: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L with ``L @ L.conj().T == B``, per matrix of a stack.
+
+    ``B`` has shape ``(..., n, n)``.  Each matrix must be finite, Hermitian to
+    within ``HERMITIAN_RTOL`` relative to its Frobenius norm, and positive
+    definite.  A pivot at or below ``PIVOT_RTOL * trace(B) / n`` raises
+    :class:`SingularMatrixError`.
     """
     B = np.asarray(B, dtype=np.complex128)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+    if B.ndim < 2 or B.shape[-2] != B.shape[-1]:
         raise ShapeError(f"expected a square matrix, got shape {B.shape}")
-    n = B.shape[0]
-    fro = np.linalg.norm(B)
-    dev = np.max(np.abs(B - B.conj().T))
-    if dev > HERMITIAN_RTOL * max(fro, np.finfo(float).tiny):
+    n = B.shape[-1]
+    if not np.isfinite(B).all():
+        _, at = _where(~np.isfinite(B).all(axis=(-2, -1)))
+        raise ContractError(f"matrix has a non-finite entry{at}")
+    fro = np.linalg.norm(B, axis=(-2, -1))
+    dev = np.abs(B - B.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    skew = dev > HERMITIAN_RTOL * np.maximum(fro, np.finfo(float).tiny)
+    if skew.any():
+        idx, at = _where(skew)
         raise ContractError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} vs norm {fro:.3e}"
+            f"matrix is not Hermitian{at}: max deviation {dev[idx]:.3e} vs norm {fro[idx]:.3e}"
         )
-    pivot_floor = PIVOT_RTOL * np.trace(B).real / n
+    diag = B.diagonal(axis1=-2, axis2=-1).real
+    pivot_floor = PIVOT_RTOL * diag.sum(axis=-1) / n
     L = np.zeros_like(B)
     for j in range(n):
-        d = B[j, j].real - np.real(L[j, :j] @ L[j, :j].conj())
-        if d <= pivot_floor:
+        row, col = L[..., j, None, :j], L[..., j, :j, None].conj()
+        d = diag[..., j] - (row @ col)[..., 0, 0].real
+        low = d <= pivot_floor
+        if low.any():
+            idx, at = _where(low)
             raise SingularMatrixError(
-                f"non-positive pivot {d:.3e} at column {j} (floor {pivot_floor:.3e})"
+                f"non-positive pivot {d[idx]:.3e} at column {j}{at} "
+                f"(floor {pivot_floor[idx]:.3e})"
             )
-        L[j, j] = math.sqrt(d)
+        root = np.sqrt(d)
+        L[..., j, j] = root
         if j + 1 < n:
-            L[j + 1 :, j] = (B[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
+            update = B[..., j + 1 :, j] - (L[..., j + 1 :, :j] @ col)[..., 0]
+            L[..., j + 1 :, j] = update / root[..., None]
     return L
 
 
 def hermitian_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``B x = rhs`` for Hermitian positive-definite ``B``.
+    """Solve ``B x = rhs`` for Hermitian positive-definite ``B``, per matrix of a stack.
 
-    Uses the Cholesky factor from :func:`cholesky` followed by forward and
-    backward substitution.
+    ``B`` has shape ``(..., n, n)`` and ``rhs`` shape ``(..., n)``; their
+    leading axes broadcast, so one ``(n,)`` right-hand side serves a whole
+    stack.  Uses the Cholesky factor from :func:`cholesky` followed by
+    forward and backward substitution.
     """
     rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.ndim != 1:
+    if rhs.ndim < 1:
         raise ShapeError(f"expected a vector right-hand side, got shape {rhs.shape}")
     L = cholesky(B)
-    n = L.shape[0]
-    if rhs.shape[0] != n:
-        raise ShapeError(f"matrix is {n}x{n} but right-hand side has length {rhs.shape[0]}")
-    y = np.zeros(n, dtype=np.complex128)
+    n = L.shape[-1]
+    if rhs.shape[-1] != n:
+        raise ShapeError(f"matrix is {n}x{n} but right-hand side has length {rhs.shape[-1]}")
+    try:
+        shape = np.broadcast(L[..., 0], rhs).shape
+    except ValueError:
+        raise ShapeError(f"stack of shape {L.shape} does not broadcast with {rhs.shape}") from None
+    diag = L.diagonal(axis1=-2, axis2=-1)
+    y = np.zeros(shape, dtype=np.complex128)
     for i in range(n):
-        y[i] = (rhs[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros(n, dtype=np.complex128)
+        dot = (L[..., i, None, :i] @ y[..., :i, None])[..., 0, 0]
+        y[..., i] = (rhs[..., i] - dot) / diag[..., i]
+    pivots = diag.real
+    x = np.zeros(shape, dtype=np.complex128)
     for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1 :, i].conj() @ x[i + 1 :]) / L[i, i].real
+        dot = (L[..., i + 1 :, i].conj()[..., None, :] @ x[..., i + 1 :, None])[..., 0, 0]
+        x[..., i] = (y[..., i] - dot) / pivots[..., i]
     return x

@@ -9,6 +9,7 @@ useless beyond the prior.
   ``y = eta * s + (h^T A) v + n_y``.  Because everything is jointly Gaussian
   the optimum is linear and ``D = 1 - eta^2 K / (eta^2 K + ||h^T A||^2 +
   sigma_y^2)``.
+* ``eavesdropper_moments``: the covariance ``B`` and mean ``m`` used below.
 * ``coop_security`` (S_coop): L eavesdroppers pool their observations
   ``z = eta G D_h^{-1} gamma + G A v + n_z`` and apply the best linear
   combiner ``p_opt = B^{-1} m``, where ``B = Cov(z)`` and ``m = E[z conj(s)]``;
@@ -18,6 +19,11 @@ useless beyond the prior.
 * ``effective_channel_security``: the cooperative MSE written through the
   combined channel ``g_tilde = p^H G`` of an arbitrary (not necessarily
   optimal) combiner ``p``.
+
+The first four take a precoder ``A`` of shape ``(K, M)`` or a stack of
+precoders of shape ``(..., K, M)``.  One precoder gives Python ``float``
+values; a stack gives arrays over its leading axes, each entry bitwise equal
+to the single-precoder call on that precoder.
 
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
@@ -77,25 +83,39 @@ class CrossCovarianceReport:
         return float(np.max(np.abs(self.crosscov)))
 
 
-def approximation_error(real: SystemRealization, A: np.ndarray, eta: float) -> float:
-    """Normalized server MSE ``D`` for precoder ``A`` at amplitude ``eta``."""
+def _scalar(x) -> float | np.ndarray:
+    """A 0-d result as a Python ``float``; a stacked result unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def approximation_error(
+    real: SystemRealization, A: np.ndarray, eta: float
+) -> float | np.ndarray:
+    """Normalized server MSE ``D`` for precoder ``A`` at amplitude ``eta``.
+
+    ``A`` has shape ``(..., K, M)``; a single ``(K, M)`` precoder gives a
+    ``float`` and a stack gives an array of shape ``(...)``.
+    """
     if eta < 0.0:
         raise ContractError("eta must be nonnegative")
     K = real.num_users
     signal = eta**2 * K
-    denom = signal + float(np.sum(np.abs(real.h @ np.asarray(A)) ** 2)) + real.sigma_y_sq
-    if denom == 0.0:
-        return 1.0  # no observation at all: the prior mean is optimal
-    return 1.0 - signal / denom
+    denom = signal + np.sum(np.abs(real.h @ np.asarray(A)) ** 2, axis=-1) + real.sigma_y_sq
+    # denom == 0 forces signal == 0, so D = 1: no observation, the prior mean is optimal.
+    return _scalar(1.0 - signal / np.where(denom == 0.0, 1.0, denom))
 
 
 def eavesdropper_moments(
     real: SystemRealization, A: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance ``B`` of the pooled eavesdropper signal and mean ``m = E[z conj(s)]``."""
+    """Covariance ``B`` of the pooled eavesdropper signal and mean ``m = E[z conj(s)]``.
+
+    ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)``; ``m`` does
+    not depend on the precoder and has shape ``(L,)``.
+    """
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
     GA = real.G @ np.asarray(A)
-    B = GA @ GA.conj().T + eta**2 * (R @ R.conj().T) + real.sigma_z_sq * np.eye(
+    B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + real.sigma_z_sq * np.eye(
         real.num_eavesdroppers
     )
     m = eta * R.sum(axis=1)
@@ -104,24 +124,31 @@ def eavesdropper_moments(
 
 def coop_security(
     real: SystemRealization, A: np.ndarray, eta: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Security level against jointly-combining eavesdroppers, with the combiner.
 
     Returns ``(S, p_opt)`` where ``p_opt = B^{-1} m`` is the MSE-optimal
-    linear combining vector and ``S = 1 - m^H B^{-1} m / K``.
+    linear combining vector and ``S = 1 - m^H B^{-1} m / K``.  For ``A`` of
+    shape ``(..., K, M)``, ``p_opt`` has shape ``(..., L)`` and ``S`` is a
+    ``float`` for one precoder or an array of shape ``(...)`` for a stack.
     """
     if real.sigma_z_sq <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     B, m = eavesdropper_moments(real, A, eta)
     p_opt = hermitian_solve(B, m)
-    S = 1.0 - float(np.vdot(m, p_opt).real) / real.num_users
-    return S, p_opt
+    S = 1.0 - np.vecdot(m, p_opt).real / real.num_users
+    return _scalar(S), p_opt
 
 
 def noncoop_security(
     real: SystemRealization, A: np.ndarray, eta: float
-) -> tuple[float, np.ndarray]:
-    """Security level of the best isolated eavesdropper, plus all per-receiver values."""
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Security level of the best isolated eavesdropper, plus all per-receiver values.
+
+    For ``A`` of shape ``(..., K, M)`` the per-receiver values have shape
+    ``(..., L)`` and the minimum is a ``float`` for one precoder or an array
+    of shape ``(...)`` for a stack.
+    """
     if real.sigma_z_sq <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     R = real.G / real.h[np.newaxis, :]
@@ -129,11 +156,11 @@ def noncoop_security(
     num = (eta**2 / K) * np.abs(R.sum(axis=1)) ** 2
     den = (
         eta**2 * np.sum(np.abs(R) ** 2, axis=1)
-        + np.sum(np.abs(real.G @ np.asarray(A)) ** 2, axis=1)
+        + np.sum(np.abs(real.G @ np.asarray(A)) ** 2, axis=-1)
         + real.sigma_z_sq
     )
     per_eav = 1.0 - num / den
-    return float(np.min(per_eav)), per_eav
+    return _scalar(np.min(per_eav, axis=-1)), per_eav
 
 
 def effective_channel_security(
@@ -163,10 +190,15 @@ def effective_channel_security(
 
 
 def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityReport:
-    """Full accuracy/security report with values clamped into [0, 1]."""
+    """Full accuracy/security report with values clamped into [0, 1].
+
+    A non-finite value raises :class:`ContractError` instead of being clamped.
+    """
     D = approximation_error(real, A, eta)
     S_coop, p_opt = coop_security(real, A, eta)
     _, per_eav = noncoop_security(real, A, eta)
+    if not (np.isfinite([D, S_coop]).all() and np.isfinite(per_eav).all()):
+        raise ContractError("accuracy or security value is not finite")
     per_eav = np.clip(per_eav, 0.0, 1.0)
     return SecurityReport(
         D=float(min(max(D, 0.0), 1.0)),

@@ -195,6 +195,32 @@ def test_bad_eta_or_delta_exits_2(realization_file, capsys, command, flag, value
     assert "error: code=2" in captured.err
 
 
+@pytest.mark.parametrize("theta", ["2", "nan", "-1", "inf"])
+def test_bad_theta_exits_2(realization_file, capsys, theta):
+    args = ["metrics", str(realization_file), "--kind", "mixture", "--theta", theta]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err and "--theta" in captured.err
+
+
+@pytest.mark.parametrize("theta", ["0", "1"])
+def test_theta_endpoints_accepted(realization_file, capsys, theta):
+    args = ["metrics", str(realization_file), "--kind", "mixture", "--theta", theta]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "mixture"
+
+
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+@pytest.mark.parametrize("n_share", ["0", "-1", "4", "5"])
+def test_bad_shared_n_exits_2(realization_file, capsys, command, n_share):
+    # The realization has K = 4 users, so N must lie in [1, 3].
+    assert main([command, str(realization_file), "--shared-n", n_share]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err and "--shared-n" in captured.err
+
+
 def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
     from otasec import cli
 

@@ -7,7 +7,9 @@ from otasec.encoding import (
     eta_bounds_given_mu,
     eta_from_delta,
     eta_upper_bound,
+    mixture_precoders,
     precoder_to_dict,
+    row_budgets,
     transmit,
 )
 from otasec.errors import ContractError, InfeasibleError
@@ -158,6 +160,38 @@ class TestBuilders:
         )
         with pytest.raises(ContractError):
             build_precoder("mixture", real, eta, seed=9)
+
+    def test_mixture_is_a_slice_of_the_batched_builder(self):
+        real = make_realization(6, K=6, L=3)
+        eta = eta_from_delta(real, 0.7)
+        seeds, thetas = [3, 4, 11], np.linspace(0.0, 1.0, 11)
+        stack = mixture_precoders(real, eta, seeds, thetas)
+        assert stack.shape == (3, 11, 6, 5)
+        for i, seed in enumerate(seeds):
+            for j, theta in enumerate(thetas):
+                A = build_precoder("mixture", real, eta, seed=seed, params={"theta": theta}).A
+                assert np.array_equal(A, stack[i, j])
+
+    def test_batched_mixtures_keep_row_budgets(self):
+        real = make_realization(7, K=5, L=2)
+        eta = eta_from_delta(real, 0.8)
+        stack = mixture_precoders(real, eta, range(4), [0.0, 0.25, 1.0])
+        powers = np.sum(np.abs(stack) ** 2, axis=-1)
+        assert np.max(powers - row_budgets(real, eta)) <= 1e-12 * real.P
+
+    def test_batched_builder_without_pairs(self):
+        real = make_realization(7, K=5, L=2)
+        eta = eta_from_delta(real, 0.5)
+        assert mixture_precoders(real, eta, [], [0.0, 1.0]).shape == (0, 2, 5, 4)
+
+    @pytest.mark.parametrize("theta", [-0.1, 1.5, np.nan])
+    def test_theta_outside_unit_interval_rejected(self, theta):
+        real = make_realization(5, K=5, L=3)
+        eta = eta_from_delta(real, 0.5)
+        with pytest.raises(ContractError):
+            build_precoder("mixture", real, eta, seed=9, params={"theta": theta})
+        with pytest.raises(ContractError):
+            mixture_precoders(real, eta, [9], [0.5, theta])
 
     def test_row_budgets_respected_by_all_kinds(self):
         kinds = ("none", "signal_level", "data_level", "random_zf", "mixture", "proposed")

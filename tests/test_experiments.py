@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from otasec.channel import sample_realization
+from otasec.encoding import build_precoder, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
 from otasec.experiments import (
     PRESET_NAMES,
+    TRADEOFF_KINDS,
     ResultTable,
     collect_trials,
     default_preset,
@@ -11,6 +14,8 @@ from otasec.experiments import (
     run_preset,
     write_table,
 )
+from otasec.metrics import approximation_error, coop_security
+from otasec.optimizer import optimize_proposed
 
 
 def small(name, **overrides):
@@ -184,6 +189,31 @@ class TestOtherPresets:
             d_ref = by_kind[0][0]
             for d_zf in by_kind[2]:
                 assert abs(d_zf - d_ref) <= 1e-12
+
+    def test_tradeoff_rows_equal_the_per_precoder_loop(self):
+        # Reference: one build and one score per precoder, as the stacked rows replace.
+        preset = small("tradeoff", sweep_values=(0.5, 1.0), mixture_pairs=3, mixture_thetas=11)
+        real = sample_realization(preset.config, preset.base_seed)
+        expected = []
+        for d_idx, delta in enumerate(preset.sweep_values):
+            eta = eta_from_delta(real, float(delta))
+            A = optimize_proposed(real, eta).A
+            S, _ = coop_security(real, A, eta)
+            expected.append([0, delta, 0.0, approximation_error(real, A, eta), S])
+            for pair in range(preset.mixture_pairs):
+                seed = int(
+                    np.random.SeedSequence(preset.base_seed, spawn_key=(3, d_idx, pair))
+                    .generate_state(1)[0]
+                )
+                for theta in np.linspace(0.0, 1.0, preset.mixture_thetas):
+                    A = build_precoder("mixture", real, eta, seed=seed, params={"theta": theta}).A
+                    kind = {0.0: "random_zf", 1.0: "random"}.get(theta, "mixture")
+                    S, _ = coop_security(real, A, eta)
+                    D = approximation_error(real, A, eta)
+                    expected.append([TRADEOFF_KINDS[kind], delta, theta, D, S])
+        rows = run_preset(preset).rows
+        assert rows.shape == (2 * (1 + 3 * 11), 5)
+        assert np.array_equal(rows, np.array(expected))
 
 
 class TestMetadata:

@@ -99,3 +99,78 @@ class TestCholesky:
         B = 1e-20 * (M @ M.conj().T + np.eye(4))
         L = cholesky(B)
         assert np.linalg.norm(L @ L.conj().T - B) <= 1e-9 * np.linalg.norm(B)
+
+
+def spd_stack(rng, batch, n):
+    M = cn(rng, *batch, n, n + 1)
+    return M @ M.conj().swapaxes(-2, -1) + np.eye(n)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_single_matrix(self, value):
+        B = np.eye(3, dtype=complex)
+        B[1, 2] = value
+        with pytest.raises(ContractError, match="non-finite"):
+            cholesky(B)
+
+    def test_rejects_nan_on_the_diagonal(self):
+        # NaN compares false, so without the check it would pass the pivot floor.
+        B = np.eye(3, dtype=complex)
+        B[0, 0] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            hermitian_solve(B, np.ones(3))
+
+    def test_names_the_offending_matrix(self, rng):
+        B = spd_stack(rng, (2, 3), 4)
+        B[1, 2, 3, 0] = np.nan
+        with pytest.raises(ContractError, match=r"in matrix \(1, 2\)"):
+            cholesky(B)
+
+
+class TestStack:
+    @pytest.mark.parametrize("batch", [(1,), (6,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_each_element_equals_the_single_call(self, rng, batch, n):
+        B = spd_stack(rng, batch, n)
+        rhs = cn(rng, *batch, n)
+        L = cholesky(B)
+        x = hermitian_solve(B, rhs)
+        assert L.shape == B.shape and x.shape == rhs.shape
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(L[idx], cholesky(B[idx]))
+            assert np.array_equal(x[idx], hermitian_solve(B[idx], rhs[idx]))
+
+    def test_vector_rhs_broadcasts_across_the_stack(self, rng):
+        B = spd_stack(rng, (4,), 5)
+        rhs = cn(rng, 5)
+        x = hermitian_solve(B, rhs)
+        assert x.shape == (4, 5)
+        for b in range(4):
+            assert np.array_equal(x[b], hermitian_solve(B[b], rhs))
+
+    def test_length_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            hermitian_solve(spd_stack(rng, (3,), 4), np.ones(3))
+
+    def test_batch_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            hermitian_solve(spd_stack(rng, (3,), 4), np.ones((2, 4)))
+
+    def test_rejects_one_non_hermitian_element(self, rng):
+        B = spd_stack(rng, (5,), 3)
+        B[3, 0, 1] += 1.0
+        with pytest.raises(ContractError, match=r"not Hermitian in matrix \(3,\)"):
+            hermitian_solve(B, np.ones(3))
+
+    def test_rejects_one_singular_element(self, rng):
+        B = spd_stack(rng, (2, 2), 3)
+        v = cn(rng, 3)
+        B[0, 1] = np.outer(v, v.conj())
+        with pytest.raises(SingularMatrixError, match=r"in matrix \(0, 1\)"):
+            hermitian_solve(B, np.ones(3))
+
+    def test_single_matrix_messages_carry_no_index(self):
+        with pytest.raises(SingularMatrixError) as info:
+            cholesky(np.diag([1.0, -1.0]))
+        assert "in matrix" not in str(info.value)

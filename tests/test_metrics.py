@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otasec.channel import ScenarioConfig
-from otasec.encoding import build_precoder, eta_from_delta
+from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.errors import ContractError
 from otasec.metrics import (
     approximation_error,
@@ -200,6 +200,69 @@ class TestEvaluate:
             assert rep.S_coop <= rep.S_noncoop + 1e-10
             assert rep.S_noncoop == np.min(rep.per_eav_security)
             assert rep.p_opt.shape == (3,)
+
+    def test_nan_precoder_raises(self):
+        real = make_realization(3, K=4, L=3)
+        eta = eta_from_delta(real, 0.8)
+        A = build_precoder("signal_level", real, eta).A
+        A[2, 2] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            evaluate(real, A, eta)
+
+    def test_non_finite_value_is_not_clamped(self, monkeypatch):
+        from otasec import metrics
+
+        monkeypatch.setattr(metrics, "approximation_error", lambda real, A, eta: float("nan"))
+        real = make_realization(3, K=4, L=3)
+        with pytest.raises(ContractError, match="not finite"):
+            evaluate(real, zero_A(4), eta_from_delta(real, 0.8))
+
+
+def precoder_stack(real, eta):
+    """A (2, 3, K, K - 1) stack of mixture precoders plus a zero-forced one."""
+    stack = mixture_precoders(real, eta, [5, 6], [0.0, 0.5, 1.0])
+    stack[1, 2] = build_precoder("random_zf", real, eta, seed=8).A
+    return stack
+
+
+class TestStackedPrecoders:
+    @pytest.mark.parametrize("seed, L", [(20, 1), (21, 3), (22, 7)])
+    def test_each_element_equals_the_single_call(self, seed, L):
+        real = make_realization(seed, K=5, L=L)
+        eta = eta_from_delta(real, 0.6)
+        stack = precoder_stack(real, eta)
+        D = approximation_error(real, stack, eta)
+        B, m = eavesdropper_moments(real, stack, eta)
+        S, p_opt = coop_security(real, stack, eta)
+        S_non, per_eav = noncoop_security(real, stack, eta)
+        assert D.shape == S.shape == S_non.shape == (2, 3)
+        assert B.shape == (2, 3, L, L) and p_opt.shape == per_eav.shape == (2, 3, L)
+        for idx in np.ndindex(2, 3):
+            A = stack[idx]
+            assert np.array_equal(D[idx], approximation_error(real, A, eta))
+            B1, m1 = eavesdropper_moments(real, A, eta)
+            assert np.array_equal(B[idx], B1) and np.array_equal(m, m1)
+            S1, p1 = coop_security(real, A, eta)
+            assert np.array_equal(S[idx], S1) and np.array_equal(p_opt[idx], p1)
+            S_non1, per1 = noncoop_security(real, A, eta)
+            assert np.array_equal(S_non[idx], S_non1) and np.array_equal(per_eav[idx], per1)
+
+    def test_single_precoder_gives_python_floats(self):
+        real = make_realization(23, K=4, L=2)
+        eta = eta_from_delta(real, 0.5)
+        A = build_precoder("mixture", real, eta, seed=1, params={"theta": 0.3}).A
+        assert type(approximation_error(real, A, eta)) is float
+        assert type(coop_security(real, A, eta)[0]) is float
+        assert type(noncoop_security(real, A, eta)[0]) is float
+        assert type(approximation_error(real, A, 0.0)) is float
+
+    def test_one_nan_element_raises(self):
+        real = make_realization(24, K=4, L=2)
+        eta = eta_from_delta(real, 0.5)
+        stack = precoder_stack(real, eta)
+        stack[0, 1, 0, 0] = np.nan
+        with pytest.raises(ContractError, match=r"in matrix \(0, 1\)"):
+            coop_security(real, stack, eta)
 
 
 class TestMcOracle:

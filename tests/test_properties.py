@@ -1,0 +1,71 @@
+"""Property tests of the stacked closed forms on random realizations and precoder stacks."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from otasec.encoding import eta_from_delta, mixture_precoders, row_budgets  # noqa: E402
+from otasec.metrics import (  # noqa: E402
+    approximation_error,
+    coop_security,
+    noncoop_security,
+)
+
+from conftest import make_realization  # noqa: E402
+
+cases = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "K": st.integers(2, 8),
+        "L": st.integers(1, 6),
+        "snr_db": st.sampled_from([-10.0, 0.0, 10.0, 20.0]),
+        "fading_mode": st.sampled_from(["complex", "real"]),
+        "delta": st.floats(0.05, 1.0),
+        "seeds": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        "thetas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    }
+)
+
+
+def build(case):
+    real = make_realization(
+        case["seed"], K=case["K"], L=case["L"], snr_db=case["snr_db"],
+        fading_mode=case["fading_mode"],
+    )
+    eta = eta_from_delta(real, case["delta"])
+    return real, eta, mixture_precoders(real, eta, case["seeds"], case["thetas"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_stacked_metrics_equal_the_looped_calls(case):
+    real, eta, stack = build(case)
+    D = approximation_error(real, stack, eta)
+    S, p_opt = coop_security(real, stack, eta)
+    S_non, per_eav = noncoop_security(real, stack, eta)
+    for idx in np.ndindex(*stack.shape[:2]):
+        A = stack[idx]
+        assert np.array_equal(D[idx], approximation_error(real, A, eta))
+        S1, p1 = coop_security(real, A, eta)
+        assert np.array_equal(S[idx], S1) and np.array_equal(p_opt[idx], p1)
+        S_non1, per1 = noncoop_security(real, A, eta)
+        assert np.array_equal(S_non[idx], S_non1) and np.array_equal(per_eav[idx], per1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_cooperation_never_raises_security(case):
+    real, eta, stack = build(case)
+    S, _ = coop_security(real, stack, eta)
+    S_non, _ = noncoop_security(real, stack, eta)
+    assert np.all(S <= S_non + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_mixtures_stay_within_row_budgets(case):
+    real, eta, stack = build(case)
+    powers = np.sum(np.abs(stack) ** 2, axis=-1)
+    assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
