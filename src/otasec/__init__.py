@@ -57,11 +57,8 @@ from .metrics import (
     statistical_csi_check,
 )
 from .optimizer import (
-    EavesdropperObjective,
-    ZeroForcingDesign,
     assemble_precoder,
     compute_alpha_beta,
-    optimize_design,
     optimize_proposed,
     optimize_shared_zf,
 )
@@ -93,11 +90,8 @@ __all__ = [
     "evaluate",
     "mc_oracle",
     "statistical_csi_check",
-    "EavesdropperObjective",
-    "ZeroForcingDesign",
     "compute_alpha_beta",
     "assemble_precoder",
-    "optimize_design",
     "optimize_proposed",
     "optimize_shared_zf",
     "LpProblem",

@@ -278,8 +278,10 @@ def realization_from_dict(data: dict) -> SystemRealization:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ConfigurationError(f"malformed realization document: {exc}") from exc
-    if real.G.ndim != 2 or real.G.shape[1] != real.h.shape[0]:
+    if real.h.ndim != 1 or real.G.ndim != 2 or real.G.shape[1] != real.h.shape[0]:
         raise ConfigurationError("realization h and G shapes disagree")
+    if real.h.shape[0] < 2:
+        raise ConfigurationError("a realization needs at least 2 users")
     for name in ("user_positions", "eav_positions", "h", "G", "P", "sigma_y_sq", "sigma_z_sq"):
         if not np.all(np.isfinite(getattr(real, name))):
             raise ConfigurationError(f"realization field {name} has a non-finite entry")

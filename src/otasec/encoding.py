@@ -61,13 +61,16 @@ class NoisePrecoder:
     """A K x noise_dim precoding matrix with its design provenance."""
 
     A: np.ndarray
-    noise_dim: int
     kind: str
     eta: float
     zf_users: tuple[int, ...] | None = None
     lam: np.ndarray | None = None  # per-column noise powers of structured designs
     zf_weights: np.ndarray | None = None
     degenerate: bool = False  # set when a requested design had no power left
+
+    @property
+    def noise_dim(self) -> int:
+        return self.A.shape[1]
 
     def row_powers(self) -> np.ndarray:
         return np.sum(np.abs(self.A) ** 2, axis=1)
@@ -76,7 +79,7 @@ class NoisePrecoder:
 def _no_noise(K: int, eta: float, degenerate: bool = False) -> NoisePrecoder:
     """The ``none`` design: a K x 1 zero matrix."""
     A = np.zeros((K, 1), dtype=np.complex128)
-    return NoisePrecoder(A, 1, "none", eta, degenerate=degenerate)
+    return NoisePrecoder(A, "none", eta, degenerate=degenerate)
 
 
 def row_budgets(real: SystemRealization, eta: float) -> np.ndarray:
@@ -204,7 +207,7 @@ def build_precoder(
         if not np.any(budgets > 0.0):
             return _no_noise(K, eta, degenerate=True)
         A = np.diag(np.sqrt(budgets)).astype(np.complex128)
-        return NoisePrecoder(A, K, "signal_level", eta)
+        return NoisePrecoder(A, "signal_level", eta)
 
     if kind == "data_level":
         # Common pre-scaling noise variance at the largest feasible value:
@@ -215,17 +218,17 @@ def build_precoder(
         if sigma_w_sq <= 0.0:
             return _no_noise(K, eta, degenerate=True)
         A = np.diag(eta * math.sqrt(sigma_w_sq) / real.h)
-        return NoisePrecoder(A, K, "data_level", eta)
+        return NoisePrecoder(A, "data_level", eta)
 
     if kind == "random_zf":
         A = _random_zf([np.random.SeedSequence(seed)], real, row_budgets(real, eta))[0]
-        return NoisePrecoder(A, K - 1, "random_zf", eta)
+        return NoisePrecoder(A, "random_zf", eta)
 
     if kind == "mixture":
         if "theta" not in params:
             raise ContractError("mixture precoder requires params['theta']")
         A = mixture_precoders(real, eta, [seed], [float(params["theta"])])[0, 0]
-        return NoisePrecoder(A, K - 1, "mixture", eta)
+        return NoisePrecoder(A, "mixture", eta)
 
     from . import optimizer  # deferred: optimizer builds on this module
 

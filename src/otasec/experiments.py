@@ -118,22 +118,13 @@ def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
     seed = preset.base_seed + r
     real0 = sample_realization(preset.config, seed)
     eta = eta_from_delta(real0, preset.delta)
-    static = {}
-    for d_idx, design in enumerate(preset.designs):
-        if design not in ("proposed", "proposed_shared"):
-            static[design] = build_precoder(
-                design, real0, eta, seed=_child_seed(seed, 17, d_idx)
-            ).A
+    seeds = [_child_seed(seed, 17, d_idx) for d_idx in range(len(preset.designs))]
     out = np.empty((len(preset.sweep_values), 3 * len(preset.designs)))
     for j, snr in enumerate(preset.sweep_values):
         real = _with_snr(real0, preset.config, snr)
         for d_idx, design in enumerate(preset.designs):
-            if design == "proposed":
-                A = optimize_proposed(real, eta).A
-            elif design == "proposed_shared":
-                A = optimize_shared_zf(real, eta, 2).A
-            else:
-                A = static[design]
+            # Only the optimized designs depend on the SNR; the others rebuild the same matrix.
+            A = build_precoder(design, real, eta, seed=seeds[d_idx]).A
             s_coop, _ = coop_security(real, A, eta)
             s_non, _ = noncoop_security(real, A, eta)
             out[j, 3 * d_idx : 3 * d_idx + 3] = (

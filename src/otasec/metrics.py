@@ -43,7 +43,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, SystemRealization, _cn, sample_realization
 from .errors import ContractError
-from .linalg import hermitian_solve
+from .linalg import _where, hermitian_solve
 
 _CHUNK = 1 << 16
 
@@ -88,6 +88,15 @@ def _scalar(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _precoder(A) -> np.ndarray:
+    """``A`` as an array; a non-finite entry raises, naming its matrix in a stack."""
+    A = np.asarray(A)
+    if not np.isfinite(A).all():
+        _, at = _where(~np.isfinite(A).all(axis=(-2, -1)))
+        raise ContractError(f"precoder has a non-finite entry{at}")
+    return A
+
+
 def approximation_error(
     real: SystemRealization, A: np.ndarray, eta: float
 ) -> float | np.ndarray:
@@ -98,9 +107,10 @@ def approximation_error(
     """
     if eta < 0.0:
         raise ContractError("eta must be nonnegative")
+    A = _precoder(A)
     K = real.num_users
     signal = eta**2 * K
-    denom = signal + np.sum(np.abs(real.h @ np.asarray(A)) ** 2, axis=-1) + real.sigma_y_sq
+    denom = signal + np.sum(np.abs(real.h @ A) ** 2, axis=-1) + real.sigma_y_sq
     # denom == 0 forces signal == 0, so D = 1: no observation, the prior mean is optimal.
     return _scalar(1.0 - signal / np.where(denom == 0.0, 1.0, denom))
 
@@ -113,8 +123,8 @@ def eavesdropper_moments(
     ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)``; ``m`` does
     not depend on the precoder and has shape ``(L,)``.
     """
+    GA = real.G @ _precoder(A)
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
-    GA = real.G @ np.asarray(A)
     B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + real.sigma_z_sq * np.eye(
         real.num_eavesdroppers
     )
@@ -151,12 +161,13 @@ def noncoop_security(
     """
     if real.sigma_z_sq <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
+    A = _precoder(A)
     R = real.G / real.h[np.newaxis, :]
     K = real.num_users
     num = (eta**2 / K) * np.abs(R.sum(axis=1)) ** 2
     den = (
         eta**2 * np.sum(np.abs(R) ** 2, axis=1)
-        + np.sum(np.abs(real.G @ np.asarray(A)) ** 2, axis=-1)
+        + np.sum(np.abs(real.G @ A) ** 2, axis=-1)
         + real.sigma_z_sq
     )
     per_eav = 1.0 - num / den
@@ -172,6 +183,7 @@ def effective_channel_security(
     ``g_tilde = p^H G`` with noise power ``sigma_z^2 ||p||^2``.  For
     ``p = p_opt`` this reproduces :func:`coop_security`.
     """
+    A = _precoder(A)
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (real.num_eavesdroppers,):
         raise ContractError(f"p must have length {real.num_eavesdroppers}")
@@ -181,7 +193,7 @@ def effective_channel_security(
     num = (eta**2 / K) * abs(np.sum(r)) ** 2
     den = (
         eta**2 * float(np.sum(np.abs(r) ** 2))
-        + float(np.sum(np.abs(g_eff @ np.asarray(A)) ** 2))
+        + float(np.sum(np.abs(g_eff @ A) ** 2))
         + real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
     )
     if den == 0.0:

@@ -159,21 +159,39 @@ class TestMetricsCommand:
 
 
 @pytest.mark.parametrize("command", ["metrics", "optimize"])
-@pytest.mark.parametrize("bad", ["zero_h", "nan_G"])
+@pytest.mark.parametrize("bad", ["zero_h", "nan_G", "scalar_h"])
 def test_bad_channel_document_exits_2(tmp_path, capsys, command, bad):
     doc = realization_to_dict(
         sample_realization(ScenarioConfig(num_users=4, num_eavesdroppers=2), 21)
     )
     if bad == "zero_h":
         doc["h"][1] = [0.0, 0.0]
-    else:
+    elif bad == "nan_G":
         doc["G"][0][2][0] = float("nan")
+    else:
+        doc["h"] = doc["h"][0]  # one complex number where a list of them belongs
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: code=2" in captured.err
+
+
+@pytest.mark.parametrize("command", ["metrics", "optimize"])
+def test_single_user_document_exits_2(tmp_path, capsys, command):
+    doc = realization_to_dict(
+        sample_realization(ScenarioConfig(num_users=2, num_eavesdroppers=2), 21)
+    )
+    doc["user_positions"] = doc["user_positions"][:1]
+    doc["h"] = doc["h"][:1]
+    doc["G"] = [row[:1] for row in doc["G"]]
+    path = tmp_path / "one_user.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2 users" in captured.err
 
 
 @pytest.mark.parametrize("command", ["metrics", "optimize"])

@@ -238,7 +238,7 @@ class TestBuilders:
 class TestTransmit:
     def test_identity_channel(self):
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, 1.0]], P=4.0)
-        prec = NoisePrecoder(zero_A(2), 1, "none", 1.0)
+        prec = NoisePrecoder(zero_A(2), "none", 1.0)
         gamma = np.array([0.5 + 0.5j, -1.0])
         x = transmit(real, prec, 1.0, gamma, np.zeros(1))
         assert np.array_equal(x, gamma)

@@ -1,0 +1,73 @@
+"""Golden-table guard: one small run of every preset against a stored table.
+
+Each preset runs at a small size (two realizations, two or three sweep
+points) and its table must match ``tests/golden/<preset>.dat``: the metadata
+lines (except ``build``) and the column header byte for byte, every value
+within 1e-12 relative plus one unit in the 12th printed digit.  A change that
+is meant to leave the tables alone is checked by this file; a change that
+moves them on purpose regenerates the stored tables with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in its change log.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-12
+
+SIZES = {
+    "eta_design_space": dict(sweep_values=(0.1, 0.5, 1.0)),
+    "sweep_L": dict(num_realizations=2, sweep_values=(1, 3, 5)),
+    "sweep_snr_designs": dict(
+        num_realizations=2,
+        sweep_values=(-10.0, 10.0),
+        designs=_DESIGNS + ("proposed_shared",),
+        delta=0.7,
+    ),
+    "security_gap": dict(num_realizations=2, sweep_values=(-10.0, 10.0), delta=0.7),
+    "collocated": dict(num_realizations=2, sweep_values=(-10.0, 10.0)),
+    "shared_zf": dict(num_realizations=2, sweep_values=(0.0, 20.0), l_values=(3, 5), num_users=6),
+    "power_control": dict(num_realizations=2, sweep_values=(-10.0, 10.0)),
+    "tradeoff": dict(sweep_values=(0.0, 0.5, 1.0), mixture_pairs=2, mixture_thetas=3),
+}
+
+
+def _write(name, path):
+    write_table(run_preset(default_preset(name, **SIZES[name]), threads=1), path)
+
+
+def _split(path):
+    """Metadata lines without ``build``, then the column header; and the rows."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    n_meta = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = [line for line in lines[: n_meta + 1] if not line.startswith("# build:")]
+    rows = [[float(tok) for tok in line.split()] for line in lines[n_meta + 1 :]]
+    return header, np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_table_matches_golden(tmp_path, name):
+    out = tmp_path / f"{name}.dat"
+    _write(name, out)
+    header, rows = _split(out)
+    ref_header, ref_rows = _split(GOLDEN_DIR / f"{name}.dat")
+    assert header == ref_header
+    assert rows.shape == ref_rows.shape
+    magnitude = np.abs(ref_rows)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf gives a zero allowance
+        last_digit = 10.0 ** (np.floor(np.log10(magnitude)) - 11)
+    excess = np.abs(rows - ref_rows) - (RTOL * magnitude + last_digit)
+    assert not np.any(excess > 0), f"largest excess {excess.max():.3e}"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for preset_name in sorted(SIZES):
+        _write(preset_name, GOLDEN_DIR / f"{preset_name}.dat")

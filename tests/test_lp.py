@@ -6,7 +6,7 @@ import pytest
 from otasec.encoding import eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, solve_lp
-from otasec.optimizer import ZeroForcingDesign, _allocation_lp, compute_alpha_beta
+from otasec.optimizer import _allocation_lp, compute_alpha_beta
 
 from conftest import make_realization
 
@@ -57,10 +57,12 @@ def sampled_allocation_lps():
                 budgets = row_budgets(real, eta)
                 order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
                 for N in (1, 2):
-                    Z = tuple(sorted(int(i) for i in order[:N]))
-                    design = ZeroForcingDesign(Z, budgets[list(Z)] / budgets[list(Z)].sum(), eta)
-                    obj = compute_alpha_beta(real, eta, design)
-                    yield _allocation_lp(obj, budgets, design, real.h)[0]
+                    Z = sorted(int(i) for i in order[:N])
+                    noise = [i for i in range(K) if i not in Z]
+                    w = budgets[Z] / budgets[Z].sum()
+                    alpha, beta = compute_alpha_beta(real, eta, Z, w)
+                    load = np.abs(w[:, None] * real.h[noise] / real.h[Z, None]) ** 2
+                    yield _allocation_lp(alpha, beta, load, budgets[noise + Z])
 
 
 class TestExamples:

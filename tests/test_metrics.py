@@ -265,6 +265,28 @@ class TestStackedPrecoders:
             coop_security(real, stack, eta)
 
 
+class TestNonFinitePrecoder:
+    """A NaN or inf entry in ``A`` raises before any arithmetic can warn."""
+
+    @pytest.mark.parametrize(
+        "fn", [approximation_error, eavesdropper_moments, noncoop_security, effective_channel_security]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_raises_contract_error(self, fn, bad, stacked):
+        real = make_realization(25, K=4, L=2)
+        eta = eta_from_delta(real, 0.5)
+        A = precoder_stack(real, eta)
+        A[1, 2, 3, 0] = bad
+        extra = (np.ones(2),) if fn is effective_channel_security else ()
+        if stacked:
+            with pytest.raises(ContractError, match=r"non-finite entry in matrix \(1, 2\)"):
+                fn(real, A, eta, *extra)
+        else:
+            with pytest.raises(ContractError, match=r"non-finite entry$"):
+                fn(real, A[1, 2], eta, *extra)
+
+
 class TestMcOracle:
     def test_near_perfect_channel(self):
         real = make_realization(5, K=3, L=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from otasec.encoding import build_precoder, eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
-    ZeroForcingDesign,
     assemble_precoder,
     compute_alpha_beta,
-    optimize_design,
     optimize_proposed,
     optimize_shared_zf,
 )
@@ -23,25 +22,19 @@ def zero_A(K):
     return np.zeros((K, 1), dtype=np.complex128)
 
 
-def design_for(real, eta, zf_users, weights=None):
-    if weights is None:
-        weights = np.full(len(zf_users), 1.0 / len(zf_users))
-    return ZeroForcingDesign(zf_users=tuple(zf_users), weights=np.asarray(weights), eta=eta)
-
-
 class TestAlphaBeta:
     def test_aligned_pair(self):
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, 1.0]], sigma_z_sq=2.0)
-        obj = compute_alpha_beta(real, 1.0, design_for(real, 1.0, (1,), [1.0]))
-        assert obj.dropped_eavs == ()
-        assert obj.alpha[0] == pytest.approx(1.0, abs=1e-15)
-        assert obj.beta[0, 0] == pytest.approx(0.0, abs=1e-15)
+        alpha, beta = compute_alpha_beta(real, 1.0, (1,), [1.0])
+        assert np.isfinite(alpha).all()
+        assert alpha[0] == pytest.approx(1.0, abs=1e-15)
+        assert beta[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_cancelling_channel_dropped(self):
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, -1.0]], sigma_z_sq=2.0)
-        obj = compute_alpha_beta(real, 1.0, design_for(real, 1.0, (1,), [1.0]))
-        assert obj.dropped_eavs == (0,)
-        assert np.isinf(obj.alpha[0])
+        alpha, beta = compute_alpha_beta(real, 1.0, (1,), [1.0])
+        assert np.isinf(alpha[0])
+        assert not beta[0].any()
 
     def test_consistent_with_security_formula(self, rng):
         # alpha + beta . lam must reproduce the per-eavesdropper security of
@@ -50,16 +43,14 @@ class TestAlphaBeta:
             real = make_realization(seed, K=3, L=2)
             eta = eta_from_delta(real, 0.6)
             zf = int(np.argmax(np.abs(real.h) ** 2))
-            design = design_for(real, eta, (zf,), [1.0])
-            obj = compute_alpha_beta(real, eta, design)
+            alpha, beta = compute_alpha_beta(real, eta, (zf,), [1.0])
             budgets = row_budgets(real, eta)
             others = [i for i in range(3) if i != zf]
             for _ in range(5):
                 lam = rng.uniform(0.0, 1.0, 2) * budgets[others] * 0.5
-                probe = dataclasses.replace(design, lam=lam)
-                A = assemble_precoder(real, probe).A
+                A = assemble_precoder(real, eta, (zf,), [1.0], lam).A
                 _, per = noncoop_security(real, A, eta)
-                predicted = obj.alpha + obj.beta @ lam
+                predicted = alpha + beta @ lam
                 for ell in range(2):
                     expected = (eta**2 / 3) / (1.0 - per[ell])
                     assert predicted[ell] == pytest.approx(expected, rel=1e-9)
@@ -71,18 +62,33 @@ class TestAssemble:
         eta = eta_from_delta(real, 0.5)
         lam = np.array([0.4, 0.1, 0.2])
         zf = 3
-        design = dataclasses.replace(design_for(real, eta, (zf,), [1.0]), lam=lam)
-        A = assemble_precoder(real, design).A
+        A = assemble_precoder(real, eta, (zf,), [1.0], lam).A
         expected = np.zeros((4, 3), dtype=complex)
         for col, i in enumerate([0, 1, 2]):
             expected[i, col] = np.sqrt(lam[col])
             expected[zf, col] = -np.sqrt(lam[col]) * real.h[i] / real.h[zf]
         assert np.allclose(A, expected, atol=1e-15)
 
+    def test_equals_the_per_entry_loop(self, rng):
+        # Reference: the loop assemble_precoder ran before it was vectorized.
+        real = make_realization(4, K=6, L=2)
+        for Z in ((2,), (0, 4), (1, 3, 5)):
+            w = rng.dirichlet(np.ones(len(Z)))
+            lam = rng.uniform(0.0, 0.2, 6 - len(Z))
+            noise = [i for i in range(6) if i not in Z]
+            roots = np.sqrt(lam)
+            expected = np.zeros((6, len(noise)), dtype=complex)
+            for col, i in enumerate(noise):
+                expected[i, col] = roots[col]
+                for k, d_k in zip(Z, w):
+                    expected[k, col] = -roots[col] * (real.h[i] / real.h[k]) * d_k
+            prec = assemble_precoder(real, 0.5, Z, w, lam)
+            assert np.array_equal(prec.A, expected)
+            assert prec.zf_users == Z and prec.noise_dim == len(noise)
+
     def test_zero_lambda_is_zero_matrix(self):
         real = make_realization(2, K=4, L=1)
-        design = dataclasses.replace(design_for(real, 0.0, (0,), [1.0]), lam=np.zeros(3))
-        assert not assemble_precoder(real, design).A.any()
+        assert not assemble_precoder(real, 0.0, (0,), [1.0], np.zeros(3)).A.any()
 
     def test_always_zero_forcing(self, rng):
         for seed in range(10):
@@ -90,18 +96,16 @@ class TestAssemble:
             eta = eta_from_delta(real, 0.4)
             shared = optimize_shared_zf(real, eta, 2)
             lam = rng.uniform(0.0, 0.1, 3)
-            design = dataclasses.replace(
-                design_for(real, eta, shared.zf_users, shared.zf_weights), lam=lam
-            )
-            A = assemble_precoder(real, design).A
+            A = assemble_precoder(real, eta, shared.zf_users, shared.zf_weights, lam).A
             assert np.linalg.norm(real.h @ A) <= 1e-12 * np.linalg.norm(
                 real.h
             ) * np.linalg.norm(A)
 
     def test_missing_lambda_rejected(self):
         real = make_realization(3, K=4, L=1)
-        with pytest.raises(ContractError):
-            assemble_precoder(real, design_for(real, 0.0, (0,), [1.0]))
+        for lam in (np.zeros(0), np.zeros(2), np.zeros(4)):
+            with pytest.raises(ContractError):
+                assemble_precoder(real, 0.0, (0,), [1.0], lam)
 
 
 class TestOptimizeProposed:
@@ -176,22 +180,24 @@ class TestOptimizeProposed:
         for seed in range(10):
             real = make_realization(seed, K=4, L=3)
             eta = eta_from_delta(real, 0.7)
-            zf = int(np.argmax(np.abs(real.h) ** 2))
-            design, obj = optimize_design(
-                real, eta, design_for(real, eta, (zf,), [1.0])
-            )
-            assert obj.t_star is not None
-            live = [l for l in range(3) if l not in obj.dropped_eavs]
-            values = obj.alpha[live] + obj.beta[live] @ design.lam
-            assert np.all(values >= obj.t_star - 1e-8)
+            prec = optimize_proposed(real, eta)
+            (zf,) = prec.zf_users
+            alpha, beta = compute_alpha_beta(real, eta, prec.zf_users, prec.zf_weights)
+            live = np.isfinite(alpha)
+            assert live.any()
+            values = alpha[live] + beta[live] @ prec.lam
+            t_star = values.min()
             budgets = row_budgets(real, eta)
             nonzf = [i for i in range(4) if i != zf]
-            own_bind = np.abs(design.lam - budgets[nonzf]) <= 1e-6 * (1.0 + budgets[nonzf])
-            zf_load = float(np.sum(design.lam * np.abs(real.h[nonzf] / real.h[zf]) ** 2))
+            own_bind = np.abs(prec.lam - budgets[nonzf]) <= 1e-6 * (1.0 + budgets[nonzf])
+            zf_load = float(np.sum(prec.lam * np.abs(real.h[nonzf] / real.h[zf]) ** 2))
             zf_bind = abs(zf_load - budgets[zf]) <= 1e-6 * (1.0 + budgets[zf])
-            all_budgets_bind = bool(np.all(own_bind)) or zf_bind
-            some_tight = np.any(np.abs(values - obj.t_star) <= 1e-6 * (1.0 + abs(obj.t_star)))
-            assert some_tight or all_budgets_bind
+            # Every objective is nondecreasing in lambda, so at the optimum either the
+            # zero-forcing budget binds or some worst eavesdropper gains nothing from
+            # the columns whose own budget is slack.
+            tight = np.abs(values - t_star) <= 1e-6 * (1.0 + abs(t_star))
+            blocked = np.all(beta[live][tight][:, ~own_bind] <= 0.0, axis=1)
+            assert zf_bind or blocked.any()
 
 
 def achieved_objective(real, eta):
@@ -240,21 +246,18 @@ class TestSharedZeroForcing:
             coeff = abs(d_k * real.h[i] / real.h[k]) ** 2
             if coeff > 0:
                 cap = min(cap, budgets[k] / coeff)
-        obj = compute_alpha_beta(
-            real, eta, ZeroForcingDesign(zf_users=Z, weights=w, eta=eta)
-        )
-        live = [l for l in range(2) if l not in obj.dropped_eavs]
+        alpha, beta = compute_alpha_beta(real, eta, Z, w)
         # The objective is nondecreasing in the single power, so the cap wins.
         assert prec.lam[0] == pytest.approx(cap, rel=1e-8)
-        assert np.all(obj.beta[live] >= 0.0)
+        assert np.all(beta[np.isfinite(alpha)] >= 0.0)
 
     @pytest.mark.parametrize("seed", [8, 14])
     def test_zero_eta_takes_the_tie_break(self, seed):
         # At eta = 0 the allocation LP's alpha is about sigma_z^2, so beta/alpha
         # reached 1e11: seed 14 spun to the iteration limit, seed 8 read unbounded.
         real = make_realization(seed, K=10, L=15, snr_db=20.0)
-        design = design_for(real, 0.0, (0, 1, 2))
-        assert compute_alpha_beta(real, 0.0, design).dropped_eavs == tuple(range(15))
+        alpha, _ = compute_alpha_beta(real, 0.0, (0, 1, 2), np.full(3, 1.0 / 3.0))
+        assert not np.isfinite(alpha).any()
         prec = optimize_shared_zf(real, 0.0, 3)
         assert not prec.degenerate
         assert np.max(np.abs(real.h @ prec.A)) <= 1e-12
@@ -278,8 +281,43 @@ class TestSharedZeroForcing:
     def test_all_candidates_degenerate_falls_back_to_zero(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
         eta = eta_from_delta(real, 1.0)  # all residual budgets are exactly zero
-        prec = optimize_shared_zf(real, eta, 2)
-        assert prec.degenerate and not prec.A.any()
+        for N, kind in ((1, "proposed"), (2, "proposed_shared")):
+            for prec in (
+                optimize_shared_zf(real, eta, N),
+                optimize_shared_zf(real, eta, N, selection="best_channel"),
+            ):
+                assert prec.degenerate and not prec.A.any()
+                assert prec.A.shape == (3, 3 - N)
+                assert prec.zf_users == tuple(range(N))  # the first candidate
+                assert prec.kind == kind
+                assert np.array_equal(prec.lam, np.zeros(3 - N))
+        prec = optimize_proposed(real, eta)
+        assert prec.degenerate and prec.zf_users == (0,) and prec.kind == "proposed"
+
+    def test_proposed_is_the_best_channel_case_of_shared(self):
+        for seed, K, L, delta, fading_mode in itertools.product(
+            range(3), (3, 6), (1, 4), (0.0, 0.4, 1.0), ("complex", "real")
+        ):
+            real = make_realization(seed, K=K, L=L, fading_mode=fading_mode)
+            eta = eta_from_delta(real, delta)
+            a = optimize_proposed(real, eta)
+            b = optimize_shared_zf(real, eta, 1, selection="best_channel")
+            assert np.array_equal(a.A, b.A) and np.array_equal(a.lam, b.lam)
+            assert np.array_equal(a.zf_weights, b.zf_weights)
+            assert (a.zf_users, a.kind, a.degenerate) == (b.zf_users, b.kind, b.degenerate)
+
+    def test_lp_failure_names_the_lp(self, monkeypatch):
+        from otasec import optimizer
+        from otasec.lp import LpSolution
+
+        monkeypatch.setattr(
+            optimizer, "solve_lp", lambda problem: LpSolution("unbounded", np.zeros(problem.num_vars), 0.0)
+        )
+        real = make_realization(2, K=4, L=2)
+        with pytest.raises(RuntimeError, match="noise allocation LP reported unbounded"):
+            optimize_proposed(real, eta_from_delta(real, 0.5))
+        with pytest.raises(RuntimeError, match="tie-break LP reported unbounded"):
+            optimize_proposed(real, 0.0)
 
     def test_invalid_arguments(self):
         real = make_realization(1, K=4, L=1)

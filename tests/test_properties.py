@@ -1,4 +1,4 @@
-"""Property tests of the stacked closed forms on random realizations and precoder stacks."""
+"""Property tests of the stacked closed forms and the optimized designs on random realizations."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from otasec.metrics import (  # noqa: E402
     coop_security,
     noncoop_security,
 )
+from otasec.optimizer import optimize_shared_zf  # noqa: E402
 
 from conftest import make_realization  # noqa: E402
 
@@ -69,3 +70,19 @@ def test_mixtures_stay_within_row_budgets(case):
     real, eta, stack = build(case)
     powers = np.sum(np.abs(stack) ** 2, axis=-1)
     assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases, st.sampled_from([1, 2]), st.sampled_from(["exhaustive", "best_channel"]))
+def test_optimized_designs_zero_force_within_budgets(case, N, selection):
+    real = make_realization(
+        case["seed"], K=max(case["K"], N + 1), L=case["L"], snr_db=case["snr_db"],
+        fading_mode=case["fading_mode"],
+    )
+    eta = eta_from_delta(real, case["delta"])
+    A = optimize_shared_zf(real, eta, N, selection=selection).A
+    powers = np.sum(np.abs(A) ** 2, axis=-1)
+    assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
+    assert np.max(np.abs(real.h @ A)) <= 1e-10 * np.linalg.norm(real.h) * np.linalg.norm(A)
+    no_noise = np.zeros((real.num_users, 1), dtype=np.complex128)
+    assert abs(approximation_error(real, A, eta) - approximation_error(real, no_noise, eta)) <= 1e-12
