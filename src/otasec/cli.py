@@ -133,7 +133,10 @@ def _cmd_run(args) -> int:
     overrides = _coerce_tuples(_parse_overrides(args.overrides))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_overrides = json.load(fh)
+            try:
+                file_overrides = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ConfigurationError(f"--config {args.config}: not a JSON document: {exc}") from None
         if not isinstance(file_overrides, dict):
             raise ConfigurationError("--config must contain a JSON object")
         overrides = {**file_overrides, **overrides}

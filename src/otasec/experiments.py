@@ -19,6 +19,8 @@ preset and seed, independent of the thread count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -181,6 +183,18 @@ def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
     return out
 
 
+def _check_shared_zf(preset: ExperimentPreset) -> None:
+    K = preset.config.num_users
+    if not preset.l_values or min(preset.l_values) < 1:
+        raise ConfigurationError(
+            f"l_values must be a non-empty list of eavesdropper counts >= 1, got {preset.l_values!r}"
+        )
+    if not all(1 <= n <= K - 1 for n in preset.shared_n_values):
+        raise ConfigurationError(
+            f"shared_n_values must lie in [1, {K - 1}] (num_users - 1), got {preset.shared_n_values!r}"
+        )
+
+
 def _columns_shared_zf(preset: ExperimentPreset):
     cols = ["snr_db"]
     for L in preset.l_values:
@@ -318,6 +332,7 @@ class _Spec:
     meta: tuple = ()  # extra metadata keys, in output order
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
+    check: Callable[[ExperimentPreset], None] | None = None  # preset-specific field checks
 
 
 _DESIGNS = ("none", "signal_level", "data_level", "random_zf", "proposed")
@@ -363,6 +378,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_shared_zf,
         meta=("delta", "l_values"),
+        check=_check_shared_zf,
         fields=dict(sweep_values=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0)),
     ),
     "power_control": _Spec(
@@ -432,16 +448,60 @@ def _metadata(preset: ExperimentPreset) -> dict:
     return meta
 
 
-def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:
-    """Execute a preset and return its (averaged) result table."""
-    if preset.name not in _PRESETS:
-        raise ConfigurationError(f"unknown preset {preset.name!r}")
+# Numeric preset fields, scalar and tuple, with the type their entries must have.
+_NUMBER_FIELDS = {
+    "num_realizations": int,
+    "base_seed": int,
+    "delta": float,
+    "mixture_pairs": int,
+    "mixture_thetas": int,
+}
+_NUMBER_TUPLE_FIELDS = {
+    "sweep_values": float,
+    "delta_grid": float,
+    "l_values": int,
+    "shared_n_values": int,
+    "power_levels": float,
+}
+
+
+def _is_number(value, kind: type) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        return False
+    return kind is float or value == int(value)
+
+
+def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
+    """Reject, before any trial runs, field values that no trial can use."""
+    for name, kind in _NUMBER_FIELDS.items():
+        value = getattr(preset, name)
+        if not _is_number(value, kind):
+            what = "an integer" if kind is int else "a finite number"
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    for name, kind in _NUMBER_TUPLE_FIELDS.items():
+        value = getattr(preset, name)
+        if not (isinstance(value, (tuple, list)) and all(_is_number(v, kind) for v in value)):
+            what = "integers" if kind is int else "finite numbers"
+            raise ConfigurationError(f"{name} must be a list of {what}, got {value!r}")
     if len(preset.sweep_values) == 0:
         raise ConfigurationError("sweep_values must be non-empty")
     sweep = np.asarray(preset.sweep_values, dtype=float)
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
+    if "delta" in spec.meta and not 0.0 <= preset.delta <= 1.0:
+        raise ConfigurationError(f"delta must lie in [0, 1], got {preset.delta!r}")
+    if "delta_grid" in spec.meta and not all(0.0 <= d <= 1.0 for d in preset.delta_grid):
+        raise ConfigurationError(f"delta_grid must lie in [0, 1], got {preset.delta_grid!r}")
+    if spec.check is not None:
+        spec.check(preset)
+
+
+def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:
+    """Execute a preset and return its (averaged) result table."""
+    if preset.name not in _PRESETS:
+        raise ConfigurationError(f"unknown preset {preset.name!r}")
     spec = _PRESETS[preset.name]
+    _check_fields(preset, spec)
     rows = np.asarray(spec.rows(preset, threads), dtype=float)
     return ResultTable(spec.columns(preset), rows, _metadata(preset))
 

@@ -1,4 +1,4 @@
-"""Small dense linear programs whose origin is feasible.
+"""Small dense linear programs whose origin is feasible, one at a time or stacked.
 
 Solves ``maximize c^T x`` subject to ``M x <= b`` and ``x >= 0`` with
 ``b >= 0``, via a single-phase dense simplex with Bland's anti-cycling rule.
@@ -7,6 +7,16 @@ starts the search and no phase 1 is needed.  The programs produced by the
 noise optimizer have at most a few dozen variables and a few hundred rows, so
 a dense tableau is the simplest thing that is obviously correct, and it is
 bit-for-bit deterministic.
+
+A problem whose arrays carry a leading stack axis, ``M`` of shape
+``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
+in lockstep: each iteration makes one pivot in every LP still working, as
+array operations over the stack, and an LP leaves the working set when it is
+optimal or turns out unbounded.  Each LP takes the pivots the one-LP loop
+would take, so its answer is bitwise equal to solving it alone.  A lone LP,
+two-dimensional or a stack of one, runs the one-LP loop: the lockstep
+iteration's stack bookkeeping costs about twice a plain pivot, and nothing
+shares it.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from .errors import ContractError
 PIVOT_TOL = 1e-9
 MAX_VARS = 128
 MAX_CONSTRAINTS = 512
-_MAX_ITER = 50_000
+_MAX_ITER = 50_000  # per LP
 _RATIO_TIE_TOL = 1e-12
 
 
@@ -29,7 +39,8 @@ class LpProblem:
     """``maximize objective @ x`` s.t. ``ineq_matrix @ x <= ineq_rhs``, ``x >= 0``.
 
     Every entry of ``ineq_rhs`` must be nonnegative, so that ``x = 0`` is
-    feasible.
+    feasible.  A stack of ``B`` LPs has ``objective`` of shape ``(B, n)``,
+    ``ineq_matrix`` of shape ``(B, m, n)`` and ``ineq_rhs`` of shape ``(B, m)``.
     """
 
     num_vars: int
@@ -40,24 +51,32 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    """The optimum, or ``status == "unbounded"`` with ``x = 0``."""
+    """The optimum, or ``status == "unbounded"`` with ``x = 0``.
 
-    status: str  # "optimal" | "unbounded"
+    ``pivots`` counts the simplex pivots made.  For a stack every field is an
+    array over the stack: ``status`` of strings, ``x`` of shape ``(B, n)``.
+    """
+
+    status: str | np.ndarray  # "optimal" | "unbounded"
     x: np.ndarray
-    objective_value: float
+    objective_value: float | np.ndarray
+    pivots: int | np.ndarray = 0
 
 
 def _validate(problem: LpProblem):
     n = int(problem.num_vars)
     c = np.asarray(problem.objective, dtype=float)
-    M = np.atleast_2d(np.asarray(problem.ineq_matrix, dtype=float))
+    M = np.asarray(problem.ineq_matrix, dtype=float)
+    M = M if M.ndim == 3 else np.atleast_2d(M)
     b = np.asarray(problem.ineq_rhs, dtype=float)
-    if c.shape != (n,):
+    if M.ndim > 3:
+        raise ContractError(f"an LP stack has one leading axis, got shape {M.shape}")
+    if c.shape != M.shape[:-2] + (n,):
         raise ContractError("objective length must equal num_vars")
-    if M.shape != (b.shape[0], n):
+    if M.shape != b.shape + (n,):
         raise ContractError(f"constraint shapes disagree: {M.shape} vs rhs {b.shape}")
-    if n > MAX_VARS or M.shape[0] > MAX_CONSTRAINTS:
-        raise ContractError(f"problem too large: {n} vars, {M.shape[0]} constraints")
+    if n > MAX_VARS or M.shape[-2] > MAX_CONSTRAINTS:
+        raise ContractError(f"problem too large: {n} vars, {M.shape[-2]} constraints")
     if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all()):
         raise ContractError("non-finite coefficient in LP data")
     if np.any(b < 0.0):
@@ -65,44 +84,111 @@ def _validate(problem: LpProblem):
     return c, M, b
 
 
+def _tableau(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Constraint rows over ``[x, slacks | rhs]``, then the objective row."""
+    m, n = M.shape[-2:]
+    T = np.zeros(M.shape[:-2] + (m + 1, n + m + 1))
+    T[..., :m, :n] = M
+    T[..., :m, n:-1] = np.eye(m)
+    T[..., :m, -1] = b
+    T[..., m, :n] = -c
+    return T
+
+
+def _basic_x(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """The structural part of the basic solution (or of each in a stack), rounding dust scrubbed."""
+    xs = np.zeros(basis.shape[:-1] + (T.shape[-1] - 1,))
+    if basis.ndim == 1:
+        xs[basis] = T[:-1, -1]
+    else:
+        xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :-1, -1]
+    x = xs[..., :n]
+    x[(x < 0.0) & (x > -1e-11)] = 0.0
+    return x
+
+
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    rows = factors.nonzero()[0]
-    T[rows] -= factors[rows, np.newaxis] * T[row]
+    # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
+    np.subtract(T, np.multiply.outer(factors, T[row]), out=T, where=(factors != 0.0)[:, np.newaxis])
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP to optimality, or report it unbounded."""
-    c, M, b = _validate(problem)
+def _solve_one(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
     m, n = M.shape
-    # Tableau: constraint rows over [x, slacks | rhs], then the objective row.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = M
-    T[:m, n:-1] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
+    T = _tableau(c, M, b)
     basis = np.arange(n, n + m)
-    for _ in range(_MAX_ITER):
+    for pivots in range(_MAX_ITER):
         improving = (T[m, :-1] < -PIVOT_TOL).nonzero()[0]
         if not improving.size:
-            break
+            x = _basic_x(T, basis, n)
+            return LpSolution("optimal", x, float(c @ x), pivots)
         enter = improving[0]  # Bland: lowest improving index enters
         column = T[:m, enter]
         rows = (column > PIVOT_TOL).nonzero()[0]
         if not rows.size:
-            return LpSolution("unbounded", np.zeros(n), 0.0)
+            return LpSolution("unbounded", np.zeros(n), 0.0, pivots)
         ratios = T[rows, -1] / column[rows]
         ties = rows[ratios <= ratios.min() + _RATIO_TIE_TOL]
         leave = ties[basis[ties].argmin()]  # tie broken by lowest basic index
         _pivot(T, leave, enter)
         basis[leave] = enter
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
+    B, m, n = M.shape
+    unbounded = np.zeros(B, dtype=bool)
+    x = np.zeros((B, n))
+    pivots = np.zeros(B, dtype=int)
+    # The working set: the tableaux, bases and stack indices of unfinished LPs.
+    T = _tableau(c, M, b)
+    basis = np.tile(np.arange(n, n + m), (B, 1))
+    ids = np.arange(B)
+    for it in range(_MAX_ITER):
+        improving = T[:, m, :-1] < -PIVOT_TOL
+        enter = improving.argmax(axis=1)  # Bland: lowest improving index enters
+        work = np.arange(ids.size)
+        column = T[work, :m, enter]
+        eligible = column > PIVOT_TOL
+        optimal = ~improving[work, enter]
+        stuck = ~(optimal | eligible.any(axis=1))
+        if optimal.any() or stuck.any():
+            finished = optimal | stuck
+            pivots[ids[finished]] = it
+            unbounded[ids[stuck]] = True
+            x[ids[optimal]] = _basic_x(T[optimal], basis[optimal], n)
+            keep = ~finished
+            T, basis, ids = T[keep], basis[keep], ids[keep]
+            enter, column, eligible = enter[keep], column[keep], eligible[keep]
+            work = np.arange(ids.size)
+        if not ids.size:
+            break
+        ratios = np.divide(T[:, :m, -1], column, out=np.full(column.shape, np.inf), where=eligible)
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + _RATIO_TIE_TOL
+        leave = np.where(ties, basis, n + m).argmin(axis=1)  # lowest basic index
+        T[work, leave] /= T[work, leave, enter][:, np.newaxis]
+        factors = T[work, :, enter]
+        factors[work, leave] = 0.0
+        update = factors[:, :, np.newaxis] * T[work, leave][:, np.newaxis, :]
+        np.subtract(T, update, out=T, where=(factors != 0.0)[:, :, np.newaxis])  # as in _pivot
+        basis[work, leave] = enter
     else:
         raise RuntimeError("simplex iteration limit exceeded")
+    value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]
+    status = np.where(unbounded, "unbounded", "optimal")
+    return LpSolution(status, x, np.where(unbounded, 0.0, value), pivots)
 
-    xs = np.zeros(n + m)
-    xs[basis] = T[:m, -1]
-    x = xs[:n]
-    x[(x < 0.0) & (x > -1e-11)] = 0.0  # scrub rounding dust
-    return LpSolution("optimal", x, float(c @ x))
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve the LP, or each LP of a stack, to optimality, or report it unbounded."""
+    c, M, b = _validate(problem)
+    if M.ndim == 2:
+        return _solve_one(c, M, b)
+    if len(M) != 1:
+        return _solve_stack(c, M, b)
+    one = _solve_one(c[0], M[0], b[0])
+    return LpSolution(
+        np.array([one.status]), one.x[np.newaxis], np.array([one.objective_value]), np.array([one.pivots])
+    )

@@ -27,8 +27,11 @@ under the same budgets.
 
 The work splits in two.  Per realization and ``eta``: the row budgets,
 ``alpha``, ``|sum_k g_{l,k}/h_k|^2`` and the drop mask, none of which
-depends on ``Z``.  Per subset ``Z``: the weights, ``beta``, the
-zero-forcing users' budget rows ``|d_k h_i/h_k|^2`` and one LP.
+depends on ``Z``.  So every candidate subset gives an LP of the same shape,
+and the per-subset work is stacked over the candidates: the weights,
+``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, the LPs
+(one stacked :func:`~otasec.lp.solve_lp` call per design, tie-breaks
+included) and the precoders, ranked by one stacked ``noncoop_security`` call.
 :func:`optimize_shared_zf` is the one design path; the paper's single-user
 design :func:`optimize_proposed` is its one-candidate case.
 """
@@ -72,23 +75,45 @@ def _beta(
     sum_sq: np.ndarray,
     live: np.ndarray,
 ) -> np.ndarray:
-    """``beta`` of shape ``(L, K - N)``, with zero rows on dropped eavesdroppers."""
+    """``beta`` of shape ``(C, L, K - N)`` for ``C`` subsets, zero on dropped eavesdroppers.
+
+    ``zf`` and ``weights`` have shape ``(C, N)``, ``noise`` shape ``(C, K - N)``.
+    """
     G, h = real.G, real.h
     # Residual channel seen by eavesdropper l in noise column i after the
-    # zero-forcing users' compensation.
-    comp = (G[:, zf] * (weights / h[zf])[np.newaxis, :]).sum(axis=1)
-    resid = G[:, noise] - np.outer(comp, h[noise])
-    beta = np.zeros((G.shape[0], noise.size))
-    beta[live] = np.abs(resid[live]) ** 2 / sum_sq[live, np.newaxis]
-    return beta
+    # zero-forcing users' compensation; the subset axis is second.
+    comp = (G[:, zf] * (weights / h[zf])[np.newaxis]).sum(axis=-1)
+    resid = G[:, noise] - comp[..., np.newaxis] * h[noise]
+    beta = np.zeros(resid.shape)
+    beta[live] = np.abs(resid[live]) ** 2 / sum_sq[live, np.newaxis, np.newaxis]
+    return beta.swapaxes(0, 1)
 
 
 def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-forcing users and the noise users (one column each), as index arrays."""
+    """The zero-forcing users and the noise users (one column each), as index arrays.
+
+    ``zf_users`` is one subset or a ``(C, N)`` array of them.
+    """
     zf = np.asarray(zf_users, dtype=int)
-    noise = np.ones(K, dtype=bool)
-    noise[zf] = False
-    return zf, np.flatnonzero(noise)
+    noise = (np.arange(K) != zf[..., np.newaxis]).all(axis=-2)
+    return zf, np.nonzero(noise)[-1].reshape(zf.shape[:-1] + (-1,))
+
+
+def _zf_matrices(
+    h: np.ndarray, zf: np.ndarray, noise: np.ndarray, weights: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """The ``(C, K, K - N)`` zero-forcing matrices of ``C`` subsets, for ``lam >= 0``."""
+    n_subsets, n_cols = noise.shape
+    roots = np.sqrt(lam)
+    A = np.zeros((n_subsets, h.size, n_cols), dtype=np.complex128)
+    subset = np.arange(n_subsets)[:, np.newaxis]
+    A[subset, noise, np.arange(n_cols)] = roots
+    A[subset, zf] = (
+        -roots[:, np.newaxis, :]
+        * (h[noise][:, np.newaxis, :] / h[zf][:, :, np.newaxis])
+        * weights[:, :, np.newaxis]
+    )
+    return A
 
 
 def compute_alpha_beta(
@@ -101,7 +126,8 @@ def compute_alpha_beta(
     """
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
     zf, noise = _noise_columns(real.num_users, zf_users)
-    return alpha, _beta(real, zf, noise, np.asarray(weights, dtype=float), sum_sq, live)
+    weights = np.asarray(weights, dtype=float)
+    return alpha, _beta(real, zf[None], noise[None], weights[None], sum_sq, live)[0]
 
 
 def assemble_precoder(
@@ -113,12 +139,8 @@ def assemble_precoder(
     if lam.shape != noise.shape:
         raise ContractError("lambda length must equal the number of noise columns")
     weights = np.asarray(weights, dtype=float)
-    roots = np.sqrt(lam)
-    A = np.zeros((real.num_users, noise.size), dtype=np.complex128)
-    A[noise, np.arange(noise.size)] = roots
-    A[zf] = -roots * (real.h[noise] / real.h[zf, None]) * weights[:, None]
     return NoisePrecoder(
-        A=A,
+        A=_zf_matrices(real.h, zf[None], noise[None], weights[None], lam[None])[0],
         kind="proposed" if zf.size == 1 else "proposed_shared",
         eta=eta,
         zf_users=tuple(int(k) for k in zf),
@@ -132,27 +154,36 @@ def _allocation_lp(
 ) -> LpProblem:
     """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
 
-    ``load`` holds the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``,
-    shape ``(N, K - N)``; ``budgets`` the right-hand sides, noise users first.
-    Every live alpha is positive, so ``t >= 0`` cuts off no optimum.  The raw
-    alpha/beta coefficients inherit the physical channel scale, which can sit
-    below the simplex pivot tolerance, so the epigraph variable and the
-    objective rows are expressed in units of the smallest live alpha.  When no
-    live row depends on lambda, returns the tie-break LP instead: maximize
-    the total noise power under the budgets, over lambda alone.
+    ``beta`` has shape ``(..., L, K - N)``; ``load`` holds the zero-forcing
+    users' budget rows ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``;
+    ``budgets`` the right-hand sides, shape ``(..., K)``, noise users first.
+    Leading axes give a stack of LPs.  Every live alpha is positive, so
+    ``t >= 0`` cuts off no optimum.  The raw alpha/beta coefficients inherit
+    the physical channel scale, which can sit below the simplex pivot
+    tolerance, so the epigraph variable and the objective rows are expressed
+    in units of the smallest live alpha.
+
+    An LP in which no live row depends on lambda breaks the tie instead: its
+    objective is the total noise power.  Its objective rows then hold zeros
+    in every lambda column, so they never pivot and ``t``, priced at zero,
+    never enters: the simplex takes the pivots of the same LP over lambda
+    and the budget rows alone.
     """
     live = np.isfinite(alpha)
-    n_cols = beta.shape[1]
-    budget_rows = np.vstack([np.eye(n_cols), load])
-    if not np.any(beta[live] > 0.0):
-        return LpProblem(n_cols, np.ones(n_cols), budget_rows, budgets)
-    scale = float(np.min(alpha[live]))
-    objective_rows = np.column_stack([np.ones(np.count_nonzero(live)), -beta[live] / scale])
-    budget_rows = np.column_stack([np.zeros(len(budget_rows)), budget_rows])  # t is unbudgeted
-    rows = np.vstack([objective_rows, budget_rows])
-    rhs = np.concatenate([alpha[live] / scale, budgets])
-    objective = np.zeros(1 + n_cols)
-    objective[0] = 1.0
+    stack, n_live, n_cols = beta.shape[:-2], np.count_nonzero(live), beta.shape[-1]
+    scale = float(np.min(alpha[live], initial=np.inf))  # unused when no row is live
+    rows = np.zeros(stack + (n_live + n_cols + load.shape[-2], 1 + n_cols))
+    rows[..., :n_live, 0] = 1.0  # t is unbudgeted
+    rows[..., :n_live, 1:] = -beta[..., live, :] / scale
+    rows[..., n_live : n_live + n_cols, 1:] = np.eye(n_cols)
+    rows[..., n_live + n_cols :, 1:] = load
+    rhs = np.empty(stack + (n_live + budgets.shape[-1],))
+    rhs[..., :n_live] = alpha[live] / scale
+    rhs[..., n_live:] = budgets
+    tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
+    objective = np.empty(stack + (1 + n_cols,))
+    objective[..., 0] = ~tie
+    objective[..., 1:] = tie[..., np.newaxis]
     return LpProblem(1 + n_cols, objective, rows, rhs)
 
 
@@ -194,36 +225,42 @@ def optimize_shared_zf(
         order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
         candidates = [tuple(sorted(int(i) for i in order[:N]))]
 
-    best: tuple[float, NoisePrecoder] | None = None
-    for Z in candidates:
-        zf, noise = _noise_columns(K, Z)
-        r = budgets[zf]
-        total = float(r.sum())
-        if total <= 0.0:
-            continue  # nobody in this set can compensate anything
-        weights = r / total
-        beta = _beta(real, zf, noise, weights, sum_sq, live)
-        load = np.abs(weights[:, None] * real.h[noise] / real.h[zf, None]) ** 2
-        problem = _allocation_lp(alpha, beta, load, budgets[np.concatenate([noise, zf])])
-        solution = solve_lp(problem)
-        epigraph = problem.num_vars - noise.size  # 1 for the max-min LP, 0 for the tie-break
-        if solution.status != "optimal":
-            what = "noise allocation" if epigraph else "tie-break"
-            raise RuntimeError(f"{what} LP reported {solution.status}")
-        precoder = assemble_precoder(real, eta, Z, weights, solution.x[epigraph:])
-        # A lone candidate needs no score to win.
-        value = metrics.noncoop_security(real, precoder.A, eta)[0] if len(candidates) > 1 else 0.0
-        if best is None or value > best[0]:
-            best = (value, precoder)
-    if best is None:
-        # Every candidate degenerate: fall back to no noise.
-        return NoisePrecoder(
-            A=np.zeros((K, K - N), dtype=np.complex128),
-            kind="proposed" if N == 1 else "proposed_shared",
-            eta=eta,
-            zf_users=candidates[0],
-            lam=np.zeros(K - N),
-            zf_weights=np.full(N, 1.0 / N),
-            degenerate=True,
-        )
-    return best[1]
+    zf, noise = _noise_columns(K, candidates)
+    r = budgets[zf]
+    total = r.sum(axis=1)
+    able = total > 0.0  # a set with no residual power can compensate nothing
+    if not able.all():
+        if not able.any():
+            # Every candidate degenerate: fall back to no noise.
+            return NoisePrecoder(
+                A=np.zeros((K, K - N), dtype=np.complex128),
+                kind="proposed" if N == 1 else "proposed_shared",
+                eta=eta,
+                zf_users=candidates[0],
+                lam=np.zeros(K - N),
+                zf_weights=np.full(N, 1.0 / N),
+                degenerate=True,
+            )
+        zf, noise, r, total = zf[able], noise[able], r[able], total[able]
+    weights = r / total[:, np.newaxis]
+    beta = _beta(real, zf, noise, weights, sum_sq, live)
+    load = np.abs(weights[:, :, None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
+    problem = _allocation_lp(alpha, beta, load, budgets[np.concatenate([noise, zf], axis=1)])
+    solution = solve_lp(problem)
+    failed = solution.status != "optimal"
+    if np.any(failed):
+        first = np.argmax(failed)
+        what = "noise allocation" if problem.objective[first, 0] else "tie-break"
+        raise RuntimeError(f"{what} LP reported {solution.status[first]}")
+    lam = np.maximum(solution.x[:, 1:], 0.0)
+    A = _zf_matrices(real.h, zf, noise, weights, lam)
+    # A lone candidate needs no score to win; argmax keeps the first of tied subsets.
+    best = int(np.argmax(metrics.noncoop_security(real, A, eta)[0])) if len(A) > 1 else 0
+    return NoisePrecoder(
+        A=A[best],
+        kind="proposed" if N == 1 else "proposed_shared",
+        eta=eta,
+        zf_users=tuple(int(k) for k in zf[best]),
+        lam=lam[best],
+        zf_weights=weights[best],
+    )

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otasec import metrics
+import otasec
+from otasec import experiments, metrics
 from otasec.channel import ScenarioConfig, realization_to_dict, sample_realization
 from otasec.cli import main
 from otasec.selftest import run_selftest
@@ -108,6 +113,41 @@ class TestRun:
         assert captured.out == ""
         assert "error: code=2" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, override",
+        [
+            ("shared_zf", "l_values=[]"),
+            ("shared_zf", "l_values=[0]"),
+            ("shared_zf", "l_values=[2.5]"),
+            ("shared_zf", "shared_n_values=[0]"),
+            ("shared_zf", "shared_n_values=[10]"),
+            ("shared_zf", "delta=2"),
+            ("shared_zf", "delta=nan"),
+            ("sweep_L", "delta=abc"),
+            ("sweep_L", 'sweep_values=["a"]'),
+            ("power_control", "delta_grid=[0.5,1.5]"),
+        ],
+    )
+    def test_bad_preset_field_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, preset, override
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_map_trials", no_trials)
+        out = tmp_path / "t.dat"
+        assert main(["run", preset, "--trials", "1", "--set", override, "--out", str(out)]) == 2
+        assert "error: code=2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b'{"num_users": 4,', b"\xff\xfe{}"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["run", "sweep_L", "--config", str(cfg), "--out", str(tmp_path / "o.dat")]) == 2
+        err = capsys.readouterr().err
+        assert "error: code=2" in err and "--config" in err
 
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code = main(
@@ -310,3 +350,12 @@ class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "otasec" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        src = str(Path(otasec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "otasec", "--version"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("otasec ")

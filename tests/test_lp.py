@@ -1,8 +1,10 @@
 import itertools
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from otasec import lp
 from otasec.encoding import eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, solve_lp
@@ -45,6 +47,38 @@ def random_bounded_instance(rng):
     b = np.concatenate([rng.uniform(0.5, 2.0, 3), np.full(3, 3.0)])
     c = rng.standard_normal(3)
     return c, M, b
+
+
+def random_unbounded_instance(rng):
+    # The last variable has a nonpositive column and a positive price, so it
+    # grows without bound; Bland's rule may pivot on the others first.
+    c, M, b = random_bounded_instance(rng)
+    M[:, -1] = -np.abs(M[:, -1])
+    c[-1] = abs(c[-1]) + 0.1
+    return c, M, b
+
+
+def stack_of(problems):
+    """One stacked LP from same-shape LPs."""
+    return LpProblem(
+        problems[0].num_vars,
+        np.stack([p.objective for p in problems]),
+        np.stack([p.ineq_matrix for p in problems]),
+        np.stack([p.ineq_rhs for p in problems]),
+    )
+
+
+def assert_stack_equals_loop(problems):
+    """The stacked solve equals the one-LP solves bitwise: status, x with its sign bits, value, pivots."""
+    stacked = solve_lp(stack_of(problems))
+    assert stacked.x.shape == (len(problems), problems[0].num_vars)
+    for i, problem in enumerate(problems):
+        one = solve_lp(problem)
+        assert stacked.status[i] == one.status
+        assert stacked.x[i].tobytes() == one.x.tobytes()
+        assert stacked.objective_value[i].tobytes() == np.float64(one.objective_value).tobytes()
+        assert stacked.pivots[i] == one.pivots
+    return stacked
 
 
 def sampled_allocation_lps():
@@ -182,3 +216,82 @@ class TestAgainstHighs:
             assert sol.objective_value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
             count += 1
         assert count == 108
+
+
+class TestStacked:
+    """A stack of LPs runs Bland's rule in lockstep and must match the one-LP loop bitwise."""
+
+    def test_allocation_lps_equal_the_looped_solves(self):
+        groups = defaultdict(list)
+        for problem in sampled_allocation_lps():
+            groups[problem.ineq_matrix.shape].append(problem)
+        assert len(groups) == 6
+        for problems in groups.values():
+            stacked = assert_stack_equals_loop(problems)
+            assert len(set(stacked.pivots.tolist())) > 1
+
+    def test_random_instances_equal_the_looped_solves(self, rng):
+        problems = [make_problem(*random_bounded_instance(rng)) for _ in range(30)]
+        stacked = assert_stack_equals_loop(problems)
+        assert np.all(stacked.status == "optimal")
+
+    def test_unbounded_lps_leave_the_stack_at_their_own_pivot(self, rng):
+        problems = [
+            make_problem(*(random_unbounded_instance if k % 3 == 0 else random_bounded_instance)(rng))
+            for k in range(30)
+        ]
+        stacked = assert_stack_equals_loop(problems)
+        unbounded = stacked.status == "unbounded"
+        assert unbounded.sum() == 10
+        assert not stacked.x[unbounded].any() and not stacked.objective_value[unbounded].any()
+        # LPs finish after different pivot counts, unbounded ones included.
+        assert len(set(stacked.pivots.tolist())) >= 3
+        assert len(set(stacked.pivots[unbounded].tolist())) >= 2
+
+    def test_signed_zeros_survive_the_lockstep_update(self):
+        # A row whose pivot-column entry is -0.0 is left alone, as in the
+        # one-LP loop: an unmasked x - 0*y can turn a -0.0 into +0.0.
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((200, 4, 3)) * (rng.random((200, 4, 3)) >= 0.5)
+        b = rng.choice([-0.0, 0.0, 1.0], size=(200, 4))
+        c = rng.standard_normal((200, 3))
+        problems = [make_problem(c[i], M[i], b[i]) for i in range(200)]
+        stacked = assert_stack_equals_loop(problems)
+        assert np.signbit(stacked.x[stacked.x == 0.0]).any()
+
+    def test_one_element_stack_and_empty_stack(self, rng):
+        problem = make_problem(*random_bounded_instance(rng))
+        assert_stack_equals_loop([problem])
+        empty = solve_lp(LpProblem(3, np.zeros((0, 3)), np.zeros((0, 6, 3)), np.zeros((0, 6))))
+        assert empty.x.shape == (0, 3) and empty.status.shape == (0,)
+
+    def test_every_lp_of_a_stack_is_validated(self, rng):
+        problems = [make_problem(*random_bounded_instance(rng)) for _ in range(3)]
+        stack = stack_of(problems)
+        stack.ineq_rhs[2, 1] = -1.0
+        with pytest.raises(ContractError, match="negative right-hand side"):
+            solve_lp(stack)
+        stack = stack_of(problems)
+        stack.ineq_matrix[1, 0, 0] = np.nan
+        with pytest.raises(ContractError, match="non-finite coefficient"):
+            solve_lp(stack)
+        stack = stack_of(problems)
+        with pytest.raises(ContractError, match="objective length"):
+            solve_lp(LpProblem(3, stack.objective[:2], stack.ineq_matrix, stack.ineq_rhs))
+        with pytest.raises(ContractError, match="constraint shapes disagree"):
+            solve_lp(LpProblem(3, stack.objective, stack.ineq_matrix, stack.ineq_rhs[:, :5]))
+        with pytest.raises(ContractError, match="one leading axis"):
+            solve_lp(LpProblem(3, stack.objective[None], stack.ineq_matrix[None], stack.ineq_rhs[None]))
+
+    def test_iteration_limit_applies_per_lp(self, rng, monkeypatch):
+        problems = [make_problem(*random_bounded_instance(rng)) for _ in range(12)]
+        pivots = solve_lp(stack_of(problems)).pivots
+        longest, slowest = int(pivots.max()), problems[int(pivots.argmax())]
+        assert longest >= 2
+        monkeypatch.setattr(lp, "_MAX_ITER", longest + 1)
+        assert np.all(solve_lp(stack_of(problems)).status == "optimal")
+        assert solve_lp(slowest).status == "optimal"
+        monkeypatch.setattr(lp, "_MAX_ITER", longest)
+        for problem in (stack_of(problems), slowest):
+            with pytest.raises(RuntimeError, match="iteration limit"):
+                solve_lp(problem)

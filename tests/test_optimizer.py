@@ -6,6 +6,7 @@ import pytest
 
 from otasec.encoding import build_precoder, eta_from_delta, row_budgets
 from otasec.errors import ContractError
+from otasec.lp import LpProblem, solve_lp
 from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
     assemble_precoder,
@@ -310,9 +311,12 @@ class TestSharedZeroForcing:
         from otasec import optimizer
         from otasec.lp import LpSolution
 
-        monkeypatch.setattr(
-            optimizer, "solve_lp", lambda problem: LpSolution("unbounded", np.zeros(problem.num_vars), 0.0)
-        )
+        def unbounded(problem):
+            stack = np.shape(problem.ineq_rhs)[:-1]
+            x = np.zeros(stack + (problem.num_vars,))
+            return LpSolution(np.full(stack, "unbounded"), x, np.zeros(stack))
+
+        monkeypatch.setattr(optimizer, "solve_lp", unbounded)
         real = make_realization(2, K=4, L=2)
         with pytest.raises(RuntimeError, match="noise allocation LP reported unbounded"):
             optimize_proposed(real, eta_from_delta(real, 0.5))
@@ -340,6 +344,104 @@ class TestSharedZeroForcing:
                     assert np.linalg.norm(real.h @ prec.A) <= 1e-10 * np.linalg.norm(
                         real.h
                     ) * max(np.linalg.norm(prec.A), 1e-300)
+
+
+def looped_design_search(real, eta, N, selection):
+    """The design search one subset at a time, from public pieces.
+
+    Per subset: ``compute_alpha_beta``, one 2-D LP (the max-min allocation,
+    or the tie-break over lambda alone when no live row depends on lambda),
+    ``assemble_precoder`` and ``noncoop_security``; a strict ``>`` keeps the
+    first maximum.  None when every subset is out of residual power.
+    """
+    K = real.num_users
+    budgets = row_budgets(real, eta)
+    if selection == "exhaustive":
+        candidates = list(itertools.combinations(range(K), N))
+    else:
+        order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
+        candidates = [tuple(sorted(int(i) for i in order[:N]))]
+    best = None
+    for Z in candidates:
+        zf, noise = list(Z), [i for i in range(K) if i not in Z]
+        r = budgets[zf]
+        if r.sum() <= 0.0:
+            continue
+        w = r / r.sum()
+        alpha, beta = compute_alpha_beta(real, eta, Z, w)
+        live = np.isfinite(alpha)
+        load = np.abs(w[:, None] * real.h[noise] / real.h[zf, None]) ** 2
+        budget_rows = np.vstack([np.eye(len(noise)), load])
+        rhs = budgets[noise + zf]
+        if np.any(beta[live] > 0.0):
+            scale = np.min(alpha[live])
+            rows = np.vstack(
+                [
+                    np.column_stack([np.ones(live.sum()), -beta[live] / scale]),
+                    np.column_stack([np.zeros(len(budget_rows)), budget_rows]),
+                ]
+            )
+            c = np.zeros(1 + len(noise))
+            c[0] = 1.0
+            sol = solve_lp(LpProblem(1 + len(noise), c, rows, np.concatenate([alpha[live] / scale, rhs])))
+            lam = sol.x[1:]
+        else:
+            sol = solve_lp(LpProblem(len(noise), np.ones(len(noise)), budget_rows, rhs))
+            lam = sol.x
+        assert sol.status == "optimal"
+        prec = assemble_precoder(real, eta, Z, w, lam)
+        value = noncoop_security(real, prec.A, eta)[0] if len(candidates) > 1 else 0.0
+        if best is None or value > best[0]:
+            best = (value, prec)
+    return None if best is None else best[1]
+
+
+class TestDesignSearch:
+    """The stacked search over subsets must equal the looped one bitwise."""
+
+    @staticmethod
+    def assert_equals_looped(real, eta, N, selection):
+        design = optimize_shared_zf(real, eta, N, selection=selection)
+        reference = looped_design_search(real, eta, N, selection)
+        if reference is None:
+            assert design.degenerate and not design.A.any()
+            return design
+        assert design.A.shape == reference.A.shape and design.A.tobytes() == reference.A.tobytes()
+        assert design.lam.tobytes() == reference.lam.tobytes()
+        assert design.zf_weights.tobytes() == reference.zf_weights.tobytes()
+        assert (design.zf_users, design.kind, design.degenerate) == (
+            reference.zf_users,
+            reference.kind,
+            reference.degenerate,
+        )
+        return design
+
+    def test_sampled_realizations(self):
+        skipped = 0
+        for seed, K, L, fading_mode, delta in itertools.product(
+            range(2), (4, 6), (1, 3), ("complex", "real"), (0.0, 0.5, 1.0)
+        ):
+            real = make_realization(seed, K=K, L=L, fading_mode=fading_mode)
+            eta = eta_from_delta(real, delta)  # delta = 0: every LP is a tie-break
+            skipped += np.count_nonzero(row_budgets(real, eta) <= 0.0)  # zero-budget subsets
+            for N, selection in itertools.product(range(1, 4), ("exhaustive", "best_channel")):
+                self.assert_equals_looped(real, eta, N, selection)
+        assert skipped > 0
+
+    def test_some_subsets_tie_break_and_others_do_not(self):
+        # Z = (0, 1) leaves the live eavesdropper a zero residual, so only its
+        # LP is a tie-break; Z = (0, 2) and (1, 2) allocate max-min.
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[0.0, 1.0, 0.5]], P=2.0)
+        alpha, beta = compute_alpha_beta(real, 0.5, (0, 1), [0.5, 0.5])
+        assert np.isfinite(alpha).all() and not beta.any()
+        for N, selection in itertools.product((1, 2), ("exhaustive", "best_channel")):
+            self.assert_equals_looped(real, 0.5, N, selection)
+
+    def test_every_subset_out_of_power(self):
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
+        eta = eta_from_delta(real, 1.0)
+        for N in (1, 2):
+            assert self.assert_equals_looped(real, eta, N, "exhaustive").degenerate
 
 
 class TestDelegationThroughBuilder:

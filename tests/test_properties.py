@@ -1,4 +1,4 @@
-"""Property tests of the stacked closed forms and the optimized designs on random realizations."""
+"""Property tests of the stacked closed forms, the stacked LPs and the optimized designs."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from otasec.metrics import (  # noqa: E402
     coop_security,
     noncoop_security,
 )
+from otasec.lp import LpProblem, solve_lp  # noqa: E402
 from otasec.optimizer import optimize_shared_zf  # noqa: E402
 
 from conftest import make_realization  # noqa: E402
@@ -86,3 +87,33 @@ def test_optimized_designs_zero_force_within_budgets(case, N, selection):
     assert np.max(np.abs(real.h @ A)) <= 1e-10 * np.linalg.norm(real.h) * np.linalg.norm(A)
     no_noise = np.zeros((real.num_users, 1), dtype=np.complex128)
     assert abs(approximation_error(real, A, eta) - approximation_error(real, no_noise, eta)) <= 1e-12
+
+
+lp_stacks = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "B": st.integers(2, 6),
+        "m": st.integers(1, 6),
+        "n": st.integers(1, 5),
+        "sparsity": st.sampled_from([0.0, 0.3, 0.6]),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp_stacks)
+def test_stacked_lp_equals_the_looped_one(case):
+    # Sparse rows and signed-zero right-hand sides make signed zeros, tied
+    # ratios and degenerate pivots; columns with no positive entry make
+    # unbounded LPs.
+    rng = np.random.default_rng(case["seed"])
+    B, m, n = case["B"], case["m"], case["n"]
+    M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= case["sparsity"])
+    b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m)) * rng.uniform(0.5, 1.0, (B, 1))
+    c = rng.standard_normal((B, n))
+    stacked = solve_lp(LpProblem(n, c, M, b))
+    for i in range(B):
+        one = solve_lp(LpProblem(n, c[i], M[i], b[i]))
+        assert stacked.status[i] == one.status
+        assert stacked.x[i].tobytes() == one.x.tobytes()
+        assert stacked.pivots[i] == one.pivots
