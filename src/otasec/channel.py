@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +34,29 @@ _MAX_PLACEMENT_ATTEMPTS = 10**6
 _MAX_FADING_ROUNDS = 10_000
 
 FADING_MODES = ("complex", "real")
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether ``value`` fits int (a count or seed, >= 0), finite float, bool, str or a tuple of one."""
+    if annotation.startswith("tuple["):
+        entry = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        return isinstance(value, (tuple, list)) and all(_fits(v, entry) for v in value)
+    if annotation in ("int", "float") and isinstance(value, bool):
+        return False
+    if annotation == "int":
+        return isinstance(value, numbers.Integral) and value >= 0
+    if annotation == "float":
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, {"bool": bool, "str": str}.get(annotation, object))
+
+
+def _check_types(settings) -> None:
+    """Reject a field of the dataclass ``settings`` whose value does not fit its annotation."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if not _fits(value, f.type):
+            what = f.type.replace("int", "int >= 0").replace("float", "finite float")
+            raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +75,7 @@ class ScenarioConfig:
     transmit_power: float = 1.0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.num_users < 2:
             raise ConfigurationError("num_users must be at least 2")
         if self.num_eavesdroppers < 1:
@@ -63,8 +88,6 @@ class ScenarioConfig:
             raise ConfigurationError(f"fading_mode must be one of {FADING_MODES}")
         if not (0.0 <= self.min_smallscale_magnitude < 1.0):
             raise ConfigurationError("min_smallscale_magnitude must lie in [0, 1)")
-        if not math.isfinite(self.snr_db):
-            raise ConfigurationError("snr_db must be finite")
         if not (self.transmit_power > 0.0):
             raise ConfigurationError("transmit_power must be positive")
         # Disks of radius s/2 around the server and every placed point are
@@ -85,8 +108,10 @@ class SystemRealization:
     h: np.ndarray  # (K,) complex, user-to-server channels
     G: np.ndarray  # (L, K) complex, row l = user-to-eavesdropper-l channels
     P: float  # per-user transmit power budget (watts)
-    sigma_y_sq: float  # server noise variance
-    sigma_z_sq: float  # eavesdropper noise variance
+    # Noise variances: a float, or an array with one entry per SNR, which the metrics and designs
+    # carry as an axis of their results.  Realization JSON documents hold floats.
+    sigma_y_sq: float | np.ndarray  # server noise variance
+    sigma_z_sq: float | np.ndarray  # eavesdropper noise variance
 
     @property
     def num_users(self) -> int:

@@ -19,8 +19,6 @@ preset and seed, independent of the thread count.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,11 +29,14 @@ import numpy as np
 from .channel import (
     ScenarioConfig,
     SystemRealization,
+    _check_types,
+    _fits,
     calibrate_noise,
     config_to_dict,
     sample_realization,
 )
 from .encoding import (
+    PRECODER_KINDS,
     _no_noise,
     build_precoder,
     eta_bounds_given_mu,
@@ -60,14 +61,14 @@ class ExperimentPreset:
     name: str
     config: ScenarioConfig
     num_realizations: int = 100
-    sweep_values: tuple = ()
-    designs: tuple = ()
+    sweep_values: tuple[float, ...] = ()
+    designs: tuple[str, ...] = ()
     base_seed: int = 1
     delta: float = 1.0  # power-control fraction used by the averaged sweeps
-    delta_grid: tuple = (0.4, 0.7, 0.85, 1.0)  # power_control preset
-    l_values: tuple = (3, 5, 7)  # shared_zf preset
-    shared_n_values: tuple = (1, 2)  # shared_zf preset
-    power_levels: tuple = (1.0, 10.0)  # eta_design_space preset
+    delta_grid: tuple[float, ...] = (0.4, 0.7, 0.85, 1.0)  # power_control preset
+    l_values: tuple[int, ...] = (3, 5, 7)  # shared_zf preset
+    shared_n_values: tuple[int, ...] = (1, 2)  # shared_zf preset
+    power_levels: tuple[float, ...] = (1.0, 10.0)  # eta_design_space preset
     precoder_kind: str = "none"  # eta_design_space preset
     mixture_pairs: int = 50  # tradeoff preset
     mixture_thetas: int = 11  # tradeoff preset
@@ -85,9 +86,14 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _with_snr(real: SystemRealization, config: ScenarioConfig, snr_db: float):
-    sigma, _ = calibrate_noise(replace(config, snr_db=snr_db))
+def _with_snr(real: SystemRealization, preset: ExperimentPreset) -> SystemRealization:
+    # One noise variance per SNR: every closed form and design then carries the SNR axis.
+    sigma = np.array([calibrate_noise(replace(preset.config, snr_db=s))[0] for s in preset.sweep_values])
     return replace(real, sigma_y_sq=sigma, sigma_z_sq=sigma)
+
+
+def _by_snr(cols: list, preset: ExperimentPreset) -> np.ndarray:
+    return np.reshape(cols, (-1, len(preset.sweep_values))).T  # (sweep, metrics), also with none
 
 
 def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
@@ -101,14 +107,13 @@ def _child_seed(seed: int, *key: int) -> int:
 
 
 def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
-    l_values = [int(v) for v in preset.sweep_values]
-    cfg = replace(preset.config, num_eavesdroppers=max(l_values))
+    cfg = replace(preset.config, num_eavesdroppers=max(preset.sweep_values))
     real = sample_realization(cfg, preset.base_seed + r)
     eta = eta_from_delta(real, preset.delta)
     A = _no_noise(real.num_users, eta).A
     D = approximation_error(real, A, eta)
-    out = np.empty((len(l_values), 3))
-    for j, L in enumerate(l_values):
+    out = np.empty((len(preset.sweep_values), 3))
+    for j, L in enumerate(preset.sweep_values):
         sub = _first_eavesdroppers(real, L)
         s_coop, _ = coop_security(sub, A, eta)
         s_non, _ = noncoop_security(sub, A, eta)
@@ -118,23 +123,14 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
 
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
     seed = preset.base_seed + r
-    real0 = sample_realization(preset.config, seed)
-    eta = eta_from_delta(real0, preset.delta)
-    seeds = [_child_seed(seed, 17, d_idx) for d_idx in range(len(preset.designs))]
-    out = np.empty((len(preset.sweep_values), 3 * len(preset.designs)))
-    for j, snr in enumerate(preset.sweep_values):
-        real = _with_snr(real0, preset.config, snr)
-        for d_idx, design in enumerate(preset.designs):
-            # Only the optimized designs depend on the SNR; the others rebuild the same matrix.
-            A = build_precoder(design, real, eta, seed=seeds[d_idx]).A
-            s_coop, _ = coop_security(real, A, eta)
-            s_non, _ = noncoop_security(real, A, eta)
-            out[j, 3 * d_idx : 3 * d_idx + 3] = (
-                approximation_error(real, A, eta),
-                s_coop,
-                s_non,
-            )
-    return out
+    real = _with_snr(sample_realization(preset.config, seed), preset)
+    eta = eta_from_delta(real, preset.delta)
+    cols = []
+    for d_idx, design in enumerate(preset.designs):
+        A = build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx)).A
+        cols += [approximation_error(real, A, eta), coop_security(real, A, eta)[0]]
+        cols.append(noncoop_security(real, A, eta)[0])
+    return _by_snr(cols, preset)
 
 
 def _columns_sweep_snr_designs(preset: ExperimentPreset):
@@ -146,49 +142,37 @@ def _columns_sweep_snr_designs(preset: ExperimentPreset):
 
 def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
     seed = preset.base_seed + r
-    real_dist = sample_realization(replace(preset.config, collocated_eavesdroppers=False), seed)
-    real_coll = sample_realization(replace(preset.config, collocated_eavesdroppers=True), seed)
-    out = np.empty((len(preset.sweep_values), 4))
-    for j, snr in enumerate(preset.sweep_values):
-        row = []
-        for real0 in (real_dist, real_coll):
-            real = _with_snr(real0, preset.config, snr)
-            eta = eta_from_delta(real, preset.delta)
-            A = _no_noise(real.num_users, eta).A
-            s_coop, _ = coop_security(real, A, eta)
-            s_non, _ = noncoop_security(real, A, eta)
-            row += [s_coop, s_non]
-        out[j] = row
-    return out
+    cols = []
+    for collocated in (False, True):
+        config = replace(preset.config, collocated_eavesdroppers=collocated)
+        real = _with_snr(sample_realization(config, seed), preset)
+        eta = eta_from_delta(real, preset.delta)
+        A = _no_noise(real.num_users, eta).A
+        cols += [coop_security(real, A, eta)[0], noncoop_security(real, A, eta)[0]]
+    return _by_snr(cols, preset)
 
 
 def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
-    seed = preset.base_seed + r
-    l_values = [int(v) for v in preset.l_values]
-    cfg = replace(preset.config, num_eavesdroppers=max(l_values))
-    real_full = sample_realization(cfg, seed)
+    cfg = replace(preset.config, num_eavesdroppers=max(preset.l_values))
+    real_full = _with_snr(sample_realization(cfg, preset.base_seed + r), preset)
     eta = eta_from_delta(real_full, preset.delta)
-    n_metrics = 1 + len(preset.shared_n_values)
-    out = np.empty((len(preset.sweep_values), len(l_values) * n_metrics))
-    for j, snr in enumerate(preset.sweep_values):
-        col = 0
-        for L in l_values:
-            real = _with_snr(_first_eavesdroppers(real_full, L), preset.config, snr)
-            values = [coop_security(real, optimize_proposed(real, eta).A, eta)[0]]
-            for n_share in preset.shared_n_values:
-                prec = optimize_shared_zf(real, eta, int(n_share), selection="exhaustive")
-                values.append(coop_security(real, prec.A, eta)[0])
-            out[j, col : col + n_metrics] = values
-            col += n_metrics
-    return out
+    cols = []
+    for L in preset.l_values:
+        real = _first_eavesdroppers(real_full, L)
+        precs = [optimize_proposed(real, eta)]
+        precs += [optimize_shared_zf(real, eta, n, "exhaustive") for n in preset.shared_n_values]
+        cols += [coop_security(real, prec.A, eta)[0] for prec in precs]
+    return _by_snr(cols, preset)
+
+
+def _check_eavesdropper_counts(name: str, values) -> None:
+    if not values or not all(_fits(L, "int") and L >= 1 for L in values):
+        raise ConfigurationError(f"{name} must list eavesdropper counts >= 1, got {values!r}")
 
 
 def _check_shared_zf(preset: ExperimentPreset) -> None:
     K = preset.config.num_users
-    if not preset.l_values or min(preset.l_values) < 1:
-        raise ConfigurationError(
-            f"l_values must be a non-empty list of eavesdropper counts >= 1, got {preset.l_values!r}"
-        )
+    _check_eavesdropper_counts("l_values", preset.l_values)
     if not all(1 <= n <= K - 1 for n in preset.shared_n_values):
         raise ConfigurationError(
             f"shared_n_values must lie in [1, {K - 1}] (num_users - 1), got {preset.shared_n_values!r}"
@@ -205,17 +189,13 @@ def _columns_shared_zf(preset: ExperimentPreset):
 
 
 def _trial_power_control(preset: ExperimentPreset, r: int) -> np.ndarray:
-    seed = preset.base_seed + r
-    real0 = sample_realization(preset.config, seed)
-    out = np.empty((len(preset.sweep_values), 2 * len(preset.delta_grid)))
-    for j, snr in enumerate(preset.sweep_values):
-        real = _with_snr(real0, preset.config, snr)
-        for d_idx, delta in enumerate(preset.delta_grid):
-            eta = eta_from_delta(real, float(delta))
-            A = optimize_proposed(real, eta).A
-            s_coop, _ = coop_security(real, A, eta)
-            out[j, 2 * d_idx : 2 * d_idx + 2] = (s_coop, approximation_error(real, A, eta))
-    return out
+    real = _with_snr(sample_realization(preset.config, preset.base_seed + r), preset)
+    cols = []
+    for delta in preset.delta_grid:
+        eta = eta_from_delta(real, float(delta))
+        A = optimize_proposed(real, eta).A
+        cols += [coop_security(real, A, eta)[0], approximation_error(real, A, eta)]
+    return _by_snr(cols, preset)
 
 
 def _columns_power_control(preset: ExperimentPreset):
@@ -272,6 +252,11 @@ def _columns_eta_design_space(preset: ExperimentPreset):
     for p in preset.power_levels:
         cols += [f"eta_lower_P{p:g}", f"eta_upper_P{p:g}"]
     return cols
+
+
+def _check_eta_design_space(preset: ExperimentPreset) -> None:
+    if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
+        raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {preset.sweep_values!r}")
 
 
 def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -342,6 +327,7 @@ _PRESETS = {
         columns=_columns_eta_design_space,
         rows=_eta_design_space_rows,
         meta=("precoder_kind",),
+        check=_check_eta_design_space,
         fields=dict(sweep_values=tuple(np.linspace(0.005, 1.0, 200)), num_realizations=1),
     ),
     "sweep_L": _Spec(
@@ -349,6 +335,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_sweep_L,
         meta=("delta",),
+        check=lambda preset: _check_eavesdropper_counts("sweep_values", preset.sweep_values),
         fields=dict(sweep_values=tuple(range(1, 16))),
     ),
     "sweep_snr_designs": _Spec(
@@ -448,41 +435,9 @@ def _metadata(preset: ExperimentPreset) -> dict:
     return meta
 
 
-# Numeric preset fields, scalar and tuple, with the type their entries must have.
-_NUMBER_FIELDS = {
-    "num_realizations": int,
-    "base_seed": int,
-    "delta": float,
-    "mixture_pairs": int,
-    "mixture_thetas": int,
-}
-_NUMBER_TUPLE_FIELDS = {
-    "sweep_values": float,
-    "delta_grid": float,
-    "l_values": int,
-    "shared_n_values": int,
-    "power_levels": float,
-}
-
-
-def _is_number(value, kind: type) -> bool:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        return False
-    return kind is float or value == int(value)
-
-
 def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     """Reject, before any trial runs, field values that no trial can use."""
-    for name, kind in _NUMBER_FIELDS.items():
-        value = getattr(preset, name)
-        if not _is_number(value, kind):
-            what = "an integer" if kind is int else "a finite number"
-            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-    for name, kind in _NUMBER_TUPLE_FIELDS.items():
-        value = getattr(preset, name)
-        if not (isinstance(value, (tuple, list)) and all(_is_number(v, kind) for v in value)):
-            what = "integers" if kind is int else "finite numbers"
-            raise ConfigurationError(f"{name} must be a list of {what}, got {value!r}")
+    _check_types(preset)
     if len(preset.sweep_values) == 0:
         raise ConfigurationError("sweep_values must be non-empty")
     sweep = np.asarray(preset.sweep_values, dtype=float)
@@ -492,6 +447,10 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
         raise ConfigurationError(f"delta must lie in [0, 1], got {preset.delta!r}")
     if "delta_grid" in spec.meta and not all(0.0 <= d <= 1.0 for d in preset.delta_grid):
         raise ConfigurationError(f"delta_grid must lie in [0, 1], got {preset.delta_grid!r}")
+    plain = [kind for kind in PRECODER_KINDS if kind != "mixture"]  # a mixture needs its theta
+    for name, kinds in (("designs", preset.designs), ("precoder_kind", [preset.precoder_kind])):
+        if name in spec.meta and not all(kind in plain for kind in kinds):
+            raise ConfigurationError(f"{name} must be among {', '.join(plain)}, got {kinds!r}")
     if spec.check is not None:
         spec.check(preset)
 

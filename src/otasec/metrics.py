@@ -23,7 +23,9 @@ useless beyond the prior.
 The first four take a precoder ``A`` of shape ``(K, M)`` or a stack of
 precoders of shape ``(..., K, M)``.  One precoder gives Python ``float``
 values; a stack gives arrays over its leading axes, each entry bitwise equal
-to the single-precoder call on that precoder.
+to the single-precoder call on that precoder.  Noise variances with one entry
+per SNR broadcast against those axes (a stack ``(S, K, M)`` pairs precoder ``s``
+with SNR ``s``), each entry bitwise equal to the call at that SNR's noise.
 
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
@@ -103,7 +105,7 @@ def approximation_error(
     """Normalized server MSE ``D`` for precoder ``A`` at amplitude ``eta``.
 
     ``A`` has shape ``(..., K, M)``; a single ``(K, M)`` precoder gives a
-    ``float`` and a stack gives an array of shape ``(...)``.
+    ``float``, a stack or per-SNR noise an array over the broadcast axes.
     """
     if eta < 0.0:
         raise ContractError("eta must be nonnegative")
@@ -120,14 +122,13 @@ def eavesdropper_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariance ``B`` of the pooled eavesdropper signal and mean ``m = E[z conj(s)]``.
 
-    ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)``; ``m`` does
-    not depend on the precoder and has shape ``(L,)``.
+    ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)`` (per SNR for
+    per-SNR noise); ``m`` depends on neither and has shape ``(L,)``.
     """
     GA = real.G @ _precoder(A)
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
-    B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + real.sigma_z_sq * np.eye(
-        real.num_eavesdroppers
-    )
+    noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
+    B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + noise
     m = eta * R.sum(axis=1)
     return B, m
 
@@ -140,9 +141,9 @@ def coop_security(
     Returns ``(S, p_opt)`` where ``p_opt = B^{-1} m`` is the MSE-optimal
     linear combining vector and ``S = 1 - m^H B^{-1} m / K``.  For ``A`` of
     shape ``(..., K, M)``, ``p_opt`` has shape ``(..., L)`` and ``S`` is a
-    ``float`` for one precoder or an array of shape ``(...)`` for a stack.
+    ``float`` for one precoder or an array for a stack or per-SNR noise.
     """
-    if real.sigma_z_sq <= 0.0:
+    if np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     B, m = eavesdropper_moments(real, A, eta)
     p_opt = hermitian_solve(B, m)
@@ -157,9 +158,9 @@ def noncoop_security(
 
     For ``A`` of shape ``(..., K, M)`` the per-receiver values have shape
     ``(..., L)`` and the minimum is a ``float`` for one precoder or an array
-    of shape ``(...)`` for a stack.
+    for a stack or per-SNR noise.
     """
-    if real.sigma_z_sq <= 0.0:
+    if np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     A = _precoder(A)
     R = real.G / real.h[np.newaxis, :]
@@ -168,7 +169,7 @@ def noncoop_security(
     den = (
         eta**2 * np.sum(np.abs(R) ** 2, axis=1)
         + np.sum(np.abs(real.G @ A) ** 2, axis=-1)
-        + real.sigma_z_sq
+        + np.asarray(real.sigma_z_sq)[..., np.newaxis]
     )
     per_eav = 1.0 - num / den
     return _scalar(np.min(per_eav, axis=-1)), per_eav

@@ -32,8 +32,12 @@ and the per-subset work is stacked over the candidates: the weights,
 ``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, the LPs
 (one stacked :func:`~otasec.lp.solve_lp` call per design, tie-breaks
 included) and the precoders, ranked by one stacked ``noncoop_security`` call.
-:func:`optimize_shared_zf` is the one design path; the paper's single-user
-design :func:`optimize_proposed` is its one-candidate case.
+Noise variances with one entry per SNR give ``alpha`` an SNR axis: the LPs
+of every SNR and subset form the one stack, each SNR ranks its own subsets,
+and every field of the design gains the SNR axis, each entry bitwise equal
+to the design at that SNR alone.  :func:`optimize_shared_zf` is the one
+design path; the paper's single-user :func:`optimize_proposed` is its
+one-candidate case.
 """
 
 from __future__ import annotations
@@ -54,16 +58,17 @@ DROP_RTOL = 1e-12
 def _eavesdropper_terms(
     real: SystemRealization, eta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``alpha`` (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2`` and the live mask."""
-    if real.sigma_z_sq <= 0.0:
+    """Per-SNR ``alpha`` (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2`` and the live mask."""
+    sigma = np.asarray(real.sigma_z_sq)
+    if sigma.min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     R = real.G / real.h[np.newaxis, :]
     sum_sq = np.abs(R.sum(axis=1)) ** 2
     power_sq = np.sum(np.abs(R) ** 2, axis=1)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
     live = ~((sum_sq < DROP_RTOL * power_sq) | (eta == 0.0))
-    alpha = np.full(real.G.shape[0], np.inf)
-    alpha[live] = (eta**2 * power_sq[live] + real.sigma_z_sq) / sum_sq[live]
+    alpha = np.full(sigma.shape + live.shape, np.inf)
+    np.divide(eta**2 * power_sq + sigma[..., np.newaxis], sum_sq, out=alpha, where=live)
     return alpha, sum_sq, live
 
 
@@ -85,7 +90,7 @@ def _beta(
     comp = (G[:, zf] * (weights / h[zf])[np.newaxis]).sum(axis=-1)
     resid = G[:, noise] - comp[..., np.newaxis] * h[noise]
     beta = np.zeros(resid.shape)
-    beta[live] = np.abs(resid[live]) ** 2 / sum_sq[live, np.newaxis, np.newaxis]
+    np.divide(np.abs(resid) ** 2, sum_sq[:, np.newaxis, np.newaxis], out=beta, where=live[:, None, None])
     return beta.swapaxes(0, 1)
 
 
@@ -102,14 +107,14 @@ def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
 def _zf_matrices(
     h: np.ndarray, zf: np.ndarray, noise: np.ndarray, weights: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """The ``(C, K, K - N)`` zero-forcing matrices of ``C`` subsets, for ``lam >= 0``."""
+    """The ``(..., C, K, K - N)`` zero-forcing matrices of ``C`` subsets, for ``lam >= 0``."""
     n_subsets, n_cols = noise.shape
     roots = np.sqrt(lam)
-    A = np.zeros((n_subsets, h.size, n_cols), dtype=np.complex128)
+    A = np.zeros(lam.shape[:-1] + (h.size, n_cols), dtype=np.complex128)
     subset = np.arange(n_subsets)[:, np.newaxis]
-    A[subset, noise, np.arange(n_cols)] = roots
-    A[subset, zf] = (
-        -roots[:, np.newaxis, :]
+    A[..., subset, noise, np.arange(n_cols)] = roots
+    A[..., subset, zf, :] = (
+        -roots[..., np.newaxis, :]
         * (h[noise][:, np.newaxis, :] / h[zf][:, :, np.newaxis])
         * weights[:, :, np.newaxis]
     )
@@ -121,7 +126,7 @@ def compute_alpha_beta(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Objective coefficients ``(alpha, beta)`` of the max-min noise allocation.
 
-    ``alpha`` has shape ``(L,)`` and is +inf on dropped eavesdroppers;
+    ``alpha`` has shape ``(L,)``, or ``(S, L)`` per SNR, and is +inf on dropped eavesdroppers;
     ``beta`` has shape ``(L, K - N)`` with zero rows on them.
     """
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
@@ -154,14 +159,14 @@ def _allocation_lp(
 ) -> LpProblem:
     """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
 
-    ``beta`` has shape ``(..., L, K - N)``; ``load`` holds the zero-forcing
-    users' budget rows ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``;
-    ``budgets`` the right-hand sides, shape ``(..., K)``, noise users first.
-    Leading axes give a stack of LPs.  Every live alpha is positive, so
-    ``t >= 0`` cuts off no optimum.  The raw alpha/beta coefficients inherit
-    the physical channel scale, which can sit below the simplex pivot
-    tolerance, so the epigraph variable and the objective rows are expressed
-    in units of the smallest live alpha.
+    ``alpha`` has shape ``(L,)`` or, per SNR, ``(S, L)``; ``beta`` shape
+    ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
+    ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets``, the
+    right-hand sides, shape ``(..., K)``, noise users first.  Leading axes
+    give one flat stack of LPs, SNR-major.  Every live alpha is positive, so
+    ``t >= 0`` cuts off no optimum.  The raw coefficients inherit the physical
+    channel scale, which can sit below the simplex pivot tolerance, so ``t``
+    and the objective rows are in units of the SNR's smallest live alpha.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
@@ -169,21 +174,24 @@ def _allocation_lp(
     never enters: the simplex takes the pivots of the same LP over lambda
     and the budget rows alone.
     """
-    live = np.isfinite(alpha)
-    stack, n_live, n_cols = beta.shape[:-2], np.count_nonzero(live), beta.shape[-1]
-    scale = float(np.min(alpha[live], initial=np.inf))  # unused when no row is live
+    live = np.isfinite(alpha.reshape(-1, alpha.shape[-1])[0])  # +inf at every SNR where dropped
+    stack, n_live, n_cols = alpha.shape[:-1] + beta.shape[:-2], np.count_nonzero(live), beta.shape[-1]
+    alpha = alpha[..., live].reshape(alpha.shape[:-1] + (1,) * (beta.ndim - 2) + (n_live,))
+    scale = np.min(alpha, axis=-1, keepdims=True, initial=np.inf)  # unused when no row is live
     rows = np.zeros(stack + (n_live + n_cols + load.shape[-2], 1 + n_cols))
     rows[..., :n_live, 0] = 1.0  # t is unbudgeted
-    rows[..., :n_live, 1:] = -beta[..., live, :] / scale
+    rows[..., :n_live, 1:] = -beta[..., live, :] / scale[..., np.newaxis]
     rows[..., n_live : n_live + n_cols, 1:] = np.eye(n_cols)
     rows[..., n_live + n_cols :, 1:] = load
     rhs = np.empty(stack + (n_live + budgets.shape[-1],))
-    rhs[..., :n_live] = alpha[live] / scale
+    rhs[..., :n_live] = alpha / scale
     rhs[..., n_live:] = budgets
     tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
     objective[..., 1:] = tie[..., np.newaxis]
+    if len(stack) > 1:  # solve_lp takes one stack axis: flatten, SNR-major
+        objective, rows, rhs = (x.reshape((-1,) + x.shape[len(stack) :]) for x in (objective, rows, rhs))
     return LpProblem(1 + n_cols, objective, rows, rhs)
 
 
@@ -219,6 +227,7 @@ def optimize_shared_zf(
         raise ContractError(f"unknown selection rule {selection!r}")
     budgets = row_budgets(real, eta)
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
+    snr = alpha.shape[:-1]
     if selection == "exhaustive":
         candidates = list(itertools.combinations(range(K), N))
     else:
@@ -233,12 +242,12 @@ def optimize_shared_zf(
         if not able.any():
             # Every candidate degenerate: fall back to no noise.
             return NoisePrecoder(
-                A=np.zeros((K, K - N), dtype=np.complex128),
+                A=np.zeros(snr + (K, K - N), dtype=np.complex128),
                 kind="proposed" if N == 1 else "proposed_shared",
                 eta=eta,
-                zf_users=candidates[0],
-                lam=np.zeros(K - N),
-                zf_weights=np.full(N, 1.0 / N),
+                zf_users=tuple(np.broadcast_to(candidates[0], snr + (N,)).tolist()),
+                lam=np.zeros(snr + (K - N,)),
+                zf_weights=np.full(snr + (N,), 1.0 / N),
                 degenerate=True,
             )
         zf, noise, r, total = zf[able], noise[able], r[able], total[able]
@@ -252,15 +261,20 @@ def optimize_shared_zf(
         first = np.argmax(failed)
         what = "noise allocation" if problem.objective[first, 0] else "tie-break"
         raise RuntimeError(f"{what} LP reported {solution.status[first]}")
-    lam = np.maximum(solution.x[:, 1:], 0.0)
+    lam = np.maximum(solution.x[:, 1:], 0.0).reshape(snr + noise.shape)
     A = _zf_matrices(real.h, zf, noise, weights, lam)
-    # A lone candidate needs no score to win; argmax keeps the first of tied subsets.
-    best = int(np.argmax(metrics.noncoop_security(real, A, eta)[0])) if len(A) > 1 else 0
+    # A lone candidate needs no score to win; argmax keeps the first of tied subsets.  Scoring
+    # puts the subset axis first, so that the SNR axis meets the noise variances.
+    if len(zf) > 1:
+        best = np.argmax(metrics.noncoop_security(real, np.moveaxis(A, -3, 0), eta)[0], axis=0)
+    else:
+        best = np.zeros(snr, dtype=int)[()]  # a scalar without an SNR axis
+    pick = (*np.indices(snr, sparse=True), best)  # the winning subset at each SNR
     return NoisePrecoder(
-        A=A[best],
+        A=A[pick],
         kind="proposed" if N == 1 else "proposed_shared",
         eta=eta,
-        zf_users=tuple(int(k) for k in zf[best]),
-        lam=lam[best],
+        zf_users=tuple(zf[best].tolist()),
+        lam=lam[pick],
         zf_weights=weights[best],
     )

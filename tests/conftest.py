@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ def synthetic_realization(h, G, P=1.0, sigma_y_sq=1.0, sigma_z_sq=1.0):
         sigma_y_sq=float(sigma_y_sq),
         sigma_z_sq=float(sigma_z_sq),
     )
+
+
+def over_noise(real, sigmas):
+    """``real`` with one noise variance per entry of ``sigmas``, and the scalar-noise realization of each."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    stacked = dataclasses.replace(real, sigma_y_sq=sigmas, sigma_z_sq=sigmas)
+    return stacked, [dataclasses.replace(real, sigma_y_sq=float(s), sigma_z_sq=float(s)) for s in sigmas]
 
 
 @pytest.fixture

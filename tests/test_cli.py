@@ -127,6 +127,14 @@ class TestRun:
             ("sweep_L", "delta=abc"),
             ("sweep_L", 'sweep_values=["a"]'),
             ("power_control", "delta_grid=[0.5,1.5]"),
+            ("tradeoff", "mixture_pairs=-1"),
+            ("tradeoff", "mixture_thetas=-2"),
+            ("sweep_L", "sweep_values=[0,3]"),
+            ("sweep_L", "sweep_values=[1.5,3]"),
+            ("eta_design_space", "sweep_values=[0,0.5]"),
+            ("eta_design_space", "precoder_kind=bogus"),
+            ("sweep_snr_designs", 'designs=["bogus"]'),
+            ("sweep_snr_designs", 'designs=["mixture"]'),
         ],
     )
     def test_bad_preset_field_exits_2_before_any_trial(
@@ -135,10 +143,36 @@ class TestRun:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
+        # The scatter presets draw their one realization without a trial map.
         monkeypatch.setattr(experiments, "_map_trials", no_trials)
+        monkeypatch.setattr(experiments, "sample_realization", no_trials)
         out = tmp_path / "t.dat"
         assert main(["run", preset, "--trials", "1", "--set", override, "--out", str(out)]) == 2
-        assert "error: code=2" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: code=2" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["snr_db", "num_users"])
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    def test_non_numeric_scenario_field_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, field, via
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_map_trials", no_trials)
+        if via == "--set":
+            extra = ["--set", f"{field}=abc"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({field: "abc"}))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "t.dat"
+        assert main(["run", "sweep_L", "--trials", "1", "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: code=2" in captured.err and field in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [b'{"num_users": 4,', b"\xff\xfe{}"])

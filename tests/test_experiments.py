@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from otasec.channel import sample_realization
+from otasec.channel import calibrate_noise, sample_realization
 from otasec.encoding import build_precoder, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
 from otasec.experiments import (
@@ -14,8 +16,8 @@ from otasec.experiments import (
     run_preset,
     write_table,
 )
-from otasec.metrics import approximation_error, coop_security
-from otasec.optimizer import optimize_proposed
+from otasec.metrics import approximation_error, coop_security, noncoop_security
+from otasec.optimizer import optimize_proposed, optimize_shared_zf
 
 
 def small(name, **overrides):
@@ -214,6 +216,80 @@ class TestOtherPresets:
         rows = run_preset(preset).rows
         assert rows.shape == (2 * (1 + 3 * 11), 5)
         assert np.array_equal(rows, np.array(expected))
+
+
+def at_snr(real, config, snr_db):
+    sigma, _ = calibrate_noise(dataclasses.replace(config, snr_db=snr_db))
+    return dataclasses.replace(real, sigma_y_sq=sigma, sigma_z_sq=sigma)
+
+
+def looped_trial(preset, r):
+    """One trial with a loop over the SNRs and scalar noise: every design rebuilt at every SNR."""
+    seed = preset.base_seed + r
+    rows = []
+    for snr in preset.sweep_values:
+        row = []
+        if preset.name == "sweep_snr_designs":
+            real = at_snr(sample_realization(preset.config, seed), preset.config, snr)
+            eta = eta_from_delta(real, preset.delta)
+            for d_idx, design in enumerate(preset.designs):
+                child = int(np.random.SeedSequence(seed, spawn_key=(17, d_idx)).generate_state(1)[0])
+                A = build_precoder(design, real, eta, seed=child).A
+                row += [approximation_error(real, A, eta), coop_security(real, A, eta)[0]]
+                row.append(noncoop_security(real, A, eta)[0])
+        elif preset.name == "collocated":
+            for collocated in (False, True):
+                config = dataclasses.replace(preset.config, collocated_eavesdroppers=collocated)
+                real = at_snr(sample_realization(config, seed), preset.config, snr)
+                eta = eta_from_delta(real, preset.delta)
+                A = np.zeros((real.num_users, 1), dtype=np.complex128)
+                row += [coop_security(real, A, eta)[0], noncoop_security(real, A, eta)[0]]
+        elif preset.name == "shared_zf":
+            config = dataclasses.replace(preset.config, num_eavesdroppers=max(preset.l_values))
+            full = sample_realization(config, seed)
+            eta = eta_from_delta(full, preset.delta)
+            for L in preset.l_values:
+                real = dataclasses.replace(full, eav_positions=full.eav_positions[:L], G=full.G[:L])
+                real = at_snr(real, preset.config, snr)
+                row.append(coop_security(real, optimize_proposed(real, eta).A, eta)[0])
+                for n_share in preset.shared_n_values:
+                    A = optimize_shared_zf(real, eta, n_share, selection="exhaustive").A
+                    row.append(coop_security(real, A, eta)[0])
+        else:  # power_control
+            real = at_snr(sample_realization(preset.config, seed), preset.config, snr)
+            for delta in preset.delta_grid:
+                eta = eta_from_delta(real, delta)
+                A = optimize_proposed(real, eta).A
+                row += [coop_security(real, A, eta)[0], approximation_error(real, A, eta)]
+        rows.append(row)
+    return np.array(rows).reshape(len(preset.sweep_values), -1)
+
+
+class TestSnrAxis:
+    """Each trial scores every design over the whole SNR grid at once; it must equal the per-SNR loop."""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("sweep_snr_designs", dict(designs=("none", "data_level", "proposed", "proposed_shared"))),
+            ("sweep_snr_designs", dict(designs=("signal_level", "random_zf"), delta=0.0)),
+            ("collocated", {}),
+            ("power_control", dict(delta_grid=(0.0, 0.5, 1.0))),
+            ("shared_zf", dict(shared_n_values=(1, 2, 3))),
+        ],
+    )
+    def test_trials_equal_the_per_snr_loop(self, name, overrides):
+        preset = small(name, num_realizations=3, **overrides)
+        expected = np.stack([looped_trial(preset, r) for r in range(3)])
+        trials = collect_trials(preset, threads=1)
+        assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, field", [("sweep_snr_designs", "designs"), ("power_control", "delta_grid")])
+    def test_no_design_gives_the_sweep_column_alone(self, name, field):
+        preset = small(name, **{field: ()})
+        table = run_preset(preset, threads=1)
+        assert table.column_names == ["snr_db"]
+        assert np.array_equal(table.rows, np.array(preset.sweep_values)[:, None])
 
 
 class TestMetadata:

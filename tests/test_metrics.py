@@ -18,7 +18,7 @@ from otasec.metrics import (
     statistical_csi_check,
 )
 
-from conftest import make_realization, synthetic_realization
+from conftest import make_realization, over_noise, synthetic_realization
 
 
 def zero_A(K):
@@ -246,6 +246,38 @@ class TestStackedPrecoders:
             assert np.array_equal(S[idx], S1) and np.array_equal(p_opt[idx], p1)
             S_non1, per1 = noncoop_security(real, A, eta)
             assert np.array_equal(S_non[idx], S_non1) and np.array_equal(per_eav[idx], per1)
+
+    @pytest.mark.parametrize("seed, L", [(26, 1), (27, 4)])
+    def test_noise_over_snr_equals_the_per_snr_calls(self, seed, L):
+        # One precoder for every SNR, one per SNR, and a stack broadcast against the SNR axis.
+        real = make_realization(seed, K=5, L=L)
+        eta = eta_from_delta(real, 0.6)
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([100.0, 1.0, 0.01]))
+        stack = precoder_stack(real, eta)
+        for A, pick in (
+            (stack[1, 0], lambda idx, s: stack[1, 0]),
+            (stack[0], lambda idx, s: stack[0, s]),
+            (stack[:, :, None], lambda idx, s: stack[idx]),
+        ):
+            D = approximation_error(noisy, A, eta)
+            B, m = eavesdropper_moments(noisy, A, eta)
+            S, p_opt = coop_security(noisy, A, eta)
+            S_non, per_eav = noncoop_security(noisy, A, eta)
+            for at in np.ndindex(D.shape):
+                idx, s = at[:-1], at[-1]
+                one, A1 = per_snr[s], pick(idx, s)
+                assert D[at].tobytes() == np.float64(approximation_error(one, A1, eta)).tobytes()
+                B1, m1 = eavesdropper_moments(one, A1, eta)
+                assert B[at].tobytes() == B1.tobytes() and m.tobytes() == m1.tobytes()
+                S1, p1 = coop_security(one, A1, eta)
+                assert S[at].tobytes() == np.float64(S1).tobytes() and p_opt[at].tobytes() == p1.tobytes()
+                S_non1, per1 = noncoop_security(one, A1, eta)
+                assert S_non[at].tobytes() == np.float64(S_non1).tobytes()
+                assert per_eav[at].tobytes() == per1.tobytes()
+        bad, _ = over_noise(real, [1.0, 0.0])
+        for fn in (coop_security, noncoop_security):
+            with pytest.raises(ContractError, match="sigma_z_sq must be positive"):
+                fn(bad, stack[0, 0], eta)
 
     def test_single_precoder_gives_python_floats(self):
         real = make_realization(23, K=4, L=2)

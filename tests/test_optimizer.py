@@ -16,7 +16,7 @@ from otasec.optimizer import (
 )
 from otasec.selftest import _grid_best_worst_objective
 
-from conftest import make_realization, synthetic_realization
+from conftest import make_realization, over_noise, synthetic_realization
 
 
 def zero_A(K):
@@ -442,6 +442,61 @@ class TestDesignSearch:
         eta = eta_from_delta(real, 1.0)
         for N in (1, 2):
             assert self.assert_equals_looped(real, eta, N, "exhaustive").degenerate
+
+
+class TestNoiseOverSnr:
+    """A design over an SNR axis equals, at each SNR, the design at that SNR's scalar noise, bitwise."""
+
+    @staticmethod
+    def assert_equals_per_snr(real, eta, N, selection, factors=(100.0, 1.0, 0.01)):
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.asarray(factors))
+        design = optimize_shared_zf(noisy, eta, N, selection=selection)
+        assert design.A.shape == (len(factors), real.num_users, real.num_users - N)
+        for s, one in enumerate(per_snr):
+            ref = optimize_shared_zf(one, eta, N, selection=selection)
+            assert design.A[s].tobytes() == ref.A.tobytes()
+            assert design.lam[s].tobytes() == ref.lam.tobytes()
+            assert design.zf_weights[s].tobytes() == ref.zf_weights.tobytes()
+            assert tuple(design.zf_users[s]) == ref.zf_users
+            assert (design.kind, design.degenerate) == (ref.kind, ref.degenerate)
+        return design
+
+    def test_sampled_realizations(self):
+        skipped = 0
+        for seed, K, L, fading_mode, delta in itertools.product(
+            range(2), (4, 6), (1, 3), ("complex", "real"), (0.0, 0.5, 1.0)
+        ):
+            real = make_realization(seed, K=K, L=L, fading_mode=fading_mode)
+            eta = eta_from_delta(real, delta)  # delta = 0: every LP is a tie-break
+            skipped += np.count_nonzero(row_budgets(real, eta) <= 0.0)  # zero-budget subsets
+            for N, selection in itertools.product(range(1, 4), ("exhaustive", "best_channel")):
+                self.assert_equals_per_snr(real, eta, N, selection)
+        assert skipped > 0
+
+    def test_selection_can_change_with_the_snr(self):
+        changed = 0
+        for seed in range(8):
+            real = make_realization(seed, K=5, L=3)
+            eta = eta_from_delta(real, 0.7)
+            design = self.assert_equals_per_snr(real, eta, 1, "exhaustive", (1e4, 1.0, 1e-4))
+            changed += len(set(map(tuple, design.zf_users))) > 1
+        assert changed > 0
+
+    def test_tie_breaks_and_the_degenerate_fallback(self):
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[0.0, 1.0, 0.5]], P=2.0)
+        for N, selection in itertools.product((1, 2), ("exhaustive", "best_channel")):
+            self.assert_equals_per_snr(real, 0.5, N, selection)
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
+        for N in (1, 2):
+            assert self.assert_equals_per_snr(real, eta_from_delta(real, 1.0), N, "exhaustive").degenerate
+
+    def test_proposed_and_the_builder_carry_the_snr_axis(self):
+        real = make_realization(3, K=6, L=4)
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 0.1]))
+        eta = eta_from_delta(real, 0.8)
+        for design in (optimize_proposed(noisy, eta), build_precoder("proposed", noisy, eta)):
+            for s, one in enumerate(per_snr):
+                assert design.A[s].tobytes() == optimize_proposed(one, eta).A.tobytes()
 
 
 class TestDelegationThroughBuilder:

@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from otasec.encoding import eta_from_delta, mixture_precoders, row_budgets  # noqa: E402
+from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders, row_budgets  # noqa: E402
 from otasec.metrics import (  # noqa: E402
     approximation_error,
     coop_security,
@@ -15,7 +15,7 @@ from otasec.metrics import (  # noqa: E402
 from otasec.lp import LpProblem, solve_lp  # noqa: E402
 from otasec.optimizer import optimize_shared_zf  # noqa: E402
 
-from conftest import make_realization  # noqa: E402
+from conftest import make_realization, over_noise  # noqa: E402
 
 cases = st.fixed_dictionaries(
     {
@@ -40,9 +40,12 @@ def build(case):
     return real, eta, mixture_precoders(real, eta, case["seeds"], case["thetas"])
 
 
+noise_factors = st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]), min_size=1, max_size=3)
+
+
 @settings(max_examples=40, deadline=None)
-@given(cases)
-def test_stacked_metrics_equal_the_looped_calls(case):
+@given(cases, noise_factors)
+def test_stacked_metrics_equal_the_looped_calls(case, factors):
     real, eta, stack = build(case)
     D = approximation_error(real, stack, eta)
     S, p_opt = coop_security(real, stack, eta)
@@ -54,6 +57,18 @@ def test_stacked_metrics_equal_the_looped_calls(case):
         assert np.array_equal(S[idx], S1) and np.array_equal(p_opt[idx], p1)
         S_non1, per1 = noncoop_security(real, A, eta)
         assert np.array_equal(S_non[idx], S_non1) and np.array_equal(per_eav[idx], per1)
+    # A noise axis broadcast against the stack: entry (..., s) is the call at noise s.
+    noisy, per_snr = over_noise(real, real.sigma_z_sq * np.asarray(factors))
+    D = approximation_error(noisy, stack[..., None, :, :], eta)
+    S, p_opt = coop_security(noisy, stack[..., None, :, :], eta)
+    S_non, per_eav = noncoop_security(noisy, stack[..., None, :, :], eta)
+    for at in np.ndindex(*D.shape):
+        one, A = per_snr[at[-1]], stack[at[:-1]]
+        assert np.array_equal(D[at], approximation_error(one, A, eta))
+        S1, p1 = coop_security(one, A, eta)
+        assert np.array_equal(S[at], S1) and np.array_equal(p_opt[at], p1)
+        S_non1, per1 = noncoop_security(one, A, eta)
+        assert np.array_equal(S_non[at], S_non1) and np.array_equal(per_eav[at], per1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,6 +85,19 @@ def test_cooperation_never_raises_security(case):
 def test_mixtures_stay_within_row_budgets(case):
     real, eta, stack = build(case)
     powers = np.sum(np.abs(stack) ** 2, axis=-1)
+    assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases, st.sampled_from(["none", "signal_level", "data_level", "random_zf"]))
+def test_unoptimized_precoders_stay_within_row_budgets(case, kind):
+    real = make_realization(
+        case["seed"], K=case["K"], L=case["L"], snr_db=case["snr_db"],
+        fading_mode=case["fading_mode"],
+    )
+    eta = eta_from_delta(real, case["delta"])
+    A = build_precoder(kind, real, eta, seed=case["seeds"][0]).A
+    powers = np.sum(np.abs(A) ** 2, axis=-1)
     assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
 
 
