@@ -257,6 +257,8 @@ def _columns_eta_design_space(preset: ExperimentPreset):
 def _check_eta_design_space(preset: ExperimentPreset) -> None:
     if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
         raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {preset.sweep_values!r}")
+    if not all(p > 0.0 for p in preset.power_levels):  # finiteness is a type check
+        raise ConfigurationError(f"power_levels must be positive, got {preset.power_levels!r}")
 
 
 def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -449,8 +451,13 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
         raise ConfigurationError(f"delta_grid must lie in [0, 1], got {preset.delta_grid!r}")
     plain = [kind for kind in PRECODER_KINDS if kind != "mixture"]  # a mixture needs its theta
     for name, kinds in (("designs", preset.designs), ("precoder_kind", [preset.precoder_kind])):
-        if name in spec.meta and not all(kind in plain for kind in kinds):
+        if name not in spec.meta:
+            continue
+        if not all(kind in plain for kind in kinds):
             raise ConfigurationError(f"{name} must be among {', '.join(plain)}, got {kinds!r}")
+        if "proposed_shared" in kinds and preset.config.num_users < 3:
+            # build_precoder shares N = 2 users' noise, which needs N <= num_users - 1.
+            raise ConfigurationError(f"{name} proposed_shared needs num_users >= 3")
     if spec.check is not None:
         spec.check(preset)
 

@@ -30,7 +30,12 @@ with SNR ``s``), each entry bitwise equal to the call at that SNR's noise.
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
 of the draws and reports held-out normalized MSE on the other half, so it
-shares no algebra with the closed forms above.  ``statistical_csi_check``
+shares no algebra with the closed forms above.  The oracles simulate in
+chunks of ``_CHUNK`` transmissions with the sample axis last: each chunk is
+one ``standard_normal((K + M + 1 + L, n, 2))`` draw viewed as a complex
+``(K + M + 1 + L, n)`` block of rows ``gamma``, ``v``, ``n_y``, ``n_z``, pushed
+through the encoder and the channels by two matrix products.  They take
+scalar noise variances and a single ``(K, M)`` precoder.  ``statistical_csi_check``
 verifies the phase-scrambling argument: when the eavesdropper channel phases
 are uniformly random (and unknown), the received signals carry no linear
 information about ``s``, i.e. their cross-covariance vanishes.
@@ -227,22 +232,49 @@ def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityRepo
 # ---------------------------------------------------------------------------
 
 
+def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> np.ndarray:
+    """``A`` as a ``(K, M)`` array; inputs no oracle can simulate raise first."""
+    if num_samples < 10**4:
+        raise ContractError("num_samples must be at least 10^4")
+    if np.ndim(real.sigma_y_sq) != 0 or np.ndim(real.sigma_z_sq) != 0:
+        raise ContractError("the oracles take scalar noise variances, not one per SNR")
+    if not math.isfinite(eta):
+        raise ContractError(f"eta must be finite, got {eta!r}")
+    A = _precoder(A)
+    if A.ndim != 2 or A.shape[0] != real.num_users:
+        raise ContractError(f"precoder must have shape ({real.num_users}, M), got {A.shape}")
+    return A
+
+
 def _simulate_chunk(rng, real, A, eta, n):
-    """Draw n transmissions through the actual encoding chain."""
-    K = real.num_users
-    gamma = _cn(rng, (n, K))
-    v = _cn(rng, (n, A.shape[1]))
-    x = gamma * (eta / real.h)[np.newaxis, :] + v @ A.T
-    y = x @ real.h + math.sqrt(real.sigma_y_sq) * _cn(rng, n)
-    z = x @ real.G.T + math.sqrt(real.sigma_z_sq) * _cn(rng, (n, real.num_eavesdroppers))
-    s = gamma.sum(axis=1)
-    return s, y, z
+    """Draw n transmissions through the actual encoding chain, sample axis last.
+
+    One ``standard_normal((K + M + 1 + L, n, 2))`` call, scaled by
+    ``sqrt(1/2)``, is viewed as a complex ``(K + M + 1 + L, n)`` block whose
+    rows are, in order, ``gamma`` (K), ``v`` (M), ``n_y`` (1) and ``n_z`` (L).
+    Then ``x = [diag(eta / h) | A] @ [gamma; v]`` and ``[y; z] = [h^T; G] @ x``
+    plus the scaled noise rows.  Returns ``s`` and ``y`` of shape ``(n,)`` and
+    ``z`` of shape ``(L, n)``.
+    """
+    K, M = A.shape
+    L = real.num_eavesdroppers
+    draw = rng.standard_normal((K + M + 1 + L, n, 2))
+    draw *= math.sqrt(0.5)
+    w = draw.view(np.complex128)[..., 0]
+    x = np.hstack([np.diag(eta / real.h), A]) @ w[: K + M]
+    yz = np.vstack([real.h, real.G]) @ x
+    noise = w[K + M :]
+    noise[0] *= math.sqrt(real.sigma_y_sq)
+    noise[1:] *= math.sqrt(real.sigma_z_sq)
+    yz += noise
+    return w[:K].sum(axis=0), yz[0], yz[1:]
 
 
 def _heldout_mse(rng, real, A, eta, num_samples, estimators):
     """Mean and standard error of each estimator's normalized squared error.
 
-    Each estimator maps a chunk's observations ``(y, z)`` to estimates of ``s``.
+    Each estimator maps a chunk's observations ``y`` ``(n,)`` and ``z``
+    ``(L, n)`` to estimates of ``s``.
     """
     sums = np.zeros(len(estimators))
     sums_sq = np.zeros(len(estimators))
@@ -274,9 +306,7 @@ def mc_oracle(
     the pooled eavesdroppers); the second half reports their held-out
     normalized MSE with standard errors from the per-sample variance.
     """
-    if num_samples < 10**4:
-        raise ContractError("num_samples must be at least 10^4")
-    A = np.asarray(A, dtype=np.complex128)
+    A = _oracle_inputs(real, A, eta, num_samples)
     L = real.num_eavesdroppers
     fit_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
 
@@ -290,16 +320,16 @@ def mc_oracle(
     while left > 0:
         n = min(left, _CHUNK)
         s, y, z = _simulate_chunk(rng, real, A, eta, n)
-        syy += float(np.sum(np.abs(y) ** 2))
-        ssy += complex(np.sum(s * y.conj()))
-        szz += z.T @ z.conj()  # accumulates sum of z z^H outer products
-        szs += z.T @ s.conj()
+        syy += float(np.vdot(y, y).real)
+        ssy += complex(np.vdot(y, s))  # sum of s conj(y)
+        szz += z @ z.conj().T  # sum of z z^H outer products
+        szs += z @ s.conj()
         left -= n
     a_fit = ssy / syy
     # Independent generic solve: the oracle must not share the Cholesky path.
     p_fit = np.linalg.solve(szz / n_fit, szs / n_fit)
 
-    estimators = (lambda y, z: a_fit * y, lambda y, z: z @ p_fit.conj())
+    estimators = (lambda y, z: a_fit * y, lambda y, z: p_fit.conj() @ z)
     rng = np.random.default_rng(eval_ss)
     means, std_errs = _heldout_mse(rng, real, A, eta, num_samples - n_fit, estimators)
     return OracleReport(
@@ -325,10 +355,12 @@ def mc_combiner_mse(
     phase of ``p``, so it pins down the combiner itself and not only the MSE
     it is claimed to achieve.
     """
-    A = np.asarray(A, dtype=np.complex128)
+    A = _oracle_inputs(real, A, eta, num_samples)
     p = np.asarray(p, dtype=np.complex128)
+    if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
+        raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples, (lambda y, z: z @ p.conj(),))
+    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples, (lambda y, z: p.conj() @ z,))
     return float(means[0]), float(std_errs[0])
 
 

@@ -135,6 +135,12 @@ class TestRun:
             ("eta_design_space", "precoder_kind=bogus"),
             ("sweep_snr_designs", 'designs=["bogus"]'),
             ("sweep_snr_designs", 'designs=["mixture"]'),
+            ("eta_design_space", "power_levels=[-1]"),
+            ("eta_design_space", "power_levels=[0]"),
+            ("eta_design_space", "power_levels=[1,nan]"),
+            ("sweep_snr_designs", 'designs=["proposed_shared"] num_users=2'),
+            ("security_gap", 'designs=["none","proposed_shared"] num_users=2'),
+            ("eta_design_space", "precoder_kind=proposed_shared num_users=2"),
         ],
     )
     def test_bad_preset_field_exits_2_before_any_trial(
@@ -147,7 +153,8 @@ class TestRun:
         monkeypatch.setattr(experiments, "_map_trials", no_trials)
         monkeypatch.setattr(experiments, "sample_realization", no_trials)
         out = tmp_path / "t.dat"
-        assert main(["run", preset, "--trials", "1", "--set", override, "--out", str(out)]) == 2
+        sets = [arg for item in override.split(" ") for arg in ("--set", item)]
+        assert main(["run", preset, "--trials", "1", *sets, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: code=2" in captured.err

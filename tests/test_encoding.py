@@ -3,6 +3,7 @@ import pytest
 
 from otasec.encoding import (
     NoisePrecoder,
+    _scale_to_budgets,
     build_precoder,
     eta_bounds_given_mu,
     eta_from_delta,
@@ -183,6 +184,28 @@ class TestBuilders:
         real = make_realization(7, K=5, L=2)
         eta = eta_from_delta(real, 0.5)
         assert mixture_precoders(real, eta, [], [0.0, 1.0]).shape == (0, 2, 5, 4)
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_tiny_mixture_weight_scales_without_overflow(self, snr_db):
+        # The zero-forced draw is zero (one budget is 0), so the mixture's row
+        # powers are about theta^2 ~ 6e-309 and budget / power leaves the float range.
+        real = make_realization(3, K=2, L=1, snr_db=snr_db)
+        eta = eta_from_delta(real, 1.0)
+        A = mixture_precoders(real, eta, [3], [7.6e-155])
+        assert np.isfinite(A).all()
+        assert np.all(np.sum(np.abs(A) ** 2, axis=-1) <= row_budgets(real, eta))
+
+    @pytest.mark.parametrize("tiny", [1e-155, 1e-160])
+    def test_matrix_whose_every_row_ratio_overflows_still_meets_its_budget(self, tiny):
+        budgets = np.array([1.0, 0.5])
+        A = np.array([[[1.0 + 1.0j], [0.5]], [[1.0], [1.0]]])
+        scaled = _scale_to_budgets(A.copy(), budgets)
+        small = A.copy()
+        small[0] *= tiny
+        out = _scale_to_budgets(small, budgets)
+        assert np.array_equal(out[1], scaled[1])
+        assert np.allclose(out[0], scaled[0], rtol=1e-14, atol=0.0)
+        assert np.all(np.sum(np.abs(out) ** 2, axis=-1) <= budgets * (1.0 + 1e-15))
 
     @pytest.mark.parametrize("theta", [-0.1, 1.5, np.nan])
     def test_theta_outside_unit_interval_rejected(self, theta):

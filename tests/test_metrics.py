@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from otasec import metrics
 from otasec.channel import ScenarioConfig
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.errors import ContractError
 from otasec.metrics import (
+    _CHUNK,
+    _simulate_chunk,
     approximation_error,
     coop_security,
     eavesdropper_moments,
@@ -348,6 +351,40 @@ class TestMcOracle:
         b = mc_oracle(real, zero_A(3), eta, 10**4, seed=21)
         assert a == b
 
+    @pytest.mark.parametrize("K", [2, 10])
+    @pytest.mark.parametrize("kind", ["none", "random_zf"])
+    def test_chunk_matches_per_sample_reference(self, K, kind):
+        real = make_realization(31, K=K, L=3)
+        eta = eta_from_delta(real, 0.6)
+        A = build_precoder(kind, real, eta, seed=4).A
+        M, L, n = A.shape[1], real.num_eavesdroppers, 50
+        s, y, z = _simulate_chunk(np.random.default_rng(9), real, A, eta, n)
+        assert s.shape == y.shape == (n,) and z.shape == (L, n)
+        # The same draw block, read row by row: gamma (K), v (M), n_y (1), n_z (L).
+        draw = np.random.default_rng(9).standard_normal((K + M + 1 + L, n, 2)) * np.sqrt(0.5)
+        w = draw[..., 0] + 1j * draw[..., 1]
+        gamma, v, n_y, n_z = w[:K], w[K : K + M], w[K + M], w[K + M + 1 :]
+        for t in (0, 1, 17, n - 1):
+            x = [eta * gamma[k, t] / real.h[k] + sum(A[k, m] * v[m, t] for m in range(M)) for k in range(K)]
+            y_ref = sum(real.h[k] * x[k] for k in range(K)) + np.sqrt(real.sigma_y_sq) * n_y[t]
+            z_ref = [
+                sum(real.G[l, k] * x[k] for k in range(K)) + np.sqrt(real.sigma_z_sq) * n_z[l, t]
+                for l in range(L)
+            ]
+            assert s[t] == pytest.approx(sum(gamma[k, t] for k in range(K)), rel=1e-12)
+            assert y[t] == pytest.approx(y_ref, rel=1e-12)
+            assert z[:, t] == pytest.approx(np.array(z_ref), rel=1e-12)
+
+    def test_sample_count_off_the_chunk_grid(self):
+        real = make_realization(32, K=3, L=2)
+        eta = eta_from_delta(real, 0.7)
+        A = build_precoder("random_zf", real, eta, seed=2).A
+        num_samples = 3 * _CHUNK + 7
+        a = mc_oracle(real, A, eta, num_samples, seed=5)
+        assert a == mc_oracle(real, A, eta, num_samples, seed=5)
+        assert a.num_samples == num_samples
+        assert np.isfinite([a.D_hat, a.S_hat, a.std_err_D, a.std_err_S]).all()
+
     def test_combiner_simulation_detects_sign_flip(self):
         real = make_realization(8, K=4, L=2)
         eta = eta_from_delta(real, 0.8)
@@ -356,6 +393,59 @@ class TestMcOracle:
         assert abs(good - S) <= 4.0 * se
         bad, se_bad = mc_combiner_mse(real, zero_A(4), eta, -p_opt, 10**5, seed=4)
         assert bad - S > 10.0 * se_bad  # the flipped combiner is visibly worse
+
+
+class TestOracleInputs:
+    """Inputs no oracle can simulate raise before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("the oracle drew samples")
+
+        monkeypatch.setattr(metrics, "_simulate_chunk", draw)
+
+    @staticmethod
+    def case(name):
+        real = make_realization(33, K=4, L=2)
+        eta = eta_from_delta(real, 0.5)
+        A, p, num_samples = build_precoder("random_zf", real, eta, seed=1).A, np.ones(2), 10**4
+        if name == "few_samples":
+            num_samples = 10**4 - 1
+        elif name == "snr_axis":
+            real = over_noise(real, [0.1, 1.0])[0]
+        elif name == "nan_A":
+            A = A.copy()
+            A[1, 2] = np.nan
+        elif name == "inf_eta":
+            eta = np.inf
+        elif name == "nan_eta":
+            eta = np.nan
+        elif name == "short_A":
+            A = A[:3]
+        elif name == "stacked_A":
+            A = np.stack([A, A])
+        return real, A, eta, p, num_samples
+
+    BAD = ["few_samples", "snr_axis", "nan_A", "inf_eta", "nan_eta", "short_A", "stacked_A"]
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_mc_oracle(self, name):
+        real, A, eta, _, num_samples = self.case(name)
+        with pytest.raises(ContractError):
+            mc_oracle(real, A, eta, num_samples, seed=1)
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_mc_combiner_mse(self, name):
+        real, A, eta, p, num_samples = self.case(name)
+        with pytest.raises(ContractError):
+            mc_combiner_mse(real, A, eta, p, num_samples, seed=1)
+
+    @pytest.mark.parametrize("p", [[1.0, np.nan], [np.inf, 1.0], [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_mc_combiner_mse_bad_combiner(self, p):
+        real, A, eta, _, _ = self.case("good")
+        with pytest.raises(ContractError, match="p must be 2 finite values"):
+            mc_combiner_mse(real, A, eta, p, 10**4, seed=1)
 
 
 class TestStatisticalCsi:
