@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=None, help="override num_realizations")
     p_run.add_argument("--out", default=None, help="output path (default <preset>.dat)")
     p_run.add_argument("--config", default=None, help="JSON file with scenario overrides")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads")
+    p_run.add_argument(
+        "--threads", type=int, default=None, help="worker threads (default 1: trials run serially)"
+    )
     p_run.add_argument(
         "--set",
         dest="overrides",
@@ -115,7 +117,7 @@ def _coerce_tuples(overrides: dict) -> dict:
 
 
 def _worker_count(args) -> int | None:
-    """``--threads``, else ``OTA_SIM_THREADS``, else None (one worker per core)."""
+    """``--threads``, else ``OTA_SIM_THREADS``, else None (trials run serially)."""
     raw = (os.environ.get("OTA_SIM_THREADS") or None) if args.threads is None else args.threads
     if raw is None:
         return None

@@ -132,17 +132,19 @@ def eta_from_delta(real: SystemRealization, delta: float) -> float:
 
 def _scale_to_budgets(A: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Scale each matrix of ``A`` in place by the largest scalar keeping its rows within budget."""
+    budgets = np.asarray(budgets, dtype=float)
     row_sq = np.sum(np.abs(A) ** 2, axis=-1)
-    active = row_sq > 0.0
+    live = np.any(A != 0.0, axis=-1)  # also a row whose squared norm underflows to 0
     with np.errstate(over="ignore"):  # a ratio past the float range is +inf, like an idle row
-        ratio = np.divide(budgets, row_sq, out=np.full(row_sq.shape, np.inf), where=active)
+        ratio = np.divide(budgets, row_sq, out=np.full(row_sq.shape, np.inf), where=row_sq > 0.0)
+    ratio[live & (budgets == 0.0)] = 0.0  # only zero power keeps such a row within budget
     c = np.sqrt(np.min(ratio, axis=-1, initial=np.inf))
-    huge = np.isinf(c) & active.any(axis=-1)
+    huge = np.isinf(c) & live.any(axis=-1)
     if huge.any():
         # Every live row's ratio overflowed: bring those matrices to unit size and rescale.
         A[huge] /= np.max(np.abs(A[huge]), axis=(-2, -1), keepdims=True)
         return _scale_to_budgets(A, budgets)
-    A *= np.where(active.any(axis=-1), c, 0.0)[..., None, None]
+    A *= np.where(live.any(axis=-1), c, 0.0)[..., None, None]
     return A
 
 

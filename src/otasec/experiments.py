@@ -13,7 +13,7 @@ their per-trial data through :func:`collect_trials`; :func:`run_preset`
 reduces those to a table.  Tables serialize to a plain whitespace-separated
 text format with a ``#``-prefixed metadata block, designed to be loadable by
 any generic plotting tool.  Output is byte-for-byte reproducible for a given
-preset and seed, independent of the thread count.
+preset and seed, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -205,12 +205,15 @@ def _columns_power_control(preset: ExperimentPreset):
     return cols
 
 
-def _map_trials(fn, n: int, threads: int | None):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or n <= 1:
+def _map_trials(fn, n: int, workers: int | None) -> list:
+    """``[fn(r) for r in range(n)]``, on threads only when 2 or more workers are asked for.
+
+    At most one thread per trial and per core is started.
+    """
+    workers = min(workers or 1, n, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(r) for r in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 
 
@@ -218,7 +221,8 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     """Per-trial metric arrays, shape (num_realizations, sweep, metrics).
 
     Only defined for the averaged presets; the sweep column itself is not
-    included (it is identical across trials).
+    included (it is identical across trials).  Trials run serially unless
+    ``threads`` asks for 2 or more worker threads.
     """
     spec = _PRESETS.get(preset.name)
     if spec is None or spec.trial is None:
@@ -463,7 +467,10 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
 
 
 def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:
-    """Execute a preset and return its (averaged) result table."""
+    """Execute a preset and return its (averaged) result table.
+
+    ``threads`` is the worker count of :func:`collect_trials`: serial unless 2 or more.
+    """
     if preset.name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {preset.name!r}")
     spec = _PRESETS[preset.name]
@@ -479,13 +486,13 @@ def write_table(table: ResultTable, path) -> None:
         raise ContractError("row width does not match column names")
     if not np.isfinite(rows).all():
         raise ContractError("refusing to emit non-finite values")
+    head = "".join(f"# {key}: {value}\n" for key, value in table.metadata.items())
+    head += " ".join(table.column_names) + "\n"
+    line = " ".join(["%.12g"] * rows.shape[1]) + "\n"  # same digits as f"{v:.12g}"
+    body = "".join(line % tuple(row) for row in rows.tolist())
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in table.metadata.items():
-                fh.write(f"# {key}: {value}\n")
-            fh.write(" ".join(table.column_names) + "\n")
-            for row in rows:
-                fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
+            fh.write(head + body)
     except OSError as exc:
         raise OSError(f"cannot write table to {path}: {exc}") from exc
 

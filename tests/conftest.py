@@ -41,3 +41,14 @@ def over_noise(real, sigmas):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make any attempt to start a worker pool fail the test."""
+    from otasec import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", refuse)

@@ -75,6 +75,19 @@ class TestRun:
         )
         assert code == 0
 
+    def test_default_runs_serially(self, tmp_path, monkeypatch, no_pool):
+        monkeypatch.delenv("OTA_SIM_THREADS", raising=False)
+        args = ["run", "sweep_L", "--trials", "3", "--set", "sweep_values=[1,2]"]
+        assert main(args + ["--out", str(tmp_path / "t.dat")]) == 0
+
+    def test_shared_zf_on_two_workers_matches_serial(self, tmp_path):
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.dat"
+            assert main(["run", "shared_zf", "--trials", "2", "--threads", threads, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"num_users": 4, "snr_db": 0.0}))

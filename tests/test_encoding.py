@@ -207,6 +207,34 @@ class TestBuilders:
         assert np.allclose(out[0], scaled[0], rtol=1e-14, atol=0.0)
         assert np.all(np.sum(np.abs(out) ** 2, axis=-1) <= budgets * (1.0 + 1e-15))
 
+    def test_underflowed_row_with_zero_budget_ends_at_zero_power(self):
+        # The second row's squared norm (1e-340) underflows to 0, yet the row is live.
+        out = _scale_to_budgets(np.array([[[1e-150], [1e-170]]]), [1.0, 0.0])
+        assert np.all(out == 0.0)
+
+    def test_matrix_whose_every_row_underflows_is_scaled_not_zeroed(self):
+        budgets = np.array([1.0, 0.5])
+        A = np.array([[[1.0], [0.1j]]])
+        out = _scale_to_budgets(A * 1e-170, budgets)
+        assert np.allclose(out, _scale_to_budgets(A.copy(), budgets), rtol=1e-14, atol=0.0)
+
+    def test_rows_without_underflow_scale_as_before(self):
+        def reference(A, budgets):  # the scaling before underflowed rows counted as live
+            row_sq = np.sum(np.abs(A) ** 2, axis=-1)
+            active = row_sq > 0.0
+            with np.errstate(over="ignore"):
+                ratio = np.divide(budgets, row_sq, out=np.full(row_sq.shape, np.inf), where=active)
+            c = np.sqrt(np.min(ratio, axis=-1, initial=np.inf))
+            return A * np.where(active.any(axis=-1), c, 0.0)[..., None, None]
+
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((40, 4, 3)) + 1j * rng.standard_normal((40, 4, 3))
+        A[::3, 1] = 0.0  # idle rows
+        A[::7] = 0.0  # idle matrices
+        A[1::5] *= 1e-140  # tiny, but no squared norm underflows
+        for budgets in (np.array([1.0, 2.0, 0.5, 3.0]), np.array([1.0, 0.0, 2.0, 0.0])):
+            assert np.array_equal(_scale_to_budgets(A.copy(), budgets), reference(A, budgets))
+
     @pytest.mark.parametrize("theta", [-0.1, 1.5, np.nan])
     def test_theta_outside_unit_interval_rejected(self, theta):
         real = make_realization(5, K=5, L=3)

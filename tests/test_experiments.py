@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from otasec import errors, experiments
 from otasec.channel import calibrate_noise, sample_realization
 from otasec.encoding import build_precoder, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
@@ -10,6 +12,7 @@ from otasec.experiments import (
     PRESET_NAMES,
     TRADEOFF_KINDS,
     ResultTable,
+    _map_trials,
     collect_trials,
     default_preset,
     read_table,
@@ -77,6 +80,45 @@ class TestDeterminism:
         write_table(run_preset(preset, threads=1), pa)
         write_table(run_preset(preset, threads=3), pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+ERROR_CLASSES = [
+    obj for obj in vars(errors).values() if inspect.isclass(obj) and obj.__module__ == errors.__name__
+]
+
+
+class TestWorkers:
+    def test_default_starts_no_pool(self, no_pool):
+        preset = small("sweep_L")
+        assert np.array_equal(run_preset(preset).rows[:, 1:], collect_trials(preset).mean(axis=0))
+
+    @pytest.mark.parametrize("workers, n", [(1, 4), (4, 1), (None, 4)])
+    def test_one_worker_or_one_trial_runs_serially(self, no_pool, workers, n):
+        assert _map_trials(lambda r: r * r, n, workers) == [r * r for r in range(n)]
+
+    @pytest.mark.parametrize("workers, n, cores, started", [(500, 3, 8, 3), (500, 50, 2, 2), (4, 50, None, 1)])
+    def test_threads_capped_at_trials_and_cores(self, monkeypatch, workers, n, cores, started):
+        seen = []
+
+        class Pool(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        assert _map_trials(lambda r: r * r, n, workers) == [r * r for r in range(n)]
+        assert seen == ([] if started == 1 else [started])
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_worker_errors_reach_the_caller_unchanged(self, cls):
+        def fail(r):
+            raise cls(f"trial {r} failed")
+
+        with pytest.raises(cls) as info:
+            _map_trials(fail, 2, 2)
+        assert type(info.value) is cls
+        assert str(info.value) == "trial 0 failed"
 
 
 class TestSweepL:
@@ -336,6 +378,20 @@ class TestTableIo:
         write_table(table, path)
         back = read_table(path)
         assert back.rows == pytest.approx(rows, rel=1e-11, abs=1e-13)
+
+    def test_bytes_equal_the_per_value_writer(self, tmp_path):
+        special = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 123456789012.5, -123456789012.5, -2.5e-7,
+                   0.0, 3.0, -17.0, 2.0**53, 1e22, -1e-5, 1.0 / 3.0, 123456789012345.0]
+        rng = np.random.default_rng(8)
+        spread = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-20, 20, (9, 4))
+        rows = np.vstack([np.reshape(special, (4, 4)), spread])
+        table = ResultTable(["a", "b", "c", "d"], rows, {"preset": "demo", "sweep": "0 1"})
+        expected = "".join(f"# {key}: {value}\n" for key, value in table.metadata.items()) + "a b c d\n"
+        for row in rows:  # the writer's former per-value loop
+            expected += " ".join(f"{v:.12g}" for v in row) + "\n"
+        path = tmp_path / "t.dat"
+        write_table(table, path)
+        assert path.read_bytes() == expected.encode()
 
     def test_loadable_by_generic_reader(self, tmp_path):
         pd = pytest.importorskip("pandas")
