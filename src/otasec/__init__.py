@@ -24,7 +24,6 @@ from .encoding import (
     eta_bounds_given_mu,
     eta_from_delta,
     eta_upper_bound,
-    transmit,
 )
 from .errors import (
     ConfigurationError,
@@ -79,7 +78,6 @@ __all__ = [
     "eta_upper_bound",
     "eta_bounds_given_mu",
     "eta_from_delta",
-    "transmit",
     "SecurityReport",
     "OracleReport",
     "CrossCovarianceReport",

@@ -17,6 +17,10 @@ own stream.  Two consequences the rest of the package relies on:
 * realizations are nested in the eavesdropper count: with the same seed, the
   first ``L`` eavesdroppers (positions and channel rows) are identical for
   every ``num_eavesdroppers >= L``, so sweeps over ``L`` are exactly paired.
+
+Every random stream of the package is derived here: ``_stream(seed, *key)``
+is the generator of one substream and ``_child_seed(seed, *key)`` an integer
+seed drawn from it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_MAX_PLACEMENT_ATTEMPTS = 10**6
+_MAX_PLACEMENT_ATTEMPTS = 10**4
 _MAX_FADING_ROUNDS = 10_000
 
 FADING_MODES = ("complex", "real")
@@ -141,7 +145,13 @@ def calibrate_noise(config: ScenarioConfig) -> tuple[float, float]:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Substream ``key`` of ``seed``; ``_stream(seed, i)`` draws as ``SeedSequence(seed).spawn(2)[i]``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def _child_seed(seed: int, *key: int) -> int:
+    """An integer seed derived from substream ``key`` of ``seed``."""
+    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -169,7 +179,7 @@ def _place_point(
         if all(np.hypot(*(p - q)) >= min_sep for q in placed):
             return p
     raise ConfigurationError(
-        "could not place a point after 10^6 attempts; "
+        f"could not place a point after {_MAX_PLACEMENT_ATTEMPTS} attempts; "
         "the disk cannot hold this many points at the requested separation"
     )
 

@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .experiments import PRESET_NAMES, default_preset, run_preset, write_table
-from .metrics import evaluate
+from .metrics import _MIN_SAMPLES, evaluate
 from .selftest import run_selftest
 from .version import __version__
 
@@ -224,6 +224,17 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _cmd_selftest(args) -> int:
+    for flag, value, least in (
+        ("--trials", args.trials, 0),
+        ("--seed", args.seed, 0),
+        ("--samples", args.samples, _MIN_SAMPLES),
+    ):
+        if value < least:
+            raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
+    return run_selftest(trials=args.trials, seed=args.seed, samples=args.samples)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -237,7 +248,7 @@ def main(argv=None) -> int:
             return _cmd_metrics(args)
         if args.command == "optimize":
             return _cmd_optimize(args)
-        return run_selftest(trials=args.trials, seed=args.seed, samples=args.samples)
+        return _cmd_selftest(args)
     except ConfigurationError as exc:
         print(f"error: code={_EXIT_CONFIG} message={exc}", file=sys.stderr)
         if "unknown preset" in str(exc):

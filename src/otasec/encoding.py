@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemRealization, _cn
+from .channel import SystemRealization, _cn, _stream
 from .errors import ContractError, InfeasibleError, ShapeError
 
 PRECODER_KINDS = (
@@ -154,17 +154,17 @@ def _project_out(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     return A - h.conj()[:, None] * coeff[..., None, :]
 
 
-def _draws(seqs, K: int) -> np.ndarray:
-    """One K x (K - 1) standard complex Gaussian matrix per seed sequence."""
-    A = np.empty((len(seqs), K, K - 1), dtype=np.complex128)
-    for i, ss in enumerate(seqs):
-        A[i] = _cn(np.random.default_rng(ss), (K, K - 1))
+def _draws(rngs, K: int) -> np.ndarray:
+    """One K x (K - 1) standard complex Gaussian matrix per generator."""
+    A = np.empty((len(rngs), K, K - 1), dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        A[i] = _cn(rng, (K, K - 1))
     return A
 
 
-def _random_zf(seqs, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
-    """Random K x (K - 1) matrices orthogonal to ``conj(h)``, one per seed sequence."""
-    return _scale_to_budgets(_project_out(_draws(seqs, real.num_users), real.h), budgets)
+def _random_zf(rngs, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
+    """Random K x (K - 1) matrices orthogonal to ``conj(h)``, one per generator."""
+    return _scale_to_budgets(_project_out(_draws(rngs, real.num_users), real.h), budgets)
 
 
 def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.ndarray:
@@ -178,9 +178,8 @@ def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.
     if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError("theta must lie in [0, 1]")
     budgets = row_budgets(real, eta)
-    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
-    A_zf = _random_zf([zf for zf, _ in streams], real, budgets)
-    A_rand = _draws([rand for _, rand in streams], real.num_users)
+    A_zf = _random_zf([_stream(seed, 0) for seed in seeds], real, budgets)
+    A_rand = _draws([_stream(seed, 1) for seed in seeds], real.num_users)
     w = thetas[:, None, None]
     A = (1.0 - w) * A_zf[:, None]
     A += w * A_rand[:, None]
@@ -229,7 +228,7 @@ def build_precoder(
         return NoisePrecoder(A, "data_level", eta)
 
     if kind == "random_zf":
-        A = _random_zf([np.random.SeedSequence(seed)], real, row_budgets(real, eta))[0]
+        A = _random_zf([_stream(seed)], real, row_budgets(real, eta))[0]
         return NoisePrecoder(A, "random_zf", eta)
 
     if kind == "mixture":
@@ -245,23 +244,6 @@ def build_precoder(
     n_share = int(params.get("N", 2))
     selection = params.get("selection", "exhaustive")
     return optimizer.optimize_shared_zf(real, eta, n_share, selection=selection)
-
-
-def transmit(
-    real: SystemRealization,
-    precoder: NoisePrecoder,
-    eta: float,
-    gamma: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Encoded transmit vector ``x_k = eta * gamma_k / h_k + (A v)_k``."""
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if gamma.shape != (real.num_users,):
-        raise ShapeError(f"gamma must have length {real.num_users}")
-    if v.shape != (precoder.noise_dim,):
-        raise ShapeError(f"v must have length {precoder.noise_dim}")
-    return eta * gamma / real.h + precoder.A @ v
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .channel import (
     ScenarioConfig,
     SystemRealization,
     _check_types,
+    _child_seed,
     _fits,
     calibrate_noise,
     config_to_dict,
@@ -100,10 +101,6 @@ def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
     # Realizations are nested in L, so the first L rows are exactly the
     # realization the same seed would produce at num_eavesdroppers = L.
     return replace(real, eav_positions=real.eav_positions[:L], G=real.G[:L])
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:

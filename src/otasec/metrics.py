@@ -20,6 +20,16 @@ useless beyond the prior.
   combined channel ``g_tilde = p^H G`` of an arbitrary (not necessarily
   optimal) combiner ``p``.
 
+The last two share one single-receiver kernel, ``_receiver``: a receiver
+with channel row ``g`` and noise power ``n`` has normalized MSE ``1 -
+(eta^2 / K) |sum_k g_k/h_k|^2 / (eta^2 sum_k |g_k/h_k|^2 + ||g A||^2 + n)``,
+taken on each row of ``G`` with ``n = sigma_z^2`` and on ``p^H G`` with
+``n = sigma_z^2 ||p||^2``.  Its two ratio sums, from ``_ratio_sums``, also
+give the optimizer's ``alpha``.  Every closed form and oracle checks its
+inputs in ``_checked``: a non-finite ``A``, or an ``eta`` that is not finite
+and nonnegative, raises ``ContractError``, and so does ``sigma_z^2 <= 0`` for
+``coop_security`` and ``noncoop_security``.
+
 The first four take a precoder ``A`` of shape ``(K, M)`` or a stack of
 precoders of shape ``(..., K, M)``.  One precoder gives Python ``float``
 values; a stack gives arrays over its leading axes, each entry bitwise equal
@@ -48,11 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioConfig, SystemRealization, _cn, sample_realization
+from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
 from .errors import ContractError
 from .linalg import _where, hermitian_solve
 
 _CHUNK = 1 << 16
+_MIN_SAMPLES = 10**4
 
 
 @dataclass
@@ -95,13 +106,31 @@ def _scalar(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _precoder(A) -> np.ndarray:
-    """``A`` as an array; a non-finite entry raises, naming its matrix in a stack."""
+def _checked(real: SystemRealization, A, eta: float, positive_noise: bool = False) -> np.ndarray:
+    """``A`` as an array after the input checks; a non-finite entry is named by its matrix in a stack."""
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ContractError(f"eta must be finite and nonnegative, got {eta!r}")
+    if positive_noise and np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
+        raise ContractError("sigma_z_sq must be positive")
     A = np.asarray(A)
     if not np.isfinite(A).all():
         _, at = _where(~np.isfinite(A).all(axis=(-2, -1)))
         raise ContractError(f"precoder has a non-finite entry{at}")
     return A
+
+
+def _ratio_sums(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|sum_k g_k/h_k|^2`` and ``sum_k |g_k/h_k|^2`` for each row ``g`` of shape ``(..., K)``."""
+    r = g / h
+    return np.abs(r.sum(axis=-1)) ** 2, np.sum(np.abs(r) ** 2, axis=-1)
+
+
+def _receiver(g: np.ndarray, h: np.ndarray, A: np.ndarray, eta: float, noise) -> np.ndarray:
+    """Normalized MSE of the receiver on each row ``g``; 1 where it observes nothing."""
+    sum_sq, power_sq = _ratio_sums(g, h)
+    den = eta**2 * power_sq + np.sum(np.abs(g @ A) ** 2, axis=-1) + noise
+    # den == 0 forces sum_sq == 0 (Cauchy-Schwarz), so the ratio is 0 and the MSE 1.
+    return 1.0 - (eta**2 / h.size) * sum_sq / np.where(den == 0.0, 1.0, den)
 
 
 def approximation_error(
@@ -112,9 +141,7 @@ def approximation_error(
     ``A`` has shape ``(..., K, M)``; a single ``(K, M)`` precoder gives a
     ``float``, a stack or per-SNR noise an array over the broadcast axes.
     """
-    if eta < 0.0:
-        raise ContractError("eta must be nonnegative")
-    A = _precoder(A)
+    A = _checked(real, A, eta)
     K = real.num_users
     signal = eta**2 * K
     denom = signal + np.sum(np.abs(real.h @ A) ** 2, axis=-1) + real.sigma_y_sq
@@ -130,7 +157,7 @@ def eavesdropper_moments(
     ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)`` (per SNR for
     per-SNR noise); ``m`` depends on neither and has shape ``(L,)``.
     """
-    GA = real.G @ _precoder(A)
+    GA = real.G @ _checked(real, A, eta)
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
     noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
     B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + noise
@@ -148,9 +175,7 @@ def coop_security(
     shape ``(..., K, M)``, ``p_opt`` has shape ``(..., L)`` and ``S`` is a
     ``float`` for one precoder or an array for a stack or per-SNR noise.
     """
-    if np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
-        raise ContractError("sigma_z_sq must be positive")
-    B, m = eavesdropper_moments(real, A, eta)
+    B, m = eavesdropper_moments(real, _checked(real, A, eta, positive_noise=True), eta)
     p_opt = hermitian_solve(B, m)
     S = 1.0 - np.vecdot(m, p_opt).real / real.num_users
     return _scalar(S), p_opt
@@ -165,18 +190,8 @@ def noncoop_security(
     ``(..., L)`` and the minimum is a ``float`` for one precoder or an array
     for a stack or per-SNR noise.
     """
-    if np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
-        raise ContractError("sigma_z_sq must be positive")
-    A = _precoder(A)
-    R = real.G / real.h[np.newaxis, :]
-    K = real.num_users
-    num = (eta**2 / K) * np.abs(R.sum(axis=1)) ** 2
-    den = (
-        eta**2 * np.sum(np.abs(R) ** 2, axis=1)
-        + np.sum(np.abs(real.G @ A) ** 2, axis=-1)
-        + np.asarray(real.sigma_z_sq)[..., np.newaxis]
-    )
-    per_eav = 1.0 - num / den
+    A = _checked(real, A, eta, positive_noise=True)
+    per_eav = _receiver(real.G, real.h, A, eta, np.asarray(real.sigma_z_sq)[..., np.newaxis])
     return _scalar(np.min(per_eav, axis=-1)), per_eav
 
 
@@ -186,25 +201,16 @@ def effective_channel_security(
     """Normalized MSE of the virtual eavesdropper using combiner ``p``.
 
     Evaluates the single-receiver expression on the effective channel
-    ``g_tilde = p^H G`` with noise power ``sigma_z^2 ||p||^2``.  For
-    ``p = p_opt`` this reproduces :func:`coop_security`.
+    ``g_tilde = p^H G`` with noise power ``sigma_z^2 ||p||^2``; ``p = 0``
+    observes nothing and gives 1.  For ``p = p_opt`` this reproduces
+    :func:`coop_security`.
     """
-    A = _precoder(A)
+    A = _checked(real, A, eta)
     p = np.asarray(p, dtype=np.complex128)
-    if p.shape != (real.num_eavesdroppers,):
-        raise ContractError(f"p must have length {real.num_eavesdroppers}")
-    g_eff = p.conj() @ real.G
-    r = g_eff / real.h
-    K = real.num_users
-    num = (eta**2 / K) * abs(np.sum(r)) ** 2
-    den = (
-        eta**2 * float(np.sum(np.abs(r) ** 2))
-        + float(np.sum(np.abs(g_eff @ A) ** 2))
-        + real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
-    )
-    if den == 0.0:
-        return 1.0  # p = 0: no observation
-    return 1.0 - num / den
+    if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
+        raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
+    noise = real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
+    return _scalar(_receiver(p.conj() @ real.G, real.h, A, eta, noise))
 
 
 def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityReport:
@@ -234,13 +240,11 @@ def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityRepo
 
 def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> np.ndarray:
     """``A`` as a ``(K, M)`` array; inputs no oracle can simulate raise first."""
-    if num_samples < 10**4:
-        raise ContractError("num_samples must be at least 10^4")
+    if num_samples < _MIN_SAMPLES:
+        raise ContractError(f"num_samples must be at least {_MIN_SAMPLES}")
     if np.ndim(real.sigma_y_sq) != 0 or np.ndim(real.sigma_z_sq) != 0:
         raise ContractError("the oracles take scalar noise variances, not one per SNR")
-    if not math.isfinite(eta):
-        raise ContractError(f"eta must be finite, got {eta!r}")
-    A = _precoder(A)
+    A = _checked(real, A, eta)
     if A.ndim != 2 or A.shape[0] != real.num_users:
         raise ContractError(f"precoder must have shape ({real.num_users}, M), got {A.shape}")
     return A
@@ -270,6 +274,11 @@ def _simulate_chunk(rng, real, A, eta, n):
     return w[:K].sum(axis=0), yz[0], yz[1:]
 
 
+def _chunk_sizes(total: int):
+    """``total`` draws as chunks of at most ``_CHUNK``."""
+    return (min(_CHUNK, total - start) for start in range(0, total, _CHUNK))
+
+
 def _heldout_mse(rng, real, A, eta, num_samples, estimators):
     """Mean and standard error of each estimator's normalized squared error.
 
@@ -278,15 +287,12 @@ def _heldout_mse(rng, real, A, eta, num_samples, estimators):
     """
     sums = np.zeros(len(estimators))
     sums_sq = np.zeros(len(estimators))
-    left = num_samples
-    while left > 0:
-        n = min(left, _CHUNK)
+    for n in _chunk_sizes(num_samples):
         s, y, z = _simulate_chunk(rng, real, A, eta, n)
         for i, estimate in enumerate(estimators):
             err = np.abs(estimate(y, z) - s) ** 2 / real.num_users
             sums[i] += err.sum()
             sums_sq[i] += np.sum(err**2)
-        left -= n
     means = sums / num_samples
     variances = np.maximum(sums_sq / num_samples - means**2, 0.0)
     return means, np.sqrt(variances / num_samples)
@@ -308,30 +314,24 @@ def mc_oracle(
     """
     A = _oracle_inputs(real, A, eta, num_samples)
     L = real.num_eavesdroppers
-    fit_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
-
     n_fit = num_samples // 2
-    rng = np.random.default_rng(fit_ss)
+    rng = _stream(seed, 0)
     syy = 0.0
     ssy = 0.0 + 0.0j
     szz = np.zeros((L, L), dtype=np.complex128)
     szs = np.zeros(L, dtype=np.complex128)
-    left = n_fit
-    while left > 0:
-        n = min(left, _CHUNK)
+    for n in _chunk_sizes(n_fit):
         s, y, z = _simulate_chunk(rng, real, A, eta, n)
         syy += float(np.vdot(y, y).real)
         ssy += complex(np.vdot(y, s))  # sum of s conj(y)
         szz += z @ z.conj().T  # sum of z z^H outer products
         szs += z @ s.conj()
-        left -= n
     a_fit = ssy / syy
     # Independent generic solve: the oracle must not share the Cholesky path.
     p_fit = np.linalg.solve(szz / n_fit, szs / n_fit)
 
     estimators = (lambda y, z: a_fit * y, lambda y, z: p_fit.conj() @ z)
-    rng = np.random.default_rng(eval_ss)
-    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples - n_fit, estimators)
+    means, std_errs = _heldout_mse(_stream(seed, 1), real, A, eta, num_samples - n_fit, estimators)
     return OracleReport(
         D_hat=float(means[0]),
         S_hat=float(means[1]),
@@ -359,8 +359,7 @@ def mc_combiner_mse(
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
         raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means, std_errs = _heldout_mse(rng, real, A, eta, num_samples, (lambda y, z: p.conj() @ z,))
+    means, std_errs = _heldout_mse(_stream(seed), real, A, eta, num_samples, (lambda y, z: p.conj() @ z,))
     return float(means[0]), float(std_errs[0])
 
 
@@ -382,18 +381,18 @@ def statistical_csi_check(
     the channel is deterministic and the cross-covariance converges to
     ``eta * sum_k g_{l,k} / h_k`` instead.
     """
+    if num_realizations < 1:
+        raise ContractError(f"num_realizations must be at least 1, got {num_realizations}")
     if config.fading_mode != "complex":
         raise ContractError("the phase ensemble requires complex fading")
     real = sample_realization(config, seed)
     if eta is None:
         eta = math.sqrt(float(np.min(real.P * np.abs(real.h) ** 2)))
     L = real.num_eavesdroppers
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
+    rng = _stream(seed, 9)
     sum_x = np.zeros(L, dtype=np.complex128)
     sum_abs_sq = np.zeros(L)
-    left = num_realizations
-    while left > 0:
-        n = min(left, _CHUNK)
+    for n in _chunk_sizes(num_realizations):
         gamma = _cn(rng, (n, real.num_users))
         w = gamma / real.h[np.newaxis, :]
         if randomize_phases:
@@ -405,7 +404,6 @@ def statistical_csi_check(
         x = z * gamma.sum(axis=1).conj()[:, np.newaxis]
         sum_x += x.sum(axis=0)
         sum_abs_sq += np.sum(np.abs(x) ** 2, axis=0)
-        left -= n
     mean = sum_x / num_realizations
     var = np.maximum(sum_abs_sq / num_realizations - np.abs(mean) ** 2, 0.0)
     return CrossCovarianceReport(

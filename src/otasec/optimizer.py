@@ -62,9 +62,7 @@ def _eavesdropper_terms(
     sigma = np.asarray(real.sigma_z_sq)
     if sigma.min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
-    R = real.G / real.h[np.newaxis, :]
-    sum_sq = np.abs(R.sum(axis=1)) ** 2
-    power_sq = np.sum(np.abs(R) ** 2, axis=1)
+    sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
     live = ~((sum_sq < DROP_RTOL * power_sq) | (eta == 0.0))
     alpha = np.full(sigma.shape + live.shape, np.inf)

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otasec import channel
 from otasec.channel import (
     ScenarioConfig,
     calibrate_noise,
@@ -117,6 +120,18 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sample_realization(cfg, 0)
 
+    def test_jammed_geometry_gives_up_at_the_attempt_cap(self, monkeypatch):
+        # The packing bound admits 15 points 5 m apart in a 10 m disk, but random
+        # sequential placement jams; each point stops after at most 10^4 draws.
+        cfg = base_config(disk_radius=10.0, min_separation=5.0)
+        cfg.validate()
+        draws = []
+        draw = channel._draw_disk_point
+        monkeypatch.setattr(channel, "_draw_disk_point", lambda rng, r: draws.append(r) or draw(rng, r))
+        with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
+            sample_realization(cfg, 1)
+        assert len(draws) <= 15 * 10**4
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -201,3 +216,15 @@ class TestSerialization:
         doc["h"][2] = [0.0, 0.0]
         with pytest.raises(ConfigurationError, match="h_k"):
             realization_from_dict(doc)
+
+
+def test_only_channel_derives_random_streams():
+    # Streams are part of the contract, so they are spelled in one module: every
+    # other module draws through channel._stream or channel._child_seed.
+    package = Path(channel.__file__).parent
+    spelled = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "channel.py" and re.search(r"SeedSequence|default_rng", path.read_text())
+    ]
+    assert not spelled, f"random streams derived outside channel.py in {spelled}"

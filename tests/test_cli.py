@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import otasec
-from otasec import experiments, metrics
+from otasec import cli, experiments, metrics
 from otasec.channel import ScenarioConfig, realization_to_dict, sample_realization
 from otasec.cli import main
 from otasec.selftest import run_selftest
@@ -203,6 +204,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: code=2" in err and "--config" in err
 
+    def test_jammed_geometry_exits_2_in_well_under_a_second(self, tmp_path, capsys):
+        # Within the packing bound, so the random placement itself must give up fast.
+        out = tmp_path / "t.dat"
+        start = time.perf_counter()
+        jammed = ["--set", "disk_radius=10", "--set", "min_separation=5"]
+        code = main(["run", "collocated", "--trials", "2", *jammed, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert "could not place a point" in capsys.readouterr().err
+        assert elapsed < 5.0  # about 0.2 s; the old cap of 10^6 draws took 15-19 s
+        assert not out.exists()
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code = main(
             [
@@ -386,6 +399,19 @@ class TestSelftest:
         code = main(["selftest", "--trials", "4", "--samples", "20000"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args", [["--trials", "-3"], ["--seed", "-1"], ["--samples", "5"], ["--samples", "9999"]]
+    )
+    def test_bad_arguments_exit_2_before_any_check(self, monkeypatch, capsys, args):
+        def no_checks(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "run_selftest", no_checks)
+        assert main(["selftest", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: code=2" in captured.err and args[0] in captured.err
 
     def test_detects_silently_wrong_lp_answer(self, monkeypatch):
         # An "optimal" all-zero allocation must trip the grid comparison.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from otasec.channel import _cn
 from otasec.encoding import (
-    NoisePrecoder,
+    _project_out,
     _scale_to_budgets,
     build_precoder,
     eta_bounds_given_mu,
@@ -11,7 +12,6 @@ from otasec.encoding import (
     mixture_precoders,
     precoder_to_dict,
     row_budgets,
-    transmit,
 )
 from otasec.errors import ContractError, InfeasibleError
 from otasec.metrics import approximation_error
@@ -286,22 +286,6 @@ class TestBuilders:
         assert A.shape == (4, 3, 2)
 
 
-class TestTransmit:
-    def test_identity_channel(self):
-        real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, 1.0]], P=4.0)
-        prec = NoisePrecoder(zero_A(2), "none", 1.0)
-        gamma = np.array([0.5 + 0.5j, -1.0])
-        x = transmit(real, prec, 1.0, gamma, np.zeros(1))
-        assert np.array_equal(x, gamma)
-
-    def test_pure_noise(self, rng):
-        real = make_realization(7, K=4, L=1)
-        eta = eta_from_delta(real, 0.5)
-        prec = build_precoder("signal_level", real, eta)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = transmit(real, prec, eta, np.zeros(4), v)
-        assert np.allclose(x, prec.A @ v)
-
     def test_average_power_matches_budget_split(self, rng):
         real = make_realization(8, K=4, L=1)
         eta = eta_from_delta(real, 0.6)
@@ -313,3 +297,37 @@ class TestTransmit:
         measured = np.mean(np.abs(x) ** 2, axis=0)
         expected = eta**2 / np.abs(real.h) ** 2 + prec.row_powers()
         assert measured == pytest.approx(expected, rel=0.03)
+
+
+def spawned_zf(ss, real, budgets):
+    """A random zero-forced matrix drawn from the ``SeedSequence`` ``ss``."""
+    K = real.num_users
+    return _scale_to_budgets(_project_out(_cn(np.random.default_rng(ss), (1, K, K - 1)), real.h), budgets)[0]
+
+
+class TestStreams:
+    """The random families keep the streams they drew with ``SeedSequence`` spelled out."""
+
+    GRID = [(K, fading, seed) for K in (3, 4, 10) for fading in ("complex", "real") for seed in (0, 7)]
+
+    @pytest.mark.parametrize("K, fading, seed", GRID)
+    def test_random_zf_matches_the_seed_sequence_spelling(self, K, fading, seed):
+        real = make_realization(seed, K=K, L=3, fading_mode=fading)
+        eta = eta_from_delta(real, 0.6)
+        expected = spawned_zf(np.random.SeedSequence(seed + 5), real, row_budgets(real, eta))
+        assert build_precoder("random_zf", real, eta, seed=seed + 5).A.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("K, fading, seed", GRID)
+    def test_mixtures_match_the_spawn_spelling(self, K, fading, seed):
+        real = make_realization(seed, K=K, L=3, fading_mode=fading)
+        eta = eta_from_delta(real, 0.6)
+        budgets = row_budgets(real, eta)
+        seeds, thetas = [seed, seed + 1, 12345], np.array([0.0, 0.3, 1.0])
+        w = thetas[:, None, None]
+        expected = []
+        for pair in seeds:
+            zf_ss, rand_ss = np.random.SeedSequence(pair).spawn(2)
+            A = (1.0 - w) * spawned_zf(zf_ss, real, budgets)
+            A += w * _cn(np.random.default_rng(rand_ss), (K, K - 1))
+            expected.append(_scale_to_budgets(A, budgets))
+        assert mixture_precoders(real, eta, seeds, thetas).tobytes() == np.array(expected).tobytes()

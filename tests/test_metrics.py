@@ -300,6 +300,76 @@ class TestStackedPrecoders:
             coop_security(real, stack, eta)
 
 
+def noncoop_reference(real, A, eta):
+    """Per-eavesdropper security of one ``(K, M)`` precoder at one noise variance, as first written."""
+    R = real.G / real.h[np.newaxis, :]
+    K = real.num_users
+    num = (eta**2 / K) * np.abs(R.sum(axis=1)) ** 2
+    den = (
+        eta**2 * np.sum(np.abs(R) ** 2, axis=1)
+        + np.sum(np.abs(real.G @ A) ** 2, axis=-1)
+        + np.asarray(real.sigma_z_sq)[..., np.newaxis]
+    )
+    return 1.0 - num / den
+
+
+class TestReceiverKernel:
+    """The one single-receiver kernel reproduces the per-eavesdropper formula bit for bit."""
+
+    @pytest.mark.parametrize("seed, L", [(20, 1), (21, 3), (22, 7), (26, 1), (27, 4)])
+    @pytest.mark.parametrize("delta", [0.0, 0.6])
+    def test_noncoop_equals_the_looped_reference(self, seed, L, delta):
+        real = make_realization(seed, K=5, L=L)
+        eta = eta_from_delta(real, delta)
+        stack = precoder_stack(real, eta)
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([100.0, 1.0, 0.01]))
+        _, per = noncoop_security(real, stack, eta)
+        _, per_noisy = noncoop_security(noisy, stack[:, :, None], eta)
+        for idx in np.ndindex(2, 3):
+            assert per[idx].tobytes() == noncoop_reference(real, stack[idx], eta).tobytes()
+            for s, one in enumerate(per_snr):
+                assert per_noisy[idx + (s,)].tobytes() == noncoop_reference(one, stack[idx], eta).tobytes()
+
+    def test_ratio_sums_feed_the_optimizer(self):
+        from otasec.optimizer import _eavesdropper_terms
+
+        real = make_realization(21, K=5, L=3)
+        R = real.G / real.h[np.newaxis, :]
+        sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
+        assert sum_sq.tobytes() == (np.abs(R.sum(axis=1)) ** 2).tobytes()
+        assert power_sq.tobytes() == np.sum(np.abs(R) ** 2, axis=1).tobytes()
+        assert _eavesdropper_terms(real, 0.5)[1].tobytes() == sum_sq.tobytes()
+
+
+CLOSED_FORMS = [
+    approximation_error,
+    eavesdropper_moments,
+    coop_security,
+    noncoop_security,
+    effective_channel_security,
+]
+
+
+class TestBadEta:
+    """Every closed form rejects an ``eta`` that is not finite and nonnegative."""
+
+    @pytest.mark.parametrize("fn", CLOSED_FORMS)
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_raises_contract_error(self, fn, eta, stacked):
+        real = make_realization(25, K=4, L=2)
+        A = precoder_stack(real, eta_from_delta(real, 0.5))
+        extra = (np.ones(2),) if fn is effective_channel_security else ()
+        with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
+            fn(real, A if stacked else A[1, 2], eta, *extra)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_effective_channel_rejects_non_finite_combiner(self, bad):
+        real = make_realization(25, K=4, L=2)
+        with pytest.raises(ContractError, match="p must be 2 finite values"):
+            effective_channel_security(real, zero_A(4), 0.1, np.array([1.0, bad]))
+
+
 class TestNonFinitePrecoder:
     """A NaN or inf entry in ``A`` raises before any arithmetic can warn."""
 
@@ -421,13 +491,15 @@ class TestOracleInputs:
             eta = np.inf
         elif name == "nan_eta":
             eta = np.nan
+        elif name == "negative_eta":
+            eta = -0.5
         elif name == "short_A":
             A = A[:3]
         elif name == "stacked_A":
             A = np.stack([A, A])
         return real, A, eta, p, num_samples
 
-    BAD = ["few_samples", "snr_axis", "nan_A", "inf_eta", "nan_eta", "short_A", "stacked_A"]
+    BAD = ["few_samples", "snr_axis", "nan_A", "inf_eta", "nan_eta", "negative_eta", "short_A", "stacked_A"]
 
     @pytest.mark.parametrize("name", BAD)
     def test_mc_oracle(self, name):
@@ -469,6 +541,13 @@ class TestStatisticalCsi:
         config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
         rep = statistical_csi_check(config, 20_000, seed=15, eta=0.0)
         assert np.all(np.abs(rep.crosscov) <= 4.0 * rep.std_err)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_an_empty_ensemble(self, count, monkeypatch):
+        monkeypatch.setattr(metrics, "sample_realization", None)  # nothing may be drawn
+        config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
+        with pytest.raises(ContractError, match="num_realizations must be at least 1"):
+            statistical_csi_check(config, count, seed=1)
 
     def test_requires_complex_fading(self):
         config = ScenarioConfig(num_users=4, num_eavesdroppers=2, fading_mode="real")
