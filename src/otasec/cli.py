@@ -184,7 +184,15 @@ def _shared_params(args, real) -> dict:
     return {"N": args.shared_n, "selection": args.selection}
 
 
+def _check_at_least(*checks) -> None:
+    """Reject, before any work, an integer argument below its least value."""
+    for flag, value, least in checks:
+        if value < least:
+            raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
+
+
 def _cmd_metrics(args) -> int:
+    _check_at_least(("--seed", args.seed, 0))
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
     if args.shared_n is not None:
@@ -213,6 +221,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _check_at_least(("--seed", args.seed, 0))
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
     if args.shared_n is not None:
@@ -225,13 +234,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    for flag, value, least in (
-        ("--trials", args.trials, 0),
-        ("--seed", args.seed, 0),
-        ("--samples", args.samples, _MIN_SAMPLES),
-    ):
-        if value < least:
-            raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
+    _check_at_least(
+        ("--trials", args.trials, 0), ("--seed", args.seed, 0), ("--samples", args.samples, _MIN_SAMPLES)
+    )
     return run_selftest(trials=args.trials, seed=args.seed, samples=args.samples)
 
 

@@ -5,7 +5,11 @@ system parameter (eavesdropper count, SNR, power-control fraction, ...) whose
 metrics are averaged over independent random topologies.  Realization ``r``
 of a preset always uses seed ``base_seed + r``, and the same realization
 index reuses the same topology across sweep values, so curves are exactly
-paired and differences between them have low variance.
+paired and differences between them have low variance.  Realizations are
+also nested in the eavesdropper count: the first L eavesdroppers a seed draws
+at L_max are the ones it draws at L.  So ``sweep_L`` scores every L from one
+evaluation at L_max, where the first L eavesdroppers' covariance is the
+leading L x L block and its Cholesky factor the leading block of the factor.
 
 One entry of the private registry ``_PRESETS`` defines a preset: defaults,
 columns, rows, per-trial function and metadata keys.  Averaged presets expose
@@ -45,7 +49,8 @@ from .encoding import (
     mixture_precoders,
 )
 from .errors import ConfigurationError, ContractError
-from .metrics import approximation_error, coop_security, noncoop_security
+from .linalg import _forward, cholesky
+from .metrics import approximation_error, coop_security, eavesdropper_moments, noncoop_security
 from .optimizer import optimize_proposed, optimize_shared_zf
 from .version import __version__
 
@@ -104,18 +109,19 @@ def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
 
 
 def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
+    # One evaluation at L_max scores every L: the first L eavesdroppers' covariance is
+    # the leading L x L block of B, so its Cholesky factor is the leading block of
+    # C = cholesky(B), and with y = C^{-1} m, m_L^H B_L^{-1} m_L = sum_{l<L} |y_l|^2.
     cfg = replace(preset.config, num_eavesdroppers=max(preset.sweep_values))
     real = sample_realization(cfg, preset.base_seed + r)
     eta = eta_from_delta(real, preset.delta)
     A = _no_noise(real.num_users, eta).A
+    s_non = np.minimum.accumulate(noncoop_security(real, A, eta)[1])
+    B, m = eavesdropper_moments(real, A, eta)
+    s_coop = 1.0 - np.cumsum(np.abs(_forward(cholesky(B), m)) ** 2) / real.num_users
     D = approximation_error(real, A, eta)
-    out = np.empty((len(preset.sweep_values), 3))
-    for j, L in enumerate(preset.sweep_values):
-        sub = _first_eavesdroppers(real, L)
-        s_coop, _ = coop_security(sub, A, eta)
-        s_non, _ = noncoop_security(sub, A, eta)
-        out[j] = (D, s_coop, s_non)
-    return out
+    rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by _check_fields
+    return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
 
 
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -226,8 +232,7 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
         raise ConfigurationError(f"preset {preset.name!r} has no per-trial form")
     if preset.num_realizations < 1:
         raise ConfigurationError("num_realizations must be at least 1")
-    if len(preset.sweep_values) == 0:
-        raise ConfigurationError("sweep_values must be non-empty")
+    _check_fields(preset, spec)
     results = _map_trials(lambda r: spec.trial(preset, r), preset.num_realizations, threads)
     return np.stack(results, axis=0)
 

@@ -15,6 +15,10 @@ stack each message names the index of the offending matrix.  Every dot
 product is a ``@`` on ``[..., None]`` views, which runs the same BLAS dot or
 gemv per matrix as the 2-D loops did, so each matrix of a stack is factored
 and solved with exactly the rounding of a 2-D call on that matrix alone.
+
+The forward substitution ``_forward`` is shared: :func:`hermitian_solve` runs
+it before its back substitution, and ``sweep_L`` runs it alone, because its
+first ``j`` entries use only the leading ``j x j`` block of the factor.
 """
 
 from __future__ import annotations
@@ -80,6 +84,16 @@ def cholesky(B: np.ndarray) -> np.ndarray:
     return L
 
 
+def _forward(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L y = rhs`` for a factor from :func:`cholesky`; leading axes broadcast."""
+    diag = L.diagonal(axis1=-2, axis2=-1)
+    y = np.zeros(np.broadcast(L[..., 0], rhs).shape, dtype=np.complex128)
+    for i in range(L.shape[-1]):
+        dot = (L[..., i, None, :i] @ y[..., :i, None])[..., 0, 0]
+        y[..., i] = (rhs[..., i] - dot) / diag[..., i]
+    return y
+
+
 def hermitian_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``B x = rhs`` for Hermitian positive-definite ``B``, per matrix of a stack.
 
@@ -96,16 +110,11 @@ def hermitian_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape[-1] != n:
         raise ShapeError(f"matrix is {n}x{n} but right-hand side has length {rhs.shape[-1]}")
     try:
-        shape = np.broadcast(L[..., 0], rhs).shape
+        y = _forward(L, rhs)
     except ValueError:
         raise ShapeError(f"stack of shape {L.shape} does not broadcast with {rhs.shape}") from None
-    diag = L.diagonal(axis1=-2, axis2=-1)
-    y = np.zeros(shape, dtype=np.complex128)
-    for i in range(n):
-        dot = (L[..., i, None, :i] @ y[..., :i, None])[..., 0, 0]
-        y[..., i] = (rhs[..., i] - dot) / diag[..., i]
-    pivots = diag.real
-    x = np.zeros(shape, dtype=np.complex128)
+    pivots = L.diagonal(axis1=-2, axis2=-1).real
+    x = np.zeros(y.shape, dtype=np.complex128)
     for i in range(n - 1, -1, -1):
         dot = (L[..., i + 1 :, i].conj()[..., None, :] @ x[..., i + 1 :, None])[..., 0, 0]
         x[..., i] = (y[..., i] - dot) / pivots[..., i]

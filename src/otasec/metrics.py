@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
+from .encoding import eta_from_delta
 from .errors import ContractError
 from .linalg import _where, hermitian_solve
 
@@ -106,10 +107,14 @@ def _scalar(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _checked(real: SystemRealization, A, eta: float, positive_noise: bool = False) -> np.ndarray:
-    """``A`` as an array after the input checks; a non-finite entry is named by its matrix in a stack."""
+def _check_eta(eta: float) -> None:
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ContractError(f"eta must be finite and nonnegative, got {eta!r}")
+
+
+def _checked(real: SystemRealization, A, eta: float, positive_noise: bool = False) -> np.ndarray:
+    """``A`` as an array after the input checks; a non-finite entry is named by its matrix in a stack."""
+    _check_eta(eta)
     if positive_noise and np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     A = np.asarray(A)
@@ -379,15 +384,19 @@ def statistical_csi_check(
     and the ensemble security level is 1; the returned standard errors supply
     the matching CLT acceptance threshold.  With ``randomize_phases=False``
     the channel is deterministic and the cross-covariance converges to
-    ``eta * sum_k g_{l,k} / h_k`` instead.
+    ``eta * sum_k g_{l,k} / h_k`` instead.  ``eta`` defaults to the no-noise
+    maximum ``eta_from_delta(real, 1.0)``; an explicit one must be finite and
+    nonnegative, as for the closed forms.
     """
     if num_realizations < 1:
         raise ContractError(f"num_realizations must be at least 1, got {num_realizations}")
     if config.fading_mode != "complex":
         raise ContractError("the phase ensemble requires complex fading")
+    if eta is not None:
+        _check_eta(eta)
     real = sample_realization(config, seed)
     if eta is None:
-        eta = math.sqrt(float(np.min(real.P * np.abs(real.h) ** 2)))
+        eta = eta_from_delta(real, 1.0)
     L = real.num_eavesdroppers
     rng = _stream(seed, 9)
     sum_x = np.zeros(L, dtype=np.complex128)

@@ -346,6 +346,20 @@ def test_bad_shared_n_exits_2(realization_file, capsys, command, n_share):
     assert "error: code=2" in captured.err and "--shared-n" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("metrics", ["--kind", "random_zf"]), ("metrics", ["--kind", "mixture"]), ("optimize", [])]
+)
+def test_negative_seed_exits_2_before_loading(realization_file, monkeypatch, capsys, command, extra):
+    def no_load(path):
+        raise AssertionError("the document was loaded")
+
+    monkeypatch.setattr(cli, "load_realization", no_load)
+    assert main([command, str(realization_file), *extra, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err and "--seed must be at least 0" in captured.err
+
+
 def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
     from otasec import cli
 

@@ -132,9 +132,41 @@ class TestSweepL:
         assert np.all(table.rows[:, 1] < table.rows[:, 3])  # D below S_noncoop
 
     def test_per_trial_values_decrease_pointwise(self):
-        trials = collect_trials(small("sweep_L"))
-        s_coop = trials[:, :, 1]
-        assert np.all(np.diff(s_coop, axis=1) <= 0)
+        for fading in ("complex", "real"):
+            trials = collect_trials(small("sweep_L", sweep_values=tuple(range(1, 16)), fading_mode=fading))
+            assert np.all(np.diff(trials[:, :, 1], axis=1) <= 0), fading  # S_coop
+            assert np.all(np.diff(trials[:, :, 2], axis=1) <= 0), fading  # S_noncoop
+
+
+def looped_sweep_L_trial(preset, r):
+    """One sweep_L trial with a loop over L: both security levels on the first L eavesdroppers."""
+    config = dataclasses.replace(preset.config, num_eavesdroppers=max(preset.sweep_values))
+    full = sample_realization(config, preset.base_seed + r)
+    eta = eta_from_delta(full, preset.delta)
+    A = np.zeros((full.num_users, 1), dtype=np.complex128)
+    D = approximation_error(full, A, eta)
+    rows = []
+    for L in preset.sweep_values:
+        real = dataclasses.replace(full, eav_positions=full.eav_positions[:L], G=full.G[:L])
+        rows.append([D, coop_security(real, A, eta)[0], noncoop_security(real, A, eta)[0]])
+    return np.array(rows)
+
+
+class TestSweepLPrefix:
+    """Each trial scores every L from one evaluation at L_max; it must equal the per-L loop."""
+
+    @pytest.mark.parametrize("K", [3, 10])
+    @pytest.mark.parametrize("fading", ["complex", "real"])
+    @pytest.mark.parametrize("sweep", [tuple(range(1, 16)), tuple(range(15, 0, -1)), (15, 7, 2)])
+    def test_trials_equal_the_per_L_loop(self, K, fading, sweep):
+        preset = small("sweep_L", num_realizations=3, num_users=K, fading_mode=fading, sweep_values=sweep)
+        expected = np.stack([looped_sweep_L_trial(preset, r) for r in range(3)])
+        trials = collect_trials(preset, threads=1)
+        assert trials.shape == expected.shape == (3, len(sweep), 3)
+        assert trials[..., [0, 2]].tobytes() == expected[..., [0, 2]].tobytes()  # D, S_noncoop
+        # S_coop = 1 - q with q = m^H B^{-1} m / K, and the two paths round q differently.
+        # Near q = 1 (K = 3) that rounding is over 1e-12 of S_coop, so compare q itself.
+        np.testing.assert_allclose(1.0 - trials[..., 1], 1.0 - expected[..., 1], rtol=1e-12, atol=0.0)
 
 
 class TestSnrSweep:
@@ -425,6 +457,25 @@ class TestValidation:
         preset.sweep_values = ()
         with pytest.raises(ConfigurationError):
             run_preset(preset)
+
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("sweep_L", dict(sweep_values=(0, 1)), "sweep_values must list eavesdropper counts >= 1"),
+            ("sweep_L", dict(sweep_values=(1.5, 3)), "sweep_values must list eavesdropper counts >= 1"),
+            ("power_control", dict(delta_grid=(2.0,)), "delta_grid must lie in [0, 1]"),
+        ],
+        ids=["zero_count", "fractional_count", "delta_grid"],
+    )
+    def test_collect_trials_checks_fields_like_run_preset(self, monkeypatch, name, overrides, message):
+        preset = small(name, **overrides)
+        with pytest.raises(ConfigurationError) as from_run:
+            run_preset(preset)
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        with pytest.raises(ConfigurationError) as from_collect:
+            collect_trials(preset)
+        assert str(from_collect.value) == str(from_run.value)
+        assert str(from_run.value).startswith(message)
 
     def test_collect_trials_rejects_scatter_presets(self):
         with pytest.raises(ConfigurationError):

@@ -549,6 +549,22 @@ class TestStatisticalCsi:
         with pytest.raises(ContractError, match="num_realizations must be at least 1"):
             statistical_csi_check(config, count, seed=1)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0])
+    def test_rejects_a_bad_eta(self, eta, monkeypatch):
+        monkeypatch.setattr(metrics, "sample_realization", None)  # nothing may be drawn
+        config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
+        with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
+            statistical_csi_check(config, 100, seed=1, eta=eta)
+
+    def test_default_eta_is_the_no_noise_maximum(self):
+        from otasec.channel import sample_realization
+
+        config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
+        eta = eta_from_delta(sample_realization(config, 16), 1.0)
+        default = statistical_csi_check(config, 1000, seed=16)
+        explicit = statistical_csi_check(config, 1000, seed=16, eta=eta)
+        assert default.crosscov.tobytes() == explicit.crosscov.tobytes()
+
     def test_requires_complex_fading(self):
         config = ScenarioConfig(num_users=4, num_eavesdroppers=2, fading_mode="real")
         with pytest.raises(ContractError):
