@@ -31,6 +31,8 @@ Precoder families
     ``(seeds, thetas, K, K - 1)`` from one draw per seed; ``build_precoder``
     takes its one-seed, one-theta slice.  The stack feeds the metrics of
     :mod:`otasec.metrics`, which accept precoders of shape ``(..., K, M)``.
+
+:func:`eta_from_delta` and :func:`row_budgets` also take arrays, one entry per power-control fraction.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ class NoisePrecoder:
 
     @property
     def noise_dim(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
 
     def row_powers(self) -> np.ndarray:
-        return np.sum(np.abs(self.A) ** 2, axis=1)
+        return np.sum(np.abs(self.A) ** 2, axis=-1)
 
 
 def _no_noise(K: int, eta: float, degenerate: bool = False) -> NoisePrecoder:
@@ -82,9 +84,20 @@ def _no_noise(K: int, eta: float, degenerate: bool = False) -> NoisePrecoder:
     return NoisePrecoder(A, "none", eta, degenerate=degenerate)
 
 
-def row_budgets(real: SystemRealization, eta: float) -> np.ndarray:
-    """Residual per-user noise power ``P - eta^2 / |h_k|^2`` (clipped at 0)."""
-    budgets = real.P - eta**2 / np.abs(real.h) ** 2
+def _squared(eta) -> np.ndarray:
+    """``eta**2`` per entry, rounded as a Python float's ``eta**2`` (libm ``pow``), not as ``eta * eta``."""
+    eta = np.asarray(eta, dtype=float)
+    return np.array([e**2 for e in eta.ravel().tolist()]).reshape(eta.shape)
+
+
+def _check_scalar_eta(eta) -> None:
+    if np.ndim(eta) != 0:
+        raise ContractError(f"expected a scalar eta, not an array of shape {np.shape(eta)}")
+
+
+def row_budgets(real: SystemRealization, eta) -> np.ndarray:
+    """Residual noise power ``P - eta^2 / |h_k|^2`` per user (clipped at 0), shape ``eta.shape + (K,)``."""
+    budgets = real.P - _squared(eta)[..., np.newaxis] / np.abs(real.h) ** 2
     if np.any(budgets < -_BUDGET_SLACK * real.P):
         raise InfeasibleError("eta exceeds the power budget of at least one user")
     return np.maximum(budgets, 0.0)
@@ -123,11 +136,13 @@ def eta_bounds_given_mu(
     return lower, upper
 
 
-def eta_from_delta(real: SystemRealization, delta: float) -> float:
-    """Fraction ``delta`` of the no-noise maximum ``sqrt(min_k P |h_k|^2)``."""
-    if not (0.0 <= delta <= 1.0):
+def eta_from_delta(real: SystemRealization, delta):
+    """Fraction ``delta`` of the no-noise maximum ``sqrt(min_k P |h_k|^2)``; one per entry of an array."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all((delta >= 0.0) & (delta <= 1.0)):
         raise ContractError("delta must lie in [0, 1]")
-    return delta * math.sqrt(float(np.min(real.P * np.abs(real.h) ** 2)))
+    eta = delta * math.sqrt(float(np.min(real.P * np.abs(real.h) ** 2)))
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def _scale_to_budgets(A: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -142,7 +157,10 @@ def _scale_to_budgets(A: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     huge = np.isinf(c) & live.any(axis=-1)
     if huge.any():
         # Every live row's ratio overflowed: bring those matrices to unit size and rescale.
-        A[huge] /= np.max(np.abs(A[huge]), axis=(-2, -1), keepdims=True)
+        # 1 / peak overflows for a subnormal peak: first scale both, exactly, to put the peak in [0.5, 1).
+        peak = np.max(np.abs(A[huge]), axis=(-2, -1), keepdims=True)
+        up = -np.frexp(peak)[1]
+        A[huge] = np.ldexp(A[huge].view(np.float64), up).view(np.complex128) / np.ldexp(peak, up)
         return _scale_to_budgets(A, budgets)
     A *= np.where(live.any(axis=-1), c, 0.0)[..., None, None]
     return A
@@ -174,6 +192,7 @@ def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.
     theta is the convex combination ``(1 - theta) * A_zf + theta * A_rand``
     of those draws, rescaled to the row budgets.
     """
+    _check_scalar_eta(eta)
     thetas = np.asarray(thetas, dtype=float)
     if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError("theta must lie in [0, 1]")
@@ -200,6 +219,7 @@ def build_precoder(
     """
     if kind not in PRECODER_KINDS:
         raise ContractError(f"unknown precoder kind {kind!r}")
+    _check_scalar_eta(eta)
     params = params or {}
     K = real.num_users
     eta_max = eta_from_delta(real, 1.0)

@@ -192,12 +192,11 @@ def _columns_shared_zf(preset: ExperimentPreset):
 
 
 def _trial_power_control(preset: ExperimentPreset, r: int) -> np.ndarray:
+    # eta of shape (deltas, 1) meets the SNR axis: one design and one call per metric.
     real = _with_snr(sample_realization(preset.config, preset.base_seed + r), preset)
-    cols = []
-    for delta in preset.delta_grid:
-        eta = eta_from_delta(real, float(delta))
-        A = optimize_proposed(real, eta).A
-        cols += [coop_security(real, A, eta)[0], approximation_error(real, A, eta)]
+    eta = eta_from_delta(real, np.asarray(preset.delta_grid, dtype=float)[:, np.newaxis])
+    A = optimize_proposed(real, eta).A
+    cols = np.stack([coop_security(real, A, eta)[0], approximation_error(real, A, eta)], axis=1)
     return _by_snr(cols, preset)
 
 
@@ -261,6 +260,7 @@ def _columns_eta_design_space(preset: ExperimentPreset):
 
 
 def _check_eta_design_space(preset: ExperimentPreset) -> None:
+    _check_nonempty(preset, "power_levels")
     if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
         raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {preset.sweep_values!r}")
     if not all(p > 0.0 for p in preset.power_levels):  # finiteness is a type check
@@ -283,31 +283,29 @@ def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.
 
 
 def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
-    # Per delta: the proposed design, then every (pair, theta) mixture in
-    # pair-major order, all scored by one stacked call per metric.
+    # Per delta: the proposed design, then every (pair, theta) mixture in pair-major order.  The
+    # proposed designs are built and scored in one call over an eta array, the mixtures per delta.
     real = sample_realization(preset.config, preset.base_seed)
+    deltas = np.asarray(preset.sweep_values, dtype=float)
+    etas = eta_from_delta(real, deltas)
+    A = optimize_proposed(real, etas).A
     thetas = np.linspace(0.0, 1.0, preset.mixture_thetas)
-    kinds = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
-    kinds[thetas == 1.0] = TRADEOFF_KINDS["random"]
     pairs = preset.mixture_pairs
-    per_delta = 1 + pairs * len(thetas)
-    rows = np.empty((len(preset.sweep_values) * per_delta, 5))
-    for d_idx, delta in enumerate(preset.sweep_values):
-        block = rows[d_idx * per_delta : (d_idx + 1) * per_delta]
-        eta = eta_from_delta(real, float(delta))
-        A = optimize_proposed(real, eta).A
-        D, s_coop = approximation_error(real, A, eta), coop_security(real, A, eta)[0]
-        block[0] = (TRADEOFF_KINDS["proposed"], delta, 0.0, D, s_coop)
+    rows = np.empty((len(deltas), 1 + pairs * len(thetas), 5))
+    rows[..., 1] = deltas[:, np.newaxis]
+    rows[:, 0, 0], rows[:, 0, 2] = TRADEOFF_KINDS["proposed"], 0.0
+    rows[:, 0, 3], rows[:, 0, 4] = approximation_error(real, A, etas), coop_security(real, A, etas)[0]
+    mixtures = rows[:, 1:].reshape(len(deltas), pairs, len(thetas), 5)
+    mixtures[..., 0] = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
+    mixtures[..., thetas == 1.0, 0] = TRADEOFF_KINDS["random"]
+    mixtures[..., 2] = thetas
+    for d_idx, eta in enumerate(etas.tolist()):
         seeds = [_child_seed(preset.base_seed, 3, d_idx, pair) for pair in range(pairs)]
         stack = mixture_precoders(real, eta, seeds, thetas)
-        mixtures = block[1:].reshape(pairs, len(thetas), 5)
-        mixtures[..., 0] = kinds
-        mixtures[..., 1] = delta
-        mixtures[..., 2] = thetas
-        mixtures[..., 3] = approximation_error(real, stack, eta)
-        mixtures[..., 4] = coop_security(real, stack, eta)[0]
+        mixtures[d_idx, ..., 3] = approximation_error(real, stack, eta)
+        mixtures[d_idx, ..., 4] = coop_security(real, stack, eta)[0]
         del stack  # hold one delta's stack at a time
-    return rows
+    return rows.reshape(-1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +349,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_sweep_snr_designs,
         meta=("designs", "delta"),
+        check=lambda preset: _check_nonempty(preset, "designs"),
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "security_gap": _Spec(
@@ -358,6 +357,7 @@ _PRESETS = {
         rows=_gap_rows,
         trial=_trial_sweep_snr_designs,
         meta=("designs", "delta"),
+        check=lambda preset: _check_nonempty(preset, "designs"),
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "collocated": _Spec(
@@ -381,6 +381,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_power_control,
         meta=("delta_grid",),
+        check=lambda preset: _check_nonempty(preset, "delta_grid"),
         fields=dict(sweep_values=_SNR_GRID),
     ),
     "tradeoff": _Spec(
@@ -443,11 +444,16 @@ def _metadata(preset: ExperimentPreset) -> dict:
     return meta
 
 
+def _check_nonempty(preset: ExperimentPreset, *names: str) -> None:
+    for name in names:
+        if len(getattr(preset, name)) == 0:
+            raise ConfigurationError(f"{name} must be non-empty")
+
+
 def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     """Reject, before any trial runs, field values that no trial can use."""
     _check_types(preset)
-    if len(preset.sweep_values) == 0:
-        raise ConfigurationError("sweep_values must be non-empty")
+    _check_nonempty(preset, "sweep_values")
     sweep = np.asarray(preset.sweep_values, dtype=float)
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")

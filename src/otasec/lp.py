@@ -1,4 +1,4 @@
-"""Small dense linear programs whose origin is feasible, one at a time or stacked.
+"""Small dense linear programs whose origin is feasible, stacked or alone.
 
 Solves ``maximize c^T x`` subject to ``M x <= b`` and ``x >= 0`` with
 ``b >= 0``, via a single-phase dense simplex with Bland's anti-cycling rule.
@@ -12,11 +12,10 @@ A problem whose arrays carry a leading stack axis, ``M`` of shape
 ``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
 in lockstep: each iteration makes one pivot in every LP still working, as
 array operations over the stack, and an LP leaves the working set when it is
-optimal or turns out unbounded.  Each LP takes the pivots the one-LP loop
-would take, so its answer is bitwise equal to solving it alone.  A lone LP,
-two-dimensional or a stack of one, runs the one-LP loop: the lockstep
-iteration's stack bookkeeping costs about twice a plain pivot, and nothing
-shares it.
+optimal or turns out unbounded.  Each LP takes the pivots it would take
+alone, so its answer is bitwise equal to solving it alone.  This is the one
+simplex path: a two-dimensional problem runs as a stack of one and gets plain
+Python ``str``, ``float`` and ``int`` fields back.
 """
 
 from __future__ import annotations
@@ -96,45 +95,12 @@ def _tableau(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _basic_x(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    """The structural part of the basic solution (or of each in a stack), rounding dust scrubbed."""
+    """The structural part of each basic solution of a stack, rounding dust scrubbed."""
     xs = np.zeros(basis.shape[:-1] + (T.shape[-1] - 1,))
-    if basis.ndim == 1:
-        xs[basis] = T[:-1, -1]
-    else:
-        xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :-1, -1]
-    x = xs[..., :n]
+    xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :-1, -1]
+    x = xs[:, :n]
     x[(x < 0.0) & (x > -1e-11)] = 0.0
     return x
-
-
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
-    np.subtract(T, np.multiply.outer(factors, T[row]), out=T, where=(factors != 0.0)[:, np.newaxis])
-
-
-def _solve_one(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
-    m, n = M.shape
-    T = _tableau(c, M, b)
-    basis = np.arange(n, n + m)
-    for pivots in range(_MAX_ITER):
-        improving = (T[m, :-1] < -PIVOT_TOL).nonzero()[0]
-        if not improving.size:
-            x = _basic_x(T, basis, n)
-            return LpSolution("optimal", x, float(c @ x), pivots)
-        enter = improving[0]  # Bland: lowest improving index enters
-        column = T[:m, enter]
-        rows = (column > PIVOT_TOL).nonzero()[0]
-        if not rows.size:
-            return LpSolution("unbounded", np.zeros(n), 0.0, pivots)
-        ratios = T[rows, -1] / column[rows]
-        ties = rows[ratios <= ratios.min() + _RATIO_TIE_TOL]
-        leave = ties[basis[ties].argmin()]  # tie broken by lowest basic index
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    raise RuntimeError("simplex iteration limit exceeded")
 
 
 def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
@@ -146,33 +112,33 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
     T = _tableau(c, M, b)
     basis = np.tile(np.arange(n, n + m), (B, 1))
     ids = np.arange(B)
+    work = np.arange(B)  # positions in the working set
     for it in range(_MAX_ITER):
         improving = T[:, m, :-1] < -PIVOT_TOL
         enter = improving.argmax(axis=1)  # Bland: lowest improving index enters
-        work = np.arange(ids.size)
         column = T[work, :m, enter]
         eligible = column > PIVOT_TOL
-        optimal = ~improving[work, enter]
-        stuck = ~(optimal | eligible.any(axis=1))
-        if optimal.any() or stuck.any():
-            finished = optimal | stuck
+        better = improving[work, enter]
+        going = better & eligible.any(axis=1)
+        if not (going.all() and ids.size):  # some LP optimal or unbounded, or none left
+            finished, optimal = ~going, ~better
             pivots[ids[finished]] = it
-            unbounded[ids[stuck]] = True
+            unbounded[ids[finished & better]] = True
             x[ids[optimal]] = _basic_x(T[optimal], basis[optimal], n)
-            keep = ~finished
-            T, basis, ids = T[keep], basis[keep], ids[keep]
-            enter, column, eligible = enter[keep], column[keep], eligible[keep]
-            work = np.arange(ids.size)
-        if not ids.size:
-            break
+            T, basis, ids = T[going], basis[going], ids[going]
+            enter, column, eligible = enter[going], column[going], eligible[going]
+            work = work[: ids.size]
+            if not ids.size:
+                break
         ratios = np.divide(T[:, :m, -1], column, out=np.full(column.shape, np.inf), where=eligible)
         ties = ratios <= ratios.min(axis=1, keepdims=True) + _RATIO_TIE_TOL
         leave = np.where(ties, basis, n + m).argmin(axis=1)  # lowest basic index
-        T[work, leave] /= T[work, leave, enter][:, np.newaxis]
+        T[work, leave] /= column[work, leave][:, np.newaxis]
         factors = T[work, :, enter]
         factors[work, leave] = 0.0
+        # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
         update = factors[:, :, np.newaxis] * T[work, leave][:, np.newaxis, :]
-        np.subtract(T, update, out=T, where=(factors != 0.0)[:, :, np.newaxis])  # as in _pivot
+        np.subtract(T, update, out=T, where=(factors != 0.0)[:, :, np.newaxis])
         basis[work, leave] = enter
     else:
         raise RuntimeError("simplex iteration limit exceeded")
@@ -184,11 +150,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP, or each LP of a stack, to optimality, or report it unbounded."""
     c, M, b = _validate(problem)
-    if M.ndim == 2:
-        return _solve_one(c, M, b)
-    if len(M) != 1:
+    if M.ndim == 3:
         return _solve_stack(c, M, b)
-    one = _solve_one(c[0], M[0], b[0])
-    return LpSolution(
-        np.array([one.status]), one.x[np.newaxis], np.array([one.objective_value]), np.array([one.pivots])
-    )
+    one = _solve_stack(c[np.newaxis], M[np.newaxis], b[np.newaxis])
+    return LpSolution(str(one.status[0]), one.x[0], float(one.objective_value[0]), int(one.pivots[0]))

@@ -36,6 +36,8 @@ values; a stack gives arrays over its leading axes, each entry bitwise equal
 to the single-precoder call on that precoder.  Noise variances with one entry
 per SNR broadcast against those axes (a stack ``(S, K, M)`` pairs precoder ``s``
 with SNR ``s``), each entry bitwise equal to the call at that SNR's noise.
+So does an ``eta`` array (one entry per power-control fraction), its axes leading: ``(D, 1)``
+with per-SNR noise pairs a ``(D, S, K, M)`` stack entry by entry; ``m`` gains eta's axes.
 
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
@@ -45,7 +47,7 @@ chunks of ``_CHUNK`` transmissions with the sample axis last: each chunk is
 one ``standard_normal((K + M + 1 + L, n, 2))`` draw viewed as a complex
 ``(K + M + 1 + L, n)`` block of rows ``gamma``, ``v``, ``n_y``, ``n_z``, pushed
 through the encoder and the channels by two matrix products.  They take
-scalar noise variances and a single ``(K, M)`` precoder.  ``statistical_csi_check``
+scalar noise variances, a scalar ``eta`` and a single ``(K, M)`` precoder.  ``statistical_csi_check``
 verifies the phase-scrambling argument: when the eavesdropper channel phases
 are uniformly random (and unknown), the received signals carry no linear
 information about ``s``, i.e. their cross-covariance vanishes.
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
-from .encoding import eta_from_delta
+from .encoding import _check_scalar_eta, _squared, eta_from_delta
 from .errors import ContractError
 from .linalg import _where, hermitian_solve
 
@@ -107,8 +109,8 @@ def _scalar(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta >= 0.0):
+def _check_eta(eta) -> None:
+    if not (np.isfinite(eta) & (np.asarray(eta) >= 0.0)).all():
         raise ContractError(f"eta must be finite and nonnegative, got {eta!r}")
 
 
@@ -130,12 +132,12 @@ def _ratio_sums(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(r.sum(axis=-1)) ** 2, np.sum(np.abs(r) ** 2, axis=-1)
 
 
-def _receiver(g: np.ndarray, h: np.ndarray, A: np.ndarray, eta: float, noise) -> np.ndarray:
+def _receiver(g: np.ndarray, h: np.ndarray, A: np.ndarray, eta_sq, noise) -> np.ndarray:
     """Normalized MSE of the receiver on each row ``g``; 1 where it observes nothing."""
     sum_sq, power_sq = _ratio_sums(g, h)
-    den = eta**2 * power_sq + np.sum(np.abs(g @ A) ** 2, axis=-1) + noise
+    den = eta_sq * power_sq + np.sum(np.abs(g @ A) ** 2, axis=-1) + noise
     # den == 0 forces sum_sq == 0 (Cauchy-Schwarz), so the ratio is 0 and the MSE 1.
-    return 1.0 - (eta**2 / h.size) * sum_sq / np.where(den == 0.0, 1.0, den)
+    return 1.0 - (eta_sq / h.size) * sum_sq / np.where(den == 0.0, 1.0, den)
 
 
 def approximation_error(
@@ -144,11 +146,11 @@ def approximation_error(
     """Normalized server MSE ``D`` for precoder ``A`` at amplitude ``eta``.
 
     ``A`` has shape ``(..., K, M)``; a single ``(K, M)`` precoder gives a
-    ``float``, a stack or per-SNR noise an array over the broadcast axes.
+    ``float``, a stack, per-SNR noise or an ``eta`` array an array over the broadcast axes.
     """
     A = _checked(real, A, eta)
     K = real.num_users
-    signal = eta**2 * K
+    signal = _squared(eta) * K
     denom = signal + np.sum(np.abs(real.h @ A) ** 2, axis=-1) + real.sigma_y_sq
     # denom == 0 forces signal == 0, so D = 1: no observation, the prior mean is optimal.
     return _scalar(1.0 - signal / np.where(denom == 0.0, 1.0, denom))
@@ -159,14 +161,14 @@ def eavesdropper_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariance ``B`` of the pooled eavesdropper signal and mean ``m = E[z conj(s)]``.
 
-    ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)`` (per SNR for
-    per-SNR noise); ``m`` depends on neither and has shape ``(L,)``.
+    ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)`` (per SNR and eta for
+    arrays of them); ``m`` depends on neither ``A`` nor the noise: shape ``eta.shape + (L,)``.
     """
     GA = real.G @ _checked(real, A, eta)
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
     noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
-    B = GA @ GA.conj().swapaxes(-2, -1) + eta**2 * (R @ R.conj().T) + noise
-    m = eta * R.sum(axis=1)
+    B = GA @ GA.conj().swapaxes(-2, -1) + _squared(eta)[..., None, None] * (R @ R.conj().T) + noise
+    m = np.asarray(eta)[..., None] * R.sum(axis=1)
     return B, m
 
 
@@ -196,7 +198,7 @@ def noncoop_security(
     for a stack or per-SNR noise.
     """
     A = _checked(real, A, eta, positive_noise=True)
-    per_eav = _receiver(real.G, real.h, A, eta, np.asarray(real.sigma_z_sq)[..., np.newaxis])
+    per_eav = _receiver(real.G, real.h, A, _squared(eta)[..., None], np.asarray(real.sigma_z_sq)[..., None])
     return _scalar(np.min(per_eav, axis=-1)), per_eav
 
 
@@ -210,12 +212,13 @@ def effective_channel_security(
     observes nothing and gives 1.  For ``p = p_opt`` this reproduces
     :func:`coop_security`.
     """
+    _check_scalar_eta(eta)
     A = _checked(real, A, eta)
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
         raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
     noise = real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
-    return _scalar(_receiver(p.conj() @ real.G, real.h, A, eta, noise))
+    return _scalar(_receiver(p.conj() @ real.G, real.h, A, _squared(eta), noise))
 
 
 def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityReport:
@@ -223,6 +226,7 @@ def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityRepo
 
     A non-finite value raises :class:`ContractError` instead of being clamped.
     """
+    _check_scalar_eta(eta)
     D = approximation_error(real, A, eta)
     S_coop, p_opt = coop_security(real, A, eta)
     _, per_eav = noncoop_security(real, A, eta)
@@ -249,6 +253,7 @@ def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> 
         raise ContractError(f"num_samples must be at least {_MIN_SAMPLES}")
     if np.ndim(real.sigma_y_sq) != 0 or np.ndim(real.sigma_z_sq) != 0:
         raise ContractError("the oracles take scalar noise variances, not one per SNR")
+    _check_scalar_eta(eta)
     A = _checked(real, A, eta)
     if A.ndim != 2 or A.shape[0] != real.num_users:
         raise ContractError(f"precoder must have shape ({real.num_users}, M), got {A.shape}")
@@ -385,14 +390,15 @@ def statistical_csi_check(
     the matching CLT acceptance threshold.  With ``randomize_phases=False``
     the channel is deterministic and the cross-covariance converges to
     ``eta * sum_k g_{l,k} / h_k`` instead.  ``eta`` defaults to the no-noise
-    maximum ``eta_from_delta(real, 1.0)``; an explicit one must be finite and
-    nonnegative, as for the closed forms.
+    maximum ``eta_from_delta(real, 1.0)``; an explicit one must be a finite,
+    nonnegative scalar, as for the oracles.
     """
     if num_realizations < 1:
         raise ContractError(f"num_realizations must be at least 1, got {num_realizations}")
     if config.fading_mode != "complex":
         raise ContractError("the phase ensemble requires complex fading")
     if eta is not None:
+        _check_scalar_eta(eta)
         _check_eta(eta)
     real = sample_realization(config, seed)
     if eta is None:

@@ -32,12 +32,13 @@ and the per-subset work is stacked over the candidates: the weights,
 ``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, the LPs
 (one stacked :func:`~otasec.lp.solve_lp` call per design, tie-breaks
 included) and the precoders, ranked by one stacked ``noncoop_security`` call.
-Noise variances with one entry per SNR give ``alpha`` an SNR axis: the LPs
-of every SNR and subset form the one stack, each SNR ranks its own subsets,
-and every field of the design gains the SNR axis, each entry bitwise equal
-to the design at that SNR alone.  :func:`optimize_shared_zf` is the one
-design path; the paper's single-user :func:`optimize_proposed` is its
-one-candidate case.
+Per-SNR noise gives ``alpha`` an SNR axis, and an ``eta`` array (one entry per
+power-control fraction) gives all that depends on ``eta`` its axes, before the SNR's:
+each eta and SNR ranks its own subsets, bitwise the design at that scalar ``eta`` and
+SNR.  Only ``eta = 0`` changes the drop mask, so the LPs form at most two stacks, one
+per side of zero; a subset out of residual power at an ``eta`` is left out of its LPs.
+:func:`optimize_shared_zf` is the one design path; the paper's single-user
+:func:`optimize_proposed` is its one-candidate case.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import itertools
 import numpy as np
 
 from .channel import SystemRealization
-from .encoding import NoisePrecoder, row_budgets
+from .encoding import NoisePrecoder, _squared, row_budgets
 from .errors import ContractError
 from .lp import LpProblem, solve_lp
 from . import metrics
@@ -55,19 +56,16 @@ from . import metrics
 DROP_RTOL = 1e-12
 
 
-def _eavesdropper_terms(
-    real: SystemRealization, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-SNR ``alpha`` (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2`` and the live mask."""
+def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``alpha`` per eta and SNR (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2``, the live mask per eta."""
     sigma = np.asarray(real.sigma_z_sq)
     if sigma.min(initial=np.inf) <= 0.0:
         raise ContractError("sigma_z_sq must be positive")
     sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
-    live = ~((sum_sq < DROP_RTOL * power_sq) | (eta == 0.0))
-    alpha = np.full(sigma.shape + live.shape, np.inf)
-    np.divide(eta**2 * power_sq + sigma[..., np.newaxis], sum_sq, out=alpha, where=live)
-    return alpha, sum_sq, live
+    live = ~((sum_sq < DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
+    num = _squared(eta)[..., np.newaxis] * power_sq + sigma[..., np.newaxis]
+    return np.divide(num, sum_sq, out=np.full(num.shape, np.inf), where=live), sum_sq, live
 
 
 def _beta(
@@ -78,18 +76,24 @@ def _beta(
     sum_sq: np.ndarray,
     live: np.ndarray,
 ) -> np.ndarray:
-    """``beta`` of shape ``(C, L, K - N)`` for ``C`` subsets, zero on dropped eavesdroppers.
+    """``beta`` of shape ``(..., C, L, K - N)`` for ``C`` subsets, zero on dropped eavesdroppers.
 
-    ``zf`` and ``weights`` have shape ``(C, N)``, ``noise`` shape ``(C, K - N)``.
+    ``zf`` and ``noise`` have shape ``(C, *)``; ``weights`` ``(..., C, N)`` and ``live`` carry eta's axes.
     """
     G, h = real.G, real.h
     # Residual channel seen by eavesdropper l in noise column i after the
-    # zero-forcing users' compensation; the subset axis is second.
-    comp = (G[:, zf] * (weights / h[zf])[np.newaxis]).sum(axis=-1)
+    # zero-forcing users' compensation; the eavesdropper axis comes before the subsets.
+    comp = (G[:, zf] * (weights / h[zf])[..., np.newaxis, :, :]).sum(axis=-1)
     resid = G[:, noise] - comp[..., np.newaxis] * h[noise]
     beta = np.zeros(resid.shape)
-    np.divide(np.abs(resid) ** 2, sum_sq[:, np.newaxis, np.newaxis], out=beta, where=live[:, None, None])
-    return beta.swapaxes(0, 1)
+    np.divide(np.abs(resid) ** 2, sum_sq[:, None, None], out=beta, where=live[..., :, None, None])
+    return beta.swapaxes(-3, -2)
+
+
+def _gather(x: np.ndarray, at: tuple, n: int) -> np.ndarray:
+    """``x``, whose axes but its last ``n`` broadcast against the eta, SNR and subset axes, at ``at``."""
+    lead = x.shape[: x.ndim - n]
+    return x[tuple(i if size > 1 else 0 * i for i, size in zip(at[len(at) - len(lead) :], lead))]
 
 
 def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +109,7 @@ def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
 def _zf_matrices(
     h: np.ndarray, zf: np.ndarray, noise: np.ndarray, weights: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """The ``(..., C, K, K - N)`` zero-forcing matrices of ``C`` subsets, for ``lam >= 0``."""
+    """``(..., C, K, K - N)`` zero-forcing matrices of ``C`` subsets, weights ``(..., C, N)``, lam >= 0."""
     n_subsets, n_cols = noise.shape
     roots = np.sqrt(lam)
     A = np.zeros(lam.shape[:-1] + (h.size, n_cols), dtype=np.complex128)
@@ -114,7 +118,7 @@ def _zf_matrices(
     A[..., subset, zf, :] = (
         -roots[..., np.newaxis, :]
         * (h[noise][:, np.newaxis, :] / h[zf][:, :, np.newaxis])
-        * weights[:, :, np.newaxis]
+        * weights[..., np.newaxis]
     )
     return A
 
@@ -157,14 +161,14 @@ def _allocation_lp(
 ) -> LpProblem:
     """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
 
-    ``alpha`` has shape ``(L,)`` or, per SNR, ``(S, L)``; ``beta`` shape
-    ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
-    ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets``, the
-    right-hand sides, shape ``(..., K)``, noise users first.  Leading axes
-    give one flat stack of LPs, SNR-major.  Every live alpha is positive, so
-    ``t >= 0`` cuts off no optimum.  The raw coefficients inherit the physical
-    channel scale, which can sit below the simplex pivot tolerance, so ``t``
-    and the objective rows are in units of the SNR's smallest live alpha.
+    ``alpha`` has shape ``(..., L)``; ``beta`` shape ``(..., L, K - N)``;
+    ``load``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, shape
+    ``(..., N, K - N)``; ``budgets``, the right-hand sides, shape ``(..., K)``,
+    noise users first.  A leading axis gives a stack of LPs, which must all
+    drop the same eavesdroppers.  Every live alpha is positive, so ``t >= 0``
+    cuts off no optimum.  The raw coefficients inherit the physical channel
+    scale, which can sit below the simplex pivot tolerance, so ``t`` and the
+    objective rows are in units of each LP's smallest live alpha.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
@@ -172,9 +176,9 @@ def _allocation_lp(
     never enters: the simplex takes the pivots of the same LP over lambda
     and the budget rows alone.
     """
-    live = np.isfinite(alpha.reshape(-1, alpha.shape[-1])[0])  # +inf at every SNR where dropped
-    stack, n_live, n_cols = alpha.shape[:-1] + beta.shape[:-2], np.count_nonzero(live), beta.shape[-1]
-    alpha = alpha[..., live].reshape(alpha.shape[:-1] + (1,) * (beta.ndim - 2) + (n_live,))
+    live = np.isfinite(alpha.reshape(-1, alpha.shape[-1])[0])  # +inf in every LP where dropped
+    stack, n_live, n_cols = alpha.shape[:-1], np.count_nonzero(live), beta.shape[-1]
+    alpha = alpha[..., live]
     scale = np.min(alpha, axis=-1, keepdims=True, initial=np.inf)  # unused when no row is live
     rows = np.zeros(stack + (n_live + n_cols + load.shape[-2], 1 + n_cols))
     rows[..., :n_live, 0] = 1.0  # t is unbudgeted
@@ -188,12 +192,10 @@ def _allocation_lp(
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
     objective[..., 1:] = tie[..., np.newaxis]
-    if len(stack) > 1:  # solve_lp takes one stack axis: flatten, SNR-major
-        objective, rows, rhs = (x.reshape((-1,) + x.shape[len(stack) :]) for x in (objective, rows, rhs))
     return LpProblem(1 + n_cols, objective, rows, rhs)
 
 
-def optimize_proposed(real: SystemRealization, eta: float) -> NoisePrecoder:
+def optimize_proposed(real: SystemRealization, eta) -> NoisePrecoder:
     """Optimized single-user zero-forcing design.
 
     The user with the best channel takes the whole zero-forcing
@@ -204,7 +206,7 @@ def optimize_proposed(real: SystemRealization, eta: float) -> NoisePrecoder:
 
 def optimize_shared_zf(
     real: SystemRealization,
-    eta: float,
+    eta,
     N: int,
     selection: str = "exhaustive",
 ) -> NoisePrecoder:
@@ -214,9 +216,10 @@ def optimize_shared_zf(
     ``selection="exhaustive"`` tries every size-N subset and keeps the one
     whose optimized precoder achieves the highest non-cooperative security;
     ``"best_channel"`` just takes the N strongest channels.  Ties go to the
-    lexicographically smallest subset.  If every candidate subset is out of
-    residual power the zero precoder is returned, marked degenerate and
-    naming the first candidate.
+    lexicographically smallest subset, and a subset out of residual power
+    cannot win.  If every candidate subset is out of residual power the zero
+    precoder is returned, marked degenerate and naming the first candidate.
+    An ``eta`` array gives every field eta's axes before the SNR's, ``degenerate`` eta's alone.
     """
     K = real.num_users
     if not 1 <= N <= K - 1:
@@ -225,7 +228,7 @@ def optimize_shared_zf(
         raise ContractError(f"unknown selection rule {selection!r}")
     budgets = row_budgets(real, eta)
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
-    snr = alpha.shape[:-1]
+    axes = alpha.shape[:-1]  # eta's axes, then the SNR's
     if selection == "exhaustive":
         candidates = list(itertools.combinations(range(K), N))
     else:
@@ -233,46 +236,48 @@ def optimize_shared_zf(
         candidates = [tuple(sorted(int(i) for i in order[:N]))]
 
     zf, noise = _noise_columns(K, candidates)
-    r = budgets[zf]
-    total = r.sum(axis=1)
+    r = budgets[..., zf]
+    total = r.sum(axis=-1)
     able = total > 0.0  # a set with no residual power can compensate nothing
-    if not able.all():
-        if not able.any():
-            # Every candidate degenerate: fall back to no noise.
-            return NoisePrecoder(
-                A=np.zeros(snr + (K, K - N), dtype=np.complex128),
-                kind="proposed" if N == 1 else "proposed_shared",
-                eta=eta,
-                zf_users=tuple(np.broadcast_to(candidates[0], snr + (N,)).tolist()),
-                lam=np.zeros(snr + (K - N,)),
-                zf_weights=np.full(snr + (N,), 1.0 / N),
-                degenerate=True,
-            )
-        zf, noise, r, total = zf[able], noise[able], r[able], total[able]
-    weights = r / total[:, np.newaxis]
+    # Weights 1/N where a set is out of power: its LP is left out, and they are the fallback's.
+    weights = np.divide(r, total[..., None], out=np.full(r.shape, 1.0 / N), where=able[..., None])
     beta = _beta(real, zf, noise, weights, sum_sq, live)
-    load = np.abs(weights[:, :, None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
-    problem = _allocation_lp(alpha, beta, load, budgets[np.concatenate([noise, zf], axis=1)])
-    solution = solve_lp(problem)
-    failed = solution.status != "optimal"
-    if np.any(failed):
-        first = np.argmax(failed)
-        what = "noise allocation" if problem.objective[first, 0] else "tie-break"
-        raise RuntimeError(f"{what} LP reported {solution.status[first]}")
-    lam = np.maximum(solution.x[:, 1:], 0.0).reshape(snr + noise.shape)
+    load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
+    rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
+    # One LP per eta, SNR and able subset.  Only eta = 0 changes which eavesdroppers are
+    # live (it drops them all), so the LPs form one stack per side of it.
+    lam = np.zeros(axes + noise.shape)
+    dead = np.isinf(alpha).all(axis=-1, keepdims=True)
+    inputs = ((alpha[..., np.newaxis, :], 1), (beta, 2), (load, 2), (rhs, 1))  # with per-LP ranks
+    for group in (able & dead, able & ~dead):
+        at = np.nonzero(group)
+        if not at[0].size:
+            continue
+        problem = _allocation_lp(*(_gather(x, at, n) for x, n in inputs))
+        solution = solve_lp(problem)
+        failed = solution.status != "optimal"
+        if np.any(failed):
+            first = np.argmax(failed)
+            what = "noise allocation" if problem.objective[first, 0] else "tie-break"
+            raise RuntimeError(f"{what} LP reported {solution.status[first]}")
+        lam[at] = np.maximum(solution.x[:, 1:], 0.0)
     A = _zf_matrices(real.h, zf, noise, weights, lam)
-    # A lone candidate needs no score to win; argmax keeps the first of tied subsets.  Scoring
-    # puts the subset axis first, so that the SNR axis meets the noise variances.
+    # A lone candidate needs no score to win; argmax keeps the first of tied subsets, and
+    # with every subset out of power, the first.  Scoring puts the subset axis first, so
+    # that the eta and SNR axes meet eta and the noise variances.
     if len(zf) > 1:
-        best = np.argmax(metrics.noncoop_security(real, np.moveaxis(A, -3, 0), eta)[0], axis=0)
+        score = np.moveaxis(metrics.noncoop_security(real, np.moveaxis(A, -3, 0), eta)[0], 0, -1)
+        best = np.argmax(np.where(able, score, -np.inf), axis=-1)
     else:
-        best = np.zeros(snr, dtype=int)[()]  # a scalar without an SNR axis
-    pick = (*np.indices(snr, sparse=True), best)  # the winning subset at each SNR
+        best = np.zeros(axes, dtype=int)[()]  # a scalar without eta or SNR axes
+    pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta and SNR
+    degenerate = ~able.any(axis=-1)
     return NoisePrecoder(
-        A=A[pick],
+        A=np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, A[pick]),  # +0.0, not -0.0
         kind="proposed" if N == 1 else "proposed_shared",
         eta=eta,
         zf_users=tuple(zf[best].tolist()),
         lam=lam[pick],
-        zf_weights=weights[best],
+        zf_weights=_gather(weights, pick, 1),
+        degenerate=bool(degenerate) if degenerate.ndim == 0 else degenerate,
     )

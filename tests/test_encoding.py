@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otasec.channel import _cn
+from otasec.channel import ScenarioConfig, _cn, sample_realization
 from otasec.encoding import (
     _project_out,
     _scale_to_budgets,
@@ -101,6 +101,22 @@ class TestEtaBounds:
         assert eta_from_delta(real, 0.5) == pytest.approx(0.5 * full, rel=1e-12)
         with pytest.raises(ContractError):
             eta_from_delta(real, 1.2)
+
+    def test_delta_array_gives_the_scalar_values(self):
+        # Also the squares: libm pow, which a Python float's eta**2 calls, is not always
+        # eta * eta, so the budgets of an eta array must be squared entry by entry.
+        real = make_realization(2, K=6, L=2)
+        deltas = np.linspace(0.0, 1.0, 101).reshape(101, 1)
+        etas = eta_from_delta(real, deltas)
+        budgets = row_budgets(real, etas)
+        assert type(eta_from_delta(real, 0.5)) is float and etas.shape == (101, 1)
+        assert budgets.shape == (101, 1, 6)
+        for d, delta in enumerate(deltas.ravel().tolist()):
+            eta = eta_from_delta(real, delta)
+            assert etas[d, 0] == eta and budgets[d, 0].tobytes() == row_budgets(real, eta).tobytes()
+        for bad in ([0.5, 1.2], [np.nan], [[-0.1]]):
+            with pytest.raises(ContractError, match="delta must lie in"):
+                eta_from_delta(real, np.array(bad))
 
 
 class TestBuilders:
@@ -206,6 +222,56 @@ class TestBuilders:
         assert np.array_equal(out[1], scaled[1])
         assert np.allclose(out[0], scaled[0], rtol=1e-14, atol=0.0)
         assert np.all(np.sum(np.abs(out) ** 2, axis=-1) <= budgets * (1.0 + 1e-15))
+
+    def test_subnormal_mixture_weight_scales_without_nan(self):
+        # The mixture's largest entry is the subnormal 5e-324, and complex division
+        # by it takes a reciprocal that overflows: the matrix came back NaN.
+        real = sample_realization(ScenarioConfig(num_users=2, num_eavesdroppers=1, snr_db=-10.0), 2)
+        eta = eta_from_delta(real, 1.0)
+        A = mixture_precoders(real, eta, [4301], [5e-324])
+        assert np.isfinite(A).all() and A.any()
+        assert np.all(np.sum(np.abs(A) ** 2, axis=-1) <= row_budgets(real, eta))
+
+    def test_tiny_matrices_scale_as_before_wherever_that_was_finite(self):
+        def reference(A, budgets):  # the scaling before the subnormal-peak fix
+            budgets = np.asarray(budgets, dtype=float)
+            row_sq = np.sum(np.abs(A) ** 2, axis=-1)
+            live = np.any(A != 0.0, axis=-1)
+            with np.errstate(over="ignore"):
+                ratio = np.divide(budgets, row_sq, out=np.full(row_sq.shape, np.inf), where=row_sq > 0.0)
+            ratio[live & (budgets == 0.0)] = 0.0
+            c = np.sqrt(np.min(ratio, axis=-1, initial=np.inf))
+            huge = np.isinf(c) & live.any(axis=-1)
+            if huge.any():
+                A[huge] /= np.max(np.abs(A[huge]), axis=(-2, -1), keepdims=True)
+                return reference(A, budgets)
+            A *= np.where(live.any(axis=-1), c, 0.0)[..., None, None]
+            return A
+
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((300, 3, 2)) + 1j * rng.standard_normal((300, 3, 2))
+        A *= 10.0 ** -rng.uniform(140.0, 330.0, (300, 1, 1))  # row powers from 1e-280 down to 0
+        A[::4, 1] = 0.0
+        A[::5, :, 0] = 5e-324 * rng.choice([-1.0, 1.0, 1j], (60, 3))
+        A[1::6] = rng.choice([0.0, 5e-324, -1e-320, 3e-310j], (50, 3, 2))
+        compared = rescued = 0
+        for budgets in (np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.0, 2.0])):
+            for i in range(len(A)):
+                new = _scale_to_budgets(A[i : i + 1].copy(), budgets)
+                assert np.isfinite(new).all()
+                assert np.all(np.sum(np.abs(new) ** 2, axis=-1) <= budgets * (1.0 + 1e-15))
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        old = reference(A[i : i + 1].copy(), budgets)
+                except FloatingPointError:
+                    rescued += 1
+                    continue
+                assert new.tobytes() == old.tobytes()
+                compared += 1
+            assert _scale_to_budgets(A.copy(), budgets).tobytes() == np.concatenate(
+                [_scale_to_budgets(A[i : i + 1].copy(), budgets) for i in range(len(A))]
+            ).tobytes()
+        assert compared > 400 and rescued > 20
 
     def test_underflowed_row_with_zero_budget_ends_at_zero_power(self):
         # The second row's squared norm (1e-340) underflows to 0, yet the row is live.

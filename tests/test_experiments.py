@@ -268,7 +268,7 @@ class TestOtherPresets:
 
     def test_tradeoff_rows_equal_the_per_precoder_loop(self):
         # Reference: one build and one score per precoder, as the stacked rows replace.
-        preset = small("tradeoff", sweep_values=(0.5, 1.0), mixture_pairs=3, mixture_thetas=11)
+        preset = small("tradeoff", sweep_values=(0.0, 0.5, 1.0), mixture_pairs=3, mixture_thetas=11)
         real = sample_realization(preset.config, preset.base_seed)
         expected = []
         for d_idx, delta in enumerate(preset.sweep_values):
@@ -288,7 +288,7 @@ class TestOtherPresets:
                     D = approximation_error(real, A, eta)
                     expected.append([TRADEOFF_KINDS[kind], delta, theta, D, S])
         rows = run_preset(preset).rows
-        assert rows.shape == (2 * (1 + 3 * 11), 5)
+        assert rows.shape == (3 * (1 + 3 * 11), 5)
         assert np.array_equal(rows, np.array(expected))
 
 
@@ -358,12 +358,32 @@ class TestSnrAxis:
         trials = collect_trials(preset, threads=1)
         assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name, field", [("sweep_snr_designs", "designs"), ("power_control", "delta_grid")])
-    def test_no_design_gives_the_sweep_column_alone(self, name, field):
-        preset = small(name, **{field: ()})
-        table = run_preset(preset, threads=1)
-        assert table.column_names == ["snr_db"]
-        assert np.array_equal(table.rows, np.array(preset.sweep_values)[:, None])
+
+class TestLpStacks:
+    """The deltas of a power-control trial or a tradeoff run share their LP stacks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from otasec import optimizer
+
+        calls, solve = [], optimizer.solve_lp
+
+        def counting(problem):
+            calls.append(np.shape(problem.ineq_rhs)[0])
+            return solve(problem)
+
+        monkeypatch.setattr(optimizer, "solve_lp", counting)
+        return calls
+
+    @pytest.mark.parametrize("delta_grid, per_trial", [((0.4, 0.7, 1.0), 1), ((1.0, 0.0, 0.3), 2), ((0.0,), 1)])
+    def test_power_control_makes_one_call_per_trial_and_side_of_zero(self, calls, delta_grid, per_trial):
+        collect_trials(small("power_control", num_realizations=3, delta_grid=delta_grid), threads=1)
+        assert len(calls) == 3 * per_trial and sum(calls) == 3 * 3 * len(delta_grid)
+
+    @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 2)])
+    def test_tradeoff_makes_at_most_two_calls(self, calls, sweep, expected):
+        run_preset(small("tradeoff", sweep_values=sweep))
+        assert len(calls) == expected and sum(calls) == len(sweep)
 
 
 class TestMetadata:
@@ -476,6 +496,21 @@ class TestValidation:
             collect_trials(preset)
         assert str(from_collect.value) == str(from_run.value)
         assert str(from_run.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("power_control", "delta_grid"),
+            ("sweep_snr_designs", "designs"),
+            ("security_gap", "designs"),
+            ("eta_design_space", "power_levels"),
+        ],
+    )
+    def test_empty_list_field_rejected(self, monkeypatch, name, field):
+        preset = small(name, **{field: ()})
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        with pytest.raises(ConfigurationError, match=f"^{field} must be non-empty$"):
+            run_preset(preset)
 
     def test_collect_trials_rejects_scatter_presets(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ import pytest
 from otasec import lp
 from otasec.encoding import eta_from_delta, row_budgets
 from otasec.errors import ContractError
-from otasec.lp import LpProblem, solve_lp
+from otasec.lp import LpProblem, LpSolution, solve_lp
 from otasec.optimizer import _allocation_lp, compute_alpha_beta
 
 from conftest import make_realization
@@ -68,12 +68,49 @@ def stack_of(problems):
     )
 
 
+def looped_solve(problem):
+    """Bland's rule on one LP at a time, the reference for the lockstep stack.
+
+    Returns ``(status, x, value, pivots)``.
+    """
+    c = np.asarray(problem.objective, dtype=float)
+    M = np.asarray(problem.ineq_matrix, dtype=float)
+    b = np.asarray(problem.ineq_rhs, dtype=float)
+    m, n = M.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:-1], T[:m, -1], T[m, :n] = M, np.eye(m), b, -c
+    basis = np.arange(n, n + m)
+    for pivots in range(lp._MAX_ITER):
+        improving = (T[m, :-1] < -lp.PIVOT_TOL).nonzero()[0]
+        if not improving.size:
+            xs = np.zeros(n + m)
+            xs[basis] = T[:-1, -1]
+            x = xs[:n]
+            x[(x < 0.0) & (x > -1e-11)] = 0.0
+            return "optimal", x, float(c @ x), pivots
+        enter = improving[0]  # Bland: lowest improving index enters
+        column = T[:m, enter]
+        rows = (column > lp.PIVOT_TOL).nonzero()[0]
+        if not rows.size:
+            return "unbounded", np.zeros(n), 0.0, pivots
+        ratios = T[rows, -1] / column[rows]
+        ties = rows[ratios <= ratios.min() + lp._RATIO_TIE_TOL]
+        leave = ties[basis[ties].argmin()]  # tie broken by lowest basic index
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
+        np.subtract(T, np.multiply.outer(factors, T[leave]), out=T, where=(factors != 0.0)[:, np.newaxis])
+        basis[leave] = enter
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
 def assert_stack_equals_loop(problems):
-    """The stacked solve equals the one-LP solves bitwise: status, x with its sign bits, value, pivots."""
+    """The stacked solve equals the one-LP loop bitwise: status, x with its sign bits, value, pivots."""
     stacked = solve_lp(stack_of(problems))
     assert stacked.x.shape == (len(problems), problems[0].num_vars)
     for i, problem in enumerate(problems):
-        one = solve_lp(problem)
+        one = LpSolution(*looped_solve(problem))
         assert stacked.status[i] == one.status
         assert stacked.x[i].tobytes() == one.x.tobytes()
         assert stacked.objective_value[i].tobytes() == np.float64(one.objective_value).tobytes()
@@ -121,6 +158,22 @@ class TestExamples:
             best = enumerate_vertices(c, M, b)
             assert best is not None
             assert sol.objective_value == pytest.approx(best[0], abs=1e-7)
+
+
+class TestTwoDimensional:
+    """A 2-D problem runs as a stack of one and returns plain Python scalars."""
+
+    @pytest.mark.parametrize("instance", [random_bounded_instance, random_unbounded_instance])
+    def test_python_scalars_equal_to_the_loop(self, rng, instance):
+        for _ in range(10):
+            problem = make_problem(*instance(rng))
+            sol = solve_lp(problem)
+            assert type(sol.status) is str and type(sol.objective_value) is float
+            assert type(sol.pivots) is int and sol.x.shape == (problem.num_vars,)
+            status, x, value, pivots = looped_solve(problem)
+            assert (sol.status, sol.pivots) == (status, pivots)
+            assert sol.x.tobytes() == x.tobytes()
+            assert np.float64(sol.objective_value).tobytes() == np.float64(value).tobytes()
 
 
 class TestStatuses:
@@ -262,6 +315,7 @@ class TestStacked:
     def test_one_element_stack_and_empty_stack(self, rng):
         problem = make_problem(*random_bounded_instance(rng))
         assert_stack_equals_loop([problem])
+        assert_stack_equals_loop([make_problem(*random_unbounded_instance(rng))])
         empty = solve_lp(LpProblem(3, np.zeros((0, 3)), np.zeros((0, 6, 3)), np.zeros((0, 6))))
         assert empty.x.shape == (0, 3) and empty.status.shape == (0,)
 

@@ -282,6 +282,36 @@ class TestStackedPrecoders:
             with pytest.raises(ContractError, match="sigma_z_sq must be positive"):
                 fn(bad, stack[0, 0], eta)
 
+    @pytest.mark.parametrize("seed, L", [(26, 1), (27, 4)])
+    def test_eta_axis_equals_the_per_eta_calls(self, seed, L):
+        # An eta per power-control fraction against one precoder, against a stack that pairs
+        # precoder d with eta d, and, shaped (D, 1), against a (D, 1) stack and per-SNR noise.
+        real = make_realization(seed, K=5, L=L)
+        etas = eta_from_delta(real, np.array([0.0, 0.3, 0.6]))
+        stack = precoder_stack(real, float(etas[1]))[0]
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([100.0, 1.0, 0.01]))
+        for case, eta, A, pick in (
+            (real, etas, stack[1], lambda at: (real, stack[1])),
+            (real, etas, stack, lambda at: (real, stack[at[0]])),
+            (noisy, etas[:, None], stack[:, None], lambda at: (per_snr[at[1]], stack[at[0]])),
+        ):
+            D = approximation_error(case, A, eta)
+            B, m = eavesdropper_moments(case, A, eta)
+            S, p_opt = coop_security(case, A, eta)
+            S_non, per_eav = noncoop_security(case, A, eta)
+            assert m.shape == eta.shape + (L,) and D.shape == S.shape == S_non.shape
+            for at in np.ndindex(D.shape):
+                one, A1 = pick(at)
+                eta1 = float(etas[at[0]])
+                assert D[at].tobytes() == np.float64(approximation_error(one, A1, eta1)).tobytes()
+                B1, m1 = eavesdropper_moments(one, A1, eta1)
+                assert B[at].tobytes() == B1.tobytes() and m[at[0]].tobytes() == m1.tobytes()
+                S1, p1 = coop_security(one, A1, eta1)
+                assert S[at].tobytes() == np.float64(S1).tobytes() and p_opt[at].tobytes() == p1.tobytes()
+                S_non1, per1 = noncoop_security(one, A1, eta1)
+                assert S_non[at].tobytes() == np.float64(S_non1).tobytes()
+                assert per_eav[at].tobytes() == per1.tobytes()
+
     def test_single_precoder_gives_python_floats(self):
         real = make_realization(23, K=4, L=2)
         eta = eta_from_delta(real, 0.5)
@@ -362,6 +392,31 @@ class TestBadEta:
         extra = (np.ones(2),) if fn is effective_channel_security else ()
         with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
             fn(real, A if stacked else A[1, 2], eta, *extra)
+
+    @pytest.mark.parametrize("fn", [f for f in CLOSED_FORMS if f is not effective_channel_security])
+    @pytest.mark.parametrize("eta", [np.array([0.1, np.nan]), np.array([[np.inf], [0.1]]), np.array([0.0, -0.5])])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_an_eta_array_is_checked_entry_by_entry(self, fn, eta, stacked):
+        real = make_realization(25, K=4, L=2)
+        A = precoder_stack(real, eta_from_delta(real, 0.5))
+        with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
+            fn(real, A if stacked else A[1, 2], eta)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda real, A, eta: effective_channel_security(real, A, eta, np.ones(2)),
+            evaluate,
+            lambda real, A, eta: build_precoder("signal_level", real, eta),
+            lambda real, A, eta: mixture_precoders(real, eta, [1], [0.5]),
+        ],
+        ids=["effective_channel_security", "evaluate", "build_precoder", "mixture_precoders"],
+    )
+    def test_scalar_eta_callers_reject_an_eta_array(self, call):
+        real = make_realization(25, K=4, L=2)
+        eta = eta_from_delta(real, np.array([0.2, 0.5]))
+        with pytest.raises(ContractError, match=r"a scalar eta, not an array of shape \(2,\)"):
+            call(real, precoder_stack(real, float(eta[0]))[0, 0], eta)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_effective_channel_rejects_non_finite_combiner(self, bad):
@@ -497,9 +552,13 @@ class TestOracleInputs:
             A = A[:3]
         elif name == "stacked_A":
             A = np.stack([A, A])
+        elif name == "eta_array":
+            eta = np.array([eta, eta])
         return real, A, eta, p, num_samples
 
-    BAD = ["few_samples", "snr_axis", "nan_A", "inf_eta", "nan_eta", "negative_eta", "short_A", "stacked_A"]
+    BAD = [
+        "few_samples", "snr_axis", "nan_A", "inf_eta", "nan_eta", "negative_eta", "short_A", "stacked_A", "eta_array"
+    ]
 
     @pytest.mark.parametrize("name", BAD)
     def test_mc_oracle(self, name):
@@ -555,6 +614,13 @@ class TestStatisticalCsi:
         config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
         with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
             statistical_csi_check(config, 100, seed=1, eta=eta)
+
+    def test_rejects_an_eta_array(self, monkeypatch):
+        # An eta array would broadcast against the eavesdropper axis and mix the entries.
+        monkeypatch.setattr(metrics, "sample_realization", None)  # nothing may be drawn
+        config = ScenarioConfig(num_users=4, num_eavesdroppers=2)
+        with pytest.raises(ContractError, match="a scalar eta"):
+            statistical_csi_check(config, 100, seed=1, eta=np.array([0.1, 0.2]))
 
     def test_default_eta_is_the_no_noise_maximum(self):
         from otasec.channel import sample_realization

@@ -499,6 +499,103 @@ class TestNoiseOverSnr:
                 assert design.A[s].tobytes() == optimize_proposed(one, eta).A.tobytes()
 
 
+class TestEtaAxis:
+    """A design over an eta axis equals, at each eta, the design at that scalar eta, bitwise."""
+
+    DELTAS = np.array([0.0, 0.5, 1.0])
+
+    @staticmethod
+    def assert_equals_per_eta(real, etas, N, selection, factors=None):
+        snr = ()
+        if factors is not None:
+            real, _ = over_noise(real, real.sigma_z_sq * np.asarray(factors))
+            snr, etas = (len(factors),), etas[:, np.newaxis]
+        design = optimize_shared_zf(real, etas, N, selection=selection)
+        assert design.A.shape == (len(etas),) + snr + (real.num_users, real.num_users - N)
+        assert design.degenerate.shape == etas.shape
+        for d, eta in enumerate(etas.ravel()):
+            ref = optimize_shared_zf(real, float(eta), N, selection=selection)
+            assert design.A[d].tobytes() == ref.A.tobytes()
+            assert design.lam[d].tobytes() == ref.lam.tobytes()
+            assert design.zf_weights[d].tobytes() == ref.zf_weights.tobytes()
+            assert np.array_equal(design.zf_users[d], ref.zf_users)
+            assert design.degenerate.ravel()[d] == ref.degenerate and type(ref.degenerate) is bool
+            assert design.kind == ref.kind
+        return design
+
+    @pytest.mark.parametrize("factors", [None, (100.0, 1.0, 0.01)], ids=["scalar_noise", "snr_axis"])
+    def test_sampled_realizations(self, factors):
+        skipped = 0
+        for seed, K, L, fading_mode in itertools.product(range(2), (4, 6), (1, 3), ("complex", "real")):
+            real = make_realization(seed, K=K, L=L, fading_mode=fading_mode)
+            etas = eta_from_delta(real, self.DELTAS)  # delta = 0: every LP is a tie-break
+            skipped += np.count_nonzero(row_budgets(real, etas) <= 0.0)  # zero-budget subsets
+            for N, selection in itertools.product(range(1, 4), ("exhaustive", "best_channel")):
+                self.assert_equals_per_eta(real, etas, N, selection, factors)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("factors", [None, (100.0, 1.0, 0.01)], ids=["scalar_noise", "snr_axis"])
+    def test_tie_breaks_and_the_degenerate_fallback(self, factors):
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[0.0, 1.0, 0.5]], P=2.0)
+        for N, selection in itertools.product((1, 2), ("exhaustive", "best_channel")):
+            self.assert_equals_per_eta(real, np.array([0.0, 0.5, 1.0]), N, selection, factors)
+        # Every budget is zero at delta = 1 only: one eta falls back, the others design.
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
+        for N in (1, 2):
+            design = self.assert_equals_per_eta(real, eta_from_delta(real, self.DELTAS), N, "exhaustive", factors)
+            assert design.degenerate.ravel().tolist() == [False, False, True]
+            assert not design.A[2].any() and not np.signbit(design.A[2].view(float)).any()
+
+    def test_a_subset_out_of_power_at_one_eta_cannot_win_there(self):
+        # User 0 has the weakest channel, so its budget runs out first as eta grows.
+        real = synthetic_realization(h=[0.5, 1.0, 1.0, 1.0], G=[[1.0, 0.2, 0.3, 0.4], [0.3, 1.0, 0.1, 0.6]], P=4.0)
+        etas = np.array([0.2, 0.5, 1.0])  # the last leaves user 0 exactly 0 power
+        assert row_budgets(real, etas)[:, 0].tolist()[-1] == 0.0
+        design = self.assert_equals_per_eta(real, etas, 1, "exhaustive")
+        assert design.zf_users[-1] != [0] and not design.degenerate.any()
+
+    def test_proposed_and_the_builder_take_deltas_against_the_snr_axis(self):
+        real = make_realization(3, K=6, L=4)
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 0.1]))
+        etas = eta_from_delta(real, np.array([[0.2], [0.8]]))
+        design = optimize_proposed(noisy, etas)
+        assert design.A.shape == (2, 2, 6, 5) and design.kind == "proposed"
+        for d, s in np.ndindex(2, 2):
+            ref = optimize_proposed(per_snr[s], float(etas[d, 0]))
+            assert design.A[d, s].tobytes() == ref.A.tobytes()
+
+    def test_noise_dim_and_row_powers_read_the_last_axis(self):
+        real = make_realization(3, K=6, L=4)
+        noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))
+        etas = eta_from_delta(real, np.array([0.2, 0.5, 0.8, 1.0]))
+        for design, refs in (
+            (optimize_proposed(noisy, float(etas[1])), [optimize_proposed(one, float(etas[1])) for one in per_snr]),
+            (optimize_proposed(real, etas), [optimize_proposed(real, float(eta)) for eta in etas]),
+            (optimize_shared_zf(noisy, etas[:, None], 2), None),
+        ):
+            assert design.noise_dim == design.A.shape[-1] == real.num_users - (1 if refs else 2)
+            assert design.row_powers().shape == design.A.shape[:-1]
+            for ref, powers in zip(refs or (), design.row_powers()):
+                assert ref.noise_dim == design.noise_dim
+                assert powers.tobytes() == ref.row_powers().tobytes()
+
+    def test_solves_at_most_one_lp_stack_per_side_of_eta_zero(self, monkeypatch):
+        from otasec import optimizer
+
+        calls = []
+
+        def counting(problem):
+            calls.append(np.shape(problem.ineq_rhs))
+            return solve_lp(problem)
+
+        monkeypatch.setattr(optimizer, "solve_lp", counting)
+        real = make_realization(5, K=5, L=3)
+        for deltas, stacks in (((0.3, 0.6, 1.0), 1), ((0.0, 0.6, 0.0, 1.0), 2), ((0.0,), 1)):
+            calls.clear()
+            optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), 2)
+            assert len(calls) == stacks and sum(shape[0] for shape in calls) == 10 * len(deltas)
+
+
 class TestDelegationThroughBuilder:
     def test_build_precoder_dispatch(self):
         real = make_realization(8, K=4, L=2)

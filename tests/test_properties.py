@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders, row_budgets  # noqa: E402
 from otasec.metrics import (  # noqa: E402
@@ -16,6 +16,7 @@ from otasec.lp import LpProblem, solve_lp  # noqa: E402
 from otasec.optimizer import optimize_shared_zf  # noqa: E402
 
 from conftest import make_realization, over_noise  # noqa: E402
+from test_lp import looped_solve  # noqa: E402
 
 cases = st.fixed_dictionaries(
     {
@@ -45,6 +46,10 @@ noise_factors = st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]), min_size=
 
 @settings(max_examples=40, deadline=None)
 @given(cases, noise_factors)
+@example(  # a subnormal theta: the mixture's rescale by its largest entry returned NaN
+    dict(seed=2, K=2, L=1, snr_db=-10.0, fading_mode="complex", delta=1.0, seeds=[4301], thetas=[5e-324]),
+    [1.0],
+)
 def test_stacked_metrics_equal_the_looped_calls(case, factors):
     real, eta, stack = build(case)
     D = approximation_error(real, stack, eta)
@@ -141,7 +146,7 @@ def test_stacked_lp_equals_the_looped_one(case):
     c = rng.standard_normal((B, n))
     stacked = solve_lp(LpProblem(n, c, M, b))
     for i in range(B):
-        one = solve_lp(LpProblem(n, c[i], M[i], b[i]))
-        assert stacked.status[i] == one.status
-        assert stacked.x[i].tobytes() == one.x.tobytes()
-        assert stacked.pivots[i] == one.pivots
+        status, x, _, pivots = looped_solve(LpProblem(n, c[i], M[i], b[i]))
+        assert stacked.status[i] == status
+        assert stacked.x[i].tobytes() == x.tobytes()
+        assert stacked.pivots[i] == pivots
