@@ -58,6 +58,7 @@ from .metrics import (
 from .optimizer import (
     assemble_precoder,
     compute_alpha_beta,
+    optimize_designs,
     optimize_proposed,
     optimize_shared_zf,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "statistical_csi_check",
     "compute_alpha_beta",
     "assemble_precoder",
+    "optimize_designs",
     "optimize_proposed",
     "optimize_shared_zf",
     "LpProblem",

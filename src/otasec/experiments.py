@@ -51,7 +51,7 @@ from .encoding import (
 from .errors import ConfigurationError, ContractError
 from .linalg import _forward, cholesky
 from .metrics import approximation_error, coop_security, eavesdropper_moments, noncoop_security
-from .optimizer import optimize_proposed, optimize_shared_zf
+from .optimizer import optimize_designs, optimize_proposed
 from .version import __version__
 
 _SNR_GRID = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -156,16 +156,17 @@ def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
 
 
 def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
+    # Every design of the trial, for each L the proposed one then each N, solves its LPs in one call.
     cfg = replace(preset.config, num_eavesdroppers=max(preset.l_values))
     real_full = _with_snr(sample_realization(cfg, preset.base_seed + r), preset)
     eta = eta_from_delta(real_full, preset.delta)
-    cols = []
+    requests = []
     for L in preset.l_values:
         real = _first_eavesdroppers(real_full, L)
-        precs = [optimize_proposed(real, eta)]
-        precs += [optimize_shared_zf(real, eta, n, "exhaustive") for n in preset.shared_n_values]
-        cols += [coop_security(real, prec.A, eta)[0] for prec in precs]
-    return _by_snr(cols, preset)
+        requests.append((real, eta, 1, "best_channel"))
+        requests += [(real, eta, n, "exhaustive") for n in preset.shared_n_values]
+    precs = optimize_designs(requests)
+    return _by_snr([coop_security(real, prec.A, eta)[0] for (real, *_), prec in zip(requests, precs)], preset)
 
 
 def _check_eavesdropper_counts(name: str, values) -> None:

@@ -3,19 +3,24 @@
 Solves ``maximize c^T x`` subject to ``M x <= b`` and ``x >= 0`` with
 ``b >= 0``, via a single-phase dense simplex with Bland's anti-cycling rule.
 A nonnegative right-hand side makes ``x = 0`` feasible, so the slack basis
-starts the search and no phase 1 is needed.  The programs produced by the
-noise optimizer have at most a few dozen variables and a few hundred rows, so
-a dense tableau is the simplest thing that is obviously correct, and it is
-bit-for-bit deterministic.
+starts the search and no phase 1 is needed.  The condensed tableau keeps the
+nonbasic columns, with the variable in each slot, and the rhs: ``(m+1) x (n+1)``.
+A pivot puts the leaving variable's unit column into the entering slot before
+the row division, so each entry gets the IEEE operations of the full
+``(m+1) x (n+m+1)`` tableau; only a zero's sign may differ, which no comparison
+sees, so the answers are bitwise equal.
 
 A problem whose arrays carry a leading stack axis, ``M`` of shape
 ``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
 in lockstep: each iteration makes one pivot in every LP still working, as
 array operations over the stack, and an LP leaves the working set when it is
 optimal or turns out unbounded.  Each LP takes the pivots it would take
-alone, so its answer is bitwise equal to solving it alone.  This is the one
-simplex path: a two-dimensional problem runs as a stack of one and gets plain
-Python ``str``, ``float`` and ``int`` fields back.
+alone, so its answer is bitwise equal to solving it alone.  LPs of different
+shapes can share a stack after padding: a zero row with rhs 0 is never a
+pivot row, a zero column at the right with objective 0 never enters, and
+the real variables keep their order, so padding changes no answer's bits.
+This is the one simplex path: a two-dimensional problem runs as a stack of
+one and gets plain Python ``str``, ``float`` and ``int`` fields back.
 """
 
 from __future__ import annotations
@@ -83,20 +88,9 @@ def _validate(problem: LpProblem):
     return c, M, b
 
 
-def _tableau(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Constraint rows over ``[x, slacks | rhs]``, then the objective row."""
-    m, n = M.shape[-2:]
-    T = np.zeros(M.shape[:-2] + (m + 1, n + m + 1))
-    T[..., :m, :n] = M
-    T[..., :m, n:-1] = np.eye(m)
-    T[..., :m, -1] = b
-    T[..., m, :n] = -c
-    return T
-
-
 def _basic_x(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     """The structural part of each basic solution of a stack, rounding dust scrubbed."""
-    xs = np.zeros(basis.shape[:-1] + (T.shape[-1] - 1,))
+    xs = np.zeros(basis.shape[:-1] + (n + basis.shape[-1],))
     xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :-1, -1]
     x = xs[:, :n]
     x[(x < 0.0) & (x > -1e-11)] = 0.0
@@ -108,14 +102,17 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
     unbounded = np.zeros(B, dtype=bool)
     x = np.zeros((B, n))
     pivots = np.zeros(B, dtype=int)
-    # The working set: the tableaux, bases and stack indices of unfinished LPs.
-    T = _tableau(c, M, b)
+    # The working set: the condensed tableaux over [nonbasic columns | rhs], the variables
+    # in their basis rows and nonbasic column slots, and the stack indices of unfinished LPs.
+    T = np.zeros((B, m + 1, n + 1))
+    T[:, :m, :n], T[:, :m, -1], T[:, m, :n] = M, b, -c
     basis = np.tile(np.arange(n, n + m), (B, 1))
+    nonbasic = np.tile(np.arange(n), (B, 1))
     ids = np.arange(B)
     work = np.arange(B)  # positions in the working set
     for it in range(_MAX_ITER):
         improving = T[:, m, :-1] < -PIVOT_TOL
-        enter = improving.argmax(axis=1)  # Bland: lowest improving index enters
+        enter = np.where(improving, nonbasic, n + m).argmin(axis=1)  # Bland: lowest improving variable
         column = T[work, :m, enter]
         eligible = column > PIVOT_TOL
         better = improving[work, enter]
@@ -125,7 +122,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
             pivots[ids[finished]] = it
             unbounded[ids[finished & better]] = True
             x[ids[optimal]] = _basic_x(T[optimal], basis[optimal], n)
-            T, basis, ids = T[going], basis[going], ids[going]
+            T, basis, nonbasic, ids = T[going], basis[going], nonbasic[going], ids[going]
             enter, column, eligible = enter[going], column[going], eligible[going]
             work = work[: ids.size]
             if not ids.size:
@@ -133,13 +130,16 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
         ratios = np.divide(T[:, :m, -1], column, out=np.full(column.shape, np.inf), where=eligible)
         ties = ratios <= ratios.min(axis=1, keepdims=True) + _RATIO_TIE_TOL
         leave = np.where(ties, basis, n + m).argmin(axis=1)  # lowest basic index
-        T[work, leave] /= column[work, leave][:, np.newaxis]
         factors = T[work, :, enter]
         factors[work, leave] = 0.0
+        # The leaving variable's unit column takes the entering slot before the row division,
+        # so every entry gets the IEEE operations it would get in the full tableau.
+        T[work, :, enter] = np.arange(m + 1) == leave[:, np.newaxis]
+        T[work, leave] /= column[work, leave][:, np.newaxis]
         # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
         update = factors[:, :, np.newaxis] * T[work, leave][:, np.newaxis, :]
         np.subtract(T, update, out=T, where=(factors != 0.0)[:, :, np.newaxis])
-        basis[work, leave] = enter
+        nonbasic[work, enter], basis[work, leave] = basis[work, leave], nonbasic[work, enter]
     else:
         raise RuntimeError("simplex iteration limit exceeded")
     value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]

@@ -30,15 +30,18 @@ The work splits in two.  Per realization and ``eta``: the row budgets,
 depends on ``Z``.  So every candidate subset gives an LP of the same shape,
 and the per-subset work is stacked over the candidates: the weights,
 ``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, the LPs
-(one stacked :func:`~otasec.lp.solve_lp` call per design, tie-breaks
-included) and the precoders, ranked by one stacked ``noncoop_security`` call.
-Per-SNR noise gives ``alpha`` an SNR axis, and an ``eta`` array (one entry per
-power-control fraction) gives all that depends on ``eta`` its axes, before the SNR's:
-each eta and SNR ranks its own subsets, bitwise the design at that scalar ``eta`` and
-SNR.  Only ``eta = 0`` changes the drop mask, so the LPs form at most two stacks, one
-per side of zero; a subset out of residual power at an ``eta`` is left out of its LPs.
-:func:`optimize_shared_zf` is the one design path; the paper's single-user
-:func:`optimize_proposed` is its one-candidate case.
+(tie-breaks included) and the precoders, ranked by one stacked
+``noncoop_security`` call.  Per-SNR noise gives ``alpha`` an SNR axis, and an
+``eta`` array (one entry per power-control fraction) gives all that depends on
+``eta`` its axes, before the SNR's: each eta and SNR ranks its own subsets,
+bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper keeps
+an all-zero row, so the LPs of a design form one stack whatever its ``eta``; a
+subset out of residual power at an ``eta`` is left out of its LPs.
+:func:`optimize_designs` pads the stacks of several designs to one shape and
+makes one :func:`~otasec.lp.solve_lp` call for them all (one per ``shared_zf``
+trial).  It is the one design path: :func:`optimize_shared_zf` is its
+one-design case and the paper's single-user :func:`optimize_proposed` the
+one-candidate case of that.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import itertools
 import numpy as np
 
 from .channel import SystemRealization
-from .encoding import NoisePrecoder, _squared, row_budgets
+from .encoding import NoisePrecoder, _check_scalar_eta, _squared, row_budgets
 from .errors import ContractError
 from .lp import LpProblem, solve_lp
 from . import metrics
@@ -131,6 +134,7 @@ def compute_alpha_beta(
     ``alpha`` has shape ``(L,)``, or ``(S, L)`` per SNR, and is +inf on dropped eavesdroppers;
     ``beta`` has shape ``(L, K - N)`` with zero rows on them.
     """
+    _check_scalar_eta(eta)
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
     zf, noise = _noise_columns(real.num_users, zf_users)
     weights = np.asarray(weights, dtype=float)
@@ -141,6 +145,7 @@ def assemble_precoder(
     real: SystemRealization, eta: float, zf_users, weights, lam
 ) -> NoisePrecoder:
     """The K x (K - N) zero-forcing matrix for a user selection and column powers."""
+    _check_scalar_eta(eta)
     zf, noise = _noise_columns(real.num_users, zf_users)
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     if lam.shape != noise.shape:
@@ -161,14 +166,16 @@ def _allocation_lp(
 ) -> LpProblem:
     """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
 
-    ``alpha`` has shape ``(..., L)``; ``beta`` shape ``(..., L, K - N)``;
-    ``load``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, shape
-    ``(..., N, K - N)``; ``budgets``, the right-hand sides, shape ``(..., K)``,
-    noise users first.  A leading axis gives a stack of LPs, which must all
-    drop the same eavesdroppers.  Every live alpha is positive, so ``t >= 0``
-    cuts off no optimum.  The raw coefficients inherit the physical channel
-    scale, which can sit below the simplex pivot tolerance, so ``t`` and the
-    objective rows are in units of each LP's smallest live alpha.
+    ``alpha`` has shape ``(..., L)``, +inf on dropped eavesdroppers; ``beta``
+    shape ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
+    ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets``, the
+    right-hand sides, shape ``(..., K)``, noise users first.  A leading axis
+    gives a stack of LPs.  A dropped eavesdropper keeps its row, all zeros
+    with rhs 0, which never pivots, so LPs that drop different eavesdroppers
+    share a stack.  Every live alpha is positive, so ``t >= 0`` cuts off no
+    optimum.  The raw coefficients inherit the physical channel scale, which
+    can sit below the simplex pivot tolerance, so ``t`` and the objective rows
+    are in units of each LP's smallest live alpha.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
@@ -176,18 +183,17 @@ def _allocation_lp(
     never enters: the simplex takes the pivots of the same LP over lambda
     and the budget rows alone.
     """
-    live = np.isfinite(alpha.reshape(-1, alpha.shape[-1])[0])  # +inf in every LP where dropped
-    stack, n_live, n_cols = alpha.shape[:-1], np.count_nonzero(live), beta.shape[-1]
-    alpha = alpha[..., live]
-    scale = np.min(alpha, axis=-1, keepdims=True, initial=np.inf)  # unused when no row is live
-    rows = np.zeros(stack + (n_live + n_cols + load.shape[-2], 1 + n_cols))
-    rows[..., :n_live, 0] = 1.0  # t is unbudgeted
-    rows[..., :n_live, 1:] = -beta[..., live, :] / scale[..., np.newaxis]
-    rows[..., n_live : n_live + n_cols, 1:] = np.eye(n_cols)
-    rows[..., n_live + n_cols :, 1:] = load
-    rhs = np.empty(stack + (n_live + budgets.shape[-1],))
-    rhs[..., :n_live] = alpha / scale
-    rhs[..., n_live:] = budgets
+    live = np.isfinite(alpha)
+    stack, L, n_cols = alpha.shape[:-1], alpha.shape[-1], beta.shape[-1]
+    scale = np.min(alpha, axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
+    rows = np.zeros(stack + (L + n_cols + load.shape[-2], 1 + n_cols))
+    rows[..., :L, 0] = live  # t is unbudgeted
+    rows[..., :L, 1:] = -beta / scale[..., np.newaxis]
+    rows[..., L : L + n_cols, 1:] = np.eye(n_cols)
+    rows[..., L + n_cols :, 1:] = load
+    rhs = np.zeros(stack + (L + budgets.shape[-1],))
+    np.divide(alpha, scale, out=rhs[..., :L], where=live)
+    rhs[..., L:] = budgets
     tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
@@ -221,6 +227,41 @@ def optimize_shared_zf(
     precoder is returned, marked degenerate and naming the first candidate.
     An ``eta`` array gives every field eta's axes before the SNR's, ``degenerate`` eta's alone.
     """
+    return optimize_designs([(real, eta, N, selection)])[0]
+
+
+def optimize_designs(requests) -> list[NoisePrecoder]:
+    """``[optimize_shared_zf(*request) for request in requests]``, with one LP call for them all.
+
+    Each request is ``(real, eta, N, selection)``.  Every design's LP stack is padded
+    to one shape (zero rows at the bottom, zero columns at the right) and the stacks
+    go to :func:`~otasec.lp.solve_lp` together; padding changes no LP's answer, so
+    each design is bitwise the one made alone.
+    """
+    designs = [_design(*request) for request in requests]
+    problems = [next(design) for design in designs]
+    if not problems:
+        return []
+    shapes = np.array([p.ineq_matrix.shape for p in problems])  # (LPs, rows, columns) per design
+    stops = np.cumsum(shapes[:, 0])
+    spans = [slice(stop - size, stop) for size, stop in zip(shapes[:, 0], stops)]
+    m, n = shapes[:, 1:].max(axis=0)
+    c, M, b = np.zeros((stops[-1], n)), np.zeros((stops[-1], m, n)), np.zeros((stops[-1], m))
+    for p, at, (_, rows, cols) in zip(problems, spans, shapes):
+        c[at, :cols], M[at, :rows, :cols], b[at, :rows] = p.objective, p.ineq_matrix, p.ineq_rhs
+    solution = solve_lp(LpProblem(n, c, M, b))
+    status = np.broadcast_to(solution.status, (stops[-1],))  # a scalar status broadcasts
+    precoders = []
+    for design, at, (_, _, cols) in zip(designs, spans, shapes):
+        try:
+            design.send((status[at], solution.x[at, :cols]))
+        except StopIteration as done:
+            precoders.append(done.value)
+    return precoders
+
+
+def _design(real: SystemRealization, eta, N: int, selection: str):
+    """A generator: yields the design's LP stack, takes its ``(status, x)`` back, returns the precoder."""
     K = real.num_users
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
@@ -244,23 +285,18 @@ def optimize_shared_zf(
     beta = _beta(real, zf, noise, weights, sum_sq, live)
     load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
     rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
-    # One LP per eta, SNR and able subset.  Only eta = 0 changes which eavesdroppers are
-    # live (it drops them all), so the LPs form one stack per side of it.
-    lam = np.zeros(axes + noise.shape)
-    dead = np.isinf(alpha).all(axis=-1, keepdims=True)
+    # One LP per eta, SNR and able subset, all in one stack.
+    at = np.nonzero(np.broadcast_to(able, axes + zf.shape[:1]))
     inputs = ((alpha[..., np.newaxis, :], 1), (beta, 2), (load, 2), (rhs, 1))  # with per-LP ranks
-    for group in (able & dead, able & ~dead):
-        at = np.nonzero(group)
-        if not at[0].size:
-            continue
-        problem = _allocation_lp(*(_gather(x, at, n) for x, n in inputs))
-        solution = solve_lp(problem)
-        failed = solution.status != "optimal"
-        if np.any(failed):
-            first = np.argmax(failed)
-            what = "noise allocation" if problem.objective[first, 0] else "tie-break"
-            raise RuntimeError(f"{what} LP reported {solution.status[first]}")
-        lam[at] = np.maximum(solution.x[:, 1:], 0.0)
+    problem = _allocation_lp(*(_gather(x, at, n) for x, n in inputs))
+    status, x = yield problem
+    failed = status != "optimal"
+    if np.any(failed):
+        first = np.argmax(failed)
+        what = "noise allocation" if problem.objective[first, 0] else "tie-break"
+        raise RuntimeError(f"{what} LP reported {status[first]}")
+    lam = np.zeros(axes + noise.shape)
+    lam[at] = np.maximum(x[:, 1:], 0.0)
     A = _zf_matrices(real.h, zf, noise, weights, lam)
     # A lone candidate needs no score to win; argmax keeps the first of tied subsets, and
     # with every subset out of power, the first.  Scoring puts the subset axis first, so

@@ -360,7 +360,7 @@ class TestSnrAxis:
 
 
 class TestLpStacks:
-    """The deltas of a power-control trial or a tradeoff run share their LP stacks."""
+    """A power-control trial, a tradeoff run and a shared_zf trial each solve their LPs in one stack."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -375,15 +375,22 @@ class TestLpStacks:
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         return calls
 
-    @pytest.mark.parametrize("delta_grid, per_trial", [((0.4, 0.7, 1.0), 1), ((1.0, 0.0, 0.3), 2), ((0.0,), 1)])
-    def test_power_control_makes_one_call_per_trial_and_side_of_zero(self, calls, delta_grid, per_trial):
+    @pytest.mark.parametrize("delta_grid", [(0.4, 0.7, 1.0), (1.0, 0.0, 0.3), (0.0,)])
+    def test_power_control_makes_one_call_per_trial_and_side_of_zero(self, calls, delta_grid):
+        # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other deltas.
         collect_trials(small("power_control", num_realizations=3, delta_grid=delta_grid), threads=1)
-        assert len(calls) == 3 * per_trial and sum(calls) == 3 * 3 * len(delta_grid)
+        assert len(calls) == 3 and sum(calls) == 3 * 3 * len(delta_grid)
 
-    @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 2)])
+    @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 1)])
     def test_tradeoff_makes_at_most_two_calls(self, calls, sweep, expected):
         run_preset(small("tradeoff", sweep_values=sweep))
         assert len(calls) == expected and sum(calls) == len(sweep)
+
+    @pytest.mark.parametrize("delta, threads", [(0.0, 1), (0.5, 1), (0.5, 2)])
+    def test_shared_zf_trial_makes_one_call(self, calls, delta, threads):
+        # Per trial: 2 SNRs x 2 eavesdropper counts x (1 proposed + 5 N = 1 + 10 N = 2 subsets).
+        collect_trials(small("shared_zf", num_realizations=3, delta=delta), threads=threads)
+        assert calls == [2 * 2 * 16] * 3
 
 
 class TestMetadata:

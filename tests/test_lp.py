@@ -4,11 +4,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from otasec import lp
+from otasec import lp, optimizer
 from otasec.encoding import eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, LpSolution, solve_lp
-from otasec.optimizer import _allocation_lp, compute_alpha_beta
+from otasec.optimizer import _allocation_lp, compute_alpha_beta, optimize_designs
 
 from conftest import make_realization
 
@@ -69,7 +69,7 @@ def stack_of(problems):
 
 
 def looped_solve(problem):
-    """Bland's rule on one LP at a time, the reference for the lockstep stack.
+    """Bland's rule on one LP at a time, on the full tableau: the reference for the condensed stack.
 
     Returns ``(status, x, value, pivots)``.
     """
@@ -116,6 +116,17 @@ def assert_stack_equals_loop(problems):
         assert stacked.objective_value[i].tobytes() == np.float64(one.objective_value).tobytes()
         assert stacked.pivots[i] == one.pivots
     return stacked
+
+
+def padded(problem, rows, cols):
+    """A stack with zero rows (rhs 0) inserted before the rows ``rows``, and ``cols`` zero columns at the right."""
+    M = np.insert(problem.ineq_matrix, rows, 0.0, axis=1)
+    return LpProblem(
+        problem.num_vars + cols,
+        np.pad(problem.objective, ((0, 0), (0, cols))),
+        np.pad(M, ((0, 0), (0, 0), (0, cols))),
+        np.insert(problem.ineq_rhs, rows, 0.0, axis=1),
+    )
 
 
 def sampled_allocation_lps():
@@ -337,6 +348,19 @@ class TestStacked:
         with pytest.raises(ContractError, match="one leading axis"):
             solve_lp(LpProblem(3, stack.objective[None], stack.ineq_matrix[None], stack.ineq_rhs[None]))
 
+    def test_design_stacks_equal_the_looped_solves(self, monkeypatch):
+        # The padded stacks of batched designs, over a grid of realizations, etas and N.
+        stacks, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(problem) or solve(problem))
+        for (seed, snr_db), fading_mode in itertools.product(((0, -20.0), (1, 20.0)), ("complex", "real")):
+            reals = [make_realization(seed, K, L, snr_db, fading_mode) for K, L in ((3, 1), (4, 5), (10, 15))]
+            etas = [eta_from_delta(real, np.array([0.0, 0.3, 1.0])) for real in reals]
+            optimize_designs([(real, eta, N, "exhaustive") for real, eta in zip(reals, etas) for N in (1, 2)])
+        assert len(stacks) == 4 and sum(len(stack.ineq_rhs) for stack in stacks) > 750
+        for stack in stacks:
+            lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs)
+            assert_stack_equals_loop([LpProblem(stack.num_vars, *lp) for lp in lps])
+
     def test_iteration_limit_applies_per_lp(self, rng, monkeypatch):
         problems = [make_problem(*random_bounded_instance(rng)) for _ in range(12)]
         pivots = solve_lp(stack_of(problems)).pivots
@@ -349,3 +373,39 @@ class TestStacked:
         for problem in (stack_of(problems), slowest):
             with pytest.raises(RuntimeError, match="iteration limit"):
                 solve_lp(problem)
+
+
+class TestPadding:
+    """Zero rows anywhere and zero columns at the right change no LP's answer, bitwise."""
+
+    @staticmethod
+    def assert_padding_is_neutral(problem, rng):
+        rows = rng.integers(0, problem.ineq_rhs.shape[1] + 1, size=rng.integers(1, 4))
+        cols = int(rng.integers(0, 3))
+        plain, pad = solve_lp(problem), solve_lp(padded(problem, rows, cols))
+        n = problem.num_vars
+        assert np.array_equal(pad.status, plain.status) and np.array_equal(pad.pivots, plain.pivots)
+        assert pad.x[:, :n].tobytes() == plain.x.tobytes()
+        assert pad.x[:, n:].tobytes() == bytes(pad.x[:, n:].nbytes)  # +0.0 in every padding column
+        assert pad.objective_value.tobytes() == plain.objective_value.tobytes()
+        return plain
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(2718)
+        unbounded = 0
+        for _ in range(60):
+            B, m, n = rng.integers(1, 10), rng.integers(1, 7), rng.integers(1, 6)
+            M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= 0.4)
+            b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m))
+            c = rng.standard_normal((B, n))
+            plain = self.assert_padding_is_neutral(LpProblem(int(n), c, M, b), rng)
+            unbounded += np.count_nonzero(plain.status == "unbounded")
+        assert unbounded > 10
+
+    def test_allocation_lps(self):
+        rng = np.random.default_rng(1618)
+        groups = defaultdict(list)
+        for problem in sampled_allocation_lps():
+            groups[problem.ineq_matrix.shape].append(problem)
+        for problems in groups.values():
+            self.assert_padding_is_neutral(stack_of(problems), rng)

@@ -11,6 +11,7 @@ from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
     assemble_precoder,
     compute_alpha_beta,
+    optimize_designs,
     optimize_proposed,
     optimize_shared_zf,
 )
@@ -55,6 +56,11 @@ class TestAlphaBeta:
                 for ell in range(2):
                     expected = (eta**2 / 3) / (1.0 - per[ell])
                     assert predicted[ell] == pytest.approx(expected, rel=1e-9)
+
+    def test_rejects_an_eta_array(self):
+        real = make_realization(1, K=4, L=2)
+        with pytest.raises(ContractError, match="scalar eta"):
+            compute_alpha_beta(real, eta_from_delta(real, np.array([0.3, 0.6])), (0,), [1.0])
 
 
 class TestAssemble:
@@ -107,6 +113,11 @@ class TestAssemble:
         for lam in (np.zeros(0), np.zeros(2), np.zeros(4)):
             with pytest.raises(ContractError):
                 assemble_precoder(real, 0.0, (0,), [1.0], lam)
+
+    def test_rejects_an_eta_array(self):
+        real = make_realization(1, K=4, L=2)
+        with pytest.raises(ContractError, match="scalar eta"):
+            assemble_precoder(real, eta_from_delta(real, np.array([0.3, 0.6])), (0,), [1.0], np.full(3, 0.1))
 
 
 class TestOptimizeProposed:
@@ -590,10 +601,73 @@ class TestEtaAxis:
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         real = make_realization(5, K=5, L=3)
-        for deltas, stacks in (((0.3, 0.6, 1.0), 1), ((0.0, 0.6, 0.0, 1.0), 2), ((0.0,), 1)):
+        # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other etas.
+        for deltas in ((0.3, 0.6, 1.0), (0.0, 0.6, 0.0, 1.0), (0.0,)):
             calls.clear()
             optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), 2)
-            assert len(calls) == stacks and sum(shape[0] for shape in calls) == 10 * len(deltas)
+            assert len(calls) == 1 and calls[0][0] == 10 * len(deltas)
+
+
+class TestDesignBatch:
+    """Designs made together share one padded LP stack and equal the designs made alone, bitwise."""
+
+    @staticmethod
+    def requests():
+        # Realizations of different K and L, so the LPs differ in rows and columns; eta = 0,
+        # eta arrays, per-SNR noise and a realization with every subset out of power at delta = 1.
+        reals = [make_realization(seed, K=K, L=L) for seed, K, L in ((0, 4, 1), (1, 6, 3), (2, 5, 15))]
+        noisy, _ = over_noise(reals[1], reals[1].sigma_z_sq * np.array([10.0, 0.1]))
+        flat = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
+        out = []
+        for real in reals + [noisy, flat]:
+            deltas = np.array([[0.0], [0.5], [1.0]]) if real is noisy else np.array([0.0, 1.0])
+            etas = eta_from_delta(real, deltas)
+            for eta, N, selection in itertools.product(
+                (float(etas.flat[1]), 0.0, etas), (1, 2), ("exhaustive", "best_channel")
+            ):
+                out.append((real, eta, N, selection))
+        return out
+
+    def test_each_design_equals_the_design_made_alone(self, monkeypatch):
+        from otasec import optimizer
+
+        requests, calls = self.requests(), []
+
+        def counting(problem):
+            calls.append(problem.ineq_matrix.shape)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(optimizer, "solve_lp", counting)
+        designs = optimize_designs(requests)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        degenerate = 0
+        for request, design in zip(requests, designs):
+            ref = optimize_shared_zf(*request)
+            for field in ("A", "lam", "zf_weights"):
+                assert getattr(design, field).tobytes() == getattr(ref, field).tobytes()
+            assert np.array_equal(design.zf_users, ref.zf_users) and design.kind == ref.kind
+            assert np.array_equal(design.degenerate, ref.degenerate)
+            degenerate += np.count_nonzero(ref.degenerate)
+        assert degenerate > 0
+        assert optimize_designs([]) == []
+
+    def test_a_failing_lp_names_its_own_design(self, monkeypatch):
+        from otasec import optimizer
+        from otasec.lp import LpSolution
+
+        def unbounded(problem):
+            stack = np.shape(problem.ineq_rhs)[:-1]
+            return LpSolution("unbounded", np.zeros(stack + (problem.num_vars,)), 0.0)
+
+        monkeypatch.setattr(optimizer, "solve_lp", unbounded)
+        real = make_realization(2, K=4, L=2)
+        allocation = (real, eta_from_delta(real, 0.5), 2, "exhaustive")
+        tie_break = (real, 0.0, 1, "exhaustive")
+        with pytest.raises(RuntimeError, match="noise allocation LP reported unbounded"):
+            optimize_designs([allocation, tie_break])
+        with pytest.raises(RuntimeError, match="tie-break LP reported unbounded"):
+            optimize_designs([tie_break, allocation])
 
 
 class TestDelegationThroughBuilder:
