@@ -56,8 +56,6 @@ from .metrics import (
     statistical_csi_check,
 )
 from .optimizer import (
-    assemble_precoder,
-    compute_alpha_beta,
     optimize_designs,
     optimize_proposed,
     optimize_shared_zf,
@@ -89,8 +87,6 @@ __all__ = [
     "evaluate",
     "mc_oracle",
     "statistical_csi_check",
-    "compute_alpha_beta",
-    "assemble_precoder",
     "optimize_designs",
     "optimize_proposed",
     "optimize_shared_zf",

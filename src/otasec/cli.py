@@ -25,9 +25,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .channel import load_realization
+from .channel import _complex_out, load_realization
 from .encoding import build_precoder, eta_from_delta, precoder_to_dict
 from .errors import (
     ConfigurationError,
@@ -176,14 +174,6 @@ def _resolve_eta(args, real) -> float:
     return eta_from_delta(real, args.delta)
 
 
-def _shared_params(args, real) -> dict:
-    """``--shared-n`` and ``--selection`` as precoder params, checked against K."""
-    K = real.num_users
-    if not 1 <= args.shared_n <= K - 1:
-        raise ConfigurationError(f"--shared-n must lie in [1, {K - 1}], got {args.shared_n}")
-    return {"N": args.shared_n, "selection": args.selection}
-
-
 def _check_at_least(*checks) -> None:
     """Reject, before any work, an integer argument below its least value."""
     for flag, value, least in checks:
@@ -191,19 +181,23 @@ def _check_at_least(*checks) -> None:
             raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
 
 
-def _cmd_metrics(args) -> int:
+def _precoder(args, kind: str, params: dict):
+    """The realization, eta and precoder of ``metrics`` and ``optimize``; ``--shared-n`` overrides ``kind``."""
     _check_at_least(("--seed", args.seed, 0))
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
     if args.shared_n is not None:
-        params = _shared_params(args, real)
-        kind = "proposed_shared"
-    else:
-        kind = args.kind
-        if kind == "mixture" and not 0.0 <= args.theta <= 1.0:
-            raise ConfigurationError(f"--theta must lie in [0, 1], got {args.theta}")
-        params = {"theta": args.theta}
-    precoder = build_precoder(kind, real, eta, seed=args.seed, params=params)
+        K = real.num_users
+        if not 1 <= args.shared_n <= K - 1:
+            raise ConfigurationError(f"--shared-n must lie in [1, {K - 1}], got {args.shared_n}")
+        kind, params = "proposed_shared", {"N": args.shared_n, "selection": args.selection}
+    elif kind == "mixture" and not 0.0 <= args.theta <= 1.0:
+        raise ConfigurationError(f"--theta must lie in [0, 1], got {args.theta}")
+    return real, eta, build_precoder(kind, real, eta, seed=args.seed, params=params)
+
+
+def _cmd_metrics(args) -> int:
+    real, eta, precoder = _precoder(args, args.kind, {"theta": args.theta})
     report = evaluate(real, precoder.A, eta)
     _emit(
         {
@@ -212,7 +206,7 @@ def _cmd_metrics(args) -> int:
             "D": report.D,
             "S_coop": report.S_coop,
             "S_noncoop": report.S_noncoop,
-            "p_opt": np.stack([report.p_opt.real, report.p_opt.imag], axis=-1).tolist(),
+            "p_opt": _complex_out(report.p_opt),
             "per_eav_security": report.per_eav_security.tolist(),
         },
         args.out,
@@ -221,14 +215,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _check_at_least(("--seed", args.seed, 0))
-    real = load_realization(args.realization)
-    eta = _resolve_eta(args, real)
-    if args.shared_n is not None:
-        params = _shared_params(args, real)
-        precoder = build_precoder("proposed_shared", real, eta, seed=args.seed, params=params)
-    else:
-        precoder = build_precoder("proposed", real, eta, seed=args.seed)
+    _, _, precoder = _precoder(args, "proposed", {})
     _emit(precoder_to_dict(precoder), args.out)
     return 0
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemRealization, _cn, _stream
+from .channel import SystemRealization, _cn, _complex_out, _stream
 from .errors import ContractError, InfeasibleError, ShapeError
 
 PRECODER_KINDS = (
@@ -119,21 +119,21 @@ def eta_upper_bound(real: SystemRealization, A: np.ndarray) -> float:
     return math.sqrt(float(np.min(np.abs(real.h) ** 2 * residual)))
 
 
-def eta_bounds_given_mu(
-    real: SystemRealization, A: np.ndarray, mu: float
-) -> tuple[float, float]:
+def eta_bounds_given_mu(real: SystemRealization, A: np.ndarray, mu) -> tuple:
     """Feasible eta interval under an accuracy requirement ``D <= mu``.
 
     Returns ``(lower, upper)`` where the lower bound keeps the server error
     at or below ``mu`` and the upper bound is :func:`eta_upper_bound`.  Both
-    are returned even when ``lower > upper`` (empty design space).
+    are returned even when ``lower > upper`` (empty design space).  An array
+    ``mu`` gives ``lower`` its shape; a scalar ``mu`` gives two floats.
     """
-    if not (0.0 < mu <= 1.0):
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((mu > 0.0) & (mu <= 1.0)):
         raise ContractError("mu must lie in (0, 1]")
     upper = eta_upper_bound(real, A)
     hA_sq = float(np.sum(np.abs(real.h @ np.asarray(A)) ** 2))
-    lower = math.sqrt((1.0 - mu) * (hA_sq + real.sigma_y_sq) / (mu * real.num_users))
-    return lower, upper
+    lower = np.sqrt((1.0 - mu) * (hA_sq + real.sigma_y_sq) / (mu * real.num_users))
+    return (float(lower) if lower.ndim == 0 else lower), upper
 
 
 def eta_from_delta(real: SystemRealization, delta):
@@ -273,7 +273,7 @@ def build_precoder(
 
 def precoder_to_dict(precoder: NoisePrecoder) -> dict:
     out = {
-        "A": np.stack([precoder.A.real, precoder.A.imag], axis=-1).tolist(),
+        "A": _complex_out(precoder.A),
         "noise_dim": precoder.noise_dim,
         "kind": precoder.kind,
         "eta": precoder.eta,

@@ -120,8 +120,13 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
     B, m = eavesdropper_moments(real, A, eta)
     s_coop = 1.0 - np.cumsum(np.abs(_forward(cholesky(B), m)) ** 2) / real.num_users
     D = approximation_error(real, A, eta)
-    rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by _check_fields
+    rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by _check_sweep_L
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
+
+
+def _check_sweep_L(preset: ExperimentPreset) -> None:
+    _check_fraction("delta", preset.delta)
+    _check_eavesdropper_counts("sweep_values", preset.sweep_values)
 
 
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -141,6 +146,12 @@ def _columns_sweep_snr_designs(preset: ExperimentPreset):
     for design in preset.designs:
         cols += [f"D_{design}", f"Scoop_{design}", f"Snoncoop_{design}"]
     return cols
+
+
+def _check_designs(preset: ExperimentPreset) -> None:
+    _check_fraction("delta", preset.delta)
+    _check_kinds(preset, "designs", preset.designs)
+    _check_nonempty(preset, "designs")
 
 
 def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -176,6 +187,7 @@ def _check_eavesdropper_counts(name: str, values) -> None:
 
 def _check_shared_zf(preset: ExperimentPreset) -> None:
     K = preset.config.num_users
+    _check_fraction("delta", preset.delta)
     _check_eavesdropper_counts("l_values", preset.l_values)
     if not all(1 <= n <= K - 1 for n in preset.shared_n_values):
         raise ConfigurationError(
@@ -206,6 +218,11 @@ def _columns_power_control(preset: ExperimentPreset):
     for delta in preset.delta_grid:
         cols += [f"S_{delta:g}", f"D_{delta:g}"]
     return cols
+
+
+def _check_power_control(preset: ExperimentPreset) -> None:
+    _check_fraction("delta_grid", preset.delta_grid)
+    _check_nonempty(preset, "delta_grid")
 
 
 def _map_trials(fn, n: int, workers: int | None) -> list:
@@ -261,6 +278,7 @@ def _columns_eta_design_space(preset: ExperimentPreset):
 
 
 def _check_eta_design_space(preset: ExperimentPreset) -> None:
+    _check_kinds(preset, "precoder_kind", [preset.precoder_kind])
     _check_nonempty(preset, "power_levels")
     if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
         raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {preset.sweep_values!r}")
@@ -271,16 +289,11 @@ def _check_eta_design_space(preset: ExperimentPreset) -> None:
 def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
     real = sample_realization(preset.config, preset.base_seed)
     A = build_precoder(preset.precoder_kind, real, 0.0, seed=preset.base_seed).A
-    rows = np.empty((len(preset.sweep_values), 1 + 2 * len(preset.power_levels)))
+    mu = np.asarray(preset.sweep_values, dtype=float)
     # Noise variances stay at the base calibration while the transmit power
     # moves between levels; recalibrating would just rescale the whole plot.
-    for j, mu in enumerate(preset.sweep_values):
-        row = [mu]
-        for p in preset.power_levels:
-            lower, upper = eta_bounds_given_mu(replace(real, P=float(p)), A, float(mu))
-            row += [lower, upper]
-        rows[j] = row
-    return rows
+    bounds = [eta_bounds_given_mu(replace(real, P=float(p)), A, mu) for p in preset.power_levels]
+    return np.column_stack(np.broadcast_arrays(mu, *(b for pair in bounds for b in pair)))
 
 
 def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -320,11 +333,11 @@ class _Spec:
 
     columns: Callable[[ExperimentPreset], list]
     rows: Callable[[ExperimentPreset, int | None], np.ndarray]
+    check: Callable[[ExperimentPreset], None]  # the checks of the fields this preset reads
     trial: Callable[[ExperimentPreset, int], np.ndarray] | None = None
     meta: tuple = ()  # extra metadata keys, in output order
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
-    check: Callable[[ExperimentPreset], None] | None = None  # preset-specific field checks
 
 
 _DESIGNS = ("none", "signal_level", "data_level", "random_zf", "proposed")
@@ -342,7 +355,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_sweep_L,
         meta=("delta",),
-        check=lambda preset: _check_eavesdropper_counts("sweep_values", preset.sweep_values),
+        check=_check_sweep_L,
         fields=dict(sweep_values=tuple(range(1, 16))),
     ),
     "sweep_snr_designs": _Spec(
@@ -350,7 +363,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_sweep_snr_designs,
         meta=("designs", "delta"),
-        check=lambda preset: _check_nonempty(preset, "designs"),
+        check=_check_designs,
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "security_gap": _Spec(
@@ -358,7 +371,7 @@ _PRESETS = {
         rows=_gap_rows,
         trial=_trial_sweep_snr_designs,
         meta=("designs", "delta"),
-        check=lambda preset: _check_nonempty(preset, "designs"),
+        check=_check_designs,
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "collocated": _Spec(
@@ -367,6 +380,7 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_collocated,
         meta=("delta",),
+        check=lambda preset: _check_fraction("delta", preset.delta),
         fields=dict(sweep_values=_SNR_GRID),
     ),
     "shared_zf": _Spec(
@@ -382,13 +396,14 @@ _PRESETS = {
         rows=_mean_rows,
         trial=_trial_power_control,
         meta=("delta_grid",),
-        check=lambda preset: _check_nonempty(preset, "delta_grid"),
+        check=_check_power_control,
         fields=dict(sweep_values=_SNR_GRID),
     ),
     "tradeoff": _Spec(
         columns=lambda preset: ["kind", "delta", "theta", "D", "S_coop"],
         rows=_tradeoff_rows,
         meta=("kinds", "mixture_pairs"),
+        check=lambda preset: _check_fraction("sweep_values (delta)", preset.sweep_values),
         fields=dict(sweep_values=tuple(np.linspace(0.0, 1.0, 40)), num_realizations=1),
         config=dict(num_eavesdroppers=7, snr_db=0.0),
     ),
@@ -445,10 +460,25 @@ def _metadata(preset: ExperimentPreset) -> dict:
     return meta
 
 
-def _check_nonempty(preset: ExperimentPreset, *names: str) -> None:
-    for name in names:
-        if len(getattr(preset, name)) == 0:
-            raise ConfigurationError(f"{name} must be non-empty")
+def _check_nonempty(preset: ExperimentPreset, name: str) -> None:
+    if len(getattr(preset, name)) == 0:
+        raise ConfigurationError(f"{name} must be non-empty")
+
+
+def _check_fraction(name: str, value) -> None:
+    """Reject a power-control fraction, or a list of them, outside [0, 1]."""
+    fractions = np.asarray(value, dtype=float)
+    if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
+        raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_kinds(preset: ExperimentPreset, name: str, kinds) -> None:
+    plain = [kind for kind in PRECODER_KINDS if kind != "mixture"]  # a mixture needs its theta
+    if not all(kind in plain for kind in kinds):
+        raise ConfigurationError(f"{name} must be among {', '.join(plain)}, got {kinds!r}")
+    if "proposed_shared" in kinds and preset.config.num_users < 3:
+        # build_precoder shares N = 2 users' noise, which needs N <= num_users - 1.
+        raise ConfigurationError(f"{name} proposed_shared needs num_users >= 3")
 
 
 def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
@@ -458,21 +488,7 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     sweep = np.asarray(preset.sweep_values, dtype=float)
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
-    if "delta" in spec.meta and not 0.0 <= preset.delta <= 1.0:
-        raise ConfigurationError(f"delta must lie in [0, 1], got {preset.delta!r}")
-    if "delta_grid" in spec.meta and not all(0.0 <= d <= 1.0 for d in preset.delta_grid):
-        raise ConfigurationError(f"delta_grid must lie in [0, 1], got {preset.delta_grid!r}")
-    plain = [kind for kind in PRECODER_KINDS if kind != "mixture"]  # a mixture needs its theta
-    for name, kinds in (("designs", preset.designs), ("precoder_kind", [preset.precoder_kind])):
-        if name not in spec.meta:
-            continue
-        if not all(kind in plain for kind in kinds):
-            raise ConfigurationError(f"{name} must be among {', '.join(plain)}, got {kinds!r}")
-        if "proposed_shared" in kinds and preset.config.num_users < 3:
-            # build_precoder shares N = 2 users' noise, which needs N <= num_users - 1.
-            raise ConfigurationError(f"{name} proposed_shared needs num_users >= 3")
-    if spec.check is not None:
-        spec.check(preset)
+    spec.check(preset)
 
 
 def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:

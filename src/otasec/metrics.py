@@ -126,6 +126,14 @@ def _checked(real: SystemRealization, A, eta: float, positive_noise: bool = Fals
     return A
 
 
+def _combiner(real: SystemRealization, p) -> np.ndarray:
+    """The combiner ``p`` as an array; anything but ``L`` finite values raises."""
+    p = np.asarray(p, dtype=np.complex128)
+    if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
+        raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
+    return p
+
+
 def _ratio_sums(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``|sum_k g_k/h_k|^2`` and ``sum_k |g_k/h_k|^2`` for each row ``g`` of shape ``(..., K)``."""
     r = g / h
@@ -214,9 +222,7 @@ def effective_channel_security(
     """
     _check_scalar_eta(eta)
     A = _checked(real, A, eta)
-    p = np.asarray(p, dtype=np.complex128)
-    if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
-        raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
+    p = _combiner(real, p)
     noise = real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
     return _scalar(_receiver(p.conj() @ real.G, real.h, A, _squared(eta), noise))
 
@@ -366,9 +372,7 @@ def mc_combiner_mse(
     it is claimed to achieve.
     """
     A = _oracle_inputs(real, A, eta, num_samples)
-    p = np.asarray(p, dtype=np.complex128)
-    if p.shape != (real.num_eavesdroppers,) or not np.isfinite(p).all():
-        raise ContractError(f"p must be {real.num_eavesdroppers} finite values, got shape {p.shape}")
+    p = _combiner(real, p)
     means, std_errs = _heldout_mse(_stream(seed), real, A, eta, num_samples, (lambda y, z: p.conj() @ z,))
     return float(means[0]), float(std_errs[0])
 

@@ -39,9 +39,10 @@ an all-zero row, so the LPs of a design form one stack whatever its ``eta``; a
 subset out of residual power at an ``eta`` is left out of its LPs.
 :func:`optimize_designs` pads the stacks of several designs to one shape and
 makes one :func:`~otasec.lp.solve_lp` call for them all (one per ``shared_zf``
-trial).  It is the one design path: :func:`optimize_shared_zf` is its
+trial).  It is the one way into a design: :func:`optimize_shared_zf` is its
 one-design case and the paper's single-user :func:`optimize_proposed` the
-one-candidate case of that.
+one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix are
+the stacked helpers' at a subset axis of length one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import itertools
 import numpy as np
 
 from .channel import SystemRealization
-from .encoding import NoisePrecoder, _check_scalar_eta, _squared, row_budgets
+from .encoding import NoisePrecoder, _squared, row_budgets
 from .errors import ContractError
 from .lp import LpProblem, solve_lp
 from . import metrics
@@ -124,41 +125,6 @@ def _zf_matrices(
         * weights[..., np.newaxis]
     )
     return A
-
-
-def compute_alpha_beta(
-    real: SystemRealization, eta: float, zf_users, weights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Objective coefficients ``(alpha, beta)`` of the max-min noise allocation.
-
-    ``alpha`` has shape ``(L,)``, or ``(S, L)`` per SNR, and is +inf on dropped eavesdroppers;
-    ``beta`` has shape ``(L, K - N)`` with zero rows on them.
-    """
-    _check_scalar_eta(eta)
-    alpha, sum_sq, live = _eavesdropper_terms(real, eta)
-    zf, noise = _noise_columns(real.num_users, zf_users)
-    weights = np.asarray(weights, dtype=float)
-    return alpha, _beta(real, zf[None], noise[None], weights[None], sum_sq, live)[0]
-
-
-def assemble_precoder(
-    real: SystemRealization, eta: float, zf_users, weights, lam
-) -> NoisePrecoder:
-    """The K x (K - N) zero-forcing matrix for a user selection and column powers."""
-    _check_scalar_eta(eta)
-    zf, noise = _noise_columns(real.num_users, zf_users)
-    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
-    if lam.shape != noise.shape:
-        raise ContractError("lambda length must equal the number of noise columns")
-    weights = np.asarray(weights, dtype=float)
-    return NoisePrecoder(
-        A=_zf_matrices(real.h, zf[None], noise[None], weights[None], lam[None])[0],
-        kind="proposed" if zf.size == 1 else "proposed_shared",
-        eta=eta,
-        zf_users=tuple(int(k) for k in zf),
-        lam=lam,
-        zf_weights=weights,
-    )
 
 
 def _allocation_lp(

@@ -143,6 +143,7 @@ class TestRun:
             ("power_control", "delta_grid=[0.5,1.5]"),
             ("tradeoff", "mixture_pairs=-1"),
             ("tradeoff", "mixture_thetas=-2"),
+            ("tradeoff", "sweep_values=[0.5,2]"),
             ("sweep_L", "sweep_values=[0,3]"),
             ("sweep_L", "sweep_values=[1.5,3]"),
             ("eta_design_space", "sweep_values=[0,0.5]"),

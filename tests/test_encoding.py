@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,9 +91,23 @@ class TestEtaBounds:
 
     def test_mu_out_of_range(self):
         real = make_realization(1)
-        for mu in (0.0, -0.5, 1.5):
+        for mu in (0.0, -0.5, 1.5, np.nan, np.array([0.5, 0.0])):
             with pytest.raises(ContractError):
                 eta_bounds_given_mu(real, zero_A(4), mu)
+
+    def test_mu_array_is_the_scalar_formula_per_entry(self, rng):
+        real = make_realization(5, K=6, L=2)
+        A = 1e-4 * (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        mu = np.linspace(0.005, 1.0, 200)
+        lower, upper = eta_bounds_given_mu(real, A, mu)
+        assert lower.shape == mu.shape and upper == eta_upper_bound(real, A)
+        hA_sq = float(np.sum(np.abs(real.h @ A) ** 2))
+        for m, low in zip(mu.tolist(), lower.tolist()):
+            scalar = eta_bounds_given_mu(real, A, m)
+            assert type(scalar[0]) is float and type(scalar[1]) is float
+            assert scalar == (low, upper)
+            # The scalar formula, as written before mu could be an array.
+            assert low == math.sqrt((1.0 - m) * (hA_sq + real.sigma_y_sq) / (m * real.num_users))
 
     def test_eta_from_delta(self):
         real = make_realization(2, K=6, L=2)

@@ -6,7 +6,7 @@ import pytest
 
 from otasec import errors, experiments
 from otasec.channel import calibrate_noise, sample_realization
-from otasec.encoding import build_precoder, eta_from_delta
+from otasec.encoding import build_precoder, eta_bounds_given_mu, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
 from otasec.experiments import (
     PRESET_NAMES,
@@ -249,6 +249,21 @@ class TestOtherPresets:
         assert np.all(np.diff(lower) < 0)  # accuracy slack widens the space
         assert np.all(table.rows[:, 4] >= table.rows[:, 2])  # more power, higher cap
         assert np.all(np.diff(table.rows[:, 2]) == 0)  # cap independent of mu
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("kind", ["none", "signal_level", "data_level", "random_zf", "proposed"])
+    def test_eta_design_space_equals_the_per_mu_loop(self, kind, seed):
+        # Reference: the table as one scalar eta_bounds_given_mu call per mu and power level.
+        preset = small("eta_design_space", precoder_kind=kind, base_seed=seed, power_levels=(1.0, 10.0, 2.5))
+        real = sample_realization(preset.config, seed)
+        A = build_precoder(kind, real, 0.0, seed=seed).A
+        expected = []
+        for mu in preset.sweep_values:
+            row = [mu]
+            for p in preset.power_levels:
+                row += eta_bounds_given_mu(dataclasses.replace(real, P=float(p)), A, float(mu))
+            expected.append(row)
+        assert run_preset(preset).rows.tobytes() == np.array(expected).tobytes()
 
     def test_tradeoff_scatter(self):
         table = run_preset(small("tradeoff"))
@@ -518,6 +533,12 @@ class TestValidation:
         monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
         with pytest.raises(ConfigurationError, match=f"^{field} must be non-empty$"):
             run_preset(preset)
+
+    @pytest.mark.parametrize("sweep", [(0.5, 2.0), (-0.1, 0.5)])
+    def test_tradeoff_sweep_values_are_deltas(self, monkeypatch, sweep):
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        with pytest.raises(ConfigurationError, match=r"^sweep_values \(delta\) must lie in \[0, 1\], got "):
+            run_preset(small("tradeoff", sweep_values=sweep))
 
     def test_collect_trials_rejects_scatter_presets(self):
         with pytest.raises(ConfigurationError):

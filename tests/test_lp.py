@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from otasec import lp, optimizer
-from otasec.encoding import eta_from_delta, row_budgets
+from otasec.encoding import eta_from_delta
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, LpSolution, solve_lp
-from otasec.optimizer import _allocation_lp, compute_alpha_beta, optimize_designs
+from otasec.optimizer import _design, optimize_designs
 
 from conftest import make_realization
 
@@ -130,21 +130,32 @@ def padded(problem, rows, cols):
 
 
 def sampled_allocation_lps():
-    """The optimizer's max-min allocation LPs on sampled realizations."""
+    """The LP stacks the optimizer solves for best-channel designs on sampled realizations.
+
+    Each stack is the one a design yields before it solves: one max-min allocation LP here.
+    """
     for seed in range(6):
         for K, L, snr_db in ((4, 2, 10.0), (10, 15, 20.0), (10, 5, -10.0)):
             real = make_realization(seed, K=K, L=L, snr_db=snr_db)
             for delta in (0.05, 0.5, 1.0):
                 eta = eta_from_delta(real, delta)
-                budgets = row_budgets(real, eta)
-                order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
                 for N in (1, 2):
-                    Z = sorted(int(i) for i in order[:N])
-                    noise = [i for i in range(K) if i not in Z]
-                    w = budgets[Z] / budgets[Z].sum()
-                    alpha, beta = compute_alpha_beta(real, eta, Z, w)
-                    load = np.abs(w[:, None] * real.h[noise] / real.h[Z, None]) ** 2
-                    yield _allocation_lp(alpha, beta, load, budgets[noise + Z])
+                    yield next(_design(real, eta, N, "best_channel"))
+
+
+def entries(stack):
+    """The LPs of a stack, one at a time."""
+    lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs)
+    return [LpProblem(stack.num_vars, *lp) for lp in lps]
+
+
+def grouped_allocation_lps():
+    """The sampled allocation LPs, grouped by shape."""
+    groups = defaultdict(list)
+    for stack in sampled_allocation_lps():
+        for problem in entries(stack):
+            groups[problem.ineq_matrix.shape].append(problem)
+    return groups
 
 
 class TestExamples:
@@ -274,11 +285,12 @@ class TestAgainstHighs:
 
     def test_allocation_lps(self):
         count = 0
-        for problem in sampled_allocation_lps():
-            sol = solve_lp(problem)
-            assert sol.status == "optimal"
-            assert sol.objective_value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
-            count += 1
+        for stack in sampled_allocation_lps():
+            sol = solve_lp(stack)
+            assert np.all(sol.status == "optimal")
+            for value, problem in zip(sol.objective_value, entries(stack)):
+                assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
+                count += 1
         assert count == 108
 
 
@@ -286,9 +298,7 @@ class TestStacked:
     """A stack of LPs runs Bland's rule in lockstep and must match the one-LP loop bitwise."""
 
     def test_allocation_lps_equal_the_looped_solves(self):
-        groups = defaultdict(list)
-        for problem in sampled_allocation_lps():
-            groups[problem.ineq_matrix.shape].append(problem)
+        groups = grouped_allocation_lps()
         assert len(groups) == 6
         for problems in groups.values():
             stacked = assert_stack_equals_loop(problems)
@@ -358,8 +368,7 @@ class TestStacked:
             optimize_designs([(real, eta, N, "exhaustive") for real, eta in zip(reals, etas) for N in (1, 2)])
         assert len(stacks) == 4 and sum(len(stack.ineq_rhs) for stack in stacks) > 750
         for stack in stacks:
-            lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs)
-            assert_stack_equals_loop([LpProblem(stack.num_vars, *lp) for lp in lps])
+            assert_stack_equals_loop(entries(stack))
 
     def test_iteration_limit_applies_per_lp(self, rng, monkeypatch):
         problems = [make_problem(*random_bounded_instance(rng)) for _ in range(12)]
@@ -404,8 +413,5 @@ class TestPadding:
 
     def test_allocation_lps(self):
         rng = np.random.default_rng(1618)
-        groups = defaultdict(list)
-        for problem in sampled_allocation_lps():
-            groups[problem.ineq_matrix.shape].append(problem)
-        for problems in groups.values():
+        for problems in grouped_allocation_lps().values():
             self.assert_padding_is_neutral(stack_of(problems), rng)

@@ -4,13 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from otasec.encoding import build_precoder, eta_from_delta, row_budgets
+from otasec.encoding import NoisePrecoder, build_precoder, eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, solve_lp
 from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
-    assemble_precoder,
-    compute_alpha_beta,
+    _beta,
+    _eavesdropper_terms,
+    _noise_columns,
+    _zf_matrices,
     optimize_designs,
     optimize_proposed,
     optimize_shared_zf,
@@ -24,17 +26,40 @@ def zero_A(K):
     return np.zeros((K, 1), dtype=np.complex128)
 
 
+def alpha_beta(real, eta, Z, w):
+    """One subset's ``(alpha, beta)``: the stacked helpers at a subset axis of length one.
+
+    ``alpha`` has shape ``(L,)`` and is +inf on dropped eavesdroppers; ``beta``
+    has shape ``(L, K - N)`` with zero rows on them.
+    """
+    alpha, sum_sq, live = _eavesdropper_terms(real, eta)
+    zf, noise = _noise_columns(real.num_users, [Z])
+    return alpha, _beta(real, zf, noise, np.asarray([w], dtype=float), sum_sq, live)[0]
+
+
+def zf_matrix(real, Z, w, lam):
+    """One subset's K x (K - N) zero-forcing matrix at noise powers ``lam``."""
+    zf, noise = _noise_columns(real.num_users, [Z])
+    return _zf_matrices(real.h, zf, noise, np.asarray([w], dtype=float), np.asarray([lam], dtype=float))[0]
+
+
+def objectives(real, A, eta):
+    """Each eavesdropper's max-min objective ``(eta^2/K) / (1 - S_l)``, from ``noncoop_security``."""
+    _, per = noncoop_security(real, A, eta)
+    return (eta**2 / real.num_users) / (1.0 - per)
+
+
 class TestAlphaBeta:
     def test_aligned_pair(self):
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, 1.0]], sigma_z_sq=2.0)
-        alpha, beta = compute_alpha_beta(real, 1.0, (1,), [1.0])
+        alpha, beta = alpha_beta(real, 1.0, (1,), [1.0])
         assert np.isfinite(alpha).all()
         assert alpha[0] == pytest.approx(1.0, abs=1e-15)
         assert beta[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_cancelling_channel_dropped(self):
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, -1.0]], sigma_z_sq=2.0)
-        alpha, beta = compute_alpha_beta(real, 1.0, (1,), [1.0])
+        alpha, beta = alpha_beta(real, 1.0, (1,), [1.0])
         assert np.isinf(alpha[0])
         assert not beta[0].any()
 
@@ -45,22 +70,13 @@ class TestAlphaBeta:
             real = make_realization(seed, K=3, L=2)
             eta = eta_from_delta(real, 0.6)
             zf = int(np.argmax(np.abs(real.h) ** 2))
-            alpha, beta = compute_alpha_beta(real, eta, (zf,), [1.0])
+            alpha, beta = alpha_beta(real, eta, (zf,), [1.0])
             budgets = row_budgets(real, eta)
             others = [i for i in range(3) if i != zf]
             for _ in range(5):
                 lam = rng.uniform(0.0, 1.0, 2) * budgets[others] * 0.5
-                A = assemble_precoder(real, eta, (zf,), [1.0], lam).A
-                _, per = noncoop_security(real, A, eta)
-                predicted = alpha + beta @ lam
-                for ell in range(2):
-                    expected = (eta**2 / 3) / (1.0 - per[ell])
-                    assert predicted[ell] == pytest.approx(expected, rel=1e-9)
-
-    def test_rejects_an_eta_array(self):
-        real = make_realization(1, K=4, L=2)
-        with pytest.raises(ContractError, match="scalar eta"):
-            compute_alpha_beta(real, eta_from_delta(real, np.array([0.3, 0.6])), (0,), [1.0])
+                A = zf_matrix(real, (zf,), [1.0], lam)
+                assert alpha + beta @ lam == pytest.approx(objectives(real, A, eta), rel=1e-9)
 
 
 class TestAssemble:
@@ -69,7 +85,7 @@ class TestAssemble:
         eta = eta_from_delta(real, 0.5)
         lam = np.array([0.4, 0.1, 0.2])
         zf = 3
-        A = assemble_precoder(real, eta, (zf,), [1.0], lam).A
+        A = zf_matrix(real, (zf,), [1.0], lam)
         expected = np.zeros((4, 3), dtype=complex)
         for col, i in enumerate([0, 1, 2]):
             expected[i, col] = np.sqrt(lam[col])
@@ -77,7 +93,7 @@ class TestAssemble:
         assert np.allclose(A, expected, atol=1e-15)
 
     def test_equals_the_per_entry_loop(self, rng):
-        # Reference: the loop assemble_precoder ran before it was vectorized.
+        # Reference: the loop that built one subset's matrix before it was vectorized.
         real = make_realization(4, K=6, L=2)
         for Z in ((2,), (0, 4), (1, 3, 5)):
             w = rng.dirichlet(np.ones(len(Z)))
@@ -89,13 +105,12 @@ class TestAssemble:
                 expected[i, col] = roots[col]
                 for k, d_k in zip(Z, w):
                     expected[k, col] = -roots[col] * (real.h[i] / real.h[k]) * d_k
-            prec = assemble_precoder(real, 0.5, Z, w, lam)
-            assert np.array_equal(prec.A, expected)
-            assert prec.zf_users == Z and prec.noise_dim == len(noise)
+            A = zf_matrix(real, Z, w, lam)
+            assert A.shape == expected.shape and np.array_equal(A, expected)
 
     def test_zero_lambda_is_zero_matrix(self):
         real = make_realization(2, K=4, L=1)
-        assert not assemble_precoder(real, 0.0, (0,), [1.0], np.zeros(3)).A.any()
+        assert not zf_matrix(real, (0,), [1.0], np.zeros(3)).any()
 
     def test_always_zero_forcing(self, rng):
         for seed in range(10):
@@ -103,21 +118,10 @@ class TestAssemble:
             eta = eta_from_delta(real, 0.4)
             shared = optimize_shared_zf(real, eta, 2)
             lam = rng.uniform(0.0, 0.1, 3)
-            A = assemble_precoder(real, eta, shared.zf_users, shared.zf_weights, lam).A
+            A = zf_matrix(real, shared.zf_users, shared.zf_weights, lam)
             assert np.linalg.norm(real.h @ A) <= 1e-12 * np.linalg.norm(
                 real.h
             ) * np.linalg.norm(A)
-
-    def test_missing_lambda_rejected(self):
-        real = make_realization(3, K=4, L=1)
-        for lam in (np.zeros(0), np.zeros(2), np.zeros(4)):
-            with pytest.raises(ContractError):
-                assemble_precoder(real, 0.0, (0,), [1.0], lam)
-
-    def test_rejects_an_eta_array(self):
-        real = make_realization(1, K=4, L=2)
-        with pytest.raises(ContractError, match="scalar eta"):
-            assemble_precoder(real, eta_from_delta(real, np.array([0.3, 0.6])), (0,), [1.0], np.full(3, 0.1))
 
 
 class TestOptimizeProposed:
@@ -194,10 +198,10 @@ class TestOptimizeProposed:
             eta = eta_from_delta(real, 0.7)
             prec = optimize_proposed(real, eta)
             (zf,) = prec.zf_users
-            alpha, beta = compute_alpha_beta(real, eta, prec.zf_users, prec.zf_weights)
+            alpha, beta = alpha_beta(real, eta, prec.zf_users, prec.zf_weights)
             live = np.isfinite(alpha)
             assert live.any()
-            values = alpha[live] + beta[live] @ prec.lam
+            values = objectives(real, prec.A, eta)[live]
             t_star = values.min()
             budgets = row_budgets(real, eta)
             nonzf = [i for i in range(4) if i != zf]
@@ -258,18 +262,21 @@ class TestSharedZeroForcing:
             coeff = abs(d_k * real.h[i] / real.h[k]) ** 2
             if coeff > 0:
                 cap = min(cap, budgets[k] / coeff)
-        alpha, beta = compute_alpha_beta(real, eta, Z, w)
         # The objective is nondecreasing in the single power, so the cap wins.
         assert prec.lam[0] == pytest.approx(cap, rel=1e-8)
-        assert np.all(beta[np.isfinite(alpha)] >= 0.0)
+        alpha, beta = alpha_beta(real, eta, Z, w)
+        live = np.isfinite(alpha)
+        assert np.all(beta[live] >= 0.0)
+        below = objectives(real, zf_matrix(real, Z, w, prec.lam / 2), eta)
+        assert np.all(objectives(real, prec.A, eta)[live] >= below[live] * (1.0 - 1e-9))
 
     @pytest.mark.parametrize("seed", [8, 14])
     def test_zero_eta_takes_the_tie_break(self, seed):
         # At eta = 0 the allocation LP's alpha is about sigma_z^2, so beta/alpha
         # reached 1e11: seed 14 spun to the iteration limit, seed 8 read unbounded.
         real = make_realization(seed, K=10, L=15, snr_db=20.0)
-        alpha, _ = compute_alpha_beta(real, 0.0, (0, 1, 2), np.full(3, 1.0 / 3.0))
-        assert not np.isfinite(alpha).any()
+        alpha, _, live = _eavesdropper_terms(real, 0.0)
+        assert not live.any() and not np.isfinite(alpha).any()
         prec = optimize_shared_zf(real, 0.0, 3)
         assert not prec.degenerate
         assert np.max(np.abs(real.h @ prec.A)) <= 1e-12
@@ -358,12 +365,12 @@ class TestSharedZeroForcing:
 
 
 def looped_design_search(real, eta, N, selection):
-    """The design search one subset at a time, from public pieces.
+    """The design search one subset at a time.
 
-    Per subset: ``compute_alpha_beta``, one 2-D LP (the max-min allocation,
-    or the tie-break over lambda alone when no live row depends on lambda),
-    ``assemble_precoder`` and ``noncoop_security``; a strict ``>`` keeps the
-    first maximum.  None when every subset is out of residual power.
+    Per subset: ``alpha_beta``, one 2-D LP (the max-min allocation, or the
+    tie-break over lambda alone when no live row depends on lambda),
+    ``zf_matrix`` and ``noncoop_security``; a strict ``>`` keeps the first
+    maximum.  None when every subset is out of residual power.
     """
     K = real.num_users
     budgets = row_budgets(real, eta)
@@ -379,7 +386,7 @@ def looped_design_search(real, eta, N, selection):
         if r.sum() <= 0.0:
             continue
         w = r / r.sum()
-        alpha, beta = compute_alpha_beta(real, eta, Z, w)
+        alpha, beta = alpha_beta(real, eta, Z, w)
         live = np.isfinite(alpha)
         load = np.abs(w[:, None] * real.h[noise] / real.h[zf, None]) ** 2
         budget_rows = np.vstack([np.eye(len(noise)), load])
@@ -400,7 +407,9 @@ def looped_design_search(real, eta, N, selection):
             sol = solve_lp(LpProblem(len(noise), np.ones(len(noise)), budget_rows, rhs))
             lam = sol.x
         assert sol.status == "optimal"
-        prec = assemble_precoder(real, eta, Z, w, lam)
+        kind = "proposed" if N == 1 else "proposed_shared"
+        lam = np.maximum(lam, 0.0)
+        prec = NoisePrecoder(zf_matrix(real, Z, w, lam), kind, eta, zf_users=Z, lam=lam, zf_weights=w)
         value = noncoop_security(real, prec.A, eta)[0] if len(candidates) > 1 else 0.0
         if best is None or value > best[0]:
             best = (value, prec)
@@ -443,7 +452,7 @@ class TestDesignSearch:
         # Z = (0, 1) leaves the live eavesdropper a zero residual, so only its
         # LP is a tie-break; Z = (0, 2) and (1, 2) allocate max-min.
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[0.0, 1.0, 0.5]], P=2.0)
-        alpha, beta = compute_alpha_beta(real, 0.5, (0, 1), [0.5, 0.5])
+        alpha, beta = alpha_beta(real, 0.5, (0, 1), [0.5, 0.5])
         assert np.isfinite(alpha).all() and not beta.any()
         for N, selection in itertools.product((1, 2), ("exhaustive", "best_channel")):
             self.assert_equals_looped(real, 0.5, N, selection)
