@@ -141,7 +141,11 @@ def _allocation_lp(
     share a stack.  Every live alpha is positive, so ``t >= 0`` cuts off no
     optimum.  The raw coefficients inherit the physical channel scale, which
     can sit below the simplex pivot tolerance, so ``t`` and the objective rows
-    are in units of each LP's smallest live alpha.
+    are in units of an upper bound on each LP's optimum: ``beta >= 0``, so
+    ``t* <= min over live l of (alpha_l + beta_l . noise budgets)``, and
+    ``t* <= 1`` in LP units.  The smallest alpha alone is a poor unit when it
+    nears ``sigma_z^2`` (small eta or high SNR): ``beta / alpha`` then grows
+    until the simplex spins or misreports the LP unbounded.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
@@ -151,7 +155,9 @@ def _allocation_lp(
     """
     live = np.isfinite(alpha)
     stack, L, n_cols = alpha.shape[:-1], alpha.shape[-1], beta.shape[-1]
-    scale = np.min(alpha, axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
+    # The products in C order: a row sum then adds them in one order whatever the stack's layout.
+    reach = alpha + np.multiply(beta, budgets[..., np.newaxis, :n_cols], order="C").sum(axis=-1)
+    scale = np.min(reach, axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
     rows = np.zeros(stack + (L + n_cols + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
     rows[..., :L, 1:] = -beta / scale[..., np.newaxis]

@@ -7,6 +7,16 @@ from otasec import ScenarioConfig, sample_realization
 from otasec.channel import SystemRealization
 
 
+# Exhaustive designs whose allocation LPs spun to the iteration limit or were reported
+# unbounded while t was scaled by the smallest alpha alone:
+# (K, L, snr_db, delta, fading_mode, seed, N).
+ILL_SCALED_DESIGNS = [
+    (10, 15, 20.0, 1e-6, "complex", 8, 3),
+    (10, 15, 20.0, 1e-6, "complex", 14, 3),
+    (10, 15, 20.0, 1e-6, "real", 8, 3),
+    (12, 14, 20.0, 0.1, "real", 241, 1),
+]
+
 def make_realization(seed, K=4, L=2, snr_db=10.0, fading_mode="complex", **kwargs):
     config = ScenarioConfig(
         num_users=K, num_eavesdroppers=L, snr_db=snr_db, fading_mode=fading_mode, **kwargs

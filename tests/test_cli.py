@@ -217,6 +217,20 @@ class TestRun:
         assert elapsed < 5.0  # about 0.2 s; the old cap of 10^6 draws took 15-19 s
         assert not out.exists()
 
+    def test_ill_scaled_allocation_lps_run_to_a_table(self, tmp_path, capsys):
+        # Real fading at K = 12, L = 14, delta = 0.1 and seed 241 once spun its allocation LP
+        # to the iteration limit and exited 3 after about 4 s.
+        out = tmp_path / "t.dat"
+        fields = ["num_users=12", "l_values=[14]", "delta=0.1", "fading_mode=real", "shared_n_values=[1]"]
+        start = time.perf_counter()
+        code = main(
+            ["run", "shared_zf", "--seed", "241", "--trials", "1", "--out", str(out)]
+            + [arg for field in fields for arg in ("--set", field)]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert time.perf_counter() - start < 3.0  # about 0.1 s
+        assert len(experiments.read_table(out).rows) == 6
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code = main(
             [

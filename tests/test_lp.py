@@ -10,7 +10,7 @@ from otasec.errors import ContractError
 from otasec.lp import LpProblem, LpSolution, solve_lp
 from otasec.optimizer import _design, optimize_designs
 
-from conftest import make_realization
+from conftest import ILL_SCALED_DESIGNS, make_realization
 
 
 def make_problem(c, M, b):
@@ -272,6 +272,9 @@ class TestAgainstHighs:
             b_ub=problem.ineq_rhs,
             bounds=(0, None),
             method="highs",
+            # At HiGHS's default 1e-7 dual tolerance it stops up to 3.5e-7 short on the
+            # tiny-eta LPs, whose rows reach 1e3; our x is feasible to 1e-15 there.
+            options=dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10),
         )
         assert res.status == 0, res.message
         return -res.fun
@@ -292,6 +295,16 @@ class TestAgainstHighs:
                 assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
                 count += 1
         assert count == 108
+
+    @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
+    def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
+        real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
+        stack = next(_design(real, eta_from_delta(real, delta), N, "exhaustive"))
+        problems = entries(stack)[::10]
+        sol = solve_lp(stack_of(problems))
+        assert np.all(sol.status == "optimal")
+        for value, problem in zip(sol.objective_value, problems):
+            assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
 
 
 class TestStacked:

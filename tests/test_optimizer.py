@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from otasec.optimizer import (
 )
 from otasec.selftest import _grid_best_worst_objective
 
-from conftest import make_realization, over_noise, synthetic_realization
+from conftest import ILL_SCALED_DESIGNS, make_realization, over_noise, synthetic_realization
 
 
 def zero_A(K):
@@ -364,6 +365,31 @@ class TestSharedZeroForcing:
                     ) * max(np.linalg.norm(prec.A), 1e-300)
 
 
+class TestWellScaledAllocation:
+    """t is scaled by an upper bound on the optimum, so tiny eta or high SNR cannot blow up beta."""
+
+    @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
+    def test_returns_fast_within_a_pivot_budget(self, monkeypatch, K, L, snr_db, delta, fading, seed, N):
+        from otasec import optimizer
+
+        solutions, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: solutions.append(solve(problem)) or solutions[-1])
+        real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
+        eta = eta_from_delta(real, delta)
+        start = time.perf_counter()
+        prec = optimize_shared_zf(real, eta, N)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0  # about 0.01 s; the old scale ran 50,000 pivots in 2.5-3 s, or failed
+        (solution,) = solutions
+        assert np.all(solution.status == "optimal") and solution.pivots.max() <= 50
+        assert not prec.degenerate and prec.lam.any()
+        assert np.max(prec.row_powers() - row_budgets(real, eta)) <= 1e-12 * real.P
+        h_norm = np.linalg.norm(real.h) * np.linalg.norm(prec.A)
+        assert np.linalg.norm(real.h @ prec.A) <= 1e-9 * h_norm
+        # The worst eavesdropper gains from the design's noise, as the LP promises.
+        assert noncoop_security(real, prec.A, eta)[0] > noncoop_security(real, zero_A(K), eta)[0]
+
+
 def looped_design_search(real, eta, N, selection):
     """The design search one subset at a time.
 
@@ -392,7 +418,7 @@ def looped_design_search(real, eta, N, selection):
         budget_rows = np.vstack([np.eye(len(noise)), load])
         rhs = budgets[noise + zf]
         if np.any(beta[live] > 0.0):
-            scale = np.min(alpha[live])
+            scale = np.min(alpha[live] + (beta[live] * rhs[: len(noise)]).sum(axis=-1))
             rows = np.vstack(
                 [
                     np.column_stack([np.ones(live.sum()), -beta[live] / scale]),
