@@ -1,26 +1,42 @@
 """Small dense linear programs whose origin is feasible, stacked or alone.
 
-Solves ``maximize c^T x`` subject to ``M x <= b`` and ``x >= 0`` with
-``b >= 0``, via a single-phase dense simplex with Bland's anti-cycling rule.
-A nonnegative right-hand side makes ``x = 0`` feasible, so the slack basis
-starts the search and no phase 1 is needed.  The condensed tableau keeps the
-nonbasic columns, with the variable in each slot, and the rhs: ``(m+1) x (n+1)``.
-A pivot puts the leaving variable's unit column into the entering slot before
-the row division, so each entry gets the IEEE operations of the full
-``(m+1) x (n+m+1)`` tableau; only a zero's sign may differ, which no comparison
-sees, so the answers are bitwise equal.
+Solves ``maximize c^T x`` subject to ``M x <= b`` and ``0 <= x <= u`` with
+``b >= 0``, via a single-phase dense bounded-variable simplex (Dantzig, 1955)
+with Bland's anti-cycling rule.  A nonnegative right-hand side makes ``x = 0``
+feasible, so the slack basis starts the search and no phase 1 is needed.  The
+condensed tableau keeps the nonbasic columns, with the variable in each slot,
+and the rhs: ``(m+1) x (n+1)``.  A pivot puts the leaving variable's unit
+column into the entering slot before the row division, so each entry gets the
+IEEE operations of the full ``(m+1) x (n+m+1)`` tableau; only a zero's sign
+may differ, which no comparison and no rhs entry sees, so the answers are
+bitwise equal.
+
+The upper bounds ``u`` (``+inf`` by default) are kept out of the rows.  Every
+nonbasic variable sits at 0 or at its bound, and one at its bound is held
+complemented, as ``u - x``, so the tableau sees every nonbasic variable at 0.
+Bland's rule enters the lowest improving variable, a complemented one moving
+down from its bound; a variable whose bound is 0 never enters.  The ratio test
+stops a basic variable at 0, or at its bound when its column entry is below
+``-PIVOT_TOL``: that variable leaves complemented.  When the entering
+variable's own bound is the binding ratio (ties go to it), it flips to that
+bound without a pivot: the rhs takes its column times the bound, the column
+changes sign, and nothing is divided.  The flip is carried out as a pivot on
+the variable's bound row ``x + s = u``, written into a scratch row, after
+which the slot holds the bound's slack ``s = u - x``.  An LP with no finite
+bound takes the pivots of the plain simplex, with the same arithmetic.
 
 A problem whose arrays carry a leading stack axis, ``M`` of shape
 ``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
-in lockstep: each iteration makes one pivot in every LP still working, as
-array operations over the stack, and an LP leaves the working set when it is
-optimal or turns out unbounded.  Each LP takes the pivots it would take
+in lockstep: each iteration makes one pivot or flip in every LP still working,
+as array operations over the stack, and an LP leaves the working set when it
+is optimal or turns out unbounded.  Each LP takes the steps it would take
 alone, so its answer is bitwise equal to solving it alone.  LPs of different
 shapes can share a stack after padding: a zero row with rhs 0 is never a
-pivot row, a zero column at the right with objective 0 never enters, and
-the real variables keep their order, so padding changes no answer's bits.
-This is the one simplex path: a two-dimensional problem runs as a stack of
-one and gets plain Python ``str``, ``float`` and ``int`` fields back.
+pivot row, a zero column at the right with objective 0 never enters whatever
+its bound, and the real variables keep their order, so padding changes no
+answer's bits.  This is the one simplex path: a two-dimensional problem runs
+as a stack of one and gets plain Python ``str``, ``float`` and ``int`` fields
+back.
 """
 
 from __future__ import annotations
@@ -34,37 +50,43 @@ from .errors import ContractError
 PIVOT_TOL = 1e-9
 MAX_VARS = 128
 MAX_CONSTRAINTS = 512
-_MAX_ITER = 50_000  # per LP
+_MAX_ITER = 50_000  # pivots and flips, per LP
 _RATIO_TIE_TOL = 1e-12
 
 
 @dataclass
 class LpProblem:
-    """``maximize objective @ x`` s.t. ``ineq_matrix @ x <= ineq_rhs``, ``x >= 0``.
+    """``maximize objective @ x`` s.t. ``ineq_matrix @ x <= ineq_rhs``, ``0 <= x <= upper``.
 
     Every entry of ``ineq_rhs`` must be nonnegative, so that ``x = 0`` is
-    feasible.  A stack of ``B`` LPs has ``objective`` of shape ``(B, n)``,
-    ``ineq_matrix`` of shape ``(B, m, n)`` and ``ineq_rhs`` of shape ``(B, m)``.
+    feasible.  ``upper`` is ``+inf`` (no bound) or an array shaped like
+    ``objective`` of nonnegative bounds, ``+inf`` allowed.  A stack of ``B``
+    LPs has ``objective`` of shape ``(B, n)``, ``ineq_matrix`` of shape
+    ``(B, m, n)`` and ``ineq_rhs`` of shape ``(B, m)``.
     """
 
     num_vars: int
     objective: np.ndarray
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
+    upper: float | np.ndarray = np.inf
 
 
 @dataclass
 class LpSolution:
     """The optimum, or ``status == "unbounded"`` with ``x = 0``.
 
-    ``pivots`` counts the simplex pivots made.  For a stack every field is an
-    array over the stack: ``status`` of strings, ``x`` of shape ``(B, n)``.
+    ``pivots`` counts the basis changes and ``flips`` the bound flips, which
+    change no basis; their sum is the LP's simplex iterations.  For a stack
+    every field is an array over the stack: ``status`` of strings, ``x`` of
+    shape ``(B, n)``.
     """
 
     status: str | np.ndarray  # "optimal" | "unbounded"
     x: np.ndarray
     objective_value: float | np.ndarray
     pivots: int | np.ndarray = 0
+    flips: int | np.ndarray = 0
 
 
 def _validate(problem: LpProblem):
@@ -73,84 +95,144 @@ def _validate(problem: LpProblem):
     M = np.asarray(problem.ineq_matrix, dtype=float)
     M = M if M.ndim == 3 else np.atleast_2d(M)
     b = np.asarray(problem.ineq_rhs, dtype=float)
+    u = np.asarray(problem.upper, dtype=float)
     if M.ndim > 3:
         raise ContractError(f"an LP stack has one leading axis, got shape {M.shape}")
     if c.shape != M.shape[:-2] + (n,):
         raise ContractError("objective length must equal num_vars")
     if M.shape != b.shape + (n,):
         raise ContractError(f"constraint shapes disagree: {M.shape} vs rhs {b.shape}")
+    if u.shape not in ((), c.shape):
+        raise ContractError(f"upper bounds must be a scalar or shaped like the objective, got {u.shape}")
     if n > MAX_VARS or M.shape[-2] > MAX_CONSTRAINTS:
         raise ContractError(f"problem too large: {n} vars, {M.shape[-2]} constraints")
     if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all()):
         raise ContractError("non-finite coefficient in LP data")
     if np.any(b < 0.0):
         raise ContractError("negative right-hand side: the origin must be feasible")
-    return c, M, b
+    if not np.all(u >= 0.0):  # NaN fails too
+        raise ContractError("upper bounds must be nonnegative, +inf allowed")
+    return c, M, b, np.broadcast_to(u, c.shape)
 
 
-def _basic_x(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+def _basic_x(T: np.ndarray, basis: np.ndarray, u: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
     """The structural part of each basic solution of a stack, rounding dust scrubbed."""
-    xs = np.zeros(basis.shape[:-1] + (n + basis.shape[-1],))
-    xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :-1, -1]
-    x = xs[:, :n]
+    m = basis.shape[-1]
+    xs = np.zeros(basis.shape[:-1] + (n + m,))
+    xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :m, -1]
+    # A complemented variable is held as its distance below the bound.
+    x = np.where(flipped[:, :n], u - xs[:, :n], xs[:, :n])
     x[(x < 0.0) & (x > -1e-11)] = 0.0
     return x
 
 
-def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray) -> LpSolution:
+def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> LpSolution:
     B, m, n = M.shape
     unbounded = np.zeros(B, dtype=bool)
     x = np.zeros((B, n))
-    pivots = np.zeros(B, dtype=int)
-    # The working set: the condensed tableaux over [nonbasic columns | rhs], the variables
-    # in their basis rows and nonbasic column slots, and the stack indices of unfinished LPs.
-    T = np.zeros((B, m + 1, n + 1))
-    T[:, :m, :n], T[:, :m, -1], T[:, m, :n] = M, b, -c
-    basis = np.tile(np.arange(n, n + m), (B, 1))
+    pivots, flips = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    # A variable with bound 0 never enters: a zero column with price 0 never improves, and
+    # no other entry depends on a column that never enters.
+    frozen = u == 0.0
+    # The working set: the condensed tableaux over [nonbasic columns | rhs], with row m the
+    # objective and row m + 1 the scratch row for a flip; the variables in their basis rows
+    # and nonbasic column slots with their bounds (the basis and its bounds have an entry
+    # per tableau row); the complement flags; the flips made so far; whether the LP is
+    # parked; and the stack indices of the LPs.
+    T = np.zeros((B, m + 2, n + 1))
+    T[:, :m, :n], T[:, :m, -1], T[:, m, :n] = np.where(frozen[:, np.newaxis], 0.0, M), b, -np.where(frozen, 0.0, c)
+    basis = np.tile(np.arange(n, n + m + 2), (B, 1))
     nonbasic = np.tile(np.arange(n), (B, 1))
+    row_cap, slot_cap = np.full((B, m + 2), np.inf), u.copy()
+    flipped = np.zeros((B, n + m + 2), dtype=bool)
+    made = np.zeros(B, dtype=int)
+    parked, waiting = np.zeros(B, dtype=bool), 0  # finished, answer read off, not yet dropped
     ids = np.arange(B)
     work = np.arange(B)  # positions in the working set
     for it in range(_MAX_ITER):
-        improving = T[:, m, :-1] < -PIVOT_TOL
-        enter = np.where(improving, nonbasic, n + m).argmin(axis=1)  # Bland: lowest improving variable
-        column = T[work, :m, enter]
-        eligible = column > PIVOT_TOL
-        better = improving[work, enter]
-        going = better & eligible.any(axis=1)
-        if not (going.all() and ids.size):  # some LP optimal or unbounded, or none left
-            finished, optimal = ~going, ~better
-            pivots[ids[finished]] = it
-            unbounded[ids[finished & better]] = True
-            x[ids[optimal]] = _basic_x(T[optimal], basis[optimal], n)
-            T, basis, nonbasic, ids = T[going], basis[going], nonbasic[going], ids[going]
-            enter, column, eligible = enter[going], column[going], eligible[going]
-            work = work[: ids.size]
+        if 2 * waiting >= ids.size:  # read off and drop the parked LPs once they are half the set
+            read = parked & ~unbounded[ids]
+            x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
+            keep = ~parked
+            T, basis, nonbasic, ids, made = T[keep], basis[keep], nonbasic[keep], ids[keep], made[keep]
+            row_cap, slot_cap, flipped, parked = row_cap[keep], slot_cap[keep], flipped[keep], parked[keep]
+            work, waiting = work[: ids.size], 0
             if not ids.size:
                 break
-        ratios = np.divide(T[:, :m, -1], column, out=np.full(column.shape, np.inf), where=eligible)
-        ties = ratios <= ratios.min(axis=1, keepdims=True) + _RATIO_TIE_TOL
-        leave = np.where(ties, basis, n + m).argmin(axis=1)  # lowest basic index
+        improving = T[:, m, :-1] < -PIVOT_TOL
+        enter = np.where(improving, nonbasic, n + m).argmin(axis=1)  # Bland: lowest improving variable
         factors = T[work, :, enter]
+        column = factors[:, :m]
+        # A basic variable stops at 0 where its column entry is positive, at its bound where negative.
+        upper = column < -PIVOT_TOL
+        span = T[:, :m, -1] - np.where(upper, row_cap[:, :m], 0.0)
+        ratios = np.divide(span, column, out=np.full(column.shape, np.inf), where=upper | (column > PIVOT_TOL))
+        limit = ratios[work, ratios.argmin(axis=1)] + _RATIO_TIE_TOL
+        bound = slot_cap[work, enter]
+        better = improving[work, enter]
+        done = ~((better & (np.minimum(limit, bound) < np.inf)) | parked)  # optimal or unbounded
+        if done.any():
+            flips[ids[done]] = made[done]
+            pivots[ids[done]] = it - made[done]
+            unbounded[ids[done & better]] = True
+            # A parked LP runs along until it is dropped: each step flips a unit bound with zero
+            # factors, which leaves its rhs, basis and complement flags as they are.
+            parked |= done
+            waiting += int(np.count_nonzero(done))
+            if waiting == ids.size:
+                break
+            slot_cap[done] = bound[done] = 1.0
+        flip = (bound <= limit) | parked  # the entering variable's own bound binds first, or ties
+        row = np.where(ratios <= limit[:, np.newaxis], basis[:, :m], n + m).argmin(axis=1)  # lowest basic index
+        stop = upper[work, row] & ~flip  # the leaving variable stops at its bound
+        leave = np.where(flip, m + 1, row)
+        # A flip pivots on the entering variable's bound row, x + s = u, in the scratch row, and
+        # s = u - x, the variable complemented, takes its slot.  A variable leaving at its bound
+        # leaves complemented: its row's rhs is measured from the bound (span), and its unit
+        # column is negated.
+        entering = nonbasic[work, enter]
+        T[:, m + 1] = 0.0
+        T[work, leave, -1] = np.where(flip, bound, span[work, row])
+        basis[:, m + 1], row_cap[:, m + 1] = entering, bound
+        factors[:, m + 1] = 1.0
+        pivot = factors[work, leave]
         factors[work, leave] = 0.0
+        factors[parked] = 0.0
         # The leaving variable's unit column takes the entering slot before the row division,
         # so every entry gets the IEEE operations it would get in the full tableau.
-        T[work, :, enter] = np.arange(m + 1) == leave[:, np.newaxis]
-        T[work, leave] /= column[work, leave][:, np.newaxis]
-        # Rows with a zero factor are left alone: x - 0*y would turn -0.0 into +0.0.
-        update = factors[:, :, np.newaxis] * T[work, leave][:, np.newaxis, :]
-        np.subtract(T, update, out=T, where=(factors != 0.0)[:, :, np.newaxis])
-        nonbasic[work, enter], basis[work, leave] = basis[work, leave], nonbasic[work, enter]
+        T[work, :, enter] = 0.0
+        T[work, leave, enter] = np.where(stop, -1.0, 1.0)
+        prow = T[work, leave] / pivot[:, np.newaxis]
+        T[work, leave] = prow
+        # One product per entry, as in the full tableau, though einsum adds each to +0.0: a -0.0
+        # product becomes +0.0.  Then a row with a zero factor subtracts +0.0 from its rhs, which
+        # keeps even a -0.0.  A zero's sign in the other columns reaches no rhs entry, but a
+        # zero rhs in the pivot row needs the signed products there.
+        update = np.einsum("wr,wc->wrc", factors, prow)
+        if not prow[:, -1].all():
+            np.multiply(factors, prow[:, -1:], out=update[:, :, -1])
+            np.copyto(update[:, :, -1], 0.0, where=factors == 0.0)
+        T -= update
+        leaving = basis[work, leave]
+        nonbasic[work, enter], basis[work, leave] = leaving, entering
+        slot_cap[work, enter], row_cap[work, leave] = row_cap[work, leave], bound
+        flipped[work, leaving] ^= (flip | stop) & ~parked
+        made += flip
     else:
         raise RuntimeError("simplex iteration limit exceeded")
+    read = parked & ~unbounded[ids]
+    x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
     value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]
     status = np.where(unbounded, "unbounded", "optimal")
-    return LpSolution(status, x, np.where(unbounded, 0.0, value), pivots)
+    return LpSolution(status, x, np.where(unbounded, 0.0, value), pivots, flips)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP, or each LP of a stack, to optimality, or report it unbounded."""
-    c, M, b = _validate(problem)
+    c, M, b, u = _validate(problem)
     if M.ndim == 3:
-        return _solve_stack(c, M, b)
-    one = _solve_stack(c[np.newaxis], M[np.newaxis], b[np.newaxis])
-    return LpSolution(str(one.status[0]), one.x[0], float(one.objective_value[0]), int(one.pivots[0]))
+        return _solve_stack(c, M, b, u)
+    one = _solve_stack(c[np.newaxis], M[np.newaxis], b[np.newaxis], u[np.newaxis])
+    return LpSolution(
+        str(one.status[0]), one.x[0], float(one.objective_value[0]), int(one.pivots[0]), int(one.flips[0])
+    )

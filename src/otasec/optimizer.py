@@ -130,47 +130,50 @@ def _zf_matrices(
 def _allocation_lp(
     alpha: np.ndarray, beta: np.ndarray, load: np.ndarray, budgets: np.ndarray
 ) -> LpProblem:
-    """max t  s.t.  alpha_l + beta_l . lam >= t,  budgets,  t, lam >= 0.
+    """max t  s.t.  alpha_l + beta_l . lam >= t,  load . lam <= zf budgets,  0 <= lam <= noise budgets,  t >= 0.
 
     ``alpha`` has shape ``(..., L)``, +inf on dropped eavesdroppers; ``beta``
     shape ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
-    ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets``, the
-    right-hand sides, shape ``(..., K)``, noise users first.  A leading axis
-    gives a stack of LPs.  A dropped eavesdropper keeps its row, all zeros
-    with rhs 0, which never pivots, so LPs that drop different eavesdroppers
-    share a stack.  Every live alpha is positive, so ``t >= 0`` cuts off no
-    optimum.  The raw coefficients inherit the physical channel scale, which
-    can sit below the simplex pivot tolerance, so ``t`` and the objective rows
-    are in units of an upper bound on each LP's optimum: ``beta >= 0``, so
-    ``t* <= min over live l of (alpha_l + beta_l . noise budgets)``, and
-    ``t* <= 1`` in LP units.  The smallest alpha alone is a poor unit when it
-    nears ``sigma_z^2`` (small eta or high SNR): ``beta / alpha`` then grows
-    until the simplex spins or misreports the LP unbounded.
+    ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets`` shape
+    ``(..., K)``, noise users first.  The noise users' budgets are the
+    lambdas' upper bounds, not rows, so each LP has ``L + N`` rows.  A leading
+    axis gives a stack of LPs.  A dropped eavesdropper keeps its row, all
+    zeros with rhs 0, which never pivots, so LPs that drop different
+    eavesdroppers share a stack.  Every live alpha is positive, so ``t >= 0``
+    cuts off no optimum.  The raw coefficients inherit the physical channel
+    scale, which can sit below the simplex pivot tolerance, so ``t`` and the
+    objective rows are in units of an upper bound on each LP's optimum:
+    ``beta >= 0``, so ``t* <= min over live l of (alpha_l + beta_l . noise
+    budgets)``, and ``t* <= 1`` in LP units.  The smallest alpha alone is a
+    poor unit when it nears ``sigma_z^2`` (small eta or high SNR): ``beta /
+    alpha`` then grows until the simplex spins or misreports the LP unbounded.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
     in every lambda column, so they never pivot and ``t``, priced at zero,
-    never enters: the simplex takes the pivots of the same LP over lambda
-    and the budget rows alone.
+    never enters: the simplex takes the steps of the same LP over lambda,
+    its bounds and the zero-forcing rows alone.
     """
     live = np.isfinite(alpha)
     stack, L, n_cols = alpha.shape[:-1], alpha.shape[-1], beta.shape[-1]
+    caps = budgets[..., :n_cols]
     # The products in C order: a row sum then adds them in one order whatever the stack's layout.
-    reach = alpha + np.multiply(beta, budgets[..., np.newaxis, :n_cols], order="C").sum(axis=-1)
+    reach = alpha + np.multiply(beta, caps[..., np.newaxis, :], order="C").sum(axis=-1)
     scale = np.min(reach, axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
-    rows = np.zeros(stack + (L + n_cols + load.shape[-2], 1 + n_cols))
+    rows = np.zeros(stack + (L + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
     rows[..., :L, 1:] = -beta / scale[..., np.newaxis]
-    rows[..., L : L + n_cols, 1:] = np.eye(n_cols)
-    rows[..., L + n_cols :, 1:] = load
-    rhs = np.zeros(stack + (L + budgets.shape[-1],))
+    rows[..., L:, 1:] = load
+    rhs = np.zeros(stack + (L + load.shape[-2],))
     np.divide(alpha, scale, out=rhs[..., :L], where=live)
-    rhs[..., L:] = budgets
+    rhs[..., L:] = budgets[..., n_cols:]
+    upper = np.empty(stack + (1 + n_cols,))
+    upper[..., 0], upper[..., 1:] = np.inf, caps
     tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
     objective[..., 1:] = tie[..., np.newaxis]
-    return LpProblem(1 + n_cols, objective, rows, rhs)
+    return LpProblem(1 + n_cols, objective, rows, rhs, upper)
 
 
 def optimize_proposed(real: SystemRealization, eta) -> NoisePrecoder:
@@ -207,8 +210,8 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
 
     Each request is ``(real, eta, N, selection)``.  Every design's LP stack is padded
     to one shape (zero rows at the bottom, zero columns at the right) and the stacks
-    go to :func:`~otasec.lp.solve_lp` together; padding changes no LP's answer, so
-    each design is bitwise the one made alone.
+    go to :func:`~otasec.lp.solve_lp` together; a padding column has bound 0, and
+    padding changes no LP's answer, so each design is bitwise the one made alone.
     """
     designs = [_design(*request) for request in requests]
     problems = [next(design) for design in designs]
@@ -219,9 +222,11 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
     spans = [slice(stop - size, stop) for size, stop in zip(shapes[:, 0], stops)]
     m, n = shapes[:, 1:].max(axis=0)
     c, M, b = np.zeros((stops[-1], n)), np.zeros((stops[-1], m, n)), np.zeros((stops[-1], m))
+    u = np.zeros((stops[-1], n))
     for p, at, (_, rows, cols) in zip(problems, spans, shapes):
         c[at, :cols], M[at, :rows, :cols], b[at, :rows] = p.objective, p.ineq_matrix, p.ineq_rhs
-    solution = solve_lp(LpProblem(n, c, M, b))
+        u[at, :cols] = p.upper
+    solution = solve_lp(LpProblem(n, c, M, b, u))
     status = np.broadcast_to(solution.status, (stops[-1],))  # a scalar status broadcasts
     precoders = []
     for design, at, (_, _, cols) in zip(designs, spans, shapes):

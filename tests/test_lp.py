@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import defaultdict
 
@@ -13,14 +14,20 @@ from otasec.optimizer import _design, optimize_designs
 from conftest import ILL_SCALED_DESIGNS, make_realization
 
 
-def make_problem(c, M, b):
+def make_problem(c, M, b, u=np.inf):
     c = np.asarray(c, dtype=float)
     return LpProblem(
         num_vars=c.shape[0],
         objective=c,
         ineq_matrix=np.asarray(M, dtype=float),
         ineq_rhs=np.asarray(b, dtype=float),
+        upper=np.asarray(u, dtype=float),
     )
+
+
+def bounds_of(problem):
+    """The upper bounds of an LP or stack, one per variable."""
+    return np.broadcast_to(np.asarray(problem.upper, dtype=float), np.shape(problem.objective))
 
 
 def enumerate_vertices(c, M, b):
@@ -58,6 +65,14 @@ def random_unbounded_instance(rng):
     return c, M, b
 
 
+def random_box_instance(rng, m=4, n=4):
+    """Random cuts and upper bounds: some finite, some +inf, some 0, with degenerate zeros in b."""
+    M = rng.standard_normal((m, n)) * (rng.random((m, n)) >= 0.3)
+    b = rng.choice([0.0, 0.5, 1.0, 2.0], size=m)
+    u = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0, np.inf], size=n)
+    return rng.standard_normal(n), M, b, u
+
+
 def stack_of(problems):
     """One stacked LP from same-shape LPs."""
     return LpProblem(
@@ -65,6 +80,7 @@ def stack_of(problems):
         np.stack([p.objective for p in problems]),
         np.stack([p.ineq_matrix for p in problems]),
         np.stack([p.ineq_rhs for p in problems]),
+        np.stack([bounds_of(p) for p in problems]),
     )
 
 
@@ -105,27 +121,94 @@ def looped_solve(problem):
     raise RuntimeError("simplex iteration limit exceeded")
 
 
+def bounded_looped_solve(problem):
+    """The bounded-variable Bland's rule on one LP at a time, on the full tableau.
+
+    The reference for LPs with upper bounds ``u``.  A nonbasic variable at its bound is held
+    complemented, as ``u - x``: its column is negated and the rhs takes ``u`` times the column.
+    Returns ``(status, x, value, pivots, flips)``.
+    """
+    c = np.asarray(problem.objective, dtype=float)
+    M = np.asarray(problem.ineq_matrix, dtype=float)
+    b = np.asarray(problem.ineq_rhs, dtype=float)
+    u = bounds_of(problem)
+    m, n = M.shape
+    cap = np.concatenate([u, np.full(m, np.inf)])  # slacks are unbounded
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:-1], T[:m, -1], T[m, :n] = M, np.eye(m), b, -c
+    basis = np.arange(n, n + m)
+    flipped = np.zeros(n + m, dtype=bool)
+    pivots = flips = 0
+    for _ in range(lp._MAX_ITER):
+        # A variable with bound 0 never enters.
+        improving = ((T[m, :-1] < -lp.PIVOT_TOL) & (cap > 0.0)).nonzero()[0]
+        if not improving.size:
+            xs = np.zeros(n + m)
+            xs[basis] = T[:-1, -1]
+            x = np.where(flipped[:n], u - xs[:n], xs[:n])
+            x[(x < 0.0) & (x > -1e-11)] = 0.0
+            return "optimal", x, float(c @ x), pivots, flips
+        enter = improving[0]  # Bland: lowest improving index enters, complemented or not
+        column = T[:m, enter]
+        lower, upper = column > lp.PIVOT_TOL, column < -lp.PIVOT_TOL
+        ratios = np.full(m, np.inf)
+        ratios[lower] = T[:m, -1][lower] / column[lower]  # the basic variable falls to 0
+        ratios[upper] = (T[:m, -1][upper] - cap[basis[upper]]) / column[upper]  # it rises to its bound
+        limit = ratios.min(initial=np.inf) + lp._RATIO_TIE_TOL
+        if limit == cap[enter] == np.inf:
+            return "unbounded", np.zeros(n), 0.0, pivots, flips
+        if cap[enter] <= limit:  # the entering variable reaches its own bound first: flip it
+            factors = T[:, enter].copy()
+            rows = factors != 0.0
+            T[rows, -1] -= factors[rows] * cap[enter]
+            T[:, enter] = -T[:, enter]
+            flipped[enter] = not flipped[enter]
+            flips += 1
+            continue
+        ties = (ratios <= limit).nonzero()[0]
+        leave = ties[basis[ties].argmin()]  # tie broken by lowest basic index
+        if upper[leave]:  # the leaving variable stops at its bound and leaves complemented
+            T[leave, -1] -= cap[basis[leave]]
+            T[leave, basis[leave]] = -1.0
+            flipped[basis[leave]] = not flipped[basis[leave]]
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        np.subtract(T, np.multiply.outer(factors, T[leave]), out=T, where=(factors != 0.0)[:, np.newaxis])
+        basis[leave] = enter
+        pivots += 1
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
 def assert_stack_equals_loop(problems):
-    """The stacked solve equals the one-LP loop bitwise: status, x with its sign bits, value, pivots."""
+    """The stacked solve equals the one-LP loops bitwise: status, x with its sign bits, value, steps.
+
+    The reference is the bounded loop, and also the plain loop when no LP has a finite bound.
+    """
     stacked = solve_lp(stack_of(problems))
     assert stacked.x.shape == (len(problems), problems[0].num_vars)
+    unbounded_vars = all(np.isinf(bounds_of(p)).all() for p in problems)
     for i, problem in enumerate(problems):
-        one = LpSolution(*looped_solve(problem))
-        assert stacked.status[i] == one.status
-        assert stacked.x[i].tobytes() == one.x.tobytes()
-        assert stacked.objective_value[i].tobytes() == np.float64(one.objective_value).tobytes()
-        assert stacked.pivots[i] == one.pivots
+        one = LpSolution(*bounded_looped_solve(problem))
+        references = [one, LpSolution(*looped_solve(problem))] if unbounded_vars else [one]
+        for ref in references:
+            assert stacked.status[i] == ref.status
+            assert stacked.x[i].tobytes() == ref.x.tobytes()
+            assert stacked.objective_value[i].tobytes() == np.float64(ref.objective_value).tobytes()
+            assert (stacked.pivots[i], stacked.flips[i]) == (ref.pivots, ref.flips)
     return stacked
 
 
-def padded(problem, rows, cols):
-    """A stack with zero rows (rhs 0) inserted before the rows ``rows``, and ``cols`` zero columns at the right."""
+def padded(problem, rows, cols, pad_bounds):
+    """A stack with zero rows (rhs 0) inserted before the rows ``rows``, and ``cols`` zero columns
+    at the right, whose bounds are ``pad_bounds``."""
     M = np.insert(problem.ineq_matrix, rows, 0.0, axis=1)
     return LpProblem(
         problem.num_vars + cols,
         np.pad(problem.objective, ((0, 0), (0, cols))),
         np.pad(M, ((0, 0), (0, 0), (0, cols))),
         np.insert(problem.ineq_rhs, rows, 0.0, axis=1),
+        np.concatenate([bounds_of(problem), np.broadcast_to(pad_bounds, (len(M), cols))], axis=1),
     )
 
 
@@ -145,7 +228,7 @@ def sampled_allocation_lps():
 
 def entries(stack):
     """The LPs of a stack, one at a time."""
-    lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs)
+    lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs, bounds_of(stack))
     return [LpProblem(stack.num_vars, *lp) for lp in lps]
 
 
@@ -270,7 +353,7 @@ class TestAgainstHighs:
             -problem.objective,
             A_ub=problem.ineq_matrix,
             b_ub=problem.ineq_rhs,
-            bounds=(0, None),
+            bounds=[(0.0, None if np.isinf(u) else u) for u in bounds_of(problem)],
             method="highs",
             # At HiGHS's default 1e-7 dual tolerance it stops up to 3.5e-7 short on the
             # tiny-eta LPs, whose rows reach 1e3; our x is feasible to 1e-15 there.
@@ -295,6 +378,36 @@ class TestAgainstHighs:
                 assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
                 count += 1
         assert count == 108
+
+    def test_random_instances_with_bounds(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(60):
+            c, M, b, u = random_box_instance(rng)
+            problem = make_problem(c, M, b, u)
+            sol = solve_lp(problem)
+            if sol.status == "optimal":
+                assert np.all(M @ sol.x <= b + 1e-9) and np.all((sol.x >= 0.0) & (sol.x <= u))
+                assert sol.objective_value == pytest.approx(self.highs_optimum(problem), abs=1e-9)
+                solved += 1
+        assert solved >= 40
+
+    def test_shared_zf_design_stacks(self, monkeypatch):
+        # Every LP of the stacks one benchmark-shaped shared_zf trial solves, zero budgets included.
+        stacks, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(problem) or solve(problem))
+        real = make_realization(3, K=10, L=7, snr_db=0.0)
+        real = dataclasses.replace(real, sigma_y_sq=np.array([real.sigma_y_sq, real.sigma_y_sq / 100]),
+                                   sigma_z_sq=np.array([real.sigma_z_sq, real.sigma_z_sq / 100]))
+        optimize_designs([(real, eta_from_delta(real, 1.0), N, "exhaustive") for N in (1, 2)])
+        (stack,) = stacks
+        # Two SNRs of 10 + 45 subsets each, less those out of residual power; L + N rows.
+        assert stack.ineq_matrix.shape[1:] == (7 + 2, 10) and len(stack.ineq_rhs) > 100
+        assert np.any(stack.upper == 0.0)  # delta = 1 leaves the weakest user no budget
+        sol = solve_lp(stack)
+        assert np.all(sol.status == "optimal") and sol.flips.any() and sol.pivots.all()
+        for value, problem in zip(sol.objective_value[::5], entries(stack)[::5]):
+            assert value == pytest.approx(self.highs_optimum(problem), rel=1e-9)
 
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
@@ -404,9 +517,11 @@ class TestPadding:
     def assert_padding_is_neutral(problem, rng):
         rows = rng.integers(0, problem.ineq_rhs.shape[1] + 1, size=rng.integers(1, 4))
         cols = int(rng.integers(0, 3))
-        plain, pad = solve_lp(problem), solve_lp(padded(problem, rows, cols))
+        pad_bounds = rng.choice([0.0, 1.0, np.inf], size=cols)  # a zero column never enters
+        plain, pad = solve_lp(problem), solve_lp(padded(problem, rows, cols, pad_bounds))
         n = problem.num_vars
         assert np.array_equal(pad.status, plain.status) and np.array_equal(pad.pivots, plain.pivots)
+        assert np.array_equal(pad.flips, plain.flips)
         assert pad.x[:, :n].tobytes() == plain.x.tobytes()
         assert pad.x[:, n:].tobytes() == bytes(pad.x[:, n:].nbytes)  # +0.0 in every padding column
         assert pad.objective_value.tobytes() == plain.objective_value.tobytes()
@@ -424,7 +539,112 @@ class TestPadding:
             unbounded += np.count_nonzero(plain.status == "unbounded")
         assert unbounded > 10
 
+    def test_random_stacks_with_bounds(self):
+        rng = np.random.default_rng(1414)
+        flips = 0
+        for _ in range(60):
+            B, m, n = rng.integers(1, 10), rng.integers(1, 7), rng.integers(1, 6)
+            M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= 0.4)
+            b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m))
+            u = rng.choice([0.0, 0.5, 1.0, np.inf], size=(B, n))
+            plain = self.assert_padding_is_neutral(LpProblem(int(n), rng.standard_normal((B, n)), M, b, u), rng)
+            flips += plain.flips.sum()
+        assert flips > 20
+
     def test_allocation_lps(self):
         rng = np.random.default_rng(1618)
         for problems in grouped_allocation_lps().values():
             self.assert_padding_is_neutral(stack_of(problems), rng)
+
+
+class TestBounds:
+    """Upper bounds as bounds, not rows: flips, complemented leaves, and the bounded reference."""
+
+    def test_flip_and_pivot_in_one_lockstep_iteration(self):
+        # Both LPs enter x0 first: its bound binds first in one LP (a flip), its row in the other.
+        flip, pivot = (make_problem([1.0, 0.0], [[1.0, 1.0]], [5.0], [u, np.inf]) for u in (1.0, 10.0))
+        stacked = assert_stack_equals_loop([flip, pivot])
+        assert stacked.flips.tolist() == [1, 0] and stacked.pivots.tolist() == [0, 1]
+        assert stacked.x.tolist() == [[1.0, 0.0], [5.0, 0.0]]
+
+    def test_random_stacks_equal_the_bounded_reference(self):
+        rng = np.random.default_rng(97)
+        problems = [make_problem(*random_box_instance(rng)) for _ in range(200)]
+        stacked = assert_stack_equals_loop(problems)
+        assert {"optimal", "unbounded"} <= set(stacked.status.tolist())
+        both = (stacked.flips > 0) & (stacked.pivots > 0)
+        assert both.sum() > 20 and (stacked.flips > 1).any()
+
+    def test_a_basic_variable_stops_at_its_bound(self):
+        # max x1 s.t. 2*x1 <= x0, x0 <= 2, x1 <= 1/2.  x1 enters at 0 (a degenerate pivot),
+        # then x0 enters and drives the basic x1 up to its bound: x1 leaves complemented
+        # before x0 reaches its own bound.
+        problem = make_problem([0.0, 1.0], [[-1.0, 2.0]], [0.0], [2.0, 0.5])
+        status, x, value, pivots, flips = bounded_looped_solve(problem)
+        assert (status, pivots, flips) == ("optimal", 2, 0)
+        assert x.tolist() == [1.0, 0.5]
+        assert_stack_equals_loop([problem])
+
+    def test_infinite_bounds_take_the_plain_path(self, rng):
+        # An explicit +inf bound is the default, and changes no bit of any answer.
+        problems = [make_problem(*random_unbounded_instance(rng), np.full(3, np.inf)) for _ in range(10)]
+        problems += [make_problem(*random_bounded_instance(rng), np.full(3, np.inf)) for _ in range(10)]
+        stacked = assert_stack_equals_loop(problems)
+        assert not stacked.flips.any()
+
+    def test_zero_bounds_never_enter(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c, M, b, u = random_box_instance(rng)
+            c[0], u[0] = 5.0, 0.0  # the most attractive variable is fixed at 0
+            fixed = solve_lp(make_problem(c, M, b, u))
+            dropped = solve_lp(make_problem(c[1:], M[:, 1:], b, u[1:]))
+            assert fixed.x[0] == 0.0 and not np.signbit(fixed.x[0])
+            assert (fixed.status, fixed.pivots, fixed.flips) == (dropped.status, dropped.pivots, dropped.flips)
+            assert fixed.x[1:].tobytes() == dropped.x.tobytes()
+
+    def test_delta_one_designs_have_zero_budgets(self):
+        # At delta = 1 the weakest user has no budget: every design has a bound of 0.
+        for seed in range(3):
+            real = make_realization(seed, K=6, L=4, snr_db=10.0)
+            stack = next(_design(real, eta_from_delta(real, 1.0), 2, "exhaustive"))
+            assert np.all((stack.upper[:, 1:] == 0.0).sum(axis=1) <= 1) and np.any(stack.upper == 0.0)
+            assert_stack_equals_loop(entries(stack))
+
+    def test_degenerate_ties_terminate(self):
+        # Identical rows, a bound equal to the rows' ratio, and a row that is tight at the start.
+        M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+        b = np.array([1.0, 1.0, 0.0, 1.0])
+        problems = [make_problem([1.0, 1.0, 1.0], M, b, u) for u in ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [np.inf, 1.0, 0.0])]
+        stacked = assert_stack_equals_loop(problems)
+        assert np.all(stacked.status == "optimal")
+        assert stacked.objective_value.tolist() == pytest.approx([2.0, 1.5, 1.0])
+
+    def test_bounds_equal_the_identity_rows(self):
+        # The allocation LPs with their bounds written back as rows reach the same optimum.
+        for problems in grouped_allocation_lps().values():
+            stack = stack_of(problems)
+            rows = np.concatenate([stack.ineq_matrix, np.broadcast_to(np.eye(stack.num_vars), (len(problems),) + (stack.num_vars,) * 2)], axis=1)
+            rhs = np.concatenate([stack.ineq_rhs, np.minimum(stack.upper, 1e300)], axis=1)
+            as_rows = solve_lp(LpProblem(stack.num_vars, stack.objective, rows, rhs))
+            as_bounds = solve_lp(stack)
+            assert np.all(as_rows.status == as_bounds.status)
+            assert np.allclose(as_rows.objective_value, as_bounds.objective_value, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "upper, match",
+        [
+            (np.array([1.0, np.nan, 1.0]), "nonnegative"),
+            (np.array([1.0, -1e-300, 1.0]), "nonnegative"),
+            (np.array([1.0, 1.0]), "shaped like the objective"),
+            (np.ones((2, 3)), "shaped like the objective"),
+        ],
+    )
+    def test_upper_is_validated(self, rng, upper, match):
+        c, M, b = random_bounded_instance(rng)
+        with pytest.raises(ContractError, match=match):
+            solve_lp(make_problem(c, M, b, upper))
+        stack = stack_of([make_problem(c, M, b)] * 2)
+        bad = np.broadcast_to(upper, (2,) + upper.shape) if upper.shape == (3,) else upper[..., :2]
+        with pytest.raises(ContractError, match=match):
+            solve_lp(LpProblem(3, stack.objective, stack.ineq_matrix, stack.ineq_rhs, bad))

@@ -415,22 +415,22 @@ def looped_design_search(real, eta, N, selection):
         alpha, beta = alpha_beta(real, eta, Z, w)
         live = np.isfinite(alpha)
         load = np.abs(w[:, None] * real.h[noise] / real.h[zf, None]) ** 2
-        budget_rows = np.vstack([np.eye(len(noise)), load])
-        rhs = budgets[noise + zf]
+        caps = budgets[noise]  # the noise users' budgets bound lambda; the rows are the zf users'
         if np.any(beta[live] > 0.0):
-            scale = np.min(alpha[live] + (beta[live] * rhs[: len(noise)]).sum(axis=-1))
+            scale = np.min(alpha[live] + (beta[live] * caps).sum(axis=-1))
             rows = np.vstack(
                 [
                     np.column_stack([np.ones(live.sum()), -beta[live] / scale]),
-                    np.column_stack([np.zeros(len(budget_rows)), budget_rows]),
+                    np.column_stack([np.zeros(len(load)), load]),
                 ]
             )
             c = np.zeros(1 + len(noise))
             c[0] = 1.0
-            sol = solve_lp(LpProblem(1 + len(noise), c, rows, np.concatenate([alpha[live] / scale, rhs])))
+            rhs = np.concatenate([alpha[live] / scale, budgets[zf]])
+            sol = solve_lp(LpProblem(1 + len(noise), c, rows, rhs, np.concatenate([[np.inf], caps])))
             lam = sol.x[1:]
         else:
-            sol = solve_lp(LpProblem(len(noise), np.ones(len(noise)), budget_rows, rhs))
+            sol = solve_lp(LpProblem(len(noise), np.ones(len(noise)), load, budgets[zf], caps))
             lam = sol.x
         assert sol.status == "optimal"
         kind = "proposed" if N == 1 else "proposed_shared"
