@@ -277,7 +277,16 @@ def _columns_eta_design_space(preset: ExperimentPreset):
     return cols
 
 
+def _check_one_realization(preset: ExperimentPreset) -> None:
+    # A scatter preset draws one realization at base_seed: more would repeat it.
+    if preset.num_realizations != 1:
+        raise ConfigurationError(
+            f"{preset.name} draws one realization: num_realizations must be 1, got {preset.num_realizations}"
+        )
+
+
 def _check_eta_design_space(preset: ExperimentPreset) -> None:
+    _check_one_realization(preset)
     _check_kinds(preset, "precoder_kind", [preset.precoder_kind])
     _check_nonempty(preset, "power_levels")
     if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
@@ -294,6 +303,11 @@ def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.
     # moves between levels; recalibrating would just rescale the whole plot.
     bounds = [eta_bounds_given_mu(replace(real, P=float(p)), A, mu) for p in preset.power_levels]
     return np.column_stack(np.broadcast_arrays(mu, *(b for pair in bounds for b in pair)))
+
+
+def _check_tradeoff(preset: ExperimentPreset) -> None:
+    _check_one_realization(preset)
+    _check_fraction("sweep_values (delta)", preset.sweep_values)
 
 
 def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -403,7 +417,7 @@ _PRESETS = {
         columns=lambda preset: ["kind", "delta", "theta", "D", "S_coop"],
         rows=_tradeoff_rows,
         meta=("kinds", "mixture_pairs"),
-        check=lambda preset: _check_fraction("sweep_values (delta)", preset.sweep_values),
+        check=_check_tradeoff,
         fields=dict(sweep_values=tuple(np.linspace(0.0, 1.0, 40)), num_realizations=1),
         config=dict(num_eavesdroppers=7, snr_db=0.0),
     ),

@@ -5,11 +5,11 @@ Solves ``maximize c^T x`` subject to ``M x <= b`` and ``0 <= x <= u`` with
 with Bland's anti-cycling rule.  A nonnegative right-hand side makes ``x = 0``
 feasible, so the slack basis starts the search and no phase 1 is needed.  The
 condensed tableau keeps the nonbasic columns, with the variable in each slot,
-and the rhs: ``(m+1) x (n+1)``.  A pivot puts the leaving variable's unit
-column into the entering slot before the row division, so each entry gets the
-IEEE operations of the full ``(m+1) x (n+m+1)`` tableau; only a zero's sign
-may differ, which no comparison and no rhs entry sees, so the answers are
-bitwise equal.
+and the rhs, over the ``m`` rows, the objective row and a scratch row:
+``(m+2) x (n+1)``.  A pivot puts the leaving variable's unit column into the
+entering slot before the row division, so each entry gets the IEEE operations
+of the full ``(m+1) x (n+m+1)`` tableau; only a zero's sign may differ, which
+no comparison and no rhs entry sees, so the answers are bitwise equal.
 
 The upper bounds ``u`` (``+inf`` by default) are kept out of the rows.  Every
 nonbasic variable sits at 0 or at its bound, and one at its bound is held
@@ -17,26 +17,30 @@ complemented, as ``u - x``, so the tableau sees every nonbasic variable at 0.
 Bland's rule enters the lowest improving variable, a complemented one moving
 down from its bound; a variable whose bound is 0 never enters.  The ratio test
 stops a basic variable at 0, or at its bound when its column entry is below
-``-PIVOT_TOL``: that variable leaves complemented.  When the entering
+``-PIVOT_TOL``; ties go to the lowest basic index, as without bounds, and a
+variable stopped at its bound leaves complemented.  When the entering
 variable's own bound is the binding ratio (ties go to it), it flips to that
 bound without a pivot: the rhs takes its column times the bound, the column
-changes sign, and nothing is divided.  The flip is carried out as a pivot on
-the variable's bound row ``x + s = u``, written into a scratch row, after
-which the slot holds the bound's slack ``s = u - x``.  An LP with no finite
-bound takes the pivots of the plain simplex, with the same arithmetic.
+changes sign, and the basis stays.  The flip is carried out as a pivot on the
+variable's bound row ``x + s = u``, written into the scratch row with pivot
+element 1, after which the slot holds the bound's slack ``s = u - x``.
+:class:`LpSolution` counts pivots and flips apart.  An LP with no finite bound
+takes the pivots of the plain simplex, with the same arithmetic.
 
 A problem whose arrays carry a leading stack axis, ``M`` of shape
 ``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
 in lockstep: each iteration makes one pivot or flip in every LP still working,
-as array operations over the stack, and an LP leaves the working set when it
-is optimal or turns out unbounded.  Each LP takes the steps it would take
-alone, so its answer is bitwise equal to solving it alone.  LPs of different
-shapes can share a stack after padding: a zero row with rhs 0 is never a
-pivot row, a zero column at the right with objective 0 never enters whatever
-its bound, and the real variables keep their order, so padding changes no
-answer's bits.  This is the one simplex path: a two-dimensional problem runs
-as a stack of one and gets plain Python ``str``, ``float`` and ``int`` fields
-back.
+as array operations over the stack.  An LP that is optimal or turns out
+unbounded is parked: it runs along with zero factors, which change no rhs,
+basis or complement flag, until the parked LPs make up half the working set;
+then their answers are read off and they leave it.  Each LP takes the steps it
+would take alone, so its answer is bitwise equal to solving it alone.  LPs of
+different shapes can share a stack after padding: a zero row with rhs 0 is
+never a pivot row, a zero column at the right with objective 0 never enters
+whatever its bound, and the real variables keep their order, so padding
+changes no answer's bits.  This is the one simplex path: a two-dimensional
+problem runs as a stack of one and gets plain Python ``str``, ``float`` and
+``int`` fields back.
 """
 
 from __future__ import annotations
@@ -137,26 +141,37 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     # The working set: the condensed tableaux over [nonbasic columns | rhs], with row m the
     # objective and row m + 1 the scratch row for a flip; the variables in their basis rows
     # and nonbasic column slots with their bounds (the basis and its bounds have an entry
-    # per tableau row); the complement flags; the flips made so far; whether the LP is
-    # parked; and the stack indices of the LPs.
+    # per tableau row, and variable n + m + 1 is a dummy); the complement flags; the flips
+    # made; and per LP whether it is parked, since which iteration and whether unbounded,
+    # with its stack index.
     T = np.zeros((B, m + 2, n + 1))
     T[:, :m, :n], T[:, :m, -1], T[:, m, :n] = np.where(frozen[:, np.newaxis], 0.0, M), b, -np.where(frozen, 0.0, c)
     basis = np.tile(np.arange(n, n + m + 2), (B, 1))
     nonbasic = np.tile(np.arange(n), (B, 1))
     row_cap, slot_cap = np.full((B, m + 2), np.inf), u.copy()
     flipped = np.zeros((B, n + m + 2), dtype=bool)
-    made = np.zeros(B, dtype=int)
-    parked, waiting = np.zeros(B, dtype=bool), 0  # finished, answer read off, not yet dropped
+    made, ended = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    parked, stuck = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
     ids = np.arange(B)
     work = np.arange(B)  # positions in the working set
+
+    def settle(now: int) -> None:
+        """Read off the parked LPs at the start of iteration ``now``."""
+        at, began = ids[parked], ended[parked]
+        flips[at] = made[parked] - (now - began)  # a parked LP flips once per iteration
+        pivots[at] = began - flips[at]
+        unbounded[at] = stuck[parked]
+        read = parked & ~stuck
+        x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
+
     for it in range(_MAX_ITER):
-        if 2 * waiting >= ids.size:  # read off and drop the parked LPs once they are half the set
-            read = parked & ~unbounded[ids]
-            x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
+        waiting = np.count_nonzero(parked)
+        if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
+            settle(it)
             keep = ~parked
-            T, basis, nonbasic, ids, made = T[keep], basis[keep], nonbasic[keep], ids[keep], made[keep]
-            row_cap, slot_cap, flipped, parked = row_cap[keep], slot_cap[keep], flipped[keep], parked[keep]
-            work, waiting = work[: ids.size], 0
+            T, basis, nonbasic, ids, made, ended = T[keep], basis[keep], nonbasic[keep], ids[keep], made[keep], ended[keep]
+            row_cap, slot_cap, flipped, parked, stuck = row_cap[keep], slot_cap[keep], flipped[keep], parked[keep], stuck[keep]
+            work = work[: ids.size]
             if not ids.size:
                 break
         improving = T[:, m, :-1] < -PIVOT_TOL
@@ -171,17 +186,15 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         bound = slot_cap[work, enter]
         better = improving[work, enter]
         done = ~((better & (np.minimum(limit, bound) < np.inf)) | parked)  # optimal or unbounded
-        if done.any():
-            flips[ids[done]] = made[done]
-            pivots[ids[done]] = it - made[done]
-            unbounded[ids[done & better]] = True
-            # A parked LP runs along until it is dropped: each step flips a unit bound with zero
-            # factors, which leaves its rhs, basis and complement flags as they are.
-            parked |= done
-            waiting += int(np.count_nonzero(done))
-            if waiting == ids.size:
-                break
-            slot_cap[done] = bound[done] = 1.0
+        # A done LP is parked: it runs along until it is dropped, each step flipping a unit bound
+        # with zero factors, which leaves its rhs, basis and complement flags as they are.
+        np.copyto(ended, it, where=done)
+        stuck |= done & better
+        parked |= done
+        if np.count_nonzero(parked) == ids.size:
+            settle(it)
+            break
+        bound[parked] = 1.0
         flip = (bound <= limit) | parked  # the entering variable's own bound binds first, or ties
         row = np.where(ratios <= limit[:, np.newaxis], basis[:, :m], n + m).argmin(axis=1)  # lowest basic index
         stop = upper[work, row] & ~flip  # the leaving variable stops at its bound
@@ -193,7 +206,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         entering = nonbasic[work, enter]
         T[:, m + 1] = 0.0
         T[work, leave, -1] = np.where(flip, bound, span[work, row])
-        basis[:, m + 1], row_cap[:, m + 1] = entering, bound
+        basis[:, m + 1], row_cap[:, m + 1] = np.where(parked, n + m + 1, entering), bound
         factors[:, m + 1] = 1.0
         pivot = factors[work, leave]
         factors[work, leave] = 0.0
@@ -216,12 +229,10 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         leaving = basis[work, leave]
         nonbasic[work, enter], basis[work, leave] = leaving, entering
         slot_cap[work, enter], row_cap[work, leave] = row_cap[work, leave], bound
-        flipped[work, leaving] ^= (flip | stop) & ~parked
+        flipped[work, leaving] ^= flip | stop
         made += flip
     else:
         raise RuntimeError("simplex iteration limit exceeded")
-    read = parked & ~unbounded[ids]
-    x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
     value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]
     status = np.where(unbounded, "unbounded", "optimal")
     return LpSolution(status, x, np.where(unbounded, 0.0, value), pivots, flips)

@@ -15,7 +15,10 @@ with ``alpha_l = (eta^2 sum_k |g_{l,k}/h_k|^2 + sigma_z^2) /
 |sum_k g_{l,k}/h_k|^2`` and ``beta_{l,i} = |g_{l,i} - sum_{j in Z} g_{l,j}
 (h_i/h_j) d_j|^2 / |sum_k g_{l,k}/h_k|^2``.  Maximizing the worst
 (minimum) objective over eavesdroppers subject to the per-user power budgets
-is then a small linear program in ``(t, lambda)``.
+is then a small linear program in ``(t, lambda)``: a noise user's budget is
+the upper bound of its ``lambda_i``, which the bounded-variable simplex keeps
+out of the rows, and each zero-forcing user's budget is one row.  An LP has
+``L + N`` rows.
 
 Eavesdroppers whose channel sums cancel (``|sum_k g_{l,k}/h_k|^2`` below
 1e-12 of ``sum_k |g_{l,k}/h_k|^2``) already observe nothing useful about the

@@ -397,10 +397,11 @@ def test_criterion_10_preset_determinism(tmp_path):
     details = []
     for name, extra in shrink.items():
         outputs = []
+        trials = "1" if name in ("eta_design_space", "tradeoff") else "3"  # one realization each
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / f"{name}_{tag}.dat"
             code = cli_main(
-                ["run", name, "--seed", "9", "--trials", "3", "--threads", threads,
+                ["run", name, "--seed", "9", "--trials", trials, "--threads", threads,
                  "--out", str(out)] + extra
             )
             assert code == 0

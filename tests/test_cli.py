@@ -217,6 +217,17 @@ class TestRun:
         assert elapsed < 5.0  # about 0.2 s; the old cap of 10^6 draws took 15-19 s
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset", ["tradeoff", "eta_design_space"])
+    def test_trials_on_a_scatter_preset_exit_2(self, tmp_path, monkeypatch, capsys, preset):
+        # Both draw one realization at the base seed; --trials 7 used to print
+        # num_realizations: 7 over the rows of that one realization.
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        out = tmp_path / "t.dat"
+        assert main(["run", preset, "--trials", "7", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "num_realizations must be 1, got 7" in captured.err
+        assert not out.exists()
+
     def test_ill_scaled_allocation_lps_run_to_a_table(self, tmp_path, capsys):
         # Real fading at K = 12, L = 14, delta = 0.1 and seed 241 once spun its allocation LP
         # to the iteration limit and exited 3 after about 4 s.

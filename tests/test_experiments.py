@@ -32,10 +32,10 @@ def small(name, **overrides):
         defaults["sweep_values"] = tuple(range(1, 7))
     elif name == "shared_zf":
         defaults.update(sweep_values=(0.0, 10.0), l_values=(2, 3), num_users=5)
-    elif name == "tradeoff":
-        defaults.update(sweep_values=(0.2, 0.6, 1.0), mixture_pairs=3, mixture_thetas=5)
+    elif name == "tradeoff":  # one realization, as for eta_design_space
+        defaults.update(sweep_values=(0.2, 0.6, 1.0), mixture_pairs=3, mixture_thetas=5, num_realizations=1)
     elif name == "eta_design_space":
-        defaults["sweep_values"] = tuple(np.linspace(0.01, 1.0, 25))
+        defaults.update(sweep_values=tuple(np.linspace(0.01, 1.0, 25)), num_realizations=1)
     defaults.update(overrides)
     return default_preset(name, **defaults)
 
@@ -539,6 +539,13 @@ class TestValidation:
         monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
         with pytest.raises(ConfigurationError, match=r"^sweep_values \(delta\) must lie in \[0, 1\], got "):
             run_preset(small("tradeoff", sweep_values=sweep))
+
+    @pytest.mark.parametrize("name", ["tradeoff", "eta_design_space"])
+    @pytest.mark.parametrize("trials", [0, 2, 7])
+    def test_scatter_presets_draw_one_realization(self, monkeypatch, name, trials):
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        with pytest.raises(ConfigurationError, match=f"^{name} draws one realization: num_realizations must be 1"):
+            run_preset(small(name, num_realizations=trials))
 
     def test_collect_trials_rejects_scatter_presets(self):
         with pytest.raises(ConfigurationError):
