@@ -145,7 +145,8 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     # made; and per LP whether it is parked, since which iteration and whether unbounded,
     # with its stack index.
     T = np.zeros((B, m + 2, n + 1))
-    T[:, :m, :n], T[:, :m, -1], T[:, m, :n] = np.where(frozen[:, np.newaxis], 0.0, M), b, -np.where(frozen, 0.0, c)
+    T[:, :m, :n], T[:, :m, -1] = np.where(frozen[:, np.newaxis], 0.0, M), b
+    T[:, m, :n] = -np.where(frozen, 0.0, c)
     basis = np.tile(np.arange(n, n + m + 2), (B, 1))
     nonbasic = np.tile(np.arange(n), (B, 1))
     row_cap, slot_cap = np.full((B, m + 2), np.inf), u.copy()
@@ -165,12 +166,11 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
 
     for it in range(_MAX_ITER):
-        waiting = np.count_nonzero(parked)
-        if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
+        if 2 * np.count_nonzero(parked) >= ids.size:  # drop the parked LPs once they are half the set
             settle(it)
             keep = ~parked
-            T, basis, nonbasic, ids, made, ended = T[keep], basis[keep], nonbasic[keep], ids[keep], made[keep], ended[keep]
-            row_cap, slot_cap, flipped, parked, stuck = row_cap[keep], slot_cap[keep], flipped[keep], parked[keep], stuck[keep]
+            T, basis, nonbasic, row_cap, slot_cap = T[keep], basis[keep], nonbasic[keep], row_cap[keep], slot_cap[keep]
+            flipped, made, ended, parked, stuck, ids = (a[keep] for a in (flipped, made, ended, parked, stuck, ids))
             work = work[: ids.size]
             if not ids.size:
                 break

@@ -133,23 +133,23 @@ def _zf_matrices(
 def _allocation_lp(
     alpha: np.ndarray, beta: np.ndarray, load: np.ndarray, budgets: np.ndarray
 ) -> LpProblem:
-    """max t  s.t.  alpha_l + beta_l . lam >= t,  load . lam <= zf budgets,  0 <= lam <= noise budgets,  t >= 0.
+    """max t  s.t.  alpha_l + beta_l . lam >= t,  load . lam <= zf budgets,  0 <= lam <= caps,  t >= 0.
 
     ``alpha`` has shape ``(..., L)``, +inf on dropped eavesdroppers; ``beta``
     shape ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
     ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets`` shape
     ``(..., K)``, noise users first.  The noise users' budgets are the
-    lambdas' upper bounds, not rows, so each LP has ``L + N`` rows.  A leading
-    axis gives a stack of LPs.  A dropped eavesdropper keeps its row, all
-    zeros with rhs 0, which never pivots, so LPs that drop different
+    lambdas' upper bounds (caps), not rows, so each LP has ``L + N`` rows.  A
+    leading axis gives a stack of LPs.  A dropped eavesdropper keeps its row,
+    all zeros with rhs 0, which never pivots, so LPs that drop different
     eavesdroppers share a stack.  Every live alpha is positive, so ``t >= 0``
     cuts off no optimum.  The raw coefficients inherit the physical channel
     scale, which can sit below the simplex pivot tolerance, so ``t`` and the
     objective rows are in units of an upper bound on each LP's optimum:
-    ``beta >= 0``, so ``t* <= min over live l of (alpha_l + beta_l . noise
-    budgets)``, and ``t* <= 1`` in LP units.  The smallest alpha alone is a
-    poor unit when it nears ``sigma_z^2`` (small eta or high SNR): ``beta /
-    alpha`` then grows until the simplex spins or misreports the LP unbounded.
+    ``beta >= 0``, so ``t* <= min over live l of (alpha_l + beta_l . caps)``,
+    and ``t* <= 1`` in LP units.  The smallest alpha alone is a poor unit when
+    it nears ``sigma_z^2`` (small eta or high SNR): ``beta / alpha`` then grows
+    until the simplex spins or misreports the LP unbounded.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
     objective is the total noise power.  Its objective rows then hold zeros
@@ -160,9 +160,9 @@ def _allocation_lp(
     live = np.isfinite(alpha)
     stack, L, n_cols = alpha.shape[:-1], alpha.shape[-1], beta.shape[-1]
     caps = budgets[..., :n_cols]
-    # The products in C order: a row sum then adds them in one order whatever the stack's layout.
-    reach = alpha + np.multiply(beta, caps[..., np.newaxis, :], order="C").sum(axis=-1)
-    scale = np.min(reach, axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
+    # einsum adds each row's products in one order, whatever the stack's shape or layout.
+    reach = alpha + np.einsum("...li,...i->...l", beta, caps)
+    scale = reach.min(axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
     rows = np.zeros(stack + (L + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
     rows[..., :L, 1:] = -beta / scale[..., np.newaxis]
@@ -171,7 +171,7 @@ def _allocation_lp(
     np.divide(alpha, scale, out=rhs[..., :L], where=live)
     rhs[..., L:] = budgets[..., n_cols:]
     upper = np.empty(stack + (1 + n_cols,))
-    upper[..., 0], upper[..., 1:] = np.inf, caps
+    upper[..., 0], upper[..., 1:] = np.inf, caps  # t is unbounded
     tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
@@ -224,11 +224,11 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
     stops = np.cumsum(shapes[:, 0])
     spans = [slice(stop - size, stop) for size, stop in zip(shapes[:, 0], stops)]
     m, n = shapes[:, 1:].max(axis=0)
-    c, M, b = np.zeros((stops[-1], n)), np.zeros((stops[-1], m, n)), np.zeros((stops[-1], m))
-    u = np.zeros((stops[-1], n))
+    c, M, b, u = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,)))
     for p, at, (_, rows, cols) in zip(problems, spans, shapes):
-        c[at, :cols], M[at, :rows, :cols], b[at, :rows] = p.objective, p.ineq_matrix, p.ineq_rhs
-        u[at, :cols] = p.upper
+        c[at, :cols], M[at, :rows, :cols], b[at, :rows], u[at, :cols] = (
+            p.objective, p.ineq_matrix, p.ineq_rhs, p.upper
+        )
     solution = solve_lp(LpProblem(n, c, M, b, u))
     status = np.broadcast_to(solution.status, (stops[-1],))  # a scalar status broadcasts
     precoders = []

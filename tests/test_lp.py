@@ -615,7 +615,8 @@ class TestBounds:
         # Identical rows, a bound equal to the rows' ratio, and a row that is tight at the start.
         M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0, 0.0, 1.0])
-        problems = [make_problem([1.0, 1.0, 1.0], M, b, u) for u in ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [np.inf, 1.0, 0.0])]
+        bounds = ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [np.inf, 1.0, 0.0])
+        problems = [make_problem([1.0, 1.0, 1.0], M, b, u) for u in bounds]
         stacked = assert_stack_equals_loop(problems)
         assert np.all(stacked.status == "optimal")
         assert stacked.objective_value.tolist() == pytest.approx([2.0, 1.5, 1.0])
@@ -624,7 +625,8 @@ class TestBounds:
         # The allocation LPs with their bounds written back as rows reach the same optimum.
         for problems in grouped_allocation_lps().values():
             stack = stack_of(problems)
-            rows = np.concatenate([stack.ineq_matrix, np.broadcast_to(np.eye(stack.num_vars), (len(problems),) + (stack.num_vars,) * 2)], axis=1)
+            n = stack.num_vars
+            rows = np.concatenate([stack.ineq_matrix, np.broadcast_to(np.eye(n), (len(problems), n, n))], axis=1)
             rhs = np.concatenate([stack.ineq_rhs, np.minimum(stack.upper, 1e300)], axis=1)
             as_rows = solve_lp(LpProblem(stack.num_vars, stack.objective, rows, rhs))
             as_bounds = solve_lp(stack)

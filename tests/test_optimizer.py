@@ -417,7 +417,7 @@ def looped_design_search(real, eta, N, selection):
         load = np.abs(w[:, None] * real.h[noise] / real.h[zf, None]) ** 2
         caps = budgets[noise]  # the noise users' budgets bound lambda; the rows are the zf users'
         if np.any(beta[live] > 0.0):
-            scale = np.min(alpha[live] + (beta[live] * caps).sum(axis=-1))
+            scale = np.min(alpha[live] + np.einsum("...li,...i->...l", beta[live], caps))
             rows = np.vstack(
                 [
                     np.column_stack([np.ones(live.sum()), -beta[live] / scale]),
