@@ -132,6 +132,10 @@ def _basic_x(T: np.ndarray, basis: np.ndarray, u: np.ndarray, flipped: np.ndarra
 
 def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> LpSolution:
     B, m, n = M.shape
+    if not (m and n):  # a zero row at the bottom never pivots, a zero column at the right never enters
+        column, row = ((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 1))
+        padded = _solve_stack(np.pad(c, column), np.pad(M, row), np.pad(b, column), np.pad(u, column))
+        return LpSolution(padded.status, padded.x[:, :n], padded.objective_value, padded.pivots, padded.flips)
     unbounded = np.zeros(B, dtype=bool)
     x = np.zeros((B, n))
     pivots, flips = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
@@ -155,6 +159,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     parked, stuck = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
     ids = np.arange(B)
     work = np.arange(B)  # positions in the working set
+    waiting = 0  # parked LPs
 
     def settle(now: int) -> None:
         """Read off the parked LPs at the start of iteration ``now``."""
@@ -166,12 +171,12 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
 
     for it in range(_MAX_ITER):
-        if 2 * np.count_nonzero(parked) >= ids.size:  # drop the parked LPs once they are half the set
+        if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
             settle(it)
             keep = ~parked
             T, basis, nonbasic, row_cap, slot_cap = T[keep], basis[keep], nonbasic[keep], row_cap[keep], slot_cap[keep]
             flipped, made, ended, parked, stuck, ids = (a[keep] for a in (flipped, made, ended, parked, stuck, ids))
-            work = work[: ids.size]
+            work, waiting = work[: ids.size], 0
             if not ids.size:
                 break
         improving = T[:, m, :-1] < -PIVOT_TOL
@@ -191,7 +196,8 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         np.copyto(ended, it, where=done)
         stuck |= done & better
         parked |= done
-        if np.count_nonzero(parked) == ids.size:
+        waiting = np.count_nonzero(parked)
+        if waiting == ids.size:
             settle(it)
             break
         bound[parked] = 1.0

@@ -592,6 +592,16 @@ class TestBounds:
         stacked = assert_stack_equals_loop(problems)
         assert not stacked.flips.any()
 
+    def test_no_rows_or_no_variables(self):
+        # Only bounds: each improving variable flips to its bound, or grows without one.
+        stack = LpProblem(2, np.array([[1.0, -1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)), np.zeros((2, 0)),
+                          np.array([[2.0, 3.0], [np.inf, 1.0]]))
+        sol = solve_lp(stack)
+        assert sol.status.tolist() == ["optimal", "unbounded"] and sol.flips.tolist() == [1, 0]
+        assert sol.x.tolist() == [[2.0, 0.0], [0.0, 0.0]]
+        empty = solve_lp(make_problem(np.zeros(0), np.zeros((2, 0)), [1.0, 0.0]))
+        assert (empty.status, empty.x.shape, empty.objective_value) == ("optimal", (0,), 0.0)
+
     def test_zero_bounds_never_enter(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
