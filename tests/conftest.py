@@ -17,6 +17,7 @@ ILL_SCALED_DESIGNS = [
     (12, 14, 20.0, 0.1, "real", 241, 1),
 ]
 
+
 def make_realization(seed, K=4, L=2, snr_db=10.0, fading_mode="complex", **kwargs):
     config = ScenarioConfig(
         num_users=K, num_eavesdroppers=L, snr_db=snr_db, fading_mode=fading_mode, **kwargs

@@ -85,7 +85,7 @@ def stack_of(problems):
 
 
 def looped_solve(problem):
-    """Bland's rule on one LP at a time, on the full tableau: the reference for the condensed stack.
+    """Bland's rule on one LP at a time, on the full tableau: the reference for LPs with no finite bound.
 
     Returns ``(status, x, value, pivots)``.
     """

@@ -366,7 +366,7 @@ class TestSharedZeroForcing:
 
 
 class TestWellScaledAllocation:
-    """t is scaled by an upper bound on the optimum, so tiny eta or high SNR cannot blow up beta."""
+    """t is scaled by an upper bound on the optimum, so tiny eta or high SNR cannot blow up beta / scale."""
 
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_returns_fast_within_a_pivot_budget(self, monkeypatch, K, L, snr_db, delta, fading, seed, N):
