@@ -144,16 +144,15 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     frozen = u == 0.0
     # The working set: the condensed tableaux over [nonbasic columns | rhs], with row m the
     # objective and row m + 1 the scratch row for a flip; the variables in their basis rows
-    # and nonbasic column slots with their bounds (the basis and its bounds have an entry
-    # per tableau row, and variable n + m + 1 is a dummy); the complement flags; the flips
-    # made; and per LP whether it is parked, since which iteration and whether unbounded,
-    # with its stack index.
+    # (one entry per tableau row; variable n + m + 1 is a dummy) and nonbasic column slots;
+    # each variable's bound and complement flag; the flips made; and per LP whether it is
+    # parked, since which iteration and whether unbounded, with its stack index.
     T = np.zeros((B, m + 2, n + 1))
     T[:, :m, :n], T[:, :m, -1] = np.where(frozen[:, np.newaxis], 0.0, M), b
     T[:, m, :n] = -np.where(frozen, 0.0, c)
     basis = np.tile(np.arange(n, n + m + 2), (B, 1))
     nonbasic = np.tile(np.arange(n), (B, 1))
-    row_cap, slot_cap = np.full((B, m + 2), np.inf), u.copy()
+    cap = np.concatenate([u, np.full((B, m + 2), np.inf)], axis=1)
     flipped = np.zeros((B, n + m + 2), dtype=bool)
     made, ended = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
     parked, stuck = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
@@ -174,21 +173,22 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
             settle(it)
             keep = ~parked
-            T, basis, nonbasic, row_cap, slot_cap = T[keep], basis[keep], nonbasic[keep], row_cap[keep], slot_cap[keep]
-            flipped, made, ended, parked, stuck, ids = (a[keep] for a in (flipped, made, ended, parked, stuck, ids))
+            T, basis, nonbasic, cap, flipped = T[keep], basis[keep], nonbasic[keep], cap[keep], flipped[keep]
+            made, ended, parked, stuck, ids = made[keep], ended[keep], parked[keep], stuck[keep], ids[keep]
             work, waiting = work[: ids.size], 0
             if not ids.size:
                 break
         improving = T[:, m, :-1] < -PIVOT_TOL
         enter = np.where(improving, nonbasic, n + m).argmin(axis=1)  # Bland: lowest improving variable
+        entering = nonbasic[work, enter]
         factors = T[work, :, enter]
         column = factors[:, :m]
         # A basic variable stops at 0 where its column entry is positive, at its bound where negative.
         upper = column < -PIVOT_TOL
-        span = T[:, :m, -1] - np.where(upper, row_cap[:, :m], 0.0)
+        span = T[:, :m, -1] - np.where(upper, cap[work[:, np.newaxis], basis[:, :m]], 0.0)
         ratios = np.divide(span, column, out=np.full(column.shape, np.inf), where=upper | (column > PIVOT_TOL))
         limit = ratios[work, ratios.argmin(axis=1)] + _RATIO_TIE_TOL
-        bound = slot_cap[work, enter]
+        bound = cap[work, entering]
         better = improving[work, enter]
         done = ~((better & (np.minimum(limit, bound) < np.inf)) | parked)  # optimal or unbounded
         # A done LP is parked: it runs along until it is dropped, each step flipping a unit bound
@@ -209,10 +209,9 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         # s = u - x, the variable complemented, takes its slot.  A variable leaving at its bound
         # leaves complemented: its row's rhs is measured from the bound (span), and its unit
         # column is negated.
-        entering = nonbasic[work, enter]
         T[:, m + 1] = 0.0
         T[work, leave, -1] = np.where(flip, bound, span[work, row])
-        basis[:, m + 1], row_cap[:, m + 1] = np.where(parked, n + m + 1, entering), bound
+        basis[:, m + 1] = np.where(parked, n + m + 1, entering)
         factors[:, m + 1] = 1.0
         pivot = factors[work, leave]
         factors[work, leave] = 0.0
@@ -234,7 +233,6 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         T -= update
         leaving = basis[work, leave]
         nonbasic[work, enter], basis[work, leave] = leaving, entering
-        slot_cap[work, enter], row_cap[work, leave] = row_cap[work, leave], bound
         flipped[work, leaving] ^= flip | stop
         made += flip
     else:
