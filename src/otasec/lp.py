@@ -167,7 +167,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         pivots[at] = began - flips[at]
         unbounded[at] = stuck[parked]
         read = parked & ~stuck
-        x[ids[read]] = _basic_x(T[read], basis[read, :m], u[ids[read]], flipped[read], n)
+        x[ids[read]] = _basic_x(T[read], basis[read, :m], cap[read, :n], flipped[read], n)
 
     for it in range(_MAX_ITER):
         if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
