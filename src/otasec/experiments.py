@@ -503,6 +503,10 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
     spec.check(preset)
+    columns = spec.columns(preset)
+    repeated = dict.fromkeys(name for at, name in enumerate(columns) if name in columns[:at])
+    if repeated:  # repeated list entries, or entries alike under %g
+        raise ConfigurationError(f"repeated list entries repeat column names: {' '.join(repeated)}")
 
 
 def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:

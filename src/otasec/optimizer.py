@@ -38,13 +38,14 @@ and the per-subset work is stacked over the candidates: the weights,
 ``eta`` array (one entry per power-control fraction) gives all that depends on
 ``eta`` its axes, before the SNR's: each eta and SNR ranks its own subsets,
 bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper keeps
-an all-zero row, so the LPs of a design form one stack whatever its ``eta``; a
-subset out of residual power at an ``eta`` is left out of its LPs.
-:func:`optimize_designs` pads the stacks of several designs to one shape and
-makes one :func:`~otasec.lp.solve_lp` call for them all (one per ``shared_zf``
-trial).  It is the one way into a design: :func:`optimize_shared_zf` is its
-one-design case and the paper's single-user :func:`optimize_proposed` the
-one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix are
+an all-zero row, so the LPs of a design form one array over eta, SNR and
+subset.  A subset out of residual power at an ``eta`` gets its LP too: its
+zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
+:func:`optimize_designs` flattens the LP arrays of several designs into one
+padded stack and makes one :func:`~otasec.lp.solve_lp` call for them all (one
+per ``shared_zf`` trial).  It is the one way into a design:
+:func:`optimize_shared_zf` is its one-design case and the paper's single-user
+:func:`optimize_proposed` the one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix are
 the stacked helpers' at a subset axis of length one.
 """
 
@@ -61,6 +62,9 @@ from .lp import LpProblem, solve_lp
 from . import metrics
 
 DROP_RTOL = 1e-12
+# Subsets whose S_noncoop lies within TIE_ATOL of the best tie, and the first wins.  Absolute, as S_noncoop
+# lies in [0, 1]; it covers LP rounding, which moved lambda up to 1.8e-12 relative between equivalent LPs.
+TIE_ATOL = 1e-12
 
 
 def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,12 +99,6 @@ def _beta(
     beta = np.zeros(resid.shape)
     np.divide(np.abs(resid) ** 2, sum_sq[:, None, None], out=beta, where=live[..., :, None, None])
     return beta.swapaxes(-3, -2)
-
-
-def _gather(x: np.ndarray, at: tuple, n: int) -> np.ndarray:
-    """``x``, whose axes but its last ``n`` broadcast against the eta, SNR and subset axes, at ``at``."""
-    lead = x.shape[: x.ndim - n]
-    return x[tuple(i if size > 1 else 0 * i for i, size in zip(at[len(at) - len(lead) :], lead))]
 
 
 def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +137,11 @@ def _allocation_lp(
     shape ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
     ``|d_k h_i/h_k|^2``, shape ``(..., N, K - N)``; ``budgets`` shape
     ``(..., K)``, noise users first.  The noise users' budgets are the
-    lambdas' upper bounds (caps), not rows, so each LP has ``L + N`` rows.  A
-    leading axis gives a stack of LPs.  A dropped eavesdropper keeps its row,
-    all zeros with rhs 0, which never pivots, so LPs that drop different
-    eavesdroppers share a stack.  Every live alpha is positive, so ``t >= 0``
+    lambdas' upper bounds (caps), not rows, so each LP has ``L + N`` rows.
+    The four broadcast their leading axes to the stack's shape, one LP per
+    entry.  A dropped eavesdropper keeps its row, all zeros with rhs 0,
+    which never pivots, so LPs that drop different eavesdroppers share a
+    stack.  Every live alpha is positive, so ``t >= 0``
     cuts off no optimum.  The raw coefficients inherit the physical channel
     scale, which can sit below the simplex pivot tolerance, so ``t`` and the
     objective rows are in units of an upper bound on each LP's optimum:
@@ -158,10 +157,12 @@ def _allocation_lp(
     its bounds and the zero-forcing rows alone.
     """
     live = np.isfinite(alpha)
-    stack, L, n_cols = alpha.shape[:-1], alpha.shape[-1], beta.shape[-1]
+    stack = np.broadcast_shapes(alpha.shape[:-1], beta.shape[:-2], load.shape[:-2], budgets.shape[:-1])
+    L, n_cols = alpha.shape[-1], beta.shape[-1]
     caps = budgets[..., :n_cols]
-    # einsum adds each row's products in one order, whatever the stack's shape or layout.
-    reach = alpha + np.einsum("...li,...i->...l", beta, caps)
+    # einsum's order of addition follows the operands' strides; contiguous operands add each
+    # row's products as a contiguous stack does (an eta array's caps are strided).
+    reach = alpha + np.einsum("...li,...i->...l", np.ascontiguousarray(beta), np.ascontiguousarray(caps))
     scale = reach.min(axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
     rows = np.zeros(stack + (L + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
@@ -199,10 +200,11 @@ def optimize_shared_zf(
     Each zero-forcing user's weight is proportional to its residual power.
     ``selection="exhaustive"`` tries every size-N subset and keeps the one
     whose optimized precoder achieves the highest non-cooperative security;
-    ``"best_channel"`` just takes the N strongest channels.  Ties go to the
-    lexicographically smallest subset, and a subset out of residual power
-    cannot win.  If every candidate subset is out of residual power the zero
-    precoder is returned, marked degenerate and naming the first candidate.
+    ``"best_channel"`` just takes the N strongest channels.  Subsets within
+    ``TIE_ATOL`` of the best score tie, and ties go to the lexicographically
+    smallest subset; a subset out of residual power cannot win.  If every
+    candidate subset is out of residual power the zero precoder is returned,
+    marked degenerate and naming the first candidate.
     An ``eta`` array gives every field eta's axes before the SNR's, ``degenerate`` eta's alone.
     """
     return optimize_designs([(real, eta, N, selection)])[0]
@@ -211,37 +213,36 @@ def optimize_shared_zf(
 def optimize_designs(requests) -> list[NoisePrecoder]:
     """``[optimize_shared_zf(*request) for request in requests]``, with one LP call for them all.
 
-    Each request is ``(real, eta, N, selection)``.  Every design's LP stack is padded
-    to one shape (zero rows at the bottom, zero columns at the right) and the stacks
-    go to :func:`~otasec.lp.solve_lp` together; a padding column has bound 0, and
+    Each request is ``(real, eta, N, selection)``.  Every design's LP array is flattened
+    into one stack, padded to one shape (zero rows at the bottom, zero columns at the
+    right), for one :func:`~otasec.lp.solve_lp` call; a padding column has bound 0, and
     padding changes no LP's answer, so each design is bitwise the one made alone.
     """
     designs = [_design(*request) for request in requests]
     problems = [next(design) for design in designs]
     if not problems:
         return []
-    shapes = np.array([p.ineq_matrix.shape for p in problems])  # (LPs, rows, columns) per design
-    stops = np.cumsum(shapes[:, 0])
+    shapes = np.array([(p.ineq_rhs[..., 0].size, *p.ineq_matrix.shape[-2:]) for p in problems])
+    stops = np.cumsum(shapes[:, 0])  # shapes: (LPs, rows, columns) per design
     spans = [slice(stop - size, stop) for size, stop in zip(shapes[:, 0], stops)]
     m, n = shapes[:, 1:].max(axis=0)
     c, M, b, u = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,)))
-    for p, at, (_, rows, cols) in zip(problems, spans, shapes):
-        c[at, :cols], M[at, :rows, :cols], b[at, :rows], u[at, :cols] = (
-            p.objective, p.ineq_matrix, p.ineq_rhs, p.upper
-        )
+    for p, at, (size, rows, cols) in zip(problems, spans, shapes):
+        M[at, :rows, :cols] = p.ineq_matrix.reshape(size, rows, cols)
+        c[at, :cols], b[at, :rows], u[at, :cols] = (v.reshape(size, -1) for v in (p.objective, p.ineq_rhs, p.upper))
     solution = solve_lp(LpProblem(n, c, M, b, u))
-    status = np.broadcast_to(solution.status, (stops[-1],))  # a scalar status broadcasts
     precoders = []
-    for design, at, (_, _, cols) in zip(designs, spans, shapes):
+    for design, p, at in zip(designs, problems, spans):
+        x = solution.x[at, : p.num_vars].reshape(p.objective.shape)
         try:
-            design.send((status[at], solution.x[at, :cols]))
+            design.send((solution.status[at].reshape(x.shape[:-1]), x))
         except StopIteration as done:
             precoders.append(done.value)
     return precoders
 
 
 def _design(real: SystemRealization, eta, N: int, selection: str):
-    """A generator: yields the design's LP stack, takes its ``(status, x)`` back, returns the precoder."""
+    """A generator: yields the design's LP array, takes its ``(status, x)`` back, returns the precoder."""
     K = real.num_users
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
@@ -260,30 +261,27 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
     r = budgets[..., zf]
     total = r.sum(axis=-1)
     able = total > 0.0  # a set with no residual power can compensate nothing
-    # Weights 1/N where a set is out of power: its LP is left out, and they are the fallback's.
+    # Weights 1/N where a set is out of power: its zero-forcing rows have rhs 0, so lambda = 0.
     weights = np.divide(r, total[..., None], out=np.full(r.shape, 1.0 / N), where=able[..., None])
     beta = _beta(real, zf, noise, weights, sum_sq, live)
     load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
     rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
-    # One LP per eta, SNR and able subset, all in one stack.
-    at = np.nonzero(np.broadcast_to(able, axes + zf.shape[:1]))
-    inputs = ((alpha[..., np.newaxis, :], 1), (beta, 2), (load, 2), (rhs, 1))  # with per-LP ranks
-    problem = _allocation_lp(*(_gather(x, at, n) for x, n in inputs))
+    problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR and subset
     status, x = yield problem
     failed = status != "optimal"
     if np.any(failed):
-        first = np.argmax(failed)
-        what = "noise allocation" if problem.objective[first, 0] else "tie-break"
-        raise RuntimeError(f"{what} LP reported {status[first]}")
-    lam = np.zeros(axes + noise.shape)
-    lam[at] = np.maximum(x[:, 1:], 0.0)
+        first = np.argmax(failed)  # a flat index
+        what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
+        raise RuntimeError(f"{what} LP reported {status.flat[first]}")
+    lam = np.maximum(x[..., 1:], 0.0)
     A = _zf_matrices(real.h, zf, noise, weights, lam)
-    # A lone candidate needs no score to win; argmax keeps the first of tied subsets, and
-    # with every subset out of power, the first.  Scoring puts the subset axis first, so
-    # that the eta and SNR axes meet eta and the noise variances.
+    # A lone candidate needs no score to win; otherwise the first subset within TIE_ATOL of
+    # the best wins, and with every subset out of power, the first.  Scoring puts the subset
+    # axis first, so that the eta and SNR axes meet eta and the noise variances.
     if len(zf) > 1:
         score = np.moveaxis(metrics.noncoop_security(real, np.moveaxis(A, -3, 0), eta)[0], 0, -1)
-        best = np.argmax(np.where(able, score, -np.inf), axis=-1)
+        score = np.where(able, score, -np.inf)
+        best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
     else:
         best = np.zeros(axes, dtype=int)[()]  # a scalar without eta or SNR axes
     pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta and SNR
@@ -294,6 +292,6 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
         eta=eta,
         zf_users=tuple(zf[best].tolist()),
         lam=lam[pick],
-        zf_weights=_gather(weights, pick, 1),
+        zf_weights=np.broadcast_to(weights, axes + weights.shape[-2:])[pick],
         degenerate=bool(degenerate) if degenerate.ndim == 0 else degenerate,
     )

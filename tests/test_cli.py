@@ -141,6 +141,7 @@ class TestRun:
             ("sweep_L", "delta=abc"),
             ("sweep_L", 'sweep_values=["a"]'),
             ("power_control", "delta_grid=[0.5,1.5]"),
+            ("power_control", "delta_grid=[0.5,0.5]"),
             ("tradeoff", "mixture_pairs=-1"),
             ("tradeoff", "mixture_thetas=-2"),
             ("tradeoff", "sweep_values=[0.5,2]"),
@@ -456,11 +457,11 @@ class TestSelftest:
     def test_detects_silently_wrong_lp_answer(self, monkeypatch):
         # An "optimal" all-zero allocation must trip the grid comparison.
         from otasec import optimizer
-        from otasec.lp import LpSolution, solve_lp
+        from otasec.lp import solve_lp
 
         def sabotaged(problem):
             sol = solve_lp(problem)
-            return LpSolution("optimal", np.zeros_like(sol.x), 0.0)
+            return dataclasses.replace(sol, x=np.zeros_like(sol.x))
 
         monkeypatch.setattr(optimizer, "solve_lp", sabotaged)
         assert run_selftest(trials=0, seed=1, samples=20000, log=lambda *_: None) == 3

@@ -534,6 +534,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"^{field} must be non-empty$"):
             run_preset(preset)
 
+    @pytest.mark.parametrize(
+        "name, overrides, repeated",
+        [
+            ("power_control", dict(delta_grid=(0.5, 0.5)), "S_0.5 D_0.5"),
+            ("power_control", dict(delta_grid=(0.5, 0.5000001)), "S_0.5 D_0.5"),  # alike under %g
+            ("shared_zf", dict(l_values=(3, 3)), "Scoop_proposed_L3 Scoop_N1_L3 Scoop_N2_L3"),
+            ("shared_zf", dict(shared_n_values=(2, 2), l_values=(3,)), "Scoop_N2_L3"),
+            ("eta_design_space", dict(power_levels=(1.0, 1.0)), "eta_lower_P1 eta_upper_P1"),
+            ("sweep_snr_designs", dict(designs=("none", "none")), "D_none Scoop_none Snoncoop_none"),
+            ("security_gap", dict(designs=("proposed", "none", "proposed")), "gap_proposed"),
+        ],
+        ids=["delta_grid", "delta_grid_alike", "l_values", "shared_n_values", "power_levels", "designs", "gap"],
+    )
+    def test_repeated_column_names_rejected(self, monkeypatch, name, overrides, repeated):
+        preset = small(name, **overrides)
+        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        with pytest.raises(ConfigurationError, match=f"^repeated list entries repeat column names: {repeated}$"):
+            run_preset(preset)
+
     @pytest.mark.parametrize("sweep", [(0.5, 2.0), (-0.1, 0.5)])
     def test_tradeoff_sweep_values_are_deltas(self, monkeypatch, sweep):
         monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn

@@ -10,6 +10,7 @@ from otasec.errors import ContractError
 from otasec.lp import LpProblem, solve_lp
 from otasec.metrics import approximation_error, noncoop_security
 from otasec.optimizer import (
+    TIE_ATOL,
     _beta,
     _eavesdropper_terms,
     _noise_columns,
@@ -297,6 +298,16 @@ class TestSharedZeroForcing:
         assert prec.zf_users == (0,)
         prec2 = optimize_shared_zf(real, 1.0, 2, selection="exhaustive")
         assert prec2.zf_users == (0, 1)
+        # At delta = 1 one user's budget is 0, and subsets that leave the same noise directions
+        # tie in exact arithmetic; rounding used to pick among them.
+        for L, fading_mode, snr_db, seed, N in (
+            (15, "complex", 0.0, 1, 1),
+            (15, "complex", 0.0, 1, 2),
+            (1, "real", 20.0, 9, 1),
+            (1, "complex", 0.0, 6, 2),
+        ):
+            real = make_realization(seed, K=3, L=L, snr_db=snr_db, fading_mode=fading_mode)
+            assert optimize_shared_zf(real, eta_from_delta(real, 1.0), N).zf_users == tuple(range(N))
 
     def test_all_candidates_degenerate_falls_back_to_zero(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
@@ -310,7 +321,7 @@ class TestSharedZeroForcing:
                 assert prec.A.shape == (3, 3 - N)
                 assert prec.zf_users == tuple(range(N))  # the first candidate
                 assert prec.kind == kind
-                assert np.array_equal(prec.lam, np.zeros(3 - N))
+                assert np.array_equal(prec.lam, np.zeros(3 - N)) and not np.signbit(prec.lam).any()
         prec = optimize_proposed(real, eta)
         assert prec.degenerate and prec.zf_users == (0,) and prec.kind == "proposed"
 
@@ -395,8 +406,9 @@ def looped_design_search(real, eta, N, selection):
 
     Per subset: ``alpha_beta``, one 2-D LP (the max-min allocation, or the
     tie-break over lambda alone when no live row depends on lambda),
-    ``zf_matrix`` and ``noncoop_security``; a strict ``>`` keeps the first
-    maximum.  None when every subset is out of residual power.
+    ``zf_matrix`` and ``noncoop_security``; the first subset within
+    ``TIE_ATOL`` of the best wins.  None when every subset is out of residual
+    power.
     """
     K = real.num_users
     budgets = row_budgets(real, eta)
@@ -405,7 +417,7 @@ def looped_design_search(real, eta, N, selection):
     else:
         order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
         candidates = [tuple(sorted(int(i) for i in order[:N]))]
-    best = None
+    scored = []
     for Z in candidates:
         zf, noise = list(Z), [i for i in range(K) if i not in Z]
         r = budgets[zf]
@@ -436,10 +448,9 @@ def looped_design_search(real, eta, N, selection):
         kind = "proposed" if N == 1 else "proposed_shared"
         lam = np.maximum(lam, 0.0)
         prec = NoisePrecoder(zf_matrix(real, Z, w, lam), kind, eta, zf_users=Z, lam=lam, zf_weights=w)
-        value = noncoop_security(real, prec.A, eta)[0] if len(candidates) > 1 else 0.0
-        if best is None or value > best[0]:
-            best = (value, prec)
-    return None if best is None else best[1]
+        scored.append((noncoop_security(real, prec.A, eta)[0] if len(candidates) > 1 else 0.0, prec))
+    top = max((value for value, _ in scored), default=None)
+    return next((prec for value, prec in scored if value >= top - TIE_ATOL), None)
 
 
 class TestDesignSearch:
@@ -636,11 +647,19 @@ class TestEtaAxis:
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         real = make_realization(5, K=5, L=3)
-        # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other etas.
-        for deltas in ((0.3, 0.6, 1.0), (0.0, 0.6, 0.0, 1.0), (0.0,)):
+        # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other etas,
+        # and a subset out of power (at delta = 1, N = 1) keeps its LP: C subsets give C LPs per eta.
+        assert np.count_nonzero(row_budgets(real, eta_from_delta(real, 1.0)) == 0.0) == 1
+        for deltas, N, C in (
+            ((0.3, 0.6, 1.0), 2, 10),
+            ((0.0, 0.6, 0.0, 1.0), 2, 10),
+            ((0.0,), 2, 10),
+            ((0.3, 1.0), 1, 5),
+            ((1.0, 0.0, 1.0), 1, 5),
+        ):
             calls.clear()
-            optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), 2)
-            assert len(calls) == 1 and calls[0][0] == 10 * len(deltas)
+            optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), N)
+            assert len(calls) == 1 and calls[0][0] == C * len(deltas)
 
 
 class TestDesignBatch:
@@ -691,9 +710,9 @@ class TestDesignBatch:
         from otasec import optimizer
         from otasec.lp import LpSolution
 
-        def unbounded(problem):
+        def unbounded(problem):  # a stack's fields are arrays over the stack, as solve_lp's are
             stack = np.shape(problem.ineq_rhs)[:-1]
-            return LpSolution("unbounded", np.zeros(stack + (problem.num_vars,)), 0.0)
+            return LpSolution(np.full(stack, "unbounded"), np.zeros(stack + (problem.num_vars,)), np.zeros(stack))
 
         monkeypatch.setattr(optimizer, "solve_lp", unbounded)
         real = make_realization(2, K=4, L=2)
