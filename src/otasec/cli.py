@@ -140,6 +140,9 @@ def _cmd_run(args) -> int:
         if not isinstance(file_overrides, dict):
             raise ConfigurationError("--config must contain a JSON object")
         overrides = {**file_overrides, **overrides}
+    for key, flag in (("base_seed", "--seed"), ("num_realizations", "--trials")):
+        if key in overrides:
+            raise ConfigurationError(f"{key} is set by {flag}, not by --set or --config")
     overrides["base_seed"] = args.seed
     if args.trials is not None:
         overrides["num_realizations"] = args.trials

@@ -12,7 +12,7 @@ evaluation at L_max, where the first L eavesdroppers' covariance is the
 leading L x L block and its Cholesky factor the leading block of the factor.
 
 One entry of the private registry ``_PRESETS`` defines a preset: defaults,
-columns, rows, per-trial function and metadata keys.  Averaged presets expose
+columns, rows, per-trial function and the fields it reads.  Averaged presets expose
 their per-trial data through :func:`collect_trials`; :func:`run_preset`
 reduces those to a table.  Tables serialize to a plain whitespace-separated
 text format with a ``#``-prefixed metadata block, designed to be loadable by
@@ -120,13 +120,8 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
     B, m = eavesdropper_moments(real, A, eta)
     s_coop = 1.0 - np.cumsum(np.abs(_forward(cholesky(B), m)) ** 2) / real.num_users
     D = approximation_error(real, A, eta)
-    rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by _check_sweep_L
+    rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by the sweep rule
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
-
-
-def _check_sweep_L(preset: ExperimentPreset) -> None:
-    _check_fraction("delta", preset.delta)
-    _check_eavesdropper_counts("sweep_values", preset.sweep_values)
 
 
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -146,12 +141,6 @@ def _columns_sweep_snr_designs(preset: ExperimentPreset):
     for design in preset.designs:
         cols += [f"D_{design}", f"Scoop_{design}", f"Snoncoop_{design}"]
     return cols
-
-
-def _check_designs(preset: ExperimentPreset) -> None:
-    _check_fraction("delta", preset.delta)
-    _check_kinds(preset, "designs", preset.designs)
-    _check_nonempty(preset, "designs")
 
 
 def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
@@ -180,21 +169,6 @@ def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
     return _by_snr([coop_security(real, prec.A, eta)[0] for (real, *_), prec in zip(requests, precs)], preset)
 
 
-def _check_eavesdropper_counts(name: str, values) -> None:
-    if not values or not all(_fits(L, "int") and L >= 1 for L in values):
-        raise ConfigurationError(f"{name} must list eavesdropper counts >= 1, got {values!r}")
-
-
-def _check_shared_zf(preset: ExperimentPreset) -> None:
-    K = preset.config.num_users
-    _check_fraction("delta", preset.delta)
-    _check_eavesdropper_counts("l_values", preset.l_values)
-    if not all(1 <= n <= K - 1 for n in preset.shared_n_values):
-        raise ConfigurationError(
-            f"shared_n_values must lie in [1, {K - 1}] (num_users - 1), got {preset.shared_n_values!r}"
-        )
-
-
 def _columns_shared_zf(preset: ExperimentPreset):
     cols = ["snr_db"]
     for L in preset.l_values:
@@ -218,11 +192,6 @@ def _columns_power_control(preset: ExperimentPreset):
     for delta in preset.delta_grid:
         cols += [f"S_{delta:g}", f"D_{delta:g}"]
     return cols
-
-
-def _check_power_control(preset: ExperimentPreset) -> None:
-    _check_fraction("delta_grid", preset.delta_grid)
-    _check_nonempty(preset, "delta_grid")
 
 
 def _map_trials(fn, n: int, workers: int | None) -> list:
@@ -277,22 +246,9 @@ def _columns_eta_design_space(preset: ExperimentPreset):
     return cols
 
 
-def _check_one_realization(preset: ExperimentPreset) -> None:
-    # A scatter preset draws one realization at base_seed: more would repeat it.
-    if preset.num_realizations != 1:
-        raise ConfigurationError(
-            f"{preset.name} draws one realization: num_realizations must be 1, got {preset.num_realizations}"
-        )
-
-
-def _check_eta_design_space(preset: ExperimentPreset) -> None:
-    _check_one_realization(preset)
-    _check_kinds(preset, "precoder_kind", [preset.precoder_kind])
-    _check_nonempty(preset, "power_levels")
-    if not all(0.0 < mu <= 1.0 for mu in preset.sweep_values):
-        raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {preset.sweep_values!r}")
-    if not all(p > 0.0 for p in preset.power_levels):  # finiteness is a type check
-        raise ConfigurationError(f"power_levels must be positive, got {preset.power_levels!r}")
+def _check_mu(values) -> None:
+    if not all(0.0 < mu <= 1.0 for mu in values):
+        raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {values!r}")
 
 
 def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -303,11 +259,6 @@ def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.
     # moves between levels; recalibrating would just rescale the whole plot.
     bounds = [eta_bounds_given_mu(replace(real, P=float(p)), A, mu) for p in preset.power_levels]
     return np.column_stack(np.broadcast_arrays(mu, *(b for pair in bounds for b in pair)))
-
-
-def _check_tradeoff(preset: ExperimentPreset) -> None:
-    _check_one_realization(preset)
-    _check_fraction("sweep_values (delta)", preset.sweep_values)
 
 
 def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
@@ -347,9 +298,10 @@ class _Spec:
 
     columns: Callable[[ExperimentPreset], list]
     rows: Callable[[ExperimentPreset, int | None], np.ndarray]
-    check: Callable[[ExperimentPreset], None]  # the checks of the fields this preset reads
     trial: Callable[[ExperimentPreset, int], np.ndarray] | None = None
-    meta: tuple = ()  # extra metadata keys, in output order
+    reads: tuple = ()  # the preset-specific fields its rows read, in metadata order
+    sets: tuple = ()  # the scenario fields its sweep sets itself
+    sweep: Callable[[tuple], None] = lambda values: None  # the rule for sweep_values
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
 
@@ -360,32 +312,33 @@ _PRESETS = {
     "eta_design_space": _Spec(
         columns=_columns_eta_design_space,
         rows=_eta_design_space_rows,
-        meta=("precoder_kind",),
-        check=_check_eta_design_space,
+        reads=("precoder_kind", "power_levels"),
+        sweep=_check_mu,
         fields=dict(sweep_values=tuple(np.linspace(0.005, 1.0, 200)), num_realizations=1),
     ),
     "sweep_L": _Spec(
         columns=lambda preset: ["L", "D", "S_coop", "S_noncoop"],
         rows=_mean_rows,
         trial=_trial_sweep_L,
-        meta=("delta",),
-        check=_check_sweep_L,
+        reads=("delta",),
+        sets=("num_eavesdroppers",),
+        sweep=lambda values: _check_eavesdropper_counts("sweep_values", values),
         fields=dict(sweep_values=tuple(range(1, 16))),
     ),
     "sweep_snr_designs": _Spec(
         columns=_columns_sweep_snr_designs,
         rows=_mean_rows,
         trial=_trial_sweep_snr_designs,
-        meta=("designs", "delta"),
-        check=_check_designs,
+        reads=("designs", "delta"),
+        sets=("snr_db",),
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "security_gap": _Spec(
         columns=lambda preset: ["snr_db"] + [f"gap_{d}" for d in preset.designs],
         rows=_gap_rows,
         trial=_trial_sweep_snr_designs,
-        meta=("designs", "delta"),
-        check=_check_designs,
+        reads=("designs", "delta"),
+        sets=("snr_db",),
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
     ),
     "collocated": _Spec(
@@ -393,31 +346,31 @@ _PRESETS = {
                                 "Scoop_collocated", "Snoncoop_collocated"],
         rows=_mean_rows,
         trial=_trial_collocated,
-        meta=("delta",),
-        check=lambda preset: _check_fraction("delta", preset.delta),
+        reads=("delta",),
+        sets=("snr_db", "collocated_eavesdroppers"),
         fields=dict(sweep_values=_SNR_GRID),
     ),
     "shared_zf": _Spec(
         columns=_columns_shared_zf,
         rows=_mean_rows,
         trial=_trial_shared_zf,
-        meta=("delta", "l_values"),
-        check=_check_shared_zf,
+        reads=("delta", "l_values", "shared_n_values"),
+        sets=("snr_db", "num_eavesdroppers"),
         fields=dict(sweep_values=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0)),
     ),
     "power_control": _Spec(
         columns=_columns_power_control,
         rows=_mean_rows,
         trial=_trial_power_control,
-        meta=("delta_grid",),
-        check=_check_power_control,
+        reads=("delta_grid",),
+        sets=("snr_db",),
         fields=dict(sweep_values=_SNR_GRID),
     ),
     "tradeoff": _Spec(
         columns=lambda preset: ["kind", "delta", "theta", "D", "S_coop"],
         rows=_tradeoff_rows,
-        meta=("kinds", "mixture_pairs"),
-        check=_check_tradeoff,
+        reads=("mixture_pairs", "mixture_thetas"),
+        sweep=lambda values: _check_fraction("sweep_values (delta)", values),
         fields=dict(sweep_values=tuple(np.linspace(0.0, 1.0, 40)), num_realizations=1),
         config=dict(num_eavesdroppers=7, snr_db=0.0),
     ),
@@ -430,7 +383,6 @@ _META_FORMATS = {
     "delta": lambda p: f"{p.delta:g}",
     "delta_grid": lambda p: " ".join(f"{d:g}" for d in p.delta_grid),
     "l_values": lambda p: " ".join(str(int(v)) for v in p.l_values),
-    "kinds": lambda p: " ".join(f"{k}={v}" for k, v in TRADEOFF_KINDS.items()),
     "mixture_pairs": lambda p: str(p.mixture_pairs),
     "precoder_kind": lambda p: p.precoder_kind,
 }
@@ -441,8 +393,8 @@ _META_FORMATS = {
 # ---------------------------------------------------------------------------
 
 
-def default_preset(name: str, **overrides) -> ExperimentPreset:
-    """The stock preset for one figure, with optional field overrides."""
+def default_preset(name: str, /, **overrides) -> ExperimentPreset:
+    """The stock preset for one figure, with overrides of the fields it uses; any other raises."""
     if name not in _PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
@@ -453,30 +405,39 @@ def default_preset(name: str, **overrides) -> ExperimentPreset:
     config_overrides = {k: v for k, v in overrides.items() if hasattr(config, k)}
     preset_overrides = {k: v for k, v in overrides.items() if not hasattr(config, k)}
     for key in preset_overrides:
-        if not hasattr(preset, key):
+        if key in ("name", "config") or not hasattr(preset, key):
             raise ConfigurationError(f"unknown preset field {key!r}")
+    ignored = [key for key in overrides if (key in _FIELD_RULES and key not in spec.reads) or key in spec.sets]
+    if ignored:
+        raise ConfigurationError(f"preset {name} ignores {', '.join(ignored)}: it reads {', '.join(spec.reads)}"
+                                 f" of the preset fields, and its sweep sets {', '.join(spec.sets) or 'none'}")
     if config_overrides:
         preset.config = replace(preset.config, **config_overrides)
     return replace(preset, **preset_overrides) if preset_overrides else preset
 
 
-def _metadata(preset: ExperimentPreset) -> dict:
+def _metadata(preset: ExperimentPreset, columns: list) -> dict:
     meta = {
         "preset": preset.name,
         "base_seed": str(preset.base_seed),
         "num_realizations": str(preset.num_realizations),
         "sweep": " ".join(f"{v:g}" for v in preset.sweep_values),
     }
-    for key in _PRESETS[preset.name].meta:
-        meta[key] = _META_FORMATS[key](preset)
+    if "kind" in columns:
+        meta["kinds"] = " ".join(f"{k}={v}" for k, v in TRADEOFF_KINDS.items())
+    for key in _PRESETS[preset.name].reads:
+        if key in _META_FORMATS:
+            meta[key] = _META_FORMATS[key](preset)
     meta["config"] = json.dumps(config_to_dict(preset.config), separators=(",", ":"))
     meta["build"] = f"otasec {__version__}"
     return meta
 
 
-def _check_nonempty(preset: ExperimentPreset, name: str) -> None:
-    if len(getattr(preset, name)) == 0:
+def _nonempty(preset: ExperimentPreset, name: str):
+    values = getattr(preset, name)
+    if len(values) == 0:
         raise ConfigurationError(f"{name} must be non-empty")
+    return values
 
 
 def _check_fraction(name: str, value) -> None:
@@ -484,6 +445,11 @@ def _check_fraction(name: str, value) -> None:
     fractions = np.asarray(value, dtype=float)
     if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_eavesdropper_counts(name: str, values) -> None:
+    if not values or not all(_fits(L, "int") and L >= 1 for L in values):
+        raise ConfigurationError(f"{name} must list eavesdropper counts >= 1, got {values!r}")
 
 
 def _check_kinds(preset: ExperimentPreset, name: str, kinds) -> None:
@@ -495,14 +461,46 @@ def _check_kinds(preset: ExperimentPreset, name: str, kinds) -> None:
         raise ConfigurationError(f"{name} proposed_shared needs num_users >= 3")
 
 
+def _check_shared_n_values(preset: ExperimentPreset) -> None:
+    K = preset.config.num_users
+    if not all(1 <= n <= K - 1 for n in preset.shared_n_values):
+        raise ConfigurationError(
+            f"shared_n_values must lie in [1, {K - 1}] (num_users - 1), got {preset.shared_n_values!r}"
+        )
+
+
+def _check_power_levels(preset: ExperimentPreset) -> None:
+    if not all(p > 0.0 for p in _nonempty(preset, "power_levels")):  # finiteness is a type check
+        raise ConfigurationError(f"power_levels must be positive, got {preset.power_levels!r}")
+
+
+# One rule per preset-specific field; a preset checks the fields it reads.
+_FIELD_RULES = {
+    "designs": lambda p: _check_kinds(p, "designs", _nonempty(p, "designs")),
+    "delta": lambda p: _check_fraction("delta", p.delta),
+    "delta_grid": lambda p: _check_fraction("delta_grid", _nonempty(p, "delta_grid")),
+    "l_values": lambda p: _check_eavesdropper_counts("l_values", p.l_values),
+    "shared_n_values": _check_shared_n_values,
+    "power_levels": _check_power_levels,
+    "precoder_kind": lambda p: _check_kinds(p, "precoder_kind", [p.precoder_kind]),
+    "mixture_pairs": lambda p: None,  # any int >= 0, which _check_types enforces
+    "mixture_thetas": lambda p: None,
+}
+
+
 def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     """Reject, before any trial runs, field values that no trial can use."""
     _check_types(preset)
-    _check_nonempty(preset, "sweep_values")
-    sweep = np.asarray(preset.sweep_values, dtype=float)
+    sweep = np.asarray(_nonempty(preset, "sweep_values"), dtype=float)
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
-    spec.check(preset)
+    spec.sweep(preset.sweep_values)
+    if spec.trial is None and preset.num_realizations != 1:  # one realization at base_seed: more repeat it
+        raise ConfigurationError(
+            f"{preset.name} draws one realization: num_realizations must be 1, got {preset.num_realizations}"
+        )
+    for name in spec.reads:
+        _FIELD_RULES[name](preset)
     columns = spec.columns(preset)
     repeated = dict.fromkeys(name for at, name in enumerate(columns) if name in columns[:at])
     if repeated:  # repeated list entries, or entries alike under %g
@@ -519,7 +517,8 @@ def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTa
     spec = _PRESETS[preset.name]
     _check_fields(preset, spec)
     rows = np.asarray(spec.rows(preset, threads), dtype=float)
-    return ResultTable(spec.columns(preset), rows, _metadata(preset))
+    columns = spec.columns(preset)
+    return ResultTable(columns, rows, _metadata(preset, columns))
 
 
 def write_table(table: ResultTable, path) -> None:

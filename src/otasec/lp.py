@@ -160,18 +160,18 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     work = np.arange(B)  # positions in the working set
     waiting = 0  # parked LPs
 
-    def settle(now: int) -> None:
-        """Read off the parked LPs at the start of iteration ``now``."""
-        at, began = ids[parked], ended[parked]
-        flips[at] = made[parked] - (now - began)  # a parked LP flips once per iteration
-        pivots[at] = began - flips[at]
+    def settle() -> None:
+        """Read off the parked LPs."""
+        at = ids[parked]
+        flips[at] = made[parked]
+        pivots[at] = ended[parked] - made[parked]  # one pivot or flip per iteration before parking
         unbounded[at] = stuck[parked]
         read = parked & ~stuck
         x[ids[read]] = _basic_x(T[read], basis[read, :m], cap[read, :n], flipped[read], n)
 
     for it in range(_MAX_ITER):
         if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
-            settle(it)
+            settle()
             keep = ~parked
             T, basis, nonbasic, cap, flipped = T[keep], basis[keep], nonbasic[keep], cap[keep], flipped[keep]
             made, ended, parked, stuck, ids = made[keep], ended[keep], parked[keep], stuck[keep], ids[keep]
@@ -198,7 +198,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         parked |= done
         waiting = np.count_nonzero(parked)
         if waiting == ids.size:
-            settle(it)
+            settle()
             break
         bound[parked] = 1.0
         flip = (bound <= limit) | parked  # the entering variable's own bound binds first, or ties
@@ -234,7 +234,7 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         leaving = basis[work, leave]
         nonbasic[work, enter], basis[work, leave] = leaving, entering
         flipped[work, leaving] ^= flip | stop
-        made += flip
+        made += flip & ~parked  # a parked LP's flips have zero factors
     else:
         raise RuntimeError("simplex iteration limit exceeded")
     value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]

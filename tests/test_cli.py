@@ -157,6 +157,10 @@ class TestRun:
             ("sweep_snr_designs", 'designs=["proposed_shared"] num_users=2'),
             ("security_gap", 'designs=["none","proposed_shared"] num_users=2'),
             ("eta_design_space", "precoder_kind=proposed_shared num_users=2"),
+            ("power_control", "delta=0.3"),
+            ("sweep_snr_designs", "snr_db=5"),
+            ("collocated", "collocated_eavesdroppers=true"),
+            ("sweep_L", "num_eavesdroppers=3"),
         ],
     )
     def test_bad_preset_field_exits_2_before_any_trial(
@@ -196,6 +200,35 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: code=2" in captured.err and field in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("name", "collocated", "unknown preset field 'name'"),
+            ("config", {"num_users": 3}, "unknown preset field 'config'"),
+            ("base_seed", 5, "base_seed is set by --seed, not by --set or --config"),
+            ("num_realizations", 3, "num_realizations is set by --trials, not by --set or --config"),
+        ],
+        ids=["name", "config", "base_seed", "num_realizations"],
+    )
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    def test_a_key_that_is_no_settable_field_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, key, value, message, via
+    ):
+        # name and config once crashed with a traceback; base_seed and num_realizations were
+        # silently replaced by the values of --seed and --trials.
+        monkeypatch.setattr(experiments, "_map_trials", None)  # no trial may run
+        if via == "--set":
+            extra = ["--set", f"{key}={json.dumps(value)}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "t.dat"
+        assert main(["run", "sweep_L", "--trials", "1", "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: code=2 message={message}" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [b'{"num_users": 4,', b"\xff\xfe{}"])

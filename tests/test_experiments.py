@@ -60,6 +60,62 @@ class TestPresetFactory:
             default_preset("sweep_L", not_a_field=1)
 
 
+# A valid value, other than the default, of each preset-specific field.
+PRESET_FIELDS = dict(
+    designs=("none", "proposed"),
+    delta=0.5,
+    delta_grid=(0.5, 1.0),
+    l_values=(2,),
+    shared_n_values=(1,),
+    power_levels=(2.0,),
+    precoder_kind="proposed",
+    mixture_pairs=2,
+    mixture_thetas=3,
+)
+# A value, other than the default, of each scenario field that some preset's sweep sets.
+SWEPT_FIELDS = dict(snr_db=5.0, num_eavesdroppers=3, collocated_eavesdroppers=True)
+
+
+class TestFieldsRead:
+    """A preset reads exactly the fields its registry entry names, and default_preset rejects the others."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {name: run_preset(small(name, num_realizations=1), threads=1) for name in PRESET_NAMES}
+
+    @staticmethod
+    def same(a, b):
+        return (a.column_names, a.metadata, a.rows.tobytes()) == (b.column_names, b.metadata, b.rows.tobytes())
+
+    @pytest.mark.parametrize("field", list(PRESET_FIELDS))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_preset_field_changes_the_table_or_is_rejected(self, tables, name, field):
+        value = PRESET_FIELDS[field]
+        # Set around default_preset, the field changes the table exactly when the preset reads it.
+        table = run_preset(dataclasses.replace(small(name, num_realizations=1), **{field: value}), threads=1)
+        reads = field in experiments._PRESETS[name].reads
+        assert self.same(table, tables[name]) != reads
+        if reads:
+            assert getattr(small(name, **{field: value}), field) == value
+        else:
+            with pytest.raises(ConfigurationError, match=f"^preset {name} ignores {field}: "):
+                small(name, **{field: value})
+
+    @pytest.mark.parametrize("field", list(SWEPT_FIELDS))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_scenario_field_the_sweep_sets_is_rejected(self, tables, name, field):
+        value = SWEPT_FIELDS[field]
+        if field not in experiments._PRESETS[name].sets:
+            assert getattr(small(name, **{field: value}).config, field) == value
+            return
+        base = small(name, num_realizations=1)
+        table = run_preset(dataclasses.replace(base, config=dataclasses.replace(base.config, **{field: value})))
+        table.metadata["config"] = tables[name].metadata["config"]  # the one line that moves
+        assert self.same(table, tables[name])
+        with pytest.raises(ConfigurationError, match=f"^preset {name} ignores {field}: "):
+            small(name, **{field: value})
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["sweep_L", "sweep_snr_designs", "tradeoff"])
     def test_rerun_is_identical(self, name):

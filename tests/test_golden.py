@@ -9,14 +9,23 @@ moves them on purpose regenerates the stored tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in its change log.
+and says so in its change log.  The sha1 of each preset's full-size table at
+seed 1, by the recipe in ROADMAP.md, is printed with
+
+    PYTHONPATH=src python tests/test_golden.py --sha1
 """
 
+import argparse
+import contextlib
+import hashlib
+import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otasec.cli import main
 from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -36,6 +45,19 @@ SIZES = {
     "shared_zf": dict(num_realizations=2, sweep_values=(0.0, 20.0), l_values=(3, 5), num_users=6),
     "power_control": dict(num_realizations=2, sweep_values=(-10.0, 10.0)),
     "tradeoff": dict(sweep_values=(0.0, 0.5, 1.0), mixture_pairs=2, mixture_thetas=3),
+}
+
+
+# The full-size recipe: presets in ROADMAP.md's order, each with its --trials (None: the default).
+SHA1_TRIALS = {
+    "sweep_L": 20,
+    "sweep_snr_designs": 20,
+    "security_gap": 20,
+    "collocated": 20,
+    "power_control": 20,
+    "shared_zf": 2,
+    "tradeoff": None,
+    "eta_design_space": None,
 }
 
 
@@ -67,7 +89,26 @@ def test_table_matches_golden(tmp_path, name):
     assert not np.any(excess > 0), f"largest excess {excess.max():.3e}"
 
 
+def _print_sha1s():
+    """Run ``otasec run <preset> --seed 1`` for every preset and print ``preset sha1`` lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, trials in SHA1_TRIALS.items():
+            out = Path(tmp) / f"{name}.dat"
+            argv = ["run", name, "--seed", "1", "--out", str(out)]
+            argv += ["--trials", str(trials)] if trials else []
+            with contextlib.redirect_stdout(io.StringIO()):  # the "wrote N rows" line
+                code = main(argv)
+            if code:
+                raise SystemExit(f"otasec {' '.join(argv)} exited {code}")
+            print(name, hashlib.sha1(out.read_bytes()).hexdigest())
+
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for preset_name in sorted(SIZES):
-        _write(preset_name, GOLDEN_DIR / f"{preset_name}.dat")
+    parser = argparse.ArgumentParser(description="Regenerate tests/golden, or print the seed-1 preset sha1s.")
+    parser.add_argument("--sha1", action="store_true", help="print the sha1s instead of regenerating")
+    if parser.parse_args().sha1:
+        _print_sha1s()
+    else:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        for preset_name in sorted(SIZES):
+            _write(preset_name, GOLDEN_DIR / f"{preset_name}.dat")
