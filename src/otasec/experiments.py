@@ -300,7 +300,7 @@ class _Spec:
     rows: Callable[[ExperimentPreset, int | None], np.ndarray]
     trial: Callable[[ExperimentPreset, int], np.ndarray] | None = None
     reads: tuple = ()  # the preset-specific fields its rows read, in metadata order
-    sets: tuple = ()  # the scenario fields its sweep sets itself
+    sets: tuple = ()  # the scenario fields it does not use: its sweep sets them, or its rows do not read them
     sweep: Callable[[tuple], None] = lambda values: None  # the rule for sweep_values
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
@@ -313,6 +313,7 @@ _PRESETS = {
         columns=_columns_eta_design_space,
         rows=_eta_design_space_rows,
         reads=("precoder_kind", "power_levels"),
+        sets=("num_eavesdroppers", "collocated_eavesdroppers"),  # eta bounds read the users' channels only
         sweep=_check_mu,
         fields=dict(sweep_values=tuple(np.linspace(0.005, 1.0, 200)), num_realizations=1),
     ),
@@ -410,7 +411,8 @@ def default_preset(name: str, /, **overrides) -> ExperimentPreset:
     ignored = [key for key in overrides if (key in _FIELD_RULES and key not in spec.reads) or key in spec.sets]
     if ignored:
         raise ConfigurationError(f"preset {name} ignores {', '.join(ignored)}: it reads {', '.join(spec.reads)}"
-                                 f" of the preset fields, and its sweep sets {', '.join(spec.sets) or 'none'}")
+                                 f" of the preset fields, and does not use {', '.join(spec.sets) or 'none'}"
+                                 " of the scenario fields")
     if config_overrides:
         preset.config = replace(preset.config, **config_overrides)
     return replace(preset, **preset_overrides) if preset_overrides else preset

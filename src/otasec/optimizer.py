@@ -32,21 +32,24 @@ The work splits in two.  Per realization and ``eta``: the row budgets,
 ``alpha``, ``|sum_k g_{l,k}/h_k|^2`` and the drop mask, none of which
 depends on ``Z``.  So every candidate subset gives an LP of the same shape,
 and the per-subset work is stacked over the candidates: the weights,
-``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2``, the LPs
-(tie-breaks included) and the precoders, ranked by one stacked
-``noncoop_security`` call.  Per-SNR noise gives ``alpha`` an SNR axis, and an
-``eta`` array (one entry per power-control fraction) gives all that depends on
+``beta``, the zero-forcing users' budget rows ``|d_k h_i/h_k|^2`` and the LPs
+(tie-breaks included).  Each subset is scored from its own LP rows, as
+``S_noncoop = 1 - (eta^2/K) / min_l(alpha_l + beta_l . lambda)`` at its
+solution (1 when every eavesdropper is dropped), and only the winner's
+precoder is built.  Per-SNR noise gives ``alpha`` an SNR axis, and an ``eta``
+array (one entry per power-control fraction) gives all that depends on
 ``eta`` its axes, before the SNR's: each eta and SNR ranks its own subsets,
-bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper keeps
-an all-zero row, so the LPs of a design form one array over eta, SNR and
-subset.  A subset out of residual power at an ``eta`` gets its LP too: its
-zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
+bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper
+keeps an all-zero row, so the LPs of a design form one array over eta, SNR
+and subset.  A subset out of residual power at an ``eta`` gets its LP too:
+its zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
 :func:`optimize_designs` flattens the LP arrays of several designs into one
 padded stack and makes one :func:`~otasec.lp.solve_lp` call for them all (one
 per ``shared_zf`` trial).  It is the one way into a design:
 :func:`optimize_shared_zf` is its one-design case and the paper's single-user
-:func:`optimize_proposed` the one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix are
-the stacked helpers' at a subset axis of length one.
+:func:`optimize_proposed` the one-candidate case of that.  One subset's
+``alpha``, ``beta`` and matrix are the stacked helpers' at a leading axis of
+length one.
 """
 
 from __future__ import annotations
@@ -114,17 +117,12 @@ def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
 def _zf_matrices(
     h: np.ndarray, zf: np.ndarray, noise: np.ndarray, weights: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """``(..., C, K, K - N)`` zero-forcing matrices of ``C`` subsets, weights ``(..., C, N)``, lam >= 0."""
-    n_subsets, n_cols = noise.shape
+    """Zero-forcing matrices ``(..., K, K - N)``: ``zf``, weights ``(..., N)``; ``noise``, lam >= 0 ``(..., K - N)``."""
     roots = np.sqrt(lam)
-    A = np.zeros(lam.shape[:-1] + (h.size, n_cols), dtype=np.complex128)
-    subset = np.arange(n_subsets)[:, np.newaxis]
-    A[..., subset, noise, np.arange(n_cols)] = roots
-    A[..., subset, zf, :] = (
-        -roots[..., np.newaxis, :]
-        * (h[noise][:, np.newaxis, :] / h[zf][:, :, np.newaxis])
-        * weights[..., np.newaxis]
-    )
+    A = np.zeros(lam.shape[:-1] + (h.size, lam.shape[-1]), dtype=np.complex128)
+    np.put_along_axis(A, noise[..., np.newaxis, :], roots[..., np.newaxis, :], axis=-2)
+    ratio = h[noise][..., np.newaxis, :] / h[zf][..., np.newaxis]
+    np.put_along_axis(A, zf[..., np.newaxis], -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis], axis=-2)
     return A
 
 
@@ -198,13 +196,14 @@ def optimize_shared_zf(
     """Zero-forcing shared by ``N`` users, with the best user selection.
 
     Each zero-forcing user's weight is proportional to its residual power.
-    ``selection="exhaustive"`` tries every size-N subset and keeps the one
-    whose optimized precoder achieves the highest non-cooperative security;
+    ``selection="exhaustive"`` solves every size-N subset's LP and keeps the
+    one whose optimum gives the highest non-cooperative security;
     ``"best_channel"`` just takes the N strongest channels.  Subsets within
     ``TIE_ATOL`` of the best score tie, and ties go to the lexicographically
     smallest subset; a subset out of residual power cannot win.  If every
     candidate subset is out of residual power the zero precoder is returned,
-    marked degenerate and naming the first candidate.
+    marked degenerate and naming the first candidate.  A negative or
+    non-finite ``eta`` raises :class:`ContractError`.
     An ``eta`` array gives every field eta's axes before the SNR's, ``degenerate`` eta's alone.
     """
     return optimize_designs([(real, eta, N, selection)])[0]
@@ -248,6 +247,7 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
         raise ContractError("N must lie in [1, K-1]")
     if selection not in ("exhaustive", "best_channel"):
         raise ContractError(f"unknown selection rule {selection!r}")
+    metrics._check_eta(eta)
     budgets = row_budgets(real, eta)
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
     axes = alpha.shape[:-1]  # eta's axes, then the SNR's
@@ -274,24 +274,21 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
         what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
         raise RuntimeError(f"{what} LP reported {status.flat[first]}")
     lam = np.maximum(x[..., 1:], 0.0)
-    A = _zf_matrices(real.h, zf, noise, weights, lam)
-    # A lone candidate needs no score to win; otherwise the first subset within TIE_ATOL of
-    # the best wins, and with every subset out of power, the first.  Scoring puts the subset
-    # axis first, so that the eta and SNR axes meet eta and the noise variances.
-    if len(zf) > 1:
-        score = np.moveaxis(metrics.noncoop_security(real, np.moveaxis(A, -3, 0), eta)[0], 0, -1)
-        score = np.where(able, score, -np.inf)
-        best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
-    else:
-        best = np.zeros(axes, dtype=int)[()]  # a scalar without eta or SNR axes
+    # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
+    # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
+    worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)
+    score = np.where(able, 1.0 - (_squared(eta)[..., np.newaxis] / K) / worst, -np.inf)
+    best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
     pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta and SNR
+    zf, lam, weights = zf[best], lam[pick], np.broadcast_to(weights, axes + weights.shape[-2:])[pick]
     degenerate = ~able.any(axis=-1)
+    A = _zf_matrices(real.h, zf, noise[best], weights, lam)
     return NoisePrecoder(
-        A=np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, A[pick]),  # +0.0, not -0.0
+        A=np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, A),  # +0.0, not -0.0
         kind="proposed" if N == 1 else "proposed_shared",
         eta=eta,
-        zf_users=tuple(zf[best].tolist()),
-        lam=lam[pick],
-        zf_weights=np.broadcast_to(weights, axes + weights.shape[-2:])[pick],
+        zf_users=tuple(zf.tolist()),
+        lam=lam,
+        zf_weights=weights,
         degenerate=bool(degenerate) if degenerate.ndim == 0 else degenerate,
     )

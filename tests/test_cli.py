@@ -161,6 +161,7 @@ class TestRun:
             ("sweep_snr_designs", "snr_db=5"),
             ("collocated", "collocated_eavesdroppers=true"),
             ("sweep_L", "num_eavesdroppers=3"),
+            ("eta_design_space", "num_eavesdroppers=3 collocated_eavesdroppers=true"),
         ],
     )
     def test_bad_preset_field_exits_2_before_any_trial(

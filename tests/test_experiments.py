@@ -72,7 +72,7 @@ PRESET_FIELDS = dict(
     mixture_pairs=2,
     mixture_thetas=3,
 )
-# A value, other than the default, of each scenario field that some preset's sweep sets.
+# A value, other than the default, of each scenario field that some preset does not use.
 SWEPT_FIELDS = dict(snr_db=5.0, num_eavesdroppers=3, collocated_eavesdroppers=True)
 
 

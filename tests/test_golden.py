@@ -10,7 +10,7 @@ moves them on purpose regenerates the stored tables with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in its change log.  The sha1 of each preset's full-size table at
-seed 1, by the recipe in ROADMAP.md, is printed with
+seed 1, by the recipe in ROADMAP.md, and of ``shared_zf --trials 100`` are printed with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 """
@@ -59,6 +59,10 @@ SHA1_TRIALS = {
     "tradeoff": None,
     "eta_design_space": None,
 }
+# Printed after them as "shared_zf --trials 100".  Its degenerate max-min LPs have several optimal
+# lambda, and S_coop depends on which one the simplex returns: a change of simplex moved this
+# table while the 2- and 20-trial tables stayed the same.
+SHA1_EXTRA = ("shared_zf", 100)
 
 
 def _write(name, path):
@@ -90,17 +94,18 @@ def test_table_matches_golden(tmp_path, name):
 
 
 def _print_sha1s():
-    """Run ``otasec run <preset> --seed 1`` for every preset and print ``preset sha1`` lines."""
+    """Run ``otasec run <preset> --seed 1`` for every preset, then the extra run, and print ``label sha1`` lines."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, trials in SHA1_TRIALS.items():
-            out = Path(tmp) / f"{name}.dat"
+        for at, (name, trials) in enumerate([*SHA1_TRIALS.items(), SHA1_EXTRA]):
+            out = Path(tmp) / f"{at}.dat"
             argv = ["run", name, "--seed", "1", "--out", str(out)]
             argv += ["--trials", str(trials)] if trials else []
             with contextlib.redirect_stdout(io.StringIO()):  # the "wrote N rows" line
                 code = main(argv)
             if code:
                 raise SystemExit(f"otasec {' '.join(argv)} exited {code}")
-            print(name, hashlib.sha1(out.read_bytes()).hexdigest())
+            label = name if at < len(SHA1_TRIALS) else f"{name} --trials {trials}"
+            print(label, hashlib.sha1(out.read_bytes()).hexdigest())
 
 
 if __name__ == "__main__":

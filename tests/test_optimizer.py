@@ -362,6 +362,16 @@ class TestSharedZeroForcing:
         with pytest.raises(ContractError):
             optimize_shared_zf(real, 0.0, 2, selection="random")
 
+    @pytest.mark.parametrize("eta", [-1e-5, np.nan, np.inf])
+    @pytest.mark.parametrize("selection", ["exhaustive", "best_channel"])
+    def test_eta_must_be_finite_and_nonnegative(self, eta, selection):
+        # -1e-5 squares to a feasible eta^2, so only the check stops it.
+        real = make_realization(1, K=5, L=2)
+        with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
+            optimize_shared_zf(real, eta, 1, selection)
+        with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
+            optimize_shared_zf(real, np.array([0.0, eta]), 2, selection)
+
     def test_returned_precoders_satisfy_budgets(self):
         for seed in range(6):
             real = make_realization(seed, K=5, L=3)
@@ -493,6 +503,23 @@ class TestDesignSearch:
         assert np.isfinite(alpha).all() and not beta.any()
         for N, selection in itertools.product((1, 2), ("exhaustive", "best_channel")):
             self.assert_equals_looped(real, 0.5, N, selection)
+
+    def test_every_eavesdropper_dropped_at_positive_eta(self):
+        # The eavesdropper's channel sum cancels to 1e-8, so it is dropped at every eta and each
+        # subset scores exactly 1: every LP is a tie-break, and the first subset wins.
+        real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, -1.0 + 1e-8, 0.0]])
+        eta = eta_from_delta(real, 0.5)
+        assert eta > 0.0 and not _eavesdropper_terms(real, eta)[2].any()
+        for N in (1, 2):
+            assert self.assert_equals_looped(real, eta, N, "exhaustive").zf_users == tuple(range(N))
+
+    def test_subsets_tied_but_for_rounding_take_the_first(self):
+        # User 0 has no budget at delta = 1, so subsets (1,) and (2,) leave the same noise
+        # direction; their scores differ in the last bits only.
+        real = make_realization(2, K=3, L=5, snr_db=20.0)
+        eta = eta_from_delta(real, 1.0)
+        assert row_budgets(real, eta)[0] == 0.0
+        assert self.assert_equals_looped(real, eta, 1, "exhaustive").zf_users == (1,)
 
     def test_every_subset_out_of_power(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
