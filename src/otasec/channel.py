@@ -172,11 +172,12 @@ def _place_point(
     placed: list[np.ndarray],
 ) -> np.ndarray:
     """Uniform disk point at least ``min_sep`` from the origin and all placed points."""
+    others = np.reshape(placed, (-1, 2))
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         p = _draw_disk_point(rng, radius)
         if np.hypot(p[0], p[1]) < min_sep:
             continue
-        if all(np.hypot(*(p - q)) >= min_sep for q in placed):
+        if np.all(np.hypot(*(p - others).T) >= min_sep):
             return p
     raise ConfigurationError(
         f"could not place a point after {_MAX_PLACEMENT_ATTEMPTS} attempts; "

@@ -23,10 +23,11 @@ preset and seed, independent of the worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -108,13 +109,14 @@ def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
     return replace(real, eav_positions=real.eav_positions[:L], G=real.G[:L])
 
 
-def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
+def _trial_sweep_L(preset: ExperimentPreset, r: int):
     # One evaluation at L_max scores every L: the first L eavesdroppers' covariance is
     # the leading L x L block of B, so its Cholesky factor is the leading block of
     # C = cholesky(B), and with y = C^{-1} m, m_L^H B_L^{-1} m_L = sum_{l<L} |y_l|^2.
     cfg = replace(preset.config, num_eavesdroppers=max(preset.sweep_values))
     real = sample_realization(cfg, preset.base_seed + r)
     eta = eta_from_delta(real, preset.delta)
+    yield []  # no designs
     A = _no_noise(real.num_users, eta).A
     s_non = np.minimum.accumulate(noncoop_security(real, A, eta)[1])
     B, m = eavesdropper_moments(real, A, eta)
@@ -124,13 +126,20 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
 
 
-def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int) -> np.ndarray:
+# The designs that solve LPs, as (N, selection) of their optimize_designs request: build_precoder's.
+_LP_DESIGNS = {"proposed": (1, "best_channel"), "proposed_shared": (2, "exhaustive")}
+
+
+def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int):
     seed = preset.base_seed + r
     real = _with_snr(sample_realization(preset.config, seed), preset)
     eta = eta_from_delta(real, preset.delta)
+    built = [None if design in _LP_DESIGNS else build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx))
+             for d_idx, design in enumerate(preset.designs)]
+    solved = iter((yield [(real, eta, *_LP_DESIGNS[d]) for d in preset.designs if d in _LP_DESIGNS]))
     cols = []
-    for d_idx, design in enumerate(preset.designs):
-        A = build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx)).A
+    for prec in built:
+        A = (next(solved) if prec is None else prec).A
         cols += [approximation_error(real, A, eta), coop_security(real, A, eta)[0]]
         cols.append(noncoop_security(real, A, eta)[0])
     return _by_snr(cols, preset)
@@ -143,20 +152,21 @@ def _columns_sweep_snr_designs(preset: ExperimentPreset):
     return cols
 
 
-def _trial_collocated(preset: ExperimentPreset, r: int) -> np.ndarray:
+def _trial_collocated(preset: ExperimentPreset, r: int):
     seed = preset.base_seed + r
+    reals = [_with_snr(sample_realization(replace(preset.config, collocated_eavesdroppers=collocated), seed), preset)
+             for collocated in (False, True)]
+    yield []  # no designs
     cols = []
-    for collocated in (False, True):
-        config = replace(preset.config, collocated_eavesdroppers=collocated)
-        real = _with_snr(sample_realization(config, seed), preset)
+    for real in reals:
         eta = eta_from_delta(real, preset.delta)
         A = _no_noise(real.num_users, eta).A
         cols += [coop_security(real, A, eta)[0], noncoop_security(real, A, eta)[0]]
     return _by_snr(cols, preset)
 
 
-def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
-    # Every design of the trial, for each L the proposed one then each N, solves its LPs in one call.
+def _trial_shared_zf(preset: ExperimentPreset, r: int):
+    # For each L the proposed design, then each N.
     cfg = replace(preset.config, num_eavesdroppers=max(preset.l_values))
     real_full = _with_snr(sample_realization(cfg, preset.base_seed + r), preset)
     eta = eta_from_delta(real_full, preset.delta)
@@ -165,7 +175,7 @@ def _trial_shared_zf(preset: ExperimentPreset, r: int) -> np.ndarray:
         real = _first_eavesdroppers(real_full, L)
         requests.append((real, eta, 1, "best_channel"))
         requests += [(real, eta, n, "exhaustive") for n in preset.shared_n_values]
-    precs = optimize_designs(requests)
+    precs = yield requests
     return _by_snr([coop_security(real, prec.A, eta)[0] for (real, *_), prec in zip(requests, precs)], preset)
 
 
@@ -178,12 +188,12 @@ def _columns_shared_zf(preset: ExperimentPreset):
     return cols
 
 
-def _trial_power_control(preset: ExperimentPreset, r: int) -> np.ndarray:
+def _trial_power_control(preset: ExperimentPreset, r: int):
     # eta of shape (deltas, 1) meets the SNR axis: one design and one call per metric.
     real = _with_snr(sample_realization(preset.config, preset.base_seed + r), preset)
     eta = eta_from_delta(real, np.asarray(preset.delta_grid, dtype=float)[:, np.newaxis])
-    A = optimize_proposed(real, eta).A
-    cols = np.stack([coop_security(real, A, eta)[0], approximation_error(real, A, eta)], axis=1)
+    (prec,) = yield [(real, eta, 1, "best_channel")]
+    cols = np.stack([coop_security(real, prec.A, eta)[0], approximation_error(real, prec.A, eta)], axis=1)
     return _by_snr(cols, preset)
 
 
@@ -194,10 +204,37 @@ def _columns_power_control(preset: ExperimentPreset):
     return cols
 
 
+# The most LPs that trials pool into one optimize_designs call; a trial with more runs alone.  On a 2-core
+# host a lockstep simplex iteration costs a fixed ~85 us, the per-LP work of about 140 LPs, and a stack holds
+# about 4.5 KB per LP: at 512 the fixed cost is about a fifth of an iteration, for about 1.2 MiB more peak memory.
+_GROUP_LPS = 512
+
+
+def _lp_count(requests) -> int:
+    """How many LPs ``optimize_designs(requests)`` solves, from the requests' shapes."""
+    return sum(
+        (math.comb(real.num_users, N) if selection == "exhaustive" else 1)
+        * math.prod(np.broadcast_shapes(np.shape(eta), np.shape(real.sigma_z_sq)))
+        for real, eta, N, selection in requests
+    )
+
+
+def _finish_group(started: list) -> list:
+    """Solve the requests of started trials, ``(trial, requests)`` pairs, in one call; each trial's rows."""
+    precoders = iter(optimize_designs([request for _, requests in started for request in requests]))
+    rows = []
+    for trial, requests in started:
+        try:
+            trial.send([next(precoders) for _ in requests])
+        except StopIteration as done:
+            rows.append(done.value)
+    return rows
+
+
 def _map_trials(fn, n: int, workers: int | None) -> list:
     """``[fn(r) for r in range(n)]``, on threads only when 2 or more workers are asked for.
 
-    At most one thread per trial and per core is started.
+    At most one thread per item and per core is started.
     """
     workers = min(workers or 1, n, os.cpu_count() or 1)
     if workers <= 1:
@@ -210,8 +247,14 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     """Per-trial metric arrays, shape (num_realizations, sweep, metrics).
 
     Only defined for the averaged presets; the sweep column itself is not
-    included (it is identical across trials).  Trials run serially unless
-    ``threads`` asks for 2 or more worker threads.
+    included (it is identical across trials).  A trial is a generator: it
+    samples its realization and yields its ``optimize_designs`` requests,
+    then takes the precoders back and returns its rows.  Consecutive trials
+    run in groups of at most ``_GROUP_LPS`` LPs, counted from trial 0 (every
+    trial has its shapes), whose requests share one ``optimize_designs`` call;
+    a trial without LPs forms a group of its own.  Each LP takes the steps it
+    would take alone, so the rows are bitwise those of one trial at a time.
+    Groups run serially unless ``threads`` asks for 2 or more worker threads.
     """
     spec = _PRESETS.get(preset.name)
     if spec is None or spec.trial is None:
@@ -219,8 +262,21 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     if preset.num_realizations < 1:
         raise ConfigurationError("num_realizations must be at least 1")
     _check_fields(preset, spec)
-    results = _map_trials(lambda r: spec.trial(preset, r), preset.num_realizations, threads)
-    return np.stack(results, axis=0)
+
+    def start(r: int) -> tuple:
+        trial = spec.trial(preset, r)
+        return trial, next(trial)
+
+    first = start(0)
+    lps = _lp_count(first[1])
+    size = max(1, _GROUP_LPS // lps) if lps else 1  # trials per group; a trial without LPs gains nothing from one
+    n = preset.num_realizations
+
+    def group(g: int) -> list:
+        return _finish_group([first if r == 0 else start(r) for r in range(g * size, min((g + 1) * size, n))])
+
+    groups = _map_trials(group, -(-n // size), threads)
+    return np.stack([rows for trials in groups for rows in trials], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +354,7 @@ class _Spec:
 
     columns: Callable[[ExperimentPreset], list]
     rows: Callable[[ExperimentPreset, int | None], np.ndarray]
-    trial: Callable[[ExperimentPreset, int], np.ndarray] | None = None
+    trial: Callable[[ExperimentPreset, int], Generator] | None = None  # see collect_trials
     reads: tuple = ()  # the preset-specific fields its rows read, in metadata order
     sets: tuple = ()  # the scenario fields it does not use: its sweep sets them, or its rows do not read them
     sweep: Callable[[tuple], None] = lambda values: None  # the rule for sweep_values

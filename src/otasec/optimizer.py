@@ -45,7 +45,7 @@ and subset.  A subset out of residual power at an ``eta`` gets its LP too:
 its zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
 :func:`optimize_designs` flattens the LP arrays of several designs into one
 padded stack and makes one :func:`~otasec.lp.solve_lp` call for them all (one
-per ``shared_zf`` trial).  It is the one way into a design:
+per group of preset trials).  It is the one way into a design:
 :func:`optimize_shared_zf` is its one-design case and the paper's single-user
 :func:`optimize_proposed` the one-candidate case of that.  One subset's
 ``alpha``, ``beta`` and matrix are the stacked helpers' at a leading axis of
@@ -120,9 +120,10 @@ def _zf_matrices(
     """Zero-forcing matrices ``(..., K, K - N)``: ``zf``, weights ``(..., N)``; ``noise``, lam >= 0 ``(..., K - N)``."""
     roots = np.sqrt(lam)
     A = np.zeros(lam.shape[:-1] + (h.size, lam.shape[-1]), dtype=np.complex128)
-    np.put_along_axis(A, noise[..., np.newaxis, :], roots[..., np.newaxis, :], axis=-2)
+    *lead, _, cols = np.indices(lam.shape[:-1] + (1, lam.shape[-1]), sparse=True)  # row indices go along axis -2
+    A[(*lead, noise[..., np.newaxis, :], cols)] = roots[..., np.newaxis, :]
     ratio = h[noise][..., np.newaxis, :] / h[zf][..., np.newaxis]
-    np.put_along_axis(A, zf[..., np.newaxis], -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis], axis=-2)
+    A[(*lead, zf[..., np.newaxis], cols)] = -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis]
     return A
 
 

@@ -133,6 +133,46 @@ class TestSampling:
         assert len(draws) <= 15 * 10**4
 
 
+def looped_place_point(rng, radius, min_sep, placed):
+    """The reference of ``channel._place_point``: each candidate tested against one placed point at a time."""
+    for _ in range(channel._MAX_PLACEMENT_ATTEMPTS):
+        p = channel._draw_disk_point(rng, radius)
+        if np.hypot(p[0], p[1]) < min_sep:
+            continue
+        if all(np.hypot(*(p - q)) >= min_sep for q in placed):
+            return p
+    raise ConfigurationError(f"could not place a point after {channel._MAX_PLACEMENT_ATTEMPTS} attempts")
+
+
+class TestPlacementReference:
+    """Placement tests a candidate against every placed point at once; it must draw as the per-point loop."""
+
+    @pytest.mark.parametrize("K, L", [(3, 1), (3, 5), (3, 15), (10, 1), (10, 5), (10, 15)])
+    @pytest.mark.parametrize("fading", ["complex", "real"])
+    @pytest.mark.parametrize("collocated", [False, True])
+    def test_realizations_equal_the_per_point_loop(self, monkeypatch, K, L, fading, collocated):
+        cfg = base_config(num_users=K, num_eavesdroppers=L, fading_mode=fading, collocated_eavesdroppers=collocated)
+        fields = ("user_positions", "eav_positions", "h", "G")
+        fast = [[getattr(sample_realization(cfg, seed), f).tobytes() for f in fields] for seed in range(10)]
+        monkeypatch.setattr(channel, "_place_point", looped_place_point)
+        assert fast == [[getattr(sample_realization(cfg, seed), f).tobytes() for f in fields] for seed in range(10)]
+
+    def test_packing_bound_raises_after_the_same_draws(self, monkeypatch):
+        # 24 points 5 m apart in a 10 m disk: (24 + 1) * 2.5**2 = 12.5**2, exactly the packing bound.
+        cfg = base_config(num_users=20, num_eavesdroppers=4, disk_radius=10.0, min_separation=5.0)
+        cfg.validate()
+        draw = channel._draw_disk_point
+        runs = []
+        for place in (channel._place_point, looped_place_point):
+            draws = []
+            monkeypatch.setattr(channel, "_place_point", place)
+            monkeypatch.setattr(channel, "_draw_disk_point", lambda rng, r: draws.append(draw(rng, r)) or draws[-1])
+            with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
+                sample_realization(cfg, 3)
+            runs.append(np.array(draws))
+        assert runs[0].shape == runs[1].shape and runs[0].tobytes() == runs[1].tobytes()
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -89,6 +89,21 @@ class TestRun:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    def test_grouped_shared_zf_on_three_threads_matches_serial(self, tmp_path, monkeypatch):
+        from otasec import optimizer
+
+        stacks, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(len(problem.ineq_rhs)) or solve(problem))
+        # 2 SNRs x 56 LPs a trial: 9 trials run in groups of 4, 4 and 1.
+        args = ["run", "shared_zf", "--trials", "9", "--set", "sweep_values=[0,20]", "--set", "l_values=[3]"]
+        tables = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.dat"
+            assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert sorted(stacks) == [112, 112, 448, 448, 448, 448]
+
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"num_users": 4, "snr_db": 0.0}))

@@ -374,7 +374,7 @@ def looped_trial(preset, r):
     rows = []
     for snr in preset.sweep_values:
         row = []
-        if preset.name == "sweep_snr_designs":
+        if preset.name in ("sweep_snr_designs", "security_gap"):
             real = at_snr(sample_realization(preset.config, seed), preset.config, snr)
             eta = eta_from_delta(real, preset.delta)
             for d_idx, design in enumerate(preset.designs):
@@ -431,7 +431,7 @@ class TestSnrAxis:
 
 
 class TestLpStacks:
-    """A power-control trial, a tradeoff run and a shared_zf trial each solve their LPs in one stack."""
+    """Consecutive trials solve their LPs in one stack of at most ``_GROUP_LPS`` LPs; a tradeoff run in one."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -447,10 +447,10 @@ class TestLpStacks:
         return calls
 
     @pytest.mark.parametrize("delta_grid", [(0.4, 0.7, 1.0), (1.0, 0.0, 0.3), (0.0,)])
-    def test_power_control_makes_one_call_per_trial_and_side_of_zero(self, calls, delta_grid):
+    def test_power_control_trials_make_one_call_on_both_sides_of_zero(self, calls, delta_grid):
         # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other deltas.
         collect_trials(small("power_control", num_realizations=3, delta_grid=delta_grid), threads=1)
-        assert len(calls) == 3 and sum(calls) == 3 * 3 * len(delta_grid)
+        assert calls == [3 * 3 * len(delta_grid)]
 
     @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 1)])
     def test_tradeoff_makes_at_most_two_calls(self, calls, sweep, expected):
@@ -458,10 +458,82 @@ class TestLpStacks:
         assert len(calls) == expected and sum(calls) == len(sweep)
 
     @pytest.mark.parametrize("delta, threads", [(0.0, 1), (0.5, 1), (0.5, 2)])
-    def test_shared_zf_trial_makes_one_call(self, calls, delta, threads):
+    def test_shared_zf_trials_make_one_call(self, calls, delta, threads):
         # Per trial: 2 SNRs x 2 eavesdropper counts x (1 proposed + 5 N = 1 + 10 N = 2 subsets).
         collect_trials(small("shared_zf", num_realizations=3, delta=delta), threads=threads)
-        assert calls == [2 * 2 * 16] * 3
+        assert calls == [3 * 2 * 2 * 16]
+
+    @pytest.mark.parametrize(
+        "name, overrides, n, expected",
+        [
+            # The benchmark's trial: 2 SNRs x 2 eavesdropper counts x (1 + 10 + 45 subsets), two trials a call.
+            ("shared_zf", dict(num_users=10, sweep_values=(0.0, 20.0), l_values=(3, 7)), 5, [448, 448, 224]),
+            # 9 SNRs x 4 deltas, 14 trials a call.
+            ("power_control", dict(sweep_values=experiments._SNR_GRID), 30, [504, 504, 72]),
+            # 3 SNRs x (1 + 45 subsets), 3 trials a call.
+            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 7, [414, 414, 138]),
+        ],
+    )
+    def test_a_call_holds_at_most_512_lps(self, calls, name, overrides, n, expected):
+        collect_trials(small(name, num_realizations=n, **overrides), threads=1)
+        assert calls == expected and max(calls) <= experiments._GROUP_LPS == 512
+
+    def test_a_default_shared_zf_trial_runs_alone(self, calls):
+        # 6 SNRs x 3 eavesdropper counts x (1 + 10 + 45 subsets) = 1,008 LPs, more than a group holds.
+        collect_trials(default_preset("shared_zf", num_realizations=2), threads=1)
+        assert calls == [1008, 1008]
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("sweep_snr_designs", dict(designs=("none", "random_zf", "proposed", "proposed_shared"))),
+            ("security_gap", dict(designs=("data_level", "proposed_shared", "signal_level", "proposed"))),
+            ("shared_zf", {}),
+            ("power_control", dict(delta_grid=(0.0, 0.5, 1.0))),
+        ],
+    )
+    @pytest.mark.parametrize("n, groups", [(2, [2]), (6, [2, 2, 2]), (5, [2, 2, 1])])
+    def test_grouped_trials_equal_the_per_trial_reference(self, monkeypatch, calls, name, overrides, n, groups):
+        preset = small(name, num_realizations=n, **overrides)
+        per_trial = experiments._lp_count(next(experiments._PRESETS[name].trial(preset, 0)))
+        monkeypatch.setattr(experiments, "_GROUP_LPS", 3 * per_trial - 1)  # two trials a group
+        trials = collect_trials(preset, threads=1)
+        assert calls == [size * per_trial for size in groups]
+        expected = np.stack([looped_trial(preset, r) for r in range(n)])
+        assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
+
+    def test_an_lp_failure_inside_a_group_fails_as_alone(self, tmp_path, monkeypatch, capsys):
+        from otasec import optimizer
+        from otasec.cli import main
+        from otasec.lp import solve_lp
+
+        # 2 SNRs x 56 LPs: three trials make one group.  The last LP of trial 2 (seed 3) reports unbounded.
+        sizes = dict(sweep_values=(0.0, 20.0), l_values=(3,))
+        marked = []
+        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: marked.append(problem.ineq_rhs[-1]) or solve_lp(problem))
+        collect_trials(default_preset("shared_zf", num_realizations=1, base_seed=3, **sizes))
+        stacks = []
+
+        def sabotaged(problem):
+            stacks.append(len(problem.ineq_rhs))
+            solution = solve_lp(problem)
+            solution.status[(problem.ineq_rhs == marked[0]).all(axis=-1)] = "unbounded"
+            return solution
+
+        monkeypatch.setattr(optimizer, "solve_lp", sabotaged)
+        argv = ["run", "shared_zf", "--seed", "1", "--trials", "3", "--set", "sweep_values=[0,20]",
+                "--set", "l_values=[3]", "--out", str(tmp_path / "t.dat")]
+        outcomes = []
+        for group_lps in (experiments._GROUP_LPS, 1):  # grouped, then each trial alone
+            monkeypatch.setattr(experiments, "_GROUP_LPS", group_lps)
+            with pytest.raises(RuntimeError) as info:
+                collect_trials(default_preset("shared_zf", num_realizations=3, **sizes))
+            assert main(argv) == 3
+            outcomes.append((type(info.value), str(info.value), capsys.readouterr().err))
+        assert stacks == [336, 336] + [112] * 6  # grouped: one call; alone: trials 0 and 1 pass, trial 2 fails
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is RuntimeError and outcomes[0][1].endswith("LP reported unbounded")
+        assert outcomes[0][2] == f"error: code=3 message={outcomes[0][1]}\n"
 
 
 class TestMetadata:

@@ -13,6 +13,10 @@ and says so in its change log.  The sha1 of each preset's full-size table at
 seed 1, by the recipe in ROADMAP.md, and of ``shared_zf --trials 100`` are printed with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
+
+and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs) with
+
+    PYTHONPATH=src python tests/test_golden.py --times
 """
 
 import argparse
@@ -20,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +68,9 @@ SHA1_TRIALS = {
 # lambda, and S_coop depends on which one the simplex returns: a change of simplex moved this
 # table while the 2- and 20-trial tables stayed the same.
 SHA1_EXTRA = ("shared_zf", 100)
+# The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
+TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}
+TIME_RUNS = 6
 
 
 def _write(name, path):
@@ -108,11 +116,32 @@ def _print_sha1s():
             print(label, hashlib.sha1(out.read_bytes()).hexdigest())
 
 
+def _print_times():
+    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, min (median) of the runs in ms."""
+    print("| Preset | Size | Time |\n|---|---|---|")
+    for name, trials in TIME_TRIALS.items():
+        preset = default_preset(name, base_seed=1, **({"num_realizations": trials} if trials else {}))
+        times = []
+        for _ in range(TIME_RUNS):
+            start = time.perf_counter()
+            run_preset(preset, threads=1)
+            times.append(time.perf_counter() - start)
+        size = f"n = {trials}" if trials else "default"
+        print(f"| `{name}` | {size} | {1e3 * min(times):.0f} ({1e3 * np.median(times):.0f}) ms |")
+
+
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Regenerate tests/golden, or print the seed-1 preset sha1s.")
-    parser.add_argument("--sha1", action="store_true", help="print the sha1s instead of regenerating")
-    if parser.parse_args().sha1:
+    parser = argparse.ArgumentParser(
+        description="Regenerate tests/golden, or print the seed-1 preset sha1s or preset times."
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--sha1", action="store_true", help="print the sha1s instead of regenerating")
+    mode.add_argument("--times", action="store_true", help="print the preset-time table instead of regenerating")
+    args = parser.parse_args()
+    if args.sha1:
         _print_sha1s()
+    elif args.times:
+        _print_times()
     else:
         GOLDEN_DIR.mkdir(exist_ok=True)
         for preset_name in sorted(SIZES):

@@ -110,6 +110,33 @@ class TestAssemble:
             A = zf_matrix(real, Z, w, lam)
             assert A.shape == expected.shape and np.array_equal(A, expected)
 
+    @staticmethod
+    def put_along_axis_matrices(h, zf, noise, weights, lam):
+        """The reference: ``_zf_matrices`` as two ``np.put_along_axis`` writes along the row axis."""
+        roots = np.sqrt(lam)
+        A = np.zeros(lam.shape[:-1] + (h.size, lam.shape[-1]), dtype=np.complex128)
+        np.put_along_axis(A, noise[..., np.newaxis, :], roots[..., np.newaxis, :], axis=-2)
+        ratio = h[noise][..., np.newaxis, :] / h[zf][..., np.newaxis]
+        comp = -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis]
+        np.put_along_axis(A, zf[..., np.newaxis], comp, axis=-2)
+        return A
+
+    @pytest.mark.parametrize("N, selection", [(1, "best_channel"), (2, "exhaustive"), (3, "exhaustive")])
+    @pytest.mark.parametrize("axes", ["scalar", "eta", "snr", "eta and snr"])
+    def test_equals_the_put_along_axis_writes(self, N, selection, axes):
+        for seed in range(4):
+            real = make_realization(seed, K=6, L=3)
+            deltas = {"scalar": 0.6, "eta": np.array([0.0, 0.5, 1.0]), "snr": 0.6}.get(axes, np.array([[0.3], [1.0]]))
+            if "snr" in axes:
+                real, _ = over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))
+            design = optimize_shared_zf(real, eta_from_delta(real, deltas), N, selection)
+            zf = np.asarray(design.zf_users)
+            _, noise = _noise_columns(real.num_users, zf)
+            args = (real.h, zf, noise, design.zf_weights, design.lam)
+            A = _zf_matrices(*args)
+            assert A.shape == design.A.shape
+            assert A.tobytes() == self.put_along_axis_matrices(*args).tobytes()
+
     def test_zero_lambda_is_zero_matrix(self):
         real = make_realization(2, K=4, L=1)
         assert not zf_matrix(real, (0,), [1.0], np.zeros(3)).any()
