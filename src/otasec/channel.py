@@ -20,11 +20,16 @@ own stream.  Two consequences the rest of the package relies on:
 
 Every random stream of the package is derived here: ``_stream(seed, *key)``
 is the generator of one substream and ``_child_seed(seed, *key)`` an integer
-seed drawn from it.
+seed drawn from it.  These two are numpy's own spelling and define the stream
+contract.  ``_streams(seeds, *key)`` and ``_child_seeds(seed, keys)`` give the
+same generators and seeds for a whole batch: they run ``SeedSequence``'s
+entropy hash for every row at once as uint32 array operations, and hand each
+``PCG64`` its four state words.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -152,6 +157,130 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 def _child_seed(seed: int, *key: int) -> int:
     """An integer seed derived from substream ``key`` of ``seed``."""
     return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _words(n) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of the integer ``n``, least significant first."""
+    if type(n) is int and 0 <= n <= _MASK32:  # the common case, without the ABC check
+        return [n]
+    if not isinstance(n, numbers.Integral):
+        raise TypeError(f"seed must be integer, not {n!r}")
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _entropy(seed_words: list[int], key_words: list[int]) -> list[int]:
+    """``SeedSequence``'s assembled entropy: a keyed seed is zero-padded to the pool size."""
+    if key_words and len(seed_words) < _POOL_SIZE:
+        seed_words = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    return seed_words + key_words
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first ``n + 1`` hash constants ``init * mult**i`` mod 2**32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hash per entry of ``consts[:-1]``: xor with it, multiply by its successor."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.pool`` of each row of uint32 entropy words, shape ``(rows, 4)``.
+
+    The hash constants do not depend on the data, so one pass serves every row
+    and each round mixes one source word into all its destination words.
+    """
+    m = entropy.shape[1]
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(m, _POOL_SIZE))
+    first = np.zeros((len(entropy), _POOL_SIZE), dtype=np.uint32)
+    first[:, : min(m, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
+    pool = _hashmix(first, h[: _POOL_SIZE + 1])
+    c = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # every word into every other
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], h[c : c + _POOL_SIZE]))
+        c += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, m):  # the entropy words past the pool size
+        pool = _mix(pool, _hashmix(entropy[:, src, None], h[c : c + _POOL_SIZE + 1]))
+        c += _POOL_SIZE
+    return pool
+
+
+def _generate_state(entropies: list[list[int]], n_words: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words)`` of each entropy row, shape ``(rows, n_words)`` uint32."""
+    pools = np.empty((len(entropies), _POOL_SIZE), dtype=np.uint32)
+    by_length: dict[int, list[int]] = {}
+    for row, words in enumerate(entropies):
+        by_length.setdefault(len(words), []).append(row)
+    for rows in by_length.values():
+        pools[rows] = _pools(np.array([entropies[row] for row in rows], dtype=np.uint32))
+    cycled = np.tile(pools, -(-n_words // _POOL_SIZE))[:, :n_words]
+    return _hashmix(cycled, _hash_consts(_INIT_B, _MULT_B, n_words))
+
+
+@functools.cache
+def _seeded_class() -> type:
+    """An ``ISeedSequence`` holding a ``PCG64``'s four state words.
+
+    Made on first use: subclassing at import time would import ``numpy.random``
+    with the package.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seeded
+
+
+def _streams(seeds, *key: int) -> list[np.random.Generator]:
+    """``[_stream(seed, *key) for seed in seeds]``, bit for bit, with one hash pass for the batch."""
+    key_words = [w for k in key for w in _words(k)]
+    state = _generate_state([_entropy(_words(seed), key_words) for seed in seeds], 2 * _POOL_SIZE)
+    state = state.astype(np.uint64)
+    state = state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian pairs, as numpy reads them
+    seeded, generator, pcg64 = _seeded_class(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(seeded(words))) for words in state]
+
+
+def _child_seeds(seed: int, keys) -> list[int]:
+    """``[_child_seed(seed, *key) for key in keys]``, with one hash pass for the batch."""
+    seed_words = _words(seed)
+    entropies = [_entropy(seed_words, [w for k in key for w in _words(k)]) for key in keys]
+    return _generate_state(entropies, 1)[:, 0].tolist()
 
 
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemRealization, _cn, _complex_out, _stream
+from .channel import SystemRealization, _complex_out, _stream, _streams
 from .errors import ContractError, InfeasibleError, ShapeError
 
 PRECODER_KINDS = (
@@ -173,11 +173,11 @@ def _project_out(A: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _draws(rngs, K: int) -> np.ndarray:
-    """One K x (K - 1) standard complex Gaussian matrix per generator."""
-    A = np.empty((len(rngs), K, K - 1), dtype=np.complex128)
-    for i, rng in enumerate(rngs):
-        A[i] = _cn(rng, (K, K - 1))
-    return A
+    """One K x (K - 1) standard complex Gaussian matrix per generator, drawn as ``channel._cn`` draws it."""
+    draws = np.empty((len(rngs), 2, K, K - 1))
+    for rng, out in zip(rngs, draws):
+        rng.standard_normal(out=out)
+    return (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
 
 
 def _random_zf(rngs, real: SystemRealization, budgets: np.ndarray) -> np.ndarray:
@@ -197,8 +197,8 @@ def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.
     if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError("theta must lie in [0, 1]")
     budgets = row_budgets(real, eta)
-    A_zf = _random_zf([_stream(seed, 0) for seed in seeds], real, budgets)
-    A_rand = _draws([_stream(seed, 1) for seed in seeds], real.num_users)
+    A_zf = _random_zf(_streams(seeds, 0), real, budgets)
+    A_rand = _draws(_streams(seeds, 1), real.num_users)
     w = thetas[:, None, None]
     A = (1.0 - w) * A_zf[:, None]
     A += w * A_rand[:, None]

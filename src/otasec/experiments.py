@@ -36,6 +36,7 @@ from .channel import (
     SystemRealization,
     _check_types,
     _child_seed,
+    _child_seeds,
     _fits,
     calibrate_noise,
     config_to_dict,
@@ -334,9 +335,10 @@ def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
     mixtures[..., 0] = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
     mixtures[..., thetas == 1.0, 0] = TRADEOFF_KINDS["random"]
     mixtures[..., 2] = thetas
+    keys = [(3, d_idx, pair) for d_idx in range(len(deltas)) for pair in range(pairs)]
+    seeds = _child_seeds(preset.base_seed, keys)
     for d_idx, eta in enumerate(etas.tolist()):
-        seeds = [_child_seed(preset.base_seed, 3, d_idx, pair) for pair in range(pairs)]
-        stack = mixture_precoders(real, eta, seeds, thetas)
+        stack = mixture_precoders(real, eta, seeds[d_idx * pairs : (d_idx + 1) * pairs], thetas)
         mixtures[d_idx, ..., 3] = approximation_error(real, stack, eta)
         mixtures[d_idx, ..., 4] = coop_security(real, stack, eta)[0]
         del stack  # hold one delta's stack at a time

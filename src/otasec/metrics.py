@@ -266,7 +266,14 @@ def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> 
     return A
 
 
-def _simulate_chunk(rng, real, A, eta, n):
+def _chunk_buffers(real, A, n):
+    """Flat draw, ``x`` and ``[y; z]`` buffers for chunks of at most ``n`` transmissions."""
+    K, M = A.shape
+    L = real.num_eavesdroppers
+    return np.empty((K + M + 1 + L) * n * 2), np.empty(K * n, np.complex128), np.empty((1 + L) * n, np.complex128)
+
+
+def _simulate_chunk(rng, real, A, eta, n, buffers=None):
     """Draw n transmissions through the actual encoding chain, sample axis last.
 
     One ``standard_normal((K + M + 1 + L, n, 2))`` call, scaled by
@@ -274,15 +281,22 @@ def _simulate_chunk(rng, real, A, eta, n):
     rows are, in order, ``gamma`` (K), ``v`` (M), ``n_y`` (1) and ``n_z`` (L).
     Then ``x = [diag(eta / h) | A] @ [gamma; v]`` and ``[y; z] = [h^T; G] @ x``
     plus the scaled noise rows.  Returns ``s`` and ``y`` of shape ``(n,)`` and
-    ``z`` of shape ``(L, n)``.
+    ``z`` of shape ``(L, n)``; ``y`` and ``z`` are views of ``buffers``.
+
+    The draw block and both products fill contiguous prefixes of
+    ``buffers``, from :func:`_chunk_buffers` for chunks of at least ``n``, so
+    a call reuses one allocation for all its chunks; without them each chunk
+    allocates its own.
     """
     K, M = A.shape
     L = real.num_eavesdroppers
-    draw = rng.standard_normal((K + M + 1 + L, n, 2))
+    draw_buf, x_buf, yz_buf = _chunk_buffers(real, A, n) if buffers is None else buffers
+    draw = draw_buf[: (K + M + 1 + L) * n * 2].reshape(K + M + 1 + L, n, 2)
+    rng.standard_normal(out=draw)
     draw *= math.sqrt(0.5)
     w = draw.view(np.complex128)[..., 0]
-    x = np.hstack([np.diag(eta / real.h), A]) @ w[: K + M]
-    yz = np.vstack([real.h, real.G]) @ x
+    x = np.matmul(np.hstack([np.diag(eta / real.h), A]), w[: K + M], out=x_buf[: K * n].reshape(K, n))
+    yz = np.matmul(np.vstack([real.h, real.G]), x, out=yz_buf[: (1 + L) * n].reshape(1 + L, n))
     noise = w[K + M :]
     noise[0] *= math.sqrt(real.sigma_y_sq)
     noise[1:] *= math.sqrt(real.sigma_z_sq)
@@ -295,7 +309,7 @@ def _chunk_sizes(total: int):
     return (min(_CHUNK, total - start) for start in range(0, total, _CHUNK))
 
 
-def _heldout_mse(rng, real, A, eta, num_samples, estimators):
+def _heldout_mse(rng, real, A, eta, num_samples, estimators, buffers):
     """Mean and standard error of each estimator's normalized squared error.
 
     Each estimator maps a chunk's observations ``y`` ``(n,)`` and ``z``
@@ -304,7 +318,7 @@ def _heldout_mse(rng, real, A, eta, num_samples, estimators):
     sums = np.zeros(len(estimators))
     sums_sq = np.zeros(len(estimators))
     for n in _chunk_sizes(num_samples):
-        s, y, z = _simulate_chunk(rng, real, A, eta, n)
+        s, y, z = _simulate_chunk(rng, real, A, eta, n, buffers)
         for i, estimate in enumerate(estimators):
             err = np.abs(estimate(y, z) - s) ** 2 / real.num_users
             sums[i] += err.sum()
@@ -336,8 +350,9 @@ def mc_oracle(
     ssy = 0.0 + 0.0j
     szz = np.zeros((L, L), dtype=np.complex128)
     szs = np.zeros(L, dtype=np.complex128)
+    buffers = _chunk_buffers(real, A, min(_CHUNK, num_samples - n_fit))
     for n in _chunk_sizes(n_fit):
-        s, y, z = _simulate_chunk(rng, real, A, eta, n)
+        s, y, z = _simulate_chunk(rng, real, A, eta, n, buffers)
         syy += float(np.vdot(y, y).real)
         ssy += complex(np.vdot(y, s))  # sum of s conj(y)
         szz += z @ z.conj().T  # sum of z z^H outer products
@@ -347,7 +362,7 @@ def mc_oracle(
     p_fit = np.linalg.solve(szz / n_fit, szs / n_fit)
 
     estimators = (lambda y, z: a_fit * y, lambda y, z: p_fit.conj() @ z)
-    means, std_errs = _heldout_mse(_stream(seed, 1), real, A, eta, num_samples - n_fit, estimators)
+    means, std_errs = _heldout_mse(_stream(seed, 1), real, A, eta, num_samples - n_fit, estimators, buffers)
     return OracleReport(
         D_hat=float(means[0]),
         S_hat=float(means[1]),
@@ -373,7 +388,8 @@ def mc_combiner_mse(
     """
     A = _oracle_inputs(real, A, eta, num_samples)
     p = _combiner(real, p)
-    means, std_errs = _heldout_mse(_stream(seed), real, A, eta, num_samples, (lambda y, z: p.conj() @ z,))
+    buffers = _chunk_buffers(real, A, min(_CHUNK, num_samples))
+    means, std_errs = _heldout_mse(_stream(seed), real, A, eta, num_samples, (lambda y, z: p.conj() @ z,), buffers)
     return float(means[0]), float(std_errs[0])
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +268,67 @@ def test_only_channel_derives_random_streams():
     spelled = [
         path.name
         for path in sorted(package.glob("*.py"))
-        if path.name != "channel.py" and re.search(r"SeedSequence|default_rng", path.read_text())
+        if path.name != "channel.py"
+        and re.search(r"SeedSequence|default_rng|PCG64|ISeedSequence|Generator\(", path.read_text())
     ]
     assert not spelled, f"random streams derived outside channel.py in {spelled}"
+
+
+class TestBatchStreams:
+    """``_streams`` and ``_child_seeds`` reproduce ``_stream`` and ``_child_seed`` bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70] + np.random.default_rng(2026).integers(
+        0, 2**32, 200, dtype=np.uint64
+    ).tolist()
+    KEYS = [(), (0,), (1,), (2, 14), (3, 5, 2), (17, 4), (2**32 + 1,)]
+
+    @staticmethod
+    def assert_same_streams(seeds, key):
+        batch = channel._streams(seeds, *key)
+        assert len(batch) == len(seeds)
+        for seed, rng in zip(seeds, batch):
+            ref = channel._stream(seed, *key)
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, key)
+            assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (seed, key)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_streams_match_stream(self, key):
+        self.assert_same_streams(self.SEEDS, key)
+
+    @pytest.mark.parametrize("size", [0, 1, 400])
+    def test_stream_batch_sizes(self, size):
+        seeds = np.random.default_rng(size).integers(0, 2**32, size, dtype=np.uint64).tolist()
+        self.assert_same_streams(seeds, (3, 7, 1))
+
+    def test_streams_mix_word_lengths(self):
+        self.assert_same_streams([2**70, 5, 2**32, 0, 2**64 + 3, 2**32 - 1, 9], (2,))
+
+    @pytest.mark.parametrize("seed", SEEDS[:8])
+    def test_child_seeds_match_child_seed(self, seed):
+        assert channel._child_seeds(seed, self.KEYS) == [channel._child_seed(seed, *key) for key in self.KEYS]
+
+    @pytest.mark.parametrize("size", [0, 1, 400])
+    def test_child_seed_batch_sizes(self, size):
+        keys = [(3, d, p) for d in range(size // 20 + 1) for p in range(20)][:size]
+        assert channel._child_seeds(7, keys) == [channel._child_seed(7, *key) for key in keys]
+
+    @pytest.mark.parametrize("bad, error", [(-1, ValueError), (1.0, TypeError)])
+    def test_invalid_seeds_raise_like_seed_sequence(self, bad, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(bad)
+        with pytest.raises(error):
+            channel._streams([3, bad])
+        with pytest.raises(error):
+            channel._streams([3], bad)
+        with pytest.raises(error):
+            channel._child_seeds(bad, [(0,)])
+        with pytest.raises(error):
+            channel._child_seeds(3, [(0, bad)])
+
+
+def test_import_leaves_numpy_random_and_ma_unloaded():
+    # numpy loads both lazily; importing the package must not pull them in.
+    code = "import sys, otasec; print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(channel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

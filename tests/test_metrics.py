@@ -510,6 +510,32 @@ class TestMcOracle:
         assert a.num_samples == num_samples
         assert np.isfinite([a.D_hat, a.S_hat, a.std_err_D, a.std_err_S]).all()
 
+    def test_chunk_buffers_match_allocating_per_chunk(self, monkeypatch):
+        real = make_realization(34, K=5, L=3)
+        eta = eta_from_delta(real, 0.6)
+        A = build_precoder("random_zf", real, eta, seed=3).A
+        p = coop_security(real, A, eta)[1]
+        monkeypatch.setattr(metrics, "_CHUNK", 3000)  # every oracle call below ends on a partial chunk
+
+        def allocating(rng, real, A, eta, n, buffers=None):
+            # The oracle's chunk as spelled before it reused buffers.
+            K, M = A.shape
+            L = real.num_eavesdroppers
+            draw = rng.standard_normal((K + M + 1 + L, n, 2))
+            draw *= np.sqrt(0.5)
+            w = draw.view(np.complex128)[..., 0]
+            x = np.hstack([np.diag(eta / real.h), A]) @ w[: K + M]
+            yz = np.vstack([real.h, real.G]) @ x
+            noise = w[K + M :]
+            noise[0] *= np.sqrt(real.sigma_y_sq)
+            noise[1:] *= np.sqrt(real.sigma_z_sq)
+            yz += noise
+            return w[:K].sum(axis=0), yz[0], yz[1:]
+
+        reused = mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6)
+        monkeypatch.setattr(metrics, "_simulate_chunk", allocating)
+        assert reused == (mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6))
+
     def test_combiner_simulation_detects_sign_flip(self):
         real = make_realization(8, K=4, L=2)
         eta = eta_from_delta(real, 0.8)
