@@ -259,11 +259,10 @@ def build_precoder(
 
     from . import optimizer  # deferred: optimizer builds on this module
 
-    if kind == "proposed":
-        return optimizer.optimize_proposed(real, eta)
-    n_share = int(params.get("N", 2))
-    selection = params.get("selection", "exhaustive")
-    return optimizer.optimize_shared_zf(real, eta, n_share, selection=selection)
+    N, selection = optimizer.LP_DESIGNS[kind]
+    if kind == "proposed_shared":
+        N, selection = int(params.get("N", N)), params.get("selection", selection)
+    return optimizer.optimize_shared_zf(real, eta, N, selection=selection)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ preset and seed, independent of the worker count.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -53,7 +52,7 @@ from .encoding import (
 from .errors import ConfigurationError, ContractError
 from .linalg import _forward, cholesky
 from .metrics import approximation_error, coop_security, eavesdropper_moments, noncoop_security
-from .optimizer import optimize_designs, optimize_proposed
+from .optimizer import LP_DESIGNS, _lp_total, optimize_designs, optimize_proposed
 from .version import __version__
 
 _SNR_GRID = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -127,17 +126,13 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int):
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
 
 
-# The designs that solve LPs, as (N, selection) of their optimize_designs request: build_precoder's.
-_LP_DESIGNS = {"proposed": (1, "best_channel"), "proposed_shared": (2, "exhaustive")}
-
-
 def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int):
     seed = preset.base_seed + r
     real = _with_snr(sample_realization(preset.config, seed), preset)
     eta = eta_from_delta(real, preset.delta)
-    built = [None if design in _LP_DESIGNS else build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx))
+    built = [None if design in LP_DESIGNS else build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx))
              for d_idx, design in enumerate(preset.designs)]
-    solved = iter((yield [(real, eta, *_LP_DESIGNS[d]) for d in preset.designs if d in _LP_DESIGNS]))
+    solved = iter((yield [(real, eta, *LP_DESIGNS[d]) for d in preset.designs if d in LP_DESIGNS]))
     cols = []
     for prec in built:
         A = (next(solved) if prec is None else prec).A
@@ -211,15 +206,6 @@ def _columns_power_control(preset: ExperimentPreset):
 _GROUP_LPS = 512
 
 
-def _lp_count(requests) -> int:
-    """How many LPs ``optimize_designs(requests)`` solves, from the requests' shapes."""
-    return sum(
-        (math.comb(real.num_users, N) if selection == "exhaustive" else 1)
-        * math.prod(np.broadcast_shapes(np.shape(eta), np.shape(real.sigma_z_sq)))
-        for real, eta, N, selection in requests
-    )
-
-
 def _finish_group(started: list) -> list:
     """Solve the requests of started trials, ``(trial, requests)`` pairs, in one call; each trial's rows."""
     precoders = iter(optimize_designs([request for _, requests in started for request in requests]))
@@ -269,7 +255,7 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
         return trial, next(trial)
 
     first = start(0)
-    lps = _lp_count(first[1])
+    lps = _lp_total(first[1])
     size = max(1, _GROUP_LPS // lps) if lps else 1  # trials per group; a trial without LPs gains nothing from one
     n = preset.num_realizations
 

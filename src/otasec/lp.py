@@ -27,20 +27,20 @@ element 1, after which the slot holds the bound's slack ``s = u - x``.
 :class:`LpSolution` counts pivots and flips apart.  An LP with no finite bound
 takes the pivots of the plain simplex, with the same arithmetic.
 
-A problem whose arrays carry a leading stack axis, ``M`` of shape
-``(B, m, n)``, is ``B`` independent LPs of one shape.  They run Bland's rule
-in lockstep: each iteration makes one pivot or flip in every LP still working,
-as array operations over the stack.  An LP that is optimal or turns out
-unbounded is parked: it runs along with zero factors, which change no rhs,
-basis or complement flag, until the parked LPs make up half the working set;
-then their answers are read off and they leave it.  Each LP takes the steps it
-would take alone, so its answer is bitwise equal to solving it alone.  LPs of
-different shapes can share a stack after padding: a zero row with rhs 0 is
-never a pivot row, a zero column at the right with objective 0 never enters
-whatever its bound, and the real variables keep their order, so padding
-changes no answer's bits.  This is the one simplex path: a two-dimensional
-problem runs as a stack of one and gets plain Python ``str``, ``float`` and
-``int`` fields back.
+A problem's arrays may carry leading axes, ``M`` of shape ``(..., m, n)``:
+one LP per entry.  :func:`solve_lp` puts every LP of all its problems into
+one ``(B, m, n)`` stack, which runs Bland's rule in lockstep: each iteration
+makes one pivot or flip in every LP still working, as array operations over
+the stack.  An LP that is optimal or turns out unbounded is parked: it runs
+along with zero factors, which change no rhs, basis or complement flag,
+until the parked LPs make up half the working set; then their answers are
+read off and they leave it.  Each LP takes the steps it would take alone, so
+its answer is bitwise equal to solving it alone.  LPs of different shapes
+share the stack after padding: a zero row with rhs 0 at the bottom is never
+a pivot row, a zero column at the right with objective 0 and bound 0 never
+enters, and the real variables keep their order, so padding changes no
+answer's bits.  This is the one simplex path: each problem gets one
+:class:`LpSolution` back, over its own leading axes (none for one LP).
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ class LpProblem:
 
     Every entry of ``ineq_rhs`` must be nonnegative, so that ``x = 0`` is
     feasible.  ``upper`` is ``+inf`` (no bound) or an array shaped like
-    ``objective`` of nonnegative bounds, ``+inf`` allowed.  A stack of ``B``
-    LPs has ``objective`` of shape ``(B, n)``, ``ineq_matrix`` of shape
-    ``(B, m, n)`` and ``ineq_rhs`` of shape ``(B, m)``.
+    ``objective`` of nonnegative bounds, ``+inf`` allowed.  Leading axes make
+    an array of LPs: ``objective`` of shape ``(..., n)``, ``ineq_matrix``
+    ``(..., m, n)`` and ``ineq_rhs`` ``(..., m)``.
     """
 
-    num_vars: int
     objective: np.ndarray
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
@@ -78,45 +77,51 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    """The optimum, or ``status == "unbounded"`` with ``x = 0``.
+    """The optimum, or ``status == "unbounded"`` with ``x = 0``, of each LP of a problem.
 
     ``pivots`` counts the basis changes and ``flips`` the bound flips, which
-    change no basis; their sum is the LP's simplex iterations.  For a stack
-    every field is an array over the stack: ``status`` of strings, ``x`` of
-    shape ``(B, n)``.
+    change no basis; their sum is the LP's simplex iterations.  Every field is
+    an array over the problem's leading axes (0-d for a lone LP): ``status``
+    of strings, ``x`` with the variables last.
     """
 
-    status: str | np.ndarray  # "optimal" | "unbounded"
+    status: np.ndarray  # "optimal" | "unbounded"
     x: np.ndarray
-    objective_value: float | np.ndarray
-    pivots: int | np.ndarray = 0
-    flips: int | np.ndarray = 0
+    objective_value: np.ndarray
+    pivots: np.ndarray | int = 0
+    flips: np.ndarray | int = 0
 
 
-def _validate(problem: LpProblem):
-    n = int(problem.num_vars)
-    c = np.asarray(problem.objective, dtype=float)
-    M = np.asarray(problem.ineq_matrix, dtype=float)
-    M = M if M.ndim == 3 else np.atleast_2d(M)
-    b = np.asarray(problem.ineq_rhs, dtype=float)
-    u = np.asarray(problem.upper, dtype=float)
-    if M.ndim > 3:
-        raise ContractError(f"an LP stack has one leading axis, got shape {M.shape}")
-    if c.shape != M.shape[:-2] + (n,):
-        raise ContractError("objective length must equal num_vars")
-    if M.shape != b.shape + (n,):
-        raise ContractError(f"constraint shapes disagree: {M.shape} vs rhs {b.shape}")
-    if u.shape not in ((), c.shape):
-        raise ContractError(f"upper bounds must be a scalar or shaped like the objective, got {u.shape}")
-    if n > MAX_VARS or M.shape[-2] > MAX_CONSTRAINTS:
-        raise ContractError(f"problem too large: {n} vars, {M.shape[-2]} constraints")
+def _validate(problems) -> tuple[tuple, list]:
+    """Every problem's LPs in one padded ``(B, m, n)`` stack ``(c, M, b, u)``, checked, and each problem's slice.
+
+    Zero rows go at the bottom and zero columns, objective 0 and bound 0, at the right (at least one of each);
+    the data checks then scan the stack once.
+    """
+    arrays = [[np.asarray(a) for a in (p.objective, p.ineq_matrix, p.ineq_rhs, p.upper)] for p in problems]
+    for obj, mat, rhs, upper in arrays:
+        if mat.ndim < 2 or (obj.shape, rhs.shape) != (mat.shape[:-2] + mat.shape[-1:], mat.shape[:-1]):
+            raise ContractError(f"LP shapes disagree: objective {obj.shape}, rhs {rhs.shape}, constraints {mat.shape}")
+        if upper.shape not in ((), obj.shape):
+            raise ContractError(f"upper bounds must be a scalar or shaped like the objective, got {upper.shape}")
+        if mat.shape[-1] > MAX_VARS or mat.shape[-2] > MAX_CONSTRAINTS:
+            raise ContractError(f"problem too large: {mat.shape[-1]} vars, {mat.shape[-2]} constraints")
+    m, n = (max([1] + [mat.shape[axis] for _, mat, _, _ in arrays]) for axis in (-2, -1))
+    stops = np.cumsum([0] + [np.prod(mat.shape[:-2], dtype=int) for _, mat, _, _ in arrays])
+    c, M, b, u = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,)))
+    spans = [slice(start, stop) for start, stop in zip(stops[:-1], stops[1:])]
+    for (obj, mat, rhs, upper), at in zip(arrays, spans):
+        size, rows, cols = at.stop - at.start, *mat.shape[-2:]
+        M[at, :rows, :cols] = mat.reshape(size, rows, cols)
+        c[at, :cols], b[at, :rows] = obj.reshape(size, cols), rhs.reshape(size, rows)
+        u[at, :cols] = upper.reshape(size, cols) if upper.ndim else upper
     if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all()):
         raise ContractError("non-finite coefficient in LP data")
     if np.any(b < 0.0):
         raise ContractError("negative right-hand side: the origin must be feasible")
     if not np.all(u >= 0.0):  # NaN fails too
         raise ContractError("upper bounds must be nonnegative, +inf allowed")
-    return c, M, b, np.broadcast_to(u, c.shape)
+    return (c, M, b, u), spans
 
 
 def _basic_x(T: np.ndarray, basis: np.ndarray, u: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
@@ -130,12 +135,9 @@ def _basic_x(T: np.ndarray, basis: np.ndarray, u: np.ndarray, flipped: np.ndarra
     return x
 
 
-def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> LpSolution:
+def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple:
+    """``(unbounded, x, pivots, flips)`` per LP of a stack with at least one row and one column."""
     B, m, n = M.shape
-    if not (m and n):  # a zero row at the bottom never pivots, a zero column at the right never enters
-        column, row = ((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 1))
-        padded = _solve_stack(np.pad(c, column), np.pad(M, row), np.pad(b, column), np.pad(u, column))
-        return LpSolution(padded.status, padded.x[:, :n], padded.objective_value, padded.pivots, padded.flips)
     unbounded = np.zeros(B, dtype=bool)
     x = np.zeros((B, n))
     pivots, flips = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
@@ -237,17 +239,22 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         made += flip & ~parked  # a parked LP's flips have zero factors
     else:
         raise RuntimeError("simplex iteration limit exceeded")
-    value = (c[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]
+    return unbounded, x, pivots, flips
+
+
+def solve_lp(*problems: LpProblem) -> list[LpSolution]:
+    """Solve every LP of every problem to optimality, or report it unbounded, in one stack.
+
+    Returns one :class:`LpSolution` per problem, over its leading axes.
+    """
+    (c, M, b, u), spans = _validate(problems)
+    unbounded, x, pivots, flips = _solve_stack(c, M, b, u)
     status = np.where(unbounded, "unbounded", "optimal")
-    return LpSolution(status, x, np.where(unbounded, 0.0, value), pivots, flips)
-
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP, or each LP of a stack, to optimality, or report it unbounded."""
-    c, M, b, u = _validate(problem)
-    if M.ndim == 3:
-        return _solve_stack(c, M, b, u)
-    one = _solve_stack(c[np.newaxis], M[np.newaxis], b[np.newaxis], u[np.newaxis])
-    return LpSolution(
-        str(one.status[0]), one.x[0], float(one.objective_value[0]), int(one.pivots[0]), int(one.flips[0])
-    )
+    solutions = []
+    for p, at in zip(problems, spans):
+        lead, cols = np.shape(p.objective)[:-1], np.shape(p.objective)[-1]
+        own_c, own_x = np.ascontiguousarray(c[at, :cols]), np.ascontiguousarray(x[at, :cols])
+        value = np.where(unbounded[at], 0.0, (own_c[:, np.newaxis, :] @ own_x[:, :, np.newaxis])[:, 0, 0])
+        fields = status[at], own_x, value, pivots[at], flips[at]
+        solutions.append(LpSolution(*(field.reshape(lead + field.shape[1:]) for field in fields)))
+    return solutions

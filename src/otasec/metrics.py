@@ -26,9 +26,9 @@ with channel row ``g`` and noise power ``n`` has normalized MSE ``1 -
 taken on each row of ``G`` with ``n = sigma_z^2`` and on ``p^H G`` with
 ``n = sigma_z^2 ||p||^2``.  Its two ratio sums, from ``_ratio_sums``, also
 give the optimizer's ``alpha``.  Every closed form and oracle checks its
-inputs in ``_checked``: a non-finite ``A``, or an ``eta`` that is not finite
-and nonnegative, raises ``ContractError``, and so does ``sigma_z^2 <= 0`` for
-``coop_security`` and ``noncoop_security``.
+inputs in ``_checked``: a non-finite ``A``, or an ``eta`` or noise variance
+entry that is not finite and nonnegative, raises ``ContractError``, and so
+does ``sigma_z^2 <= 0`` for ``coop_security`` and ``noncoop_security``.
 
 The first four take a precoder ``A`` of shape ``(K, M)`` or a stack of
 precoders of shape ``(..., K, M)``.  One precoder gives Python ``float``
@@ -114,11 +114,19 @@ def _check_eta(eta) -> None:
         raise ContractError(f"eta must be finite and nonnegative, got {eta!r}")
 
 
+def _check_noise(real: SystemRealization, positive_noise: bool = False) -> None:
+    """Every entry of both noise variances finite and nonnegative; ``sigma_z_sq > 0`` with ``positive_noise``."""
+    for name, sigma in (("sigma_y_sq", real.sigma_y_sq), ("sigma_z_sq", real.sigma_z_sq)):
+        if not (np.isfinite(sigma) & (sigma >= 0.0)).all():
+            raise ContractError(f"{name} must be finite and nonnegative, got {sigma!r}")
+    if positive_noise and not np.all(real.sigma_z_sq):  # a zero entry is all that can fail now
+        raise ContractError("sigma_z_sq must be positive")
+
+
 def _checked(real: SystemRealization, A, eta: float, positive_noise: bool = False) -> np.ndarray:
     """``A`` as an array after the input checks; a non-finite entry is named by its matrix in a stack."""
     _check_eta(eta)
-    if positive_noise and np.asarray(real.sigma_z_sq).min(initial=np.inf) <= 0.0:
-        raise ContractError("sigma_z_sq must be positive")
+    _check_noise(real, positive_noise)
     A = np.asarray(A)
     if not np.isfinite(A).all():
         _, at = _where(~np.isfinite(A).all(axis=(-2, -1)))
@@ -273,7 +281,7 @@ def _chunk_buffers(real, A, n):
     return np.empty((K + M + 1 + L) * n * 2), np.empty(K * n, np.complex128), np.empty((1 + L) * n, np.complex128)
 
 
-def _simulate_chunk(rng, real, A, eta, n, buffers=None):
+def _simulate_chunk(rng, real, A, eta, n, buffers):
     """Draw n transmissions through the actual encoding chain, sample axis last.
 
     One ``standard_normal((K + M + 1 + L, n, 2))`` call, scaled by
@@ -285,12 +293,11 @@ def _simulate_chunk(rng, real, A, eta, n, buffers=None):
 
     The draw block and both products fill contiguous prefixes of
     ``buffers``, from :func:`_chunk_buffers` for chunks of at least ``n``, so
-    a call reuses one allocation for all its chunks; without them each chunk
-    allocates its own.
+    an oracle call reuses one allocation for all its chunks.
     """
     K, M = A.shape
     L = real.num_eavesdroppers
-    draw_buf, x_buf, yz_buf = _chunk_buffers(real, A, n) if buffers is None else buffers
+    draw_buf, x_buf, yz_buf = buffers
     draw = draw_buf[: (K + M + 1 + L) * n * 2].reshape(K + M + 1 + L, n, 2)
     rng.standard_normal(out=draw)
     draw *= math.sqrt(0.5)

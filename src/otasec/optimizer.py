@@ -43,9 +43,9 @@ bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper
 keeps an all-zero row, so the LPs of a design form one array over eta, SNR
 and subset.  A subset out of residual power at an ``eta`` gets its LP too:
 its zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
-:func:`optimize_designs` flattens the LP arrays of several designs into one
-padded stack and makes one :func:`~otasec.lp.solve_lp` call for them all (one
-per group of preset trials).  It is the one way into a design:
+:func:`optimize_designs` hands the LP arrays of several designs to one
+:func:`~otasec.lp.solve_lp` call, which solves them in one padded stack (one
+call per group of preset trials).  It is the one way into a design:
 :func:`optimize_shared_zf` is its one-design case and the paper's single-user
 :func:`optimize_proposed` the one-candidate case of that.  One subset's
 ``alpha``, ``beta`` and matrix are the stacked helpers' at a leading axis of
@@ -68,13 +68,14 @@ DROP_RTOL = 1e-12
 # Subsets whose S_noncoop lies within TIE_ATOL of the best tie, and the first wins.  Absolute, as S_noncoop
 # lies in [0, 1]; it covers LP rounding, which moved lambda up to 1.8e-12 relative between equivalent LPs.
 TIE_ATOL = 1e-12
+# The optimized precoder kinds, as the (N, selection) of their design: build_precoder's and the presets'.
+LP_DESIGNS = {"proposed": (1, "best_channel"), "proposed_shared": (2, "exhaustive")}
 
 
 def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``alpha`` per eta and SNR (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2``, the live mask per eta."""
+    metrics._check_noise(real, positive_noise=True)
     sigma = np.asarray(real.sigma_z_sq)
-    if sigma.min(initial=np.inf) <= 0.0:
-        raise ContractError("sigma_z_sq must be positive")
     sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
     live = ~((sum_sq < DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
@@ -176,7 +177,7 @@ def _allocation_lp(
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
     objective[..., 1:] = tie[..., np.newaxis]
-    return LpProblem(1 + n_cols, objective, rows, rhs, upper)
+    return LpProblem(objective, rows, rhs, upper)
 
 
 def optimize_proposed(real: SystemRealization, eta) -> NoisePrecoder:
@@ -185,7 +186,7 @@ def optimize_proposed(real: SystemRealization, eta) -> NoisePrecoder:
     The user with the best channel takes the whole zero-forcing
     responsibility; the remaining users' noise powers solve the max-min LP.
     """
-    return optimize_shared_zf(real, eta, 1, selection="best_channel")
+    return optimize_shared_zf(real, eta, *LP_DESIGNS["proposed"])
 
 
 def optimize_shared_zf(
@@ -213,50 +214,48 @@ def optimize_shared_zf(
 def optimize_designs(requests) -> list[NoisePrecoder]:
     """``[optimize_shared_zf(*request) for request in requests]``, with one LP call for them all.
 
-    Each request is ``(real, eta, N, selection)``.  Every design's LP array is flattened
-    into one stack, padded to one shape (zero rows at the bottom, zero columns at the
-    right), for one :func:`~otasec.lp.solve_lp` call; a padding column has bound 0, and
-    padding changes no LP's answer, so each design is bitwise the one made alone.
+    Each request is ``(real, eta, N, selection)``.  Every design's LP array goes to one
+    :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack; padding
+    changes no LP's answer, so each design is bitwise the one made alone.
     """
     designs = [_design(*request) for request in requests]
     problems = [next(design) for design in designs]
     if not problems:
         return []
-    shapes = np.array([(p.ineq_rhs[..., 0].size, *p.ineq_matrix.shape[-2:]) for p in problems])
-    stops = np.cumsum(shapes[:, 0])  # shapes: (LPs, rows, columns) per design
-    spans = [slice(stop - size, stop) for size, stop in zip(shapes[:, 0], stops)]
-    m, n = shapes[:, 1:].max(axis=0)
-    c, M, b, u = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,)))
-    for p, at, (size, rows, cols) in zip(problems, spans, shapes):
-        M[at, :rows, :cols] = p.ineq_matrix.reshape(size, rows, cols)
-        c[at, :cols], b[at, :rows], u[at, :cols] = (v.reshape(size, -1) for v in (p.objective, p.ineq_rhs, p.upper))
-    solution = solve_lp(LpProblem(n, c, M, b, u))
     precoders = []
-    for design, p, at in zip(designs, problems, spans):
-        x = solution.x[at, : p.num_vars].reshape(p.objective.shape)
+    for design, solution in zip(designs, solve_lp(*problems)):
         try:
-            design.send((solution.status[at].reshape(x.shape[:-1]), x))
+            design.send(solution)
         except StopIteration as done:
             precoders.append(done.value)
     return precoders
 
 
-def _design(real: SystemRealization, eta, N: int, selection: str):
-    """A generator: yields the design's LP array, takes its ``(status, x)`` back, returns the precoder."""
+def _candidates(real: SystemRealization, N: int, selection: str) -> list[tuple]:
+    """The zero-forcing subsets whose LPs a design solves, after the checks on ``N`` and ``selection``."""
     K = real.num_users
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
-    if selection not in ("exhaustive", "best_channel"):
-        raise ContractError(f"unknown selection rule {selection!r}")
+    if selection == "exhaustive":
+        return list(itertools.combinations(range(K), N))
+    if selection == "best_channel":
+        return [tuple(sorted(int(i) for i in np.argsort(-np.abs(real.h) ** 2, kind="stable")[:N]))]
+    raise ContractError(f"unknown selection rule {selection!r}")
+
+
+def _lp_total(requests) -> int:
+    """How many LPs ``optimize_designs(requests)`` solves: per design, one per subset, eta and SNR."""
+    return sum(len(_candidates(real, *rule)) * np.broadcast(eta, real.sigma_z_sq).size for real, eta, *rule in requests)
+
+
+def _design(real: SystemRealization, eta, N: int, selection: str):
+    """A generator: yields the design's LP array, takes its LP solution back, returns the precoder."""
+    K = real.num_users
+    candidates = _candidates(real, N, selection)
     metrics._check_eta(eta)
     budgets = row_budgets(real, eta)
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
     axes = alpha.shape[:-1]  # eta's axes, then the SNR's
-    if selection == "exhaustive":
-        candidates = list(itertools.combinations(range(K), N))
-    else:
-        order = np.argsort(-np.abs(real.h) ** 2, kind="stable")
-        candidates = [tuple(sorted(int(i) for i in order[:N]))]
 
     zf, noise = _noise_columns(K, candidates)
     r = budgets[..., zf]
@@ -268,13 +267,13 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
     load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
     rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
     problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR and subset
-    status, x = yield problem
-    failed = status != "optimal"
+    solution = yield problem
+    failed = solution.status != "optimal"
     if np.any(failed):
         first = np.argmax(failed)  # a flat index
         what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
-        raise RuntimeError(f"{what} LP reported {status.flat[first]}")
-    lam = np.maximum(x[..., 1:], 0.0)
+        raise RuntimeError(f"{what} LP reported {solution.status.flat[first]}")
+    lam = np.maximum(solution.x[..., 1:], 0.0)
     # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
     # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
     worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)

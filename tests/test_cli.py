@@ -93,7 +93,12 @@ class TestRun:
         from otasec import optimizer
 
         stacks, solve = [], optimizer.solve_lp
-        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(len(problem.ineq_rhs)) or solve(problem))
+
+        def counting(*problems):  # the LPs of a call
+            stacks.append(sum(p.objective[..., 0].size for p in problems))
+            return solve(*problems)
+
+        monkeypatch.setattr(optimizer, "solve_lp", counting)
         # 2 SNRs x 56 LPs a trial: 9 trials run in groups of 4, 4 and 1.
         args = ["run", "shared_zf", "--trials", "9", "--set", "sweep_values=[0,20]", "--set", "l_values=[3]"]
         tables = []
@@ -508,9 +513,8 @@ class TestSelftest:
         from otasec import optimizer
         from otasec.lp import solve_lp
 
-        def sabotaged(problem):
-            sol = solve_lp(problem)
-            return dataclasses.replace(sol, x=np.zeros_like(sol.x))
+        def sabotaged(*problems):
+            return [dataclasses.replace(sol, x=np.zeros_like(sol.x)) for sol in solve_lp(*problems)]
 
         monkeypatch.setattr(optimizer, "solve_lp", sabotaged)
         assert run_selftest(trials=0, seed=1, samples=20000, log=lambda *_: None) == 3

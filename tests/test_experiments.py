@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from otasec import errors, experiments
+from otasec import errors, experiments, optimizer
 from otasec.channel import calibrate_noise, sample_realization
 from otasec.encoding import build_precoder, eta_bounds_given_mu, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
@@ -20,7 +20,7 @@ from otasec.experiments import (
     write_table,
 )
 from otasec.metrics import approximation_error, coop_security, noncoop_security
-from otasec.optimizer import optimize_proposed, optimize_shared_zf
+from otasec.optimizer import optimize_designs, optimize_proposed, optimize_shared_zf
 
 
 def small(name, **overrides):
@@ -439,9 +439,9 @@ class TestLpStacks:
 
         calls, solve = [], optimizer.solve_lp
 
-        def counting(problem):
-            calls.append(np.shape(problem.ineq_rhs)[0])
-            return solve(problem)
+        def counting(*problems):  # the LPs of a call
+            calls.append(sum(p.objective[..., 0].size for p in problems))
+            return solve(*problems)
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         return calls
@@ -478,6 +478,22 @@ class TestLpStacks:
         collect_trials(small(name, num_realizations=n, **overrides), threads=1)
         assert calls == expected and max(calls) <= experiments._GROUP_LPS == 512
 
+    @pytest.mark.parametrize(
+        "name, overrides, lps",
+        [
+            ("sweep_snr_designs", {}, 9),  # 9 SNRs x 1 proposed subset
+            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 9 * 46),
+            ("shared_zf", {}, 1008),
+            ("power_control", {}, 36),  # 9 SNRs x 4 deltas
+            ("shared_zf", dict(sweep_values=(0.0, 20.0), l_values=(3, 7)), 224),  # the benchmark's arguments
+        ],
+    )
+    def test_lp_total_counts_the_lps_solve_lp_receives(self, calls, name, overrides, lps):
+        preset = default_preset(name, num_realizations=1, **overrides)
+        requests = next(experiments._PRESETS[name].trial(preset, 0))
+        optimize_designs(requests)
+        assert calls == [optimizer._lp_total(requests)] == [lps]
+
     def test_a_default_shared_zf_trial_runs_alone(self, calls):
         # 6 SNRs x 3 eavesdropper counts x (1 + 10 + 45 subsets) = 1,008 LPs, more than a group holds.
         collect_trials(default_preset("shared_zf", num_realizations=2), threads=1)
@@ -495,7 +511,7 @@ class TestLpStacks:
     @pytest.mark.parametrize("n, groups", [(2, [2]), (6, [2, 2, 2]), (5, [2, 2, 1])])
     def test_grouped_trials_equal_the_per_trial_reference(self, monkeypatch, calls, name, overrides, n, groups):
         preset = small(name, num_realizations=n, **overrides)
-        per_trial = experiments._lp_count(next(experiments._PRESETS[name].trial(preset, 0)))
+        per_trial = optimizer._lp_total(next(experiments._PRESETS[name].trial(preset, 0)))
         monkeypatch.setattr(experiments, "_GROUP_LPS", 3 * per_trial - 1)  # two trials a group
         trials = collect_trials(preset, threads=1)
         assert calls == [size * per_trial for size in groups]
@@ -510,15 +526,18 @@ class TestLpStacks:
         # 2 SNRs x 56 LPs: three trials make one group.  The last LP of trial 2 (seed 3) reports unbounded.
         sizes = dict(sweep_values=(0.0, 20.0), l_values=(3,))
         marked = []
-        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: marked.append(problem.ineq_rhs[-1]) or solve_lp(problem))
+        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: marked.append(problems[-1]) or solve_lp(*problems))
         collect_trials(default_preset("shared_zf", num_realizations=1, base_seed=3, **sizes))
+        last = marked[0].ineq_rhs.reshape(-1, marked[0].ineq_rhs.shape[-1])[-1]
         stacks = []
 
-        def sabotaged(problem):
-            stacks.append(len(problem.ineq_rhs))
-            solution = solve_lp(problem)
-            solution.status[(problem.ineq_rhs == marked[0]).all(axis=-1)] = "unbounded"
-            return solution
+        def sabotaged(*problems):
+            stacks.append(sum(p.objective[..., 0].size for p in problems))
+            solutions = solve_lp(*problems)
+            for problem, solution in zip(problems, solutions):
+                if problem.ineq_rhs.shape[-1] == last.size:
+                    solution.status[(problem.ineq_rhs == last).all(axis=-1)] = "unbounded"
+            return solutions
 
         monkeypatch.setattr(optimizer, "solve_lp", sabotaged)
         argv = ["run", "shared_zf", "--seed", "1", "--trials", "3", "--set", "sweep_values=[0,20]",

@@ -10,7 +10,8 @@ moves them on purpose regenerates the stored tables with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in its change log.  The sha1 of each preset's full-size table at
-seed 1, by the recipe in ROADMAP.md, and of ``shared_zf --trials 100`` are printed with
+seed 1, by the recipe in ROADMAP.md, and of ``shared_zf --trials 100`` are
+printed and checked against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -68,6 +70,18 @@ SHA1_TRIALS = {
 # lambda, and S_coop depends on which one the simplex returns: a change of simplex moved this
 # table while the 2- and 20-trial tables stayed the same.
 SHA1_EXTRA = ("shared_zf", 100)
+# The sha1 of each table of the recipe, by its printed label.  A change that moves a table on purpose updates it here.
+SHA1_EXPECTED = {
+    "sweep_L": "db30b6701948657eeb4f649dd233bdb839dc3f41",
+    "sweep_snr_designs": "5955c36393fa77d25dad2e420dc0e9aec0e0e6c9",
+    "security_gap": "8f354ef704328b0629f4538f71aeeb5966ee044c",
+    "collocated": "5ed0c23d01ee01fe2c061fa5a7cae8d227c4c53b",
+    "power_control": "754e9b939eaf8ffaa62c51aabed1b83cf252e8bd",
+    "shared_zf": "190da4c5f186019862757baed8b6cf97631ff96d",
+    "tradeoff": "928e0274cc3543659eade482a6360f7299826435",
+    "eta_design_space": "2083e168fffc2cd0c20f8732b20378d31c4e38db",
+    "shared_zf --trials 100": "57a90962d6aa86ab30817d44f75014a6eae48ac7",
+}
 # The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
 TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}
 TIME_RUNS = 6
@@ -101,8 +115,8 @@ def test_table_matches_golden(tmp_path, name):
     assert not np.any(excess > 0), f"largest excess {excess.max():.3e}"
 
 
-def _print_sha1s():
-    """Run ``otasec run <preset> --seed 1`` for every preset, then the extra run, and print ``label sha1`` lines."""
+def _sha1s():
+    """Run ``otasec run <preset> --seed 1`` for every preset, then the extra run; yield ``(label, sha1)`` pairs."""
     with tempfile.TemporaryDirectory() as tmp:
         for at, (name, trials) in enumerate([*SHA1_TRIALS.items(), SHA1_EXTRA]):
             out = Path(tmp) / f"{at}.dat"
@@ -113,7 +127,32 @@ def _print_sha1s():
             if code:
                 raise SystemExit(f"otasec {' '.join(argv)} exited {code}")
             label = name if at < len(SHA1_TRIALS) else f"{name} --trials {trials}"
-            print(label, hashlib.sha1(out.read_bytes()).hexdigest())
+            yield label, hashlib.sha1(out.read_bytes()).hexdigest()
+
+
+def _check_sha1s() -> int:
+    """Print ``label sha1`` lines, then one line on stderr per table whose sha1 is not ``SHA1_EXPECTED``'s; 1 if any."""
+    mismatched = []
+    for label, digest in _sha1s():
+        print(label, digest)
+        if digest != SHA1_EXPECTED.get(label):
+            mismatched.append(label)
+    for label in mismatched:
+        print(f"sha1 mismatch: {label} (expected {SHA1_EXPECTED.get(label)})", file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+def test_check_sha1s_names_each_mismatch(monkeypatch, capsys):
+    digests = [(label, digest) for label, digest in SHA1_EXPECTED.items()]
+    monkeypatch.setattr(sys.modules[__name__], "_sha1s", lambda: iter(digests))
+    assert _check_sha1s() == 0 and capsys.readouterr().err == ""
+    digests[1], digests[-1] = (digests[1][0], "0" * 40), (digests[-1][0], "1" * 40)
+    assert _check_sha1s() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" (")[0] for line in err] == [
+        "sha1 mismatch: sweep_snr_designs",
+        "sha1 mismatch: shared_zf --trials 100",
+    ]
 
 
 def _print_times():
@@ -135,11 +174,11 @@ if __name__ == "__main__":
         description="Regenerate tests/golden, or print the seed-1 preset sha1s or preset times."
     )
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--sha1", action="store_true", help="print the sha1s instead of regenerating")
+    mode.add_argument("--sha1", action="store_true", help="print and check the sha1s instead of regenerating")
     mode.add_argument("--times", action="store_true", help="print the preset-time table instead of regenerating")
     args = parser.parse_args()
     if args.sha1:
-        _print_sha1s()
+        raise SystemExit(_check_sha1s())
     elif args.times:
         _print_times()
     else:

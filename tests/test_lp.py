@@ -17,7 +17,6 @@ from conftest import ILL_SCALED_DESIGNS, make_realization
 def make_problem(c, M, b, u=np.inf):
     c = np.asarray(c, dtype=float)
     return LpProblem(
-        num_vars=c.shape[0],
         objective=c,
         ineq_matrix=np.asarray(M, dtype=float),
         ineq_rhs=np.asarray(b, dtype=float),
@@ -76,7 +75,6 @@ def random_box_instance(rng, m=4, n=4):
 def stack_of(problems):
     """One stacked LP from same-shape LPs."""
     return LpProblem(
-        problems[0].num_vars,
         np.stack([p.objective for p in problems]),
         np.stack([p.ineq_matrix for p in problems]),
         np.stack([p.ineq_rhs for p in problems]),
@@ -185,8 +183,8 @@ def assert_stack_equals_loop(problems):
 
     The reference is the bounded loop, and also the plain loop when no LP has a finite bound.
     """
-    stacked = solve_lp(stack_of(problems))
-    assert stacked.x.shape == (len(problems), problems[0].num_vars)
+    (stacked,) = solve_lp(stack_of(problems))
+    assert stacked.x.shape == (len(problems), problems[0].objective.shape[-1])
     unbounded_vars = all(np.isinf(bounds_of(p)).all() for p in problems)
     for i, problem in enumerate(problems):
         one = LpSolution(*bounded_looped_solve(problem))
@@ -204,7 +202,6 @@ def padded(problem, rows, cols, pad_bounds):
     at the right, whose bounds are ``pad_bounds``."""
     M = np.insert(problem.ineq_matrix, rows, 0.0, axis=1)
     return LpProblem(
-        problem.num_vars + cols,
         np.pad(problem.objective, ((0, 0), (0, cols))),
         np.pad(M, ((0, 0), (0, 0), (0, cols))),
         np.insert(problem.ineq_rhs, rows, 0.0, axis=1),
@@ -226,10 +223,21 @@ def sampled_allocation_lps():
                     yield next(_design(real, eta, N, "best_channel"))
 
 
+def flat(problem):
+    """The LPs of a problem with any leading axes as a stack with one."""
+    B, (m, n) = int(np.prod(problem.objective.shape[:-1])), problem.ineq_matrix.shape[-2:]
+    return LpProblem(
+        problem.objective.reshape(B, n),
+        problem.ineq_matrix.reshape(B, m, n),
+        problem.ineq_rhs.reshape(B, m),
+        bounds_of(problem).reshape(B, n),
+    )
+
+
 def entries(stack):
     """The LPs of a stack, one at a time."""
     lps = zip(stack.objective, stack.ineq_matrix, stack.ineq_rhs, bounds_of(stack))
-    return [LpProblem(stack.num_vars, *lp) for lp in lps]
+    return [LpProblem(*lp) for lp in lps]
 
 
 def grouped_allocation_lps():
@@ -244,37 +252,37 @@ def grouped_allocation_lps():
 class TestExamples:
     def test_single_upper_bound_free_variable(self):
         # x used to be declared free; its optimum is positive, so x >= 0 cuts nothing.
-        sol = solve_lp(make_problem([1.0], [[1.0]], [5.0]))
+        (sol,) = solve_lp(make_problem([1.0], [[1.0]], [5.0]))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(5.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(5.0, abs=1e-9)
 
     def test_epigraph_binds_at_bound(self):
         # maximize t s.t. 1 + 2*lam >= t, 0 <= lam <= 3
-        sol = solve_lp(make_problem([1.0, 0.0], [[1.0, -2.0], [0.0, 1.0]], [1.0, 3.0]))
+        (sol,) = solve_lp(make_problem([1.0, 0.0], [[1.0, -2.0], [0.0, 1.0]], [1.0, 3.0]))
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([7.0, 3.0], abs=1e-9)
 
     def test_matches_vertex_enumeration(self, rng):
         for _ in range(30):
             c, M, b = random_bounded_instance(rng)
-            sol = solve_lp(make_problem(c, M, b))
+            (sol,) = solve_lp(make_problem(c, M, b))
             assert sol.status == "optimal"
             best = enumerate_vertices(c, M, b)
             assert best is not None
             assert sol.objective_value == pytest.approx(best[0], abs=1e-7)
 
 
-class TestTwoDimensional:
-    """A 2-D problem runs as a stack of one and returns plain Python scalars."""
+class TestLoneLp:
+    """A lone LP, without leading axes, runs as a stack of one and gets 0-d fields back."""
 
     @pytest.mark.parametrize("instance", [random_bounded_instance, random_unbounded_instance])
-    def test_python_scalars_equal_to_the_loop(self, rng, instance):
+    def test_zero_dimensional_fields_equal_to_the_loop(self, rng, instance):
         for _ in range(10):
             problem = make_problem(*instance(rng))
-            sol = solve_lp(problem)
-            assert type(sol.status) is str and type(sol.objective_value) is float
-            assert type(sol.pivots) is int and sol.x.shape == (problem.num_vars,)
+            (sol,) = solve_lp(problem)
+            assert sol.status.shape == sol.objective_value.shape == sol.pivots.shape == sol.flips.shape == ()
+            assert sol.x.shape == problem.objective.shape
             status, x, value, pivots = looped_solve(problem)
             assert (sol.status, sol.pivots) == (status, pivots)
             assert sol.x.tobytes() == x.tobytes()
@@ -288,7 +296,7 @@ class TestStatuses:
             solve_lp(make_problem([1.0], [[-1.0], [1.0]], [-2.0, 1.0]))
 
     def test_unbounded(self):
-        sol = solve_lp(make_problem([1.0], [[-1.0]], [0.0]))
+        (sol,) = solve_lp(make_problem([1.0], [[-1.0]], [0.0]))
         assert sol.status == "unbounded"
 
     def test_non_finite_rejected(self):
@@ -306,7 +314,7 @@ class TestSolutionProperties:
     def test_reported_x_is_feasible(self, rng):
         for _ in range(25):
             c, M, b = random_bounded_instance(rng)
-            sol = solve_lp(make_problem(c, M, b))
+            (sol,) = solve_lp(make_problem(c, M, b))
             assert sol.status == "optimal"
             assert np.all(M @ sol.x <= b + 1e-8)
             assert np.all(sol.x >= 0.0)
@@ -315,7 +323,7 @@ class TestSolutionProperties:
     def test_weak_duality_against_solved_dual(self, rng):
         for _ in range(15):
             c, M, b = random_bounded_instance(rng)
-            primal = solve_lp(make_problem(c, M, b))
+            (primal,) = solve_lp(make_problem(c, M, b))
             assert primal.status == "optimal"
             # dual: minimize b^T y s.t. M^T y >= c, y >= 0, solved over its 84 bases
             best = enumerate_vertices(-b, -M.T, -c)
@@ -328,8 +336,8 @@ class TestSolutionProperties:
 
     def test_bit_for_bit_deterministic(self, rng):
         c, M, b = random_bounded_instance(rng)
-        a = solve_lp(make_problem(c, M, b))
-        bsol = solve_lp(make_problem(c, M, b))
+        (a,) = solve_lp(make_problem(c, M, b))
+        (bsol,) = solve_lp(make_problem(c, M, b))
         assert a.status == bsol.status
         assert np.array_equal(a.x, bsol.x)
         assert a.objective_value == bsol.objective_value
@@ -338,7 +346,7 @@ class TestSolutionProperties:
         # Several identical rows force degenerate pivots; Bland must not cycle.
         M = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
         b = np.array([1.0, 1.0, 1.0, 1.0])
-        sol = solve_lp(make_problem([1.0, 1.0], M, b))
+        (sol,) = solve_lp(make_problem([1.0, 1.0], M, b))
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
@@ -365,14 +373,14 @@ class TestAgainstHighs:
     def test_random_instances(self, rng):
         for _ in range(30):
             problem = make_problem(*random_bounded_instance(rng))
-            sol = solve_lp(problem)
+            (sol,) = solve_lp(problem)
             assert sol.status == "optimal"
             assert sol.objective_value == pytest.approx(self.highs_optimum(problem), abs=1e-7)
 
     def test_allocation_lps(self):
         count = 0
         for stack in sampled_allocation_lps():
-            sol = solve_lp(stack)
+            (sol,) = solve_lp(stack)
             assert np.all(sol.status == "optimal")
             for value, problem in zip(sol.objective_value, entries(stack)):
                 assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
@@ -385,7 +393,7 @@ class TestAgainstHighs:
         for _ in range(60):
             c, M, b, u = random_box_instance(rng)
             problem = make_problem(c, M, b, u)
-            sol = solve_lp(problem)
+            (sol,) = solve_lp(problem)
             if sol.status == "optimal":
                 assert np.all(M @ sol.x <= b + 1e-9) and np.all((sol.x >= 0.0) & (sol.x <= u))
                 assert sol.objective_value == pytest.approx(self.highs_optimum(problem), abs=1e-9)
@@ -394,27 +402,29 @@ class TestAgainstHighs:
 
     def test_shared_zf_design_stacks(self, monkeypatch):
         # Every LP of the stacks one benchmark-shaped shared_zf trial solves, zero budgets included.
-        stacks, solve = [], optimizer.solve_lp
-        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(problem) or solve(problem))
+        calls, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: calls.append(problems) or solve(*problems))
         real = make_realization(3, K=10, L=7, snr_db=0.0)
         real = dataclasses.replace(real, sigma_y_sq=np.array([real.sigma_y_sq, real.sigma_y_sq / 100]),
                                    sigma_z_sq=np.array([real.sigma_z_sq, real.sigma_z_sq / 100]))
         optimize_designs([(real, eta_from_delta(real, 1.0), N, "exhaustive") for N in (1, 2)])
-        (stack,) = stacks
-        # Two SNRs of 10 + 45 subsets each, less those out of residual power; L + N rows.
-        assert stack.ineq_matrix.shape[1:] == (7 + 2, 10) and len(stack.ineq_rhs) > 100
-        assert np.any(stack.upper == 0.0)  # delta = 1 leaves the weakest user no budget
-        sol = solve_lp(stack)
-        assert np.all(sol.status == "optimal") and sol.flips.any() and sol.pivots.all()
-        for value, problem in zip(sol.objective_value[::5], entries(stack)[::5]):
-            assert value == pytest.approx(self.highs_optimum(problem), rel=1e-9)
+        (problems,) = calls
+        # Two SNRs of 10 and of 45 subsets, L + N rows and 1 + K - N columns.
+        assert [p.ineq_matrix.shape for p in problems] == [(2, 10, 7 + 1, 10), (2, 45, 7 + 2, 9)]
+        assert any(np.any(p.upper == 0.0) for p in problems)  # delta = 1 leaves the weakest user no budget
+        solutions = solve_lp(*problems)
+        assert any(solution.flips.any() for solution in solutions)
+        for solution, problem in zip(solutions, problems):
+            assert np.all(solution.status == "optimal") and solution.pivots.all()
+            for value, one in zip(solution.objective_value.ravel()[::5], entries(flat(problem))[::5]):
+                assert value == pytest.approx(self.highs_optimum(one), rel=1e-9)
 
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
         real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
         stack = next(_design(real, eta_from_delta(real, delta), N, "exhaustive"))
         problems = entries(stack)[::10]
-        sol = solve_lp(stack_of(problems))
+        (sol,) = solve_lp(stack_of(problems))
         assert np.all(sol.status == "optimal")
         for value, problem in zip(sol.objective_value, problems):
             assert value == pytest.approx(self.highs_optimum(problem), rel=1e-7)
@@ -463,7 +473,7 @@ class TestStacked:
         problem = make_problem(*random_bounded_instance(rng))
         assert_stack_equals_loop([problem])
         assert_stack_equals_loop([make_problem(*random_unbounded_instance(rng))])
-        empty = solve_lp(LpProblem(3, np.zeros((0, 3)), np.zeros((0, 6, 3)), np.zeros((0, 6))))
+        (empty,) = solve_lp(LpProblem(np.zeros((0, 3)), np.zeros((0, 6, 3)), np.zeros((0, 6))))
         assert empty.x.shape == (0, 3) and empty.status.shape == (0,)
 
     def test_every_lp_of_a_stack_is_validated(self, rng):
@@ -477,37 +487,94 @@ class TestStacked:
         with pytest.raises(ContractError, match="non-finite coefficient"):
             solve_lp(stack)
         stack = stack_of(problems)
-        with pytest.raises(ContractError, match="objective length"):
-            solve_lp(LpProblem(3, stack.objective[:2], stack.ineq_matrix, stack.ineq_rhs))
-        with pytest.raises(ContractError, match="constraint shapes disagree"):
-            solve_lp(LpProblem(3, stack.objective, stack.ineq_matrix, stack.ineq_rhs[:, :5]))
-        with pytest.raises(ContractError, match="one leading axis"):
-            solve_lp(LpProblem(3, stack.objective[None], stack.ineq_matrix[None], stack.ineq_rhs[None]))
+        for bad in (
+            LpProblem(stack.objective[:2], stack.ineq_matrix, stack.ineq_rhs),
+            LpProblem(stack.objective[:, :2], stack.ineq_matrix, stack.ineq_rhs),
+            LpProblem(stack.objective, stack.ineq_matrix, stack.ineq_rhs[:, :5]),
+            LpProblem(stack.objective[0], stack.ineq_matrix[0, 0], stack.ineq_rhs[0, 0]),
+        ):
+            with pytest.raises(ContractError, match="LP shapes disagree"):
+                solve_lp(problems[0], bad)
 
     def test_design_stacks_equal_the_looped_solves(self, monkeypatch):
         # The padded stacks of batched designs, over a grid of realizations, etas and N.
-        stacks, solve = [], optimizer.solve_lp
-        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: stacks.append(problem) or solve(problem))
+        calls, solve = [], optimizer.solve_lp
+
+        def recording(*problems):
+            solutions = solve(*problems)
+            calls.append((problems, solutions))
+            return solutions
+
+        monkeypatch.setattr(optimizer, "solve_lp", recording)
         for (seed, snr_db), fading_mode in itertools.product(((0, -20.0), (1, 20.0)), ("complex", "real")):
             reals = [make_realization(seed, K, L, snr_db, fading_mode) for K, L in ((3, 1), (4, 5), (10, 15))]
             etas = [eta_from_delta(real, np.array([0.0, 0.3, 1.0])) for real in reals]
             optimize_designs([(real, eta, N, "exhaustive") for real, eta in zip(reals, etas) for N in (1, 2)])
-        assert len(stacks) == 4 and sum(len(stack.ineq_rhs) for stack in stacks) > 750
-        for stack in stacks:
-            assert_stack_equals_loop(entries(stack))
+        assert len(calls) == 4 and sum(p.objective[..., 0].size for problems, _ in calls for p in problems) > 750
+        for problems, solutions in calls:
+            assert len({p.ineq_matrix.shape[-2:] for p in problems}) > 1  # the call pads them to one stack
+            for problem, solution in zip(problems, solutions):
+                looped = assert_stack_equals_loop(entries(flat(problem)))
+                assert solution.x.shape == problem.objective.shape
+                assert solution.x.tobytes() == looped.x.tobytes()
+                assert np.array_equal(solution.status.ravel(), looped.status)
+                assert np.array_equal(solution.pivots.ravel(), looped.pivots)
+                assert np.array_equal(solution.flips.ravel(), looped.flips)
 
     def test_iteration_limit_applies_per_lp(self, rng, monkeypatch):
         problems = [make_problem(*random_bounded_instance(rng)) for _ in range(12)]
-        pivots = solve_lp(stack_of(problems)).pivots
+        pivots = solve_lp(stack_of(problems))[0].pivots
         longest, slowest = int(pivots.max()), problems[int(pivots.argmax())]
         assert longest >= 2
         monkeypatch.setattr(lp, "_MAX_ITER", longest + 1)
-        assert np.all(solve_lp(stack_of(problems)).status == "optimal")
-        assert solve_lp(slowest).status == "optimal"
+        assert np.all(solve_lp(stack_of(problems))[0].status == "optimal")
+        assert solve_lp(slowest)[0].status == "optimal"
         monkeypatch.setattr(lp, "_MAX_ITER", longest)
         for problem in (stack_of(problems), slowest):
             with pytest.raises(RuntimeError, match="iteration limit"):
                 solve_lp(problem)
+
+
+class TestSeveralProblems:
+    """One call pads problems of different shapes and leading axes into one stack; each answer is its own call's."""
+
+    def test_each_problem_equals_its_own_call_and_the_loop(self, rng):
+        def array_of(lead, m, n):
+            lps = [make_problem(*random_box_instance(rng, m, n)) for _ in range(int(np.prod(lead)))]
+            stack = stack_of(lps)
+            return LpProblem(*(np.reshape(a, lead + a.shape[1:]) for a in dataclasses.astuple(stack)))
+
+        problems = [
+            make_problem(*random_box_instance(rng)),  # a lone LP
+            array_of((3, 4), 2, 5),
+            array_of((6,), 6, 1),
+            LpProblem(np.zeros((0, 3)), np.zeros((0, 1, 3)), np.zeros((0, 1))),  # no LPs at all
+            # No rows: one LP flips to its bounds, the other is unbounded.
+            LpProblem(np.array([[1.0, -1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)), np.zeros((2, 0)),
+                      np.array([[2.0, 3.0], [np.inf, 1.0]])),
+            make_problem(np.zeros(0), np.zeros((2, 0)), [1.0, 0.0]),  # no variables
+        ]
+        solutions = solve_lp(*problems)
+        assert len(solutions) == len(problems) and solve_lp() == []
+        for problem, solution in zip(problems, solutions):
+            lead = problem.objective.shape[:-1]
+            assert solution.status.shape == solution.pivots.shape == solution.objective_value.shape == lead
+            assert solution.x.shape == problem.objective.shape
+            (alone,) = solve_lp(problem)
+            for field in ("status", "x", "objective_value", "pivots", "flips"):
+                assert getattr(solution, field).tobytes() == getattr(alone, field).tobytes(), field
+            if problem.objective.size:
+                looped = assert_stack_equals_loop(entries(flat(problem)))
+                assert solution.x.tobytes() == looped.x.tobytes()
+                assert solution.pivots.ravel().tolist() == looped.pivots.tolist()
+        assert {"optimal", "unbounded"} <= set(np.concatenate([s.status.ravel() for s in solutions]).tolist())
+
+    def test_a_bad_problem_fails_the_call(self, rng):
+        good = make_problem(*random_bounded_instance(rng))
+        bad = make_problem(*random_bounded_instance(rng))
+        bad.ineq_rhs[0] = -1.0
+        with pytest.raises(ContractError, match="negative right-hand side"):
+            solve_lp(good, bad)
 
 
 class TestPadding:
@@ -518,8 +585,8 @@ class TestPadding:
         rows = rng.integers(0, problem.ineq_rhs.shape[1] + 1, size=rng.integers(1, 4))
         cols = int(rng.integers(0, 3))
         pad_bounds = rng.choice([0.0, 1.0, np.inf], size=cols)  # a zero column never enters
-        plain, pad = solve_lp(problem), solve_lp(padded(problem, rows, cols, pad_bounds))
-        n = problem.num_vars
+        (plain,), (pad,) = solve_lp(problem), solve_lp(padded(problem, rows, cols, pad_bounds))
+        n = problem.objective.shape[-1]
         assert np.array_equal(pad.status, plain.status) and np.array_equal(pad.pivots, plain.pivots)
         assert np.array_equal(pad.flips, plain.flips)
         assert pad.x[:, :n].tobytes() == plain.x.tobytes()
@@ -535,7 +602,7 @@ class TestPadding:
             M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= 0.4)
             b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m))
             c = rng.standard_normal((B, n))
-            plain = self.assert_padding_is_neutral(LpProblem(int(n), c, M, b), rng)
+            plain = self.assert_padding_is_neutral(LpProblem(c, M, b), rng)
             unbounded += np.count_nonzero(plain.status == "unbounded")
         assert unbounded > 10
 
@@ -547,7 +614,7 @@ class TestPadding:
             M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= 0.4)
             b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m))
             u = rng.choice([0.0, 0.5, 1.0, np.inf], size=(B, n))
-            plain = self.assert_padding_is_neutral(LpProblem(int(n), rng.standard_normal((B, n)), M, b, u), rng)
+            plain = self.assert_padding_is_neutral(LpProblem(rng.standard_normal((B, n)), M, b, u), rng)
             flips += plain.flips.sum()
         assert flips > 20
 
@@ -594,12 +661,12 @@ class TestBounds:
 
     def test_no_rows_or_no_variables(self):
         # Only bounds: each improving variable flips to its bound, or grows without one.
-        stack = LpProblem(2, np.array([[1.0, -1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)), np.zeros((2, 0)),
+        stack = LpProblem(np.array([[1.0, -1.0], [1.0, 0.0]]), np.zeros((2, 0, 2)), np.zeros((2, 0)),
                           np.array([[2.0, 3.0], [np.inf, 1.0]]))
-        sol = solve_lp(stack)
+        (sol,) = solve_lp(stack)
         assert sol.status.tolist() == ["optimal", "unbounded"] and sol.flips.tolist() == [1, 0]
         assert sol.x.tolist() == [[2.0, 0.0], [0.0, 0.0]]
-        empty = solve_lp(make_problem(np.zeros(0), np.zeros((2, 0)), [1.0, 0.0]))
+        (empty,) = solve_lp(make_problem(np.zeros(0), np.zeros((2, 0)), [1.0, 0.0]))
         assert (empty.status, empty.x.shape, empty.objective_value) == ("optimal", (0,), 0.0)
 
     def test_zero_bounds_never_enter(self):
@@ -607,8 +674,8 @@ class TestBounds:
         for _ in range(20):
             c, M, b, u = random_box_instance(rng)
             c[0], u[0] = 5.0, 0.0  # the most attractive variable is fixed at 0
-            fixed = solve_lp(make_problem(c, M, b, u))
-            dropped = solve_lp(make_problem(c[1:], M[:, 1:], b, u[1:]))
+            (fixed,) = solve_lp(make_problem(c, M, b, u))
+            (dropped,) = solve_lp(make_problem(c[1:], M[:, 1:], b, u[1:]))
             assert fixed.x[0] == 0.0 and not np.signbit(fixed.x[0])
             assert (fixed.status, fixed.pivots, fixed.flips) == (dropped.status, dropped.pivots, dropped.flips)
             assert fixed.x[1:].tobytes() == dropped.x.tobytes()
@@ -635,11 +702,11 @@ class TestBounds:
         # The allocation LPs with their bounds written back as rows reach the same optimum.
         for problems in grouped_allocation_lps().values():
             stack = stack_of(problems)
-            n = stack.num_vars
+            n = stack.objective.shape[-1]
             rows = np.concatenate([stack.ineq_matrix, np.broadcast_to(np.eye(n), (len(problems), n, n))], axis=1)
             rhs = np.concatenate([stack.ineq_rhs, np.minimum(stack.upper, 1e300)], axis=1)
-            as_rows = solve_lp(LpProblem(stack.num_vars, stack.objective, rows, rhs))
-            as_bounds = solve_lp(stack)
+            (as_rows,) = solve_lp(LpProblem(stack.objective, rows, rhs))
+            (as_bounds,) = solve_lp(stack)
             assert np.all(as_rows.status == as_bounds.status)
             assert np.allclose(as_rows.objective_value, as_bounds.objective_value, rtol=1e-12, atol=0.0)
 
@@ -659,4 +726,4 @@ class TestBounds:
         stack = stack_of([make_problem(c, M, b)] * 2)
         bad = np.broadcast_to(upper, (2,) + upper.shape) if upper.shape == (3,) else upper[..., :2]
         with pytest.raises(ContractError, match=match):
-            solve_lp(LpProblem(3, stack.objective, stack.ineq_matrix, stack.ineq_rhs, bad))
+            solve_lp(LpProblem(stack.objective, stack.ineq_matrix, stack.ineq_rhs, bad))

@@ -9,6 +9,7 @@ from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.errors import ContractError
 from otasec.metrics import (
     _CHUNK,
+    _chunk_buffers,
     _simulate_chunk,
     approximation_error,
     coop_security,
@@ -20,6 +21,7 @@ from otasec.metrics import (
     noncoop_security,
     statistical_csi_check,
 )
+from otasec.optimizer import optimize_proposed
 
 from conftest import make_realization, over_noise, synthetic_realization
 
@@ -425,6 +427,44 @@ class TestBadEta:
             effective_channel_security(real, zero_A(4), 0.1, np.array([1.0, bad]))
 
 
+# Every closed form, the oracle and the optimized design, as calls on (real, A, eta).
+NOISE_CALLS = {
+    "approximation_error": approximation_error,
+    "eavesdropper_moments": eavesdropper_moments,
+    "coop_security": coop_security,
+    "noncoop_security": noncoop_security,
+    "effective_channel_security": lambda real, A, eta: effective_channel_security(real, A, eta, np.ones(2)),
+    "mc_oracle": lambda real, A, eta: mc_oracle(real, A, eta, 10**4, seed=1),
+    "optimize_proposed": lambda real, A, eta: optimize_proposed(real, eta),
+}
+
+
+class TestBadNoise:
+    """A noise variance, or one entry of a per-SNR one, that is not finite and nonnegative raises."""
+
+    @pytest.mark.parametrize("name", NOISE_CALLS)
+    @pytest.mark.parametrize(
+        "fields", [("sigma_y_sq",), ("sigma_z_sq",), ("sigma_y_sq", "sigma_z_sq")], ids=["y", "z", "both"]
+    )
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -1.0, np.array([1e-9, np.nan])], ids=["nan", "inf", "negative", "nan_entry"]
+    )
+    def test_raises_contract_error(self, monkeypatch, name, fields, bad):
+        def draw(*args):
+            raise AssertionError("the oracle drew samples")
+
+        monkeypatch.setattr(metrics, "_simulate_chunk", draw)
+        real = make_realization(25, K=4, L=2)
+        eta = eta_from_delta(real, 0.5)
+        A = build_precoder("random_zf", real, eta, seed=1).A
+        real = dataclasses.replace(real, **{field: bad for field in fields})
+        match = f"{fields[0]} must be finite and nonnegative"
+        if name == "mc_oracle" and np.ndim(bad):
+            match = "scalar noise"  # the oracle takes scalar noise only, and says so first
+        with pytest.raises(ContractError, match=match):
+            NOISE_CALLS[name](real, A, eta)
+
+
 class TestNonFinitePrecoder:
     """A NaN or inf entry in ``A`` raises before any arithmetic can warn."""
 
@@ -483,7 +523,7 @@ class TestMcOracle:
         eta = eta_from_delta(real, 0.6)
         A = build_precoder(kind, real, eta, seed=4).A
         M, L, n = A.shape[1], real.num_eavesdroppers, 50
-        s, y, z = _simulate_chunk(np.random.default_rng(9), real, A, eta, n)
+        s, y, z = _simulate_chunk(np.random.default_rng(9), real, A, eta, n, _chunk_buffers(real, A, n))
         assert s.shape == y.shape == (n,) and z.shape == (L, n)
         # The same draw block, read row by row: gamma (K), v (M), n_y (1), n_z (L).
         draw = np.random.default_rng(9).standard_normal((K + M + 1 + L, n, 2)) * np.sqrt(0.5)

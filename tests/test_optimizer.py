@@ -368,10 +368,9 @@ class TestSharedZeroForcing:
         from otasec import optimizer
         from otasec.lp import LpSolution
 
-        def unbounded(problem):
-            stack = np.shape(problem.ineq_rhs)[:-1]
-            x = np.zeros(stack + (problem.num_vars,))
-            return LpSolution(np.full(stack, "unbounded"), x, np.zeros(stack))
+        def unbounded(*problems):
+            return [LpSolution(np.full(p.objective.shape[:-1], "unbounded"), np.zeros(p.objective.shape),
+                               np.zeros(p.objective.shape[:-1])) for p in problems]
 
         monkeypatch.setattr(optimizer, "solve_lp", unbounded)
         real = make_realization(2, K=4, L=2)
@@ -421,7 +420,7 @@ class TestWellScaledAllocation:
         from otasec import optimizer
 
         solutions, solve = [], optimizer.solve_lp
-        monkeypatch.setattr(optimizer, "solve_lp", lambda problem: solutions.append(solve(problem)) or solutions[-1])
+        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: solutions.extend(solve(*problems)) or solutions)
         real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
         eta = eta_from_delta(real, delta)
         start = time.perf_counter()
@@ -476,10 +475,10 @@ def looped_design_search(real, eta, N, selection):
             c = np.zeros(1 + len(noise))
             c[0] = 1.0
             rhs = np.concatenate([alpha[live] / scale, budgets[zf]])
-            sol = solve_lp(LpProblem(1 + len(noise), c, rows, rhs, np.concatenate([[np.inf], caps])))
+            (sol,) = solve_lp(LpProblem(c, rows, rhs, np.concatenate([[np.inf], caps])))
             lam = sol.x[1:]
         else:
-            sol = solve_lp(LpProblem(len(noise), np.ones(len(noise)), load, budgets[zf], caps))
+            (sol,) = solve_lp(LpProblem(np.ones(len(noise)), load, budgets[zf], caps))
             lam = sol.x
         assert sol.status == "optimal"
         kind = "proposed" if N == 1 else "proposed_shared"
@@ -695,9 +694,9 @@ class TestEtaAxis:
 
         calls = []
 
-        def counting(problem):
-            calls.append(np.shape(problem.ineq_rhs))
-            return solve_lp(problem)
+        def counting(*problems):  # the LPs of a call
+            calls.append(sum(p.objective[..., 0].size for p in problems))
+            return solve_lp(*problems)
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         real = make_realization(5, K=5, L=3)
@@ -713,7 +712,7 @@ class TestEtaAxis:
         ):
             calls.clear()
             optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), N)
-            assert len(calls) == 1 and calls[0][0] == C * len(deltas)
+            assert calls == [C * len(deltas)]
 
 
 class TestDesignBatch:
@@ -741,13 +740,13 @@ class TestDesignBatch:
 
         requests, calls = self.requests(), []
 
-        def counting(problem):
-            calls.append(problem.ineq_matrix.shape)
-            return solve_lp(problem)
+        def counting(*problems):
+            calls.append(problems)
+            return solve_lp(*problems)
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         designs = optimize_designs(requests)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0]) == len(requests)  # one problem per design
         monkeypatch.undo()
         degenerate = 0
         for request, design in zip(requests, designs):
@@ -764,9 +763,9 @@ class TestDesignBatch:
         from otasec import optimizer
         from otasec.lp import LpSolution
 
-        def unbounded(problem):  # a stack's fields are arrays over the stack, as solve_lp's are
-            stack = np.shape(problem.ineq_rhs)[:-1]
-            return LpSolution(np.full(stack, "unbounded"), np.zeros(stack + (problem.num_vars,)), np.zeros(stack))
+        def unbounded(*problems):  # fields are arrays over each problem's leading axes, as solve_lp's are
+            return [LpSolution(np.full(p.objective.shape[:-1], "unbounded"), np.zeros(p.objective.shape),
+                               np.zeros(p.objective.shape[:-1])) for p in problems]
 
         monkeypatch.setattr(optimizer, "solve_lp", unbounded)
         real = make_realization(2, K=4, L=2)

@@ -144,9 +144,9 @@ def test_stacked_lp_equals_the_looped_one(case):
     M = rng.standard_normal((B, m, n)) * (rng.random((B, m, n)) >= case["sparsity"])
     b = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(B, m)) * rng.uniform(0.5, 1.0, (B, 1))
     c = rng.standard_normal((B, n))
-    stacked = solve_lp(LpProblem(n, c, M, b))
+    (stacked,) = solve_lp(LpProblem(c, M, b))
     for i in range(B):
-        status, x, _, pivots = looped_solve(LpProblem(n, c[i], M[i], b[i]))
+        status, x, _, pivots = looped_solve(LpProblem(c[i], M[i], b[i]))
         assert stacked.status[i] == status
         assert stacked.x[i].tobytes() == x.tobytes()
         assert stacked.pivots[i] == pivots
