@@ -41,7 +41,7 @@ from .experiments import (
     run_preset,
     write_table,
 )
-from .linalg import cholesky, hermitian_solve
+from .linalg import cholesky
 from .lp import LpProblem, LpSolution, solve_lp
 from .metrics import (
     CrossCovarianceReport,
@@ -94,7 +94,6 @@ __all__ = [
     "LpSolution",
     "solve_lp",
     "cholesky",
-    "hermitian_solve",
     "ExperimentPreset",
     "ResultTable",
     "default_preset",

@@ -333,10 +333,9 @@ def smallscale_factors(
     """
 
     def draw(k: int) -> np.ndarray:
-        a = rng.standard_normal(k)
-        b = rng.standard_normal(k)
         if fading_mode == "complex":
-            return (a + 1j * b) / math.sqrt(2.0)
+            return _cn(rng, k)
+        a, _ = rng.standard_normal(k), rng.standard_normal(k)
         return a.astype(np.complex128)
 
     xi = draw(n)

@@ -14,7 +14,8 @@ Commands
     failure.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric or contract
-error, 4 I/O error.  All randomness is determined by ``--seed``.
+error, 4 I/O error.  All randomness is determined by ``--seed``; ``optimize``
+draws none.
 """
 
 from __future__ import annotations
@@ -77,17 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--delta", type=float, default=1.0, help="fraction of the maximum eta (default 1)"
         )
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         if name == "metrics":
+            p.add_argument("--seed", type=int, default=1, help="seed of the random precoder kinds")
             p.add_argument("--kind", default="none", help="precoder kind (default none)")
-            p.add_argument("--theta", type=float, default=0.5, help="mixture weight")
+            p.add_argument("--theta", type=float, default=None, help="mixture weight (default 0.5)")
         p.add_argument("--shared-n", type=int, default=None, help="share zero-forcing among N users")
         p.add_argument(
             "--selection",
-            default="exhaustive",
+            default=None,
             choices=("exhaustive", "best_channel"),
-            help="user-selection rule for shared zero-forcing",
+            help="user-selection rule for shared zero-forcing (default exhaustive)",
         )
 
     p_self = sub.add_parser("selftest", help="run the oracle-based invariant suite")
@@ -184,23 +185,32 @@ def _check_at_least(*checks) -> None:
             raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
 
 
-def _precoder(args, kind: str, params: dict):
-    """The realization, eta and precoder of ``metrics`` and ``optimize``; ``--shared-n`` overrides ``kind``."""
-    _check_at_least(("--seed", args.seed, 0))
+def _precoder(args, kind: str, params: dict, seed: int = 0):
+    """The realization, eta and precoder of ``metrics`` and ``optimize``; ``--shared-n`` overrides ``kind``.
+
+    A design flag that ``kind`` would not read exits 2 before the realization is loaded.
+    """
+    if args.shared_n is not None and kind not in ("proposed", "proposed_shared"):
+        raise ConfigurationError(f"--shared-n needs --kind proposed or proposed_shared, got {kind}")
+    if args.selection is not None and args.shared_n is None:
+        raise ConfigurationError("--selection needs --shared-n")
     real = load_realization(args.realization)
     eta = _resolve_eta(args, real)
     if args.shared_n is not None:
-        K = real.num_users
-        if not 1 <= args.shared_n <= K - 1:
-            raise ConfigurationError(f"--shared-n must lie in [1, {K - 1}], got {args.shared_n}")
-        kind, params = "proposed_shared", {"N": args.shared_n, "selection": args.selection}
-    elif kind == "mixture" and not 0.0 <= args.theta <= 1.0:
-        raise ConfigurationError(f"--theta must lie in [0, 1], got {args.theta}")
-    return real, eta, build_precoder(kind, real, eta, seed=args.seed, params=params)
+        if not 1 <= args.shared_n < real.num_users:
+            raise ConfigurationError(f"--shared-n must lie in [1, {real.num_users - 1}], got {args.shared_n}")
+        kind, params = "proposed_shared", {"N": args.shared_n, "selection": args.selection or "exhaustive"}
+    return real, eta, build_precoder(kind, real, eta, seed=seed, params=params)
 
 
 def _cmd_metrics(args) -> int:
-    real, eta, precoder = _precoder(args, args.kind, {"theta": args.theta})
+    _check_at_least(("--seed", args.seed, 0))
+    if args.theta is not None and args.kind != "mixture":
+        raise ConfigurationError(f"--theta needs --kind mixture, got {args.kind}")
+    theta = 0.5 if args.theta is None else args.theta
+    if not 0.0 <= theta <= 1.0:
+        raise ConfigurationError(f"--theta must lie in [0, 1], got {theta}")
+    real, eta, precoder = _precoder(args, args.kind, {"theta": theta}, args.seed)
     report = evaluate(real, precoder.A, eta)
     _emit(
         {

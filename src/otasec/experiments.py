@@ -50,8 +50,7 @@ from .encoding import (
     mixture_precoders,
 )
 from .errors import ConfigurationError, ContractError
-from .linalg import _forward, cholesky
-from .metrics import approximation_error, coop_security, eavesdropper_moments, noncoop_security
+from .metrics import _whitened, approximation_error, coop_security, noncoop_security
 from .optimizer import LP_DESIGNS, _lp_total, optimize_designs, optimize_proposed
 from .version import __version__
 
@@ -119,8 +118,7 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int):
     yield []  # no designs
     A = _no_noise(real.num_users, eta).A
     s_non = np.minimum.accumulate(noncoop_security(real, A, eta)[1])
-    B, m = eavesdropper_moments(real, A, eta)
-    s_coop = 1.0 - np.cumsum(np.abs(_forward(cholesky(B), m)) ** 2) / real.num_users
+    s_coop = 1.0 - np.cumsum(np.abs(_whitened(real, A, eta)[1]) ** 2) / real.num_users
     D = approximation_error(real, A, eta)
     rows = np.asarray(preset.sweep_values) - 1  # counts >= 1, checked by the sweep rule
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))

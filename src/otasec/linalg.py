@@ -7,7 +7,7 @@ finiteness check, the Hermitian-ness check and the pivot breakdown threshold
 are part of the contract here, not an implementation detail of a backend
 library.
 
-Both kernels take a stack of matrices ``B`` of shape ``(..., n, n)``: the
+:func:`cholesky` takes a stack of matrices ``B`` of shape ``(..., n, n)``: the
 leading axes are a batch, and the contract holds per matrix of the stack.
 A non-finite or non-Hermitian matrix raises :class:`ContractError`, a pivot
 at or below its matrix's floor raises :class:`SingularMatrixError`, and for a
@@ -16,9 +16,9 @@ product is a ``@`` on ``[..., None]`` views, which runs the same BLAS dot or
 gemv per matrix as the 2-D loops did, so each matrix of a stack is factored
 and solved with exactly the rounding of a 2-D call on that matrix alone.
 
-The forward substitution ``_forward`` is shared: :func:`hermitian_solve` runs
-it before its back substitution, and ``sweep_L`` runs it alone, because its
-first ``j`` entries use only the leading ``j x j`` block of the factor.
+``_forward`` solves ``L y = rhs`` and ``_back`` solves ``L^H x = y``.  A security
+level needs only ``y`` (``sweep_L`` reads its prefixes: the first ``j`` entries use
+only the leading ``j x j`` block of the factor); the combiner is ``_back`` on it.
 """
 
 from __future__ import annotations
@@ -94,28 +94,11 @@ def _forward(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def hermitian_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``B x = rhs`` for Hermitian positive-definite ``B``, per matrix of a stack.
-
-    ``B`` has shape ``(..., n, n)`` and ``rhs`` shape ``(..., n)``; their
-    leading axes broadcast, so one ``(n,)`` right-hand side serves a whole
-    stack.  Uses the Cholesky factor from :func:`cholesky` followed by
-    forward and backward substitution.
-    """
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.ndim < 1:
-        raise ShapeError(f"expected a vector right-hand side, got shape {rhs.shape}")
-    L = cholesky(B)
-    n = L.shape[-1]
-    if rhs.shape[-1] != n:
-        raise ShapeError(f"matrix is {n}x{n} but right-hand side has length {rhs.shape[-1]}")
-    try:
-        y = _forward(L, rhs)
-    except ValueError:
-        raise ShapeError(f"stack of shape {L.shape} does not broadcast with {rhs.shape}") from None
+def _back(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve ``L^H x = y`` for a factor from :func:`cholesky`: ``_back(L, _forward(L, b))`` solves ``B x = b``."""
     pivots = L.diagonal(axis1=-2, axis2=-1).real
     x = np.zeros(y.shape, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
+    for i in range(L.shape[-1] - 1, -1, -1):
         dot = (L[..., i + 1 :, i].conj()[..., None, :] @ x[..., i + 1 :, None])[..., 0, 0]
         x[..., i] = (y[..., i] - dot) / pivots[..., i]
     return x

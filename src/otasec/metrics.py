@@ -20,15 +20,17 @@ useless beyond the prior.
   combined channel ``g_tilde = p^H G`` of an arbitrary (not necessarily
   optimal) combiner ``p``.
 
-The last two share one single-receiver kernel, ``_receiver``: a receiver
-with channel row ``g`` and noise power ``n`` has normalized MSE ``1 -
-(eta^2 / K) |sum_k g_k/h_k|^2 / (eta^2 sum_k |g_k/h_k|^2 + ||g A||^2 + n)``,
-taken on each row of ``G`` with ``n = sigma_z^2`` and on ``p^H G`` with
-``n = sigma_z^2 ||p||^2``.  Its two ratio sums, from ``_ratio_sums``, also
-give the optimizer's ``alpha``.  Every closed form and oracle checks its
-inputs in ``_checked``: a non-finite ``A``, or an ``eta`` or noise variance
-entry that is not finite and nonnegative, raises ``ContractError``, and so
-does ``sigma_z^2 <= 0`` for ``coop_security`` and ``noncoop_security``.
+Two kernels carry them.  ``_receiver`` scores one receiver with channel row
+``g`` and noise power ``n``: ``1 - (eta^2 / K) |sum_k g_k/h_k|^2 / (eta^2 sum_k
+|g_k/h_k|^2 + ||g A||^2 + n)``, taken at ``g = h``, ``n = sigma_y^2`` for D, on
+each row of ``G`` with ``n = sigma_z^2`` and on ``p^H G`` with ``n = sigma_z^2
+||p||^2``.  ``_whitened`` gives the pooled eavesdroppers' Cholesky factor ``C``
+of ``B`` and ``y = C^{-1} m``, so ``S_coop = 1 - ||y||^2 / K`` and ``p_opt`` is
+``y``'s back substitution.  Each is 1 minus a nonnegative quantity, so never
+above 1.  Every closed form and oracle checks its inputs once, in ``_checked``:
+a non-finite ``A``, or an ``eta`` or noise variance entry that is not finite and
+nonnegative, raises ``ContractError``, and so does ``sigma_z^2 <= 0`` for
+``coop_security`` and ``noncoop_security``.
 
 The first four take a precoder ``A`` of shape ``(K, M)`` or a stack of
 precoders of shape ``(..., K, M)``.  One precoder gives Python ``float``
@@ -63,7 +65,7 @@ import numpy as np
 from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
 from .encoding import _check_scalar_eta, _squared, eta_from_delta
 from .errors import ContractError
-from .linalg import _where, hermitian_solve
+from .linalg import _back, _forward, _where, cholesky
 
 _CHUNK = 1 << 16
 _MIN_SAMPLES = 10**4
@@ -165,11 +167,7 @@ def approximation_error(
     ``float``, a stack, per-SNR noise or an ``eta`` array an array over the broadcast axes.
     """
     A = _checked(real, A, eta)
-    K = real.num_users
-    signal = _squared(eta) * K
-    denom = signal + np.sum(np.abs(real.h @ A) ** 2, axis=-1) + real.sigma_y_sq
-    # denom == 0 forces signal == 0, so D = 1: no observation, the prior mean is optimal.
-    return _scalar(1.0 - signal / np.where(denom == 0.0, 1.0, denom))
+    return _scalar(_receiver(real.h, real.h, A, _squared(eta), real.sigma_y_sq))
 
 
 def eavesdropper_moments(
@@ -180,12 +178,24 @@ def eavesdropper_moments(
     ``A`` has shape ``(..., K, M)`` and ``B`` shape ``(..., L, L)`` (per SNR and eta for
     arrays of them); ``m`` depends on neither ``A`` nor the noise: shape ``eta.shape + (L,)``.
     """
-    GA = real.G @ _checked(real, A, eta)
+    return _moments(real, _checked(real, A, eta), eta)
+
+
+def _moments(real: SystemRealization, A: np.ndarray, eta) -> tuple[np.ndarray, np.ndarray]:
+    """``B`` and ``m`` of :func:`eavesdropper_moments` for inputs already checked."""
+    GA = real.G @ A
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
     noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
     B = GA @ GA.conj().swapaxes(-2, -1) + _squared(eta)[..., None, None] * (R @ R.conj().T) + noise
     m = np.asarray(eta)[..., None] * R.sum(axis=1)
     return B, m
+
+
+def _whitened(real: SystemRealization, A, eta) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor ``C`` of ``B`` and ``y = C^{-1} m``, so ``m^H B^{-1} m = ||y||^2``."""
+    B, m = _moments(real, _checked(real, A, eta, positive_noise=True), eta)
+    C = cholesky(B)
+    return C, _forward(C, m)
 
 
 def coop_security(
@@ -198,10 +208,9 @@ def coop_security(
     shape ``(..., K, M)``, ``p_opt`` has shape ``(..., L)`` and ``S`` is a
     ``float`` for one precoder or an array for a stack or per-SNR noise.
     """
-    B, m = eavesdropper_moments(real, _checked(real, A, eta, positive_noise=True), eta)
-    p_opt = hermitian_solve(B, m)
-    S = 1.0 - np.vecdot(m, p_opt).real / real.num_users
-    return _scalar(S), p_opt
+    C, y = _whitened(real, A, eta)
+    S = 1.0 - np.sum(np.abs(y) ** 2, axis=-1) / real.num_users
+    return _scalar(S), _back(C, y)
 
 
 def noncoop_security(
@@ -236,7 +245,7 @@ def effective_channel_security(
 
 
 def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityReport:
-    """Full accuracy/security report with values clamped into [0, 1].
+    """Full accuracy/security report; values below 0 by rounding are clamped to 0.
 
     A non-finite value raises :class:`ContractError` instead of being clamped.
     """
@@ -246,10 +255,10 @@ def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityRepo
     _, per_eav = noncoop_security(real, A, eta)
     if not (np.isfinite([D, S_coop]).all() and np.isfinite(per_eav).all()):
         raise ContractError("accuracy or security value is not finite")
-    per_eav = np.clip(per_eav, 0.0, 1.0)
+    per_eav = np.maximum(per_eav, 0.0)
     return SecurityReport(
-        D=float(min(max(D, 0.0), 1.0)),
-        S_coop=float(min(max(S_coop, 0.0), 1.0)),
+        D=max(D, 0.0),
+        S_coop=max(S_coop, 0.0),
         S_noncoop=float(np.min(per_eav)),
         p_opt=p_opt,
         per_eav_security=per_eav,

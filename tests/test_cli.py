@@ -421,24 +421,71 @@ def test_theta_endpoints_accepted(realization_file, capsys, theta):
 @pytest.mark.parametrize("n_share", ["0", "-1", "4", "5"])
 def test_bad_shared_n_exits_2(realization_file, capsys, command, n_share):
     # The realization has K = 4 users, so N must lie in [1, 3].
-    assert main([command, str(realization_file), "--shared-n", n_share]) == 2
+    kind = ["--kind", "proposed"] if command == "metrics" else []
+    assert main([command, str(realization_file), *kind, "--shared-n", n_share]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: code=2" in captured.err and "--shared-n" in captured.err
 
 
-@pytest.mark.parametrize(
-    "command, extra", [("metrics", ["--kind", "random_zf"]), ("metrics", ["--kind", "mixture"]), ("optimize", [])]
-)
-def test_negative_seed_exits_2_before_loading(realization_file, monkeypatch, capsys, command, extra):
-    def no_load(path):
-        raise AssertionError("the document was loaded")
+def no_load(path):
+    raise AssertionError("the document was loaded")
 
+
+@pytest.mark.parametrize("command, extra", [("metrics", ["--kind", "random_zf"]), ("metrics", ["--kind", "mixture"])])
+def test_negative_seed_exits_2_before_loading(realization_file, monkeypatch, capsys, command, extra):
     monkeypatch.setattr(cli, "load_realization", no_load)
     assert main([command, str(realization_file), *extra, "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: code=2" in captured.err and "--seed must be at least 0" in captured.err
+
+
+def test_optimize_takes_no_seed(realization_file, capsys):
+    assert main(["optimize", str(realization_file), "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def exits_2_before_loading(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(cli, "load_realization", no_load)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=2" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("kind", ["none", "mixture", "random_zf"])
+def test_shared_n_with_another_kind_exits_2(realization_file, monkeypatch, capsys, kind):
+    argv = ["metrics", str(realization_file), "--kind", kind, "--shared-n", "2"]
+    exits_2_before_loading(monkeypatch, capsys, argv, "--shared-n needs --kind proposed or proposed_shared")
+
+
+@pytest.mark.parametrize("command, extra", [("metrics", ["--kind", "proposed_shared"]), ("optimize", [])])
+def test_selection_without_shared_n_exits_2(realization_file, monkeypatch, capsys, command, extra):
+    argv = [command, str(realization_file), *extra, "--selection", "best_channel"]
+    exits_2_before_loading(monkeypatch, capsys, argv, "--selection needs --shared-n")
+
+
+@pytest.mark.parametrize("kind", ["none", "proposed"])
+def test_theta_without_mixture_exits_2(realization_file, monkeypatch, capsys, kind):
+    argv = ["metrics", str(realization_file), "--kind", kind, "--theta", "0.3"]
+    exits_2_before_loading(monkeypatch, capsys, argv, "--theta needs --kind mixture")
+
+
+@pytest.mark.parametrize("command, extra", [("metrics", ["--kind", "proposed_shared"]), ("optimize", [])])
+def test_selection_reaches_the_shared_design(realization_file, capsys, command, extra):
+    argv = [command, str(realization_file), *extra, "--shared-n", "2", "--selection", "best_channel"]
+    # On this realization best_channel picks users (0, 1) and exhaustive (0, 2).
+    real = otasec.realization_from_dict(json.loads(realization_file.read_text()))
+    eta = otasec.eta_from_delta(real, 1.0)
+    expected = otasec.optimize_shared_zf(real, eta, 2, selection="best_channel")
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "proposed_shared"
+    if command == "optimize":
+        assert doc["zf_users"] == list(expected.zf_users) == [0, 1]
+    else:
+        assert doc["S_coop"] == otasec.evaluate(real, expected.A, eta).S_coop
 
 
 def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
@@ -484,13 +531,13 @@ class TestSelftest:
         assert "0 failure(s)" in out
 
     def test_detects_sign_flip_in_eavesdropper_mean(self, monkeypatch, capsys):
-        original = metrics.eavesdropper_moments
+        original = metrics._moments
 
         def flipped(real, A, eta):
             B, m = original(real, A, eta)
             return B, -m
 
-        monkeypatch.setattr(metrics, "eavesdropper_moments", flipped)
+        monkeypatch.setattr(metrics, "_moments", flipped)
         code = main(["selftest", "--trials", "4", "--samples", "20000"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out

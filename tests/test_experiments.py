@@ -220,7 +220,8 @@ class TestSweepLPrefix:
         trials = collect_trials(preset, threads=1)
         assert trials.shape == expected.shape == (3, len(sweep), 3)
         assert trials[..., [0, 2]].tobytes() == expected[..., [0, 2]].tobytes()  # D, S_noncoop
-        # S_coop = 1 - q with q = m^H B^{-1} m / K, and the two paths round q differently.
+        # S_coop = 1 - q with q = ||C^{-1} m||^2 / K on both paths, but each per-L B comes from
+        # its own matrix product and the loop's sum is not a cumsum, so q rounds differently.
         # Near q = 1 (K = 3) that rounding is over 1e-12 of S_coop, so compare q itself.
         np.testing.assert_allclose(1.0 - trials[..., 1], 1.0 - expected[..., 1], rtol=1e-12, atol=0.0)
 

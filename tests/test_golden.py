@@ -10,8 +10,9 @@ moves them on purpose regenerates the stored tables with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in its change log.  The sha1 of each preset's full-size table at
-seed 1, by the recipe in ROADMAP.md, and of ``shared_zf --trials 100`` are
-printed and checked against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
+seed 1, by the recipe in ROADMAP.md, of ``shared_zf --trials 100`` and of the
+stdout of ``otasec selftest`` (default arguments) are printed and checked
+against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 
@@ -81,6 +82,7 @@ SHA1_EXPECTED = {
     "tradeoff": "928e0274cc3543659eade482a6360f7299826435",
     "eta_design_space": "2083e168fffc2cd0c20f8732b20378d31c4e38db",
     "shared_zf --trials 100": "57a90962d6aa86ab30817d44f75014a6eae48ac7",
+    "selftest": "ae48e9b736d14f27a261c5f2dc001941c515d924",
 }
 # The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
 TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}
@@ -116,7 +118,10 @@ def test_table_matches_golden(tmp_path, name):
 
 
 def _sha1s():
-    """Run ``otasec run <preset> --seed 1`` for every preset, then the extra run; yield ``(label, sha1)`` pairs."""
+    """Run ``otasec run <preset> --seed 1`` for every preset, the extra run, then ``otasec selftest``.
+
+    Yields ``(label, sha1)`` pairs; the selftest's sha1 is of its stdout.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         for at, (name, trials) in enumerate([*SHA1_TRIALS.items(), SHA1_EXTRA]):
             out = Path(tmp) / f"{at}.dat"
@@ -128,6 +133,12 @@ def _sha1s():
                 raise SystemExit(f"otasec {' '.join(argv)} exited {code}")
             label = name if at < len(SHA1_TRIALS) else f"{name} --trials {trials}"
             yield label, hashlib.sha1(out.read_bytes()).hexdigest()
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = main(["selftest"])
+    if code:
+        raise SystemExit(f"otasec selftest exited {code}")
+    yield "selftest", hashlib.sha1(report.getvalue().encode()).hexdigest()
 
 
 def _check_sha1s() -> int:
@@ -151,7 +162,7 @@ def test_check_sha1s_names_each_mismatch(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.split(" (")[0] for line in err] == [
         "sha1 mismatch: sweep_snr_designs",
-        "sha1 mismatch: shared_zf --trials 100",
+        "sha1 mismatch: selftest",
     ]
 
 

@@ -223,6 +223,23 @@ class TestEvaluate:
             evaluate(real, zero_A(4), eta_from_delta(real, 0.8))
 
 
+def test_values_are_at_most_one_on_a_seeded_grid():
+    # evaluate clamps only below 0: D, S_coop and each receiver's value are 1 minus a
+    # nonnegative quantity, so rounding must not carry any of them above 1.
+    rng = np.random.default_rng(23)
+    for case in range(160):
+        K, L = int(rng.integers(2, 17)), int(rng.integers(1, 16))
+        fading, collocated = ("complex", "real")[case % 2], bool(case // 2 % 2)
+        snr_db = float(rng.choice([0.0, 20.0, 40.0, 60.0]))
+        real = make_realization(case, K, L, snr_db, fading, collocated_eavesdroppers=collocated)
+        eta = eta_from_delta(real, float(rng.uniform(0.05, 1.0)))
+        mixtures = mixture_precoders(real, eta, [case], [0.0, 0.5, 1.0])[0]
+        stack = np.concatenate([mixtures, np.zeros((1, K, K - 1))])
+        D, S_coop = approximation_error(real, stack, eta), coop_security(real, stack, eta)[0]
+        values = np.concatenate([D, S_coop, noncoop_security(real, stack, eta)[1].ravel()])
+        assert np.isfinite(values).all() and (values <= 1.0).all(), (case, K, L)
+
+
 def precoder_stack(real, eta):
     """A (2, 3, K, K - 1) stack of mixture precoders plus a zero-forced one."""
     stack = mixture_precoders(real, eta, [5, 6], [0.0, 0.5, 1.0])
