@@ -23,7 +23,6 @@ preset and seed, independent of the worker count.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Generator
@@ -50,7 +49,7 @@ from .encoding import (
     mixture_precoders,
 )
 from .errors import ConfigurationError, ContractError
-from .metrics import _whitened, approximation_error, coop_security, noncoop_security
+from .metrics import _cores, _whitened, approximation_error, coop_security, noncoop_security
 from .optimizer import LP_DESIGNS, _lp_total, optimize_designs, optimize_proposed
 from .version import __version__
 
@@ -221,7 +220,7 @@ def _map_trials(fn, n: int, workers: int | None) -> list:
 
     At most one thread per item and per core is started.
     """
-    workers = min(workers or 1, n, os.cpu_count() or 1)
+    workers = min(workers or 1, n, _cores())
     if workers <= 1:
         return [fn(r) for r in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -44,11 +44,23 @@ with per-SNR noise pairs a ``(D, S, K, M)`` stack entry by entry; ``m`` gains et
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
 of the draws and reports held-out normalized MSE on the other half, so it
-shares no algebra with the closed forms above.  The oracles simulate in
-chunks of ``_CHUNK`` transmissions with the sample axis last: each chunk is
-one ``standard_normal((K + M + 1 + L, n, 2))`` draw viewed as a complex
-``(K + M + 1 + L, n)`` block of rows ``gamma``, ``v``, ``n_y``, ``n_z``, pushed
-through the encoder and the channels by two matrix products.  They take
+shares no algebra with the closed forms above.  ``mc_combiner_mse`` scores
+a given combiner the same way.  Each phase of ``n`` transmissions (the fit,
+the held-out half, the combiner's run) splits into ``_LANES = 4`` seeded
+lanes: lane ``i`` simulates ``n // 4 + (i < n % 4)`` transmissions from
+``_stream(seed, key, i)``, with key 0 for the fit, 1 for the held-out half
+and 2 for ``mc_combiner_mse``.  A lane draws chunks of at most
+``_LANE_CHUNK = 4096`` transmissions, each one
+``standard_normal((c // 64, K + M + 1 + L, 64, 2))`` call, then one
+``(1, K + M + 1 + L, r, 2)`` call for a remainder ``r``.  Scaled by
+``sqrt(1/2)`` and viewed as complex, each 64-transmission block has rows
+``gamma``, ``v``, ``n_y``, ``n_z`` and goes through the encoder and the
+channels by two stacked matrix products.  The blocks keep each product at
+most 16 x 32 x 64 multiply-adds, so OpenBLAS runs it on the calling thread:
+a larger product starts OpenBLAS's own threads, which keep spinning and take
+the cores from the lanes.  Each lane returns its sums, which are added in
+lane order; the lanes run on up to ``_LANES`` threads, one per core, so the
+reports are bitwise the same on any core count.  They take
 scalar noise variances, a scalar ``eta`` and a single ``(K, M)`` precoder.  ``statistical_csi_check``
 verifies the phase-scrambling argument: when the eavesdropper channel phases
 are uniformly random (and unknown), the received signals carry no linear
@@ -58,6 +70,8 @@ information about ``s``, i.e. their cross-covariance vanishes.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +81,10 @@ from .encoding import _check_scalar_eta, _squared, eta_from_delta
 from .errors import ContractError
 from .linalg import _back, _forward, _where, cholesky
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # draws per chunk of statistical_csi_check
+_LANES = 4
+_LANE_CHUNK = 1 << 12  # most transmissions an oracle lane draws in one call
+_BLOCK = 64  # transmissions per matrix product
 _MIN_SAMPLES = 10**4
 
 
@@ -104,6 +121,13 @@ class CrossCovarianceReport:
     @property
     def max_abs_crosscov(self) -> float:
         return float(np.max(np.abs(self.crosscov)))
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _scalar(x) -> float | np.ndarray:
@@ -283,62 +307,111 @@ def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> 
     return A
 
 
-def _chunk_buffers(real, A, n):
-    """Flat draw, ``x`` and ``[y; z]`` buffers for chunks of at most ``n`` transmissions."""
+def _lane_buffers(real, A, num_samples: int) -> list:
+    """One set of flat draw, ``x`` and ``u`` buffers per lane of a phase of ``num_samples`` transmissions."""
     K, M = A.shape
     L = real.num_eavesdroppers
-    return np.empty((K + M + 1 + L) * n * 2), np.empty(K * n, np.complex128), np.empty((1 + L) * n, np.complex128)
+    n = min(_LANE_CHUNK, -(-num_samples // _LANES))
+    return [
+        (np.empty((K + M + 1 + L) * n * 2), np.empty(K * n, np.complex128), np.empty((L + 2) * n, np.complex128))
+        for _ in range(_LANES)
+    ]
 
 
-def _simulate_chunk(rng, real, A, eta, n, buffers):
-    """Draw n transmissions through the actual encoding chain, sample axis last.
+def _simulate_blocks(rng, real, A, eta, count: int, width: int, buffers) -> np.ndarray:
+    """Draw ``count`` blocks of ``width`` transmissions through the actual encoding chain.
 
-    One ``standard_normal((K + M + 1 + L, n, 2))`` call, scaled by
-    ``sqrt(1/2)``, is viewed as a complex ``(K + M + 1 + L, n)`` block whose
-    rows are, in order, ``gamma`` (K), ``v`` (M), ``n_y`` (1) and ``n_z`` (L).
-    Then ``x = [diag(eta / h) | A] @ [gamma; v]`` and ``[y; z] = [h^T; G] @ x``
-    plus the scaled noise rows.  Returns ``s`` and ``y`` of shape ``(n,)`` and
-    ``z`` of shape ``(L, n)``; ``y`` and ``z`` are views of ``buffers``.
-
-    The draw block and both products fill contiguous prefixes of
-    ``buffers``, from :func:`_chunk_buffers` for chunks of at least ``n``, so
-    an oracle call reuses one allocation for all its chunks.
+    One ``standard_normal((count, K + M + 1 + L, width, 2))`` call, scaled by
+    ``sqrt(1/2)``, is viewed as complex ``(count, K + M + 1 + L, width)``
+    blocks whose rows are, in order, ``gamma`` (K), ``v`` (M), ``n_y`` (1) and
+    ``n_z`` (L).  Per block, ``x = [diag(eta / h) | A] @ [gamma; v]`` and
+    ``[y; z] = [h^T; G] @ x`` plus the scaled noise rows.  Returns ``u`` of
+    shape ``(count, L + 2, width)``, a view of ``buffers``, whose rows are
+    ``y``, ``z`` (L) and ``s = sum_k gamma_k``.
     """
     K, M = A.shape
     L = real.num_eavesdroppers
-    draw_buf, x_buf, yz_buf = buffers
-    draw = draw_buf[: (K + M + 1 + L) * n * 2].reshape(K + M + 1 + L, n, 2)
+    draw_buf, x_buf, u_buf = buffers
+    draw = draw_buf[: count * (K + M + 1 + L) * width * 2].reshape(count, K + M + 1 + L, width, 2)
     rng.standard_normal(out=draw)
     draw *= math.sqrt(0.5)
     w = draw.view(np.complex128)[..., 0]
-    x = np.matmul(np.hstack([np.diag(eta / real.h), A]), w[: K + M], out=x_buf[: K * n].reshape(K, n))
-    yz = np.matmul(np.vstack([real.h, real.G]), x, out=yz_buf[: (1 + L) * n].reshape(1 + L, n))
-    noise = w[K + M :]
-    noise[0] *= math.sqrt(real.sigma_y_sq)
-    noise[1:] *= math.sqrt(real.sigma_z_sq)
-    yz += noise
-    return w[:K].sum(axis=0), yz[0], yz[1:]
+    x = x_buf[: count * K * width].reshape(count, K, width)
+    np.matmul(np.hstack([np.diag(eta / real.h), A]), w[:, : K + M], out=x)
+    u = u_buf[: count * (L + 2) * width].reshape(count, L + 2, width)
+    np.matmul(np.vstack([real.h, real.G]), x, out=u[:, : L + 1])
+    noise = w[:, K + M :]
+    noise[:, 0] *= math.sqrt(real.sigma_y_sq)
+    noise[:, 1:] *= math.sqrt(real.sigma_z_sq)
+    u[:, : L + 1] += noise
+    np.sum(w[:, :K], axis=1, out=u[:, L + 1])
+    return u
 
 
-def _chunk_sizes(total: int):
-    """``total`` draws as chunks of at most ``_CHUNK``."""
-    return (min(_CHUNK, total - start) for start in range(0, total, _CHUNK))
+def _chunk_sizes(total: int, chunk: int):
+    """``total`` draws as chunks of at most ``chunk``."""
+    return (min(chunk, total - start) for start in range(0, total, chunk))
 
 
-def _heldout_mse(rng, real, A, eta, num_samples, estimators, buffers):
+def _lane_blocks(rng, real, A, eta, n: int, buffers):
+    """``u`` of one lane's ``n`` transmissions, drawn in chunks of at most ``_LANE_CHUNK``.
+
+    A chunk of ``c`` transmissions is ``c // _BLOCK`` blocks of ``_BLOCK``,
+    then one block of the remainder if ``_BLOCK`` does not divide ``c``.
+    ``_BLOCK`` divides ``_LANE_CHUNK``, so the chunk size sets only the
+    buffers' size: a lane draws its full blocks in order, then its remainder.
+    """
+    for size in _chunk_sizes(n, _LANE_CHUNK):
+        for count, width in ((size // _BLOCK, _BLOCK), (1, size % _BLOCK)):
+            if count and width:
+                yield _simulate_blocks(rng, real, A, eta, count, width, buffers)
+
+
+def _lane_sums(lane_sum, real, A, eta, num_samples: int, seed: int, key: int, buffers):
+    """The sum over lanes ``i`` of ``lane_sum`` of lane ``i``'s blocks, added in lane order.
+
+    Lane ``i`` simulates ``num_samples // _LANES + (i < num_samples % _LANES)``
+    transmissions from ``_stream(seed, key, i)`` into ``buffers[i]``.  The
+    lanes run on up to ``_LANES`` threads, one per core, and the result does
+    not depend on how many.
+    """
+
+    def lane(i: int):
+        n = num_samples // _LANES + (i < num_samples % _LANES)
+        return lane_sum(_lane_blocks(_stream(seed, key, i), real, A, eta, n, buffers[i]))
+
+    workers = min(_LANES, _cores())
+    if workers <= 1:
+        sums = [lane(i) for i in range(_LANES)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(lane, range(_LANES)))
+    return sum(sums[1:], sums[0])
+
+
+def _gram(blocks) -> np.ndarray:
+    """``sum u u^H`` over the transmissions of ``blocks``."""
+    total = 0.0
+    for u in blocks:
+        total = total + np.sum(u @ u.conj().swapaxes(-2, -1), axis=0)
+    return total
+
+
+def _heldout_mse(real, A, eta, num_samples, seed, key, W, buffers):
     """Mean and standard error of each estimator's normalized squared error.
 
-    Each estimator maps a chunk's observations ``y`` ``(n,)`` and ``z``
-    ``(L, n)`` to estimates of ``s``.
+    Row ``e`` of ``W`` holds estimator ``e``'s coefficients on ``[y; z]``.
     """
-    sums = np.zeros(len(estimators))
-    sums_sq = np.zeros(len(estimators))
-    for n in _chunk_sizes(num_samples):
-        s, y, z = _simulate_chunk(rng, real, A, eta, n, buffers)
-        for i, estimate in enumerate(estimators):
-            err = np.abs(estimate(y, z) - s) ** 2 / real.num_users
-            sums[i] += err.sum()
-            sums_sq[i] += np.sum(err**2)
+    K = real.num_users
+
+    def errors(blocks) -> np.ndarray:
+        sums = np.zeros((2, len(W)))
+        for u in blocks:
+            err = np.abs(W @ u[:, :-1] - u[:, -1:]) ** 2 / K
+            sums += err.sum(axis=(0, 2)), np.sum(err**2, axis=(0, 2))
+        return sums
+
+    sums, sums_sq = _lane_sums(errors, real, A, eta, num_samples, seed, key, buffers)
     means = sums / num_samples
     variances = np.maximum(sums_sq / num_samples - means**2, 0.0)
     return means, np.sqrt(variances / num_samples)
@@ -361,24 +434,13 @@ def mc_oracle(
     A = _oracle_inputs(real, A, eta, num_samples)
     L = real.num_eavesdroppers
     n_fit = num_samples // 2
-    rng = _stream(seed, 0)
-    syy = 0.0
-    ssy = 0.0 + 0.0j
-    szz = np.zeros((L, L), dtype=np.complex128)
-    szs = np.zeros(L, dtype=np.complex128)
-    buffers = _chunk_buffers(real, A, min(_CHUNK, num_samples - n_fit))
-    for n in _chunk_sizes(n_fit):
-        s, y, z = _simulate_chunk(rng, real, A, eta, n, buffers)
-        syy += float(np.vdot(y, y).real)
-        ssy += complex(np.vdot(y, s))  # sum of s conj(y)
-        szz += z @ z.conj().T  # sum of z z^H outer products
-        szs += z @ s.conj()
-    a_fit = ssy / syy
+    buffers = _lane_buffers(real, A, num_samples - n_fit)
+    gram = _lane_sums(_gram, real, A, eta, n_fit, seed, 0, buffers)  # rows and columns y, z, s
+    W = np.zeros((2, L + 1), dtype=np.complex128)
+    W[0, 0] = gram[-1, 0] / gram[0, 0].real  # sum s conj(y) / sum |y|^2
     # Independent generic solve: the oracle must not share the Cholesky path.
-    p_fit = np.linalg.solve(szz / n_fit, szs / n_fit)
-
-    estimators = (lambda y, z: a_fit * y, lambda y, z: p_fit.conj() @ z)
-    means, std_errs = _heldout_mse(_stream(seed, 1), real, A, eta, num_samples - n_fit, estimators, buffers)
+    W[1, 1:] = np.linalg.solve(gram[1:-1, 1:-1], gram[1:-1, -1]).conj()
+    means, std_errs = _heldout_mse(real, A, eta, num_samples - n_fit, seed, 1, W, buffers)
     return OracleReport(
         D_hat=float(means[0]),
         S_hat=float(means[1]),
@@ -403,9 +465,9 @@ def mc_combiner_mse(
     it is claimed to achieve.
     """
     A = _oracle_inputs(real, A, eta, num_samples)
-    p = _combiner(real, p)
-    buffers = _chunk_buffers(real, A, min(_CHUNK, num_samples))
-    means, std_errs = _heldout_mse(_stream(seed), real, A, eta, num_samples, (lambda y, z: p.conj() @ z,), buffers)
+    W = np.concatenate([[0.0], _combiner(real, p).conj()])[np.newaxis]
+    buffers = _lane_buffers(real, A, num_samples)
+    means, std_errs = _heldout_mse(real, A, eta, num_samples, seed, 2, W, buffers)
     return float(means[0]), float(std_errs[0])
 
 
@@ -443,7 +505,7 @@ def statistical_csi_check(
     rng = _stream(seed, 9)
     sum_x = np.zeros(L, dtype=np.complex128)
     sum_abs_sq = np.zeros(L)
-    for n in _chunk_sizes(num_realizations):
+    for n in _chunk_sizes(num_realizations, _CHUNK):
         gamma = _cn(rng, (n, real.num_users))
         w = gamma / real.h[np.newaxis, :]
         if randomize_phases:

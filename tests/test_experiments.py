@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -162,9 +163,15 @@ class TestWorkers:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cores as os.cpu_count() says
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert _map_trials(lambda r: r * r, n, workers) == [r * r for r in range(n)]
         assert seen == ([] if started == 1 else [started])
+
+    def test_a_pinned_process_counts_its_affinity_mask(self, no_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _map_trials(lambda r: r * r, 4, 4) == [0, 1, 4, 9]
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_worker_errors_reach_the_caller_unchanged(self, cls):

@@ -16,7 +16,8 @@ against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 
-and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs) with
+and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs) and its
+``mc_oracle`` row (one call at 10^6 samples) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -33,8 +34,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otasec.channel import ScenarioConfig, sample_realization
 from otasec.cli import main
+from otasec.encoding import build_precoder, eta_from_delta
 from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
+from otasec.metrics import mc_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -82,7 +86,7 @@ SHA1_EXPECTED = {
     "tradeoff": "928e0274cc3543659eade482a6360f7299826435",
     "eta_design_space": "2083e168fffc2cd0c20f8732b20378d31c4e38db",
     "shared_zf --trials 100": "57a90962d6aa86ab30817d44f75014a6eae48ac7",
-    "selftest": "ae48e9b736d14f27a261c5f2dc001941c515d924",
+    "selftest": "e52be1cddb7945c5a509a8e19875e87efcdf19e0",
 }
 # The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
 TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}
@@ -166,18 +170,31 @@ def test_check_sha1s_names_each_mismatch(monkeypatch, capsys):
     ]
 
 
+def _min_median_ms(run) -> str:
+    """``min (median) ms`` of ``TIME_RUNS`` calls of ``run``."""
+    times = []
+    for _ in range(TIME_RUNS):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return f"{1e3 * min(times):.0f} ({1e3 * np.median(times):.0f}) ms"
+
+
 def _print_times():
-    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, min (median) of the runs in ms."""
+    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, then one ``mc_oracle`` call.
+
+    The oracle row is 10^6 samples on the seed-1 realization at K = 10, L = 5 with the ``proposed``
+    precoder at delta 0.7; it runs its lanes on the host's cores.
+    """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
         preset = default_preset(name, base_seed=1, **({"num_realizations": trials} if trials else {}))
-        times = []
-        for _ in range(TIME_RUNS):
-            start = time.perf_counter()
-            run_preset(preset, threads=1)
-            times.append(time.perf_counter() - start)
         size = f"n = {trials}" if trials else "default"
-        print(f"| `{name}` | {size} | {1e3 * min(times):.0f} ({1e3 * np.median(times):.0f}) ms |")
+        print(f"| `{name}` | {size} | {_min_median_ms(lambda: run_preset(preset, threads=1))} |")
+    real = sample_realization(ScenarioConfig(num_users=10, num_eavesdroppers=5), 1)
+    eta = eta_from_delta(real, 0.7)
+    A = build_precoder("proposed", real, eta).A
+    print(f"| `mc_oracle` | 10^6 samples | {_min_median_ms(lambda: mc_oracle(real, A, eta, 10**6, seed=1))} |")
 
 
 if __name__ == "__main__":

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from otasec import metrics
-from otasec.channel import ScenarioConfig
+from otasec.channel import ScenarioConfig, _stream
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.errors import ContractError
 from otasec.metrics import (
-    _CHUNK,
-    _chunk_buffers,
-    _simulate_chunk,
+    _LANE_CHUNK,
+    _LANES,
+    _lane_blocks,
+    _lane_buffers,
     approximation_error,
     coop_security,
     eavesdropper_moments,
@@ -470,7 +471,7 @@ class TestBadNoise:
         def draw(*args):
             raise AssertionError("the oracle drew samples")
 
-        monkeypatch.setattr(metrics, "_simulate_chunk", draw)
+        monkeypatch.setattr(metrics, "_lane_blocks", draw)
         real = make_realization(25, K=4, L=2)
         eta = eta_from_delta(real, 0.5)
         A = build_precoder("random_zf", real, eta, seed=1).A
@@ -539,29 +540,76 @@ class TestMcOracle:
         real = make_realization(31, K=K, L=3)
         eta = eta_from_delta(real, 0.6)
         A = build_precoder(kind, real, eta, seed=4).A
-        M, L, n = A.shape[1], real.num_eavesdroppers, 50
-        s, y, z = _simulate_chunk(np.random.default_rng(9), real, A, eta, n, _chunk_buffers(real, A, n))
-        assert s.shape == y.shape == (n,) and z.shape == (L, n)
-        # The same draw block, read row by row: gamma (K), v (M), n_y (1), n_z (L).
-        draw = np.random.default_rng(9).standard_normal((K + M + 1 + L, n, 2)) * np.sqrt(0.5)
+        M, L = A.shape[1], real.num_eavesdroppers
+        R, n, lane = K + M + 1 + L, 4096 + 2 * 64 + 50, 2  # a full chunk, then two blocks and 50 more
+        buffers = _lane_buffers(real, A, _LANES * n)[lane]
+        blocks = _lane_blocks(_stream(9, 0, lane), real, A, eta, n, buffers)
+        u = np.concatenate([np.concatenate(b, axis=1) for b in blocks], axis=1)  # copied before the next chunk
+        assert u.shape == (L + 2, n)
+        # The lane's draws, block by block: rows gamma (K), v (M), n_y (1), n_z (L), sample axis next.
+        rng = _stream(9, 0, lane)
+        draws = [rng.standard_normal(shape) for shape in ((64, R, 64, 2), (2, R, 64, 2), (1, R, 50, 2))]
+        draw = np.concatenate([np.concatenate(d, axis=1) for d in draws], axis=1) * np.sqrt(0.5)
         w = draw[..., 0] + 1j * draw[..., 1]
         gamma, v, n_y, n_z = w[:K], w[K : K + M], w[K + M], w[K + M + 1 :]
-        for t in (0, 1, 17, n - 1):
+        for t in (0, 1, 63, 64, 4095, 4096, 4096 + 127, 4096 + 128, n - 1):
             x = [eta * gamma[k, t] / real.h[k] + sum(A[k, m] * v[m, t] for m in range(M)) for k in range(K)]
             y_ref = sum(real.h[k] * x[k] for k in range(K)) + np.sqrt(real.sigma_y_sq) * n_y[t]
             z_ref = [
                 sum(real.G[l, k] * x[k] for k in range(K)) + np.sqrt(real.sigma_z_sq) * n_z[l, t]
                 for l in range(L)
             ]
-            assert s[t] == pytest.approx(sum(gamma[k, t] for k in range(K)), rel=1e-12)
-            assert y[t] == pytest.approx(y_ref, rel=1e-12)
-            assert z[:, t] == pytest.approx(np.array(z_ref), rel=1e-12)
+            assert u[0, t] == pytest.approx(y_ref, rel=1e-12)
+            assert u[1 : L + 1, t] == pytest.approx(np.array(z_ref), rel=1e-12)
+            assert u[L + 1, t] == pytest.approx(sum(gamma[k, t] for k in range(K)), rel=1e-12)
+
+    def test_lanes_split_each_phase(self, monkeypatch):
+        real = make_realization(32, K=3, L=2)
+        eta = eta_from_delta(real, 0.7)
+        A = build_precoder("random_zf", real, eta, seed=2).A
+        lanes = []
+
+        def spy(rng, real, A, eta, n, buffers):
+            lanes.append((rng.bit_generator.state, n))
+            return lane_blocks(rng, real, A, eta, n, buffers)
+
+        lane_blocks = metrics._lane_blocks
+        monkeypatch.setattr(metrics, "_cores", lambda: 1)
+        monkeypatch.setattr(metrics, "_lane_blocks", spy)
+        mc_oracle(real, A, eta, 10_003, seed=5)  # a fit of 5,001 and a held-out half of 5,002
+        mc_combiner_mse(real, A, eta, np.ones(2), 10_001, seed=5)
+        sizes = [1251, 1250, 1250, 1250, 1251, 1251, 1250, 1250, 2501, 2500, 2500, 2500]
+        keys = [(key, i) for key in (0, 1, 2) for i in range(4)]
+        assert lanes == [(_stream(5, *key).bit_generator.state, n) for key, n in zip(keys, sizes)]
+
+    @pytest.mark.parametrize("num_samples", [10_001, 4 * 4 * 4096 + 7])
+    def test_reports_do_not_depend_on_the_core_count(self, monkeypatch, num_samples):
+        real = make_realization(35, K=6, L=3)
+        eta = eta_from_delta(real, 0.6)
+        A = build_precoder("mixture", real, eta, seed=3, params={"theta": 0.5}).A
+        p = coop_security(real, A, eta)[1]
+        started = []
+
+        class Pool(metrics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+        reports = []
+        for cores in (1, 2, 4, 16):
+            monkeypatch.setattr(metrics, "_cores", lambda: cores)
+            reports.append(
+                (mc_oracle(real, A, eta, num_samples, seed=6), mc_combiner_mse(real, A, eta, p, num_samples, seed=6))
+            )
+        assert reports[1:] == reports[:1] * 3
+        assert started == [2, 2, 2, 4, 4, 4, 4, 4, 4]  # two phases of mc_oracle, one of mc_combiner_mse
 
     def test_sample_count_off_the_chunk_grid(self):
         real = make_realization(32, K=3, L=2)
         eta = eta_from_delta(real, 0.7)
         A = build_precoder("random_zf", real, eta, seed=2).A
-        num_samples = 3 * _CHUNK + 7
+        num_samples = 3 * _LANES * _LANE_CHUNK + 7
         a = mc_oracle(real, A, eta, num_samples, seed=5)
         assert a == mc_oracle(real, A, eta, num_samples, seed=5)
         assert a.num_samples == num_samples
@@ -572,25 +620,25 @@ class TestMcOracle:
         eta = eta_from_delta(real, 0.6)
         A = build_precoder("random_zf", real, eta, seed=3).A
         p = coop_security(real, A, eta)[1]
-        monkeypatch.setattr(metrics, "_CHUNK", 3000)  # every oracle call below ends on a partial chunk
+        monkeypatch.setattr(metrics, "_LANE_CHUNK", 3000)  # every chunk below ends on a partial block
 
-        def allocating(rng, real, A, eta, n, buffers=None):
-            # The oracle's chunk as spelled before it reused buffers.
+        def allocating(rng, real, A, eta, count, width, buffers=None):
+            # The lane's blocks as spelled without buffers.
             K, M = A.shape
             L = real.num_eavesdroppers
-            draw = rng.standard_normal((K + M + 1 + L, n, 2))
+            draw = rng.standard_normal((count, K + M + 1 + L, width, 2))
             draw *= np.sqrt(0.5)
             w = draw.view(np.complex128)[..., 0]
-            x = np.hstack([np.diag(eta / real.h), A]) @ w[: K + M]
+            x = np.hstack([np.diag(eta / real.h), A]) @ w[:, : K + M]
             yz = np.vstack([real.h, real.G]) @ x
-            noise = w[K + M :]
-            noise[0] *= np.sqrt(real.sigma_y_sq)
-            noise[1:] *= np.sqrt(real.sigma_z_sq)
+            noise = w[:, K + M :]
+            noise[:, 0] *= np.sqrt(real.sigma_y_sq)
+            noise[:, 1:] *= np.sqrt(real.sigma_z_sq)
             yz += noise
-            return w[:K].sum(axis=0), yz[0], yz[1:]
+            return np.concatenate([yz, w[:, :K].sum(axis=1, keepdims=True)], axis=1)
 
         reused = mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6)
-        monkeypatch.setattr(metrics, "_simulate_chunk", allocating)
+        monkeypatch.setattr(metrics, "_simulate_blocks", allocating)
         assert reused == (mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6))
 
     def test_combiner_simulation_detects_sign_flip(self):
@@ -611,7 +659,7 @@ class TestOracleInputs:
         def draw(*args):
             raise AssertionError("the oracle drew samples")
 
-        monkeypatch.setattr(metrics, "_simulate_chunk", draw)
+        monkeypatch.setattr(metrics, "_lane_blocks", draw)
 
     @staticmethod
     def case(name):
