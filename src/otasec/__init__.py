@@ -41,7 +41,6 @@ from .experiments import (
     run_preset,
     write_table,
 )
-from .linalg import cholesky
 from .lp import LpProblem, LpSolution, solve_lp
 from .metrics import (
     CrossCovarianceReport,
@@ -93,7 +92,6 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "solve_lp",
-    "cholesky",
     "ExperimentPreset",
     "ResultTable",
     "default_preset",

@@ -84,12 +84,6 @@ def _no_noise(K: int, eta: float, degenerate: bool = False) -> NoisePrecoder:
     return NoisePrecoder(A, "none", eta, degenerate=degenerate)
 
 
-def _squared(eta) -> np.ndarray:
-    """``eta**2`` per entry, rounded as a Python float's ``eta**2`` (libm ``pow``), not as ``eta * eta``."""
-    eta = np.asarray(eta, dtype=float)
-    return np.array([e**2 for e in eta.ravel().tolist()]).reshape(eta.shape)
-
-
 def _check_scalar_eta(eta) -> None:
     if np.ndim(eta) != 0:
         raise ContractError(f"expected a scalar eta, not an array of shape {np.shape(eta)}")
@@ -97,7 +91,7 @@ def _check_scalar_eta(eta) -> None:
 
 def row_budgets(real: SystemRealization, eta) -> np.ndarray:
     """Residual noise power ``P - eta^2 / |h_k|^2`` per user (clipped at 0), shape ``eta.shape + (K,)``."""
-    budgets = real.P - _squared(eta)[..., np.newaxis] / np.abs(real.h) ** 2
+    budgets = real.P - np.square(eta)[..., np.newaxis] / np.abs(real.h) ** 2
     if np.any(budgets < -_BUDGET_SLACK * real.P):
         raise InfeasibleError("eta exceeds the power budget of at least one user")
     return np.maximum(budgets, 0.0)

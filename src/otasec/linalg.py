@@ -1,24 +1,20 @@
 """Dense complex linear algebra kernels used by the rest of the package.
 
 Every matrix in the system model is tiny (tens of rows at most), so all
-storage is dense ``complex128`` and the one factorization we need is written
-out explicitly.  That keeps full control over the failure modes: the
-finiteness check, the Hermitian-ness check and the pivot breakdown threshold
-are part of the contract here, not an implementation detail of a backend
-library.
+storage is dense ``complex128``.  The one factorization is LAPACK's
+(``np.linalg.cholesky``), with the documented contract enforced by checks
+around the call.  :func:`cholesky` takes a stack of matrices ``B`` of shape
+``(..., n, n)``: the leading axes are a batch, the contract holds per matrix
+of the stack, and each error message names the offending matrix.  numpy
+factors each matrix of a stack with its own LAPACK call, and each
+substitution step is a ``@`` on ``[..., None]`` views, the same BLAS dot or
+gemv per matrix as a 2-D call, so each matrix of a stack is factored and
+solved with exactly the rounding of a 2-D call on that matrix alone.
 
-:func:`cholesky` takes a stack of matrices ``B`` of shape ``(..., n, n)``: the
-leading axes are a batch, and the contract holds per matrix of the stack.
-A non-finite or non-Hermitian matrix raises :class:`ContractError`, a pivot
-at or below its matrix's floor raises :class:`SingularMatrixError`, and for a
-stack each message names the index of the offending matrix.  Every dot
-product is a ``@`` on ``[..., None]`` views, which runs the same BLAS dot or
-gemv per matrix as the 2-D loops did, so each matrix of a stack is factored
-and solved with exactly the rounding of a 2-D call on that matrix alone.
-
-``_forward`` solves ``L y = rhs`` and ``_back`` solves ``L^H x = y``.  A security
-level needs only ``y`` (``sweep_L`` reads its prefixes: the first ``j`` entries use
-only the leading ``j x j`` block of the factor); the combiner is ``_back`` on it.
+``_forward`` solves ``L y = rhs`` and ``_back`` solves ``L^H x = y`` (numpy has no
+triangular solve).  A security level needs only ``y`` (``sweep_L`` reads its
+prefixes: the first ``j`` entries use only the leading ``j x j`` block of the
+factor); the combiner is ``_back`` on it.
 """
 
 from __future__ import annotations
@@ -45,13 +41,13 @@ def cholesky(B: np.ndarray) -> np.ndarray:
 
     ``B`` has shape ``(..., n, n)``.  Each matrix must be finite, Hermitian to
     within ``HERMITIAN_RTOL`` relative to its Frobenius norm, and positive
-    definite.  A pivot at or below ``PIVOT_RTOL * trace(B) / n`` raises
-    :class:`SingularMatrixError`.
+    definite: a pivot at or below ``PIVOT_RTOL * trace(B) / n``, checked on
+    ``|L_jj|^2`` after LAPACK's factor, or a pivot LAPACK rejects (at most 0)
+    raises :class:`SingularMatrixError`.  No ``LinAlgError`` escapes.
     """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim < 2 or B.shape[-2] != B.shape[-1]:
         raise ShapeError(f"expected a square matrix, got shape {B.shape}")
-    n = B.shape[-1]
     if not np.isfinite(B).all():
         _, at = _where(~np.isfinite(B).all(axis=(-2, -1)))
         raise ContractError(f"matrix has a non-finite entry{at}")
@@ -63,24 +59,27 @@ def cholesky(B: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"matrix is not Hermitian{at}: max deviation {dev[idx]:.3e} vs norm {fro[idx]:.3e}"
         )
-    diag = B.diagonal(axis1=-2, axis2=-1).real
-    pivot_floor = PIVOT_RTOL * diag.sum(axis=-1) / n
-    L = np.zeros_like(B)
-    for j in range(n):
-        row, col = L[..., j, None, :j], L[..., j, :j, None].conj()
-        d = diag[..., j] - (row @ col)[..., 0, 0].real
-        low = d <= pivot_floor
-        if low.any():
-            idx, at = _where(low)
-            raise SingularMatrixError(
-                f"non-positive pivot {d[idx]:.3e} at column {j}{at} "
-                f"(floor {pivot_floor[idx]:.3e})"
-            )
-        root = np.sqrt(d)
-        L[..., j, j] = root
-        if j + 1 < n:
-            update = B[..., j + 1 :, j] - (L[..., j + 1 :, :j] @ col)[..., 0]
-            L[..., j + 1 :, j] = update / root[..., None]
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        # LAPACK met a pivot <= 0.  Factor the matrices one at a time to name the first that fails.
+        failed = np.zeros(B.shape[:-2], dtype=bool)
+        for idx in np.ndindex(failed.shape):
+            try:
+                np.linalg.cholesky(B[idx])
+            except np.linalg.LinAlgError:
+                failed[idx] = True
+                break
+        raise SingularMatrixError(f"matrix is not positive definite{_where(failed)[1]}") from None
+    pivot_floor = PIVOT_RTOL * B.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
+    pivots = np.square(L.diagonal(axis1=-2, axis2=-1).real)
+    low = pivots <= pivot_floor[..., None]
+    if low.any():
+        idx, at = _where(low.any(axis=-1))
+        j = int(np.argmax(low[idx]))
+        raise SingularMatrixError(
+            f"pivot {pivots[idx][j]:.3e} at column {j}{at} is at or below its floor {pivot_floor[idx]:.3e}"
+        )
     return L
 
 

@@ -82,7 +82,9 @@ class LpSolution:
     ``pivots`` counts the basis changes and ``flips`` the bound flips, which
     change no basis; their sum is the LP's simplex iterations.  Every field is
     an array over the problem's leading axes (0-d for a lone LP): ``status``
-    of strings, ``x`` with the variables last.
+    of strings, ``x`` with the variables last.  The optimizer's allocation and
+    tie-break LPs are bounded by construction, so "unbounded" from one of them
+    can only be numerical.
     """
 
     status: np.ndarray  # "optimal" | "unbounded"

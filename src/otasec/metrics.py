@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
-from .encoding import _check_scalar_eta, _squared, eta_from_delta
+from .encoding import _check_scalar_eta, eta_from_delta
 from .errors import ContractError
 from .linalg import _back, _forward, _where, cholesky
 
@@ -191,7 +191,7 @@ def approximation_error(
     ``float``, a stack, per-SNR noise or an ``eta`` array an array over the broadcast axes.
     """
     A = _checked(real, A, eta)
-    return _scalar(_receiver(real.h, real.h, A, _squared(eta), real.sigma_y_sq))
+    return _scalar(_receiver(real.h, real.h, A, np.square(eta), real.sigma_y_sq))
 
 
 def eavesdropper_moments(
@@ -210,7 +210,7 @@ def _moments(real: SystemRealization, A: np.ndarray, eta) -> tuple[np.ndarray, n
     GA = real.G @ A
     R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
     noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
-    B = GA @ GA.conj().swapaxes(-2, -1) + _squared(eta)[..., None, None] * (R @ R.conj().T) + noise
+    B = GA @ GA.conj().swapaxes(-2, -1) + np.square(eta)[..., None, None] * (R @ R.conj().T) + noise
     m = np.asarray(eta)[..., None] * R.sum(axis=1)
     return B, m
 
@@ -247,7 +247,7 @@ def noncoop_security(
     for a stack or per-SNR noise.
     """
     A = _checked(real, A, eta, positive_noise=True)
-    per_eav = _receiver(real.G, real.h, A, _squared(eta)[..., None], np.asarray(real.sigma_z_sq)[..., None])
+    per_eav = _receiver(real.G, real.h, A, np.square(eta)[..., None], np.asarray(real.sigma_z_sq)[..., None])
     return _scalar(np.min(per_eav, axis=-1)), per_eav
 
 
@@ -265,7 +265,7 @@ def effective_channel_security(
     A = _checked(real, A, eta)
     p = _combiner(real, p)
     noise = real.sigma_z_sq * float(np.sum(np.abs(p) ** 2))
-    return _scalar(_receiver(p.conj() @ real.G, real.h, A, _squared(eta), noise))
+    return _scalar(_receiver(p.conj() @ real.G, real.h, A, np.square(eta), noise))
 
 
 def evaluate(real: SystemRealization, A: np.ndarray, eta: float) -> SecurityReport:

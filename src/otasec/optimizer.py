@@ -59,7 +59,7 @@ import itertools
 import numpy as np
 
 from .channel import SystemRealization
-from .encoding import NoisePrecoder, _squared, row_budgets
+from .encoding import NoisePrecoder, row_budgets
 from .errors import ContractError
 from .lp import LpProblem, solve_lp
 from . import metrics
@@ -79,7 +79,7 @@ def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.nd
     sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
     live = ~((sum_sq < DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
-    num = _squared(eta)[..., np.newaxis] * power_sq + sigma[..., np.newaxis]
+    num = np.square(eta)[..., np.newaxis] * power_sq + sigma[..., np.newaxis]
     return np.divide(num, sum_sq, out=np.full(num.shape, np.inf), where=live), sum_sq, live
 
 
@@ -155,6 +155,10 @@ def _allocation_lp(
     in every lambda column, so they never pivot and ``t``, priced at zero,
     never enters: the simplex takes the steps of the same LP over lambda,
     its bounds and the zero-forcing rows alone.
+
+    Every such LP is bounded by construction: ``t <= 1`` in LP units and
+    ``lam <= caps``, and a tie-break LP is bounded by the caps.  So an
+    "unbounded" status can only be numerical, and the design raises on it.
     """
     live = np.isfinite(alpha)
     stack = np.broadcast_shapes(alpha.shape[:-1], beta.shape[:-2], load.shape[:-2], budgets.shape[:-1])
@@ -277,7 +281,7 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
     # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
     # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
     worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)
-    score = np.where(able, 1.0 - (_squared(eta)[..., np.newaxis] / K) / worst, -np.inf)
+    score = np.where(able, 1.0 - (np.square(eta)[..., np.newaxis] / K) / worst, -np.inf)
     best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
     pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta and SNR
     zf, lam, weights = zf[best], lam[pick], np.broadcast_to(weights, axes + weights.shape[-2:])[pick]

@@ -503,6 +503,18 @@ def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
     assert "error: code=3" in captured.err
 
 
+def test_failed_factor_exits_3(realization_file, monkeypatch, capsys):
+    # An indefinite pooled covariance makes LAPACK's Cholesky fail; that is a numeric error, not a crash.
+    def indefinite(real, A, eta):
+        return np.diag([1.0, -1.0]).astype(complex), np.ones(2, dtype=complex)
+
+    monkeypatch.setattr(metrics, "_moments", indefinite)
+    assert main(["metrics", str(realization_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: code=3" in captured.err and "not positive definite" in captured.err
+
+
 class TestOptimizeCommand:
     def test_emits_zero_forcing_precoder(self, realization_file, capsys):
         code = main(["optimize", str(realization_file), "--delta", "0.7"])

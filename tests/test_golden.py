@@ -16,8 +16,9 @@ against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 
-and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs) and its
-``mc_oracle`` row (one call at 10^6 samples) with
+and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), its
+``mc_oracle`` row (one call at 10^6 samples) and its Cholesky/solve rows (``coop_security`` per
+call, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -36,9 +37,9 @@ import pytest
 
 from otasec.channel import ScenarioConfig, sample_realization
 from otasec.cli import main
-from otasec.encoding import build_precoder, eta_from_delta
+from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
-from otasec.metrics import mc_oracle
+from otasec.metrics import coop_security, mc_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -80,13 +81,13 @@ SHA1_EXPECTED = {
     "sweep_L": "db30b6701948657eeb4f649dd233bdb839dc3f41",
     "sweep_snr_designs": "5955c36393fa77d25dad2e420dc0e9aec0e0e6c9",
     "security_gap": "8f354ef704328b0629f4538f71aeeb5966ee044c",
-    "collocated": "5ed0c23d01ee01fe2c061fa5a7cae8d227c4c53b",
+    "collocated": "49d84ced3b5eb25b38a78b407292123ad6cd2add",
     "power_control": "754e9b939eaf8ffaa62c51aabed1b83cf252e8bd",
     "shared_zf": "190da4c5f186019862757baed8b6cf97631ff96d",
     "tradeoff": "928e0274cc3543659eade482a6360f7299826435",
     "eta_design_space": "2083e168fffc2cd0c20f8732b20378d31c4e38db",
     "shared_zf --trials 100": "57a90962d6aa86ab30817d44f75014a6eae48ac7",
-    "selftest": "e52be1cddb7945c5a509a8e19875e87efcdf19e0",
+    "selftest": "b100e960891a6508a3c51d16ea8399a382bba9df",
 }
 # The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
 TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}
@@ -170,31 +171,48 @@ def test_check_sha1s_names_each_mismatch(monkeypatch, capsys):
     ]
 
 
-def _min_median_ms(run) -> str:
-    """``min (median) ms`` of ``TIME_RUNS`` calls of ``run``."""
+def _min_median(run, calls=1) -> str:
+    """``min (median) ms`` of ``TIME_RUNS`` calls of ``run``; with ``calls > 1``, each run times
+    ``calls`` calls in a row and the figures are µs per call."""
     times = []
     for _ in range(TIME_RUNS):
         start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return f"{1e3 * min(times):.0f} ({1e3 * np.median(times):.0f}) ms"
+        for _ in range(calls):
+            run()
+        times.append((time.perf_counter() - start) / calls)
+    scale, unit = (1e3, "ms") if calls == 1 else (1e6, "µs")
+    return f"{scale * min(times):.0f} ({scale * np.median(times):.0f}) {unit}"
 
 
 def _print_times():
-    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, then one ``mc_oracle`` call.
+    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, one ``mc_oracle`` call,
+    then the Cholesky/solve layer as ``coop_security`` calls.
 
     The oracle row is 10^6 samples on the seed-1 realization at K = 10, L = 5 with the ``proposed``
-    precoder at delta 0.7; it runs its lanes on the host's cores.
+    precoder at delta 0.7; it runs its lanes on the host's cores.  The ``coop_security`` rows score
+    the default ``tradeoff`` realization's 50 x 11 mixture stack (K = 10, L = 7) at delta 0.5, and one
+    ``none`` precoder on the seed-1 realization at K = 10, L = 15.
     """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
         preset = default_preset(name, base_seed=1, **({"num_realizations": trials} if trials else {}))
         size = f"n = {trials}" if trials else "default"
-        print(f"| `{name}` | {size} | {_min_median_ms(lambda: run_preset(preset, threads=1))} |")
+        print(f"| `{name}` | {size} | {_min_median(lambda: run_preset(preset, threads=1))} |")
     real = sample_realization(ScenarioConfig(num_users=10, num_eavesdroppers=5), 1)
     eta = eta_from_delta(real, 0.7)
     A = build_precoder("proposed", real, eta).A
-    print(f"| `mc_oracle` | 10^6 samples | {_min_median_ms(lambda: mc_oracle(real, A, eta, 10**6, seed=1))} |")
+    print(f"| `mc_oracle` | 10^6 samples | {_min_median(lambda: mc_oracle(real, A, eta, 10**6, seed=1))} |")
+    tradeoff = default_preset("tradeoff", base_seed=1)
+    real = sample_realization(tradeoff.config, tradeoff.base_seed)
+    eta = eta_from_delta(real, 0.5)
+    thetas = np.linspace(0.0, 1.0, tradeoff.mixture_thetas)
+    stack = mixture_precoders(real, eta, range(tradeoff.mixture_pairs), thetas)
+    size = " x ".join(map(str, stack.shape))
+    print(f"| `coop_security` | {size} stack | {_min_median(lambda: coop_security(real, stack, eta), calls=100)} |")
+    real = sample_realization(ScenarioConfig(num_users=10, num_eavesdroppers=15), 1)
+    eta = eta_from_delta(real, 1.0)
+    A = build_precoder("none", real, eta).A
+    print(f"| `coop_security` | K = 10, L = 15 | {_min_median(lambda: coop_security(real, A, eta), calls=1000)} |")
 
 
 if __name__ == "__main__":

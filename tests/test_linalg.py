@@ -76,8 +76,13 @@ class TestSolve:
 
     def test_rejects_indefinite(self):
         B = np.diag([1.0, -1.0]).astype(complex)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
             cholesky(B)
+
+    def test_rejects_a_pivot_below_the_floor(self):
+        # Positive definite, so LAPACK factors it, but the last pivot is below 1e-12 of the mean diagonal.
+        with pytest.raises(SingularMatrixError, match="pivot 1.000e-13 at column 1 is at or below its floor"):
+            cholesky(np.diag([1.0, 1e-13]))
 
     def test_rejects_singular(self, rng):
         v = cn(rng, 3)
@@ -162,6 +167,19 @@ class TestStack:
         v = cn(rng, 3)
         B[0, 1] = np.outer(v, v.conj())
         with pytest.raises(SingularMatrixError, match=r"in matrix \(0, 1\)"):
+            cholesky(B)
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ([1.0, -1.0], r"not positive definite in matrix \(1, 2\)"),  # LAPACK fails
+            ([1.0, 1e-13], r"at column 1 in matrix \(1, 2\) is at or below its floor"),  # LAPACK factors it
+        ],
+    )
+    def test_each_failure_path_names_the_offending_matrix(self, rng, block, message):
+        B = spd_stack(rng, (2, 3), 2)
+        B[1, 2] = np.diag(block)
+        with pytest.raises(SingularMatrixError, match=message):
             cholesky(B)
 
     def test_single_matrix_messages_carry_no_index(self):

@@ -241,6 +241,44 @@ def test_values_are_at_most_one_on_a_seeded_grid():
         assert np.isfinite(values).all() and (values <= 1.0).all(), (case, K, L)
 
 
+def high_precision_reference(real, A, eta):
+    """``S_coop = 1 - Re(m^H B^{-1} m) / K`` and ``D = q / (eta^2 K + q)``, ``q = ||hA||^2 + sigma_y^2``, at 50 digits.
+
+    Built from the float inputs, with ``B`` solved by ``mp.lu_solve``.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        h, eta_mp = mp.matrix(real.h.tolist()), mp.mpf(float(eta))
+        G, A_mp = mp.matrix(real.G.tolist()), mp.matrix(A.tolist())
+        K, L = G.cols, G.rows
+        R = mp.matrix([[G[l, k] / h[k] for k in range(K)] for l in range(L)])
+        GA = G * A_mp
+        B = GA * GA.H + eta_mp**2 * (R * R.H) + mp.mpf(float(real.sigma_z_sq)) * mp.eye(L)
+        m = mp.matrix([eta_mp * mp.fsum(R[l, k] for k in range(K)) for l in range(L)])
+        S = 1 - mp.re((m.H * mp.lu_solve(B, m))[0]) / K
+        q = mp.fsum(abs(v) ** 2 for v in h.T * A_mp) + mp.mpf(float(real.sigma_y_sq))
+        return float(S), float(q / (eta_mp**2 * K + q))
+
+
+# K = 10, L = 5, complex fading: (kind, delta, collocated, snr_db, seed); the precoder seed is the realization's.
+HIGH_PRECISION_CASES = [
+    ("none", 1.0, collocated, snr_db, seed)
+    for collocated in (False, True)
+    for snr_db in (0.0, 10.0, 20.0)
+    for seed in range(1, 21)
+] + [(kind, 0.7, False, 20.0, seed) for kind in ("random_zf", "proposed") for seed in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind, delta, collocated, snr_db, seed", HIGH_PRECISION_CASES)
+def test_closed_forms_match_a_high_precision_reference(kind, delta, collocated, snr_db, seed):
+    real = make_realization(seed, K=10, L=5, snr_db=snr_db, collocated_eavesdroppers=collocated)
+    eta = eta_from_delta(real, delta)
+    A = build_precoder(kind, real, eta, seed=seed).A
+    S_ref, D_ref = high_precision_reference(real, A, eta)
+    assert coop_security(real, A, eta)[0] == pytest.approx(S_ref, rel=1e-9, abs=0.0)
+    assert approximation_error(real, A, eta) == pytest.approx(D_ref, rel=1e-9, abs=0.0)
+
+
 def precoder_stack(real, eta):
     """A (2, 3, K, K - 1) stack of mixture precoders plus a zero-forced one."""
     stack = mixture_precoders(real, eta, [5, 6], [0.0, 0.5, 1.0])
