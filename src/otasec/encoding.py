@@ -233,7 +233,7 @@ def build_precoder(
     if kind == "data_level":
         # Common pre-scaling noise variance at the largest feasible value:
         # E|x_k|^2 = (eta^2/|h_k|^2)(1 + sigma_w^2) <= P for every user.
-        if eta <= 0.0:
+        if eta**2 <= 0.0:  # eta = 0, or so small that eta^2 underflows
             return _no_noise(K, eta, degenerate=True)
         sigma_w_sq = float(np.min(real.P * np.abs(real.h) ** 2)) / eta**2 - 1.0
         if sigma_w_sq <= 0.0:

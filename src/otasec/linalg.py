@@ -40,7 +40,7 @@ def cholesky(B: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with ``L @ L.conj().T == B``, per matrix of a stack.
 
     ``B`` has shape ``(..., n, n)``.  Each matrix must be finite, Hermitian to
-    within ``HERMITIAN_RTOL`` relative to its Frobenius norm, and positive
+    within ``HERMITIAN_RTOL`` relative to its largest entry, and positive
     definite: a pivot at or below ``PIVOT_RTOL * trace(B) / n``, checked on
     ``|L_jj|^2`` after LAPACK's factor, or a pivot LAPACK rejects (at most 0)
     raises :class:`SingularMatrixError`.  No ``LinAlgError`` escapes.
@@ -51,13 +51,14 @@ def cholesky(B: np.ndarray) -> np.ndarray:
     if not np.isfinite(B).all():
         _, at = _where(~np.isfinite(B).all(axis=(-2, -1)))
         raise ContractError(f"matrix has a non-finite entry{at}")
-    fro = np.linalg.norm(B, axis=(-2, -1))
+    # Against the largest entry, not a norm: squaring the entries would overflow or underflow.
+    big = np.abs(B).max(axis=(-2, -1))
     dev = np.abs(B - B.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-    skew = dev > HERMITIAN_RTOL * np.maximum(fro, np.finfo(float).tiny)
+    skew = dev > HERMITIAN_RTOL * np.maximum(big, np.finfo(float).tiny)
     if skew.any():
         idx, at = _where(skew)
         raise ContractError(
-            f"matrix is not Hermitian{at}: max deviation {dev[idx]:.3e} vs norm {fro[idx]:.3e}"
+            f"matrix is not Hermitian{at}: max deviation {dev[idx]:.3e} vs max entry {big[idx]:.3e}"
         )
     try:
         L = np.linalg.cholesky(B)

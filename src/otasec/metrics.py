@@ -49,10 +49,10 @@ a given combiner the same way.  Each phase of ``n`` transmissions (the fit,
 the held-out half, the combiner's run) splits into ``_LANES = 4`` seeded
 lanes: lane ``i`` simulates ``n // 4 + (i < n % 4)`` transmissions from
 ``_stream(seed, key, i)``, with key 0 for the fit, 1 for the held-out half
-and 2 for ``mc_combiner_mse``.  A lane draws chunks of at most
-``_LANE_CHUNK = 4096`` transmissions, each one
-``standard_normal((c // 64, K + M + 1 + L, 64, 2))`` call, then one
-``(1, K + M + 1 + L, r, 2)`` call for a remainder ``r``.  Scaled by
+and 2 for ``mc_combiner_mse``.  A lane draws its full 64-transmission blocks
+in ``standard_normal((c, K + M + 1 + L, 64, 2))`` calls of at most
+``c = _LANE_CHUNK // 64 = 64`` blocks, then one ``(1, K + M + 1 + L, r, 2)``
+call for a remainder ``r``.  Scaled by
 ``sqrt(1/2)`` and viewed as complex, each 64-transmission block has rows
 ``gamma``, ``v``, ``n_y``, ``n_z`` and goes through the encoder and the
 channels by two stacked matrix products.  The blocks keep each product at
@@ -307,18 +307,7 @@ def _oracle_inputs(real: SystemRealization, A, eta: float, num_samples: int) -> 
     return A
 
 
-def _lane_buffers(real, A, num_samples: int) -> list:
-    """One set of flat draw, ``x`` and ``u`` buffers per lane of a phase of ``num_samples`` transmissions."""
-    K, M = A.shape
-    L = real.num_eavesdroppers
-    n = min(_LANE_CHUNK, -(-num_samples // _LANES))
-    return [
-        (np.empty((K + M + 1 + L) * n * 2), np.empty(K * n, np.complex128), np.empty((L + 2) * n, np.complex128))
-        for _ in range(_LANES)
-    ]
-
-
-def _simulate_blocks(rng, real, A, eta, count: int, width: int, buffers) -> np.ndarray:
+def _simulate_blocks(rng, real, A, eta, count: int, width: int) -> np.ndarray:
     """Draw ``count`` blocks of ``width`` transmissions through the actual encoding chain.
 
     One ``standard_normal((count, K + M + 1 + L, width, 2))`` call, scaled by
@@ -326,19 +315,16 @@ def _simulate_blocks(rng, real, A, eta, count: int, width: int, buffers) -> np.n
     blocks whose rows are, in order, ``gamma`` (K), ``v`` (M), ``n_y`` (1) and
     ``n_z`` (L).  Per block, ``x = [diag(eta / h) | A] @ [gamma; v]`` and
     ``[y; z] = [h^T; G] @ x`` plus the scaled noise rows.  Returns ``u`` of
-    shape ``(count, L + 2, width)``, a view of ``buffers``, whose rows are
-    ``y``, ``z`` (L) and ``s = sum_k gamma_k``.
+    shape ``(count, L + 2, width)`` whose rows are ``y``, ``z`` (L) and
+    ``s = sum_k gamma_k``.
     """
     K, M = A.shape
     L = real.num_eavesdroppers
-    draw_buf, x_buf, u_buf = buffers
-    draw = draw_buf[: count * (K + M + 1 + L) * width * 2].reshape(count, K + M + 1 + L, width, 2)
-    rng.standard_normal(out=draw)
+    draw = rng.standard_normal((count, K + M + 1 + L, width, 2))
     draw *= math.sqrt(0.5)
     w = draw.view(np.complex128)[..., 0]
-    x = x_buf[: count * K * width].reshape(count, K, width)
-    np.matmul(np.hstack([np.diag(eta / real.h), A]), w[:, : K + M], out=x)
-    u = u_buf[: count * (L + 2) * width].reshape(count, L + 2, width)
+    x = np.hstack([np.diag(eta / real.h), A]) @ w[:, : K + M]
+    u = np.empty((count, L + 2, width), np.complex128)
     np.matmul(np.vstack([real.h, real.G]), x, out=u[:, : L + 1])
     noise = w[:, K + M :]
     noise[:, 0] *= math.sqrt(real.sigma_y_sq)
@@ -353,39 +339,34 @@ def _chunk_sizes(total: int, chunk: int):
     return (min(chunk, total - start) for start in range(0, total, chunk))
 
 
-def _lane_blocks(rng, real, A, eta, n: int, buffers):
-    """``u`` of one lane's ``n`` transmissions, drawn in chunks of at most ``_LANE_CHUNK``.
+def _lane_blocks(rng, real, A, eta, n: int):
+    """``u`` of one lane's ``n`` transmissions, one draw call's blocks at a time.
 
-    A chunk of ``c`` transmissions is ``c // _BLOCK`` blocks of ``_BLOCK``,
-    then one block of the remainder if ``_BLOCK`` does not divide ``c``.
-    ``_BLOCK`` divides ``_LANE_CHUNK``, so the chunk size sets only the
-    buffers' size: a lane draws its full blocks in order, then its remainder.
+    The ``n // _BLOCK`` full blocks come in calls of at most ``_LANE_CHUNK //
+    _BLOCK`` blocks, then the remainder in one call.  ``_LANE_CHUNK`` sets only
+    the call size, and so how the lane's sums are grouped, not the blocks.
     """
-    for size in _chunk_sizes(n, _LANE_CHUNK):
-        for count, width in ((size // _BLOCK, _BLOCK), (1, size % _BLOCK)):
-            if count and width:
-                yield _simulate_blocks(rng, real, A, eta, count, width, buffers)
+    for count in _chunk_sizes(n // _BLOCK, _LANE_CHUNK // _BLOCK):
+        yield _simulate_blocks(rng, real, A, eta, count, _BLOCK)
+    if n % _BLOCK:
+        yield _simulate_blocks(rng, real, A, eta, 1, n % _BLOCK)
 
 
-def _lane_sums(lane_sum, real, A, eta, num_samples: int, seed: int, key: int, buffers):
+def _lane_sums(lane_sum, real, A, eta, num_samples: int, seed: int, key: int):
     """The sum over lanes ``i`` of ``lane_sum`` of lane ``i``'s blocks, added in lane order.
 
     Lane ``i`` simulates ``num_samples // _LANES + (i < num_samples % _LANES)``
-    transmissions from ``_stream(seed, key, i)`` into ``buffers[i]``.  The
-    lanes run on up to ``_LANES`` threads, one per core, and the result does
-    not depend on how many.
+    transmissions from ``_stream(seed, key, i)``; ``lane_sum`` reduces each draw
+    call's blocks before it adds across calls.  The lanes run on up to ``_LANES``
+    threads, one per core, and the result does not depend on how many.
     """
 
     def lane(i: int):
         n = num_samples // _LANES + (i < num_samples % _LANES)
-        return lane_sum(_lane_blocks(_stream(seed, key, i), real, A, eta, n, buffers[i]))
+        return lane_sum(_lane_blocks(_stream(seed, key, i), real, A, eta, n))
 
-    workers = min(_LANES, _cores())
-    if workers <= 1:
-        sums = [lane(i) for i in range(_LANES)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(lane, range(_LANES)))
+    with ThreadPoolExecutor(max_workers=min(_LANES, _cores())) as pool:
+        sums = list(pool.map(lane, range(_LANES)))
     return sum(sums[1:], sums[0])
 
 
@@ -397,7 +378,7 @@ def _gram(blocks) -> np.ndarray:
     return total
 
 
-def _heldout_mse(real, A, eta, num_samples, seed, key, W, buffers):
+def _heldout_mse(real, A, eta, num_samples, seed, key, W):
     """Mean and standard error of each estimator's normalized squared error.
 
     Row ``e`` of ``W`` holds estimator ``e``'s coefficients on ``[y; z]``.
@@ -411,7 +392,7 @@ def _heldout_mse(real, A, eta, num_samples, seed, key, W, buffers):
             sums += err.sum(axis=(0, 2)), np.sum(err**2, axis=(0, 2))
         return sums
 
-    sums, sums_sq = _lane_sums(errors, real, A, eta, num_samples, seed, key, buffers)
+    sums, sums_sq = _lane_sums(errors, real, A, eta, num_samples, seed, key)
     means = sums / num_samples
     variances = np.maximum(sums_sq / num_samples - means**2, 0.0)
     return means, np.sqrt(variances / num_samples)
@@ -434,13 +415,12 @@ def mc_oracle(
     A = _oracle_inputs(real, A, eta, num_samples)
     L = real.num_eavesdroppers
     n_fit = num_samples // 2
-    buffers = _lane_buffers(real, A, num_samples - n_fit)
-    gram = _lane_sums(_gram, real, A, eta, n_fit, seed, 0, buffers)  # rows and columns y, z, s
+    gram = _lane_sums(_gram, real, A, eta, n_fit, seed, 0)  # rows and columns y, z, s
     W = np.zeros((2, L + 1), dtype=np.complex128)
     W[0, 0] = gram[-1, 0] / gram[0, 0].real  # sum s conj(y) / sum |y|^2
     # Independent generic solve: the oracle must not share the Cholesky path.
     W[1, 1:] = np.linalg.solve(gram[1:-1, 1:-1], gram[1:-1, -1]).conj()
-    means, std_errs = _heldout_mse(real, A, eta, num_samples - n_fit, seed, 1, W, buffers)
+    means, std_errs = _heldout_mse(real, A, eta, num_samples - n_fit, seed, 1, W)
     return OracleReport(
         D_hat=float(means[0]),
         S_hat=float(means[1]),
@@ -466,8 +446,7 @@ def mc_combiner_mse(
     """
     A = _oracle_inputs(real, A, eta, num_samples)
     W = np.concatenate([[0.0], _combiner(real, p).conj()])[np.newaxis]
-    buffers = _lane_buffers(real, A, num_samples)
-    means, std_errs = _heldout_mse(real, A, eta, num_samples, seed, 2, W, buffers)
+    means, std_errs = _heldout_mse(real, A, eta, num_samples, seed, 2, W)
     return float(means[0]), float(std_errs[0])
 
 

@@ -78,7 +78,7 @@ def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.nd
     sigma = np.asarray(real.sigma_z_sq)
     sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
-    live = ~((sum_sq < DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
+    live = ~((sum_sq <= DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
     num = np.square(eta)[..., np.newaxis] * power_sq + sigma[..., np.newaxis]
     return np.divide(num, sum_sq, out=np.full(num.shape, np.inf), where=live), sum_sq, live
 

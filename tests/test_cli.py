@@ -130,6 +130,14 @@ class TestRun:
         assert code == 0
         assert '"num_users":4' in out.read_text()
 
+    def test_data_level_at_an_eta_whose_square_underflows(self, tmp_path):
+        # delta = 1e-200 makes eta^2 underflow to 0: data_level then degenerates as at eta = 0.
+        out = tmp_path / "gap.dat"
+        assert main(["run", "security_gap", "--trials", "2", "--set", "delta=1e-200", "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines() if not line.startswith("#")]
+        table = np.array(rows[1:], dtype=float)
+        assert table.shape == (9, 6) and np.isfinite(table).all()
+
     def test_invalid_override_value_exits_2(self, tmp_path, capsys):
         assert main(["run", "sweep_L", "--set", "num_users=1"]) == 2
 

@@ -349,6 +349,13 @@ class TestBuilders:
         prec = build_precoder("data_level", real, 0.0)
         assert prec.kind == "none" and prec.degenerate
 
+    def test_data_level_degenerates_where_eta_squared_underflows(self):
+        real = make_realization(2, K=4, L=1)
+        eta = 1e-200
+        assert eta > 0.0 and eta**2 == 0.0
+        prec = build_precoder("data_level", real, eta)
+        assert prec.kind == "none" and prec.degenerate
+
     def test_eta_above_maximum_rejected(self):
         real = make_realization(3, K=4, L=1)
         with pytest.raises(InfeasibleError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,24 @@ class TestCholesky:
         B = 1e-20 * (M @ M.conj().T + np.eye(4))
         L = cholesky(B)
         assert np.linalg.norm(L @ L.conj().T - B) <= 1e-9 * np.linalg.norm(B)
+
+    def test_hermitian_test_holds_where_a_norm_would_underflow(self, rng):
+        # Squared entries of 1e-200 underflow to 0, so a Frobenius norm would reject this matrix.
+        M = cn(rng, 4, 4)
+        B = M @ M.conj().T + np.eye(4)
+        B[0, 1] *= 1.0 + 1e-14  # Hermitian to 1e-14
+        L = cholesky(1e-200 * B)
+        np.testing.assert_allclose(1e100 * L, cholesky(B), rtol=1e-12)
+
+    def test_hermitian_test_holds_where_a_norm_would_overflow(self, rng):
+        # Squared entries of 1e200 overflow, so a Frobenius norm would be inf and accept any skew.
+        M = cn(rng, 4, 4)
+        B = M @ M.conj().T + np.eye(4)
+        B[0, 1] *= 1.0 + 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="not Hermitian"):
+                cholesky(1e200 * B)
 
 
 def spd_stack(rng, batch, n):

@@ -11,7 +11,6 @@ from otasec.metrics import (
     _LANE_CHUNK,
     _LANES,
     _lane_blocks,
-    _lane_buffers,
     approximation_error,
     coop_security,
     eavesdropper_moments,
@@ -543,6 +542,11 @@ class TestNonFinitePrecoder:
                 fn(real, A[1, 2], eta, *extra)
 
 
+def lane_samples(blocks) -> np.ndarray:
+    """A lane's ``u`` blocks as one ``(L + 2, n)`` array, in draw order."""
+    return np.concatenate([np.concatenate(u, axis=1) for u in blocks], axis=1)
+
+
 class TestMcOracle:
     def test_near_perfect_channel(self):
         real = make_realization(5, K=3, L=1)
@@ -580,9 +584,7 @@ class TestMcOracle:
         A = build_precoder(kind, real, eta, seed=4).A
         M, L = A.shape[1], real.num_eavesdroppers
         R, n, lane = K + M + 1 + L, 4096 + 2 * 64 + 50, 2  # a full chunk, then two blocks and 50 more
-        buffers = _lane_buffers(real, A, _LANES * n)[lane]
-        blocks = _lane_blocks(_stream(9, 0, lane), real, A, eta, n, buffers)
-        u = np.concatenate([np.concatenate(b, axis=1) for b in blocks], axis=1)  # copied before the next chunk
+        u = lane_samples(_lane_blocks(_stream(9, 0, lane), real, A, eta, n))
         assert u.shape == (L + 2, n)
         # The lane's draws, block by block: rows gamma (K), v (M), n_y (1), n_z (L), sample axis next.
         rng = _stream(9, 0, lane)
@@ -607,9 +609,9 @@ class TestMcOracle:
         A = build_precoder("random_zf", real, eta, seed=2).A
         lanes = []
 
-        def spy(rng, real, A, eta, n, buffers):
+        def spy(rng, real, A, eta, n):
             lanes.append((rng.bit_generator.state, n))
-            return lane_blocks(rng, real, A, eta, n, buffers)
+            return lane_blocks(rng, real, A, eta, n)
 
         lane_blocks = metrics._lane_blocks
         monkeypatch.setattr(metrics, "_cores", lambda: 1)
@@ -641,7 +643,7 @@ class TestMcOracle:
                 (mc_oracle(real, A, eta, num_samples, seed=6), mc_combiner_mse(real, A, eta, p, num_samples, seed=6))
             )
         assert reports[1:] == reports[:1] * 3
-        assert started == [2, 2, 2, 4, 4, 4, 4, 4, 4]  # two phases of mc_oracle, one of mc_combiner_mse
+        assert started == [1, 1, 1, 2, 2, 2, 4, 4, 4, 4, 4, 4]  # two phases of mc_oracle, one of mc_combiner_mse
 
     def test_sample_count_off_the_chunk_grid(self):
         real = make_realization(32, K=3, L=2)
@@ -653,31 +655,45 @@ class TestMcOracle:
         assert a.num_samples == num_samples
         assert np.isfinite([a.D_hat, a.S_hat, a.std_err_D, a.std_err_S]).all()
 
-    def test_chunk_buffers_match_allocating_per_chunk(self, monkeypatch):
+    def test_lane_blocks_do_not_depend_on_the_chunk_size(self, monkeypatch):
         real = make_realization(34, K=5, L=3)
         eta = eta_from_delta(real, 0.6)
         A = build_precoder("random_zf", real, eta, seed=3).A
+        n = 2 * 12288 + 3 * 64 + 17  # off the block grid and every chunk grid below
+        lanes, calls = [], []
+        for chunk in (64, 4096, 12288):
+            monkeypatch.setattr(metrics, "_LANE_CHUNK", chunk)
+            blocks = list(_lane_blocks(_stream(6, 1, 2), real, A, eta, n))
+            calls.append([len(u) for u in blocks])
+            lanes.append(lane_samples(blocks))
+        assert calls == [[1] * 388, [64] * 6 + [3, 1], [192, 192, 3, 1]]
+        assert lanes[0].shape == (real.num_eavesdroppers + 2, n)
+        assert all(np.array_equal(u, lanes[0]) for u in lanes[1:])
+
+    # float.hex of (D_hat, S_hat, std_err_D, std_err_S) and of mc_combiner_mse at the optimal combiner.
+    PINNED = {
+        (36, 5, 3, "random_zf", 0.6, 2 * 4 * 2 * 4096): (
+            ("0x1.a3a09b47e4d88p-5", "0x1.b974775db6ce1p-1", "0x1.29501a34f8660p-12", "0x1.3a64f39003a3ap-8"),
+            ("0x1.bc728298aed9ap-1", "0x1.bba92bcf860aep-9"),
+        ),
+        (37, 7, 4, "mixture", 0.8, 4 * 3 * 4096 + 4 * 3 * 64 + 23): (  # off the block and chunk grids
+            ("0x1.f9620d8adea31p-1", "0x1.6637d5fcde2bfp-1", "0x1.9308b037dd173p-8", "0x1.20c4a0f26cea7p-8"),
+            ("0x1.66a5bf2dbd443p-1", "0x1.9d10a7cf51358p-9"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED, ids=["on_grid", "off_grid"])
+    def test_reports_are_pinned(self, case):
+        # Any change to the lanes' draws or to the order of their sums moves these bits.
+        seed, K, L, kind, delta, num_samples = case
+        real = make_realization(seed, K=K, L=L)
+        eta = eta_from_delta(real, delta)
+        A = build_precoder(kind, real, eta, seed=seed, params={"theta": 0.4} if kind == "mixture" else None).A
         p = coop_security(real, A, eta)[1]
-        monkeypatch.setattr(metrics, "_LANE_CHUNK", 3000)  # every chunk below ends on a partial block
-
-        def allocating(rng, real, A, eta, count, width, buffers=None):
-            # The lane's blocks as spelled without buffers.
-            K, M = A.shape
-            L = real.num_eavesdroppers
-            draw = rng.standard_normal((count, K + M + 1 + L, width, 2))
-            draw *= np.sqrt(0.5)
-            w = draw.view(np.complex128)[..., 0]
-            x = np.hstack([np.diag(eta / real.h), A]) @ w[:, : K + M]
-            yz = np.vstack([real.h, real.G]) @ x
-            noise = w[:, K + M :]
-            noise[:, 0] *= np.sqrt(real.sigma_y_sq)
-            noise[:, 1:] *= np.sqrt(real.sigma_z_sq)
-            yz += noise
-            return np.concatenate([yz, w[:, :K].sum(axis=1, keepdims=True)], axis=1)
-
-        reused = mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6)
-        monkeypatch.setattr(metrics, "_simulate_blocks", allocating)
-        assert reused == (mc_oracle(real, A, eta, 10_001, seed=6), mc_combiner_mse(real, A, eta, p, 10_001, seed=6))
+        rep = mc_oracle(real, A, eta, num_samples, seed=seed)
+        combiner = mc_combiner_mse(real, A, eta, p, num_samples, seed=seed)
+        oracle = (rep.D_hat, rep.S_hat, rep.std_err_D, rep.std_err_S)
+        assert (tuple(map(float.hex, oracle)), tuple(map(float.hex, combiner))) == self.PINNED[case]
 
     def test_combiner_simulation_detects_sign_flip(self):
         real = make_realization(8, K=4, L=2)

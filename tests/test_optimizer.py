@@ -379,6 +379,21 @@ class TestSharedZeroForcing:
         with pytest.raises(RuntimeError, match="tie-break LP reported unbounded"):
             optimize_proposed(real, 0.0)
 
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_zero_eavesdropper_row_is_dropped(self, N):
+        # An all-zero row of G learns nothing: the design is bitwise the one made without that eavesdropper.
+        for seed in range(4):
+            real = make_realization(seed, K=5, L=4)
+            eta = eta_from_delta(real, 0.6)
+            for l in range(4):
+                kept = np.arange(4) != l
+                without = dataclasses.replace(real, G=real.G[kept], eav_positions=real.eav_positions[kept])
+                zeroed = dataclasses.replace(real, G=np.where(kept[:, np.newaxis], real.G, 0.0))
+                a, b = optimize_shared_zf(zeroed, eta, N), optimize_shared_zf(without, eta, N)
+                assert (a.kind, a.eta, a.zf_users, a.degenerate) == (b.kind, b.eta, b.zf_users, b.degenerate)
+                for field in ("A", "lam", "zf_weights"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field))
+
     def test_invalid_arguments(self):
         real = make_realization(1, K=4, L=1)
         with pytest.raises(ContractError):
