@@ -232,13 +232,12 @@ def build_precoder(
 
     if kind == "data_level":
         # Common pre-scaling noise variance at the largest feasible value:
-        # E|x_k|^2 = (eta^2/|h_k|^2)(1 + sigma_w^2) <= P for every user.
-        if eta**2 <= 0.0:  # eta = 0, or so small that eta^2 underflows
+        # E|x_k|^2 = (eta^2/|h_k|^2)(1 + sigma_w^2) <= P for every user.  The residual is eta^2 sigma_w^2,
+        # taken without dividing by eta^2, which overflows where eta^2 is subnormal.
+        residual = float(np.min(real.P * np.abs(real.h) ** 2)) - eta**2
+        if eta**2 <= 0.0 or residual <= 0.0:  # eta = 0, or so small that eta^2 underflows; or no power left
             return _no_noise(K, eta, degenerate=True)
-        sigma_w_sq = float(np.min(real.P * np.abs(real.h) ** 2)) / eta**2 - 1.0
-        if sigma_w_sq <= 0.0:
-            return _no_noise(K, eta, degenerate=True)
-        A = np.diag(eta * math.sqrt(sigma_w_sq) / real.h)
+        A = np.diag(math.sqrt(residual) / real.h)
         return NoisePrecoder(A, "data_level", eta)
 
     if kind == "random_zf":

@@ -50,7 +50,7 @@ from .encoding import (
 )
 from .errors import ConfigurationError, ContractError
 from .metrics import _cores, _whitened, approximation_error, coop_security, noncoop_security
-from .optimizer import LP_DESIGNS, _lp_total, optimize_designs, optimize_proposed
+from .optimizer import LP_DESIGNS, _gather, _lp_total, optimize_designs, optimize_proposed
 from .version import __version__
 
 _SNR_GRID = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -203,18 +203,6 @@ def _columns_power_control(preset: ExperimentPreset):
 _GROUP_LPS = 512
 
 
-def _finish_group(started: list) -> list:
-    """Solve the requests of started trials, ``(trial, requests)`` pairs, in one call; each trial's rows."""
-    precoders = iter(optimize_designs([request for _, requests in started for request in requests]))
-    rows = []
-    for trial, requests in started:
-        try:
-            trial.send([next(precoders) for _ in requests])
-        except StopIteration as done:
-            rows.append(done.value)
-    return rows
-
-
 def _map_trials(fn, n: int, workers: int | None) -> list:
     """``[fn(r) for r in range(n)]``, on threads only when 2 or more workers are asked for.
 
@@ -235,8 +223,9 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     samples its realization and yields its ``optimize_designs`` requests,
     then takes the precoders back and returns its rows.  Consecutive trials
     run in groups of at most ``_GROUP_LPS`` LPs, counted from trial 0 (every
-    trial has its shapes), whose requests share one ``optimize_designs`` call;
-    a trial without LPs forms a group of its own.  Each LP takes the steps it
+    trial has its shapes), whose requests share one ``optimize_designs`` call
+    (the optimizer's ``_gather``, which also pools a design's LPs); a trial
+    without LPs forms a group of its own.  Each LP takes the steps it
     would take alone, so the rows are bitwise those of one trial at a time.
     Groups run serially unless ``threads`` asks for 2 or more worker threads.
     """
@@ -257,7 +246,8 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     n = preset.num_realizations
 
     def group(g: int) -> list:
-        return _finish_group([first if r == 0 else start(r) for r in range(g * size, min((g + 1) * size, n))])
+        started = [first if r == 0 else start(r) for r in range(g * size, min((g + 1) * size, n))]
+        return _gather(started, optimize_designs)
 
     groups = _map_trials(group, -(-n // size), threads)
     return np.stack([rows for trials in groups for rows in trials], axis=0)

@@ -48,11 +48,11 @@ shares no algebra with the closed forms above.  ``mc_combiner_mse`` scores
 a given combiner the same way.  Each phase of ``n`` transmissions (the fit,
 the held-out half, the combiner's run) splits into ``_LANES = 4`` seeded
 lanes: lane ``i`` simulates ``n // 4 + (i < n % 4)`` transmissions from
-``_stream(seed, key, i)``, with key 0 for the fit, 1 for the held-out half
-and 2 for ``mc_combiner_mse``.  A lane draws its full 64-transmission blocks
-in ``standard_normal((c, K + M + 1 + L, 64, 2))`` calls of at most
-``c = _LANE_CHUNK // 64 = 64`` blocks, then one ``(1, K + M + 1 + L, r, 2)``
-call for a remainder ``r``.  Scaled by
+``_stream(seed, key, i)``, with key 0 for the fit, 1 for the held-out half,
+2 for ``mc_combiner_mse`` and 9 for ``statistical_csi_check`` (below).  A
+lane draws its full 64-transmission blocks in ``standard_normal((c, K + M +
+1 + L, 64, 2))`` calls of at most ``c = _LANE_CHUNK // 64 = 64`` blocks,
+then one ``(1, K + M + 1 + L, r, 2)`` call for a remainder ``r``.  Scaled by
 ``sqrt(1/2)`` and viewed as complex, each 64-transmission block has rows
 ``gamma``, ``v``, ``n_y``, ``n_z`` and goes through the encoder and the
 channels by two stacked matrix products.  The blocks keep each product at
@@ -60,11 +60,12 @@ most 16 x 32 x 64 multiply-adds, so OpenBLAS runs it on the calling thread:
 a larger product starts OpenBLAS's own threads, which keep spinning and take
 the cores from the lanes.  Each lane returns its sums, which are added in
 lane order; the lanes run on up to ``_LANES`` threads, one per core, so the
-reports are bitwise the same on any core count.  They take
-scalar noise variances, a scalar ``eta`` and a single ``(K, M)`` precoder.  ``statistical_csi_check``
-verifies the phase-scrambling argument: when the eavesdropper channel phases
-are uniformly random (and unknown), the received signals carry no linear
-information about ``s``, i.e. their cross-covariance vanishes.
+reports are bitwise the same on any core count.  They take scalar noise
+variances, a scalar ``eta`` and a single ``(K, M)`` precoder.
+``statistical_csi_check`` verifies the phase-scrambling argument: when the
+eavesdropper channel phases are uniformly random (and unknown), the received
+signals carry no linear information about ``s``, i.e. their cross-covariance
+vanishes; its phase ensemble runs on the same lanes, ``_LANE_CHUNK`` draws a call.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ from .encoding import _check_scalar_eta, eta_from_delta
 from .errors import ContractError
 from .linalg import _back, _forward, _where, cholesky
 
-_CHUNK = 1 << 16  # draws per chunk of statistical_csi_check
 _LANES = 4
-_LANE_CHUNK = 1 << 12  # most transmissions an oracle lane draws in one call
+_LANE_CHUNK = 1 << 12  # most transmissions, or phase draws, a lane draws in one call
 _BLOCK = 64  # transmissions per matrix product
 _MIN_SAMPLES = 10**4
 
@@ -352,21 +352,20 @@ def _lane_blocks(rng, real, A, eta, n: int):
         yield _simulate_blocks(rng, real, A, eta, 1, n % _BLOCK)
 
 
-def _lane_sums(lane_sum, real, A, eta, num_samples: int, seed: int, key: int):
-    """The sum over lanes ``i`` of ``lane_sum`` of lane ``i``'s blocks, added in lane order.
+def _lane_sums(lane, num_samples: int, seed: int, key: int):
+    """The sum over lanes ``i`` of ``lane(_stream(seed, key, i), n)``, added in lane order.
 
-    Lane ``i`` simulates ``num_samples // _LANES + (i < num_samples % _LANES)``
-    transmissions from ``_stream(seed, key, i)``; ``lane_sum`` reduces each draw
-    call's blocks before it adds across calls.  The lanes run on up to ``_LANES``
+    Lane ``i`` takes ``n = num_samples // _LANES + (i < num_samples % _LANES)``
+    of the draws and returns their sums; the oracles reduce each draw call's
+    blocks before they add across calls.  The lanes run on up to ``_LANES``
     threads, one per core, and the result does not depend on how many.
     """
 
-    def lane(i: int):
-        n = num_samples // _LANES + (i < num_samples % _LANES)
-        return lane_sum(_lane_blocks(_stream(seed, key, i), real, A, eta, n))
+    def run(i: int):
+        return lane(_stream(seed, key, i), num_samples // _LANES + (i < num_samples % _LANES))
 
     with ThreadPoolExecutor(max_workers=min(_LANES, _cores())) as pool:
-        sums = list(pool.map(lane, range(_LANES)))
+        sums = list(pool.map(run, range(_LANES)))
     return sum(sums[1:], sums[0])
 
 
@@ -385,14 +384,14 @@ def _heldout_mse(real, A, eta, num_samples, seed, key, W):
     """
     K = real.num_users
 
-    def errors(blocks) -> np.ndarray:
+    def errors(rng, n: int) -> np.ndarray:
         sums = np.zeros((2, len(W)))
-        for u in blocks:
+        for u in _lane_blocks(rng, real, A, eta, n):
             err = np.abs(W @ u[:, :-1] - u[:, -1:]) ** 2 / K
             sums += err.sum(axis=(0, 2)), np.sum(err**2, axis=(0, 2))
         return sums
 
-    sums, sums_sq = _lane_sums(errors, real, A, eta, num_samples, seed, key)
+    sums, sums_sq = _lane_sums(errors, num_samples, seed, key)
     means = sums / num_samples
     variances = np.maximum(sums_sq / num_samples - means**2, 0.0)
     return means, np.sqrt(variances / num_samples)
@@ -415,7 +414,7 @@ def mc_oracle(
     A = _oracle_inputs(real, A, eta, num_samples)
     L = real.num_eavesdroppers
     n_fit = num_samples // 2
-    gram = _lane_sums(_gram, real, A, eta, n_fit, seed, 0)  # rows and columns y, z, s
+    gram = _lane_sums(lambda rng, n: _gram(_lane_blocks(rng, real, A, eta, n)), n_fit, seed, 0)  # rows y, z, s
     W = np.zeros((2, L + 1), dtype=np.complex128)
     W[0, 0] = gram[-1, 0] / gram[0, 0].real  # sum s conj(y) / sum |y|^2
     # Independent generic solve: the oracle must not share the Cholesky path.
@@ -480,24 +479,26 @@ def statistical_csi_check(
     real = sample_realization(config, seed)
     if eta is None:
         eta = eta_from_delta(real, 1.0)
-    L = real.num_eavesdroppers
-    rng = _stream(seed, 9)
-    sum_x = np.zeros(L, dtype=np.complex128)
-    sum_abs_sq = np.zeros(L)
-    for n in _chunk_sizes(num_realizations, _CHUNK):
-        gamma = _cn(rng, (n, real.num_users))
-        w = gamma / real.h[np.newaxis, :]
-        if randomize_phases:
-            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (n, L, real.num_users)))
-            z = eta * np.einsum("lk,nlk,nk->nl", real.G, phases, w)
-        else:
-            z = eta * w @ real.G.T
-        z += math.sqrt(real.sigma_z_sq) * _cn(rng, (n, L))
-        x = z * gamma.sum(axis=1).conj()[:, np.newaxis]
-        sum_x += x.sum(axis=0)
-        sum_abs_sq += np.sum(np.abs(x) ** 2, axis=0)
+    L, K = real.num_eavesdroppers, real.num_users
+
+    def phase_sums(rng, n: int) -> np.ndarray:  # sum z conj(s) and sum |z conj(s)|^2
+        sums = np.zeros((2, L), dtype=np.complex128)
+        for count in _chunk_sizes(n, _LANE_CHUNK):
+            gamma = _cn(rng, (count, K))
+            w = gamma / real.h[np.newaxis, :]
+            if randomize_phases:
+                phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (count, L, K)))
+                z = eta * np.einsum("lk,nlk,nk->nl", real.G, phases, w)
+            else:
+                z = eta * w @ real.G.T
+            z += math.sqrt(real.sigma_z_sq) * _cn(rng, (count, L))
+            x = z * gamma.sum(axis=1).conj()[:, np.newaxis]
+            sums += x.sum(axis=0), np.sum(np.abs(x) ** 2, axis=0)
+        return sums
+
+    sum_x, sum_abs_sq = _lane_sums(phase_sums, num_realizations, seed, 9)
     mean = sum_x / num_realizations
-    var = np.maximum(sum_abs_sq / num_realizations - np.abs(mean) ** 2, 0.0)
+    var = np.maximum(sum_abs_sq.real / num_realizations - np.abs(mean) ** 2, 0.0)
     return CrossCovarianceReport(
         crosscov=mean,
         std_err=np.sqrt(var / num_realizations),

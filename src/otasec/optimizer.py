@@ -45,11 +45,11 @@ and subset.  A subset out of residual power at an ``eta`` gets its LP too:
 its zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
 :func:`optimize_designs` hands the LP arrays of several designs to one
 :func:`~otasec.lp.solve_lp` call, which solves them in one padded stack (one
-call per group of preset trials).  It is the one way into a design:
-:func:`optimize_shared_zf` is its one-design case and the paper's single-user
-:func:`optimize_proposed` the one-candidate case of that.  One subset's
-``alpha``, ``beta`` and matrix are the stacked helpers' at a leading axis of
-length one.
+call per group of preset trials, by the same driver, ``_gather``).  It is the
+one way into a design: :func:`optimize_shared_zf` is its one-design case and
+the paper's single-user :func:`optimize_proposed` the one-candidate case of
+that.  One subset's ``alpha``, ``beta`` and matrix are the stacked helpers' at
+a leading axis of length one.
 """
 
 from __future__ import annotations
@@ -142,45 +142,47 @@ def _allocation_lp(
     entry.  A dropped eavesdropper keeps its row, all zeros with rhs 0,
     which never pivots, so LPs that drop different eavesdroppers share a
     stack.  Every live alpha is positive, so ``t >= 0``
-    cuts off no optimum.  The raw coefficients inherit the physical channel
-    scale, which can sit below the simplex pivot tolerance, so ``t`` and the
-    objective rows are in units of an upper bound on each LP's optimum:
+    cuts off no optimum.  The raw coefficients inherit the physical scales
+    of channel and power, while the simplex's tolerances are absolute, so the
+    LP is posed in units of its own: ``lam = caps * x`` with ``0 <= x <= 1``
+    (a zero cap bounds its ``x`` by 0), each zero-forcing row and its rhs are
+    divided by that row's budget where it is positive, and ``t`` and the
+    eavesdropper rows are in units of an upper bound on each LP's optimum:
     ``beta >= 0``, so ``t* <= min over live l of (alpha_l + beta_l . caps)``,
-    and ``t* <= 1`` in LP units.  The smallest alpha alone is a poor unit when
-    it nears ``sigma_z^2`` (small eta or high SNR): ``beta / alpha`` then grows
-    until the simplex spins or misreports the LP unbounded.
+    and ``t* <= 1`` in LP units.  Scaling the power unit (``P`` and the noise
+    variances together) then leaves every LP's data unchanged up to rounding.
 
     An LP in which no live row depends on lambda breaks the tie instead: its
-    objective is the total noise power.  Its objective rows then hold zeros
-    in every lambda column, so they never pivot and ``t``, priced at zero,
-    never enters: the simplex takes the steps of the same LP over lambda,
-    its bounds and the zero-forcing rows alone.
+    objective is the total noise power, over the largest cap.  Its objective
+    rows then hold zeros in every ``x`` column, so they never pivot and
+    ``t``, priced at zero, never enters: the simplex takes the steps of the
+    same LP over ``x``, its bounds and the zero-forcing rows alone.
 
     Every such LP is bounded by construction: ``t <= 1`` in LP units and
-    ``lam <= caps``, and a tie-break LP is bounded by the caps.  So an
+    ``x <= 1``, and a tie-break LP is bounded by the caps.  So an
     "unbounded" status can only be numerical, and the design raises on it.
     """
     live = np.isfinite(alpha)
     stack = np.broadcast_shapes(alpha.shape[:-1], beta.shape[:-2], load.shape[:-2], budgets.shape[:-1])
     L, n_cols = alpha.shape[-1], beta.shape[-1]
-    caps = budgets[..., :n_cols]
-    # einsum's order of addition follows the operands' strides; contiguous operands add each
-    # row's products as a contiguous stack does (an eta array's caps are strided).
-    reach = alpha + np.einsum("...li,...i->...l", np.ascontiguousarray(beta), np.ascontiguousarray(caps))
-    scale = reach.min(axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
+    caps, zf_budgets = budgets[..., :n_cols], budgets[..., n_cols:]
+    gain = beta * caps[..., np.newaxis, :]  # the eavesdropper rows per unit of x
+    scale = (alpha + gain.sum(axis=-1)).min(axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
     rows = np.zeros(stack + (L + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
-    rows[..., :L, 1:] = -beta / scale[..., np.newaxis]
-    rows[..., L:, 1:] = load
+    rows[..., :L, 1:] = -gain / scale[..., np.newaxis]
+    funded = zf_budgets > 0.0
+    rows[..., L:, 1:] = load * caps[..., np.newaxis, :] / np.where(funded, zf_budgets, 1.0)[..., np.newaxis]
     rhs = np.zeros(stack + (L + load.shape[-2],))
     np.divide(alpha, scale, out=rhs[..., :L], where=live)
-    rhs[..., L:] = budgets[..., n_cols:]
+    rhs[..., L:] = funded
     upper = np.empty(stack + (1 + n_cols,))
-    upper[..., 0], upper[..., 1:] = np.inf, caps  # t is unbounded
+    upper[..., 0], upper[..., 1:] = np.inf, caps > 0.0  # t is unbounded
     tie = ~beta.any(axis=(-2, -1))  # beta >= 0, and zero on dropped rows
+    top = caps.max(axis=-1, keepdims=True)
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
-    objective[..., 1:] = tie[..., np.newaxis]
+    objective[..., 1:] = tie[..., np.newaxis] * np.divide(caps, top, out=np.zeros(caps.shape), where=top > 0.0)
     return LpProblem(objective, rows, rhs, upper)
 
 
@@ -223,16 +225,23 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
     changes no LP's answer, so each design is bitwise the one made alone.
     """
     designs = [_design(*request) for request in requests]
-    problems = [next(design) for design in designs]
-    if not problems:
-        return []
-    precoders = []
-    for design, solution in zip(designs, solve_lp(*problems)):
+    return _gather([(design, next(design)) for design in designs], lambda problems: solve_lp(*problems))
+
+
+def _gather(started, answer) -> list:
+    """What each coroutine of the ``(coroutine, asks)`` pairs returns, its asks answered by one ``answer`` call.
+
+    ``answer`` takes every ask in order and returns one answer each; each coroutine is sent its own slice.
+    """
+    asks = [ask for _, some in started for ask in some]
+    answers = iter(answer(asks) if asks else [])
+    results = []
+    for coroutine, some in started:
         try:
-            design.send(solution)
+            coroutine.send([next(answers) for _ in some])
         except StopIteration as done:
-            precoders.append(done.value)
-    return precoders
+            results.append(done.value)
+    return results
 
 
 def _candidates(real: SystemRealization, N: int, selection: str) -> list[tuple]:
@@ -253,7 +262,7 @@ def _lp_total(requests) -> int:
 
 
 def _design(real: SystemRealization, eta, N: int, selection: str):
-    """A generator: yields the design's LP array, takes its LP solution back, returns the precoder."""
+    """A coroutine for ``_gather``: yields ``[problem]``, its LP array, takes ``[solution]``, returns the precoder."""
     K = real.num_users
     candidates = _candidates(real, N, selection)
     metrics._check_eta(eta)
@@ -271,13 +280,13 @@ def _design(real: SystemRealization, eta, N: int, selection: str):
     load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
     rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
     problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR and subset
-    solution = yield problem
+    (solution,) = yield [problem]
     failed = solution.status != "optimal"
     if np.any(failed):
         first = np.argmax(failed)  # a flat index
         what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
         raise RuntimeError(f"{what} LP reported {solution.status.flat[first]}")
-    lam = np.maximum(solution.x[..., 1:], 0.0)
+    lam = np.maximum(solution.x[..., 1:], 0.0) * rhs[..., : noise.shape[-1]]  # x times the caps
     # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
     # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
     worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)

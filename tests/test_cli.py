@@ -130,12 +130,22 @@ class TestRun:
         assert code == 0
         assert '"num_users":4' in out.read_text()
 
+    @staticmethod
+    def gap_table(tmp_path, delta: str) -> np.ndarray:
+        out = tmp_path / "gap.dat"
+        assert main(["run", "security_gap", "--trials", "2", "--set", f"delta={delta}", "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines() if not line.startswith("#")]
+        return np.array(rows[1:], dtype=float)
+
     def test_data_level_at_an_eta_whose_square_underflows(self, tmp_path):
         # delta = 1e-200 makes eta^2 underflow to 0: data_level then degenerates as at eta = 0.
-        out = tmp_path / "gap.dat"
-        assert main(["run", "security_gap", "--trials", "2", "--set", "delta=1e-200", "--out", str(out)]) == 0
-        rows = [line.split() for line in out.read_text().splitlines() if not line.startswith("#")]
-        table = np.array(rows[1:], dtype=float)
+        table = self.gap_table(tmp_path, "1e-200")
+        assert table.shape == (9, 6) and np.isfinite(table).all()
+
+    @pytest.mark.parametrize("delta", ["1e-155", "1e-156", "1e-157"])
+    def test_data_level_at_an_eta_whose_square_is_subnormal(self, tmp_path, delta):
+        # eta^2 is subnormal: min_k P|h_k|^2 / eta^2 overflowed, and data_level's precoder was not finite.
+        table = self.gap_table(tmp_path, delta)
         assert table.shape == (9, 6) and np.isfinite(table).all()
 
     def test_invalid_override_value_exits_2(self, tmp_path, capsys):

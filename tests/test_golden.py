@@ -17,8 +17,8 @@ against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
     PYTHONPATH=src python tests/test_golden.py --sha1
 
 and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), its
-``mc_oracle`` row (one call at 10^6 samples) and its Cholesky/solve rows (``coop_security`` per
-call, in µs) with
+``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
+draws) and its Cholesky/solve rows (``coop_security`` per call, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -39,7 +39,7 @@ from otasec.channel import ScenarioConfig, sample_realization
 from otasec.cli import main
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
-from otasec.metrics import coop_security, mc_oracle
+from otasec.metrics import coop_security, mc_oracle, statistical_csi_check
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -186,10 +186,11 @@ def _min_median(run, calls=1) -> str:
 
 def _print_times():
     """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, one ``mc_oracle`` call,
-    then the Cholesky/solve layer as ``coop_security`` calls.
+    one ``statistical_csi_check`` call, then the Cholesky/solve layer as ``coop_security`` calls.
 
     The oracle row is 10^6 samples on the seed-1 realization at K = 10, L = 5 with the ``proposed``
-    precoder at delta 0.7; it runs its lanes on the host's cores.  The ``coop_security`` rows score
+    precoder at delta 0.7, and the CSI row 10^5 phase draws at K = 10, L = 5 and seed 1; both run
+    their lanes on the host's cores.  The ``coop_security`` rows score
     the default ``tradeoff`` realization's 50 x 11 mixture stack (K = 10, L = 7) at delta 0.5, and one
     ``none`` precoder on the seed-1 realization at K = 10, L = 15.
     """
@@ -202,6 +203,8 @@ def _print_times():
     eta = eta_from_delta(real, 0.7)
     A = build_precoder("proposed", real, eta).A
     print(f"| `mc_oracle` | 10^6 samples | {_min_median(lambda: mc_oracle(real, A, eta, 10**6, seed=1))} |")
+    csi = _min_median(lambda: statistical_csi_check(ScenarioConfig(num_users=10, num_eavesdroppers=5), 10**5, seed=1))
+    print(f"| `statistical_csi_check` | 10^5 draws, K = 10, L = 5 | {csi} |")
     tradeoff = default_preset("tradeoff", base_seed=1)
     real = sample_realization(tradeoff.config, tradeoff.base_seed)
     eta = eta_from_delta(real, 0.5)

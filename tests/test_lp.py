@@ -220,7 +220,7 @@ def sampled_allocation_lps():
             for delta in (0.05, 0.5, 1.0):
                 eta = eta_from_delta(real, delta)
                 for N in (1, 2):
-                    yield next(_design(real, eta, N, "best_channel"))
+                    yield next(_design(real, eta, N, "best_channel"))[0]
 
 
 def flat(problem):
@@ -422,7 +422,7 @@ class TestAgainstHighs:
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
         real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
-        stack = next(_design(real, eta_from_delta(real, delta), N, "exhaustive"))
+        stack = next(_design(real, eta_from_delta(real, delta), N, "exhaustive"))[0]
         problems = entries(stack)[::10]
         (sol,) = solve_lp(stack_of(problems))
         assert np.all(sol.status == "optimal")
@@ -684,7 +684,7 @@ class TestBounds:
         # At delta = 1 the weakest user has no budget: every design has a bound of 0.
         for seed in range(3):
             real = make_realization(seed, K=6, L=4, snr_db=10.0)
-            stack = next(_design(real, eta_from_delta(real, 1.0), 2, "exhaustive"))
+            stack = next(_design(real, eta_from_delta(real, 1.0), 2, "exhaustive"))[0]
             assert np.all((stack.upper[:, 1:] == 0.0).sum(axis=1) <= 1) and np.any(stack.upper == 0.0)
             assert_stack_equals_loop(entries(stack))
 

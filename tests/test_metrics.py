@@ -816,6 +816,23 @@ class TestStatisticalCsi:
         explicit = statistical_csi_check(config, 1000, seed=16, eta=eta)
         assert default.crosscov.tobytes() == explicit.crosscov.tobytes()
 
+    # float.hex of crosscov's real parts, its imaginary parts, then std_err.
+    PINNED = (
+        "-0x1.240cd44db3d6cp-17", "0x1.736352bf4c79ep-21", "0x1.edd7c10dd0dd8p-21",
+        "-0x1.40262430fb97ep-18", "0x1.6dc2199652dfbp-21", "0x1.6b60a03c4bd43p-20",
+        "0x1.a6cf83153bedbp-17", "0x1.822042da1be28p-20", "0x1.639805f618245p-19",
+    )
+
+    def test_report_is_pinned_on_any_core_count(self, monkeypatch):
+        # Any change to the lanes' draws or to the order of their sums moves these bits.
+        config = ScenarioConfig(num_users=5, num_eavesdroppers=3)
+        num_draws = 2 * 4 * 4096 + 4 * 64 + 29  # off the 4,096-draw grid
+        for cores in (1, 4):
+            monkeypatch.setattr(metrics, "_cores", lambda: cores)
+            rep = statistical_csi_check(config, num_draws, seed=17)
+            values = np.concatenate([rep.crosscov.real, rep.crosscov.imag, rep.std_err])
+            assert rep.num_draws == num_draws and tuple(map(float.hex, values.tolist())) == self.PINNED
+
     def test_requires_complex_fading(self):
         config = ScenarioConfig(num_users=4, num_eavesdroppers=2, fading_mode="real")
         with pytest.raises(ContractError):

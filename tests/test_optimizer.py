@@ -479,25 +479,31 @@ def looped_design_search(real, eta, N, selection):
         live = np.isfinite(alpha)
         load = np.abs(w[:, None] * real.h[noise] / real.h[zf, None]) ** 2
         caps = budgets[noise]  # the noise users' budgets bound lambda; the rows are the zf users'
+        # In cap units, lambda = caps * x with 0 <= x <= 1, and each funded zf row and its rhs over its budget.
+        funded = budgets[zf] > 0.0
+        zf_rows = load * caps
+        zf_rows[funded] /= budgets[zf][funded, None]
         if np.any(beta[live] > 0.0):
-            scale = np.min(alpha[live] + np.einsum("...li,...i->...l", beta[live], caps))
+            gain = beta[live] * caps
+            scale = np.min(alpha[live] + gain.sum(axis=-1))
             rows = np.vstack(
                 [
-                    np.column_stack([np.ones(live.sum()), -beta[live] / scale]),
-                    np.column_stack([np.zeros(len(load)), load]),
+                    np.column_stack([np.ones(live.sum()), -gain / scale]),
+                    np.column_stack([np.zeros(len(load)), zf_rows]),
                 ]
             )
             c = np.zeros(1 + len(noise))
             c[0] = 1.0
-            rhs = np.concatenate([alpha[live] / scale, budgets[zf]])
-            (sol,) = solve_lp(LpProblem(c, rows, rhs, np.concatenate([[np.inf], caps])))
-            lam = sol.x[1:]
+            rhs = np.concatenate([alpha[live] / scale, funded])
+            (sol,) = solve_lp(LpProblem(c, rows, rhs, np.concatenate([[np.inf], caps > 0.0])))
+            x = sol.x[1:]
         else:
-            (sol,) = solve_lp(LpProblem(np.ones(len(noise)), load, budgets[zf], caps))
-            lam = sol.x
+            c = caps / caps.max() if caps.max() > 0.0 else np.zeros(len(noise))
+            (sol,) = solve_lp(LpProblem(c, zf_rows, funded.astype(float), (caps > 0.0).astype(float)))
+            x = sol.x
         assert sol.status == "optimal"
         kind = "proposed" if N == 1 else "proposed_shared"
-        lam = np.maximum(lam, 0.0)
+        lam = np.maximum(x, 0.0) * caps
         prec = NoisePrecoder(zf_matrix(real, Z, w, lam), kind, eta, zf_users=Z, lam=lam, zf_weights=w)
         scored.append((noncoop_security(real, prec.A, eta)[0] if len(candidates) > 1 else 0.0, prec))
     top = max((value for value, _ in scored), default=None)
