@@ -14,7 +14,8 @@ Commands
     failure.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric or contract
-error, 4 I/O error.  All randomness is determined by ``--seed``; ``optimize``
+error (a floating-point overflow, invalid value or division by zero
+included), 4 I/O error.  All randomness is determined by ``--seed``; ``optimize``
 draws none.
 """
 
@@ -25,6 +26,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .channel import _complex_out, load_realization
 from .encoding import build_precoder, eta_from_delta, precoder_to_dict
@@ -246,20 +249,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
+    commands = {"run": _cmd_run, "metrics": _cmd_metrics, "optimize": _cmd_optimize, "selftest": _cmd_selftest}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        return _cmd_selftest(args)
+        # An overflow, invalid value or division by zero is a numeric fault, never a warning and a NaN.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return commands[args.command](args)
     except ConfigurationError as exc:
         print(f"error: code={_EXIT_CONFIG} message={exc}", file=sys.stderr)
         if "unknown preset" in str(exc):
             print(parser.format_usage(), end="", file=sys.stderr)
         return _EXIT_CONFIG
-    except (ContractError, ShapeError, SingularMatrixError, InfeasibleError, RuntimeError) as exc:
+    except (ContractError, ShapeError, SingularMatrixError, InfeasibleError, RuntimeError, FloatingPointError) as exc:
         print(f"error: code={_EXIT_NUMERIC} message={exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except OSError as exc:

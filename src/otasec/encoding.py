@@ -90,7 +90,10 @@ def _check_scalar_eta(eta) -> None:
 
 
 def row_budgets(real: SystemRealization, eta) -> np.ndarray:
-    """Residual noise power ``P - eta^2 / |h_k|^2`` per user (clipped at 0), shape ``eta.shape + (K,)``."""
+    """Residual noise power ``P - eta^2 / |h_k|^2`` per user (clipped at 0), shape ``eta.shape + (K,)``.
+
+    Only ``real.h`` and ``real.P`` are read; a stack of them with leading axes broadcasts against eta's.
+    """
     budgets = real.P - np.square(eta)[..., np.newaxis] / np.abs(real.h) ** 2
     if np.any(budgets < -_BUDGET_SLACK * real.P):
         raise InfeasibleError("eta exceeds the power budget of at least one user")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 from typing import Callable, Generator
 
@@ -206,13 +207,14 @@ _GROUP_LPS = 512
 def _map_trials(fn, n: int, workers: int | None) -> list:
     """``[fn(r) for r in range(n)]``, on threads only when 2 or more workers are asked for.
 
-    At most one thread per item and per core is started.
+    At most one thread per item and per core is started.  Each item runs in a copy of the caller's
+    context, so numpy's error state (``np.errstate``) holds on the threads as it does serially.
     """
     workers = min(workers or 1, n, _cores())
     if workers <= 1:
         return [fn(r) for r in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+        return list(pool.map(lambda r, context: context.run(fn, r), range(n), [copy_context() for _ in range(n)]))
 
 
 def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.ndarray:
@@ -564,7 +566,7 @@ def write_table(table: ResultTable, path) -> None:
     head = "".join(f"# {key}: {value}\n" for key, value in table.metadata.items())
     head += " ".join(table.column_names) + "\n"
     line = " ".join(["%.12g"] * rows.shape[1]) + "\n"  # same digits as f"{v:.12g}"
-    body = "".join(line % tuple(row) for row in rows.tolist())
+    body = (line * len(rows)) % tuple(rows.ravel().tolist())
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(head + body)

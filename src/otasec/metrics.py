@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,14 +359,15 @@ def _lane_sums(lane, num_samples: int, seed: int, key: int):
     Lane ``i`` takes ``n = num_samples // _LANES + (i < num_samples % _LANES)``
     of the draws and returns their sums; the oracles reduce each draw call's
     blocks before they add across calls.  The lanes run on up to ``_LANES``
-    threads, one per core, and the result does not depend on how many.
+    threads, one per core, and the result does not depend on how many.  Each
+    lane runs in a copy of the caller's context, so numpy's error state holds.
     """
 
-    def run(i: int):
-        return lane(_stream(seed, key, i), num_samples // _LANES + (i < num_samples % _LANES))
+    def run(i: int, context):
+        return context.run(lane, _stream(seed, key, i), num_samples // _LANES + (i < num_samples % _LANES))
 
     with ThreadPoolExecutor(max_workers=min(_LANES, _cores())) as pool:
-        sums = list(pool.map(run, range(_LANES)))
+        sums = list(pool.map(run, range(_LANES), [copy_context() for _ in range(_LANES)]))
     return sum(sums[1:], sums[0])
 
 

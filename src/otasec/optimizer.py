@@ -43,18 +43,28 @@ bitwise the design at that scalar ``eta`` and SNR.  A dropped eavesdropper
 keeps an all-zero row, so the LPs of a design form one array over eta, SNR
 and subset.  A subset out of residual power at an ``eta`` gets its LP too:
 its zero-forcing rows have rhs 0, so ``lambda = 0``, and it cannot win.
-:func:`optimize_designs` hands the LP arrays of several designs to one
-:func:`~otasec.lp.solve_lp` call, which solves them in one padded stack (one
-call per group of preset trials, by the same driver, ``_gather``).  It is the
-one way into a design: :func:`optimize_shared_zf` is its one-design case and
-the paper's single-user :func:`optimize_proposed` the one-candidate case of
-that.  One subset's ``alpha``, ``beta`` and matrix are the stacked helpers' at
-a leading axis of length one.
+
+:func:`optimize_designs` designs many requests at once.  Requests that share
+``K``, ``N``, the selection rule and the shapes of ``eta`` and of the noise
+variances form a stack, designed in one pass over a request axis: ``h`` is
+``(R, K)``, ``G`` ``(R, L, K)`` and ``P`` per request, and the request axis
+comes after eta's and the SNR's axes, next to the subsets'.  A realization
+with fewer eavesdroppers than the stack's largest ``L`` gets all-zero rows of
+``G``; their channel sums are 0, so the drop test (``<=``) drops them and they
+change no bit of the design.  Exhaustive subsets are shared by the stack's
+requests; a best-channel subset is each request's own.  The LP arrays of all
+stacks go to one :func:`~otasec.lp.solve_lp` call, which solves them in one
+padded stack (one call per group of preset trials, by the same driver,
+``_gather``).  It is the one way into a design: :func:`optimize_shared_zf` is
+its one-request case and the paper's single-user :func:`optimize_proposed`
+the one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix
+are the stacked helpers' at a leading axis of length one.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,35 +83,39 @@ LP_DESIGNS = {"proposed": (1, "best_channel"), "proposed_shared": (2, "exhaustiv
 
 
 def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``alpha`` per eta and SNR (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2``, the live mask per eta."""
-    metrics._check_noise(real, positive_noise=True)
+    """``alpha`` per eta and SNR (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2``, the live mask per eta.
+
+    ``real`` is one realization or a :class:`_Stack` of them; only its ``h``, ``G`` and ``sigma_z_sq`` are read.
+    """
     sigma = np.asarray(real.sigma_z_sq)
-    sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
+    sum_sq, power_sq = metrics._ratio_sums(real.G, real.h[..., np.newaxis, :])
     # At eta = 0 every eavesdropper's mean is zero: none learns anything.
     live = ~((sum_sq <= DROP_RTOL * power_sq) | (np.asarray(eta)[..., np.newaxis] == 0.0))
     num = np.square(eta)[..., np.newaxis] * power_sq + sigma[..., np.newaxis]
     return np.divide(num, sum_sq, out=np.full(num.shape, np.inf), where=live), sum_sq, live
 
 
-def _beta(
-    real: SystemRealization,
-    zf: np.ndarray,
-    noise: np.ndarray,
-    weights: np.ndarray,
-    sum_sq: np.ndarray,
-    live: np.ndarray,
-) -> np.ndarray:
+def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``x[..., idx]``: ``x`` ``(..., R, K)`` and ``idx`` ``(C, M)``, shared by the requests, or ``(R, C, M)``,
+    one each, give ``(..., R, C, M)``."""
+    if idx.ndim == 2:
+        return x[..., idx]
+    return np.take_along_axis(x[..., np.newaxis, :], idx.reshape((1,) * (x.ndim - 2) + idx.shape), axis=-1)
+
+
+def _beta(G: np.ndarray, h: np.ndarray, weights: np.ndarray, sum_sq: np.ndarray, live: np.ndarray) -> np.ndarray:
     """``beta`` of shape ``(..., C, L, K - N)`` for ``C`` subsets, zero on dropped eavesdroppers.
 
-    ``zf`` and ``noise`` have shape ``(C, *)``; ``weights`` ``(..., C, N)`` and ``live`` carry eta's axes.
+    ``G`` ``(..., L, C, K)`` and ``h`` ``(..., C, K)`` hold each subset's channels in the order noise users,
+    then zero-forcing users; ``weights`` ``(..., C, N)`` and ``live`` carry eta's axes.
     """
-    G, h = real.G, real.h
+    M = h.shape[-1] - weights.shape[-1]
     # Residual channel seen by eavesdropper l in noise column i after the
     # zero-forcing users' compensation; the eavesdropper axis comes before the subsets.
-    comp = (G[:, zf] * (weights / h[zf])[..., np.newaxis, :, :]).sum(axis=-1)
-    resid = G[:, noise] - comp[..., np.newaxis] * h[noise]
+    comp = (G[..., M:] * (weights / h[..., M:])[..., np.newaxis, :, :]).sum(axis=-1)
+    resid = G[..., :M] - comp[..., np.newaxis] * h[..., np.newaxis, :, :M]
     beta = np.zeros(resid.shape)
-    np.divide(np.abs(resid) ** 2, sum_sq[:, None, None], out=beta, where=live[..., :, None, None])
+    np.divide(np.abs(resid) ** 2, sum_sq[..., :, None, None], out=beta, where=live[..., :, None, None])
     return beta.swapaxes(-3, -2)
 
 
@@ -115,16 +129,19 @@ def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
     return zf, np.nonzero(noise)[-1].reshape(zf.shape[:-1] + (-1,))
 
 
-def _zf_matrices(
-    h: np.ndarray, zf: np.ndarray, noise: np.ndarray, weights: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """Zero-forcing matrices ``(..., K, K - N)``: ``zf``, weights ``(..., N)``; ``noise``, lam >= 0 ``(..., K - N)``."""
+def _zf_matrices(users: np.ndarray, h: np.ndarray, weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Zero-forcing matrices ``(..., K, K - N)`` at noise powers lam >= 0 ``(..., K - N)``.
+
+    ``users`` ``(..., K)`` lists each matrix's noise users, then its zero-forcing users, and ``h`` their
+    channels in that order; ``weights`` ``(..., N)``.
+    """
+    M = lam.shape[-1]
     roots = np.sqrt(lam)
-    A = np.zeros(lam.shape[:-1] + (h.size, lam.shape[-1]), dtype=np.complex128)
-    *lead, _, cols = np.indices(lam.shape[:-1] + (1, lam.shape[-1]), sparse=True)  # row indices go along axis -2
-    A[(*lead, noise[..., np.newaxis, :], cols)] = roots[..., np.newaxis, :]
-    ratio = h[noise][..., np.newaxis, :] / h[zf][..., np.newaxis]
-    A[(*lead, zf[..., np.newaxis], cols)] = -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis]
+    A = np.zeros(lam.shape[:-1] + (users.shape[-1], M), dtype=np.complex128)
+    *lead, _, cols = np.indices(lam.shape[:-1] + (1, M), sparse=True)  # row indices go along axis -2
+    A[(*lead, users[..., np.newaxis, :M], cols)] = roots[..., np.newaxis, :]
+    ratio = h[..., np.newaxis, :M] / h[..., M:, np.newaxis]
+    A[(*lead, users[..., M:, np.newaxis], cols)] = -roots[..., np.newaxis, :] * ratio * weights[..., np.newaxis]
     return A
 
 
@@ -170,7 +187,7 @@ def _allocation_lp(
     scale = (alpha + gain.sum(axis=-1)).min(axis=-1, keepdims=True, initial=np.inf)  # over live rows; unused if none
     rows = np.zeros(stack + (L + load.shape[-2], 1 + n_cols))
     rows[..., :L, 0] = live  # t is unbudgeted
-    rows[..., :L, 1:] = -gain / scale[..., np.newaxis]
+    np.divide(gain, -scale[..., np.newaxis], out=rows[..., :L, 1:])  # -gain / scale, bit for bit
     funded = zf_budgets > 0.0
     rows[..., L:, 1:] = load * caps[..., np.newaxis, :] / np.where(funded, zf_budgets, 1.0)[..., np.newaxis]
     rhs = np.zeros(stack + (L + load.shape[-2],))
@@ -218,14 +235,32 @@ def optimize_shared_zf(
 
 
 def optimize_designs(requests) -> list[NoisePrecoder]:
-    """``[optimize_shared_zf(*request) for request in requests]``, with one LP call for them all.
+    """``[optimize_shared_zf(*request) for request in requests]``, one design per stack and one LP call for all.
 
-    Each request is ``(real, eta, N, selection)``.  Every design's LP array goes to one
-    :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack; padding
-    changes no LP's answer, so each design is bitwise the one made alone.
+    Each request is ``(real, eta, N, selection)``.  Requests that share ``K``, ``N``, ``selection``, the
+    shapes of ``eta`` and of both noise variances and the channels' dtypes make one stack, designed at once
+    over a request axis (:class:`_Stack`).  Every stack's LP array goes to one :func:`~otasec.lp.solve_lp`
+    call, which solves them all in one padded stack; padding changes no LP's answer, so each design is
+    bitwise the one made alone.  Where a stack fails, each request is made alone in turn, so the first
+    request that fails raises what it raises alone.
     """
-    designs = [_design(*request) for request in requests]
-    return _gather([(design, next(design)) for design in designs], lambda problems: solve_lp(*problems))
+    requests = list(requests)
+    try:
+        stacks = {}
+        for at, (real, eta, N, selection) in enumerate(requests):
+            shapes = np.shape(eta), np.shape(real.sigma_y_sq), np.shape(real.sigma_z_sq), real.h.dtype, real.G.dtype
+            stacks.setdefault((real.num_users, N, selection, *shapes), []).append(at)
+        started = [(design, next(design)) for design in (_design([requests[at] for at in s]) for s in stacks.values())]
+        designs = [None] * len(requests)
+        for stack, made in zip(stacks.values(), _gather(started, lambda problems: solve_lp(*problems))):
+            for at, design in zip(stack, made):
+                designs[at] = design
+        return designs
+    except Exception:
+        if len(requests) > 1:
+            for request in requests:  # the first request that fails alone raises what it raises alone
+                optimize_designs([request])
+        raise
 
 
 def _gather(started, answer) -> list:
@@ -244,64 +279,120 @@ def _gather(started, answer) -> list:
     return results
 
 
-def _candidates(real: SystemRealization, N: int, selection: str) -> list[tuple]:
-    """The zero-forcing subsets whose LPs a design solves, after the checks on ``N`` and ``selection``."""
-    K = real.num_users
+def _subsets(h: np.ndarray, N: int, selection: str) -> np.ndarray:
+    """The zero-forcing subsets whose LPs a stack solves, after the checks on ``N`` and ``selection``.
+
+    ``h`` is ``(R, K)``; the subsets are ``(C, N)``, shared by the requests, or ``(R, 1, N)``, one each.
+    """
+    K = h.shape[-1]
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
     if selection == "exhaustive":
-        return list(itertools.combinations(range(K), N))
+        return np.array(list(itertools.combinations(range(K), N)))
     if selection == "best_channel":
-        return [tuple(sorted(int(i) for i in np.argsort(-np.abs(real.h) ** 2, kind="stable")[:N]))]
+        return np.sort(np.argsort(-np.abs(h) ** 2, axis=-1, kind="stable")[:, np.newaxis, :N], axis=-1)
     raise ContractError(f"unknown selection rule {selection!r}")
 
 
 def _lp_total(requests) -> int:
     """How many LPs ``optimize_designs(requests)`` solves: per design, one per subset, eta and SNR."""
-    return sum(len(_candidates(real, *rule)) * np.broadcast(eta, real.sigma_z_sq).size for real, eta, *rule in requests)
+    return sum(
+        _subsets(real.h[np.newaxis], N, selection).shape[-2] * np.broadcast(eta, real.sigma_z_sq).size
+        for real, eta, N, selection in requests
+    )
 
 
-def _design(real: SystemRealization, eta, N: int, selection: str):
-    """A coroutine for ``_gather``: yields ``[problem]``, its LP array, takes ``[solution]``, returns the precoder."""
-    K = real.num_users
-    candidates = _candidates(real, N, selection)
-    metrics._check_eta(eta)
-    budgets = row_budgets(real, eta)
-    alpha, sum_sq, live = _eavesdropper_terms(real, eta)
-    axes = alpha.shape[:-1]  # eta's axes, then the SNR's
+class _Stack(NamedTuple):
+    """The realizations of a stack of requests, with the request axis last among the leading axes, next to
+    the subsets': ``h`` ``(R, K)``; ``G`` ``(R, L, K)`` for the largest ``L``, each realization's own rows
+    first and then zero rows, which the drop test removes bitwise; ``P`` ``(R, 1)``; ``sigma_z_sq`` and
+    ``eta`` with the request axis after their own axes.  :func:`~otasec.encoding.row_budgets` and
+    :func:`_eavesdropper_terms` read it as they read one realization."""
 
-    zf, noise = _noise_columns(K, candidates)
-    r = budgets[..., zf]
+    h: np.ndarray
+    G: np.ndarray
+    P: np.ndarray
+    sigma_z_sq: np.ndarray
+    eta: np.ndarray
+
+
+def _stack(requests) -> _Stack:
+    """The requests' realizations and etas as one :class:`_Stack`."""
+    reals = [real for real, *_ in requests]
+    G = np.zeros((len(reals), max(len(real.G) for real in reals), reals[0].num_users), dtype=reals[0].G.dtype)
+    for rows, real in zip(G, reals):
+        rows[: len(real.G)] = real.G
+    return _Stack(
+        h=np.array([real.h for real in reals]),
+        G=G,
+        P=np.array([[real.P] for real in reals]),
+        sigma_z_sq=_last([real.sigma_z_sq for real in reals]),
+        eta=_last([eta for _, eta, *_ in requests]),
+    )
+
+
+def _last(values) -> np.ndarray:
+    """``values`` stacked over a new last axis."""
+    stacked = np.array(values)
+    return stacked.transpose(*range(1, stacked.ndim), 0)
+
+
+def _design(requests):
+    """A coroutine for ``_gather``: yields ``[problem]``, the LP array of a stack of requests (see :class:`_Stack`),
+    takes ``[solution]`` and returns each request's precoder."""
+    stack = _stack(requests)
+    eta = stack.eta
+    _, _, N, selection = requests[0]
+    K = stack.h.shape[-1]
+    subsets = _subsets(stack.h, N, selection)
+    for real, own_eta, *_ in requests:  # each request's own values name its error
+        metrics._check_eta(own_eta)
+        metrics._check_noise(real, positive_noise=True)
+    budgets = row_budgets(stack, eta)
+    alpha, sum_sq, live = _eavesdropper_terms(stack, eta)
+    axes = alpha.shape[:-1]  # eta's axes, then the SNR's, then the requests'
+
+    zf, noise = _noise_columns(K, subsets)
+    M = noise.shape[-1]
+    users = np.concatenate([noise, zf], axis=-1)  # each subset's noise users, then its zero-forcing users
+    rhs = _take(budgets, users)  # the caps, then the zero-forcing budgets
+    h = _take(stack.h, users)
+    r = rhs[..., M:]
     total = r.sum(axis=-1)
     able = total > 0.0  # a set with no residual power can compensate nothing
     # Weights 1/N where a set is out of power: its zero-forcing rows have rhs 0, so lambda = 0.
     weights = np.divide(r, total[..., None], out=np.full(r.shape, 1.0 / N), where=able[..., None])
-    beta = _beta(real, zf, noise, weights, sum_sq, live)
-    load = np.abs(weights[..., None] * real.h[noise][:, None, :] / real.h[zf][:, :, None]) ** 2
-    rhs = budgets[..., np.concatenate([noise, zf], axis=1)]
-    problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR and subset
+    G = _take(stack.G.swapaxes(0, 1), users).swapaxes(0, 1)  # (R, L, C, K): the request axis meets users'
+    beta = _beta(G, h, weights, sum_sq, live)
+    load = np.abs(weights[..., None] * h[..., None, :M] / h[..., M:, None]) ** 2
+    problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR, request and subset
     (solution,) = yield [problem]
     failed = solution.status != "optimal"
     if np.any(failed):
         first = np.argmax(failed)  # a flat index
         what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
         raise RuntimeError(f"{what} LP reported {solution.status.flat[first]}")
-    lam = np.maximum(solution.x[..., 1:], 0.0) * rhs[..., : noise.shape[-1]]  # x times the caps
+    lam = np.maximum(solution.x[..., 1:], 0.0) * rhs[..., :M]  # x times the caps
     # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
     # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
     worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)
     score = np.where(able, 1.0 - (np.square(eta)[..., np.newaxis] / K) / worst, -np.inf)
     best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
-    pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta and SNR
-    zf, lam, weights = zf[best], lam[pick], np.broadcast_to(weights, axes + weights.shape[-2:])[pick]
+    pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta, SNR and request
+    each = np.arange(len(requests))
+    users, h = np.broadcast_to(users, h.shape)[each, best], h[each, best]
+    lam, weights = lam[pick], np.broadcast_to(weights, axes + weights.shape[-2:])[pick]
     degenerate = ~able.any(axis=-1)
-    A = _zf_matrices(real.h, zf, noise[best], weights, lam)
-    return NoisePrecoder(
-        A=np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, A),  # +0.0, not -0.0
-        kind="proposed" if N == 1 else "proposed_shared",
-        eta=eta,
-        zf_users=tuple(zf.tolist()),
-        lam=lam,
-        zf_weights=weights,
-        degenerate=bool(degenerate) if degenerate.ndim == 0 else degenerate,
-    )
+    A = np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, _zf_matrices(users, h, weights, lam))  # +0.0
+    return [
+        NoisePrecoder(
+            A=np.ascontiguousarray(A[..., at, :, :]),
+            kind="proposed" if N == 1 else "proposed_shared",
+            eta=own_eta,
+            zf_users=tuple(users[..., at, M:].tolist()),
+            lam=np.ascontiguousarray(lam[..., at, :]),
+            zf_weights=np.ascontiguousarray(weights[..., at, :]),
+            degenerate=bool(degenerate[..., at]) if degenerate.ndim == 1 else np.ascontiguousarray(degenerate[..., at]),
+        )
+        for at, (_, own_eta, *_) in enumerate(requests)
+    ]

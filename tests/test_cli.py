@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,33 @@ def test_failed_factor_exits_3(realization_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: code=3" in captured.err and "not positive definite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["metrics", "--kind", "random_zf"], ["optimize", "--shared-n", "2"]], ids=["metrics", "optimize"]
+)
+def test_floating_point_fault_exits_3_without_a_warning(tmp_path, capsys, command):
+    # h x 1e-300 makes |h|^2 underflow to 0: the budgets divide 0 by 0 and the ratio sums overflow.
+    real = sample_realization(ScenarioConfig(num_users=4, num_eavesdroppers=3), 1)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(realization_to_dict(dataclasses.replace(real, h=real.h * 1e-300))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command[0], str(path), *command[1:]]) == 3
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: code=3 message=") and "encountered" in captured.err
+
+
+def test_worker_threads_run_under_the_callers_errstate(monkeypatch):
+    # The trial pool and the oracle lanes see the error state of the code that starts them, as serial code does.
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    monkeypatch.setattr(metrics, "_cores", lambda: 4)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        states = experiments._map_trials(lambda r: np.geterr(), 4, 2)
+        lanes = metrics._lane_sums(lambda rng, n: float(np.geterr()["divide"] == "raise"), 8, 1, 9)
+    assert all(state["over"] == state["invalid"] == state["divide"] == "raise" for state in states)
+    assert lanes == metrics._LANES
 
 
 class TestOptimizeCommand:

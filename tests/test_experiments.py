@@ -557,7 +557,10 @@ class TestLpStacks:
                 collect_trials(default_preset("shared_zf", num_realizations=3, **sizes))
             assert main(argv) == 3
             outcomes.append((type(info.value), str(info.value), capsys.readouterr().err))
-        assert stacks == [336, 336] + [112] * 6  # grouped: one call; alone: trials 0 and 1 pass, trial 2 fails
+        # Grouped: one call, then, as it failed, each request alone (2, 20 and 90 LPs) up to the one that fails,
+        # trial 2's N = 2.  Alone: trials 0 and 1 pass, trial 2 fails, then its requests run alone.
+        rerun = [2, 20, 90]
+        assert stacks == ([336] + rerun * 3) * 2 + ([112] * 3 + rerun) * 2
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is RuntimeError and outcomes[0][1].endswith("LP reported unbounded")
         assert outcomes[0][2] == f"error: code=3 message={outcomes[0][1]}\n"

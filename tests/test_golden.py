@@ -18,7 +18,8 @@ against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
 and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), its
 ``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
-draws) and its Cholesky/solve rows (``coop_security`` per call, in µs) with
+draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``optimize_designs`` row
+(one benchmark-shaped group of designs per call, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -38,8 +39,9 @@ import pytest
 from otasec.channel import ScenarioConfig, sample_realization
 from otasec.cli import main
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
-from otasec.experiments import _DESIGNS, default_preset, run_preset, write_table
+from otasec.experiments import _DESIGNS, _trial_shared_zf, default_preset, run_preset, write_table
 from otasec.metrics import coop_security, mc_oracle, statistical_csi_check
+from otasec.optimizer import optimize_designs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -192,7 +194,9 @@ def _print_times():
     precoder at delta 0.7, and the CSI row 10^5 phase draws at K = 10, L = 5 and seed 1; both run
     their lanes on the host's cores.  The ``coop_security`` rows score
     the default ``tradeoff`` realization's 50 x 11 mixture stack (K = 10, L = 7) at delta 0.5, and one
-    ``none`` precoder on the seed-1 realization at K = 10, L = 15.
+    ``none`` precoder on the seed-1 realization at K = 10, L = 15.  The ``optimize_designs`` row, in µs
+    per call, designs one group of benchmark ``shared_zf``'s trials: the requests of the seed-1 and
+    seed-2 trials at L = 3 and 7, 0 and 20 dB and the preset's delta (proposed, N = 1 and N = 2 each).
     """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
@@ -216,6 +220,10 @@ def _print_times():
     eta = eta_from_delta(real, 1.0)
     A = build_precoder("none", real, eta).A
     print(f"| `coop_security` | K = 10, L = 15 | {_min_median(lambda: coop_security(real, A, eta), calls=1000)} |")
+    preset = default_preset("shared_zf", base_seed=1, sweep_values=(0.0, 20.0), l_values=(3, 7))
+    requests = [request for r in range(2) for request in next(_trial_shared_zf(preset, r))]
+    group = _min_median(lambda: optimize_designs(requests), calls=20)
+    print(f"| `optimize_designs` | {len(requests)} requests, K = 10, L = 3 and 7, 2 SNRs | {group} |")
 
 
 if __name__ == "__main__":

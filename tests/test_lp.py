@@ -220,7 +220,7 @@ def sampled_allocation_lps():
             for delta in (0.05, 0.5, 1.0):
                 eta = eta_from_delta(real, delta)
                 for N in (1, 2):
-                    yield next(_design(real, eta, N, "best_channel"))[0]
+                    yield design_lps(real, eta, N, "best_channel")
 
 
 def flat(problem):
@@ -232,6 +232,11 @@ def flat(problem):
         problem.ineq_rhs.reshape(B, m),
         bounds_of(problem).reshape(B, n),
     )
+
+
+def design_lps(real, eta, N, selection):
+    """The LPs a lone design yields before it solves, as a stack with one leading axis."""
+    return flat(next(_design([(real, eta, N, selection)]))[0])
 
 
 def entries(stack):
@@ -409,8 +414,8 @@ class TestAgainstHighs:
                                    sigma_z_sq=np.array([real.sigma_z_sq, real.sigma_z_sq / 100]))
         optimize_designs([(real, eta_from_delta(real, 1.0), N, "exhaustive") for N in (1, 2)])
         (problems,) = calls
-        # Two SNRs of 10 and of 45 subsets, L + N rows and 1 + K - N columns.
-        assert [p.ineq_matrix.shape for p in problems] == [(2, 10, 7 + 1, 10), (2, 45, 7 + 2, 9)]
+        # Two SNRs, one request, 10 and 45 subsets, L + N rows and 1 + K - N columns.
+        assert [p.ineq_matrix.shape for p in problems] == [(2, 1, 10, 7 + 1, 10), (2, 1, 45, 7 + 2, 9)]
         assert any(np.any(p.upper == 0.0) for p in problems)  # delta = 1 leaves the weakest user no budget
         solutions = solve_lp(*problems)
         assert any(solution.flips.any() for solution in solutions)
@@ -422,7 +427,7 @@ class TestAgainstHighs:
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
         real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
-        stack = next(_design(real, eta_from_delta(real, delta), N, "exhaustive"))[0]
+        stack = design_lps(real, eta_from_delta(real, delta), N, "exhaustive")
         problems = entries(stack)[::10]
         (sol,) = solve_lp(stack_of(problems))
         assert np.all(sol.status == "optimal")
@@ -684,7 +689,7 @@ class TestBounds:
         # At delta = 1 the weakest user has no budget: every design has a bound of 0.
         for seed in range(3):
             real = make_realization(seed, K=6, L=4, snr_db=10.0)
-            stack = next(_design(real, eta_from_delta(real, 1.0), 2, "exhaustive"))[0]
+            stack = design_lps(real, eta_from_delta(real, 1.0), 2, "exhaustive")
             assert np.all((stack.upper[:, 1:] == 0.0).sum(axis=1) <= 1) and np.any(stack.upper == 0.0)
             assert_stack_equals_loop(entries(stack))
 

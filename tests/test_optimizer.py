@@ -35,14 +35,14 @@ def alpha_beta(real, eta, Z, w):
     has shape ``(L, K - N)`` with zero rows on them.
     """
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
-    zf, noise = _noise_columns(real.num_users, [Z])
-    return alpha, _beta(real, zf, noise, np.asarray([w], dtype=float), sum_sq, live)[0]
+    order = np.concatenate(_noise_columns(real.num_users, [Z])[::-1], axis=-1)  # noise users, then Z
+    return alpha, _beta(real.G[:, order], real.h[order], np.asarray([w], dtype=float), sum_sq, live)[0]
 
 
 def zf_matrix(real, Z, w, lam):
     """One subset's K x (K - N) zero-forcing matrix at noise powers ``lam``."""
-    zf, noise = _noise_columns(real.num_users, [Z])
-    return _zf_matrices(real.h, zf, noise, np.asarray([w], dtype=float), np.asarray([lam], dtype=float))[0]
+    users = np.concatenate(_noise_columns(real.num_users, [Z])[::-1], axis=-1)  # noise users, then Z
+    return _zf_matrices(users, real.h[users], np.asarray([w], dtype=float), np.asarray([lam], dtype=float))[0]
 
 
 def objectives(real, A, eta):
@@ -132,10 +132,11 @@ class TestAssemble:
             design = optimize_shared_zf(real, eta_from_delta(real, deltas), N, selection)
             zf = np.asarray(design.zf_users)
             _, noise = _noise_columns(real.num_users, zf)
-            args = (real.h, zf, noise, design.zf_weights, design.lam)
-            A = _zf_matrices(*args)
+            users = np.concatenate([noise, zf], axis=-1)
+            A = _zf_matrices(users, real.h[users], design.zf_weights, design.lam)
             assert A.shape == design.A.shape
-            assert A.tobytes() == self.put_along_axis_matrices(*args).tobytes()
+            reference = self.put_along_axis_matrices(real.h, zf, noise, design.zf_weights, design.lam)
+            assert A.tobytes() == reference.tobytes()
 
     def test_zero_lambda_is_zero_matrix(self):
         real = make_realization(2, K=4, L=1)
@@ -767,7 +768,9 @@ class TestDesignBatch:
 
         monkeypatch.setattr(optimizer, "solve_lp", counting)
         designs = optimize_designs(requests)
-        assert len(calls) == 1 and len(calls[0]) == len(requests)  # one problem per design
+        stacks = {(real.num_users, N, selection, np.shape(eta), np.shape(real.sigma_z_sq))
+                  for real, eta, N, selection in requests}
+        assert len(calls) == 1 and len(calls[0]) == len(stacks) < len(requests)  # one problem per stack
         monkeypatch.undo()
         degenerate = 0
         for request, design in zip(requests, designs):
@@ -796,6 +799,82 @@ class TestDesignBatch:
             optimize_designs([allocation, tie_break])
         with pytest.raises(RuntimeError, match="tie-break LP reported unbounded"):
             optimize_designs([tie_break, allocation])
+
+
+class TestRequestAxis:
+    """Requests that share K, N, the selection and the shapes of eta and the noise are designed as one
+    stack over a request axis; each design is bitwise the one made alone."""
+
+    @staticmethod
+    def requests():
+        # K = 6 throughout.  L = 2 and 5 share stacks through zero rows of G; P differs between
+        # realizations, and so do the best-channel subsets; a flat channel leaves every subset out of
+        # power at delta = 1.  Scalar, (D, 1) and zero eta, at one and at two SNRs.
+        rng = np.random.default_rng(3)
+        flat = synthetic_realization(h=np.ones(6), G=rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)))
+        reals = [make_realization(seed, K=6, L=L) for seed, L in ((0, 2), (1, 5), (2, 2), (3, 5))]
+        reals[1] = dataclasses.replace(reals[1], P=2.5 * reals[1].P)
+        reals[2] = dataclasses.replace(reals[2], P=0.4 * reals[2].P)
+        out = []
+        for snrs, real in itertools.product((1, 2), reals + [flat]):
+            if snrs == 2:
+                real, _ = over_noise(real, real.sigma_z_sq * np.array([10.0, 0.1]))
+            for delta, (N, selection) in itertools.product(
+                (0.6, 1.0, np.array([[0.3], [1.0]]), 0.0), ((1, "best_channel"), (1, "exhaustive"), (2, "exhaustive"))
+            ):
+                out.append((real, eta_from_delta(real, delta) if np.any(delta) else 0.0, N, selection))
+        return out
+
+    def test_stacked_designs_equal_the_designs_made_alone(self, monkeypatch):
+        from otasec import optimizer
+
+        requests, stacks, design = self.requests(), [], optimizer._design
+        monkeypatch.setattr(optimizer, "_design", lambda some: stacks.append(some) or design(some))
+        designs = optimize_designs(requests)
+        monkeypatch.undo()
+        # 3 rules x 2 eta shapes x 2 noise shapes; every stack mixes L = 2 and 5.
+        assert len(stacks) == 12 and all({len(real.G) for real, *_ in some} == {2, 5} for some in stacks)
+        degenerate = 0
+        for request, made in zip(requests, designs):
+            ref = optimize_shared_zf(*request)
+            for field in ("A", "lam", "zf_weights"):
+                assert getattr(made, field).shape == getattr(ref, field).shape
+                assert getattr(made, field).tobytes() == getattr(ref, field).tobytes()
+            assert made.zf_users == ref.zf_users and made.kind == ref.kind and made.eta is request[1]
+            assert type(made.degenerate) is type(ref.degenerate)
+            assert np.array_equal(made.degenerate, ref.degenerate)
+            degenerate += np.count_nonzero(ref.degenerate)
+        assert degenerate > 0
+        picked = {made.zf_users for (real, eta, *rule), made in zip(requests, designs)
+                  if rule == [1, "best_channel"] and np.ndim(eta) == np.ndim(real.sigma_z_sq) == 0}
+        assert len(picked) > 1  # the best-channel subsets differ within a stack
+
+    def test_a_benchmark_shaped_group_makes_three_stacks_and_one_lp_call(self, monkeypatch):
+        from otasec import experiments, optimizer
+
+        stacks, calls, design, solve = [], [], optimizer._design, optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "_design", lambda some: stacks.append(len(some)) or design(some))
+        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: calls.append(problems) or solve(*problems))
+        # Benchmark shared_zf's shape: two trials, L = 3 and 7, two SNRs; proposed, N = 1 and N = 2.
+        preset = experiments.default_preset(
+            "shared_zf", base_seed=1, num_realizations=2, sweep_values=(0.0, 20.0), l_values=(3, 7)
+        )
+        experiments.collect_trials(preset)
+        assert stacks == [4, 4, 4]
+        (problems,) = calls
+        assert len(problems) == 3 and sum(p.objective[..., 0].size for p in problems) == 448
+
+    def test_the_first_failing_request_raises_what_it_raises_alone(self):
+        real = make_realization(4, K=5, L=3)
+        good = (real, eta_from_delta(real, 0.5), 1, "best_channel")
+        infeasible = (real, 2.0 * eta_from_delta(real, 1.0), 2, "exhaustive")
+        negative = (real, -1e-5, 1, "best_channel")  # in the stack of the first request
+        for requests, failing in (([good, infeasible, negative], infeasible), ([good, negative, infeasible], negative)):
+            with pytest.raises(Exception) as alone:
+                optimize_shared_zf(*failing)
+            with pytest.raises(type(alone.value)) as stacked:
+                optimize_designs(requests)
+            assert str(stacked.value) == str(alone.value)
 
 
 class TestDelegationThroughBuilder:
