@@ -54,11 +54,7 @@ from .metrics import (
     noncoop_security,
     statistical_csi_check,
 )
-from .optimizer import (
-    optimize_designs,
-    optimize_proposed,
-    optimize_shared_zf,
-)
+from .optimizer import optimize_designs
 from .version import __version__
 
 __all__ = [
@@ -87,8 +83,6 @@ __all__ = [
     "mc_oracle",
     "statistical_csi_check",
     "optimize_designs",
-    "optimize_proposed",
-    "optimize_shared_zf",
     "LpProblem",
     "LpSolution",
     "solve_lp",

@@ -258,7 +258,7 @@ def build_precoder(
     N, selection = optimizer.LP_DESIGNS[kind]
     if kind == "proposed_shared":
         N, selection = int(params.get("N", N)), params.get("selection", selection)
-    return optimizer.optimize_shared_zf(real, eta, N, selection=selection)
+    return optimizer.optimize_designs([(real, eta, N, selection)])[0]
 
 
 # ---------------------------------------------------------------------------

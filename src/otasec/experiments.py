@@ -12,11 +12,12 @@ evaluation at L_max, where the first L eavesdroppers' covariance is the
 leading L x L block and its Cholesky factor the leading block of the factor.
 
 One entry of the private registry ``_PRESETS`` defines a preset: defaults,
-columns, rows, per-trial function and the fields it reads.  Averaged presets expose
-their per-trial data through :func:`collect_trials`; :func:`run_preset`
-reduces those to a table.  Tables serialize to a plain whitespace-separated
-text format with a ``#``-prefixed metadata block, designed to be loadable by
-any generic plotting tool.  Output is byte-for-byte reproducible for a given
+columns, per-trial function, rows and the fields it reads.  Every preset
+runs as trials through :func:`collect_trials`, the scatter presets as one
+trial at ``base_seed``; :func:`run_preset` reduces the trials to a table.
+Tables serialize to a plain whitespace-separated text format with a
+``#``-prefixed metadata block, designed to be loadable by any generic
+plotting tool.  Output is byte-for-byte reproducible for a given
 preset and seed, independent of the worker count.
 """
 
@@ -51,7 +52,7 @@ from .encoding import (
 )
 from .errors import ConfigurationError, ContractError
 from .metrics import _cores, _whitened, approximation_error, coop_security, noncoop_security
-from .optimizer import LP_DESIGNS, _gather, _lp_total, optimize_designs, optimize_proposed
+from .optimizer import LP_DESIGNS, _gather, _lp_total, optimize_designs
 from .version import __version__
 
 _SNR_GRID = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -218,25 +219,26 @@ def _map_trials(fn, n: int, workers: int | None) -> list:
 
 
 def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.ndarray:
-    """Per-trial metric arrays, shape (num_realizations, sweep, metrics).
+    """Per-trial metric arrays, shape (num_realizations, sweep, metrics), of any preset.
 
-    Only defined for the averaged presets; the sweep column itself is not
-    included (it is identical across trials).  A trial is a generator: it
-    samples its realization and yields its ``optimize_designs`` requests,
-    then takes the precoders back and returns its rows.  Consecutive trials
-    run in groups of at most ``_GROUP_LPS`` LPs, counted from trial 0 (every
-    trial has its shapes), whose requests share one ``optimize_designs`` call
-    (the optimizer's ``_gather``, which also pools a design's LPs); a trial
-    without LPs forms a group of its own.  Each LP takes the steps it
-    would take alone, so the rows are bitwise those of one trial at a time.
-    Groups run serially unless ``threads`` asks for 2 or more worker threads.
+    An averaged preset's trials leave out the sweep column (it is identical
+    across trials); a scatter preset's one trial holds its whole table.  A
+    trial is a generator: it samples its realization and yields its
+    ``optimize_designs`` requests, then takes the precoders back and returns
+    its rows.  Consecutive trials run in groups of at most ``_GROUP_LPS``
+    LPs, counted from trial 0 (every trial has its shapes), whose requests
+    share one ``optimize_designs`` call (the optimizer's ``_gather``, which
+    also pools a design's LPs); a trial without LPs forms a group of its own.
+    Each LP takes the steps it would take alone, so the rows are bitwise those
+    of one trial at a time.  Groups run serially unless ``threads`` asks for 2
+    or more worker threads.
     """
     spec = _PRESETS.get(preset.name)
-    if spec is None or spec.trial is None:
-        raise ConfigurationError(f"preset {preset.name!r} has no per-trial form")
+    if spec is None:
+        raise ConfigurationError(f"unknown preset {preset.name!r}")
+    _check_fields(preset, spec)
     if preset.num_realizations < 1:
         raise ConfigurationError("num_realizations must be at least 1")
-    _check_fields(preset, spec)
 
     def start(r: int) -> tuple:
         trial = spec.trial(preset, r)
@@ -260,15 +262,19 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _mean_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
-    means = collect_trials(preset, threads).mean(axis=0)
-    return np.column_stack([np.asarray(preset.sweep_values, dtype=float), means])
+def _mean_rows(preset: ExperimentPreset, trials: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.asarray(preset.sweep_values, dtype=float), trials.mean(axis=0)])
 
 
-def _gap_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+def _gap_rows(preset: ExperimentPreset, trials: np.ndarray) -> np.ndarray:
     # Mean columns come in (D, S_coop, S_noncoop) blocks, one per design.
-    rows = _mean_rows(preset, threads)
+    rows = _mean_rows(preset, trials)
     return np.column_stack([rows[:, 0], rows[:, 3::3] - rows[:, 2::3]])
+
+
+def _one_trial(preset: ExperimentPreset, trials: np.ndarray) -> np.ndarray:
+    # A scatter preset's one trial holds the whole table, its sweep column included.
+    return trials[0]
 
 
 def _columns_eta_design_space(preset: ExperimentPreset):
@@ -283,9 +289,11 @@ def _check_mu(values) -> None:
         raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {values!r}")
 
 
-def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
-    real = sample_realization(preset.config, preset.base_seed)
-    A = build_precoder(preset.precoder_kind, real, 0.0, seed=preset.base_seed).A
+def _trial_eta_design_space(preset: ExperimentPreset, r: int):
+    seed = preset.base_seed + r
+    real = sample_realization(preset.config, seed)
+    A = build_precoder(preset.precoder_kind, real, 0.0, seed=seed).A
+    yield []  # no designs
     mu = np.asarray(preset.sweep_values, dtype=float)
     # Noise variances stay at the base calibration while the transmit power
     # moves between levels; recalibrating would just rescale the whole plot.
@@ -293,25 +301,26 @@ def _eta_design_space_rows(preset: ExperimentPreset, threads: int | None) -> np.
     return np.column_stack(np.broadcast_arrays(mu, *(b for pair in bounds for b in pair)))
 
 
-def _tradeoff_rows(preset: ExperimentPreset, threads: int | None) -> np.ndarray:
+def _trial_tradeoff(preset: ExperimentPreset, r: int):
     # Per delta: the proposed design, then every (pair, theta) mixture in pair-major order.  The
-    # proposed designs are built and scored in one call over an eta array, the mixtures per delta.
-    real = sample_realization(preset.config, preset.base_seed)
+    # proposed designs are one request over an eta array, scored in one call; the mixtures per delta.
+    seed = preset.base_seed + r
+    real = sample_realization(preset.config, seed)
     deltas = np.asarray(preset.sweep_values, dtype=float)
     etas = eta_from_delta(real, deltas)
-    A = optimize_proposed(real, etas).A
+    (prec,) = yield [(real, etas, *LP_DESIGNS["proposed"])]
     thetas = np.linspace(0.0, 1.0, preset.mixture_thetas)
     pairs = preset.mixture_pairs
     rows = np.empty((len(deltas), 1 + pairs * len(thetas), 5))
     rows[..., 1] = deltas[:, np.newaxis]
     rows[:, 0, 0], rows[:, 0, 2] = TRADEOFF_KINDS["proposed"], 0.0
-    rows[:, 0, 3], rows[:, 0, 4] = approximation_error(real, A, etas), coop_security(real, A, etas)[0]
+    rows[:, 0, 3], rows[:, 0, 4] = approximation_error(real, prec.A, etas), coop_security(real, prec.A, etas)[0]
     mixtures = rows[:, 1:].reshape(len(deltas), pairs, len(thetas), 5)
     mixtures[..., 0] = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
     mixtures[..., thetas == 1.0, 0] = TRADEOFF_KINDS["random"]
     mixtures[..., 2] = thetas
     keys = [(3, d_idx, pair) for d_idx in range(len(deltas)) for pair in range(pairs)]
-    seeds = _child_seeds(preset.base_seed, keys)
+    seeds = _child_seeds(seed, keys)
     for d_idx, eta in enumerate(etas.tolist()):
         stack = mixture_precoders(real, eta, seeds[d_idx * pairs : (d_idx + 1) * pairs], thetas)
         mixtures[d_idx, ..., 3] = approximation_error(real, stack, eta)
@@ -330,10 +339,10 @@ class _Spec:
     """Everything that distinguishes one preset from the others."""
 
     columns: Callable[[ExperimentPreset], list]
-    rows: Callable[[ExperimentPreset, int | None], np.ndarray]
-    trial: Callable[[ExperimentPreset, int], Generator] | None = None  # see collect_trials
-    reads: tuple = ()  # the preset-specific fields its rows read, in metadata order
-    sets: tuple = ()  # the scenario fields it does not use: its sweep sets them, or its rows do not read them
+    trial: Callable[[ExperimentPreset, int], Generator]  # see collect_trials
+    rows: Callable[[ExperimentPreset, np.ndarray], np.ndarray] = _mean_rows  # the table from collect_trials' array
+    reads: tuple = ()  # the preset-specific fields its trials read, in metadata order
+    sets: tuple = ()  # the scenario fields it does not use: its sweep sets them, or its trials do not read them
     sweep: Callable[[tuple], None] = lambda values: None  # the rule for sweep_values
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
@@ -344,7 +353,8 @@ _DESIGNS = ("none", "signal_level", "data_level", "random_zf", "proposed")
 _PRESETS = {
     "eta_design_space": _Spec(
         columns=_columns_eta_design_space,
-        rows=_eta_design_space_rows,
+        trial=_trial_eta_design_space,
+        rows=_one_trial,
         reads=("precoder_kind", "power_levels"),
         sets=("num_eavesdroppers", "collocated_eavesdroppers"),  # eta bounds read the users' channels only
         sweep=_check_mu,
@@ -352,7 +362,6 @@ _PRESETS = {
     ),
     "sweep_L": _Spec(
         columns=lambda preset: ["L", "D", "S_coop", "S_noncoop"],
-        rows=_mean_rows,
         trial=_trial_sweep_L,
         reads=("delta",),
         sets=("num_eavesdroppers",),
@@ -361,7 +370,6 @@ _PRESETS = {
     ),
     "sweep_snr_designs": _Spec(
         columns=_columns_sweep_snr_designs,
-        rows=_mean_rows,
         trial=_trial_sweep_snr_designs,
         reads=("designs", "delta"),
         sets=("snr_db",),
@@ -369,8 +377,8 @@ _PRESETS = {
     ),
     "security_gap": _Spec(
         columns=lambda preset: ["snr_db"] + [f"gap_{d}" for d in preset.designs],
-        rows=_gap_rows,
         trial=_trial_sweep_snr_designs,
+        rows=_gap_rows,
         reads=("designs", "delta"),
         sets=("snr_db",),
         fields=dict(sweep_values=_SNR_GRID, designs=_DESIGNS),
@@ -378,7 +386,6 @@ _PRESETS = {
     "collocated": _Spec(
         columns=lambda preset: ["snr_db", "Scoop_distributed", "Snoncoop_distributed",
                                 "Scoop_collocated", "Snoncoop_collocated"],
-        rows=_mean_rows,
         trial=_trial_collocated,
         reads=("delta",),
         sets=("snr_db", "collocated_eavesdroppers"),
@@ -386,7 +393,6 @@ _PRESETS = {
     ),
     "shared_zf": _Spec(
         columns=_columns_shared_zf,
-        rows=_mean_rows,
         trial=_trial_shared_zf,
         reads=("delta", "l_values", "shared_n_values"),
         sets=("snr_db", "num_eavesdroppers"),
@@ -394,7 +400,6 @@ _PRESETS = {
     ),
     "power_control": _Spec(
         columns=_columns_power_control,
-        rows=_mean_rows,
         trial=_trial_power_control,
         reads=("delta_grid",),
         sets=("snr_db",),
@@ -402,7 +407,8 @@ _PRESETS = {
     ),
     "tradeoff": _Spec(
         columns=lambda preset: ["kind", "delta", "theta", "D", "S_coop"],
-        rows=_tradeoff_rows,
+        trial=_trial_tradeoff,
+        rows=_one_trial,
         reads=("mixture_pairs", "mixture_thetas"),
         sweep=lambda values: _check_fraction("sweep_values (delta)", values),
         fields=dict(sweep_values=tuple(np.linspace(0.0, 1.0, 40)), num_realizations=1),
@@ -530,7 +536,7 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
     if sweep.size > 1 and not (np.all(np.diff(sweep) > 0) or np.all(np.diff(sweep) < 0)):
         raise ConfigurationError("sweep_values must be strictly monotone")
     spec.sweep(preset.sweep_values)
-    if spec.trial is None and preset.num_realizations != 1:  # one realization at base_seed: more repeat it
+    if spec.rows is _one_trial and preset.num_realizations != 1:  # one realization at base_seed: more repeat it
         raise ConfigurationError(
             f"{preset.name} draws one realization: num_realizations must be 1, got {preset.num_realizations}"
         )
@@ -543,17 +549,14 @@ def _check_fields(preset: ExperimentPreset, spec: _Spec) -> None:
 
 
 def run_preset(preset: ExperimentPreset, threads: int | None = None) -> ResultTable:
-    """Execute a preset and return its (averaged) result table.
+    """Execute a preset and return its result table: its ``rows`` reduction of :func:`collect_trials`.
 
     ``threads`` is the worker count of :func:`collect_trials`: serial unless 2 or more.
     """
-    if preset.name not in _PRESETS:
-        raise ConfigurationError(f"unknown preset {preset.name!r}")
+    trials = collect_trials(preset, threads)
     spec = _PRESETS[preset.name]
-    _check_fields(preset, spec)
-    rows = np.asarray(spec.rows(preset, threads), dtype=float)
     columns = spec.columns(preset)
-    return ResultTable(columns, rows, _metadata(preset, columns))
+    return ResultTable(columns, np.asarray(spec.rows(preset, trials), dtype=float), _metadata(preset, columns))
 
 
 def write_table(table: ResultTable, path) -> None:

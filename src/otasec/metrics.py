@@ -49,7 +49,9 @@ a given combiner the same way.  Each phase of ``n`` transmissions (the fit,
 the held-out half, the combiner's run) splits into ``_LANES = 4`` seeded
 lanes: lane ``i`` simulates ``n // 4 + (i < n % 4)`` transmissions from
 ``_stream(seed, key, i)``, with key 0 for the fit, 1 for the held-out half,
-2 for ``mc_combiner_mse`` and 9 for ``statistical_csi_check`` (below).  A
+4 for ``mc_combiner_mse`` and 9 for ``statistical_csi_check`` (below); the
+other streams take ``()``, ``(0,)``, ``(1,)``, ``(2, l)``, ``(3, d, pair)``
+and ``(17, design)``, so no lane reuses a realization's draws.  A
 lane draws its full 64-transmission blocks in ``standard_normal((c, K + M +
 1 + L, 64, 2))`` calls of at most ``c = _LANE_CHUNK // 64 = 64`` blocks,
 then one ``(1, K + M + 1 + L, r, 2)`` call for a remainder ``r``.  Scaled by
@@ -447,7 +449,7 @@ def mc_combiner_mse(
     """
     A = _oracle_inputs(real, A, eta, num_samples)
     W = np.concatenate([[0.0], _combiner(real, p).conj()])[np.newaxis]
-    means, std_errs = _heldout_mse(real, A, eta, num_samples, seed, 2, W)
+    means, std_errs = _heldout_mse(real, A, eta, num_samples, seed, 4, W)
     return float(means[0]), float(std_errs[0])
 
 

@@ -55,9 +55,9 @@ change no bit of the design.  Exhaustive subsets are shared by the stack's
 requests; a best-channel subset is each request's own.  The LP arrays of all
 stacks go to one :func:`~otasec.lp.solve_lp` call, which solves them in one
 padded stack (one call per group of preset trials, by the same driver,
-``_gather``).  It is the one way into a design: :func:`optimize_shared_zf` is
-its one-request case and the paper's single-user :func:`optimize_proposed`
-the one-candidate case of that.  One subset's ``alpha``, ``beta`` and matrix
+``_gather``).  It is the one way into a design: a single design is its
+one-request case, and :func:`~otasec.encoding.build_precoder` builds the
+``"proposed"`` kinds through it.  One subset's ``alpha``, ``beta`` and matrix
 are the stacked helpers' at a leading axis of length one.
 """
 
@@ -203,46 +203,23 @@ def _allocation_lp(
     return LpProblem(objective, rows, rhs, upper)
 
 
-def optimize_proposed(real: SystemRealization, eta) -> NoisePrecoder:
-    """Optimized single-user zero-forcing design.
-
-    The user with the best channel takes the whole zero-forcing
-    responsibility; the remaining users' noise powers solve the max-min LP.
-    """
-    return optimize_shared_zf(real, eta, *LP_DESIGNS["proposed"])
-
-
-def optimize_shared_zf(
-    real: SystemRealization,
-    eta,
-    N: int,
-    selection: str = "exhaustive",
-) -> NoisePrecoder:
-    """Zero-forcing shared by ``N`` users, with the best user selection.
-
-    Each zero-forcing user's weight is proportional to its residual power.
-    ``selection="exhaustive"`` solves every size-N subset's LP and keeps the
-    one whose optimum gives the highest non-cooperative security;
-    ``"best_channel"`` just takes the N strongest channels.  Subsets within
-    ``TIE_ATOL`` of the best score tie, and ties go to the lexicographically
-    smallest subset; a subset out of residual power cannot win.  If every
-    candidate subset is out of residual power the zero precoder is returned,
-    marked degenerate and naming the first candidate.  A negative or
-    non-finite ``eta`` raises :class:`ContractError`.
-    An ``eta`` array gives every field eta's axes before the SNR's, ``degenerate`` eta's alone.
-    """
-    return optimize_designs([(real, eta, N, selection)])[0]
-
-
 def optimize_designs(requests) -> list[NoisePrecoder]:
-    """``[optimize_shared_zf(*request) for request in requests]``, one design per stack and one LP call for all.
+    """One optimized zero-forcing design per request ``(real, eta, N, selection)``: the one way into a design.
 
-    Each request is ``(real, eta, N, selection)``.  Requests that share ``K``, ``N``, ``selection``, the
-    shapes of ``eta`` and of both noise variances and the channels' dtypes make one stack, designed at once
-    over a request axis (:class:`_Stack`).  Every stack's LP array goes to one :func:`~otasec.lp.solve_lp`
-    call, which solves them all in one padded stack; padding changes no LP's answer, so each design is
-    bitwise the one made alone.  Where a stack fails, each request is made alone in turn, so the first
-    request that fails raises what it raises alone.
+    ``N`` users share the zero-forcing, each weighted by its residual power; the other users' noise powers solve
+    the max-min LP.  ``selection="exhaustive"`` solves every size-N subset's LP and keeps the subset whose optimum
+    gives the highest non-cooperative security; ``"best_channel"`` takes the N strongest channels (with ``N = 1``
+    the paper's proposed design, :data:`LP_DESIGNS`).  Subsets within ``TIE_ATOL`` of the best score tie, and the
+    lexicographically smallest wins; a subset out of residual power cannot win, and if all are, the zero precoder
+    is returned, marked degenerate and naming the first candidate.  A negative or non-finite ``eta``, ``N``
+    outside ``[1, K-1]`` or an unknown ``selection`` raises :class:`ContractError`.  An ``eta`` array gives
+    every field eta's axes before the SNR's, ``degenerate`` eta's alone.
+
+    Requests that share ``K``, ``N``, ``selection``, the shapes of ``eta`` and of both noise variances and the
+    channels' dtypes make one stack, designed at once over a request axis (:class:`_Stack`).  Every stack's LP
+    array goes to one :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack; padding
+    changes no LP's answer, so each design is bitwise the one made alone.  Where a stack fails, each request
+    is made alone in turn, so the first request that fails raises what it raises alone.
     """
     requests = list(requests)
     try:

@@ -15,7 +15,6 @@ import numpy as np
 from .channel import ScenarioConfig, sample_realization
 from .encoding import build_precoder, eta_from_delta, row_budgets
 from . import metrics
-from .optimizer import optimize_proposed
 
 _KINDS = ("none", "signal_level", "random_zf", "data_level", "mixture", "proposed")
 _DELTAS = (0.5, 0.7, 0.9)
@@ -106,7 +105,7 @@ def run_selftest(trials: int = 20, seed: int = 1, samples: int = 10**5, log=prin
         config = ScenarioConfig(num_users=3, num_eavesdroppers=2)
         real = sample_realization(config, seed + 5000 + i)
         eta = eta_from_delta(real, 0.7)
-        prec = optimize_proposed(real, eta)
+        prec = build_precoder("proposed", real, eta)
         t_grid = _grid_best_worst_objective(real, eta)
         s_non, _ = metrics.noncoop_security(real, prec.A, eta)
         # The worst-eavesdropper objective and the achieved security are two

@@ -5,6 +5,7 @@ import pytest
 
 from otasec import ScenarioConfig, sample_realization
 from otasec.channel import SystemRealization
+from otasec.optimizer import optimize_designs
 
 
 # Exhaustive designs whose allocation LPs spun to the iteration limit or were reported
@@ -40,6 +41,11 @@ def synthetic_realization(h, G, P=1.0, sigma_y_sq=1.0, sigma_z_sq=1.0):
         sigma_y_sq=float(sigma_y_sq),
         sigma_z_sq=float(sigma_z_sq),
     )
+
+
+def one_design(real, eta, N=1, selection="best_channel"):
+    """One optimized design, ``optimize_designs``' one-request case; by default the proposed design."""
+    return optimize_designs([(real, eta, N, selection)])[0]
 
 
 def over_noise(real, sigmas):

@@ -26,10 +26,11 @@ from otasec.metrics import (
     noncoop_security,
     statistical_csi_check,
 )
-from otasec.optimizer import optimize_proposed, optimize_shared_zf
 from otasec.selftest import _grid_best_worst_objective
 
 from otasec.cli import main as cli_main
+
+from conftest import one_design
 
 
 def _report(criterion, ok, detail):
@@ -191,8 +192,8 @@ def test_criterion_7_zero_forcing_neutrality():
         eta = eta_from_delta(real, 0.7)
         base = approximation_error(real, zero_A(K), eta)
         precoders = [
-            optimize_proposed(real, eta),
-            optimize_shared_zf(real, eta, 2),
+            one_design(real, eta),
+            one_design(real, eta, 2, "exhaustive"),
             build_precoder("random_zf", real, eta, seed=i),
             build_precoder("mixture", real, eta, seed=i, params={"theta": 0.0}),
         ]
@@ -239,7 +240,7 @@ def test_criterion_8_lp_correctness():
         config = ScenarioConfig(num_users=3, num_eavesdroppers=2)
         real = sample_realization(config, 400 + seed)
         eta = eta_from_delta(real, 0.7)
-        prec = optimize_proposed(real, eta)
+        prec = one_design(real, eta)
         s_non, _ = noncoop_security(real, prec.A, eta)
         t_lp = eta**2 / (3 * (1.0 - s_non))
         t_grid = _grid_best_worst_objective(real, eta, resolution=200)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import otasec
 from otasec import cli, experiments, metrics
 from otasec.channel import ScenarioConfig, realization_to_dict, sample_realization
 from otasec.cli import main
+from otasec.encoding import PRECODER_KINDS
 from otasec.selftest import run_selftest
 
 
@@ -497,7 +499,7 @@ def test_selection_reaches_the_shared_design(realization_file, capsys, command, 
     # On this realization best_channel picks users (0, 1) and exhaustive (0, 2).
     real = otasec.realization_from_dict(json.loads(realization_file.read_text()))
     eta = otasec.eta_from_delta(real, 1.0)
-    expected = otasec.optimize_shared_zf(real, eta, 2, selection="best_channel")
+    (expected,) = otasec.optimize_designs([(real, eta, 2, "best_channel")])
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "proposed_shared"
@@ -638,3 +640,64 @@ class TestVersionFlag:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("otasec ")
+
+
+class TestFuzzGrid:
+    """A fixed grid of extreme inputs: each case exits 0, 2, 3 or 4, with no warning of any kind (an uncaught
+    exception fails the case as a traceback would) and no nan or inf in what it prints or writes."""
+
+    RUNS = [
+        ("sweep_L", ["delta=1e-200"]),
+        ("sweep_L", ["transmit_power=1e200"]),
+        ("sweep_L", ["disk_radius=1e150"]),
+        ("sweep_snr_designs", ["delta=1e-156"]),
+        ("sweep_snr_designs", ["transmit_power=1e-200"]),
+        ("sweep_snr_designs", ["delta=1e-200", "transmit_power=1e200"]),
+        ("security_gap", ["delta=1e-200"]),
+        ("security_gap", ["disk_radius=1e150", "transmit_power=1e200"]),
+        ("collocated", ["transmit_power=1e-200"]),
+        ("collocated", ["disk_radius=1e150"]),
+        ("shared_zf", ["delta=1e-156"]),
+        ("shared_zf", ["transmit_power=1e200", "disk_radius=1e150"]),
+        ("power_control", ["transmit_power=1e200"]),
+        ("power_control", ["delta_grid=[1e-200, 1e-156, 1]"]),
+        ("tradeoff", ["transmit_power=1e-200", "mixture_pairs=2"]),
+        ("tradeoff", ["disk_radius=1e150", "mixture_pairs=2"]),
+        ("eta_design_space", ["power_levels=[1e300]"]),
+        ("eta_design_space", ["power_levels=[1e-300, 1e300]", "transmit_power=1e-200"]),
+    ]
+    # A K = 4, L = 3 realization, and its variants.
+    SCALES = {
+        "plain": lambda real: real,
+        "h_1e-300": lambda real: dataclasses.replace(real, h=real.h * 1e-300),
+        "G_1e150": lambda real: dataclasses.replace(real, G=real.G * 1e150),
+        "G_zero_row": lambda real: dataclasses.replace(real, G=real.G * np.array([[1.0], [0.0], [1.0]])),
+        "noise_1e300": lambda real: dataclasses.replace(real, sigma_y_sq=1e300, sigma_z_sq=1e300),
+        "P_1e300": lambda real: dataclasses.replace(real, P=1e300),
+    }
+    COMMANDS = [["metrics", "--kind", kind] for kind in PRECODER_KINDS] + [["optimize", "--shared-n", "2"]]
+
+    @staticmethod
+    def exits_cleanly(argv, capsys, out=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        text = captured.out + captured.err + (out.read_text() if code == 0 and out else "")
+        assert code in (0, 2, 3, 4)
+        assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
+
+    @pytest.mark.parametrize("name, sets", RUNS, ids=[f"{name}-{'-'.join(sets)}" for name, sets in RUNS])
+    def test_extreme_preset_fields(self, tmp_path, capsys, name, sets):
+        out = tmp_path / "t.dat"
+        trials = "1" if name in ("tradeoff", "eta_design_space") else "2"
+        argv = ["run", name, "--trials", trials, "--out", str(out)]
+        self.exits_cleanly(argv + [arg for field in sets for arg in ("--set", field)], capsys, out)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: f"{command[0]}-{command[-1]}")
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_extreme_realizations(self, tmp_path, capsys, scale, command):
+        real = self.SCALES[scale](sample_realization(ScenarioConfig(num_users=4, num_eavesdroppers=3), 21))
+        path = tmp_path / "real.json"
+        path.write_text(json.dumps(realization_to_dict(real)))
+        self.exits_cleanly([command[0], str(path), *command[1:]], capsys)

@@ -21,7 +21,9 @@ from otasec.experiments import (
     write_table,
 )
 from otasec.metrics import approximation_error, coop_security, noncoop_security
-from otasec.optimizer import optimize_designs, optimize_proposed, optimize_shared_zf
+from otasec.optimizer import optimize_designs
+
+from conftest import one_design
 
 
 def small(name, **overrides):
@@ -352,7 +354,7 @@ class TestOtherPresets:
         expected = []
         for d_idx, delta in enumerate(preset.sweep_values):
             eta = eta_from_delta(real, float(delta))
-            A = optimize_proposed(real, eta).A
+            A = one_design(real, eta).A
             S, _ = coop_security(real, A, eta)
             expected.append([0, delta, 0.0, approximation_error(real, A, eta), S])
             for pair in range(preset.mixture_pairs):
@@ -404,15 +406,15 @@ def looped_trial(preset, r):
             for L in preset.l_values:
                 real = dataclasses.replace(full, eav_positions=full.eav_positions[:L], G=full.G[:L])
                 real = at_snr(real, preset.config, snr)
-                row.append(coop_security(real, optimize_proposed(real, eta).A, eta)[0])
+                row.append(coop_security(real, one_design(real, eta).A, eta)[0])
                 for n_share in preset.shared_n_values:
-                    A = optimize_shared_zf(real, eta, n_share, selection="exhaustive").A
+                    A = one_design(real, eta, n_share, "exhaustive").A
                     row.append(coop_security(real, A, eta)[0])
         else:  # power_control
             real = at_snr(sample_realization(preset.config, seed), preset.config, snr)
             for delta in preset.delta_grid:
                 eta = eta_from_delta(real, delta)
-                A = optimize_proposed(real, eta).A
+                A = one_design(real, eta).A
                 row += [coop_security(real, A, eta)[0], approximation_error(real, A, eta)]
         rows.append(row)
     return np.array(rows).reshape(len(preset.sweep_values), -1)
@@ -461,8 +463,11 @@ class TestLpStacks:
         assert calls == [3 * 3 * len(delta_grid)]
 
     @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 1)])
-    def test_tradeoff_makes_at_most_two_calls(self, calls, sweep, expected):
+    def test_tradeoff_makes_at_most_two_calls(self, monkeypatch, calls, sweep, expected):
+        requests = []
+        monkeypatch.setattr(experiments, "optimize_designs", lambda some: requests.append(some) or optimize_designs(some))
         run_preset(small("tradeoff", sweep_values=sweep))
+        assert [len(some) for some in requests] == [1]  # the proposed design over the deltas, from collect_trials
         assert len(calls) == expected and sum(calls) == len(sweep)
 
     @pytest.mark.parametrize("delta, threads", [(0.0, 1), (0.5, 1), (0.5, 2)])
@@ -724,6 +729,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"^{name} draws one realization: num_realizations must be 1"):
             run_preset(small(name, num_realizations=trials))
 
-    def test_collect_trials_rejects_scatter_presets(self):
-        with pytest.raises(ConfigurationError):
-            collect_trials(small("tradeoff"))
+    @pytest.mark.parametrize("name", ["tradeoff", "eta_design_space"])
+    def test_collect_trials_holds_a_scatter_table_as_one_trial(self, name):
+        preset = small(name)
+        trials, rows = collect_trials(preset), run_preset(preset).rows
+        assert trials.shape == (1,) + rows.shape and trials.tobytes() == rows.tobytes()

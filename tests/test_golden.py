@@ -89,7 +89,7 @@ SHA1_EXPECTED = {
     "tradeoff": "928e0274cc3543659eade482a6360f7299826435",
     "eta_design_space": "2083e168fffc2cd0c20f8732b20378d31c4e38db",
     "shared_zf --trials 100": "57a90962d6aa86ab30817d44f75014a6eae48ac7",
-    "selftest": "b100e960891a6508a3c51d16ea8399a382bba9df",
+    "selftest": "3742b412c36b4aa0f138217745cfcda77a0f5b02",
 }
 # The sizes of ROADMAP.md's preset-time table: the sha1 recipe's, with shared_zf at 20 trials.
 TIME_TRIALS = {**SHA1_TRIALS, "shared_zf": 20}

@@ -4,8 +4,8 @@ Each case runs the full pipeline (sample, build every precoder family,
 evaluate all metrics, optimize) and asserts the contracts that must hold for
 any input: power budgets, zero-forcing, metric ranges, cooperation dominance,
 and that optimized noise never helps the eavesdroppers.  Then the tables and
-metrics must not move under transformations that change no physics: the unit
-of power, a per-user phase, a relabelling of users or eavesdroppers, and a
+metrics must not move under transformations that change no physics: the units
+of power and of the channels, a per-user phase, a relabelling of users or eavesdroppers, and a
 unitary mixing of the pooled eavesdroppers' observations.
 """
 
@@ -20,7 +20,9 @@ from otasec.encoding import PRECODER_KINDS, build_precoder, eta_from_delta
 from otasec.experiments import default_preset, run_preset
 from otasec import optimizer
 from otasec.metrics import approximation_error, coop_security, evaluate, noncoop_security
-from otasec.optimizer import TIE_ATOL, optimize_designs, optimize_shared_zf
+from otasec.optimizer import TIE_ATOL, optimize_designs
+
+from conftest import one_design
 
 CORNERS = list(
     itertools.product(
@@ -76,7 +78,7 @@ def test_pipeline_invariants_mode_corners(mode, collocated):
     real = sample_realization(config, seed=5)
     eta = eta_from_delta(real, 0.7)
     for N in (1, 2, 3):
-        prec = optimize_shared_zf(real, eta, N)
+        prec = one_design(real, eta, N, "exhaustive")
         assert len(prec.zf_users) == N
         assert abs(float(np.sum(prec.zf_weights)) - 1.0) <= 1e-12
         report = evaluate(real, prec.A, eta)
@@ -133,7 +135,7 @@ def tied_subsets(real, eta, N, selection) -> bool:
 
 def meta_metrics(real, A, eta) -> np.ndarray:
     """(D, S_coop, S_noncoop) of ``A``, then of each design of ``META_DESIGNS``."""
-    precoders = [A] + [optimize_shared_zf(real, eta, N, selection).A for N, selection in META_DESIGNS]
+    precoders = [A] + [one_design(real, eta, N, selection).A for N, selection in META_DESIGNS]
     return np.array([[approximation_error(real, B, eta), coop_security(real, B, eta)[0],
                       noncoop_security(real, B, eta)[0]] for B in precoders])
 
@@ -160,12 +162,22 @@ def power_unit(c):
     return scaled
 
 
+def channel_unit(c):
+    def scaled(real, A, rng):
+        noise = dict(sigma_y_sq=real.sigma_y_sq * c**2, sigma_z_sq=real.sigma_z_sq * c**2)
+        return dataclasses.replace(real, h=real.h * c, G=real.G * c, **noise), A
+
+    return scaled
+
+
 RELATIONS = {
     "user_phase": (user_phase, 1e-12),
     "user_permutation": (user_permutation, 1e-12),
     "eavesdropper_permutation": (eavesdropper_permutation, 1e-12),
     "power_unit_1e-9": (power_unit(1e-9), 1e-9),
     "power_unit_1e9": (power_unit(1e9), 1e-9),
+    "channel_unit_1e-100": (channel_unit(1e-100), 1e-12),
+    "channel_unit_1e100": (channel_unit(1e100), 1e-12),
 }
 
 

@@ -16,12 +16,10 @@ from otasec.optimizer import (
     _noise_columns,
     _zf_matrices,
     optimize_designs,
-    optimize_proposed,
-    optimize_shared_zf,
 )
 from otasec.selftest import _grid_best_worst_objective
 
-from conftest import ILL_SCALED_DESIGNS, make_realization, over_noise, synthetic_realization
+from conftest import ILL_SCALED_DESIGNS, make_realization, one_design, over_noise, synthetic_realization
 
 
 def zero_A(K):
@@ -129,7 +127,7 @@ class TestAssemble:
             deltas = {"scalar": 0.6, "eta": np.array([0.0, 0.5, 1.0]), "snr": 0.6}.get(axes, np.array([[0.3], [1.0]]))
             if "snr" in axes:
                 real, _ = over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))
-            design = optimize_shared_zf(real, eta_from_delta(real, deltas), N, selection)
+            design = one_design(real, eta_from_delta(real, deltas), N, selection)
             zf = np.asarray(design.zf_users)
             _, noise = _noise_columns(real.num_users, zf)
             users = np.concatenate([noise, zf], axis=-1)
@@ -146,7 +144,7 @@ class TestAssemble:
         for seed in range(10):
             real = make_realization(seed, K=5, L=2)
             eta = eta_from_delta(real, 0.4)
-            shared = optimize_shared_zf(real, eta, 2)
+            shared = one_design(real, eta, 2, "exhaustive")
             lam = rng.uniform(0.0, 0.1, 3)
             A = zf_matrix(real, shared.zf_users, shared.zf_weights, lam)
             assert np.linalg.norm(real.h @ A) <= 1e-12 * np.linalg.norm(
@@ -159,7 +157,7 @@ class TestOptimizeProposed:
         # The single eavesdropper cannot see the zero-forced direction, so
         # every allocation is optimal and the tie-break fills the budgets.
         real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, 1.0]], P=2.0, sigma_z_sq=1.0)
-        prec = optimize_proposed(real, 1.0)
+        prec = one_design(real, 1.0)
         budgets = row_budgets(real, 1.0)
         nonzf = [i for i in range(2) if i != prec.zf_users[0]]
         # One noise column; its power is capped by both the own-row budget and
@@ -173,7 +171,7 @@ class TestOptimizeProposed:
     def test_zero_residual_power_yields_no_noise(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[0.3, 1.0, 0.1]], P=1.0)
         eta = eta_from_delta(real, 1.0)
-        prec = optimize_proposed(real, eta)
+        prec = one_design(real, eta)
         assert np.allclose(prec.lam, 0.0)
         assert not prec.A.any()
         s_with, _ = noncoop_security(real, prec.A, eta)
@@ -184,7 +182,7 @@ class TestOptimizeProposed:
         for seed in range(5):
             real = make_realization(seed, K=3, L=2)
             eta = eta_from_delta(real, 0.7)
-            prec = optimize_proposed(real, eta)
+            prec = one_design(real, eta)
             s_non, _ = noncoop_security(real, prec.A, eta)
             t_lp = eta**2 / (3 * (1.0 - s_non))
             t_grid = _grid_best_worst_objective(real, eta, resolution=200)
@@ -193,7 +191,7 @@ class TestOptimizeProposed:
     def test_uses_best_channel_for_zero_forcing(self):
         real = make_realization(9, K=6, L=3)
         eta = eta_from_delta(real, 0.6)
-        prec = optimize_proposed(real, eta)
+        prec = one_design(real, eta)
         assert prec.zf_users == (int(np.argmax(np.abs(real.h) ** 2)),)
         assert prec.kind == "proposed"
 
@@ -215,7 +213,7 @@ class TestOptimizeProposed:
         for seed in range(15):
             real = make_realization(seed, K=5, L=3)
             eta = eta_from_delta(real, 0.8)
-            prec = optimize_proposed(real, eta)
+            prec = one_design(real, eta)
             s_opt, _ = noncoop_security(real, prec.A, eta)
             s_none, _ = noncoop_security(real, zero_A(5), eta)
             assert s_opt >= s_none - 1e-12
@@ -226,7 +224,7 @@ class TestOptimizeProposed:
         for seed in range(10):
             real = make_realization(seed, K=4, L=3)
             eta = eta_from_delta(real, 0.7)
-            prec = optimize_proposed(real, eta)
+            prec = one_design(real, eta)
             (zf,) = prec.zf_users
             alpha, beta = alpha_beta(real, eta, prec.zf_users, prec.zf_weights)
             live = np.isfinite(alpha)
@@ -247,7 +245,7 @@ class TestOptimizeProposed:
 
 
 def achieved_objective(real, eta):
-    prec = optimize_proposed(real, eta)
+    prec = one_design(real, eta)
     s_non, _ = noncoop_security(real, prec.A, eta)
     return eta**2 / (real.num_users * (1.0 - s_non))
 
@@ -256,7 +254,7 @@ class TestSharedZeroForcing:
     def test_weights_proportional_to_residual_power(self):
         real = make_realization(4, K=5, L=2)
         eta = eta_from_delta(real, 0.5)
-        prec = optimize_shared_zf(real, eta, 2)
+        prec = one_design(real, eta, 2, "exhaustive")
         w = prec.zf_weights
         Z = prec.zf_users
         budgets = row_budgets(real, eta)
@@ -268,8 +266,8 @@ class TestSharedZeroForcing:
         for seed in range(8):
             real = make_realization(seed, K=4, L=2)
             eta = eta_from_delta(real, 0.7)
-            shared = optimize_shared_zf(real, eta, 1, selection="exhaustive")
-            proposed = optimize_proposed(real, eta)
+            shared = one_design(real, eta, 1, "exhaustive")
+            proposed = one_design(real, eta)
             s_shared, _ = noncoop_security(real, shared.A, eta)
             s_proposed, _ = noncoop_security(real, proposed.A, eta)
             assert s_shared >= s_proposed - 1e-9
@@ -282,7 +280,7 @@ class TestSharedZeroForcing:
         # N = K-1 leaves one column; the optimum is a closed-form ratio test.
         real = make_realization(6, K=4, L=2)
         eta = eta_from_delta(real, 0.6)
-        prec = optimize_shared_zf(real, eta, 3, selection="best_channel")
+        prec = one_design(real, eta, 3, "best_channel")
         Z = prec.zf_users
         i = [k for k in range(4) if k not in Z][0]
         budgets = row_budgets(real, eta)
@@ -307,7 +305,7 @@ class TestSharedZeroForcing:
         real = make_realization(seed, K=10, L=15, snr_db=20.0)
         alpha, _, live = _eavesdropper_terms(real, 0.0)
         assert not live.any() and not np.isfinite(alpha).any()
-        prec = optimize_shared_zf(real, 0.0, 3)
+        prec = one_design(real, 0.0, 3, "exhaustive")
         assert not prec.degenerate
         assert np.max(np.abs(real.h @ prec.A)) <= 1e-12
         row_power = np.sum(np.abs(prec.A) ** 2, axis=1)
@@ -322,9 +320,9 @@ class TestSharedZeroForcing:
             P=2.0,
             sigma_z_sq=1.0,
         )
-        prec = optimize_shared_zf(real, 1.0, 1, selection="exhaustive")
+        prec = one_design(real, 1.0, 1, "exhaustive")
         assert prec.zf_users == (0,)
-        prec2 = optimize_shared_zf(real, 1.0, 2, selection="exhaustive")
+        prec2 = one_design(real, 1.0, 2, "exhaustive")
         assert prec2.zf_users == (0, 1)
         # At delta = 1 one user's budget is 0, and subsets that leave the same noise directions
         # tie in exact arithmetic; rounding used to pick among them.
@@ -335,22 +333,22 @@ class TestSharedZeroForcing:
             (1, "complex", 0.0, 6, 2),
         ):
             real = make_realization(seed, K=3, L=L, snr_db=snr_db, fading_mode=fading_mode)
-            assert optimize_shared_zf(real, eta_from_delta(real, 1.0), N).zf_users == tuple(range(N))
+            assert one_design(real, eta_from_delta(real, 1.0), N, "exhaustive").zf_users == tuple(range(N))
 
     def test_all_candidates_degenerate_falls_back_to_zero(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
         eta = eta_from_delta(real, 1.0)  # all residual budgets are exactly zero
         for N, kind in ((1, "proposed"), (2, "proposed_shared")):
             for prec in (
-                optimize_shared_zf(real, eta, N),
-                optimize_shared_zf(real, eta, N, selection="best_channel"),
+                one_design(real, eta, N, "exhaustive"),
+                one_design(real, eta, N, "best_channel"),
             ):
                 assert prec.degenerate and not prec.A.any()
                 assert prec.A.shape == (3, 3 - N)
                 assert prec.zf_users == tuple(range(N))  # the first candidate
                 assert prec.kind == kind
                 assert np.array_equal(prec.lam, np.zeros(3 - N)) and not np.signbit(prec.lam).any()
-        prec = optimize_proposed(real, eta)
+        prec = one_design(real, eta)
         assert prec.degenerate and prec.zf_users == (0,) and prec.kind == "proposed"
 
     def test_proposed_is_the_best_channel_case_of_shared(self):
@@ -359,8 +357,8 @@ class TestSharedZeroForcing:
         ):
             real = make_realization(seed, K=K, L=L, fading_mode=fading_mode)
             eta = eta_from_delta(real, delta)
-            a = optimize_proposed(real, eta)
-            b = optimize_shared_zf(real, eta, 1, selection="best_channel")
+            a = one_design(real, eta)
+            b = one_design(real, eta, 1, "best_channel")
             assert np.array_equal(a.A, b.A) and np.array_equal(a.lam, b.lam)
             assert np.array_equal(a.zf_weights, b.zf_weights)
             assert (a.zf_users, a.kind, a.degenerate) == (b.zf_users, b.kind, b.degenerate)
@@ -376,9 +374,9 @@ class TestSharedZeroForcing:
         monkeypatch.setattr(optimizer, "solve_lp", unbounded)
         real = make_realization(2, K=4, L=2)
         with pytest.raises(RuntimeError, match="noise allocation LP reported unbounded"):
-            optimize_proposed(real, eta_from_delta(real, 0.5))
+            one_design(real, eta_from_delta(real, 0.5))
         with pytest.raises(RuntimeError, match="tie-break LP reported unbounded"):
-            optimize_proposed(real, 0.0)
+            one_design(real, 0.0)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_zero_eavesdropper_row_is_dropped(self, N):
@@ -390,7 +388,7 @@ class TestSharedZeroForcing:
                 kept = np.arange(4) != l
                 without = dataclasses.replace(real, G=real.G[kept], eav_positions=real.eav_positions[kept])
                 zeroed = dataclasses.replace(real, G=np.where(kept[:, np.newaxis], real.G, 0.0))
-                a, b = optimize_shared_zf(zeroed, eta, N), optimize_shared_zf(without, eta, N)
+                a, b = one_design(zeroed, eta, N, "exhaustive"), one_design(without, eta, N, "exhaustive")
                 assert (a.kind, a.eta, a.zf_users, a.degenerate) == (b.kind, b.eta, b.zf_users, b.degenerate)
                 for field in ("A", "lam", "zf_weights"):
                     assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -398,11 +396,11 @@ class TestSharedZeroForcing:
     def test_invalid_arguments(self):
         real = make_realization(1, K=4, L=1)
         with pytest.raises(ContractError):
-            optimize_shared_zf(real, 0.0, 0)
+            one_design(real, 0.0, 0, "exhaustive")
         with pytest.raises(ContractError):
-            optimize_shared_zf(real, 0.0, 4)
+            one_design(real, 0.0, 4, "exhaustive")
         with pytest.raises(ContractError):
-            optimize_shared_zf(real, 0.0, 2, selection="random")
+            one_design(real, 0.0, 2, "random")
 
     @pytest.mark.parametrize("eta", [-1e-5, np.nan, np.inf])
     @pytest.mark.parametrize("selection", ["exhaustive", "best_channel"])
@@ -410,9 +408,9 @@ class TestSharedZeroForcing:
         # -1e-5 squares to a feasible eta^2, so only the check stops it.
         real = make_realization(1, K=5, L=2)
         with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
-            optimize_shared_zf(real, eta, 1, selection)
+            one_design(real, eta, 1, selection)
         with pytest.raises(ContractError, match="eta must be finite and nonnegative"):
-            optimize_shared_zf(real, np.array([0.0, eta]), 2, selection)
+            one_design(real, np.array([0.0, eta]), 2, selection)
 
     def test_returned_precoders_satisfy_budgets(self):
         for seed in range(6):
@@ -420,7 +418,7 @@ class TestSharedZeroForcing:
             for delta in (0.5, 1.0):
                 eta = eta_from_delta(real, delta)
                 for N in (1, 2):
-                    prec = optimize_shared_zf(real, eta, N)
+                    prec = one_design(real, eta, N, "exhaustive")
                     slack = prec.row_powers() - (real.P - eta**2 / np.abs(real.h) ** 2)
                     assert np.max(slack) <= 1e-12 * real.P
                     assert np.linalg.norm(real.h @ prec.A) <= 1e-10 * np.linalg.norm(
@@ -440,7 +438,7 @@ class TestWellScaledAllocation:
         real = make_realization(seed, K=K, L=L, snr_db=snr_db, fading_mode=fading)
         eta = eta_from_delta(real, delta)
         start = time.perf_counter()
-        prec = optimize_shared_zf(real, eta, N)
+        prec = one_design(real, eta, N, "exhaustive")
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0  # about 0.01 s; the old scale ran 50,000 pivots in 2.5-3 s, or failed
         (solution,) = solutions
@@ -516,7 +514,7 @@ class TestDesignSearch:
 
     @staticmethod
     def assert_equals_looped(real, eta, N, selection):
-        design = optimize_shared_zf(real, eta, N, selection=selection)
+        design = one_design(real, eta, N, selection)
         reference = looped_design_search(real, eta, N, selection)
         if reference is None:
             assert design.degenerate and not design.A.any()
@@ -582,10 +580,10 @@ class TestNoiseOverSnr:
     @staticmethod
     def assert_equals_per_snr(real, eta, N, selection, factors=(100.0, 1.0, 0.01)):
         noisy, per_snr = over_noise(real, real.sigma_z_sq * np.asarray(factors))
-        design = optimize_shared_zf(noisy, eta, N, selection=selection)
+        design = one_design(noisy, eta, N, selection)
         assert design.A.shape == (len(factors), real.num_users, real.num_users - N)
         for s, one in enumerate(per_snr):
-            ref = optimize_shared_zf(one, eta, N, selection=selection)
+            ref = one_design(one, eta, N, selection)
             assert design.A[s].tobytes() == ref.A.tobytes()
             assert design.lam[s].tobytes() == ref.lam.tobytes()
             assert design.zf_weights[s].tobytes() == ref.zf_weights.tobytes()
@@ -626,9 +624,9 @@ class TestNoiseOverSnr:
         real = make_realization(3, K=6, L=4)
         noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 0.1]))
         eta = eta_from_delta(real, 0.8)
-        for design in (optimize_proposed(noisy, eta), build_precoder("proposed", noisy, eta)):
+        for design in (one_design(noisy, eta), build_precoder("proposed", noisy, eta)):
             for s, one in enumerate(per_snr):
-                assert design.A[s].tobytes() == optimize_proposed(one, eta).A.tobytes()
+                assert design.A[s].tobytes() == one_design(one, eta).A.tobytes()
 
 
 class TestEtaAxis:
@@ -642,11 +640,11 @@ class TestEtaAxis:
         if factors is not None:
             real, _ = over_noise(real, real.sigma_z_sq * np.asarray(factors))
             snr, etas = (len(factors),), etas[:, np.newaxis]
-        design = optimize_shared_zf(real, etas, N, selection=selection)
+        design = one_design(real, etas, N, selection)
         assert design.A.shape == (len(etas),) + snr + (real.num_users, real.num_users - N)
         assert design.degenerate.shape == etas.shape
         for d, eta in enumerate(etas.ravel()):
-            ref = optimize_shared_zf(real, float(eta), N, selection=selection)
+            ref = one_design(real, float(eta), N, selection)
             assert design.A[d].tobytes() == ref.A.tobytes()
             assert design.lam[d].tobytes() == ref.lam.tobytes()
             assert design.zf_weights[d].tobytes() == ref.zf_weights.tobytes()
@@ -690,10 +688,10 @@ class TestEtaAxis:
         real = make_realization(3, K=6, L=4)
         noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 0.1]))
         etas = eta_from_delta(real, np.array([[0.2], [0.8]]))
-        design = optimize_proposed(noisy, etas)
+        design = one_design(noisy, etas)
         assert design.A.shape == (2, 2, 6, 5) and design.kind == "proposed"
         for d, s in np.ndindex(2, 2):
-            ref = optimize_proposed(per_snr[s], float(etas[d, 0]))
+            ref = one_design(per_snr[s], float(etas[d, 0]))
             assert design.A[d, s].tobytes() == ref.A.tobytes()
 
     def test_noise_dim_and_row_powers_read_the_last_axis(self):
@@ -701,9 +699,9 @@ class TestEtaAxis:
         noisy, per_snr = over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))
         etas = eta_from_delta(real, np.array([0.2, 0.5, 0.8, 1.0]))
         for design, refs in (
-            (optimize_proposed(noisy, float(etas[1])), [optimize_proposed(one, float(etas[1])) for one in per_snr]),
-            (optimize_proposed(real, etas), [optimize_proposed(real, float(eta)) for eta in etas]),
-            (optimize_shared_zf(noisy, etas[:, None], 2), None),
+            (one_design(noisy, float(etas[1])), [one_design(one, float(etas[1])) for one in per_snr]),
+            (one_design(real, etas), [one_design(real, float(eta)) for eta in etas]),
+            (one_design(noisy, etas[:, None], 2, "exhaustive"), None),
         ):
             assert design.noise_dim == design.A.shape[-1] == real.num_users - (1 if refs else 2)
             assert design.row_powers().shape == design.A.shape[:-1]
@@ -733,7 +731,7 @@ class TestEtaAxis:
             ((1.0, 0.0, 1.0), 1, 5),
         ):
             calls.clear()
-            optimize_shared_zf(real, eta_from_delta(real, np.array(deltas)), N)
+            one_design(real, eta_from_delta(real, np.array(deltas)), N, "exhaustive")
             assert calls == [C * len(deltas)]
 
 
@@ -774,7 +772,7 @@ class TestDesignBatch:
         monkeypatch.undo()
         degenerate = 0
         for request, design in zip(requests, designs):
-            ref = optimize_shared_zf(*request)
+            ref = one_design(*request)
             for field in ("A", "lam", "zf_weights"):
                 assert getattr(design, field).tobytes() == getattr(ref, field).tobytes()
             assert np.array_equal(design.zf_users, ref.zf_users) and design.kind == ref.kind
@@ -836,7 +834,7 @@ class TestRequestAxis:
         assert len(stacks) == 12 and all({len(real.G) for real, *_ in some} == {2, 5} for some in stacks)
         degenerate = 0
         for request, made in zip(requests, designs):
-            ref = optimize_shared_zf(*request)
+            ref = one_design(*request)
             for field in ("A", "lam", "zf_weights"):
                 assert getattr(made, field).shape == getattr(ref, field).shape
                 assert getattr(made, field).tobytes() == getattr(ref, field).tobytes()
@@ -871,7 +869,7 @@ class TestRequestAxis:
         negative = (real, -1e-5, 1, "best_channel")  # in the stack of the first request
         for requests, failing in (([good, infeasible, negative], infeasible), ([good, negative, infeasible], negative)):
             with pytest.raises(Exception) as alone:
-                optimize_shared_zf(*failing)
+                one_design(*failing)
             with pytest.raises(type(alone.value)) as stacked:
                 optimize_designs(requests)
             assert str(stacked.value) == str(alone.value)
@@ -882,10 +880,10 @@ class TestDelegationThroughBuilder:
         real = make_realization(8, K=4, L=2)
         eta = eta_from_delta(real, 0.5)
         a = build_precoder("proposed", real, eta)
-        b = optimize_proposed(real, eta)
+        b = one_design(real, eta)
         assert np.array_equal(a.A, b.A)
         c = build_precoder("proposed_shared", real, eta, params={"N": 2})
-        d = optimize_shared_zf(real, eta, 2)
+        d = one_design(real, eta, 2, "exhaustive")
         assert np.array_equal(c.A, d.A)
 
     def test_zero_forcing_neutrality_for_optimized_designs(self):
@@ -893,5 +891,5 @@ class TestDelegationThroughBuilder:
             real = make_realization(seed, K=4, L=2)
             eta = eta_from_delta(real, 0.7)
             base = approximation_error(real, zero_A(4), eta)
-            for prec in (optimize_proposed(real, eta), optimize_shared_zf(real, eta, 2)):
+            for prec in (one_design(real, eta), one_design(real, eta, 2, "exhaustive")):
                 assert abs(approximation_error(real, prec.A, eta) - base) <= 1e-12

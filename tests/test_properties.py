@@ -13,9 +13,8 @@ from otasec.metrics import (  # noqa: E402
     noncoop_security,
 )
 from otasec.lp import LpProblem, solve_lp  # noqa: E402
-from otasec.optimizer import optimize_shared_zf  # noqa: E402
 
-from conftest import make_realization, over_noise  # noqa: E402
+from conftest import make_realization, one_design, over_noise  # noqa: E402
 from test_lp import looped_solve  # noqa: E402
 
 cases = st.fixed_dictionaries(
@@ -114,7 +113,7 @@ def test_optimized_designs_zero_force_within_budgets(case, N, selection):
         fading_mode=case["fading_mode"],
     )
     eta = eta_from_delta(real, case["delta"])
-    A = optimize_shared_zf(real, eta, N, selection=selection).A
+    A = one_design(real, eta, N, selection).A
     powers = np.sum(np.abs(A) ** 2, axis=-1)
     assert np.all(powers <= row_budgets(real, eta) + 1e-12 * real.P)
     assert np.max(np.abs(real.h @ A)) <= 1e-10 * np.linalg.norm(real.h) * np.linalg.norm(A)
