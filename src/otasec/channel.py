@@ -137,15 +137,26 @@ def calibrate_noise(config: ScenarioConfig) -> tuple[float, float]:
     The reference link has average channel gain ``disk_radius**(-e)``, so
     ``sigma^2 = P * disk_radius**(-e) / 10**(snr_db / 10)`` makes the average
     received SNR at that distance equal the configured value.  Server and
-    eavesdroppers share the same noise level.
+    eavesdroppers share the same noise level.  Fields whose variance is not a
+    finite positive float (it overflows, or underflows to 0) raise
+    :class:`ConfigurationError`.
     """
     if not math.isfinite(config.snr_db):
         raise ConfigurationError("snr_db must be finite")
-    sigma_sq = (
-        config.transmit_power
-        * config.disk_radius ** (-config.pathloss_exponent)
-        / 10.0 ** (config.snr_db / 10.0)
-    )
+    try:
+        sigma_sq = (
+            config.transmit_power
+            * config.disk_radius ** (-config.pathloss_exponent)
+            / 10.0 ** (config.snr_db / 10.0)
+        )
+    except (OverflowError, ZeroDivisionError):
+        sigma_sq = math.nan
+    if not (math.isfinite(sigma_sq) and sigma_sq > 0.0):
+        raise ConfigurationError(
+            "the noise variance transmit_power * disk_radius**(-pathloss_exponent) / 10**(snr_db/10) is out of"
+            f" floating-point range at transmit_power={config.transmit_power}, disk_radius={config.disk_radius},"
+            f" pathloss_exponent={config.pathloss_exponent}, snr_db={config.snr_db}"
+        )
     return sigma_sq, sigma_sq
 
 

@@ -31,13 +31,7 @@ import numpy as np
 
 from .channel import _complex_out, load_realization
 from .encoding import build_precoder, eta_from_delta, precoder_to_dict
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    InfeasibleError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ConfigurationError, ContractError, InfeasibleError, ShapeError
 from .experiments import PRESET_NAMES, default_preset, run_preset, write_table
 from .metrics import _MIN_SAMPLES, evaluate
 from .selftest import run_selftest
@@ -259,7 +253,7 @@ def main(argv=None) -> int:
         if "unknown preset" in str(exc):
             print(parser.format_usage(), end="", file=sys.stderr)
         return _EXIT_CONFIG
-    except (ContractError, ShapeError, SingularMatrixError, InfeasibleError, RuntimeError, FloatingPointError) as exc:
+    except (ContractError, ShapeError, InfeasibleError, RuntimeError, ArithmeticError) as exc:
         print(f"error: code={_EXIT_NUMERIC} message={exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except OSError as exc:

@@ -51,14 +51,16 @@ variances form a stack, designed in one pass over a request axis: ``h`` is
 comes after eta's and the SNR's axes, next to the subsets'.  A realization
 with fewer eavesdroppers than the stack's largest ``L`` gets all-zero rows of
 ``G``; their channel sums are 0, so the drop test (``<=``) drops them and they
-change no bit of the design.  Exhaustive subsets are shared by the stack's
-requests; a best-channel subset is each request's own.  The LP arrays of all
-stacks go to one :func:`~otasec.lp.solve_lp` call, which solves them in one
-padded stack (one call per group of preset trials, by the same driver,
-``_gather``).  It is the one way into a design: a single design is its
-one-request case, and :func:`~otasec.encoding.build_precoder` builds the
-``"proposed"`` kinds through it.  One subset's ``alpha``, ``beta`` and matrix
-are the stacked helpers' at a leading axis of length one.
+change no bit of the design.  Each request's candidates are user orders, the
+noise users and then the zero-forcing users (:func:`_subsets`): the exhaustive
+rule's are shared by the stack's requests, and a best-channel subset is each
+request's own.  The LP arrays of all stacks go to one
+:func:`~otasec.lp.solve_lp` call, which solves them in one padded stack (one
+call per group of preset trials, by the same driver, ``_gather``).  It is the
+one way into a design: a single design is its one-request case, and
+:func:`~otasec.encoding.build_precoder` builds the ``"proposed"`` kinds
+through it.  One subset's ``alpha``, ``beta`` and matrix are the stacked
+helpers' at a leading axis of length one.
 """
 
 from __future__ import annotations
@@ -95,19 +97,16 @@ def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.nd
     return np.divide(num, sum_sq, out=np.full(num.shape, np.inf), where=live), sum_sq, live
 
 
-def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``x[..., idx]``: ``x`` ``(..., R, K)`` and ``idx`` ``(C, M)``, shared by the requests, or ``(R, C, M)``,
-    one each, give ``(..., R, C, M)``."""
-    if idx.ndim == 2:
-        return x[..., idx]
-    return np.take_along_axis(x[..., np.newaxis, :], idx.reshape((1,) * (x.ndim - 2) + idx.shape), axis=-1)
+def _take(x: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """``x`` ``(..., R, K)`` at each request's candidate user orders ``users`` ``(R, C, K)``: ``(..., R, C, K)``."""
+    return x[..., np.arange(len(users))[:, np.newaxis, np.newaxis], users]
 
 
 def _beta(G: np.ndarray, h: np.ndarray, weights: np.ndarray, sum_sq: np.ndarray, live: np.ndarray) -> np.ndarray:
     """``beta`` of shape ``(..., C, L, K - N)`` for ``C`` subsets, zero on dropped eavesdroppers.
 
-    ``G`` ``(..., L, C, K)`` and ``h`` ``(..., C, K)`` hold each subset's channels in the order noise users,
-    then zero-forcing users; ``weights`` ``(..., C, N)`` and ``live`` carry eta's axes.
+    ``G`` ``(..., L, C, K)`` and ``h`` ``(..., C, K)`` hold each subset's channels in its user order (noise users,
+    then zero-forcing users: :func:`_subsets`); ``weights`` ``(..., C, N)`` and ``live`` carry eta's axes.
     """
     M = h.shape[-1] - weights.shape[-1]
     # Residual channel seen by eavesdropper l in noise column i after the
@@ -117,16 +116,6 @@ def _beta(G: np.ndarray, h: np.ndarray, weights: np.ndarray, sum_sq: np.ndarray,
     beta = np.zeros(resid.shape)
     np.divide(np.abs(resid) ** 2, sum_sq[..., :, None, None], out=beta, where=live[..., :, None, None])
     return beta.swapaxes(-3, -2)
-
-
-def _noise_columns(K: int, zf_users) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-forcing users and the noise users (one column each), as index arrays.
-
-    ``zf_users`` is one subset or a ``(C, N)`` array of them.
-    """
-    zf = np.asarray(zf_users, dtype=int)
-    noise = (np.arange(K) != zf[..., np.newaxis]).all(axis=-2)
-    return zf, np.nonzero(noise)[-1].reshape(zf.shape[:-1] + (-1,))
 
 
 def _zf_matrices(users: np.ndarray, h: np.ndarray, weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -257,18 +246,21 @@ def _gather(started, answer) -> list:
 
 
 def _subsets(h: np.ndarray, N: int, selection: str) -> np.ndarray:
-    """The zero-forcing subsets whose LPs a stack solves, after the checks on ``N`` and ``selection``.
-
-    ``h`` is ``(R, K)``; the subsets are ``(C, N)``, shared by the requests, or ``(R, 1, N)``, one each.
-    """
-    K = h.shape[-1]
+    """The ``(R, C, K)`` candidates whose LPs a stack of ``h`` ``(R, K)`` solves, after the checks on ``N`` and
+    ``selection``: each lists its noise users, then its ``N`` zero-forcing users, both increasing.  The exhaustive
+    subsets, in ``itertools.combinations`` order, are one view shared by the requests; a best-channel subset is
+    each request's own."""
+    R, K = h.shape
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
     if selection == "exhaustive":
-        return np.array(list(itertools.combinations(range(K), N)))
-    if selection == "best_channel":
-        return np.sort(np.argsort(-np.abs(h) ** 2, axis=-1, kind="stable")[:, np.newaxis, :N], axis=-1)
-    raise ContractError(f"unknown selection rule {selection!r}")
+        zf = np.array(list(itertools.combinations(range(K), N)))[np.newaxis]
+    elif selection == "best_channel":
+        zf = np.argsort(-np.abs(h) ** 2, axis=-1, kind="stable")[:, np.newaxis, :N]
+    else:
+        raise ContractError(f"unknown selection rule {selection!r}")
+    chosen = (np.arange(K) == zf[..., np.newaxis]).any(axis=-2)  # a stable sort puts them last
+    return np.broadcast_to(np.argsort(chosen, axis=-1, kind="stable"), (R, zf.shape[1], K))
 
 
 def _lp_total(requests) -> int:
@@ -281,9 +273,9 @@ def _lp_total(requests) -> int:
 
 class _Stack(NamedTuple):
     """The realizations of a stack of requests, with the request axis last among the leading axes, next to
-    the subsets': ``h`` ``(R, K)``; ``G`` ``(R, L, K)`` for the largest ``L``, each realization's own rows
-    first and then zero rows, which the drop test removes bitwise; ``P`` ``(R, 1)``; ``sigma_z_sq`` and
-    ``eta`` with the request axis after their own axes.  :func:`~otasec.encoding.row_budgets` and
+    the candidates' (:func:`_subsets`): ``h`` ``(R, K)``; ``G`` ``(R, L, K)`` for the largest ``L``, each
+    realization's own rows first and then zero rows, which the drop test removes bitwise; ``P`` ``(R, 1)``;
+    ``sigma_z_sq`` and ``eta`` with the request axis after their own axes.  :func:`~otasec.encoding.row_budgets` and
     :func:`_eavesdropper_terms` read it as they read one realization."""
 
     h: np.ndarray
@@ -321,7 +313,7 @@ def _design(requests):
     eta = stack.eta
     _, _, N, selection = requests[0]
     K = stack.h.shape[-1]
-    subsets = _subsets(stack.h, N, selection)
+    users = _subsets(stack.h, N, selection)
     for real, own_eta, *_ in requests:  # each request's own values name its error
         metrics._check_eta(own_eta)
         metrics._check_noise(real, positive_noise=True)
@@ -329,9 +321,7 @@ def _design(requests):
     alpha, sum_sq, live = _eavesdropper_terms(stack, eta)
     axes = alpha.shape[:-1]  # eta's axes, then the SNR's, then the requests'
 
-    zf, noise = _noise_columns(K, subsets)
-    M = noise.shape[-1]
-    users = np.concatenate([noise, zf], axis=-1)  # each subset's noise users, then its zero-forcing users
+    M = K - N
     rhs = _take(budgets, users)  # the caps, then the zero-forcing budgets
     h = _take(stack.h, users)
     r = rhs[..., M:]
@@ -357,7 +347,7 @@ def _design(requests):
     best = np.argmax(score >= score.max(axis=-1, keepdims=True) - TIE_ATOL, axis=-1)
     pick = (*np.indices(axes, sparse=True), best)  # the winning subset at each eta, SNR and request
     each = np.arange(len(requests))
-    users, h = np.broadcast_to(users, h.shape)[each, best], h[each, best]
+    users, h = users[each, best], h[each, best]
     lam, weights = lam[pick], np.broadcast_to(weights, axes + weights.shape[-2:])[pick]
     degenerate = ~able.any(axis=-1)
     A = np.where(degenerate[..., np.newaxis, np.newaxis], 0.0, _zf_matrices(users, h, weights, lam))  # +0.0

@@ -524,6 +524,18 @@ def test_non_finite_report_exits_3(realization_file, monkeypatch, capsys):
     assert "error: code=3" in captured.err
 
 
+@pytest.mark.parametrize("fault", [OverflowError, ZeroDivisionError])
+def test_any_arithmetic_fault_exits_3(realization_file, monkeypatch, capsys, fault):
+    from otasec import cli
+
+    def failing(real, A, eta):
+        raise fault("out of range")
+
+    monkeypatch.setattr(cli, "evaluate", failing)
+    assert main(["metrics", str(realization_file)]) == 3
+    assert "error: code=3 message=out of range" in capsys.readouterr().err
+
+
 def test_failed_factor_exits_3(realization_file, monkeypatch, capsys):
     # An indefinite pooled covariance makes LAPACK's Cholesky fail; that is a numeric error, not a crash.
     def indefinite(real, A, eta):
@@ -666,6 +678,17 @@ class TestFuzzGrid:
         ("eta_design_space", ["power_levels=[1e300]"]),
         ("eta_design_space", ["power_levels=[1e-300, 1e300]", "transmit_power=1e-200"]),
     ]
+    # Fields that ScenarioConfig.validate accepts, but whose calibrated noise variance overflows or underflows
+    # to 0 (for sweep_snr_designs, at a sweep SNR): a configuration error that names the four fields.
+    NOISE_OUT_OF_RANGE = [
+        ("sweep_L", ["snr_db=4000"]),
+        ("sweep_L", ["snr_db=-4000"]),
+        ("sweep_L", ["disk_radius=1e-150", "min_separation=1e-151"]),
+        ("sweep_snr_designs", ["sweep_values=[4000]"]),
+        ("sweep_L", ["disk_radius=1e150"]),
+        ("sweep_L", ["transmit_power=1e-320"]),
+        ("sweep_L", ["pathloss_exponent=400"]),
+    ]
     # A K = 4, L = 3 realization, and its variants.
     SCALES = {
         "plain": lambda real: real,
@@ -686,13 +709,25 @@ class TestFuzzGrid:
         text = captured.out + captured.err + (out.read_text() if code == 0 and out else "")
         assert code in (0, 2, 3, 4)
         assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
+        return code, text
 
-    @pytest.mark.parametrize("name, sets", RUNS, ids=[f"{name}-{'-'.join(sets)}" for name, sets in RUNS])
-    def test_extreme_preset_fields(self, tmp_path, capsys, name, sets):
+    def runs_cleanly(self, tmp_path, capsys, name, sets):
         out = tmp_path / "t.dat"
         trials = "1" if name in ("tradeoff", "eta_design_space") else "2"
         argv = ["run", name, "--trials", trials, "--out", str(out)]
-        self.exits_cleanly(argv + [arg for field in sets for arg in ("--set", field)], capsys, out)
+        return self.exits_cleanly(argv + [arg for field in sets for arg in ("--set", field)], capsys, out)
+
+    @pytest.mark.parametrize("name, sets", RUNS, ids=[f"{name}-{'-'.join(sets)}" for name, sets in RUNS])
+    def test_extreme_preset_fields(self, tmp_path, capsys, name, sets):
+        self.runs_cleanly(tmp_path, capsys, name, sets)
+
+    @pytest.mark.parametrize(
+        "name, sets", NOISE_OUT_OF_RANGE, ids=[f"{name}-{'-'.join(sets)}" for name, sets in NOISE_OUT_OF_RANGE]
+    )
+    def test_noise_out_of_range_is_a_configuration_error(self, tmp_path, capsys, name, sets):
+        code, text = self.runs_cleanly(tmp_path, capsys, name, sets)
+        assert code == 2, text
+        assert all(field in text for field in ("transmit_power", "disk_radius", "pathloss_exponent", "snr_db"))
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: f"{command[0]}-{command[-1]}")
     @pytest.mark.parametrize("scale", SCALES)

@@ -18,8 +18,8 @@ against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
 
 and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), its
 ``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
-draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``optimize_designs`` row
-(one benchmark-shaped group of designs per call, in µs) with
+draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``optimize_designs`` rows
+(one benchmark-shaped group of designs, then one lone design, per call, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -41,7 +41,7 @@ from otasec.cli import main
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
 from otasec.experiments import _DESIGNS, _trial_shared_zf, default_preset, run_preset, write_table
 from otasec.metrics import coop_security, mc_oracle, statistical_csi_check
-from otasec.optimizer import optimize_designs
+from otasec.optimizer import LP_DESIGNS, optimize_designs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -197,6 +197,8 @@ def _print_times():
     ``none`` precoder on the seed-1 realization at K = 10, L = 15.  The ``optimize_designs`` row, in µs
     per call, designs one group of benchmark ``shared_zf``'s trials: the requests of the seed-1 and
     seed-2 trials at L = 3 and 7, 0 and 20 dB and the preset's delta (proposed, N = 1 and N = 2 each).
+    The lone-design row designs one request: the default ``tradeoff`` realization's proposed design over
+    benchmark ``tradeoff``'s four deltas.
     """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
@@ -210,12 +212,12 @@ def _print_times():
     csi = _min_median(lambda: statistical_csi_check(ScenarioConfig(num_users=10, num_eavesdroppers=5), 10**5, seed=1))
     print(f"| `statistical_csi_check` | 10^5 draws, K = 10, L = 5 | {csi} |")
     tradeoff = default_preset("tradeoff", base_seed=1)
-    real = sample_realization(tradeoff.config, tradeoff.base_seed)
-    eta = eta_from_delta(real, 0.5)
+    mixed = sample_realization(tradeoff.config, tradeoff.base_seed)
+    eta = eta_from_delta(mixed, 0.5)
     thetas = np.linspace(0.0, 1.0, tradeoff.mixture_thetas)
-    stack = mixture_precoders(real, eta, range(tradeoff.mixture_pairs), thetas)
+    stack = mixture_precoders(mixed, eta, range(tradeoff.mixture_pairs), thetas)
     size = " x ".join(map(str, stack.shape))
-    print(f"| `coop_security` | {size} stack | {_min_median(lambda: coop_security(real, stack, eta), calls=100)} |")
+    print(f"| `coop_security` | {size} stack | {_min_median(lambda: coop_security(mixed, stack, eta), calls=100)} |")
     real = sample_realization(ScenarioConfig(num_users=10, num_eavesdroppers=15), 1)
     eta = eta_from_delta(real, 1.0)
     A = build_precoder("none", real, eta).A
@@ -224,6 +226,9 @@ def _print_times():
     requests = [request for r in range(2) for request in next(_trial_shared_zf(preset, r))]
     group = _min_median(lambda: optimize_designs(requests), calls=20)
     print(f"| `optimize_designs` | {len(requests)} requests, K = 10, L = 3 and 7, 2 SNRs | {group} |")
+    lone = [(mixed, eta_from_delta(mixed, np.array([0.25, 0.5, 0.75, 1.0])), *LP_DESIGNS["proposed"])]
+    alone = _min_median(lambda: optimize_designs(lone), calls=100)
+    print(f"| `optimize_designs` | 1 request, K = 10, L = 7, 4 deltas | {alone} |")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def tied_subsets(real, eta, N, selection) -> bool:
         return False
     subsets = list(itertools.combinations(range(real.num_users), N))
     with pytest.MonkeyPatch.context() as patch:  # each request's selection names its one subset
-        patch.setattr(optimizer, "_subsets", lambda h, N, subset: np.array([subset]))
+        patch.setattr(optimizer, "_subsets", lambda h, N, Z: np.array([[[*np.setdiff1d(range(h.shape[-1]), Z), *Z]]]))
         designs = optimize_designs([(real, eta, N, Z) for Z in subsets])
     scores = np.sort(noncoop_security(real, np.stack([design.A for design in designs]), eta)[0])
     return scores[-1] - scores[-2] <= TIE_ATOL

@@ -13,7 +13,7 @@ from otasec.optimizer import (
     TIE_ATOL,
     _beta,
     _eavesdropper_terms,
-    _noise_columns,
+    _subsets,
     _zf_matrices,
     optimize_designs,
 )
@@ -26,6 +26,13 @@ def zero_A(K):
     return np.zeros((K, 1), dtype=np.complex128)
 
 
+def user_order(K, Z):
+    """Subset ``Z``'s noise users, then ``Z``, as ``_subsets`` orders a candidate; ``Z`` may carry leading axes."""
+    Z = np.asarray(Z, dtype=int)
+    noise = [np.setdiff1d(np.arange(K), z) for z in Z.reshape(-1, Z.shape[-1])]
+    return np.concatenate([np.reshape(noise, Z.shape[:-1] + (K - Z.shape[-1],)), Z], axis=-1)
+
+
 def alpha_beta(real, eta, Z, w):
     """One subset's ``(alpha, beta)``: the stacked helpers at a subset axis of length one.
 
@@ -33,13 +40,13 @@ def alpha_beta(real, eta, Z, w):
     has shape ``(L, K - N)`` with zero rows on them.
     """
     alpha, sum_sq, live = _eavesdropper_terms(real, eta)
-    order = np.concatenate(_noise_columns(real.num_users, [Z])[::-1], axis=-1)  # noise users, then Z
+    order = user_order(real.num_users, [Z])
     return alpha, _beta(real.G[:, order], real.h[order], np.asarray([w], dtype=float), sum_sq, live)[0]
 
 
 def zf_matrix(real, Z, w, lam):
     """One subset's K x (K - N) zero-forcing matrix at noise powers ``lam``."""
-    users = np.concatenate(_noise_columns(real.num_users, [Z])[::-1], axis=-1)  # noise users, then Z
+    users = user_order(real.num_users, [Z])
     return _zf_matrices(users, real.h[users], np.asarray([w], dtype=float), np.asarray([lam], dtype=float))[0]
 
 
@@ -129,8 +136,8 @@ class TestAssemble:
                 real, _ = over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))
             design = one_design(real, eta_from_delta(real, deltas), N, selection)
             zf = np.asarray(design.zf_users)
-            _, noise = _noise_columns(real.num_users, zf)
-            users = np.concatenate([noise, zf], axis=-1)
+            users = user_order(real.num_users, zf)
+            noise = users[..., : real.num_users - N]
             A = _zf_matrices(users, real.h[users], design.zf_weights, design.lam)
             assert A.shape == design.A.shape
             reference = self.put_along_axis_matrices(real.h, zf, noise, design.zf_weights, design.lam)
@@ -540,6 +547,23 @@ class TestDesignSearch:
             for N, selection in itertools.product(range(1, 4), ("exhaustive", "best_channel")):
                 self.assert_equals_looped(real, eta, N, selection)
         assert skipped > 0
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("K", range(3, 9))
+    def test_subsets_are_each_candidates_user_order(self, K, R):
+        rng = np.random.default_rng(10 * K + R)
+        h = rng.integers(1, 4, (R, K)) * rng.choice([-1.0, 1.0], (R, K)) + 0j  # |h| ties, each |h|^2 exact
+        for N, selection in itertools.product(range(1, K), ("exhaustive", "best_channel")):
+            users = _subsets(h, N, selection)
+            combinations = np.array(list(itertools.combinations(range(K), N)))
+            assert users.shape == (R, len(combinations) if selection == "exhaustive" else 1, K)
+            assert (np.sort(users, axis=-1) == np.arange(K)).all()  # each row is a permutation
+            assert (np.diff(users[..., : K - N]) > 0).all() and (np.diff(users[..., K - N :]) > 0).all()
+            if selection == "exhaustive":
+                assert (users[..., K - N :] == combinations).all()
+            else:  # the N strongest channels, the lower index first among equal ones
+                strongest = [sorted(sorted(range(K), key=lambda k: -abs(row[k]))[:N]) for row in h]
+                assert users[:, 0, K - N :].tolist() == strongest
 
     def test_some_subsets_tie_break_and_others_do_not(self):
         # Z = (0, 1) leaves the live eavesdropper a zero residual, so only its
