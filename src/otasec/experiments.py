@@ -199,9 +199,11 @@ def _columns_power_control(preset: ExperimentPreset):
     return cols
 
 
-# The most LPs that trials pool into one optimize_designs call; a trial with more runs alone.  On a 2-core
-# host a lockstep simplex iteration costs a fixed ~85 us, the per-LP work of about 140 LPs, and a stack holds
-# about 4.5 KB per LP: at 512 the fixed cost is about a fifth of an iteration, for about 1.2 MiB more peak memory.
+# The most LPs that trials pool into the first simplex stack of one optimize_designs call, counted as
+# optimizer._lp_total counts them: one per family whose SNRs share a basis; a trial with more runs alone.  On a
+# 2-core host a lockstep simplex iteration costs a fixed ~85 us, the per-LP work of about 140 LPs, and a stack
+# holds about 4.5 KB per LP: at 512 the fixed cost is about a fifth of an iteration, for about 1.2 MiB more peak
+# memory.  The members a family's basis does not answer make the call's second, smaller stack.
 _GROUP_LPS = 512
 
 
@@ -226,7 +228,8 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     trial is a generator: it samples its realization and yields its
     ``optimize_designs`` requests, then takes the precoders back and returns
     its rows.  Consecutive trials run in groups of at most ``_GROUP_LPS``
-    LPs, counted from trial 0 (every trial has its shapes), whose requests
+    LPs, one per SNR family (``optimizer._lp_total``), counted from trial 0
+    (every trial has its shapes), whose requests
     share one ``optimize_designs`` call (the optimizer's ``_gather``, which
     also pools a design's LPs); a trial without LPs forms a group of its own.
     Each LP takes the steps it would take alone, so the rows are bitwise those

@@ -41,6 +41,19 @@ a pivot row, a zero column at the right with objective 0 and bound 0 never
 enters, and the real variables keep their order, so padding changes no
 answer's bits.  This is the one simplex path: each problem gets one
 :class:`LpSolution` back, over its own leading axes (none for one LP).
+
+An LP may carry further right-hand sides (a private :class:`_Ranging`
+problem): extra rhs columns of its tableau, which take the same pivots,
+flips and bound-stop writes as its own rhs and never enter the ratio test,
+so its own answer, pivots and flips are bitwise those without them.  At the
+LP's optimal basis each gives a basic solution, which one step of iterative
+refinement polishes (the pivots were chosen for another rhs).  It is
+accepted only when the basis is provably its unique optimum (rhs ranging,
+Bertsimas & Tsitsiklis, 1997, section 5.1): every basic value lies in its
+bounds, compared exactly, and every live nonbasic reduced cost of the final
+tableau is non-improving by more than ``PIVOT_TOL``, so the cold simplex
+would reach the same vertex.  A parked LP's steps overwrite its slot 0, so
+that slot is kept when the LP parks.
 """
 
 from __future__ import annotations
@@ -94,65 +107,121 @@ class LpSolution:
     flips: np.ndarray | int = 0
 
 
+@dataclass
+class _Ranging(LpProblem):
+    """A problem whose LPs carry further right-hand sides ``ranges`` ``(..., m, E)`` through their pivots.
+
+    Each is read off at its LP's optimal basis (rhs ranging) into a :class:`_Ranged` solution.
+    """
+
+    ranges: np.ndarray | None = None
+
+
+@dataclass
+class _Ranged(LpSolution):
+    """The solution of a :class:`_Ranging` problem: ``ranged_x`` ``(..., E, n)``, the basic solution at each further
+    rhs, and ``accepted`` ``(..., E)``, true where it is proven the unique optimum of its LP."""
+
+    ranged_x: np.ndarray | None = None
+    accepted: np.ndarray | None = None
+
+
 def _validate(problems) -> tuple[tuple, list]:
-    """Every problem's LPs in one padded ``(B, m, n)`` stack ``(c, M, b, u)``, checked, and each problem's slice.
+    """Every problem's LPs in one padded ``(B, m, n)`` stack ``(c, M, b, u, ranges)``, checked, and each problem's slice.
 
     Zero rows go at the bottom and zero columns, objective 0 and bound 0, at the right (at least one of each);
-    the data checks then scan the stack once.
+    the further rhs columns of a :class:`_Ranging` problem go first in ``ranges`` ``(B, m, E)``, zeros after them.
+    The data checks then scan the stack once.
     """
     arrays = [[np.asarray(a) for a in (p.objective, p.ineq_matrix, p.ineq_rhs, p.upper)] for p in problems]
-    for obj, mat, rhs, upper in arrays:
+    extras = [np.asarray(p.ranges) if isinstance(p, _Ranging) else np.zeros(np.shape(p.ineq_rhs) + (0,))
+              for p in problems]
+    for (obj, mat, rhs, upper), more in zip(arrays, extras):
         if mat.ndim < 2 or (obj.shape, rhs.shape) != (mat.shape[:-2] + mat.shape[-1:], mat.shape[:-1]):
             raise ContractError(f"LP shapes disagree: objective {obj.shape}, rhs {rhs.shape}, constraints {mat.shape}")
         if upper.shape not in ((), obj.shape):
             raise ContractError(f"upper bounds must be a scalar or shaped like the objective, got {upper.shape}")
         if mat.shape[-1] > MAX_VARS or mat.shape[-2] > MAX_CONSTRAINTS:
             raise ContractError(f"problem too large: {mat.shape[-1]} vars, {mat.shape[-2]} constraints")
+        if more.shape[:-1] != rhs.shape:
+            raise ContractError(f"further right-hand sides must be shaped rhs + (E,), got {more.shape}")
     m, n = (max([1] + [mat.shape[axis] for _, mat, _, _ in arrays]) for axis in (-2, -1))
+    E = max(more.shape[-1] for more in extras) if extras else 0
     stops = np.cumsum([0] + [np.prod(mat.shape[:-2], dtype=int) for _, mat, _, _ in arrays])
-    c, M, b, u = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,)))
+    c, M, b, u, ranges = (np.zeros((stops[-1],) + shape) for shape in ((n,), (m, n), (m,), (n,), (m, E)))
     spans = [slice(start, stop) for start, stop in zip(stops[:-1], stops[1:])]
-    for (obj, mat, rhs, upper), at in zip(arrays, spans):
+    for (obj, mat, rhs, upper), more, at in zip(arrays, extras, spans):
         size, rows, cols = at.stop - at.start, *mat.shape[-2:]
         M[at, :rows, :cols] = mat.reshape(size, rows, cols)
         c[at, :cols], b[at, :rows] = obj.reshape(size, cols), rhs.reshape(size, rows)
         u[at, :cols] = upper.reshape(size, cols) if upper.ndim else upper
-    if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all()):
+        ranges[at, :rows, : more.shape[-1]] = more.reshape(size, rows, more.shape[-1])
+    if not (np.isfinite(c).all() and np.isfinite(M).all() and np.isfinite(b).all() and np.isfinite(ranges).all()):
         raise ContractError("non-finite coefficient in LP data")
     if np.any(b < 0.0):
         raise ContractError("negative right-hand side: the origin must be feasible")
     if not np.all(u >= 0.0):  # NaN fails too
         raise ContractError("upper bounds must be nonnegative, +inf allowed")
-    return (c, M, b, u), spans
+    return (c, M, b, u, ranges), spans
 
 
-def _basic_x(T: np.ndarray, basis: np.ndarray, u: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
-    """The structural part of each basic solution of a stack, rounding dust scrubbed."""
-    m = basis.shape[-1]
-    xs = np.zeros(basis.shape[:-1] + (n + m,))
-    xs[np.arange(len(basis))[:, np.newaxis], basis] = T[:, :m, -1]
+def _values(rhs: np.ndarray, basis: np.ndarray, cap: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
+    """Every variable's value ``(B, E, n + m)``, structural then slack, in each basic solution of a stack at its rhs
+    columns ``rhs`` ``(B, m, E)``."""
+    B, m, E = rhs.shape
+    xs = np.zeros((B, E, n + m))
+    xs[np.arange(B)[:, np.newaxis, np.newaxis], np.arange(E)[:, np.newaxis], basis[:, np.newaxis]] = rhs.swapaxes(1, 2)
     # A complemented variable is held as its distance below the bound.
-    x = np.where(flipped[:, :n], u - xs[:, :n], xs[:, :n])
+    return np.where(flipped[:, np.newaxis, : n + m], cap[:, np.newaxis, : n + m] - xs, xs)
+
+
+def _basic_x(rhs: np.ndarray, basis: np.ndarray, cap: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
+    """The structural part ``(B, E, n)`` of :func:`_values`, rounding dust scrubbed."""
+    x = _values(rhs, basis, cap, flipped, n)[..., :n]
     x[(x < 0.0) & (x > -1e-11)] = 0.0
     return x
 
 
-def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple:
-    """``(unbounded, x, pivots, flips)`` per LP of a stack with at least one row and one column."""
+def _refined(T, basis, nonbasic, cap, flipped, M, ranges) -> np.ndarray:
+    """The basic values ``(B, m, E)`` at the further rhs of a stack of final tableaux, after one step of iterative
+    refinement.
+
+    The further rhs ride a path of pivots chosen for another rhs, whose rounding reached 2e-12 of the answer.
+    So take the residual ``r = ranges - M x - s`` of the original rows at the values the tableau holds, and add
+    ``B^-1 r`` to the basic values: a nonbasic slack's tableau column is its column of ``B^-1``, and a basic
+    slack's is a unit column.
+    """
     B, m, n = M.shape
+    values = T[:, :m, n + 1 :]
+    z = _values(values, basis, cap, flipped, n).swapaxes(1, 2)
+    residual = ranges - M @ z[:, :n] - z[:, n:]
+    slacks = [np.where(held[..., np.newaxis] >= n, np.take_along_axis(residual, np.maximum(held - n, 0)[..., np.newaxis],
+                                                                        axis=1), 0.0) for held in (nonbasic, basis)]
+    return values + T[:, :m, :n] @ slacks[0] + slacks[1]
+
+
+def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray, ranges: np.ndarray) -> tuple:
+    """``(unbounded, x, pivots, flips, ranged_x, accepted)`` per LP of a stack with at least one row and one column.
+
+    ``ranges`` ``(B, m, E)`` holds further right-hand sides, carried through the same pivots and flips: ``ranged_x``
+    ``(B, E, n)`` is the basic solution at each, and ``accepted`` ``(B, E)`` marks the ones proven optimal.
+    """
+    B, m, n = M.shape
+    E = ranges.shape[-1]
     unbounded = np.zeros(B, dtype=bool)
-    x = np.zeros((B, n))
+    x, ranged_x = np.zeros((B, n)), np.zeros((B, E, n))
     pivots, flips = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    accepted = np.zeros((B, E), dtype=bool)
     # A variable with bound 0 never enters: a zero column with price 0 never improves, and
-    # no other entry depends on a column that never enters.
+    # no other entry depends on a column that never enters.  So it keeps its slot.
     frozen = u == 0.0
-    # The working set: the condensed tableaux over [nonbasic columns | rhs], with row m the
-    # objective and row m + 1 the scratch row for a flip; the variables in their basis rows
+    # The working set: the condensed tableaux over [nonbasic columns | rhs | further rhs], with row m
+    # the objective and row m + 1 the scratch row for a flip; the variables in their basis rows
     # (one entry per tableau row; variable n + m + 1 is a dummy) and nonbasic column slots;
     # each variable's bound and complement flag; the flips made; and per LP whether it is
     # parked, since which iteration and whether unbounded, with its stack index.
-    T = np.zeros((B, m + 2, n + 1))
-    T[:, :m, :n], T[:, :m, -1] = np.where(frozen[:, np.newaxis], 0.0, M), b
+    T = np.zeros((B, m + 2, n + 1 + E))
+    T[:, :m, :n], T[:, :m, n], T[:, :m, n + 1 :] = np.where(frozen[:, np.newaxis], 0.0, M), b, ranges
     T[:, m, :n] = -np.where(frozen, 0.0, c)
     basis = np.tile(np.arange(n, n + m + 2), (B, 1))
     nonbasic = np.tile(np.arange(n), (B, 1))
@@ -164,14 +233,17 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
     work = np.arange(B)  # positions in the working set
     waiting = 0  # parked LPs
 
+    finals = []  # per drop, the LPs read off: stack indices, final tableaux, basis rows, slots, bounds and flags
+    kept, kept_var = np.zeros((B, m + 1)), np.zeros(B, dtype=int)  # slot 0 of each LP as it parked
+
     def settle() -> None:
-        """Read off the parked LPs."""
+        """Count the parked LPs' steps and keep what the answers are read from."""
         at = ids[parked]
         flips[at] = made[parked]
         pivots[at] = ended[parked] - made[parked]  # one pivot or flip per iteration before parking
         unbounded[at] = stuck[parked]
         read = parked & ~stuck
-        x[ids[read]] = _basic_x(T[read], basis[read, :m], cap[read, :n], flipped[read], n)
+        finals.append((ids[read], T[read], basis[read, :m], nonbasic[read], cap[read], flipped[read]))
 
     for it in range(_MAX_ITER):
         if 2 * waiting >= ids.size:  # drop the parked LPs once they are half the set
@@ -182,21 +254,24 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
             work, waiting = work[: ids.size], 0
             if not ids.size:
                 break
-        improving = T[:, m, :-1] < -PIVOT_TOL
+        improving = T[:, m, :n] < -PIVOT_TOL
         enter = np.where(improving, nonbasic, n + m).argmin(axis=1)  # Bland: lowest improving variable
         entering = nonbasic[work, enter]
         factors = T[work, :, enter]
         column = factors[:, :m]
         # A basic variable stops at 0 where its column entry is positive, at its bound where negative.
         upper = column < -PIVOT_TOL
-        span = T[:, :m, -1] - np.where(upper, cap[work[:, np.newaxis], basis[:, :m]], 0.0)
+        span = T[:, :m, n] - np.where(upper, cap[work[:, np.newaxis], basis[:, :m]], 0.0)
         ratios = np.divide(span, column, out=np.full(column.shape, np.inf), where=upper | (column > PIVOT_TOL))
         limit = ratios[work, ratios.argmin(axis=1)] + _RATIO_TIE_TOL
         bound = cap[work, entering]
         better = improving[work, enter]
         done = ~((better & (np.minimum(limit, bound) < np.inf)) | parked)  # optimal or unbounded
         # A done LP is parked: it runs along until it is dropped, each step flipping a unit bound
-        # with zero factors, which leaves its rhs, basis and complement flags as they are.
+        # with zero factors, which leaves its rhs, basis and complement flags as they are.  The
+        # steps do overwrite slot 0, so its column and variable are kept for the further rhs.
+        if E and done.any():
+            kept[ids[done]], kept_var[ids[done]] = T[done, : m + 1, 0], nonbasic[done, 0]
         np.copyto(ended, it, where=done)
         stuck |= done & better
         parked |= done
@@ -211,10 +286,14 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         leave = np.where(flip, m + 1, row)
         # A flip pivots on the entering variable's bound row, x + s = u, in the scratch row, and
         # s = u - x, the variable complemented, takes its slot.  A variable leaving at its bound
-        # leaves complemented: its row's rhs is measured from the bound (span), and its unit
-        # column is negated.
+        # leaves complemented: its row's rhs, and each further rhs, is measured from the bound,
+        # and its unit column is negated.
         T[:, m + 1] = 0.0
-        T[work, leave, -1] = np.where(flip, bound, span[work, row])
+        T[work, leave, n] = np.where(flip, bound, span[work, row])
+        if E:  # the scratch row is the pivot row of a flip only
+            T[:, m + 1, n + 1 :] = bound[:, np.newaxis]
+            if stop.any():
+                T[work, row, n + 1 :] -= np.where(stop, cap[work, basis[work, row]], 0.0)[:, np.newaxis]
         basis[:, m + 1] = np.where(parked, n + m + 1, entering)
         factors[:, m + 1] = 1.0
         pivot = factors[work, leave]
@@ -231,9 +310,10 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         # keeps even a -0.0.  A zero's sign in the other columns reaches no rhs entry, but a
         # zero rhs in the pivot row needs the signed products there.
         update = np.einsum("wr,wc->wrc", factors, prow)
-        if not prow[:, -1].all():
-            np.multiply(factors, prow[:, -1:], out=update[:, :, -1])
-            np.copyto(update[:, :, -1], 0.0, where=factors == 0.0)
+        if not prow[:, n:].all():
+            rhs = update[:, :, n:]
+            np.multiply(factors[:, :, np.newaxis], prow[:, np.newaxis, n:], out=rhs)
+            np.copyto(rhs, 0.0, where=(factors == 0.0)[:, :, np.newaxis])
         T -= update
         leaving = basis[work, leave]
         nonbasic[work, enter], basis[work, leave] = leaving, entering
@@ -241,22 +321,40 @@ def _solve_stack(c: np.ndarray, M: np.ndarray, b: np.ndarray, u: np.ndarray) -> 
         made += flip & ~parked  # a parked LP's flips have zero factors
     else:
         raise RuntimeError("simplex iteration limit exceeded")
-    return unbounded, x, pivots, flips
+    at, final, rows, slots, bounds, flags = (np.concatenate(part) for part in zip(*finals))
+    rhs = final[:, :m, n:]
+    if E:
+        final[:, : m + 1, 0], slots[:, 0] = kept[at], kept_var[at]
+        # The basis of an optimal LP stays optimal at a further rhs where every basic value lies within its
+        # bounds, exactly, if every live reduced cost is strictly non-improving: the optimum is then unique,
+        # the vertex the cold simplex would reach.
+        rhs[..., 1:] = _refined(final, rows, slots, bounds, flags, M[at], ranges[at])
+        firm = ((final[:, m, :n] > PIVOT_TOL) | frozen[at]).all(axis=1)
+        inside = (rhs[..., 1:] >= 0.0) & (rhs[..., 1:] <= np.take_along_axis(bounds, rows, axis=1)[..., np.newaxis])
+        accepted[at] = inside.all(axis=1) & firm[:, np.newaxis]
+    xs = _basic_x(rhs, rows, bounds, flags, n)
+    x[at], ranged_x[at] = xs[:, 0], xs[:, 1:]
+    return unbounded, x, pivots, flips, ranged_x, accepted
 
 
 def solve_lp(*problems: LpProblem) -> list[LpSolution]:
     """Solve every LP of every problem to optimality, or report it unbounded, in one stack.
 
-    Returns one :class:`LpSolution` per problem, over its leading axes.
+    Returns one :class:`LpSolution` per problem, over its leading axes; a :class:`_Ranging` problem gets a
+    :class:`_Ranged` one.
     """
-    (c, M, b, u), spans = _validate(problems)
-    unbounded, x, pivots, flips = _solve_stack(c, M, b, u)
+    (c, M, b, u, ranges), spans = _validate(problems)
+    unbounded, x, pivots, flips, ranged_x, accepted = _solve_stack(c, M, b, u, ranges)
     status = np.where(unbounded, "unbounded", "optimal")
     solutions = []
     for p, at in zip(problems, spans):
         lead, cols = np.shape(p.objective)[:-1], np.shape(p.objective)[-1]
         own_c, own_x = np.ascontiguousarray(c[at, :cols]), np.ascontiguousarray(x[at, :cols])
         value = np.where(unbounded[at], 0.0, (own_c[:, np.newaxis, :] @ own_x[:, :, np.newaxis])[:, 0, 0])
-        fields = status[at], own_x, value, pivots[at], flips[at]
-        solutions.append(LpSolution(*(field.reshape(lead + field.shape[1:]) for field in fields)))
+        fields = [status[at], own_x, value, pivots[at], flips[at]]
+        if isinstance(p, _Ranging):
+            E = np.shape(p.ranges)[-1]
+            fields += [ranged_x[at, :E, :cols], accepted[at, :E]]
+        fields = [field.reshape(lead + field.shape[1:]) for field in fields]
+        solutions.append(_Ranged(*fields) if isinstance(p, _Ranging) else LpSolution(*fields))
     return solutions

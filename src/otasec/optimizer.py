@@ -54,9 +54,19 @@ with fewer eavesdroppers than the stack's largest ``L`` gets all-zero rows of
 change no bit of the design.  Each request's candidates are user orders, the
 noise users and then the zero-forcing users (:func:`_subsets`): the exhaustive
 rule's are shared by the stack's requests, and a best-channel subset is each
-request's own.  The LP arrays of all stacks go to one
-:func:`~otasec.lp.solve_lp` call, which solves them in one padded stack (one
-call per group of preset trials, by the same driver, ``_gather``).  It is the
+request's own.
+
+Only ``alpha``, an LP's rhs, depends on the SNR: in units of the LP's
+``scale``, its matrix, objective and bounds are the same at every SNR.  So a
+design over an SNR axis solves one LP per (eta, request, subset) family, at
+the middle SNR of the axis, and carries the other SNRs' rhs, in that LP's
+units, through its pivots (:func:`_solve_along_snr`).  A member whose basic
+solution is not proven optimal there is solved cold, as its own LP, in one
+more stack: so the middle SNR and every such member are bitwise the design
+at that SNR alone, and an accepted member is within 1e-12 relative of it.
+The families of all stacks go to one :func:`~otasec.lp.solve_lp` call, which
+solves them in one padded stack, and the cold members to one more (per group
+of preset trials, by the same driver, ``_gather``).  It is the
 one way into a design: a single design is its one-request case, and
 :func:`~otasec.encoding.build_precoder` builds the ``"proposed"`` kinds
 through it.  One subset's ``alpha``, ``beta`` and matrix are the stacked
@@ -65,6 +75,7 @@ helpers' at a leading axis of length one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -73,7 +84,7 @@ import numpy as np
 from .channel import SystemRealization
 from .encoding import NoisePrecoder, row_budgets
 from .errors import ContractError
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, _Ranging, solve_lp
 from . import metrics
 
 DROP_RTOL = 1e-12
@@ -136,8 +147,8 @@ def _zf_matrices(users: np.ndarray, h: np.ndarray, weights: np.ndarray, lam: np.
 
 def _allocation_lp(
     alpha: np.ndarray, beta: np.ndarray, load: np.ndarray, budgets: np.ndarray
-) -> LpProblem:
-    """max t  s.t.  alpha_l + beta_l . lam >= t,  load . lam <= zf budgets,  0 <= lam <= caps,  t >= 0.
+) -> tuple[LpProblem, np.ndarray]:
+    """The LPs ``max t  s.t.  alpha_l + beta_l . lam >= t,  load . lam <= zf budgets,  0 <= lam <= caps,  t >= 0.
 
     ``alpha`` has shape ``(..., L)``, +inf on dropped eavesdroppers; ``beta``
     shape ``(..., L, K - N)``; ``load``, the zero-forcing users' budget rows
@@ -167,6 +178,8 @@ def _allocation_lp(
     Every such LP is bounded by construction: ``t <= 1`` in LP units and
     ``x <= 1``, and a tie-break LP is bounded by the caps.  So an
     "unbounded" status can only be numerical, and the design raises on it.
+
+    Returns the LPs and each one's ``scale`` ``(..., 1)``, the unit of ``t``.
     """
     live = np.isfinite(alpha)
     stack = np.broadcast_shapes(alpha.shape[:-1], beta.shape[:-2], load.shape[:-2], budgets.shape[:-1])
@@ -189,7 +202,7 @@ def _allocation_lp(
     objective = np.empty(stack + (1 + n_cols,))
     objective[..., 0] = ~tie
     objective[..., 1:] = tie[..., np.newaxis] * np.divide(caps, top, out=np.zeros(caps.shape), where=top > 0.0)
-    return LpProblem(objective, rows, rhs, upper)
+    return LpProblem(objective, rows, rhs, upper), scale
 
 
 def optimize_designs(requests) -> list[NoisePrecoder]:
@@ -206,9 +219,10 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
 
     Requests that share ``K``, ``N``, ``selection``, the shapes of ``eta`` and of both noise variances and the
     channels' dtypes make one stack, designed at once over a request axis (:class:`_Stack`).  Every stack's LP
-    array goes to one :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack; padding
-    changes no LP's answer, so each design is bitwise the one made alone.  Where a stack fails, each request
-    is made alone in turn, so the first request that fails raises what it raises alone.
+    families go to one :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack, and the
+    members they do not answer to one more (:func:`_solve_along_snr`); padding changes no LP's answer, so each
+    design is bitwise the one made alone.  Where a stack fails, each request is made alone in turn, so the
+    first request that fails raises what it raises alone.
     """
     requests = list(requests)
     try:
@@ -230,45 +244,68 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
 
 
 def _gather(started, answer) -> list:
-    """What each coroutine of the ``(coroutine, asks)`` pairs returns, its asks answered by one ``answer`` call.
+    """What each coroutine of the ``(coroutine, asks)`` pairs returns, its asks answered by one ``answer`` call a round.
 
-    ``answer`` takes every ask in order and returns one answer each; each coroutine is sent its own slice.
+    ``answer`` takes every ask of a round in order and returns one answer each; each coroutine is sent its own
+    slice, and those that ask again make the next round.
     """
-    asks = [ask for _, some in started for ask in some]
-    answers = iter(answer(asks) if asks else [])
-    results = []
-    for coroutine, some in started:
-        try:
-            coroutine.send([next(answers) for _ in some])
-        except StopIteration as done:
-            results.append(done.value)
+    results = [None] * len(started)
+    waiting = list(enumerate(started))
+    while waiting:
+        asks = [ask for _, (_, some) in waiting for ask in some]
+        answers = iter(answer(asks) if asks else [])
+        asking = []
+        for at, (coroutine, some) in waiting:
+            try:
+                asking.append((at, (coroutine, coroutine.send([next(answers) for _ in some]))))
+            except StopIteration as done:
+                results[at] = done.value
+        waiting = asking
     return results
 
 
 def _subsets(h: np.ndarray, N: int, selection: str) -> np.ndarray:
     """The ``(R, C, K)`` candidates whose LPs a stack of ``h`` ``(R, K)`` solves, after the checks on ``N`` and
     ``selection``: each lists its noise users, then its ``N`` zero-forcing users, both increasing.  The exhaustive
-    subsets, in ``itertools.combinations`` order, are one view shared by the requests; a best-channel subset is
-    each request's own."""
+    subsets, in ``itertools.combinations`` order, are one read-only view shared by the requests; a best-channel
+    subset is each request's own."""
     R, K = h.shape
     if not 1 <= N <= K - 1:
         raise ContractError("N must lie in [1, K-1]")
     if selection == "exhaustive":
-        zf = np.array(list(itertools.combinations(range(K), N)))[np.newaxis]
-    elif selection == "best_channel":
-        zf = np.argsort(-np.abs(h) ** 2, axis=-1, kind="stable")[:, np.newaxis, :N]
-    else:
-        raise ContractError(f"unknown selection rule {selection!r}")
+        return np.broadcast_to(_combinations(K, N), (R,) + _combinations(K, N).shape)
+    if selection == "best_channel":
+        return _orders(np.argsort(-np.abs(h) ** 2, axis=-1, kind="stable")[:, np.newaxis, :N], K)
+    raise ContractError(f"unknown selection rule {selection!r}")
+
+
+def _orders(zf: np.ndarray, K: int) -> np.ndarray:
+    """The user orders of the zero-forcing sets ``zf`` ``(..., N)``: ``(..., K)``."""
     chosen = (np.arange(K) == zf[..., np.newaxis]).any(axis=-2)  # a stable sort puts them last
-    return np.broadcast_to(np.argsort(chosen, axis=-1, kind="stable"), (R, zf.shape[1], K))
+    return np.argsort(chosen, axis=-1, kind="stable")
+
+
+@functools.cache
+def _combinations(K: int, N: int) -> np.ndarray:
+    """The exhaustive rule's ``(C, K)`` user orders, built once per ``(K, N)`` and read-only."""
+    orders = _orders(np.array(list(itertools.combinations(range(K), N))), K)
+    orders.flags.writeable = False
+    return orders
 
 
 def _lp_total(requests) -> int:
-    """How many LPs ``optimize_designs(requests)`` solves: per design, one per subset, eta and SNR."""
+    """How many LPs ``optimize_designs(requests)`` puts in its first simplex stack: per design, one per subset, eta
+    and SNR, the SNRs that share a basis counted once (:func:`_snrs`)."""
     return sum(
         _subsets(real.h[np.newaxis], N, selection).shape[-2] * np.broadcast(eta, real.sigma_z_sq).size
+        // _snrs(np.shape(eta), np.shape(real.sigma_z_sq))
         for real, eta, N, selection in requests
     )
+
+
+def _snrs(eta_shape: tuple, noise_shape: tuple) -> int:
+    """How many SNRs of a design share each LP's basis: the noise variances' last axis, unless eta varies along it."""
+    return noise_shape[-1] if noise_shape and eta_shape[-1:] in ((), (1,)) else 1
 
 
 class _Stack(NamedTuple):
@@ -307,8 +344,9 @@ def _last(values) -> np.ndarray:
 
 
 def _design(requests):
-    """A coroutine for ``_gather``: yields ``[problem]``, the LP array of a stack of requests (see :class:`_Stack`),
-    takes ``[solution]`` and returns each request's precoder."""
+    """A coroutine for ``_gather``: yields ``[problem]`` and takes ``[solution]``, for the LP array of a stack of
+    requests (see :class:`_Stack`) and then its cold fallbacks (:func:`_solve_along_snr`), and returns each
+    request's precoder."""
     stack = _stack(requests)
     eta = stack.eta
     _, _, N, selection = requests[0]
@@ -332,14 +370,9 @@ def _design(requests):
     G = _take(stack.G.swapaxes(0, 1), users).swapaxes(0, 1)  # (R, L, C, K): the request axis meets users'
     beta = _beta(G, h, weights, sum_sq, live)
     load = np.abs(weights[..., None] * h[..., None, :M] / h[..., M:, None]) ** 2
-    problem = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # one LP per eta, SNR, request and subset
-    (solution,) = yield [problem]
-    failed = solution.status != "optimal"
-    if np.any(failed):
-        first = np.argmax(failed)  # a flat index
-        what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
-        raise RuntimeError(f"{what} LP reported {solution.status.flat[first]}")
-    lam = np.maximum(solution.x[..., 1:], 0.0) * rhs[..., :M]  # x times the caps
+    problem, scale = _allocation_lp(alpha[..., np.newaxis, :], beta, load, rhs)  # per eta, SNR, request and subset
+    x = yield from _solve_along_snr(problem, scale, alpha, _snrs(eta.shape[:-1], stack.sigma_z_sq.shape[:-1]))
+    lam = np.maximum(x[..., 1:], 0.0) * rhs[..., :M]  # x times the caps
     # Each subset's S_noncoop at its optimum (worst is +inf when every eavesdropper is dropped), -inf
     # out of power; the first subset within TIE_ATOL of the best wins, and with none in power, the first.
     worst = (alpha[..., np.newaxis, :] + np.einsum("...li,...i->...l", beta, lam)).min(axis=-1)
@@ -363,3 +396,49 @@ def _design(requests):
         )
         for at, (_, own_eta, *_) in enumerate(requests)
     ]
+
+
+def _solve_along_snr(problem: LpProblem, scale: np.ndarray, alpha: np.ndarray, S: int):
+    """A sub-coroutine of :func:`_design`: the ``x`` of every LP of ``problem``, its LPs over ``(..., S, R, C)``.
+
+    Only ``alpha`` varies along the SNR axis (length ``S``, or 1 for none), and ``t`` in units of its ``scale``: so
+    an LP at one SNR, in the LP units of the reference SNR ``S // 2``, is that SNR's LP but for its rhs.  Each
+    (eta, request, subset) family yields its reference LP, with the other SNRs' rhs riding along
+    (:class:`~otasec.lp._Ranging`); a member whose basic solution the simplex does not accept is then solved cold,
+    as its own LP, in one more stack.
+    """
+    shape = problem.objective.shape[:-1]
+    family = shape[:-3] + shape[-2:] if S > 1 else shape  # without the SNR axis
+    Q, L = shape[-2] * shape[-1], alpha.shape[-1]
+    ref, others = S // 2, np.flatnonzero(np.arange(S) != S // 2)
+    # Each field as (the families before the SNR axis, SNR, the families after it, ...).
+    fields = [f.reshape((-1, S, Q) + f.shape[len(shape) :]) for f in (problem.objective, problem.ineq_matrix,
+                                                                       problem.ineq_rhs, problem.upper)]
+    # The other SNRs' rhs in the reference's LP units; the zero-forcing rows' do not depend on the SNR.
+    ranges = np.repeat(fields[2][:, ref, np.newaxis], len(others), axis=1)
+    far = np.broadcast_to(alpha[..., np.newaxis, :], shape + (L,)).reshape(-1, S, Q, L)[:, others]
+    np.divide(far, scale.reshape(-1, S, Q, 1)[:, ref, np.newaxis], out=ranges[..., :L], where=np.isfinite(far))
+    ranging = _Ranging(*(f[:, ref].reshape(family + f.shape[3:]) for f in fields),
+                       np.moveaxis(ranges, 1, -1).reshape(family + ranges.shape[-1:] + (len(others),)))
+    (solution,) = yield [ranging]
+    _check(ranging, solution)
+    x = np.empty(fields[0].shape)
+    P, n = x.shape[0], x.shape[-1]
+    x[:, ref] = solution.x.reshape(P, Q, n)
+    x[:, others] = np.moveaxis(solution.ranged_x.reshape(P, Q, len(others), n), 2, 1)
+    p, s, q = np.nonzero(~np.moveaxis(solution.accepted.reshape(P, Q, len(others)), 2, 1))
+    if p.size:
+        cold = LpProblem(*(f[p, others[s], q] for f in fields))
+        (solution,) = yield [cold]
+        _check(cold, solution)
+        x[p, others[s], q] = solution.x
+    return x.reshape(problem.objective.shape)
+
+
+def _check(problem: LpProblem, solution) -> None:
+    """Raise on the first LP of ``problem`` that ``solution`` does not report optimal."""
+    failed = solution.status != "optimal"
+    if np.any(failed):
+        first = np.argmax(failed)  # a flat index
+        what = "noise allocation" if problem.objective[..., 0].flat[first] else "tie-break"
+        raise RuntimeError(f"{what} LP reported {solution.status.flat[first]}")

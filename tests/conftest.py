@@ -69,3 +69,47 @@ def no_pool(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", refuse)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The optimizer's ``solve_lp`` calls, each as ``(LPs, rejected)``: ``rejected`` counts the other SNRs' members
+    that its ranging problems did not accept, and is None for a call of cold LPs alone."""
+    from otasec import optimizer
+    from otasec.lp import _Ranging
+
+    calls, solve = [], optimizer.solve_lp
+
+    def recording(*problems):
+        solutions = solve(*problems)
+        ranged = [solution for problem, solution in zip(problems, solutions) if isinstance(problem, _Ranging)]
+        rejected = sum(np.count_nonzero(~solution.accepted) for solution in ranged) if ranged else None
+        calls.append((sum(p.objective[..., 0].size for p in problems), rejected))
+        return solutions
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording)
+    return calls
+
+
+def first_rounds(calls, complete=True):
+    """The LPs of each first-round call of ``lp_calls``' record, in order.
+
+    Checks that each cold call holds exactly the members that the call before it rejected, and, if ``complete``
+    (no design raised), that every call that rejected some members is followed by their cold call.
+    """
+    firsts = []
+    for at, (lps, rejected) in enumerate(calls):
+        if rejected is None:
+            assert at and calls[at - 1][1] == lps
+        else:
+            firsts.append(lps)
+            assert not (complete and rejected) or calls[at + 1 : at + 2] == [(rejected, None)]
+    return firsts
+
+
+def assert_within(actual, expected, rtol=1e-12):
+    """``actual`` equals ``expected`` within ``rtol`` of the largest magnitude along the last axis."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = np.abs(expected).max(axis=-1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(actual - expected) <= rtol * scale)

@@ -92,25 +92,19 @@ class TestRun:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
-    def test_grouped_shared_zf_on_three_threads_matches_serial(self, tmp_path, monkeypatch):
-        from otasec import optimizer
-
-        stacks, solve = [], optimizer.solve_lp
-
-        def counting(*problems):  # the LPs of a call
-            stacks.append(sum(p.objective[..., 0].size for p in problems))
-            return solve(*problems)
-
-        monkeypatch.setattr(optimizer, "solve_lp", counting)
-        # 2 SNRs x 56 LPs a trial: 9 trials run in groups of 4, 4 and 1.
-        args = ["run", "shared_zf", "--trials", "9", "--set", "sweep_values=[0,20]", "--set", "l_values=[3]"]
+    def test_grouped_shared_zf_on_three_threads_matches_serial(self, tmp_path, lp_calls):
+        # 2 eavesdropper counts x 56 LPs a trial, over 2 SNRs: 9 trials run in groups of 4, 4 and 1.
+        args = ["run", "shared_zf", "--trials", "9", "--set", "sweep_values=[0,20]", "--set", "l_values=[3,7]"]
         tables = []
         for threads in ("1", "3"):
+            lp_calls.clear()
             out = tmp_path / f"t{threads}.dat"
             assert main(args + ["--threads", threads, "--out", str(out)]) == 0
             tables.append(out.read_bytes())
+            firsts = sorted(lps for lps, rejected in lp_calls if rejected is not None)
+            rejected = sum(rejected for _, rejected in lp_calls if rejected is not None)
+            assert firsts == [112, 448, 448] and sum(lps for lps, r in lp_calls if r is None) == rejected > 0
         assert tables[0] == tables[1]
-        assert sorted(stacks) == [112, 112, 448, 448, 448, 448]
 
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -361,6 +361,15 @@ class TestBuilders:
         with pytest.raises(InfeasibleError):
             build_precoder("none", real, 2.0 * eta_from_delta(real, 1.0))
 
+    @pytest.mark.parametrize("kind", ["none", "signal_level", "data_level", "proposed"])
+    def test_eta_slack_is_relative_1e_9(self, kind):
+        # The bound's relative slack lets 1e-10 over it pass and 1e-7 over it raise.
+        real = make_realization(3, K=4, L=1)
+        eta_max = eta_from_delta(real, 1.0)
+        build_precoder(kind, real, eta_max * (1.0 + 1e-10))
+        with pytest.raises(InfeasibleError):
+            build_precoder(kind, real, eta_max * (1.0 + 1e-7))
+
     def test_unknown_kind_rejected(self):
         real = make_realization(3, K=4, L=1)
         with pytest.raises(ContractError):

@@ -23,7 +23,7 @@ from otasec.experiments import (
 from otasec.metrics import approximation_error, coop_security, noncoop_security
 from otasec.optimizer import optimize_designs
 
-from conftest import one_design
+from conftest import first_rounds, one_design
 
 
 def small(name, **overrides):
@@ -421,7 +421,8 @@ def looped_trial(preset, r):
 
 
 class TestSnrAxis:
-    """Each trial scores every design over the whole SNR grid at once; it must equal the per-SNR loop."""
+    """Each trial scores every design over the whole SNR grid at once; it must equal the per-SNR loop: bitwise
+    with every SNR's LP solved cold, and within 1e-12 relative where the other SNRs ride the reference basis."""
 
     @pytest.mark.parametrize(
         "name, overrides",
@@ -433,84 +434,79 @@ class TestSnrAxis:
             ("shared_zf", dict(shared_n_values=(1, 2, 3))),
         ],
     )
-    def test_trials_equal_the_per_snr_loop(self, name, overrides):
+    def test_trials_equal_the_per_snr_loop(self, monkeypatch, name, overrides):
         preset = small(name, num_realizations=3, **overrides)
         expected = np.stack([looped_trial(preset, r) for r in range(3)])
         trials = collect_trials(preset, threads=1)
-        assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
+        assert trials.shape == expected.shape
+        assert np.all(np.abs(trials - expected) <= 1e-12 * np.abs(expected))
+        monkeypatch.setattr(optimizer, "_snrs", lambda eta_shape, noise_shape: 1)
+        assert collect_trials(preset, threads=1).tobytes() == expected.tobytes()
 
 
 class TestLpStacks:
-    """Consecutive trials solve their LPs in one stack of at most ``_GROUP_LPS`` LPs; a tradeoff run in one."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        from otasec import optimizer
-
-        calls, solve = [], optimizer.solve_lp
-
-        def counting(*problems):  # the LPs of a call
-            calls.append(sum(p.objective[..., 0].size for p in problems))
-            return solve(*problems)
-
-        monkeypatch.setattr(optimizer, "solve_lp", counting)
-        return calls
+    """Consecutive trials solve their LPs in one stack of at most ``_GROUP_LPS`` LPs, one per (eta, subset) family
+    over the SNR axis, then the members the reference basis did not accept in one more; a tradeoff run in one."""
 
     @pytest.mark.parametrize("delta_grid", [(0.4, 0.7, 1.0), (1.0, 0.0, 0.3), (0.0,)])
-    def test_power_control_trials_make_one_call_on_both_sides_of_zero(self, calls, delta_grid):
+    def test_power_control_trials_make_one_stack_on_both_sides_of_zero(self, lp_calls, delta_grid):
         # A dropped eavesdropper keeps a zero row, so eta = 0 shares the stack of the other deltas.
         collect_trials(small("power_control", num_realizations=3, delta_grid=delta_grid), threads=1)
-        assert calls == [3 * 3 * len(delta_grid)]
+        assert first_rounds(lp_calls) == [3 * len(delta_grid)]
 
     @pytest.mark.parametrize("sweep, expected", [((0.2, 0.6, 1.0), 1), ((0.0, 0.5, 1.0), 1)])
-    def test_tradeoff_makes_at_most_two_calls(self, monkeypatch, calls, sweep, expected):
+    def test_tradeoff_makes_at_most_two_calls(self, monkeypatch, lp_calls, sweep, expected):
         requests = []
         monkeypatch.setattr(experiments, "optimize_designs", lambda some: requests.append(some) or optimize_designs(some))
         run_preset(small("tradeoff", sweep_values=sweep))
         assert [len(some) for some in requests] == [1]  # the proposed design over the deltas, from collect_trials
-        assert len(calls) == expected and sum(calls) == len(sweep)
+        assert lp_calls == [(len(sweep), 0)] * expected  # no SNR axis: nothing rides along
 
     @pytest.mark.parametrize("delta, threads", [(0.0, 1), (0.5, 1), (0.5, 2)])
-    def test_shared_zf_trials_make_one_call(self, calls, delta, threads):
-        # Per trial: 2 SNRs x 2 eavesdropper counts x (1 proposed + 5 N = 1 + 10 N = 2 subsets).
+    def test_shared_zf_trials_make_one_stack(self, lp_calls, delta, threads):
+        # Per trial: 2 eavesdropper counts x (1 proposed + 5 N = 1 + 10 N = 2 subsets), each over 2 SNRs.
         collect_trials(small("shared_zf", num_realizations=3, delta=delta), threads=threads)
-        assert calls == [3 * 2 * 2 * 16]
+        assert first_rounds(lp_calls) == [3 * 2 * 16]
+        # One member a family.  At delta = 0 every LP is a tie-break, whose t is priced at zero: none is accepted.
+        rejected = lp_calls[0][1]
+        assert rejected == 3 * 2 * 16 if delta == 0.0 else 0 < rejected < 3 * 2 * 16
 
     @pytest.mark.parametrize(
         "name, overrides, n, expected",
         [
-            # The benchmark's trial: 2 SNRs x 2 eavesdropper counts x (1 + 10 + 45 subsets), two trials a call.
-            ("shared_zf", dict(num_users=10, sweep_values=(0.0, 20.0), l_values=(3, 7)), 5, [448, 448, 224]),
-            # 9 SNRs x 4 deltas, 14 trials a call.
-            ("power_control", dict(sweep_values=experiments._SNR_GRID), 30, [504, 504, 72]),
-            # 3 SNRs x (1 + 45 subsets), 3 trials a call.
-            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 7, [414, 414, 138]),
+            # The benchmark's trial: 2 eavesdropper counts x (1 + 10 + 45 subsets), four trials a call.
+            ("shared_zf", dict(num_users=10, sweep_values=(0.0, 20.0), l_values=(3, 7)), 5, [448, 112]),
+            # 4 deltas, 128 trials a call.
+            ("power_control", dict(sweep_values=experiments._SNR_GRID), 130, [512, 8]),
+            # 1 + 45 subsets, 11 trials a call.
+            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 12, [506, 46]),
         ],
     )
-    def test_a_call_holds_at_most_512_lps(self, calls, name, overrides, n, expected):
+    def test_a_call_holds_at_most_512_lps(self, lp_calls, name, overrides, n, expected):
         collect_trials(small(name, num_realizations=n, **overrides), threads=1)
-        assert calls == expected and max(calls) <= experiments._GROUP_LPS == 512
+        assert first_rounds(lp_calls) == expected and max(expected) <= experiments._GROUP_LPS == 512
+        assert all(lps <= 512 for lps, _ in lp_calls)
 
     @pytest.mark.parametrize(
         "name, overrides, lps",
         [
-            ("sweep_snr_designs", {}, 9),  # 9 SNRs x 1 proposed subset
-            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 9 * 46),
-            ("shared_zf", {}, 1008),
-            ("power_control", {}, 36),  # 9 SNRs x 4 deltas
-            ("shared_zf", dict(sweep_values=(0.0, 20.0), l_values=(3, 7)), 224),  # the benchmark's arguments
+            ("sweep_snr_designs", {}, 1),  # 1 proposed subset, over 9 SNRs
+            ("sweep_snr_designs", dict(designs=("none", "proposed", "proposed_shared")), 46),
+            ("shared_zf", {}, 168),  # 3 eavesdropper counts x 56 subsets, over 6 SNRs
+            ("power_control", {}, 4),  # 4 deltas, over 9 SNRs
+            ("shared_zf", dict(sweep_values=(0.0, 20.0), l_values=(3, 7)), 112),  # the benchmark's arguments
         ],
     )
-    def test_lp_total_counts_the_lps_solve_lp_receives(self, calls, name, overrides, lps):
+    def test_lp_total_counts_the_lps_of_the_first_stack(self, lp_calls, name, overrides, lps):
         preset = default_preset(name, num_realizations=1, **overrides)
         requests = next(experiments._PRESETS[name].trial(preset, 0))
         optimize_designs(requests)
-        assert calls == [optimizer._lp_total(requests)] == [lps]
+        assert first_rounds(lp_calls) == [optimizer._lp_total(requests)] == [lps]
 
-    def test_a_default_shared_zf_trial_runs_alone(self, calls):
-        # 6 SNRs x 3 eavesdropper counts x (1 + 10 + 45 subsets) = 1,008 LPs, more than a group holds.
-        collect_trials(default_preset("shared_zf", num_realizations=2), threads=1)
-        assert calls == [1008, 1008]
+    def test_a_trial_with_more_lps_than_a_group_runs_alone(self, lp_calls):
+        # 3 eavesdropper counts x (1 + 10 + 45 + 120 subsets) = 528 LPs, more than a group holds.
+        collect_trials(default_preset("shared_zf", num_realizations=2, shared_n_values=(1, 2, 3)), threads=1)
+        assert first_rounds(lp_calls) == [528, 528]
 
     @pytest.mark.parametrize(
         "name, overrides",
@@ -522,31 +518,37 @@ class TestLpStacks:
         ],
     )
     @pytest.mark.parametrize("n, groups", [(2, [2]), (6, [2, 2, 2]), (5, [2, 2, 1])])
-    def test_grouped_trials_equal_the_per_trial_reference(self, monkeypatch, calls, name, overrides, n, groups):
+    @pytest.mark.parametrize("ranging", [True, False])
+    def test_grouped_trials_equal_the_per_trial_reference(self, monkeypatch, lp_calls, name, overrides, n, groups,
+                                                          ranging):
+        # The reference: the per-SNR loop, where every SNR is solved cold, else the trials run one at a time.
         preset = small(name, num_realizations=n, **overrides)
+        if ranging:
+            monkeypatch.setattr(experiments, "_GROUP_LPS", 1)
+            expected = collect_trials(preset, threads=1)
+        else:
+            monkeypatch.setattr(optimizer, "_snrs", lambda eta_shape, noise_shape: 1)
+            expected = np.stack([looped_trial(preset, r) for r in range(n)])
+        lp_calls.clear()
         per_trial = optimizer._lp_total(next(experiments._PRESETS[name].trial(preset, 0)))
         monkeypatch.setattr(experiments, "_GROUP_LPS", 3 * per_trial - 1)  # two trials a group
         trials = collect_trials(preset, threads=1)
-        assert calls == [size * per_trial for size in groups]
-        expected = np.stack([looped_trial(preset, r) for r in range(n)])
+        assert first_rounds(lp_calls) == [size * per_trial for size in groups]
         assert trials.shape == expected.shape and trials.tobytes() == expected.tobytes()
 
-    def test_an_lp_failure_inside_a_group_fails_as_alone(self, tmp_path, monkeypatch, capsys):
-        from otasec import optimizer
+    def test_an_lp_failure_inside_a_group_fails_as_alone(self, tmp_path, monkeypatch, lp_calls, capsys):
         from otasec.cli import main
-        from otasec.lp import solve_lp
 
-        # 2 SNRs x 56 LPs: three trials make one group.  The last LP of trial 2 (seed 3) reports unbounded.
+        # 56 LPs a trial: three trials make one group.  The last LP of trial 2 (seed 3) reports unbounded.
         sizes = dict(sweep_values=(0.0, 20.0), l_values=(3,))
-        marked = []
-        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: marked.append(problems[-1]) or solve_lp(*problems))
+        marked, solve = [], optimizer.solve_lp
+        monkeypatch.setattr(optimizer, "solve_lp", lambda *problems: marked.append(problems[-1]) or solve(*problems))
         collect_trials(default_preset("shared_zf", num_realizations=1, base_seed=3, **sizes))
         last = marked[0].ineq_rhs.reshape(-1, marked[0].ineq_rhs.shape[-1])[-1]
-        stacks = []
+        lp_calls.clear()
 
         def sabotaged(*problems):
-            stacks.append(sum(p.objective[..., 0].size for p in problems))
-            solutions = solve_lp(*problems)
+            solutions = solve(*problems)
             for problem, solution in zip(problems, solutions):
                 if problem.ineq_rhs.shape[-1] == last.size:
                     solution.status[(problem.ineq_rhs == last).all(axis=-1)] = "unbounded"
@@ -562,10 +564,10 @@ class TestLpStacks:
                 collect_trials(default_preset("shared_zf", num_realizations=3, **sizes))
             assert main(argv) == 3
             outcomes.append((type(info.value), str(info.value), capsys.readouterr().err))
-        # Grouped: one call, then, as it failed, each request alone (2, 20 and 90 LPs) up to the one that fails,
+        # Grouped: one stack, then, as it failed, each request alone (1, 10 and 45 LPs) up to the one that fails,
         # trial 2's N = 2.  Alone: trials 0 and 1 pass, trial 2 fails, then its requests run alone.
-        rerun = [2, 20, 90]
-        assert stacks == ([336] + rerun * 3) * 2 + ([112] * 3 + rerun) * 2
+        rerun = [1, 10, 45]
+        assert first_rounds(lp_calls, complete=False) == ([168] + rerun * 3) * 2 + ([56] * 3 + rerun) * 2
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is RuntimeError and outcomes[0][1].endswith("LP reported unbounded")
         assert outcomes[0][2] == f"error: code=3 message={outcomes[0][1]}\n"

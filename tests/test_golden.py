@@ -12,12 +12,13 @@ moves them on purpose regenerates the stored tables with
 and says so in its change log.  The sha1 of each preset's full-size table at
 seed 1, by the recipe in ROADMAP.md, of ``shared_zf --trials 100`` and of the
 stdout of ``otasec selftest`` (default arguments) are printed and checked
-against ``SHA1_EXPECTED`` (exit 1, naming each mismatch) with
+against ``SHA1_EXPECTED`` (exit 1, naming each mismatch), after the OpenBLAS
+core in use (the bytes hold for one core's kernels), with
 
     PYTHONPATH=src python tests/test_golden.py --sha1
 
-and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), its
-``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
+and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), with a row for
+benchmark ``shared_zf``'s job, its ``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
 draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``optimize_designs`` rows
 (one benchmark-shaped group of designs, then one lone design, per call, in µs) with
 
@@ -26,6 +27,7 @@ draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``o
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
@@ -148,6 +150,18 @@ def _sha1s():
     yield "selftest", hashlib.sha1(report.getvalue().encode()).hexdigest()
 
 
+def _openblas_core() -> str:
+    """The OpenBLAS core numpy's bundled library runs, as it names it, or "unknown" where it cannot say."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _check_sha1s() -> int:
     """Print ``label sha1`` lines, then one line on stderr per table whose sha1 is not ``SHA1_EXPECTED``'s; 1 if any."""
     mismatched = []
@@ -173,6 +187,13 @@ def test_check_sha1s_names_each_mismatch(monkeypatch, capsys):
     ]
 
 
+def test_openblas_core_is_named_or_unknown(monkeypatch):
+    core = _openblas_core()
+    assert core and core.isprintable()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # a library without the symbol
+    assert _openblas_core() == "unknown"
+
+
 def _min_median(run, calls=1) -> str:
     """``min (median) ms`` of ``TIME_RUNS`` calls of ``run``; with ``calls > 1``, each run times
     ``calls`` calls in a row and the figures are µs per call."""
@@ -187,7 +208,8 @@ def _min_median(run, calls=1) -> str:
 
 
 def _print_times():
-    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, one ``mc_oracle`` call,
+    """Print ROADMAP.md's preset-time table rows: each preset serial at seed 1, benchmark ``shared_zf``'s job
+    (4 trials, 0 and 20 dB, L = 3 and 7), one ``mc_oracle`` call,
     one ``statistical_csi_check`` call, then the Cholesky/solve layer as ``coop_security`` calls.
 
     The oracle row is 10^6 samples on the seed-1 realization at K = 10, L = 5 with the ``proposed``
@@ -205,6 +227,8 @@ def _print_times():
         preset = default_preset(name, base_seed=1, **({"num_realizations": trials} if trials else {}))
         size = f"n = {trials}" if trials else "default"
         print(f"| `{name}` | {size} | {_min_median(lambda: run_preset(preset, threads=1))} |")
+    job = default_preset("shared_zf", base_seed=1, num_realizations=4, sweep_values=(0.0, 20.0), l_values=(3, 7))
+    print(f"| `shared_zf` | n = 4, 0 and 20 dB, L = 3 and 7 | {_min_median(lambda: run_preset(job, threads=1))} |")
     real = sample_realization(ScenarioConfig(num_users=10, num_eavesdroppers=5), 1)
     eta = eta_from_delta(real, 0.7)
     A = build_precoder("proposed", real, eta).A
@@ -240,6 +264,7 @@ if __name__ == "__main__":
     mode.add_argument("--times", action="store_true", help="print the preset-time table instead of regenerating")
     args = parser.parse_args()
     if args.sha1:
+        print("openblas-core", _openblas_core())
         raise SystemExit(_check_sha1s())
     elif args.times:
         _print_times()

@@ -413,16 +413,19 @@ class TestAgainstHighs:
         real = dataclasses.replace(real, sigma_y_sq=np.array([real.sigma_y_sq, real.sigma_y_sq / 100]),
                                    sigma_z_sq=np.array([real.sigma_z_sq, real.sigma_z_sq / 100]))
         optimize_designs([(real, eta_from_delta(real, 1.0), N, "exhaustive") for N in (1, 2)])
-        (problems,) = calls
-        # Two SNRs, one request, 10 and 45 subsets, L + N rows and 1 + K - N columns.
-        assert [p.ineq_matrix.shape for p in problems] == [(2, 1, 10, 7 + 1, 10), (2, 1, 45, 7 + 2, 9)]
-        assert any(np.any(p.upper == 0.0) for p in problems)  # delta = 1 leaves the weakest user no budget
-        solutions = solve_lp(*problems)
-        assert any(solution.flips.any() for solution in solutions)
-        for solution, problem in zip(solutions, problems):
-            assert np.all(solution.status == "optimal") and solution.pivots.all()
-            for value, one in zip(solution.objective_value.ravel()[::5], entries(flat(problem))[::5]):
-                assert value == pytest.approx(self.highs_optimum(one), rel=1e-9)
+        # The reference SNR's LPs with the other SNR's rhs riding along, then the members not accepted, cold.
+        ranging, cold = calls
+        # One request, 10 and 45 subsets, L + N rows and 1 + K - N columns, and one further rhs.
+        assert [p.ineq_matrix.shape for p in ranging] == [(1, 10, 7 + 1, 10), (1, 45, 7 + 2, 9)]
+        assert [p.ranges.shape for p in ranging] == [(1, 10, 7 + 1, 1), (1, 45, 7 + 2, 1)]
+        assert any(np.any(p.upper == 0.0) for p in ranging)  # delta = 1 leaves the weakest user no budget
+        for problems in (ranging, cold):
+            solutions = solve_lp(*problems)
+            assert any(solution.flips.any() for solution in solutions)
+            for solution, problem in zip(solutions, problems):
+                assert np.all(solution.status == "optimal") and solution.pivots.all()
+                for value, one in zip(solution.objective_value.ravel()[::5], entries(flat(problem))[::5]):
+                    assert value == pytest.approx(self.highs_optimum(one), rel=1e-9)
 
     @pytest.mark.parametrize("K, L, snr_db, delta, fading, seed, N", ILL_SCALED_DESIGNS)
     def test_tiny_eta_and_high_snr_allocation_lps(self, K, L, snr_db, delta, fading, seed, N):
@@ -732,3 +735,76 @@ class TestBounds:
         bad = np.broadcast_to(upper, (2,) + upper.shape) if upper.shape == (3,) else upper[..., :2]
         with pytest.raises(ContractError, match=match):
             solve_lp(LpProblem(stack.objective, stack.ineq_matrix, stack.ineq_rhs, bad))
+
+
+class TestRanging:
+    """Further right-hand sides ride each LP's pivots and flips.  One is accepted only where the LP's final basis is
+    provably its unique optimum: every basic value lies within its bounds, compared exactly, and every live
+    nonbasic reduced cost is strictly non-improving by more than ``PIVOT_TOL``."""
+
+    @staticmethod
+    def ranging(problem, ranges):
+        return lp._Ranging(problem.objective, problem.ineq_matrix, problem.ineq_rhs, bounds_of(problem),
+                           np.asarray(ranges, dtype=float))
+
+    @staticmethod
+    def further(problem, ranges, e):
+        """The LPs of ``problem`` at further rhs ``e``."""
+        return LpProblem(problem.objective, problem.ineq_matrix, ranges[..., e], bounds_of(problem))
+
+    def stacks(self, rng):
+        """Random box instances, degenerate zeros included, and the sampled allocation LPs, each with 3 further rhs."""
+        boxes = stack_of([make_problem(*random_box_instance(rng)) for _ in range(300)])
+        yield boxes, rng.choice([0.0, 0.3, 1.0, 2.5], size=boxes.ineq_rhs.shape + (3,))
+        for stack in itertools.islice(sampled_allocation_lps(), 0, None, 5):
+            yield stack, stack.ineq_rhs[..., np.newaxis] * rng.uniform(0.2, 5.0, stack.ineq_rhs.shape + (3,))
+
+    def test_each_lp_is_bitwise_the_one_solved_without_ranges(self, rng):
+        for stack, ranges in self.stacks(rng):
+            (plain,) = solve_lp(stack)
+            (ranged,) = solve_lp(self.ranging(stack, ranges))
+            assert isinstance(ranged, lp._Ranged) and ranged.accepted.shape == ranges.shape[:-2] + (3,)
+            for field in ("status", "x", "objective_value", "pivots", "flips"):
+                assert getattr(ranged, field).tobytes() == getattr(plain, field).tobytes()
+
+    def test_accepted_answers_equal_the_cold_solves(self, rng):
+        accepted = rejected = 0
+        for stack, ranges in self.stacks(rng):
+            (ranged,) = solve_lp(self.ranging(stack, ranges))
+            for e in range(ranges.shape[-1]):
+                (cold,) = solve_lp(self.further(stack, ranges, e))
+                took = ranged.accepted[:, e]
+                assert np.all(ranged.status[took] == "optimal") and np.all(cold.status[took] == "optimal")
+                scale = np.abs(cold.x[took]).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(ranged.ranged_x[took, e] - cold.x[took]) <= 1e-12 * scale)
+                accepted, rejected = accepted + np.count_nonzero(took), rejected + np.count_nonzero(~took)
+        assert accepted > 400 and rejected > 300  # 530 and 436 at this seed
+
+    def test_a_member_outside_its_bounds_is_rejected(self):
+        # max x s.t. x <= 0.5, 0 <= x <= 1: x is basic in the row.  At rhs 0.7 and 0 it stays within [0, 1].
+        problem = make_problem([1.0], [[1.0]], [0.5], [1.0])
+        (solution,) = solve_lp(self.ranging(problem, [[0.7, 1.5, 0.0, -0.25]]))
+        assert solution.x.tolist() == [0.5] and solution.status == "optimal"
+        assert solution.accepted.tolist() == [True, False, True, False]
+        assert solution.ranged_x[solution.accepted].tolist() == [[0.7], [0.0]]
+
+    def test_an_lp_with_several_optima_accepts_no_member(self):
+        # max x1 + x2 s.t. x1 + x2 <= 1, 0 <= x <= 1: a zero reduced cost at the optimum, even at its own rhs.
+        problem = make_problem([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
+        (solution,) = solve_lp(self.ranging(problem, [[1.0, 0.5]]))
+        assert solution.objective_value == 1.0 and not solution.accepted.any()
+        # A reduced cost within PIVOT_TOL of zero counts as zero: here x1's, 5e-10, at the optimum x = (1, 0).
+        problem = make_problem([1.0 + 5e-10, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
+        (solution,) = solve_lp(self.ranging(problem, [[1.0, 0.5]]))
+        assert solution.x.tolist() == [1.0, 0.0] and not solution.accepted.any()
+        # Frozen variables (bound 0) do not count: they cannot move.
+        problem = make_problem([1.0, 0.0], [[1.0, 1.0]], [0.5], [1.0, 0.0])
+        (solution,) = solve_lp(self.ranging(problem, [[0.25]]))
+        assert solution.accepted.tolist() == [True] and solution.ranged_x.tolist() == [[0.25, 0.0]]
+
+    def test_ranges_are_validated(self):
+        problem = make_problem([1.0], [[1.0]], [0.5], [1.0])
+        with pytest.raises(ContractError, match="further right-hand sides"):
+            solve_lp(self.ranging(problem, [0.5]))
+        with pytest.raises(ContractError, match="non-finite"):
+            solve_lp(self.ranging(problem, [[np.inf]]))
