@@ -47,6 +47,7 @@ from .metrics import (
     OracleReport,
     SecurityReport,
     approximation_error,
+    closed_forms,
     coop_security,
     effective_channel_security,
     evaluate,
@@ -78,6 +79,7 @@ __all__ = [
     "approximation_error",
     "coop_security",
     "noncoop_security",
+    "closed_forms",
     "effective_channel_security",
     "evaluate",
     "mc_oracle",

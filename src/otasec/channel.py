@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +130,49 @@ class SystemRealization:
     @property
     def num_eavesdroppers(self) -> int:
         return self.G.shape[0]
+
+
+class _Stack(NamedTuple):
+    """Realizations stacked over a realization axis, the last of the leading axes: ``h`` ``(R, K)``; ``G``
+    ``(R, L, K)`` for the largest ``L``, each realization's own rows first and then zero rows; ``P`` ``(R, 1)``;
+    ``sigma_y_sq``, ``sigma_z_sq`` and ``eta`` with the realization axis after their own axes.  The designs
+    (:mod:`otasec.optimizer`) and the closed forms (:mod:`otasec.metrics`) read it as they read one realization."""
+
+    h: np.ndarray
+    G: np.ndarray
+    P: np.ndarray
+    sigma_y_sq: np.ndarray
+    sigma_z_sq: np.ndarray
+    eta: np.ndarray
+
+    @property
+    def num_users(self) -> int:
+        return self.h.shape[-1]
+
+    @property
+    def num_eavesdroppers(self) -> int:
+        return self.G.shape[-2]
+
+
+def _stack(reals, etas) -> _Stack:
+    """The realizations ``reals`` and their ``etas`` as one :class:`_Stack`."""
+    G = np.zeros((len(reals), max(len(real.G) for real in reals), reals[0].num_users), dtype=reals[0].G.dtype)
+    for rows, real in zip(G, reals):
+        rows[: len(real.G)] = real.G
+    return _Stack(
+        h=np.array([real.h for real in reals]),
+        G=G,
+        P=np.array([[real.P] for real in reals]),
+        sigma_y_sq=_last([real.sigma_y_sq for real in reals]),
+        sigma_z_sq=_last([real.sigma_z_sq for real in reals]),
+        eta=_last(etas),
+    )
+
+
+def _last(values) -> np.ndarray:
+    """``values`` stacked over a new last axis."""
+    stacked = np.array(values)
+    return stacked.transpose(*range(1, stacked.ndim), 0)
 
 
 def calibrate_noise(config: ScenarioConfig) -> tuple[float, float]:

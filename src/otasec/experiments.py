@@ -15,6 +15,12 @@ One entry of the private registry ``_PRESETS`` defines a preset: defaults,
 columns, per-trial function, rows and the fields it reads.  Every preset
 runs as trials through :func:`collect_trials`, the scatter presets as one
 trial at ``base_seed``; :func:`run_preset` reduces the trials to a table.
+A group of consecutive trials runs in two rounds: the design round makes
+every trial's optimized designs in one ``optimize_designs`` call, and the
+score round scores every trial's precoders in one closed-form call per shape,
+over a realization axis.  ``sweep_L`` (one evaluation at L_max, read through
+prefix sums), ``tradeoff`` (one 550-precoder mixture stack per delta, which
+ran slower merged) and ``eta_design_space`` (no precoder scored) stay inline.
 Tables serialize to a plain whitespace-separated text format with a
 ``#``-prefixed metadata block, designed to be loadable by any generic
 plotting tool.  Output is byte-for-byte reproducible for a given
@@ -38,6 +44,7 @@ from .channel import (
     _child_seed,
     _child_seeds,
     _fits,
+    _stack,
     calibrate_noise,
     config_to_dict,
     sample_realization,
@@ -51,7 +58,7 @@ from .encoding import (
     mixture_precoders,
 )
 from .errors import ConfigurationError, ContractError
-from .metrics import _cores, _whitened, approximation_error, coop_security, noncoop_security
+from .metrics import _cores, _whitened, approximation_error, closed_forms, coop_security, noncoop_security
 from .optimizer import LP_DESIGNS, _gather, _lp_total, optimize_designs
 from .version import __version__
 
@@ -132,12 +139,8 @@ def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int):
     built = [None if design in LP_DESIGNS else build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx))
              for d_idx, design in enumerate(preset.designs)]
     solved = iter((yield [(real, eta, *LP_DESIGNS[d]) for d in preset.designs if d in LP_DESIGNS]))
-    cols = []
-    for prec in built:
-        A = (next(solved) if prec is None else prec).A
-        cols += [approximation_error(real, A, eta), coop_security(real, A, eta)[0]]
-        cols.append(noncoop_security(real, A, eta)[0])
-    return _by_snr(cols, preset)
+    scores = yield [(real, (next(solved) if prec is None else prec).A, eta) for prec in built]
+    return _by_snr([value for score in scores for value in score], preset)  # D, S_coop, S_noncoop per design
 
 
 def _columns_sweep_snr_designs(preset: ExperimentPreset):
@@ -152,12 +155,9 @@ def _trial_collocated(preset: ExperimentPreset, r: int):
     reals = [_with_snr(sample_realization(replace(preset.config, collocated_eavesdroppers=collocated), seed), preset)
              for collocated in (False, True)]
     yield []  # no designs
-    cols = []
-    for real in reals:
-        eta = eta_from_delta(real, preset.delta)
-        A = _no_noise(real.num_users, eta).A
-        cols += [coop_security(real, A, eta)[0], noncoop_security(real, A, eta)[0]]
-    return _by_snr(cols, preset)
+    etas = [eta_from_delta(real, preset.delta) for real in reals]
+    scores = yield [(real, _no_noise(real.num_users, eta).A, eta) for real, eta in zip(reals, etas)]
+    return _by_snr([value for _, *security in scores for value in security], preset)
 
 
 def _trial_shared_zf(preset: ExperimentPreset, r: int):
@@ -171,7 +171,8 @@ def _trial_shared_zf(preset: ExperimentPreset, r: int):
         requests.append((real, eta, 1, "best_channel"))
         requests += [(real, eta, n, "exhaustive") for n in preset.shared_n_values]
     precs = yield requests
-    return _by_snr([coop_security(real, prec.A, eta)[0] for (real, *_), prec in zip(requests, precs)], preset)
+    scores = yield [(real, prec.A, eta) for (real, *_), prec in zip(requests, precs)]
+    return _by_snr([s_coop for _, s_coop, _ in scores], preset)
 
 
 def _columns_shared_zf(preset: ExperimentPreset):
@@ -184,12 +185,12 @@ def _columns_shared_zf(preset: ExperimentPreset):
 
 
 def _trial_power_control(preset: ExperimentPreset, r: int):
-    # eta of shape (deltas, 1) meets the SNR axis: one design and one call per metric.
+    # eta of shape (deltas, 1) meets the SNR axis: one design and one scored triple.
     real = _with_snr(sample_realization(preset.config, preset.base_seed + r), preset)
     eta = eta_from_delta(real, np.asarray(preset.delta_grid, dtype=float)[:, np.newaxis])
     (prec,) = yield [(real, eta, 1, "best_channel")]
-    cols = np.stack([coop_security(real, prec.A, eta)[0], approximation_error(real, prec.A, eta)], axis=1)
-    return _by_snr(cols, preset)
+    ((D, s_coop, _),) = yield [(real, prec.A, eta)]
+    return _by_snr(np.stack([s_coop, D], axis=1), preset)
 
 
 def _columns_power_control(preset: ExperimentPreset):
@@ -225,16 +226,25 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
 
     An averaged preset's trials leave out the sweep column (it is identical
     across trials); a scatter preset's one trial holds its whole table.  A
-    trial is a generator: it samples its realization and yields its
-    ``optimize_designs`` requests, then takes the precoders back and returns
-    its rows.  Consecutive trials run in groups of at most ``_GROUP_LPS``
-    LPs, one per SNR family (``optimizer._lp_total``), counted from trial 0
-    (every trial has its shapes), whose requests
-    share one ``optimize_designs`` call (the optimizer's ``_gather``, which
-    also pools a design's LPs); a trial without LPs forms a group of its own.
-    Each LP takes the steps it would take alone, so the rows are bitwise those
-    of one trial at a time.  Groups run serially unless ``threads`` asks for 2
-    or more worker threads.
+    trial is a generator that runs in up to two rounds.  The design round: it
+    samples its realization and yields its ``optimize_designs`` requests, and
+    takes the precoders back.  The score round: it yields the ``(real, A,
+    eta)`` triples it scores and takes back their ``(D, S_coop, S_noncoop)``
+    (:func:`_score`), then returns its rows.  Three presets score inline and
+    return after the design round: ``sweep_L`` reads every L from the prefix
+    sums of one evaluation at L_max, ``tradeoff`` scores each delta's
+    550-precoder mixture stack in one call of its own (merging the deltas into
+    one stack ran slower), and ``eta_design_space`` scores no precoder.
+
+    Consecutive trials run in groups of at most ``_GROUP_LPS`` LPs, one per
+    SNR family (``optimizer._lp_total``), counted from trial 0 (every trial
+    has its shapes); a trial without LPs forms a group of its own.  A group's
+    trials share one ``optimize_designs`` call and then one ``_score`` call
+    (the optimizer's ``_gather``, which also pools a design's LPs).  Each LP
+    takes the steps it would take alone and each closed form is bitwise the
+    call on its triple alone, so the rows are bitwise those of one trial at a
+    time.  Groups run serially unless ``threads`` asks for 2 or more worker
+    threads.
     """
     spec = _PRESETS.get(preset.name)
     if spec is None:
@@ -254,10 +264,37 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
 
     def group(g: int) -> list:
         started = [first if r == 0 else start(r) for r in range(g * size, min((g + 1) * size, n))]
-        return _gather(started, optimize_designs)
+        return _gather(started, optimize_designs, _score)
 
     groups = _map_trials(group, -(-n // size), threads)
     return np.stack([rows for trials in groups for rows in trials], axis=0)
+
+
+def _score(triples) -> list:
+    """``(D, S_coop, S_noncoop)`` of each ``(real, A, eta)`` triple, in order: the answer of a score round.
+
+    Triples whose realizations share ``K``, ``L`` and the channels' dtypes, and whose ``A``, ``eta`` and noise
+    variances share their shapes, make one stack over a realization axis (:class:`~otasec.channel._Stack`,
+    ``A`` stacked before its last two axes), scored by one :func:`~otasec.metrics.closed_forms` call.  No
+    eavesdropper row is padded, so each value is bitwise the call on its triple alone.  Where a stack fails, the
+    triples are scored alone in turn, so the first that fails raises what it raises alone.
+    """
+    try:
+        stacks = {}
+        for at, (real, A, eta) in enumerate(triples):
+            shapes = real.G.shape, np.shape(A), np.shape(eta), np.shape(real.sigma_y_sq), np.shape(real.sigma_z_sq)
+            stacks.setdefault((*shapes, real.h.dtype, real.G.dtype), []).append(at)
+        scores = [None] * len(triples)
+        for stack in stacks.values():
+            real = _stack([triples[at][0] for at in stack], [triples[at][2] for at in stack])
+            values = closed_forms(real, np.stack([triples[at][1] for at in stack], axis=-3), real.eta)
+            for i, at in enumerate(stack):
+                scores[at] = tuple(value[..., i] for value in values)
+        return scores
+    except Exception:
+        for real, A, eta in triples:  # the first triple that fails alone raises what it raises alone
+            closed_forms(real, A, eta)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ with SNR ``s``), each entry bitwise equal to the call at that SNR's noise.
 So does an ``eta`` array (one entry per power-control fraction), its axes leading: ``(D, 1)``
 with per-SNR noise pairs a ``(D, S, K, M)`` stack entry by entry; ``m`` gains eta's axes.
 
+``closed_forms`` gives D, S_coop and S_noncoop in one call, without the combiner's back
+substitution.  It also takes realizations over a realization axis: a ``channel._Stack`` of ``R``
+realizations that share ``K`` and ``L`` (``h`` ``(R, K)``, ``G`` ``(R, L, K)``), whose noise
+variances and ``eta`` carry the realization axis last among their axes, with precoders ``(..., R,
+K, M)``.  The realization axis is the last of the leading axes, so it broadcasts against the SNR's
+and eta's as they broadcast against each other, and each entry along it is bitwise the call on
+that realization alone: every product is the same BLAS call on the same matrix, and every sum runs
+over the same contiguous last axis.  ``experiments`` scores a group of trials' precoders this way,
+one call per shape.
+
 The ``mc_oracle`` estimates D and S_coop from simulated transmissions alone:
 it fits linear estimator coefficients from sample second moments on one half
 of the draws and reports held-out normalized MSE on the other half, so it
@@ -80,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioConfig, SystemRealization, _cn, _stream, sample_realization
+from .channel import ScenarioConfig, SystemRealization, _cn, _Stack, _stream, sample_realization
 from .encoding import _check_scalar_eta, eta_from_delta
 from .errors import ContractError
 from .linalg import _back, _forward, _where, cholesky
@@ -182,7 +192,19 @@ def _receiver(g: np.ndarray, h: np.ndarray, A: np.ndarray, eta_sq, noise) -> np.
     sum_sq, power_sq = _ratio_sums(g, h)
     den = eta_sq * power_sq + np.sum(np.abs(g @ A) ** 2, axis=-1) + noise
     # den == 0 forces sum_sq == 0 (Cauchy-Schwarz), so the ratio is 0 and the MSE 1.
-    return 1.0 - (eta_sq / h.size) * sum_sq / np.where(den == 0.0, 1.0, den)
+    return 1.0 - (eta_sq / h.shape[-1]) * sum_sq / np.where(den == 0.0, 1.0, den)
+
+
+def _server(real: SystemRealization, A: np.ndarray, eta) -> np.ndarray:
+    """``D`` for inputs already checked: the receiver on the row ``h``, as a ``(..., 1, K)`` stack of one row."""
+    h = real.h[..., np.newaxis, :]
+    return _receiver(h, h, A, np.square(eta)[..., np.newaxis], np.asarray(real.sigma_y_sq)[..., np.newaxis])[..., 0]
+
+
+def _per_eavesdropper(real: SystemRealization, A: np.ndarray, eta) -> np.ndarray:
+    """Each eavesdropper's normalized MSE for inputs already checked, shape ``(..., L)``."""
+    noise = np.asarray(real.sigma_z_sq)[..., np.newaxis]
+    return _receiver(real.G, real.h[..., np.newaxis, :], A, np.square(eta)[..., np.newaxis], noise)
 
 
 def approximation_error(
@@ -193,8 +215,7 @@ def approximation_error(
     ``A`` has shape ``(..., K, M)``; a single ``(K, M)`` precoder gives a
     ``float``, a stack, per-SNR noise or an ``eta`` array an array over the broadcast axes.
     """
-    A = _checked(real, A, eta)
-    return _scalar(_receiver(real.h, real.h, A, np.square(eta), real.sigma_y_sq))
+    return _scalar(_server(real, _checked(real, A, eta), eta))
 
 
 def eavesdropper_moments(
@@ -211,10 +232,10 @@ def eavesdropper_moments(
 def _moments(real: SystemRealization, A: np.ndarray, eta) -> tuple[np.ndarray, np.ndarray]:
     """``B`` and ``m`` of :func:`eavesdropper_moments` for inputs already checked."""
     GA = real.G @ A
-    R = real.G / real.h[np.newaxis, :]  # entries g_{l,k} / h_k
+    R = real.G / real.h[..., np.newaxis, :]  # entries g_{l,k} / h_k
     noise = np.multiply.outer(real.sigma_z_sq, np.eye(real.num_eavesdroppers))
-    B = GA @ GA.conj().swapaxes(-2, -1) + np.square(eta)[..., None, None] * (R @ R.conj().T) + noise
-    m = np.asarray(eta)[..., None] * R.sum(axis=1)
+    B = GA @ GA.conj().swapaxes(-2, -1) + np.square(eta)[..., None, None] * (R @ R.conj().swapaxes(-2, -1)) + noise
+    m = np.asarray(eta)[..., None] * R.sum(axis=-1)
     return B, m
 
 
@@ -236,8 +257,12 @@ def coop_security(
     ``float`` for one precoder or an array for a stack or per-SNR noise.
     """
     C, y = _whitened(real, A, eta)
-    S = 1.0 - np.sum(np.abs(y) ** 2, axis=-1) / real.num_users
-    return _scalar(S), _back(C, y)
+    return _scalar(_coop(real, y)), _back(C, y)
+
+
+def _coop(real: SystemRealization, y: np.ndarray) -> np.ndarray:
+    """``S_coop = 1 - ||y||^2 / K`` from the whitened mean ``y`` of :func:`_whitened`."""
+    return 1.0 - np.sum(np.abs(y) ** 2, axis=-1) / real.num_users
 
 
 def noncoop_security(
@@ -249,9 +274,25 @@ def noncoop_security(
     ``(..., L)`` and the minimum is a ``float`` for one precoder or an array
     for a stack or per-SNR noise.
     """
-    A = _checked(real, A, eta, positive_noise=True)
-    per_eav = _receiver(real.G, real.h, A, np.square(eta)[..., None], np.asarray(real.sigma_z_sq)[..., None])
+    per_eav = _per_eavesdropper(real, _checked(real, A, eta, positive_noise=True), eta)
     return _scalar(np.min(per_eav, axis=-1)), per_eav
+
+
+def closed_forms(
+    real: SystemRealization | _Stack, A: np.ndarray, eta
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
+    """``(D, S_coop, S_noncoop)`` in one call, without the combiner ``p_opt``.
+
+    Each is bitwise the value of :func:`approximation_error`, :func:`coop_security` and
+    :func:`noncoop_security`.  ``real`` may also be a :class:`~otasec.channel._Stack` of ``R`` realizations of
+    one ``K`` and one ``L``, with ``A`` ``(..., R, K, M)`` and ``eta`` carrying the realization axis last among
+    their leading axes; each entry along it is bitwise the call on that realization alone.  The inputs are
+    checked as :func:`coop_security` checks them.
+    """
+    _, y = _whitened(real, A, eta)
+    A = np.asarray(A)
+    S_noncoop = np.min(_per_eavesdropper(real, A, eta), axis=-1)
+    return _scalar(_server(real, A, eta)), _scalar(_coop(real, y)), _scalar(S_noncoop)
 
 
 def effective_channel_security(

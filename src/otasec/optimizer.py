@@ -77,11 +77,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SystemRealization
+from .channel import SystemRealization, _stack
 from .encoding import NoisePrecoder, row_budgets
 from .errors import ContractError
 from .lp import LpProblem, _Ranging, solve_lp
@@ -98,7 +97,8 @@ LP_DESIGNS = {"proposed": (1, "best_channel"), "proposed_shared": (2, "exhaustiv
 def _eavesdropper_terms(real: SystemRealization, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``alpha`` per eta and SNR (+inf where dropped), ``|sum_k g_{l,k}/h_k|^2``, the live mask per eta.
 
-    ``real`` is one realization or a :class:`_Stack` of them; only its ``h``, ``G`` and ``sigma_z_sq`` are read.
+    ``real`` is one realization or a :class:`~otasec.channel._Stack` of them; only its ``h``, ``G`` and
+    ``sigma_z_sq`` are read.
     """
     sigma = np.asarray(real.sigma_z_sq)
     sum_sq, power_sq = metrics._ratio_sums(real.G, real.h[..., np.newaxis, :])
@@ -218,11 +218,11 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
     every field eta's axes before the SNR's, ``degenerate`` eta's alone.
 
     Requests that share ``K``, ``N``, ``selection``, the shapes of ``eta`` and of both noise variances and the
-    channels' dtypes make one stack, designed at once over a request axis (:class:`_Stack`).  Every stack's LP
-    families go to one :func:`~otasec.lp.solve_lp` call, which solves them all in one padded stack, and the
-    members they do not answer to one more (:func:`_solve_along_snr`); padding changes no LP's answer, so each
-    design is bitwise the one made alone.  Where a stack fails, each request is made alone in turn, so the
-    first request that fails raises what it raises alone.
+    channels' dtypes make one stack, designed at once over a request axis (:class:`~otasec.channel._Stack`).
+    Every stack's LP families go to one :func:`~otasec.lp.solve_lp` call, which solves them all in one padded
+    stack, and the members they do not answer to one more (:func:`_solve_along_snr`); padding changes no LP's
+    answer, so each design is bitwise the one made alone.  Where a stack fails, each request is made alone in
+    turn, so the first request that fails raises what it raises alone.
     """
     requests = list(requests)
     try:
@@ -243,17 +243,20 @@ def optimize_designs(requests) -> list[NoisePrecoder]:
         raise
 
 
-def _gather(started, answer) -> list:
+def _gather(started, *answer) -> list:
     """What each coroutine of the ``(coroutine, asks)`` pairs returns, its asks answered by one ``answer`` call a round.
 
-    ``answer`` takes every ask of a round in order and returns one answer each; each coroutine is sent its own
-    slice, and those that ask again make the next round.
+    Round ``i`` is answered by ``answer[i]``, and every round after the last by the last.  An answer takes every
+    ask of its round in order and returns one answer each; each coroutine is sent its own slice, and those that
+    ask again make the next round.
     """
     results = [None] * len(started)
     waiting = list(enumerate(started))
+    rounds = itertools.chain(answer, itertools.repeat(answer[-1]))
     while waiting:
+        respond = next(rounds)
         asks = [ask for _, (_, some) in waiting for ask in some]
-        answers = iter(answer(asks) if asks else [])
+        answers = iter(respond(asks) if asks else [])
         asking = []
         for at, (coroutine, some) in waiting:
             try:
@@ -308,46 +311,11 @@ def _snrs(eta_shape: tuple, noise_shape: tuple) -> int:
     return noise_shape[-1] if noise_shape and eta_shape[-1:] in ((), (1,)) else 1
 
 
-class _Stack(NamedTuple):
-    """The realizations of a stack of requests, with the request axis last among the leading axes, next to
-    the candidates' (:func:`_subsets`): ``h`` ``(R, K)``; ``G`` ``(R, L, K)`` for the largest ``L``, each
-    realization's own rows first and then zero rows, which the drop test removes bitwise; ``P`` ``(R, 1)``;
-    ``sigma_z_sq`` and ``eta`` with the request axis after their own axes.  :func:`~otasec.encoding.row_budgets` and
-    :func:`_eavesdropper_terms` read it as they read one realization."""
-
-    h: np.ndarray
-    G: np.ndarray
-    P: np.ndarray
-    sigma_z_sq: np.ndarray
-    eta: np.ndarray
-
-
-def _stack(requests) -> _Stack:
-    """The requests' realizations and etas as one :class:`_Stack`."""
-    reals = [real for real, *_ in requests]
-    G = np.zeros((len(reals), max(len(real.G) for real in reals), reals[0].num_users), dtype=reals[0].G.dtype)
-    for rows, real in zip(G, reals):
-        rows[: len(real.G)] = real.G
-    return _Stack(
-        h=np.array([real.h for real in reals]),
-        G=G,
-        P=np.array([[real.P] for real in reals]),
-        sigma_z_sq=_last([real.sigma_z_sq for real in reals]),
-        eta=_last([eta for _, eta, *_ in requests]),
-    )
-
-
-def _last(values) -> np.ndarray:
-    """``values`` stacked over a new last axis."""
-    stacked = np.array(values)
-    return stacked.transpose(*range(1, stacked.ndim), 0)
-
-
 def _design(requests):
     """A coroutine for ``_gather``: yields ``[problem]`` and takes ``[solution]``, for the LP array of a stack of
-    requests (see :class:`_Stack`) and then its cold fallbacks (:func:`_solve_along_snr`), and returns each
-    request's precoder."""
-    stack = _stack(requests)
+    requests (see :class:`~otasec.channel._Stack`) and then its cold fallbacks (:func:`_solve_along_snr`), and
+    returns each request's precoder."""
+    stack = _stack([real for real, *_ in requests], [eta for _, eta, *_ in requests])
     eta = stack.eta
     _, _, N, selection = requests[0]
     K = stack.h.shape[-1]

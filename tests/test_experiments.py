@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from otasec import errors, experiments, optimizer
+from otasec import errors, experiments, metrics, optimizer
 from otasec.channel import calibrate_noise, sample_realization
 from otasec.encoding import build_precoder, eta_bounds_given_mu, eta_from_delta
 from otasec.errors import ConfigurationError, ContractError
@@ -20,7 +20,7 @@ from otasec.experiments import (
     run_preset,
     write_table,
 )
-from otasec.metrics import approximation_error, coop_security, noncoop_security
+from otasec.metrics import approximation_error, closed_forms, coop_security, noncoop_security
 from otasec.optimizer import optimize_designs
 
 from conftest import first_rounds, one_design
@@ -571,6 +571,96 @@ class TestLpStacks:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is RuntimeError and outcomes[0][1].endswith("LP reported unbounded")
         assert outcomes[0][2] == f"error: code=3 message={outcomes[0][1]}\n"
+
+
+BENCHMARK_SHARED_ZF = dict(num_users=10, sweep_values=(0.0, 20.0), l_values=(3, 7))
+
+
+def score_triples(preset, n):
+    """The score round's triples of trials 0 to n - 1, in the order a group asks them."""
+    triples = []
+    for r in range(n):
+        trial = experiments._PRESETS[preset.name].trial(preset, r)
+        triples += trial.send(optimize_designs(next(trial)))
+    return triples
+
+
+class TestScoreRound:
+    """After the design round, a group's trials yield their ``(real, A, eta)`` triples, scored in one
+    ``closed_forms`` call per shape (``experiments._score``)."""
+
+    def test_a_benchmark_shaped_group_makes_one_call_per_shape(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "closed_forms",
+                            lambda real, A, eta: calls.append((real.G.shape, A.shape)) or closed_forms(real, A, eta))
+        preset = default_preset("shared_zf", num_realizations=4, **BENCHMARK_SHARED_ZF)
+        trials = collect_trials(preset, threads=1)
+        # 4 trials x 2 eavesdropper counts x (proposed, N = 1, N = 2) at 2 SNRs; the N = 1 designs share a
+        # shape, and no eavesdropper row is padded.
+        assert sorted(calls) == [((4, 3, 10), (2, 4, 10, 8)), ((4, 7, 10), (2, 4, 10, 8)),
+                                 ((8, 3, 10), (2, 8, 10, 9)), ((8, 7, 10), (2, 8, 10, 9))]
+        monkeypatch.setattr(experiments, "_GROUP_LPS", 1)  # one trial a group
+        assert collect_trials(preset, threads=1).tobytes() == trials.tobytes()
+
+    def test_each_score_is_bitwise_its_triple_alone(self):
+        # Mixed shapes: two users counts, per-SNR and scalar noise, scalar and (D, 1) eta.
+        triples = score_triples(small("sweep_snr_designs", num_realizations=3), 3)
+        triples += score_triples(small("power_control", num_realizations=2), 2)
+        triples += score_triples(small("collocated", num_realizations=2, num_users=3), 2)
+        real = sample_realization(small("sweep_L").config, 5)
+        triples += [(real, np.zeros((10, 1)), 0.5), (real, np.zeros((10, 1)), 0.25)]
+        for score, (real, A, eta) in zip(experiments._score(triples), triples, strict=True):
+            alone = closed_forms(real, A, eta)
+            assert [np.shape(v) for v in score] == [np.shape(v) for v in alone]
+            assert all(np.asarray(v).tobytes() == np.asarray(w).tobytes() for v, w in zip(score, alone))
+
+    @pytest.mark.parametrize("name", ["shared_zf", "sweep_snr_designs", "security_gap", "power_control", "collocated"])
+    def test_the_grouped_presets_score_in_the_round(self, monkeypatch, name):
+        for inline in ("approximation_error", "coop_security", "noncoop_security", "_whitened"):
+            monkeypatch.setattr(experiments, inline, None)  # no closed form may be called inline
+        assert collect_trials(small(name, num_realizations=2), threads=1).shape[0] == 2
+
+    @pytest.mark.parametrize("name", ["sweep_L", "tradeoff", "eta_design_space"])
+    def test_the_inline_presets_ask_no_scores(self, monkeypatch, name):
+        monkeypatch.setattr(experiments, "_score", None)
+        assert collect_trials(small(name), threads=1).shape[0] == small(name).num_realizations
+
+    def test_an_indefinite_trial_inside_a_group_fails_as_alone(self, tmp_path, monkeypatch, capsys):
+        from otasec.cli import main
+
+        # Trial 2 (seed 3) of a 4-trial group: every covariance of its realization is made indefinite.
+        preset = default_preset("shared_zf", num_realizations=4, **BENCHMARK_SHARED_ZF)
+        assert max(1, experiments._GROUP_LPS // optimizer._lp_total(next(experiments._trial_shared_zf(preset, 0)))) == 4
+        target = sample_realization(dataclasses.replace(preset.config, num_eavesdroppers=7), 3).h
+        moments = metrics._moments
+
+        def indefinite(real, A, eta):
+            B, m = moments(real, A, eta)
+            return np.where((real.h == target).all(axis=-1)[..., None, None], -B, B), m
+
+        monkeypatch.setattr(metrics, "_moments", indefinite)
+        argv = ["run", "shared_zf", "--seed", "1", "--trials", "4", "--set", "sweep_values=[0,20]",
+                "--set", "l_values=[3,7]", "--out", str(tmp_path / "t.dat")]
+        outcomes = []
+        for group_lps in (experiments._GROUP_LPS, 1):  # grouped, then each trial alone
+            monkeypatch.setattr(experiments, "_GROUP_LPS", group_lps)
+            with pytest.raises(errors.SingularMatrixError) as info:
+                collect_trials(preset, threads=1)
+            assert main(argv) == 3
+            outcomes.append((str(info.value), capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        # The trial's first triple, at its first SNR: the stack would have named matrix (0, 2).
+        assert outcomes[0][0] == "matrix is not positive definite in matrix (0,)"
+        assert outcomes[0][1] == f"error: code=3 message={outcomes[0][0]}\n"
+
+    def test_a_non_finite_precoder_names_its_own_matrix(self):
+        triples = score_triples(small("shared_zf", num_realizations=2), 2)
+        real, A, eta = triples[-1]  # trial 1's last design, second in its stack
+        A = A.copy()
+        A[1, 0, 0] = np.nan
+        triples[-1] = real, A, eta
+        with pytest.raises(ContractError, match=r"^precoder has a non-finite entry in matrix \(1,\)$"):
+            experiments._score(triples)
 
 
 class TestMetadata:

@@ -19,8 +19,9 @@ core in use (the bytes hold for one core's kernels), with
 
 and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-process runs), with a row for
 benchmark ``shared_zf``'s job, its ``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
-draws), its Cholesky/solve rows (``coop_security`` per call, in µs) and its ``optimize_designs`` rows
-(one benchmark-shaped group of designs, then one lone design, per call, in µs) with
+draws), its Cholesky/solve rows (``coop_security`` per call, in µs), its ``optimize_designs`` rows
+(one benchmark-shaped group of designs, then one lone design, per call, in µs) and its score-round row
+(one benchmark-shaped group's closed forms, per round, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -41,7 +42,7 @@ import pytest
 from otasec.channel import ScenarioConfig, sample_realization
 from otasec.cli import main
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
-from otasec.experiments import _DESIGNS, _trial_shared_zf, default_preset, run_preset, write_table
+from otasec.experiments import _DESIGNS, _score, _trial_shared_zf, default_preset, run_preset, write_table
 from otasec.metrics import coop_security, mc_oracle, statistical_csi_check
 from otasec.optimizer import LP_DESIGNS, optimize_designs
 
@@ -220,7 +221,8 @@ def _print_times():
     per call, designs one group of benchmark ``shared_zf``'s trials: the requests of the seed-1 and
     seed-2 trials at L = 3 and 7, 0 and 20 dB and the preset's delta (proposed, N = 1 and N = 2 each).
     The lone-design row designs one request: the default ``tradeoff`` realization's proposed design over
-    benchmark ``tradeoff``'s four deltas.
+    benchmark ``tradeoff``'s four deltas.  The score-round row scores benchmark ``shared_zf``'s job as one group:
+    the 24 precoders of its 4 trials, in one ``experiments._score`` call.
     """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
@@ -253,6 +255,10 @@ def _print_times():
     lone = [(mixed, eta_from_delta(mixed, np.array([0.25, 0.5, 0.75, 1.0])), *LP_DESIGNS["proposed"])]
     alone = _min_median(lambda: optimize_designs(lone), calls=100)
     print(f"| `optimize_designs` | 1 request, K = 10, L = 7, 4 deltas | {alone} |")
+    trials = [_trial_shared_zf(job, r) for r in range(job.num_realizations)]
+    triples = [triple for trial in trials for triple in trial.send(optimize_designs(next(trial)))]
+    scored = _min_median(lambda: _score(triples), calls=100)
+    print(f"| `_score` | 4 trials, {len(triples)} precoders, K = 10, L = 3 and 7, 2 SNRs | {scored} |")
 
 
 if __name__ == "__main__":

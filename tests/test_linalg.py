@@ -202,6 +202,17 @@ class TestStack:
         with pytest.raises(SingularMatrixError, match=message):
             cholesky(B)
 
+    def test_a_deviation_of_1e_8_relative_is_not_hermitian(self, rng):
+        # Past the 1e-10 tolerance by 100x, and well inside what a tolerance of 1e-6 would accept.
+        B = spd_stack(rng, (2, 3), 3)
+        skew = B[1, 0].copy()
+        skew[0, 1] += 1e-8 * np.abs(skew).max()
+        with pytest.raises(ContractError, match=r"^matrix is not Hermitian: max deviation"):
+            cholesky(skew)
+        B[1, 0] = skew
+        with pytest.raises(ContractError, match=r"^matrix is not Hermitian in matrix \(1, 0\): max deviation"):
+            cholesky(B)
+
     def test_single_matrix_messages_carry_no_index(self):
         with pytest.raises(SingularMatrixError) as info:
             cholesky(np.diag([1.0, -1.0]))

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from otasec import metrics
-from otasec.channel import ScenarioConfig, _stream
-from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
+from otasec.channel import ScenarioConfig, _stack, _stream
+from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders, row_budgets
 from otasec.errors import ContractError
 from otasec.metrics import (
     _LANE_CHUNK,
     _LANES,
     _lane_blocks,
     approximation_error,
+    closed_forms,
     coop_security,
     eavesdropper_moments,
     effective_channel_security,
@@ -384,6 +385,45 @@ class TestStackedPrecoders:
         stack[0, 1, 0, 0] = np.nan
         with pytest.raises(ContractError, match=r"in matrix \(0, 1\)"):
             coop_security(real, stack, eta)
+
+
+def bits(value) -> tuple:
+    """A value's shape and bytes as float64, so a Python ``float`` and a 0-d entry of a stack compare alike."""
+    value = np.asarray(value, dtype=np.float64)
+    return value.shape, value.tobytes()
+
+
+class TestRealizationAxis:
+    """``closed_forms`` over a ``channel._Stack`` of realizations: each entry along the realization axis is
+    bitwise the three closed forms called on its realization alone."""
+
+    @pytest.mark.parametrize("K", [3, 10])
+    @pytest.mark.parametrize("L", [1, 5, 15])
+    @pytest.mark.parametrize("fading", ["complex", "real"])
+    @pytest.mark.parametrize("collocated", [False, True])
+    def test_each_realization_equals_its_own_calls(self, K, L, fading, collocated):
+        rng = np.random.default_rng(100 * K + L)
+        sampled = [make_realization(seed, K, L, 10.0, fading, collocated_eavesdroppers=collocated)
+                   for seed in (31, 32, 33)]
+        per_snr = [over_noise(real, real.sigma_z_sq * np.array([10.0, 1.0, 0.1]))[0] for real in sampled]
+        for reals, snrs in ((sampled, ()), (per_snr, (3,))):
+            for deltas in (0.7, np.array([[0.2], [0.9]])):
+                etas = [eta_from_delta(real, deltas) for real in reals]
+                lead = np.broadcast_shapes(np.shape(deltas), snrs)
+                for shape in dict.fromkeys([(), snrs, lead]):  # one precoder, one per SNR, one per eta and SNR
+                    power = min(float(np.min(row_budgets(real, eta))) for real, eta in zip(reals, etas))
+                    As = [np.sqrt(power / K) * (rng.standard_normal(shape + (K, K - 1))
+                                                + 1j * rng.standard_normal(shape + (K, K - 1))) / 2
+                          for _ in reals]
+                    stack = _stack(reals, etas)
+                    D, S_coop, S_noncoop = closed_forms(stack, np.stack(As, axis=-3), stack.eta)
+                    assert D.shape == S_coop.shape == S_noncoop.shape == lead + (3,)
+                    for r, (real, A, eta) in enumerate(zip(reals, As, etas)):
+                        assert bits(D[..., r]) == bits(approximation_error(real, A, eta))
+                        assert bits(S_coop[..., r]) == bits(coop_security(real, A, eta)[0])
+                        assert bits(S_noncoop[..., r]) == bits(noncoop_security(real, A, eta)[0])
+                        assert [bits(v) for v in closed_forms(real, A, eta)] == [
+                            bits(D[..., r]), bits(S_coop[..., r]), bits(S_noncoop[..., r])]
 
 
 def noncoop_reference(real, A, eta):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from otasec import optimizer
+from otasec import metrics, optimizer
 from otasec.encoding import NoisePrecoder, build_precoder, eta_from_delta, row_budgets
 from otasec.errors import ContractError
 from otasec.lp import LpProblem, solve_lp
@@ -78,6 +78,16 @@ class TestAlphaBeta:
         alpha, beta = alpha_beta(real, 1.0, (1,), [1.0])
         assert np.isinf(alpha[0])
         assert not beta[0].any()
+
+    @pytest.mark.parametrize("ratio, live", [(1e-11, True), (1e-13, False)])
+    def test_drop_threshold_is_1e_12_of_the_channel_power(self, ratio, live):
+        # |sum_k g_k/h_k|^2 = eps^2 against sum_k |g_k/h_k|^2 = 1 + (1 - eps)^2: their ratio is about eps^2 / 2.
+        eps = np.sqrt(2.0 * ratio)
+        real = synthetic_realization(h=[1.0, 1.0], G=[[1.0, -1.0 + eps]])
+        sum_sq, power_sq = metrics._ratio_sums(real.G, real.h)
+        assert sum_sq[0] / power_sq[0] == pytest.approx(ratio, rel=1e-3)
+        alpha, _, kept = _eavesdropper_terms(real, 1.0)
+        assert kept[0] == live and np.isfinite(alpha[0]) == live
 
     def test_consistent_with_security_formula(self, rng):
         # alpha + beta . lam must reproduce the per-eavesdropper security of
