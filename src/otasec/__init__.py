@@ -17,6 +17,7 @@ from .channel import (
     realization_from_dict,
     realization_to_dict,
     sample_realization,
+    sample_realizations,
 )
 from .encoding import (
     NoisePrecoder,
@@ -64,6 +65,7 @@ __all__ = [
     "SystemRealization",
     "calibrate_noise",
     "sample_realization",
+    "sample_realizations",
     "config_to_dict",
     "config_from_dict",
     "realization_to_dict",

@@ -21,10 +21,11 @@ own stream.  Two consequences the rest of the package relies on:
 Every random stream of the package is derived here: ``_stream(seed, *key)``
 is the generator of one substream and ``_child_seed(seed, *key)`` an integer
 seed drawn from it.  These two are numpy's own spelling and define the stream
-contract.  ``_streams(seeds, *key)`` and ``_child_seeds(seed, keys)`` give the
+contract.  ``_streams(seeds, keys)`` and ``_child_seeds(seed, keys)`` give the
 same generators and seeds for a whole batch: they run ``SeedSequence``'s
 entropy hash for every row at once as uint32 array operations, and hand each
-``PCG64`` its four state words.
+``PCG64`` its four state words.  :func:`sample_realizations` draws a batch of
+realizations from one such pass, each bitwise the one its seed draws alone.
 """
 
 from __future__ import annotations
@@ -266,16 +267,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _pools(entropy: np.ndarray) -> np.ndarray:
+def _pools(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``SeedSequence.pool`` of each row of uint32 entropy words, shape ``(rows, 4)``.
 
-    The hash constants do not depend on the data, so one pass serves every row
-    and each round mixes one source word into all its destination words.
+    Row ``i`` holds its ``lengths[i]`` words, then zeros.  The hash constants
+    do not depend on the data, so one pass serves every row: each round mixes
+    one source word into all its destination words, and a row takes the rounds
+    past the pool size only while it has words left.  ``SeedSequence`` hashes
+    the words a short entropy lacks below the pool size as zeros.
     """
-    m = entropy.shape[1]
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(m, _POOL_SIZE))
+    m = max(entropy.shape[1], _POOL_SIZE)
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * m)
     first = np.zeros((len(entropy), _POOL_SIZE), dtype=np.uint32)
-    first[:, : min(m, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
+    first[:, : entropy.shape[1]] = entropy[:, :_POOL_SIZE]
     pool = _hashmix(first, h[: _POOL_SIZE + 1])
     c = _POOL_SIZE
     for src in range(_POOL_SIZE):  # every word into every other
@@ -283,19 +287,17 @@ def _pools(entropy: np.ndarray) -> np.ndarray:
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], h[c : c + _POOL_SIZE]))
         c += _POOL_SIZE - 1
     for src in range(_POOL_SIZE, m):  # the entropy words past the pool size
-        pool = _mix(pool, _hashmix(entropy[:, src, None], h[c : c + _POOL_SIZE + 1]))
+        mixed = _mix(pool, _hashmix(entropy[:, src, None], h[c : c + _POOL_SIZE + 1]))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
         c += _POOL_SIZE
     return pool
 
 
 def _generate_state(entropies: list[list[int]], n_words: int) -> np.ndarray:
     """``SeedSequence.generate_state(n_words)`` of each entropy row, shape ``(rows, n_words)`` uint32."""
-    pools = np.empty((len(entropies), _POOL_SIZE), dtype=np.uint32)
-    by_length: dict[int, list[int]] = {}
-    for row, words in enumerate(entropies):
-        by_length.setdefault(len(words), []).append(row)
-    for rows in by_length.values():
-        pools[rows] = _pools(np.array([entropies[row] for row in rows], dtype=np.uint32))
+    width = max(map(len, entropies), default=0)
+    padded = np.array([words + [0] * (width - len(words)) for words in entropies], dtype=np.uint32)
+    pools = _pools(padded.reshape(len(entropies), width), np.array([len(words) for words in entropies], dtype=int))
     cycled = np.tile(pools, -(-n_words // _POOL_SIZE))[:, :n_words]
     return _hashmix(cycled, _hash_consts(_INIT_B, _MULT_B, n_words))
 
@@ -321,11 +323,11 @@ def _seeded_class() -> type:
     return Seeded
 
 
-def _streams(seeds, *key: int) -> list[np.random.Generator]:
-    """``[_stream(seed, *key) for seed in seeds]``, bit for bit, with one hash pass for the batch."""
-    key_words = [w for k in key for w in _words(k)]
-    state = _generate_state([_entropy(_words(seed), key_words) for seed in seeds], 2 * _POOL_SIZE)
-    state = state.astype(np.uint64)
+def _streams(seeds, keys) -> list[np.random.Generator]:
+    """``[_stream(seed, *key) for seed in seeds for key in keys]``, bit for bit, with one hash pass for the batch."""
+    key_words = [[w for k in key for w in _words(k)] for key in keys]
+    entropies = [_entropy(words, more) for words in map(_words, seeds) for more in key_words]
+    state = _generate_state(entropies, 2 * _POOL_SIZE).astype(np.uint64)
     state = state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian pairs, as numpy reads them
     seeded, generator, pcg64 = _seeded_class(), np.random.Generator, np.random.PCG64
     return [generator(pcg64(seeded(words))) for words in state]
@@ -341,32 +343,6 @@ def _child_seeds(seed: int, keys) -> list[int]:
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussians of the given shape."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def _draw_disk_point(rng: np.random.Generator, radius: float) -> np.ndarray:
-    r = radius * math.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([r * math.cos(ang), r * math.sin(ang)])
-
-
-def _place_point(
-    rng: np.random.Generator,
-    radius: float,
-    min_sep: float,
-    placed: list[np.ndarray],
-) -> np.ndarray:
-    """Uniform disk point at least ``min_sep`` from the origin and all placed points."""
-    others = np.reshape(placed, (-1, 2))
-    for _ in range(_MAX_PLACEMENT_ATTEMPTS):
-        p = _draw_disk_point(rng, radius)
-        if np.hypot(p[0], p[1]) < min_sep:
-            continue
-        if np.all(np.hypot(*(p - others).T) >= min_sep):
-            return p
-    raise ConfigurationError(
-        f"could not place a point after {_MAX_PLACEMENT_ATTEMPTS} attempts; "
-        "the disk cannot hold this many points at the requested separation"
-    )
 
 
 def smallscale_factors(
@@ -405,47 +381,145 @@ def smallscale_factors(
     return xi
 
 
-def sample_realization(config: ScenarioConfig, seed: int) -> SystemRealization:
-    """Draw one topology and channel realization, deterministic in ``seed``."""
-    config.validate()
-    K = config.num_users
-    L = config.num_eavesdroppers
-    e = config.pathloss_exponent
+# ---------------------------------------------------------------------------
+# Placement
+# ---------------------------------------------------------------------------
+#
+# A point is placed by attempts, each two uniforms ``u0, u1`` of its stream:
+# the disk point at radius ``radius * sqrt(u0)`` and angle ``2 pi u1`` (what
+# ``uniform(0, 2 pi)`` makes of the same draw).  The first attempt at least
+# ``min_sep`` from the origin and from every point placed before it is the
+# point; after ``_MAX_PLACEMENT_ATTEMPTS`` failed attempts the geometry is
+# given up.  Many attempts are drawn and tested at once, but each is tested
+# against exactly the points placed before it, and every coordinate and
+# distance is rounded as one attempt at a time rounds it.  Points are rows
+# ``(x, y)`` of ``(n, 2)`` arrays.
 
-    user_rng = _stream(seed, 0)
-    placed: list[np.ndarray] = []
-    for _ in range(K):
-        placed.append(_place_point(user_rng, config.disk_radius, config.min_separation, placed))
-    user_positions = np.array(placed)
 
-    h_rng = _stream(seed, 1)
-    user_dist = np.hypot(user_positions[:, 0], user_positions[:, 1])
-    xi_h = smallscale_factors(h_rng, K, config.fading_mode, config.min_smallscale_magnitude)
-    h = user_dist ** (-e / 2.0) * xi_h
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[i, j]``: ``np.hypot`` of point ``a[i]`` minus point ``b[j]``, over any leading axes."""
+    return np.hypot(a[..., :, None, 0] - b[..., None, :, 0], a[..., :, None, 1] - b[..., None, :, 1])
 
-    eav_positions = np.zeros((L, 2))
-    G = np.zeros((L, K), dtype=np.complex128)
-    for ell in range(L):
-        eav_rng = _stream(seed, 2, ell)
-        if config.collocated_eavesdroppers and ell > 0:
-            pos = eav_positions[0]
-        else:
-            pos = _place_point(eav_rng, config.disk_radius, config.min_separation, placed)
-            placed.append(pos)
-        eav_positions[ell] = pos
-        dist = np.hypot(*(user_positions - pos).T)
-        G[ell] = dist ** (-e / 2.0) * smallscale_factors(eav_rng, K, config.fading_mode)
 
-    sigma_y_sq, sigma_z_sq = calibrate_noise(config)
-    return SystemRealization(
-        user_positions=user_positions,
-        eav_positions=eav_positions,
-        h=h,
-        G=G,
-        P=float(config.transmit_power),
-        sigma_y_sq=sigma_y_sq,
-        sigma_z_sq=sigma_z_sq,
+def _attempts(u: np.ndarray, radius: float, min_sep: float, others: np.ndarray) -> tuple[np.ndarray, list]:
+    """The attempts of the uniforms ``u``, two each, and whether each clears the origin and the points ``others``.
+
+    The angles go through ``math.cos`` and ``math.sin``, whose rounding numpy's vector kernels need not share.
+    """
+    r = radius * np.sqrt(u[0::2])
+    points = r[:, None] * np.array([[math.cos(a), math.sin(a)] for a in (2.0 * math.pi * u[1::2]).tolist()])
+    clear = np.hypot(points[:, 0], points[:, 1]) >= min_sep
+    if len(others):
+        clear &= (_distances(points, others) >= min_sep).all(axis=1)
+    return points, clear.tolist()
+
+
+def _place(rng: np.random.Generator, n: int, radius: float, min_sep: float, others: np.ndarray,
+           tried: int = 0) -> np.ndarray:
+    """``n`` points placed one after another from ``rng``, after the points ``others``; the first has already
+    failed ``tried`` attempts.
+
+    Attempts come in blocks of as many as points are left, or as the current point has tried if more, and a
+    block never reaches past the current point's cap: so a stream that gives up has drawn exactly the attempts
+    made.  The attempts drawn past the last point are given back (``PCG64.advance``), so the stream stands where
+    one attempt at a time leaves it.
+    """
+    placed = []
+    while tried < _MAX_PLACEMENT_ATTEMPTS:
+        size = min(max(n - len(placed), tried), _MAX_PLACEMENT_ATTEMPTS - tried)
+        points, clear = _attempts(rng.random(2 * size), radius, min_sep, np.concatenate([others, *placed]))
+        fits = [at for at in range(size) if clear[at]]
+        near = (_distances(points[fits], points[fits]) < min_sep).tolist()
+        start, taken = 0, []  # the block's first attempt at the current point; the fitting attempts placed
+        for i, at in enumerate(fits):
+            if any(map(near[i].__getitem__, taken)):
+                continue
+            taken.append(i)
+            placed.append(points[at : at + 1])
+            start, tried = at + 1, 0
+            if len(placed) == n:
+                rng.bit_generator.advance(2 * (start - size))
+                return np.concatenate(placed)
+        tried += size - start
+    raise ConfigurationError(
+        f"could not place a point after {_MAX_PLACEMENT_ATTEMPTS} attempts; "
+        "the disk cannot hold this many points at the requested separation"
     )
+
+
+def _place_eavesdroppers(rngs: list, radius: float, min_sep: float, users: np.ndarray,
+                         normals: np.ndarray) -> np.ndarray:
+    """One point from each stream of ``rngs`` in turn, after the ``users``; each stream then draws its fading's
+    normals into its row of ``normals``.
+
+    Every stream's first attempt is drawn and tested at once; a point whose first attempt fails is placed by
+    :func:`_place` on its own stream.
+    """
+    u = np.empty(2 * len(rngs))
+    for i, rng in enumerate(rngs):
+        rng.random(out=u[2 * i : 2 * i + 2])
+    firsts, clear = _attempts(u, radius, min_sep, users)
+    near = (_distances(firsts, firsts) < min_sep).tolist()
+    placed = np.empty((len(rngs), 2))
+    moved = False  # whether a point was placed past its first attempt, which ``near`` does not know
+    for i, rng in enumerate(rngs):
+        if moved:
+            fits = clear[i] and bool((_distances(firsts[i : i + 1], placed[:i]) >= min_sep).all())
+        else:
+            fits = clear[i] and not any(near[i][:i])
+        if fits:
+            placed[i] = firsts[i]
+        else:
+            placed[i] = _place(rng, 1, radius, min_sep, np.concatenate([users, placed[:i]]), tried=1)[0]
+            moved = True
+        rng.standard_normal(out=normals[i])
+    return placed
+
+
+def sample_realizations(config: ScenarioConfig, seeds) -> list[SystemRealization]:
+    """One topology and channel realization per seed, each deterministic in ``(config, seed)``.
+
+    Seed ``s`` draws from its substreams: ``_stream(s, 0)`` places the users,
+    ``_stream(s, 1)`` draws their fading, and ``_stream(s, 2, l)`` places
+    eavesdropper ``l`` and then draws its fading (a collocated eavesdropper
+    past the first only its fading).  The batch builds every substream in one
+    hash pass (:func:`_streams`) and the channels in one array expression per
+    field; each realization is bitwise the one its seed draws alone.
+    """
+    config.validate()
+    seeds = list(seeds)
+    K, L = config.num_users, config.num_eavesdroppers
+    radius, min_sep = config.disk_radius, config.min_separation
+    keys = [(0,), (1,)] + [(2, ell) for ell in range(L)]
+    streams = _streams(seeds, keys)
+    users = np.empty((len(seeds), K, 2))
+    eavs = np.empty((len(seeds), L, 2))
+    xi_h = np.empty((len(seeds), K), dtype=np.complex128)
+    normals = np.empty((len(seeds), L, 2, K))  # per eavesdropper the two normal draws of smallscale_factors
+    placing = 1 if config.collocated_eavesdroppers else L  # the others share the first one's place
+    for at in range(len(seeds)):
+        user_rng, h_rng, *eav_rngs = streams[at * len(keys) : (at + 1) * len(keys)]
+        users[at] = _place(user_rng, K, radius, min_sep, np.empty((0, 2)))
+        xi_h[at] = smallscale_factors(h_rng, K, config.fading_mode, config.min_smallscale_magnitude)
+        eavs[at] = _place_eavesdroppers(eav_rngs[:placing], radius, min_sep, users[at], normals[at])
+        for rng, out in zip(eav_rngs[placing:], normals[at, placing:]):
+            rng.standard_normal(out=out)
+    e = config.pathloss_exponent
+    h = np.hypot(users[..., 0], users[..., 1]) ** (-e / 2.0) * xi_h
+    if config.fading_mode == "complex":
+        xi = (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0)
+    else:  # the in-phase draw only
+        xi = normals[:, :, 0].astype(np.complex128)
+    G = _distances(users, eavs).swapaxes(-1, -2) ** (-e / 2.0) * xi
+    sigma_y_sq, sigma_z_sq = calibrate_noise(config)
+    P = float(config.transmit_power)
+    return [SystemRealization(users[at], eavs[at], h[at], G[at], P, sigma_y_sq, sigma_z_sq) for at in range(len(seeds))]
+
+
+def sample_realization(config: ScenarioConfig, seed: int) -> SystemRealization:
+    """Draw one topology and channel realization, deterministic in ``seed``: :func:`sample_realizations`' one-seed
+    case."""
+    return sample_realizations(config, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

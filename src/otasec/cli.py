@@ -22,6 +22,7 @@ draws none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,7 +43,10 @@ _EXIT_NUMERIC = 3
 _EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it (``--set`` appends to a
+    copy of its default list)."""
     parser = argparse.ArgumentParser(
         prog="otasec",
         description="Secure over-the-air computation simulator and noise optimizer.",

@@ -194,8 +194,9 @@ def mixture_precoders(real: SystemRealization, eta: float, seeds, thetas) -> np.
     if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
         raise ContractError("theta must lie in [0, 1]")
     budgets = row_budgets(real, eta)
-    A_zf = _random_zf(_streams(seeds, 0), real, budgets)
-    A_rand = _draws(_streams(seeds, 1), real.num_users)
+    rngs = _streams(seeds, [(0,), (1,)])  # per seed, the zero-forced draw's stream, then the unconstrained one's
+    A_zf = _random_zf(rngs[0::2], real, budgets)
+    A_rand = _draws(rngs[1::2], real.num_users)
     w = thetas[:, None, None]
     A = (1.0 - w) * A_zf[:, None]
     A += w * A_rand[:, None]

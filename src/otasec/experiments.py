@@ -12,10 +12,12 @@ evaluation at L_max, where the first L eavesdroppers' covariance is the
 leading L x L block and its Cholesky factor the leading block of the factor.
 
 One entry of the private registry ``_PRESETS`` defines a preset: defaults,
-columns, per-trial function, rows and the fields it reads.  Every preset
+columns, per-trial function, rows, the fields it reads and the configs of
+its realizations.  Every preset
 runs as trials through :func:`collect_trials`, the scatter presets as one
 trial at ``base_seed``; :func:`run_preset` reduces the trials to a table.
-A group of consecutive trials runs in two rounds: the design round makes
+Trials take their realizations from sampling passes that draw many seeds at
+once.  A group of consecutive trials runs in two rounds: the design round makes
 every trial's optimized designs in one ``optimize_designs`` call, and the
 score round scores every trial's precoders in one closed-form call per shape,
 over a realization axis.  ``sweep_L`` (one evaluation at L_max, read through
@@ -47,7 +49,7 @@ from .channel import (
     _stack,
     calibrate_noise,
     config_to_dict,
-    sample_realization,
+    sample_realizations,
 )
 from .encoding import (
     PRECODER_KINDS,
@@ -58,7 +60,10 @@ from .encoding import (
     mixture_precoders,
 )
 from .errors import ConfigurationError, ContractError
-from .metrics import _cores, _whitened, approximation_error, closed_forms, coop_security, noncoop_security
+from .metrics import _coop, _cores, _whitened, approximation_error, closed_forms, noncoop_security
+# No preset reads the combiner, so none calls coop_security; the name stays bound here because
+# benchmarks/tests/test_benchmark_harness.py checks that a traced run restores it.
+from .metrics import coop_security  # noqa: F401
 from .optimizer import LP_DESIGNS, _gather, _lp_total, optimize_designs
 from .version import __version__
 
@@ -116,12 +121,10 @@ def _first_eavesdroppers(real: SystemRealization, L: int) -> SystemRealization:
     return replace(real, eav_positions=real.eav_positions[:L], G=real.G[:L])
 
 
-def _trial_sweep_L(preset: ExperimentPreset, r: int):
+def _trial_sweep_L(preset: ExperimentPreset, seed: int, real: SystemRealization):
     # One evaluation at L_max scores every L: the first L eavesdroppers' covariance is
     # the leading L x L block of B, so its Cholesky factor is the leading block of
     # C = cholesky(B), and with y = C^{-1} m, m_L^H B_L^{-1} m_L = sum_{l<L} |y_l|^2.
-    cfg = replace(preset.config, num_eavesdroppers=max(preset.sweep_values))
-    real = sample_realization(cfg, preset.base_seed + r)
     eta = eta_from_delta(real, preset.delta)
     yield []  # no designs
     A = _no_noise(real.num_users, eta).A
@@ -132,9 +135,8 @@ def _trial_sweep_L(preset: ExperimentPreset, r: int):
     return np.column_stack(np.broadcast_arrays(D, s_coop[rows], s_non[rows]))
 
 
-def _trial_sweep_snr_designs(preset: ExperimentPreset, r: int):
-    seed = preset.base_seed + r
-    real = _with_snr(sample_realization(preset.config, seed), preset)
+def _trial_sweep_snr_designs(preset: ExperimentPreset, seed: int, real: SystemRealization):
+    real = _with_snr(real, preset)
     eta = eta_from_delta(real, preset.delta)
     built = [None if design in LP_DESIGNS else build_precoder(design, real, eta, seed=_child_seed(seed, 17, d_idx))
              for d_idx, design in enumerate(preset.designs)]
@@ -150,20 +152,18 @@ def _columns_sweep_snr_designs(preset: ExperimentPreset):
     return cols
 
 
-def _trial_collocated(preset: ExperimentPreset, r: int):
-    seed = preset.base_seed + r
-    reals = [_with_snr(sample_realization(replace(preset.config, collocated_eavesdroppers=collocated), seed), preset)
-             for collocated in (False, True)]
+def _trial_collocated(preset: ExperimentPreset, seed: int, *reals: SystemRealization):
+    # Its realizations: distributed, then collocated eavesdroppers.
+    reals = [_with_snr(real, preset) for real in reals]
     yield []  # no designs
     etas = [eta_from_delta(real, preset.delta) for real in reals]
     scores = yield [(real, _no_noise(real.num_users, eta).A, eta) for real, eta in zip(reals, etas)]
     return _by_snr([value for _, *security in scores for value in security], preset)
 
 
-def _trial_shared_zf(preset: ExperimentPreset, r: int):
+def _trial_shared_zf(preset: ExperimentPreset, seed: int, real_full: SystemRealization):
     # For each L the proposed design, then each N.
-    cfg = replace(preset.config, num_eavesdroppers=max(preset.l_values))
-    real_full = _with_snr(sample_realization(cfg, preset.base_seed + r), preset)
+    real_full = _with_snr(real_full, preset)
     eta = eta_from_delta(real_full, preset.delta)
     requests = []
     for L in preset.l_values:
@@ -184,9 +184,9 @@ def _columns_shared_zf(preset: ExperimentPreset):
     return cols
 
 
-def _trial_power_control(preset: ExperimentPreset, r: int):
+def _trial_power_control(preset: ExperimentPreset, seed: int, real: SystemRealization):
     # eta of shape (deltas, 1) meets the SNR axis: one design and one scored triple.
-    real = _with_snr(sample_realization(preset.config, preset.base_seed + r), preset)
+    real = _with_snr(real, preset)
     eta = eta_from_delta(real, np.asarray(preset.delta_grid, dtype=float)[:, np.newaxis])
     (prec,) = yield [(real, eta, 1, "best_channel")]
     ((D, s_coop, _),) = yield [(real, prec.A, eta)]
@@ -206,6 +206,9 @@ def _columns_power_control(preset: ExperimentPreset):
 # holds about 4.5 KB per LP: at 512 the fixed cost is about a fifth of an iteration, for about 1.2 MiB more peak
 # memory.  The members a family's basis does not answer make the call's second, smaller stack.
 _GROUP_LPS = 512
+# The trials whose realizations one sampling pass draws first (trial 0 among them sizes the groups), and the
+# trials of a group without LPs.  Past about 20 realizations a pass saves little more per realization.
+_GROUP_TRIALS = 64
 
 
 def _map_trials(fn, n: int, workers: int | None) -> list:
@@ -225,26 +228,27 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     """Per-trial metric arrays, shape (num_realizations, sweep, metrics), of any preset.
 
     An averaged preset's trials leave out the sweep column (it is identical
-    across trials); a scatter preset's one trial holds its whole table.  A
-    trial is a generator that runs in up to two rounds.  The design round: it
-    samples its realization and yields its ``optimize_designs`` requests, and
-    takes the precoders back.  The score round: it yields the ``(real, A,
-    eta)`` triples it scores and takes back their ``(D, S_coop, S_noncoop)``
-    (:func:`_score`), then returns its rows.  Three presets score inline and
-    return after the design round: ``sweep_L`` reads every L from the prefix
-    sums of one evaluation at L_max, ``tradeoff`` scores each delta's
-    550-precoder mixture stack in one call of its own (merging the deltas into
-    one stack ran slower), and ``eta_design_space`` scores no precoder.
+    across trials); a scatter preset's one trial holds its whole table.  Trial
+    ``r`` is a generator that takes seed ``base_seed + r`` and its
+    realizations, one per config of its preset's ``draws``, and runs in up to
+    two rounds.  The design round: it yields its ``optimize_designs``
+    requests and takes the precoders back.  The score round: it yields the
+    ``(real, A, eta)`` triples it scores and takes back their ``(D, S_coop,
+    S_noncoop)`` (:func:`_score`), then returns its rows.  Three presets score
+    inline and return after the design round: ``sweep_L`` reads every L from
+    the prefix sums of one evaluation at L_max, ``tradeoff`` scores each
+    delta's 550-precoder mixture stack in one call of its own (merging the
+    deltas into one stack ran slower), and ``eta_design_space`` scores no
+    precoder.
 
-    Consecutive trials run in groups of at most ``_GROUP_LPS`` LPs, one per
-    SNR family (``optimizer._lp_total``), counted from trial 0 (every trial
-    has its shapes); a trial without LPs forms a group of its own.  A group's
-    trials share one ``optimize_designs`` call and then one ``_score`` call
-    (the optimizer's ``_gather``, which also pools a design's LPs).  Each LP
-    takes the steps it would take alone and each closed form is bitwise the
-    call on its triple alone, so the rows are bitwise those of one trial at a
-    time.  Groups run serially unless ``threads`` asks for 2 or more worker
-    threads.
+    Realizations are drawn in passes, one :func:`~otasec.channel.sample_realizations` call per config: the first
+    ``_GROUP_TRIALS`` trials' first, then each group's others.  Consecutive trials run in groups of at most
+    ``_GROUP_LPS`` LPs, one per SNR family (``optimizer._lp_total``), counted from trial 0 (every trial has its
+    shapes); trials without LPs run ``_GROUP_TRIALS`` to a group.  A group's trials share one ``optimize_designs``
+    call and then one ``_score`` call (the optimizer's ``_gather``, which also pools a design's LPs).  Each
+    realization is bitwise the one its seed draws alone, each LP takes the steps it would take alone and each
+    closed form is bitwise the call on its triple alone, so the rows are bitwise those of one trial at a time.
+    Groups run serially unless ``threads`` asks for 2 or more worker threads.
     """
     spec = _PRESETS.get(preset.name)
     if spec is None:
@@ -252,18 +256,26 @@ def collect_trials(preset: ExperimentPreset, threads: int | None = None) -> np.n
     _check_fields(preset, spec)
     if preset.num_realizations < 1:
         raise ConfigurationError("num_realizations must be at least 1")
+    n = preset.num_realizations
+    configs = spec.draws(preset)
 
-    def start(r: int) -> tuple:
-        trial = spec.trial(preset, r)
+    def realizations(rs: range) -> list:
+        seeds = [preset.base_seed + r for r in rs]
+        return list(zip(*(sample_realizations(config, seeds) for config in configs))) if seeds else []
+
+    def start(r: int, reals: tuple) -> tuple:
+        trial = spec.trial(preset, preset.base_seed + r, *reals)
         return trial, next(trial)
 
-    first = start(0)
+    early = realizations(range(min(n, _GROUP_TRIALS)))
+    first = start(0, early[0])
     lps = _lp_total(first[1])
-    size = max(1, _GROUP_LPS // lps) if lps else 1  # trials per group; a trial without LPs gains nothing from one
-    n = preset.num_realizations
+    size = max(1, _GROUP_LPS // lps) if lps else _GROUP_TRIALS  # trials per group
 
     def group(g: int) -> list:
-        started = [first if r == 0 else start(r) for r in range(g * size, min((g + 1) * size, n))]
+        rs = range(g * size, min((g + 1) * size, n))
+        reals = early[rs.start : rs.stop] + realizations(range(max(rs.start, len(early)), rs.stop))
+        started = [first if r == 0 else start(r, own) for r, own in zip(rs, reals)]
         return _gather(started, optimize_designs, _score)
 
     groups = _map_trials(group, -(-n // size), threads)
@@ -329,9 +341,7 @@ def _check_mu(values) -> None:
         raise ConfigurationError(f"sweep_values (mu) must lie in (0, 1], got {values!r}")
 
 
-def _trial_eta_design_space(preset: ExperimentPreset, r: int):
-    seed = preset.base_seed + r
-    real = sample_realization(preset.config, seed)
+def _trial_eta_design_space(preset: ExperimentPreset, seed: int, real: SystemRealization):
     A = build_precoder(preset.precoder_kind, real, 0.0, seed=seed).A
     yield []  # no designs
     mu = np.asarray(preset.sweep_values, dtype=float)
@@ -341,11 +351,10 @@ def _trial_eta_design_space(preset: ExperimentPreset, r: int):
     return np.column_stack(np.broadcast_arrays(mu, *(b for pair in bounds for b in pair)))
 
 
-def _trial_tradeoff(preset: ExperimentPreset, r: int):
+def _trial_tradeoff(preset: ExperimentPreset, seed: int, real: SystemRealization):
     # Per delta: the proposed design, then every (pair, theta) mixture in pair-major order.  The
     # proposed designs are one request over an eta array, scored in one call; the mixtures per delta.
-    seed = preset.base_seed + r
-    real = sample_realization(preset.config, seed)
+    # S_coop comes from the whitened mean alone: no column reads the combiner.
     deltas = np.asarray(preset.sweep_values, dtype=float)
     etas = eta_from_delta(real, deltas)
     (prec,) = yield [(real, etas, *LP_DESIGNS["proposed"])]
@@ -354,7 +363,8 @@ def _trial_tradeoff(preset: ExperimentPreset, r: int):
     rows = np.empty((len(deltas), 1 + pairs * len(thetas), 5))
     rows[..., 1] = deltas[:, np.newaxis]
     rows[:, 0, 0], rows[:, 0, 2] = TRADEOFF_KINDS["proposed"], 0.0
-    rows[:, 0, 3], rows[:, 0, 4] = approximation_error(real, prec.A, etas), coop_security(real, prec.A, etas)[0]
+    rows[:, 0, 3] = approximation_error(real, prec.A, etas)
+    rows[:, 0, 4] = _coop(real, _whitened(real, prec.A, etas)[1])
     mixtures = rows[:, 1:].reshape(len(deltas), pairs, len(thetas), 5)
     mixtures[..., 0] = np.where(thetas == 0.0, TRADEOFF_KINDS["random_zf"], TRADEOFF_KINDS["mixture"])
     mixtures[..., thetas == 1.0, 0] = TRADEOFF_KINDS["random"]
@@ -364,7 +374,7 @@ def _trial_tradeoff(preset: ExperimentPreset, r: int):
     for d_idx, eta in enumerate(etas.tolist()):
         stack = mixture_precoders(real, eta, seeds[d_idx * pairs : (d_idx + 1) * pairs], thetas)
         mixtures[d_idx, ..., 3] = approximation_error(real, stack, eta)
-        mixtures[d_idx, ..., 4] = coop_security(real, stack, eta)[0]
+        mixtures[d_idx, ..., 4] = _coop(real, _whitened(real, stack, eta)[1])
         del stack  # hold one delta's stack at a time
     return rows.reshape(-1, 5)
 
@@ -379,13 +389,15 @@ class _Spec:
     """Everything that distinguishes one preset from the others."""
 
     columns: Callable[[ExperimentPreset], list]
-    trial: Callable[[ExperimentPreset, int], Generator]  # see collect_trials
+    trial: Callable[..., Generator]  # (preset, seed, *realizations), see collect_trials
     rows: Callable[[ExperimentPreset, np.ndarray], np.ndarray] = _mean_rows  # the table from collect_trials' array
     reads: tuple = ()  # the preset-specific fields its trials read, in metadata order
     sets: tuple = ()  # the scenario fields it does not use: its sweep sets them, or its trials do not read them
     sweep: Callable[[tuple], None] = lambda values: None  # the rule for sweep_values
     fields: dict = field(default_factory=dict)  # ExperimentPreset defaults
     config: dict = field(default_factory=dict)  # ScenarioConfig overrides
+    # The configs of a trial's realizations, each drawn at the trial's seed.
+    draws: Callable[[ExperimentPreset], tuple] = lambda preset: (preset.config,)
 
 
 _DESIGNS = ("none", "signal_level", "data_level", "random_zf", "proposed")
@@ -407,6 +419,7 @@ _PRESETS = {
         sets=("num_eavesdroppers",),
         sweep=lambda values: _check_eavesdropper_counts("sweep_values", values),
         fields=dict(sweep_values=tuple(range(1, 16))),
+        draws=lambda preset: (replace(preset.config, num_eavesdroppers=max(preset.sweep_values)),),
     ),
     "sweep_snr_designs": _Spec(
         columns=_columns_sweep_snr_designs,
@@ -430,6 +443,7 @@ _PRESETS = {
         reads=("delta",),
         sets=("snr_db", "collocated_eavesdroppers"),
         fields=dict(sweep_values=_SNR_GRID),
+        draws=lambda preset: tuple(replace(preset.config, collocated_eavesdroppers=c) for c in (False, True)),
     ),
     "shared_zf": _Spec(
         columns=_columns_shared_zf,
@@ -437,6 +451,7 @@ _PRESETS = {
         reads=("delta", "l_values", "shared_n_values"),
         sets=("snr_db", "num_eavesdroppers"),
         fields=dict(sweep_values=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0)),
+        draws=lambda preset: (replace(preset.config, num_eavesdroppers=max(preset.l_values)),),
     ),
     "power_control": _Spec(
         columns=_columns_power_control,

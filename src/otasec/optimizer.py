@@ -320,9 +320,14 @@ def _design(requests):
     _, _, N, selection = requests[0]
     K = stack.h.shape[-1]
     users = _subsets(stack.h, N, selection)
-    for real, own_eta, *_ in requests:  # each request's own values name its error
-        metrics._check_eta(own_eta)
-        metrics._check_noise(real, positive_noise=True)
+    try:  # every request's eta and noise at once
+        metrics._check_eta(stack.eta)
+        metrics._check_noise(stack, positive_noise=True)
+    except ContractError:
+        for real, own_eta, *_ in requests:  # the first request that fails names its own values
+            metrics._check_eta(own_eta)
+            metrics._check_noise(real, positive_noise=True)
+        raise
     budgets = row_budgets(stack, eta)
     alpha, sum_sq, live = _eavesdropper_terms(stack, eta)
     axes = alpha.shape[:-1]  # eta's axes, then the SNR's, then the requests'

@@ -43,6 +43,16 @@ def synthetic_realization(h, G, P=1.0, sigma_y_sq=1.0, sigma_z_sq=1.0):
     )
 
 
+def started_trial(preset, r):
+    """Trial ``r`` of ``preset``, given its realizations drawn alone, and its design requests."""
+    from otasec import experiments
+
+    spec = experiments._PRESETS[preset.name]
+    seed = preset.base_seed + r
+    trial = spec.trial(preset, seed, *(sample_realization(config, seed) for config in spec.draws(preset)))
+    return trial, next(trial)
+
+
 def one_design(real, eta, N=1, selection="best_channel"):
     """One optimized design, ``optimize_designs``' one-request case; by default the proposed design."""
     return optimize_designs([(real, eta, N, selection)])[0]

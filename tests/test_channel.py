@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from otasec import channel
 from otasec.channel import (
     ScenarioConfig,
+    SystemRealization,
     calibrate_noise,
     config_from_dict,
     config_to_dict,
@@ -18,6 +20,7 @@ from otasec.channel import (
     realization_from_dict,
     realization_to_dict,
     sample_realization,
+    sample_realizations,
     smallscale_factors,
 )
 from otasec.errors import ConfigurationError
@@ -123,57 +126,206 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sample_realization(cfg, 0)
 
-    def test_jammed_geometry_gives_up_at_the_attempt_cap(self, monkeypatch):
+    def test_jammed_geometry_gives_up_at_the_attempt_cap(self, batch_streams):
         # The packing bound admits 15 points 5 m apart in a 10 m disk, but random
-        # sequential placement jams; each point stops after at most 10^4 draws.
+        # sequential placement jams; each point stops after at most 10^4 attempts.
         cfg = base_config(disk_radius=10.0, min_separation=5.0)
         cfg.validate()
-        draws = []
-        draw = channel._draw_disk_point
-        monkeypatch.setattr(channel, "_draw_disk_point", lambda rng, r: draws.append(r) or draw(rng, r))
+        streams, attempts = {}, []
+        with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
+            looped_realization(cfg, 1, streams, attempts)
         with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
             sample_realization(cfg, 1)
-        assert len(draws) <= 15 * 10**4
+        assert attempts[-1] == 10**4 and max(attempts) == 10**4 and len(attempts) <= 15
+        assert_streams_stand_as_the_loop_leaves_them(cfg, 1, streams, batch_streams, gave_up=True)
 
 
-def looped_place_point(rng, radius, min_sep, placed):
-    """The reference of ``channel._place_point``: each candidate tested against one placed point at a time."""
-    for _ in range(channel._MAX_PLACEMENT_ATTEMPTS):
-        p = channel._draw_disk_point(rng, radius)
+def looped_place_point(rng, radius, min_sep, placed, attempts):
+    """One placement attempt at a time, tested against one placed point at a time; each point's attempts go to
+    ``attempts``."""
+    for tried in range(1, channel._MAX_PLACEMENT_ATTEMPTS + 1):
+        r = radius * math.sqrt(rng.uniform())
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        p = np.array([r * math.cos(ang), r * math.sin(ang)])
         if np.hypot(p[0], p[1]) < min_sep:
             continue
         if all(np.hypot(*(p - q)) >= min_sep for q in placed):
+            attempts.append(tried)
             return p
+    attempts.append(channel._MAX_PLACEMENT_ATTEMPTS)
     raise ConfigurationError(f"could not place a point after {channel._MAX_PLACEMENT_ATTEMPTS} attempts")
 
 
+def looped_realization(config, seed, streams=None, attempts=None):
+    """The reference of ``sample_realizations``: one substream, one eavesdropper, one point and one attempt at a
+    time.  ``streams`` gets every substream it makes, by key, and ``attempts`` each point's attempts."""
+    streams = {} if streams is None else streams
+    attempts = [] if attempts is None else attempts
+
+    def stream(*key):
+        streams[key] = channel._stream(seed, *key)
+        return streams[key]
+
+    K, L, e = config.num_users, config.num_eavesdroppers, config.pathloss_exponent
+    radius, min_sep = config.disk_radius, config.min_separation
+    user_rng = stream(0)
+    placed = []
+    for _ in range(K):
+        placed.append(looped_place_point(user_rng, radius, min_sep, placed, attempts))
+    user_positions = np.array(placed)
+    h_rng = stream(1)
+    user_dist = np.hypot(user_positions[:, 0], user_positions[:, 1])
+    h = user_dist ** (-e / 2.0) * smallscale_factors(h_rng, K, config.fading_mode, config.min_smallscale_magnitude)
+    eav_positions = np.zeros((L, 2))
+    G = np.zeros((L, K), dtype=np.complex128)
+    for ell in range(L):
+        eav_rng = stream(2, ell)
+        if config.collocated_eavesdroppers and ell > 0:
+            pos = eav_positions[0]
+        else:
+            pos = looped_place_point(eav_rng, radius, min_sep, placed, attempts)
+            placed.append(pos)
+        eav_positions[ell] = pos
+        dist = np.hypot(*(user_positions - pos).T)
+        G[ell] = dist ** (-e / 2.0) * smallscale_factors(eav_rng, K, config.fading_mode)
+    sigma_y_sq, sigma_z_sq = calibrate_noise(config)
+    return SystemRealization(user_positions, eav_positions, h, G, float(config.transmit_power), sigma_y_sq,
+                             sigma_z_sq)
+
+
+@pytest.fixture
+def batch_streams(monkeypatch):
+    """Every substream ``channel._streams`` makes, by ``(seed, key)``; a seed made again replaces its own."""
+    made = {}
+    streams = channel._streams
+
+    def record(seeds, keys):
+        seeds, keys = list(seeds), list(keys)
+        rngs = streams(seeds, keys)
+        made.update(zip([(seed, key) for seed in seeds for key in keys], rngs))
+        return rngs
+
+    monkeypatch.setattr(channel, "_streams", record)
+    return made
+
+
+def assert_same_realization(real, ref):
+    for name in ("user_positions", "eav_positions", "h", "G"):
+        a, b = getattr(real, name), getattr(ref, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert (real.P, real.sigma_y_sq, real.sigma_z_sq) == (ref.P, ref.sigma_y_sq, ref.sigma_z_sq)
+
+
+def draws_between(before, after, most):
+    """How many 64-bit draws take the generator ``before`` to ``after``'s state; at most ``most``."""
+    bits = np.random.PCG64()
+    bits.state = before.bit_generator.state
+    for n in range(most + 1):
+        if bits.state == after.bit_generator.state:
+            return n
+        bits.advance(1)
+    raise AssertionError(f"more than {most} draws apart")
+
+
+def assert_streams_stand_as_the_loop_leaves_them(config, seed, looped, batched, gave_up=False):
+    """Every substream of ``seed`` that the loop made has drawn exactly what the loop drew from it, and every other
+    nothing; except, once a point was given up, the first attempt, which every eavesdropper that is placed draws
+    at once."""
+    for key in [(0,), (1,)] + [(2, ell) for ell in range(config.num_eavesdroppers)]:
+        if key in looped:
+            assert batched[seed, key].bit_generator.state == looped[key].bit_generator.state, key
+        else:
+            ahead = draws_between(channel._stream(seed, *key), batched[seed, key], 2)
+            placed = key[0] == 2 and not (config.collocated_eavesdroppers and key[1])
+            assert ahead == 0 or (gave_up and placed and ahead == 2), (key, ahead)
+
+
 class TestPlacementReference:
-    """Placement tests a candidate against every placed point at once; it must draw as the per-point loop."""
+    """Realizations are drawn in batches, many attempts at once; each must be bitwise the loop's, and every
+    substream must draw what the loop draws from it."""
+
+    @staticmethod
+    def assert_equal_the_loop(cfg, seeds, batch_streams):
+        batch = sample_realizations(cfg, seeds)
+        assert len(batch) == len(seeds)
+        for seed, real in zip(seeds, batch):
+            streams = {}
+            assert_same_realization(real, looped_realization(cfg, seed, streams))
+            assert_streams_stand_as_the_loop_leaves_them(cfg, seed, streams, batch_streams)
 
     @pytest.mark.parametrize("K, L", [(3, 1), (3, 5), (3, 15), (10, 1), (10, 5), (10, 15)])
     @pytest.mark.parametrize("fading", ["complex", "real"])
     @pytest.mark.parametrize("collocated", [False, True])
-    def test_realizations_equal_the_per_point_loop(self, monkeypatch, K, L, fading, collocated):
+    def test_realizations_equal_the_per_point_loop(self, batch_streams, K, L, fading, collocated):
         cfg = base_config(num_users=K, num_eavesdroppers=L, fading_mode=fading, collocated_eavesdroppers=collocated)
-        fields = ("user_positions", "eav_positions", "h", "G")
-        fast = [[getattr(sample_realization(cfg, seed), f).tobytes() for f in fields] for seed in range(10)]
-        monkeypatch.setattr(channel, "_place_point", looped_place_point)
-        assert fast == [[getattr(sample_realization(cfg, seed), f).tobytes() for f in fields] for seed in range(10)]
+        self.assert_equal_the_loop(cfg, list(range(50)), batch_streams)
 
-    def test_packing_bound_raises_after_the_same_draws(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(num_users=10, num_eavesdroppers=15), dict(num_users=3, num_eavesdroppers=5, fading_mode="real",
+                                                      collocated_eavesdroppers=True)],
+        ids=["K10-L15", "K3-L5-real-collocated"],
+    )
+    def test_300_seeds_equal_the_loop(self, batch_streams, overrides):
+        self.assert_equal_the_loop(base_config(**overrides), list(range(300)), batch_streams)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(num_users=6, num_eavesdroppers=5, disk_radius=3.0),
+            dict(num_users=4, num_eavesdroppers=7, disk_radius=6.0, min_separation=2.0, fading_mode="real"),
+            dict(num_users=4, num_eavesdroppers=3, disk_radius=3.0, collocated_eavesdroppers=True),
+        ],
+        ids=["radius3-sep1", "radius6-sep2", "radius3-collocated"],
+    )
+    def test_tight_geometries_equal_the_loop(self, batch_streams, overrides):
+        # Many attempts fail here, so blocks of attempts, retries and given-back draws all occur.
+        self.assert_equal_the_loop(base_config(**overrides), list(range(50)), batch_streams)
+
+    def test_mixed_batches_equal_each_seed_alone(self):
+        cfg = base_config(num_users=4, num_eavesdroppers=3, disk_radius=4.0)
+        seeds = [5, 3, 5, 2**40, 0, 2**64 + 1, 3]  # repeated seeds, and seeds of more than one word
+        batch = sample_realizations(cfg, iter(seeds))
+        for seed, real in zip(seeds, batch, strict=True):
+            assert_same_realization(real, sample_realization(cfg, seed))
+            assert_same_realization(real, looped_realization(cfg, seed))
+        assert batch[0].G is not batch[2].G and not np.shares_memory(batch[0].G, batch[2].G)
+        assert sample_realizations(cfg, []) == []
+
+    def test_packing_bound_raises_after_the_same_draws(self, batch_streams):
         # 24 points 5 m apart in a 10 m disk: (24 + 1) * 2.5**2 = 12.5**2, exactly the packing bound.
         cfg = base_config(num_users=20, num_eavesdroppers=4, disk_radius=10.0, min_separation=5.0)
         cfg.validate()
-        draw = channel._draw_disk_point
-        runs = []
-        for place in (channel._place_point, looped_place_point):
-            draws = []
-            monkeypatch.setattr(channel, "_place_point", place)
-            monkeypatch.setattr(channel, "_draw_disk_point", lambda rng, r: draws.append(draw(rng, r)) or draws[-1])
-            with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
-                sample_realization(cfg, 3)
-            runs.append(np.array(draws))
-        assert runs[0].shape == runs[1].shape and runs[0].tobytes() == runs[1].tobytes()
+        streams, attempts = {}, []
+        with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
+            looped_realization(cfg, 3, streams, attempts)
+        with pytest.raises(ConfigurationError, match="could not place a point after 10000 attempts"):
+            sample_realization(cfg, 3)
+        assert attempts[-1] == 10**4
+        assert_streams_stand_as_the_loop_leaves_them(cfg, 3, streams, batch_streams, gave_up=True)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(num_users=6, num_eavesdroppers=4, disk_radius=4.0, min_separation=1.5),
+         dict(num_users=2, num_eavesdroppers=6, disk_radius=3.0)],  # mostly given up at an eavesdropper
+        ids=["users", "eavesdroppers"],
+    )
+    def test_small_attempt_caps_stop_where_the_loop_stops(self, monkeypatch, batch_streams, cap, seed, overrides):
+        # With a small cap the blocks meet it often: the same points are given up after the same draws.
+        monkeypatch.setattr(channel, "_MAX_PLACEMENT_ATTEMPTS", cap)
+        cfg = base_config(**overrides)
+        streams = {}
+        try:
+            ref = looped_realization(cfg, seed, streams)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError, match=f"could not place a point after {cap} attempts"):
+                sample_realization(cfg, seed)
+            assert_streams_stand_as_the_loop_leaves_them(cfg, seed, streams, batch_streams, gave_up=True)
+        else:
+            assert_same_realization(sample_realization(cfg, seed), ref)
+            assert_streams_stand_as_the_loop_leaves_them(cfg, seed, streams, batch_streams)
 
 
 class TestValidation:
@@ -283,25 +435,30 @@ class TestBatchStreams:
     KEYS = [(), (0,), (1,), (2, 14), (3, 5, 2), (17, 4), (2**32 + 1,)]
 
     @staticmethod
-    def assert_same_streams(seeds, key):
-        batch = channel._streams(seeds, *key)
-        assert len(batch) == len(seeds)
-        for seed, rng in zip(seeds, batch):
+    def assert_same_streams(seeds, keys):
+        batch = channel._streams(seeds, keys)
+        rows = [(seed, key) for seed in seeds for key in keys]
+        assert len(batch) == len(rows)
+        for (seed, key), rng in zip(rows, batch):
             ref = channel._stream(seed, *key)
             assert rng.bit_generator.state == ref.bit_generator.state, (seed, key)
             assert rng.standard_normal(20).tobytes() == ref.standard_normal(20).tobytes(), (seed, key)
 
     @pytest.mark.parametrize("key", KEYS)
     def test_streams_match_stream(self, key):
-        self.assert_same_streams(self.SEEDS, key)
+        self.assert_same_streams(self.SEEDS, [key])
+
+    def test_streams_mix_keys_of_every_length(self):
+        # One hash pass holds entropies of 1 to 7 words: seeds of one to three words, keys of zero to three.
+        self.assert_same_streams(self.SEEDS[:40], self.KEYS)
 
     @pytest.mark.parametrize("size", [0, 1, 400])
     def test_stream_batch_sizes(self, size):
         seeds = np.random.default_rng(size).integers(0, 2**32, size, dtype=np.uint64).tolist()
-        self.assert_same_streams(seeds, (3, 7, 1))
+        self.assert_same_streams(seeds, [(3, 7, 1)])
 
     def test_streams_mix_word_lengths(self):
-        self.assert_same_streams([2**70, 5, 2**32, 0, 2**64 + 3, 2**32 - 1, 9], (2,))
+        self.assert_same_streams([2**70, 5, 2**32, 0, 2**64 + 3, 2**32 - 1, 9], [(2,)])
 
     @pytest.mark.parametrize("seed", SEEDS[:8])
     def test_child_seeds_match_child_seed(self, seed):
@@ -317,9 +474,9 @@ class TestBatchStreams:
         with pytest.raises(error):
             np.random.SeedSequence(bad)
         with pytest.raises(error):
-            channel._streams([3, bad])
+            channel._streams([3, bad], [()])
         with pytest.raises(error):
-            channel._streams([3], bad)
+            channel._streams([3], [(0,), (bad,)])
         with pytest.raises(error):
             channel._child_seeds(bad, [(0,)])
         with pytest.raises(error):

@@ -145,6 +145,24 @@ class TestRun:
         table = self.gap_table(tmp_path, delta)
         assert table.shape == (9, 6) and np.isfinite(table).all()
 
+    def test_set_reaches_only_its_own_call(self, tmp_path, monkeypatch):
+        # One parser serves every call of the process: a --set, or the --seed and --trials it turns into, must not
+        # reach the next call's overrides.
+        seen, preset = [], cli.default_preset
+
+        def recorded(name, **overrides):
+            seen.append(overrides)
+            return preset(name, **overrides)
+
+        monkeypatch.setattr(cli, "default_preset", recorded)
+        out = str(tmp_path / "t.dat")
+        assert main(["run", "sweep_L", "--trials", "1", "--seed", "3", "--set", "delta=0.5", "--out", out]) == 0
+        assert main(["run", "sweep_L", "--out", out, "--set", "sweep_values=[1,2]"]) == 0
+        assert main(["run", "sweep_L", "--trials", "1", "--out", out, "--set", "sweep_values=[2]"]) == 0
+        assert seen == [dict(delta=0.5, base_seed=3, num_realizations=1), dict(sweep_values=(1, 2), base_seed=1),
+                        dict(sweep_values=(2,), base_seed=1, num_realizations=1)]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_invalid_override_value_exits_2(self, tmp_path, capsys):
         assert main(["run", "sweep_L", "--set", "num_users=1"]) == 2
 
@@ -207,7 +225,7 @@ class TestRun:
 
         # The scatter presets draw their one realization without a trial map.
         monkeypatch.setattr(experiments, "_map_trials", no_trials)
-        monkeypatch.setattr(experiments, "sample_realization", no_trials)
+        monkeypatch.setattr(experiments, "sample_realizations", no_trials)
         out = tmp_path / "t.dat"
         sets = [arg for item in override.split(" ") for arg in ("--set", item)]
         assert main(["run", preset, "--trials", "1", *sets, "--out", str(out)]) == 2
@@ -291,7 +309,7 @@ class TestRun:
     def test_trials_on_a_scatter_preset_exit_2(self, tmp_path, monkeypatch, capsys, preset):
         # Both draw one realization at the base seed; --trials 7 used to print
         # num_realizations: 7 over the rows of that one realization.
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no realization may be drawn
         out = tmp_path / "t.dat"
         assert main(["run", preset, "--trials", "7", "--out", str(out)]) == 2
         captured = capsys.readouterr()

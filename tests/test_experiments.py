@@ -23,7 +23,7 @@ from otasec.experiments import (
 from otasec.metrics import approximation_error, closed_forms, coop_security, noncoop_security
 from otasec.optimizer import optimize_designs
 
-from conftest import first_rounds, one_design
+from conftest import first_rounds, one_design, started_trial
 
 
 def small(name, **overrides):
@@ -499,7 +499,7 @@ class TestLpStacks:
     )
     def test_lp_total_counts_the_lps_of_the_first_stack(self, lp_calls, name, overrides, lps):
         preset = default_preset(name, num_realizations=1, **overrides)
-        requests = next(experiments._PRESETS[name].trial(preset, 0))
+        _, requests = started_trial(preset, 0)
         optimize_designs(requests)
         assert first_rounds(lp_calls) == [optimizer._lp_total(requests)] == [lps]
 
@@ -530,7 +530,7 @@ class TestLpStacks:
             monkeypatch.setattr(optimizer, "_snrs", lambda eta_shape, noise_shape: 1)
             expected = np.stack([looped_trial(preset, r) for r in range(n)])
         lp_calls.clear()
-        per_trial = optimizer._lp_total(next(experiments._PRESETS[name].trial(preset, 0)))
+        per_trial = optimizer._lp_total(started_trial(preset, 0)[1])
         monkeypatch.setattr(experiments, "_GROUP_LPS", 3 * per_trial - 1)  # two trials a group
         trials = collect_trials(preset, threads=1)
         assert first_rounds(lp_calls) == [size * per_trial for size in groups]
@@ -580,8 +580,8 @@ def score_triples(preset, n):
     """The score round's triples of trials 0 to n - 1, in the order a group asks them."""
     triples = []
     for r in range(n):
-        trial = experiments._PRESETS[preset.name].trial(preset, r)
-        triples += trial.send(optimize_designs(next(trial)))
+        trial, requests = started_trial(preset, r)
+        triples += trial.send(optimize_designs(requests))
     return triples
 
 
@@ -616,7 +616,7 @@ class TestScoreRound:
 
     @pytest.mark.parametrize("name", ["shared_zf", "sweep_snr_designs", "security_gap", "power_control", "collocated"])
     def test_the_grouped_presets_score_in_the_round(self, monkeypatch, name):
-        for inline in ("approximation_error", "coop_security", "noncoop_security", "_whitened"):
+        for inline in ("approximation_error", "_coop", "noncoop_security", "_whitened"):
             monkeypatch.setattr(experiments, inline, None)  # no closed form may be called inline
         assert collect_trials(small(name, num_realizations=2), threads=1).shape[0] == 2
 
@@ -630,7 +630,7 @@ class TestScoreRound:
 
         # Trial 2 (seed 3) of a 4-trial group: every covariance of its realization is made indefinite.
         preset = default_preset("shared_zf", num_realizations=4, **BENCHMARK_SHARED_ZF)
-        assert max(1, experiments._GROUP_LPS // optimizer._lp_total(next(experiments._trial_shared_zf(preset, 0)))) == 4
+        assert max(1, experiments._GROUP_LPS // optimizer._lp_total(started_trial(preset, 0)[1])) == 4
         target = sample_realization(dataclasses.replace(preset.config, num_eavesdroppers=7), 3).h
         moments = metrics._moments
 
@@ -768,7 +768,7 @@ class TestValidation:
         preset = small(name, **overrides)
         with pytest.raises(ConfigurationError) as from_run:
             run_preset(preset)
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no trial may start
         with pytest.raises(ConfigurationError) as from_collect:
             collect_trials(preset)
         assert str(from_collect.value) == str(from_run.value)
@@ -785,7 +785,7 @@ class TestValidation:
     )
     def test_empty_list_field_rejected(self, monkeypatch, name, field):
         preset = small(name, **{field: ()})
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no trial may start
         with pytest.raises(ConfigurationError, match=f"^{field} must be non-empty$"):
             run_preset(preset)
 
@@ -804,20 +804,20 @@ class TestValidation:
     )
     def test_repeated_column_names_rejected(self, monkeypatch, name, overrides, repeated):
         preset = small(name, **overrides)
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no trial may start
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no trial may start
         with pytest.raises(ConfigurationError, match=f"^repeated list entries repeat column names: {repeated}$"):
             run_preset(preset)
 
     @pytest.mark.parametrize("sweep", [(0.5, 2.0), (-0.1, 0.5)])
     def test_tradeoff_sweep_values_are_deltas(self, monkeypatch, sweep):
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no realization may be drawn
         with pytest.raises(ConfigurationError, match=r"^sweep_values \(delta\) must lie in \[0, 1\], got "):
             run_preset(small("tradeoff", sweep_values=sweep))
 
     @pytest.mark.parametrize("name", ["tradeoff", "eta_design_space"])
     @pytest.mark.parametrize("trials", [0, 2, 7])
     def test_scatter_presets_draw_one_realization(self, monkeypatch, name, trials):
-        monkeypatch.setattr(experiments, "sample_realization", None)  # no realization may be drawn
+        monkeypatch.setattr(experiments, "sample_realizations", None)  # no realization may be drawn
         with pytest.raises(ConfigurationError, match=f"^{name} draws one realization: num_realizations must be 1"):
             run_preset(small(name, num_realizations=trials))
 

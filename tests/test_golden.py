@@ -21,7 +21,8 @@ and ROADMAP.md's preset-time table (serial, seed 1, min and median of 6 in-proce
 benchmark ``shared_zf``'s job, its ``mc_oracle`` row (one call at 10^6 samples), its ``statistical_csi_check`` row (one call at 10^5
 draws), its Cholesky/solve rows (``coop_security`` per call, in µs), its ``optimize_designs`` rows
 (one benchmark-shaped group of designs, then one lone design, per call, in µs) and its score-round row
-(one benchmark-shaped group's closed forms, per round, in µs) with
+(one benchmark-shaped group's closed forms, per round, in µs) and its sampling rows (one pass of
+realizations, per call, in µs) with
 
     PYTHONPATH=src python tests/test_golden.py --times
 """
@@ -39,12 +40,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otasec.channel import ScenarioConfig, sample_realization
+from otasec.channel import ScenarioConfig, sample_realization, sample_realizations
 from otasec.cli import main
 from otasec.encoding import build_precoder, eta_from_delta, mixture_precoders
-from otasec.experiments import _DESIGNS, _score, _trial_shared_zf, default_preset, run_preset, write_table
+from otasec.experiments import _DESIGNS, _score, default_preset, run_preset, write_table
 from otasec.metrics import coop_security, mc_oracle, statistical_csi_check
 from otasec.optimizer import LP_DESIGNS, optimize_designs
+
+from conftest import started_trial
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -222,7 +225,9 @@ def _print_times():
     seed-2 trials at L = 3 and 7, 0 and 20 dB and the preset's delta (proposed, N = 1 and N = 2 each).
     The lone-design row designs one request: the default ``tradeoff`` realization's proposed design over
     benchmark ``tradeoff``'s four deltas.  The score-round row scores benchmark ``shared_zf``'s job as one group:
-    the 24 precoders of its 4 trials, in one ``experiments._score`` call.
+    the 24 precoders of its 4 trials, in one ``experiments._score`` call.  The sampling rows, in µs per call,
+    draw one pass of realizations at K = 10 from seed 1 on: benchmark ``shared_zf``'s 4 at L = 7, and ``sweep_L``'s
+    20 at n = 20 and L = 15.
     """
     print("| Preset | Size | Time |\n|---|---|---|")
     for name, trials in TIME_TRIALS.items():
@@ -249,16 +254,20 @@ def _print_times():
     A = build_precoder("none", real, eta).A
     print(f"| `coop_security` | K = 10, L = 15 | {_min_median(lambda: coop_security(real, A, eta), calls=1000)} |")
     preset = default_preset("shared_zf", base_seed=1, sweep_values=(0.0, 20.0), l_values=(3, 7))
-    requests = [request for r in range(2) for request in next(_trial_shared_zf(preset, r))]
+    requests = [request for r in range(2) for request in started_trial(preset, r)[1]]
     group = _min_median(lambda: optimize_designs(requests), calls=20)
     print(f"| `optimize_designs` | {len(requests)} requests, K = 10, L = 3 and 7, 2 SNRs | {group} |")
     lone = [(mixed, eta_from_delta(mixed, np.array([0.25, 0.5, 0.75, 1.0])), *LP_DESIGNS["proposed"])]
     alone = _min_median(lambda: optimize_designs(lone), calls=100)
     print(f"| `optimize_designs` | 1 request, K = 10, L = 7, 4 deltas | {alone} |")
-    trials = [_trial_shared_zf(job, r) for r in range(job.num_realizations)]
-    triples = [triple for trial in trials for triple in trial.send(optimize_designs(next(trial)))]
+    trials = [started_trial(job, r) for r in range(job.num_realizations)]
+    triples = [triple for trial, requests in trials for triple in trial.send(optimize_designs(requests))]
     scored = _min_median(lambda: _score(triples), calls=100)
     print(f"| `_score` | 4 trials, {len(triples)} precoders, K = 10, L = 3 and 7, 2 SNRs | {scored} |")
+    for n, L in ((4, 7), (20, 15)):
+        config = ScenarioConfig(num_users=10, num_eavesdroppers=L)
+        drawn = _min_median(lambda: sample_realizations(config, range(1, n + 1)), calls=100)
+        print(f"| `sample_realizations` | {n} seeds, K = 10, L = {L} | {drawn} |")
 
 
 if __name__ == "__main__":

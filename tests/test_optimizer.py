@@ -361,6 +361,17 @@ class TestSharedZeroForcing:
             real = make_realization(seed, K=3, L=L, snr_db=snr_db, fading_mode=fading_mode)
             assert one_design(real, eta_from_delta(real, 1.0), N, "exhaustive").zf_users == tuple(range(N))
 
+    def test_a_later_subset_better_by_1e_10_wins(self):
+        # Users 0 and 1 mirror each other (equal channels, the eavesdroppers' rows swapped), so subsets (0,) and
+        # (1,) tie in exact arithmetic; h_1 = 1 + 1e-9 makes the later (1,) better by about 1e-10 in S_noncoop.
+        # The tie band covers rounding only: at a width of 1e-9 the earlier subset would win.
+        real = synthetic_realization(h=[1.0, 1.0 + 1e-9, 1.5], G=[[1.0, 0.2, 0.9], [0.2, 1.0, 0.9]], sigma_z_sq=0.1)
+        scores = exact_single_user_scores(real, 0.5)
+        assert 5e-11 < scores[1] - scores[0] < 5e-10 and scores[1] > scores[2] + 0.1
+        prec = one_design(real, 0.5, 1, "exhaustive")
+        assert prec.zf_users == (1,)
+        assert abs(noncoop_security(real, prec.A, 0.5)[0] - scores[1]) <= 1e-15
+
     def test_all_candidates_degenerate_falls_back_to_zero(self):
         real = synthetic_realization(h=[1.0, 1.0, 1.0], G=[[1.0, 0.5, 0.2]], P=1.0)
         eta = eta_from_delta(real, 1.0)  # all residual budgets are exactly zero
@@ -476,6 +487,31 @@ class TestWellScaledAllocation:
         assert np.linalg.norm(real.h @ prec.A) <= 1e-9 * h_norm
         # The worst eavesdropper gains from the design's noise, as the LP promises.
         assert noncoop_security(real, prec.A, eta)[0] > noncoop_security(real, zero_A(K), eta)[0]
+
+
+def exact_single_user_scores(real, eta):
+    """``S_noncoop`` of each one-user zero-forcing subset of a 3-user, 2-eavesdropper realization, at its max-min
+    allocation, found without the simplex: the worst objective is concave and piecewise affine in the two noise
+    powers, so its maximum over the polygon of budgets lies where two of the polygon's edges, or an edge and the
+    line where both eavesdroppers' objectives meet, cross."""
+    budgets, h, G = row_budgets(real, eta), real.h, real.G
+    sum_sq = np.abs((G / h).sum(axis=1)) ** 2
+    alpha = (eta**2 * (np.abs(G / h) ** 2).sum(axis=1) + real.sigma_z_sq) / sum_sq
+    scores = []
+    for zf in range(3):
+        noise = [i for i in range(3) if i != zf]
+        beta = np.abs(G[:, noise] - G[:, [zf]] * h[noise] / h[zf]) ** 2 / sum_sq[:, None]
+        rows = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], np.abs(h[noise] / h[zf]) ** 2])
+        rhs = np.array([0.0, 0.0, *budgets[noise], budgets[zf]])
+        lines = np.vstack([rows, beta[0] - beta[1]]), np.append(rhs, alpha[1] - alpha[0])
+        worst = -np.inf
+        for pair in itertools.combinations(range(len(lines[0])), 2):
+            if abs(np.linalg.det(lines[0][list(pair)])) > 1e-12:
+                lam = np.linalg.solve(lines[0][list(pair)], lines[1][list(pair)])
+                if np.all(rows @ lam <= rhs + 1e-12):
+                    worst = max(worst, np.min(alpha + beta @ lam))
+        scores.append(1.0 - (eta**2 / 3) / worst)
+    return np.array(scores)
 
 
 def looped_design_search(real, eta, N, selection):
